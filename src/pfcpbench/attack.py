@@ -10,7 +10,8 @@ predicates holding), and each sample has a strict oracle-query budget.
 Three optimizers solve the resulting positive-part minimization: a
 single-draw random search and two genetic variants, one built on
 differential mutation with two-point crossover and one on recombination
-plus per-gene resampling.
+plus per-gene resampling.  Optimizers are generators that only propose
+candidates; ``attack_sample`` alone queries the oracle and spends budget.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Generator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .errors import (
 from .preprocess import PipelineModel
 from .seeding import rng_for
 from .traffic import (
+    ATTACK_LABELS,
     CATEGORICAL,
     ClassLabel,
     CategoricalDomain,
@@ -65,7 +67,9 @@ class ComplianceSpec:
     ``protected`` fields must keep their original values; ``predicates``
     are (feature, relation, value) triples that must hold on every
     candidate.  Values live in the same representation as the vectors
-    being checked (categorical values are domain labels).
+    being checked (categorical values are domain labels).  Predicates may
+    name protected fields only, so a candidate that keeps its protected
+    fields keeps the class predicates of its original.
     """
 
     attack_class: ClassLabel
@@ -73,9 +77,13 @@ class ComplianceSpec:
     predicates: tuple[tuple[str, str, object], ...]
 
     def __post_init__(self):
-        for _, relation, _ in self.predicates:
+        for name, relation, _ in self.predicates:
             if relation not in _RELATIONS:
                 raise SchemaError(f"unknown predicate relation {relation!r}")
+            if name not in self.protected:
+                raise SchemaError(
+                    f"{self.attack_class.value}: predicate field {name!r} is not protected"
+                )
 
 
 # Raw-space compliance rules matching the synthetic attack generator: the
@@ -133,11 +141,11 @@ def scale_compliance(spec: ComplianceSpec, pipeline: PipelineModel) -> Complianc
     Robust scaling is a strictly increasing per-feature affine map, so the
     relation direction is preserved; categorical predicates are untouched.
     """
-    missing = [name for name, _, _ in spec.predicates if name not in pipeline.kept_features]
-    missing += [name for name in spec.protected if name not in pipeline.kept_features]
+    # predicate fields are protected, so checking the protected set covers both
+    missing = [name for name in spec.protected if name not in pipeline.kept_features]
     if missing:
         raise ConfigError(
-            f"{spec.attack_class.value}: compliance references dropped features {sorted(set(missing))}"
+            f"{spec.attack_class.value}: compliance references dropped features {sorted(missing)}"
         )
     if not pipeline.scaling_enabled or pipeline.scaler_state is None:
         return spec
@@ -159,9 +167,6 @@ class FeasibleSet:
     indices: tuple[int, ...]
     domains: dict  # position -> CategoricalDomain | NumericDomain
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
 
 def build_feasible_set(
     schema: FeatureSchema,
@@ -171,9 +176,12 @@ def build_feasible_set(
 ) -> FeasibleSet:
     """Resolve controllable feature names to schema positions.
 
-    Raises when a requested feature collides with the attack class's
-    protected set: modifying those would break the attack itself.
+    Raises when no feature is named, and when a requested feature collides
+    with the attack class's protected set: modifying those would break the
+    attack itself.
     """
+    if not feature_names:
+        raise ConfigError(f"{compliance.attack_class.value}: empty feasible set")
     overlap = set(feature_names) & set(compliance.protected)
     if overlap:
         raise ConfigError(
@@ -204,13 +212,34 @@ def build_feasible_set(
     return FeasibleSet(indices=tuple(sorted(indices)), domains=domains)
 
 
-def load_feasible_config(path) -> dict[str, dict]:
-    """J-config file: JSON mapping attack class value -> feature list and
-    optional per-feature domain narrowing."""
-    doc = json.loads(Path(path).read_text())
+def load_feasible_config(path) -> dict[ClassLabel, dict]:
+    """J-config file: JSON mapping attack class value -> an object with an
+    optional ``features`` name list and optional per-feature domain
+    ``narrow``-ing.  Any other shape raises ``ConfigError``."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"feasible-set config {path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError("feasible-set config must be a JSON object")
-    return doc
+    classes = {label.value: label for label in ATTACK_LABELS}
+    entries = {}
+    for key, entry in doc.items():
+        if key not in classes:
+            raise ConfigError(f"feasible-set config: {key!r} is not an attack class")
+        if not (
+            isinstance(entry, dict)
+            and set(entry) <= {"features", "narrow"}
+            and isinstance(entry.get("features", []), list)
+            and all(isinstance(name, str) for name in entry.get("features", []))
+            and isinstance(entry.get("narrow", {}), dict)
+        ):
+            raise ConfigError(
+                f"feasible-set config: {key} must be an object with an optional "
+                '"features" list of names and an optional "narrow" object'
+            )
+        entries[classes[key]] = entry
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +323,6 @@ class Marginals:
         if kind == "cat":
             return float(rng.choice(values, p=probs))
         return float(values[rng.integers(len(values))])
-
-    def positions(self) -> tuple[int, ...]:
-        return tuple(sorted(self.entries))
 
 
 def estimate_marginals(source: LabeledDataset, feasible: FeasibleSet) -> Marginals:
@@ -384,11 +410,6 @@ class QueryOracle:
         return value
 
 
-def fitness(oracle: QueryOracle, candidate: np.ndarray) -> float:
-    """Positive part of (score - tau); consumes one budget unit per call."""
-    return oracle.fitness(candidate)
-
-
 # ---------------------------------------------------------------------------
 # Attack configuration and outcome
 
@@ -398,7 +419,6 @@ class AttackConfig:
     algorithm: str = GA_DE
     popsize: int = 20
     budget: int = 100
-    crossover: str = "two_point"  # DE recombination scheme
     diff_weight: float = 0.5  # differential mutation weight on numeric genes
     recombination_ratio: float = 0.9
     mutation_rate: float | None = None  # defaults to 1/|J|
@@ -408,8 +428,6 @@ class AttackConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown attack algorithm {self.algorithm!r}")
-        if self.crossover != "two_point":
-            raise ConfigError(f"unsupported crossover scheme {self.crossover!r}")
         if min(self.popsize, self.budget, self.rs_retries) < 1:
             raise ConfigError("popsize, budget, and rs_retries must be positive")
 
@@ -463,7 +481,9 @@ def _outcome(oracle: QueryOracle, idx: int, kind: ClassLabel, algorithm: str, in
 
 
 # ---------------------------------------------------------------------------
-# Candidate construction helpers
+# Optimizers: candidate generators that never see the oracle
+
+Proposals = Generator[np.ndarray, float, None]
 
 
 def _sample_candidate(
@@ -475,144 +495,91 @@ def _sample_candidate(
     return candidate
 
 
-def _repair(
-    candidate: np.ndarray,
-    compliance: ComplianceSpec,
-    feasible: FeasibleSet,
-    schema: FeatureSchema,
-    marginals: Marginals,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Resample genes that violate a predicate instead of rejecting the
-    candidate; rejection would waste scarce budget."""
-    if check_compliant(compliance, schema, candidate):
-        return candidate
-    feasible_set = set(feasible.indices)
-    for name, relation, value in compliance.predicates:
-        pos = schema.position(name)
-        if pos not in feasible_set:
-            continue
-        for _ in range(100):
-            if check_compliant(compliance, schema, candidate):
-                break
-            candidate[pos] = marginals.sample(pos, rng)
-    return candidate
-
-
-def _clamp(value: float, domain) -> float:
-    if isinstance(domain, NumericDomain):
-        return domain.clamp(value)
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Optimizers
-
-
 def rs_attack(
     x: np.ndarray,
-    oracle: QueryOracle,
     feasible: FeasibleSet,
     marginals: Marginals,
     cfg: AttackConfig,
     rng: np.random.Generator,
-) -> QueryOracle:
+) -> Proposals:
     """Random search: by default a single draw from the marginals."""
-    for _ in range(min(cfg.rs_retries, oracle.remaining)):
-        candidate = _sample_candidate(x, feasible, marginals, rng)
-        candidate = _repair(candidate, oracle.compliance, feasible, oracle.schema, marginals, rng)
-        if oracle.fitness(candidate) == 0.0:
-            break
-    return oracle
+    for _ in range(cfg.rs_retries):
+        yield _sample_candidate(x, feasible, marginals, rng)
 
 
 def _init_population(
     x: np.ndarray,
-    oracle: QueryOracle,
     feasible: FeasibleSet,
     marginals: Marginals,
     popsize: int,
     rng: np.random.Generator,
-) -> tuple[list[np.ndarray], list[float]]:
+) -> Generator[np.ndarray, float, tuple[list[np.ndarray], list[float]]]:
     pop: list[np.ndarray] = []
     fits: list[float] = []
     for _ in range(popsize):
-        if oracle.remaining == 0 or oracle.best_fitness == 0.0:
-            break
         candidate = _sample_candidate(x, feasible, marginals, rng)
-        candidate = _repair(candidate, oracle.compliance, feasible, oracle.schema, marginals, rng)
-        fits.append(oracle.fitness(candidate))
+        fits.append((yield candidate))
         pop.append(candidate)
     return pop, fits
 
 
 def ga_de_attack(
     x: np.ndarray,
-    oracle: QueryOracle,
     feasible: FeasibleSet,
     marginals: Marginals,
     cfg: AttackConfig,
     rng: np.random.Generator,
-) -> QueryOracle:
+) -> Proposals:
     """Differential-evolution variant.
 
     Numeric genes mutate as a + F (b - c) clamped to the feasible domain;
     two-point crossover over the J positions mixes the mutant into the
     parent, resampling categorical genes wherever the crossover segment
-    lands.  Replacement is greedy per slot.
+    lands.  Replacement is greedy per slot, so later children of a
+    generation already see earlier replacements.
     """
-    J = list(feasible.indices)
-    if not J:
-        oracle.fitness(x.copy())
-        return oracle
-    pop, fits = _init_population(x, oracle, feasible, marginals, cfg.popsize, rng)
-    while oracle.remaining > 0 and oracle.best_fitness > 0.0 and len(pop) >= 4:
+    J = feasible.indices
+    pop, fits = yield from _init_population(x, feasible, marginals, cfg.popsize, rng)
+    if len(pop) < 4:
+        return
+    while True:
         for i in range(len(pop)):
-            if oracle.remaining == 0 or oracle.best_fitness == 0.0:
-                break
             # best/1 base vector: differences perturb the incumbent best
             a = int(np.argmin(fits))
             others = [t for t in range(len(pop)) if t != i and t != a]
             b, c = rng.choice(others, size=2, replace=False)
             child = pop[i].copy()
             cut1, cut2 = np.sort(rng.choice(len(J) + 1, size=2, replace=False))
-            for pos_idx in range(cut1, cut2):
-                j = J[pos_idx]
-                if oracle.schema.features[j].kind == CATEGORICAL:
-                    child[j] = marginals.sample(j, rng)
+            for j in J[cut1:cut2]:
+                domain = feasible.domains[j]
+                if isinstance(domain, NumericDomain):
+                    child[j] = domain.clamp(pop[a][j] + cfg.diff_weight * (pop[b][j] - pop[c][j]))
                 else:
-                    v = pop[a][j] + cfg.diff_weight * (pop[b][j] - pop[c][j])
-                    child[j] = _clamp(v, feasible.domains[j])
-            child = _repair(child, oracle.compliance, feasible, oracle.schema, marginals, rng)
-            f = oracle.fitness(child)
+                    child[j] = marginals.sample(j, rng)
+            f = yield child
             if f <= fits[i]:
                 pop[i], fits[i] = child, f
-    return oracle
 
 
 def ga_es_attack(
     x: np.ndarray,
-    oracle: QueryOracle,
     feasible: FeasibleSet,
     marginals: Marginals,
     cfg: AttackConfig,
     rng: np.random.Generator,
-) -> QueryOracle:
+) -> Proposals:
     """Evolution-strategy variant: (mu + lambda) with uniform two-parent
     recombination at the configured ratio, per-gene marginal resampling at
     rate 1/|J|, and elitist survivor selection."""
-    J = list(feasible.indices)
-    if not J:
-        oracle.fitness(x.copy())
-        return oracle
+    J = feasible.indices
     mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / len(J)
-    pop, fits = _init_population(x, oracle, feasible, marginals, cfg.popsize, rng)
-    while oracle.remaining > 0 and oracle.best_fitness > 0.0 and len(pop) >= 2:
+    pop, fits = yield from _init_population(x, feasible, marginals, cfg.popsize, rng)
+    if len(pop) < 2:
+        return
+    while True:
         children: list[np.ndarray] = []
         child_fits: list[float] = []
         for _ in range(cfg.popsize):
-            if oracle.remaining == 0 or oracle.best_fitness == 0.0:
-                break
             if rng.random() < cfg.recombination_ratio:
                 p1, p2 = rng.choice(len(pop), size=2, replace=False)
                 child = pop[p1].copy()
@@ -624,20 +591,35 @@ def ga_es_attack(
             for j in J:
                 if rng.random() < mutation_rate:
                     child[j] = marginals.sample(j, rng)
-            child = _repair(child, oracle.compliance, feasible, oracle.schema, marginals, rng)
-            child_fits.append(oracle.fitness(child))
+            child_fits.append((yield child))
             children.append(child)
-        if not children:
-            break
         pool = pop + children
         pool_fits = fits + child_fits
         order = np.argsort(pool_fits, kind="stable")[: cfg.popsize]
         pop = [pool[i] for i in order]
         fits = [pool_fits[i] for i in order]
-    return oracle
 
 
 _OPTIMIZERS = {RS: rs_attack, GA_DE: ga_de_attack, GA_ES: ga_es_attack}
+
+
+def attack_sample(
+    oracle: QueryOracle, marginals: Marginals, cfg: AttackConfig, rng: np.random.Generator
+) -> None:
+    """Run ``cfg.algorithm`` against one sample.
+
+    The only caller of the oracle: each proposed candidate costs one query
+    and its fitness is sent back to the optimizer.  Stops on the first zero
+    fitness, when the budget is spent, or when the optimizer returns.
+    """
+    proposals = _OPTIMIZERS[cfg.algorithm](oracle.original, oracle.feasible, marginals, cfg, rng)
+    value = None
+    while oracle.remaining > 0 and value != 0.0:
+        try:
+            candidate = proposals.send(value)
+        except StopIteration:
+            break
+        value = oracle.fitness(candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +670,6 @@ def run_campaign(
         return []
 
     score_one = lambda row: float(model.score_batch(row.reshape(1, -1))[0])
-    optimizer = _OPTIMIZERS[cfg.algorithm]
     outcomes: list[AttackOutcome] = []
     skipped_noncompliant = 0
     for i in range(len(attack_samples)):
@@ -710,7 +691,7 @@ def run_campaign(
             compliance=compliance_specs[kind],
         )
         rng = rng_for(cfg.seed, "attack", cfg.algorithm, i)
-        optimizer(X[i], oracle, feasible_sets[kind], marginals[kind], cfg, rng)
+        attack_sample(oracle, marginals[kind], cfg, rng)
         outcomes.append(_outcome(oracle, i, kind, cfg.algorithm, float(scores[i])))
     if skipped_noncompliant:
         logger.warning(

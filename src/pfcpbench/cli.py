@@ -239,27 +239,20 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def _feasible_features(cfg: RunConfig) -> dict[ClassLabel, tuple[str, ...]]:
+def _feasible_config(cfg: RunConfig) -> tuple[dict[ClassLabel, tuple[str, ...]], dict[ClassLabel, dict]]:
+    """Per-class feasible feature names and domain narrowing: the defaults,
+    overridden class by class from the J-config file."""
     features = {
         kind: attack_mod.DEFAULT_CONTROLLABLE_FEATURES
         for kind in attack_mod.DEFAULT_COMPLIANCE_RULES
     }
+    narrow = {}
     if cfg.j_config:
-        doc = attack_mod.load_feasible_config(cfg.j_config)
-        for class_value, entry in doc.items():
-            features[ClassLabel(class_value)] = tuple(entry.get("features", ()))
-    return features
-
-
-def _feasible_narrow(cfg: RunConfig) -> dict[ClassLabel, dict]:
-    if not cfg.j_config:
-        return {}
-    doc = attack_mod.load_feasible_config(cfg.j_config)
-    return {
-        ClassLabel(class_value): entry["narrow"]
-        for class_value, entry in doc.items()
-        if entry.get("narrow")
-    }
+        for kind, entry in attack_mod.load_feasible_config(cfg.j_config).items():
+            features[kind] = tuple(entry.get("features", ()))
+            if entry.get("narrow"):
+                narrow[kind] = entry["narrow"]
+    return features, narrow
 
 
 def cmd_attack(cfg: RunConfig) -> int:
@@ -276,8 +269,7 @@ def cmd_attack(cfg: RunConfig) -> int:
         kind: attack_mod.scale_compliance(spec, pipeline)
         for kind, spec in attack_mod.DEFAULT_COMPLIANCE_RULES.items()
     }
-    features = _feasible_features(cfg)
-    narrow = _feasible_narrow(cfg)
+    features, narrow = _feasible_config(cfg)
     marginals_source = train if cfg.marginals_source == "train" else attack_rows
 
     groups = []

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -10,14 +13,11 @@ from pfcpbench.attack import (
     AttackConfig,
     ComplianceSpec,
     QueryOracle,
+    attack_sample,
     build_feasible_set,
     check_compliant,
     check_feasible,
     estimate_marginals,
-    fitness,
-    ga_de_attack,
-    ga_es_attack,
-    rs_attack,
     run_campaign,
     scale_compliance,
 )
@@ -144,6 +144,19 @@ def test_feasible_set_rejects_protected_overlap(toy):
         build_feasible_set(schema, ("pfcp.teid",), spec)
 
 
+def test_feasible_set_rejects_empty_j(toy):
+    # with J = {} every candidate equals the detected sample
+    schema, spec, _, _ = toy
+    with pytest.raises(ConfigError):
+        build_feasible_set(schema, (), spec)
+
+
+def test_compliance_spec_rejects_unprotected_predicate_field():
+    # a predicate on a field outside the protected set could be broken by J
+    with pytest.raises(SchemaError):
+        ComplianceSpec(ClassLabel.FLOOD, frozenset({"pfcp.flags"}), (("pfcp.msg_type", "=", "50"),))
+
+
 def test_feasible_set_narrowing(toy):
     schema, spec, _, source = toy
     narrowed = build_feasible_set(
@@ -195,13 +208,13 @@ def test_fitness_positive_part(toy):
     oracle = _oracle(schema, spec, feasible, x, tau=5.0)
     low = x.copy()
     low[1] = 0.0  # score 0 = tau - 5
-    assert fitness(oracle, low) == 0.0
+    assert oracle.fitness(low) == 0.0
     high = x.copy()
     high[1] = 7.0  # tau + 2
-    assert fitness(oracle, high) == pytest.approx(2.0)
+    assert oracle.fitness(high) == pytest.approx(2.0)
     boundary = x.copy()
     boundary[1] = 5.0  # exactly tau: not anomalous under the strict rule
-    assert fitness(oracle, boundary) == 0.0
+    assert oracle.fitness(boundary) == 0.0
     assert oracle.queries_used == 3
 
 
@@ -209,10 +222,10 @@ def test_budget_exhaustion(toy):
     schema, spec, feasible, _ = toy
     x = _detected_sample(schema)
     oracle = _oracle(schema, spec, feasible, x, budget=2)
-    fitness(oracle, x.copy())
-    fitness(oracle, x.copy())
+    oracle.fitness(x.copy())
+    oracle.fitness(x.copy())
     with pytest.raises(BudgetExhausted):
-        fitness(oracle, x.copy())
+        oracle.fitness(x.copy())
 
 
 def test_oracle_rejects_noncompliant_candidates(toy):
@@ -222,7 +235,7 @@ def test_oracle_rejects_noncompliant_candidates(toy):
     bad = x.copy()
     bad[2] = 999.0  # touches a protected index
     with pytest.raises(ComplianceViolation):
-        fitness(oracle, bad)
+        oracle.fitness(bad)
     assert oracle.queries_used == 0  # rejected candidates burn no budget
 
 
@@ -241,31 +254,27 @@ def test_rs_single_query(toy):
     oracle = _oracle(schema, spec, feasible, x, tau=20.0)  # unevadable tau? no: size<=10 -> always 0
     oracle = _oracle(schema, spec, feasible, x, tau=-1.0)  # every candidate scores above tau
     cfg = AttackConfig(algorithm=RS, seed=1)
-    rs_attack(x, oracle, feasible, marginals, cfg, rng_for(1, "t"))
+    attack_sample(oracle, marginals, cfg, rng_for(1, "t"))
     assert oracle.queries_used == 1
 
 
-def test_rs_empty_feasible_set(toy):
-    # J = {} leaves the candidate equal to x, which was detected
-    schema, spec, source = toy[0], toy[1], toy[3]
-    feasible = build_feasible_set(schema, (), spec)
-    x = _detected_sample(schema)
-    oracle = _oracle(schema, spec, feasible, x, tau=1.0)  # x scores 9 > 1: detected
-    cfg = AttackConfig(algorithm=RS, seed=1)
-    marginals = estimate_marginals(source, build_feasible_set(schema, ("pfcp.size",), spec))
-    rs_attack(x, oracle, feasible, marginals, cfg, rng_for(1, "t"))
-    assert oracle.queries_used == 1
-    assert oracle.best_fitness > 0
-
-
-def test_rs_retries_reading(toy):
+@pytest.mark.parametrize(
+    "cfg, queries",
+    [
+        (AttackConfig(algorithm=RS, seed=1, rs_retries=7), 7),  # all retries spent
+        # populations too small to breed stop after initialisation
+        (AttackConfig(algorithm=GA_DE, seed=1, popsize=3), 3),
+        (AttackConfig(algorithm=GA_ES, seed=1, popsize=1), 1),
+    ],
+    ids=["RS-retries7", "GA_DE-popsize3", "GA_ES-popsize1"],
+)
+def test_unevadable_sample_spends_every_proposal(toy, cfg, queries):
     schema, spec, feasible, source = toy
     marginals = _marginals_for(toy)
     x = _detected_sample(schema)
     oracle = _oracle(schema, spec, feasible, x, tau=-1.0)
-    cfg = AttackConfig(algorithm=RS, seed=1, rs_retries=7)
-    rs_attack(x, oracle, feasible, marginals, cfg, rng_for(1, "t"))
-    assert oracle.queries_used == 7  # unevadable: all retries spent
+    attack_sample(oracle, marginals, cfg, rng_for(1, "t"))
+    assert oracle.queries_used == queries
 
 
 def test_ga_de_stops_on_zero_fitness_at_init(toy):
@@ -274,7 +283,7 @@ def test_ga_de_stops_on_zero_fitness_at_init(toy):
     x = _detected_sample(schema)
     oracle = _oracle(schema, spec, feasible, x, tau=15.0)  # any size <= 10 scores below tau
     cfg = AttackConfig(algorithm=GA_DE, seed=1)
-    ga_de_attack(x, oracle, feasible, marginals, cfg, rng_for(1, "t"))
+    attack_sample(oracle, marginals, cfg, rng_for(1, "t"))
     assert oracle.best_fitness == 0.0
     assert oracle.queries_used <= cfg.popsize
 
@@ -287,7 +296,7 @@ def test_ga_de_respects_budget_and_improves(toy):
     score_fn = lambda row: abs(row[1] - 4.2) + 3.0
     oracle = _oracle(schema, spec, feasible, x, score_fn=score_fn, tau=1.0, budget=60)
     cfg = AttackConfig(algorithm=GA_DE, seed=3)
-    ga_de_attack(x, oracle, feasible, marginals, cfg, rng_for(3, "t"))
+    attack_sample(oracle, marginals, cfg, rng_for(3, "t"))
     assert oracle.queries_used == 60
     fits = [f for _, f in oracle.trace]
     assert min(fits[:20]) > oracle.best_fitness or fits.index(min(fits)) >= 20
@@ -299,7 +308,7 @@ def test_ga_es_static_without_variation(toy):
     x = _detected_sample(schema)
     oracle = _oracle(schema, spec, feasible, x, tau=-1.0, budget=100)
     cfg = AttackConfig(algorithm=GA_ES, seed=4, recombination_ratio=0.0, mutation_rate=0.0)
-    ga_es_attack(x, oracle, feasible, marginals, cfg, rng_for(4, "t"))
+    attack_sample(oracle, marginals, cfg, rng_for(4, "t"))
     init_best = min(f for _, f in oracle.trace[: cfg.popsize])
     assert oracle.best_fitness == pytest.approx(init_best)
 
@@ -312,7 +321,7 @@ def test_ga_es_deterministic(toy):
     for _ in range(2):
         oracle = _oracle(schema, spec, feasible, x, tau=-1.0, budget=40)
         cfg = AttackConfig(algorithm=GA_ES, seed=5)
-        ga_es_attack(x, oracle, feasible, marginals, cfg, rng_for(5, "sample", 0))
+        attack_sample(oracle, marginals, cfg, rng_for(5, "sample", 0))
         traces.append(tuple(oracle.trace))
     assert traces[0] == traces[1]
 
@@ -323,7 +332,7 @@ def test_monotone_best_so_far(toy):
     x = _detected_sample(schema)
     oracle = _oracle(schema, spec, feasible, x, tau=-1.0, budget=80)
     cfg = AttackConfig(algorithm=GA_DE, seed=6)
-    ga_de_attack(x, oracle, feasible, marginals, cfg, rng_for(6, "t"))
+    attack_sample(oracle, marginals, cfg, rng_for(6, "t"))
     best = np.inf
     for _, f in oracle.trace:
         best = min(best, f)
@@ -342,7 +351,7 @@ def test_rs_cannot_evade_oracle_ignoring_j(toy):
             score_fn=lambda row: float(row[2]), tau=400.0,  # teid=500 > 400: detected
         )
         cfg = AttackConfig(algorithm=RS, seed=trial)
-        rs_attack(x, oracle, feasible, marginals, cfg, rng_for(trial, "t"))
+        attack_sample(oracle, marginals, cfg, rng_for(trial, "t"))
         evaded += oracle.best_fitness == 0.0
     assert evaded == 0
 
@@ -452,6 +461,51 @@ def test_campaign_deterministic(toy):
     a, b = run(), run()
     assert [o.trace for o in a] == [o.trace for o in b]
     assert all(np.array_equal(x.best_candidate, y.best_candidate) for x, y in zip(a, b))
+
+
+class _DistanceModel:
+    """Scores distance of the size from 4.2, a mark other than "b", and the
+    protected TEID's offset from 500, so samples range from easy to
+    unevadable."""
+
+    tau = 0.5
+
+    def score_batch(self, X):
+        return np.abs(X[:, 1] - 4.2) + 0.5 * (X[:, 0] != 1) + (X[:, 2] - 500.0) / 100.0
+
+
+# sha256 over every outcome's (sample index, trace, best candidate); a change
+# to an optimizer's RNG draw order or to the stop rules changes these
+GOLDEN_TRACE_DIGESTS = {
+    RS: "18178b2f437149e26756fe85c3d5ec7c934e03b455a0a569f66d356300219eb8",
+    GA_DE: "0fa837fbaa5669d61551971e480854af3601031bd24c96c2de947f32dd7dfb11",
+    GA_ES: "54a083998d93f918766708ee43ff3739257f866acc1a70ef766013cd65c11c38",
+}
+
+
+@pytest.mark.parametrize("algorithm", [RS, GA_DE, GA_ES])
+def test_campaign_golden_traces(toy, algorithm):
+    # budget 37 with popsize 20 runs out partway through a generation, and
+    # the samples mix early evasions, late evasions and spent budgets
+    schema, spec, feasible, source = toy
+    k = 16
+    cats = (np.arange(k) % 3).reshape(-1, 1)
+    nums = np.column_stack([np.linspace(0.5, 9.5, k), 300.0 + 18.0 * np.arange(k)])
+    attacks = LabeledDataset(schema, cats, nums, [ClassLabel.RESTORATION_TEID] * k)
+    outcomes = run_campaign(
+        _DistanceModel(),
+        attacks,
+        {ClassLabel.RESTORATION_TEID: ("pfcp.mark", "pfcp.size")},
+        {ClassLabel.RESTORATION_TEID: spec},
+        AttackConfig(algorithm=algorithm, seed=11, budget=37, rs_retries=3),
+        source,
+    )
+    digest = hashlib.sha256()
+    for o in outcomes:
+        doc = [o.sample_index, [list(t) for t in o.trace], o.best_candidate.tolist()]
+        digest.update(json.dumps(doc).encode())
+    assert len(outcomes) == 12
+    assert digest.hexdigest() == GOLDEN_TRACE_DIGESTS[algorithm]
 
 
 def test_scale_compliance_maps_thresholds():

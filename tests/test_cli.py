@@ -196,6 +196,44 @@ def test_attack_honors_feasible_set_config(tmp_path):
             assert set(o["modified"]) <= allowed
 
 
+@pytest.fixture(scope="module")
+def j_config_run(tmp_path_factory):
+    """A trained run whose config points at a J-config file the test rewrites."""
+    tmp_path = tmp_path_factory.mktemp("jconfig")
+    j_config = tmp_path / "feasible.json"
+    j_config.write_text("{}")
+    config = write_config(
+        tmp_path,
+        attack={"algorithms": ["RS"], "targets": ["HBOS"], "j_config": str(j_config)},
+    )
+    for cmd in ("preprocess", "train"):
+        assert run(cmd, config) == 0
+    return config, j_config
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"not_a_class": {"features": ["ip.ttl"]}}',
+        '{"normal": {"features": ["ip.ttl"]}}',
+        '{"restoration_teid": ["ip.ttl"]}',
+        '{"flood": {"features": "ip.ttl"}}',
+        '{"flood": {"features": [7]}}',
+        '{"flood": {"narrow": ["ip.ttl"]}}',
+        '{"flood": {"feature": ["ip.ttl"]}}',
+        '["flood"]',
+        '{"flood": ',
+    ],
+    ids=["unknown-class", "benign-class", "bare-list", "features-string", "features-number",
+         "narrow-list", "misspelt-key", "top-level-list", "invalid-json"],
+)
+def test_attack_rejects_malformed_feasible_set_config(j_config_run, text, capsys):
+    config, j_config = j_config_run
+    j_config.write_text(text)
+    assert run("attack", config) == 12
+    assert "error[ConfigError] feasible-set config" in capsys.readouterr().err
+
+
 def test_full_pipeline_rerun_is_byte_identical(tmp_path):
     config = write_config(
         tmp_path,
