@@ -176,10 +176,17 @@ def build_feasible_set(
 ) -> FeasibleSet:
     """Resolve controllable feature names to schema positions.
 
-    Raises when no feature is named, and when a requested feature collides
-    with the attack class's protected set: modifying those would break the
-    attack itself.
+    Raises when no feature is named, when a feature is in the attack
+    class's protected set (modifying it would break the attack itself), and
+    when ``narrow`` names a feature outside J or does not fit its domain.
     """
+    narrow = narrow or {}
+    stray = set(narrow) - set(feature_names)
+    if stray:
+        raise ConfigError(
+            f"feasible-set config: {compliance.attack_class.value} narrows "
+            f"{sorted(stray)}, which are not in its feasible set"
+        )
     if not feature_names:
         raise ConfigError(f"{compliance.attack_class.value}: empty feasible set")
     overlap = set(feature_names) & set(compliance.protected)
@@ -190,26 +197,36 @@ def build_feasible_set(
         )
     indices = []
     domains = {}
-    narrow = narrow or {}
     for name in feature_names:
         pos = schema.position(name)
-        desc = schema.features[pos]
-        domain = desc.domain
+        domain = schema.features[pos].domain
         if name in narrow:
-            spec = narrow[name]
-            if desc.kind == CATEGORICAL:
-                labels = tuple(spec["labels"])
-                bad = set(labels) - set(domain.labels)
-                if bad:
-                    raise ConfigError(f"{name}: narrowed labels {sorted(bad)} not in domain")
-                domain = CategoricalDomain(labels)
-            else:
-                lo = max(float(spec["lo"]), domain.lo)
-                hi = min(float(spec["hi"]), domain.hi)
-                domain = NumericDomain(lo, hi)
+            where = f"feasible-set config: {compliance.attack_class.value} narrow {name}"
+            domain = _narrowed(domain, narrow[name], where)
         indices.append(pos)
         domains[pos] = domain
     return FeasibleSet(indices=tuple(sorted(indices)), domains=domains)
+
+
+def _narrowed(domain, spec, where: str):
+    """``domain`` cut down by a J-config narrowing: exactly ``{"labels":
+    [...]}``, distinct labels of a categorical domain, or exactly ``{"lo":
+    number, "hi": number}`` meeting a numerical domain."""
+    categorical = isinstance(domain, CategoricalDomain)
+    try:
+        if set(spec) != ({"labels"} if categorical else {"lo", "hi"}):
+            raise TypeError
+        if categorical:
+            labels = spec["labels"]
+            if not isinstance(labels, list) or not labels or not set(labels) <= set(domain.labels):
+                raise ValueError
+            return CategoricalDomain(tuple(labels))  # SchemaError on a repeated label
+        if not all(type(spec[key]) in (int, float) for key in ("lo", "hi")):
+            raise TypeError
+        # SchemaError when the cut is empty or a bound is not finite
+        return NumericDomain(max(spec["lo"], domain.lo), min(spec["hi"], domain.hi))
+    except (TypeError, ValueError, SchemaError) as exc:
+        raise ConfigError(f"{where}: {spec!r} does not narrow {domain}") from exc
 
 
 def load_feasible_config(path) -> dict[ClassLabel, dict]:
@@ -654,12 +671,11 @@ def run_campaign(
     for kind, names in feasible_features.items():
         if kind not in compliance_specs:
             raise ConfigError(f"no compliance spec for class {kind.value}")
-        if not names:
+        kind_narrow = (narrow or {}).get(kind)
+        if not names and not kind_narrow:
             logger.warning("%s: empty feasible set, class skipped", kind.value)
             continue
-        feasible_sets[kind] = build_feasible_set(
-            schema, names, compliance_specs[kind], (narrow or {}).get(kind)
-        )
+        feasible_sets[kind] = build_feasible_set(schema, names, compliance_specs[kind], kind_narrow)
         marginals[kind] = estimate_marginals(marginals_source, feasible_sets[kind])
 
     X = attack_samples.to_matrix()

@@ -191,7 +191,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def load_any_model(path: Path):
     doc = json.loads(path.read_text())
     fmt = doc.get("format")
-    if fmt == "pfcpbench-detector-v1":
+    if fmt == det_mod.DETECTOR_FORMAT:
         return det_mod.DetectorModel.from_json_dict(doc)
     if fmt == "pfcpbench-ensemble-v1":
         return ens_mod.EnsembleModel.load(path)
@@ -209,10 +209,7 @@ def _trained_models(run_dir: Path, names: tuple[str, ...] | None) -> list[tuple[
         name = path.stem
         if names is not None and name not in names:
             continue
-        try:
-            out.append((name, load_any_model(path)))
-        except errors.SchemaError:
-            logger.warning("skipping unreadable model container %s", path)
+        out.append((name, load_any_model(path)))
     if names:
         missing = set(names) - {n for n, _ in out}
         for name in sorted(missing):
@@ -249,7 +246,7 @@ def _feasible_config(cfg: RunConfig) -> tuple[dict[ClassLabel, tuple[str, ...]],
     narrow = {}
     if cfg.j_config:
         for kind, entry in attack_mod.load_feasible_config(cfg.j_config).items():
-            features[kind] = tuple(entry.get("features", ()))
+            features[kind] = tuple(entry.get("features", attack_mod.DEFAULT_CONTROLLABLE_FEATURES))
             if entry.get("narrow"):
                 narrow[kind] = entry["narrow"]
     return features, narrow

@@ -109,6 +109,8 @@ _REGISTRY = {
 }
 
 DEFAULT_CONTAMINATION = 0.02
+# Container tag; bumped whenever a detector's saved state changes layout.
+DETECTOR_FORMAT = "pfcpbench-detector-v2"
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ class DetectorModel:
 
     def to_json_dict(self) -> dict:
         return {
-            "format": "pfcpbench-detector-v1",
+            "format": DETECTOR_FORMAT,
             "kind": self.kind.value,
             "params": self.config.params,
             "contamination": self.config.contamination,
@@ -179,8 +181,8 @@ class DetectorModel:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "DetectorModel":
-        if doc.get("format") != "pfcpbench-detector-v1":
-            raise SchemaError("not a detector model container")
+        if doc.get("format") != DETECTOR_FORMAT:
+            raise SchemaError(f"not a {DETECTOR_FORMAT} container: {doc.get('format')!r}")
         kind = DetectorKind.parse(doc["kind"])
         config = DetectorConfig(
             kind=kind, params=doc["params"], contamination=doc["contamination"]

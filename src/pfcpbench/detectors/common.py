@@ -31,31 +31,33 @@ def kth_smallest(dists: np.ndarray, k: int) -> np.ndarray:
     return np.partition(dists, k - 1, axis=1)[:, k - 1]
 
 
-def histogram_heights(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
-    """Static-width bin counts using the same floor rule as scoring.
+def _histogram_cells(V: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
+    """Flat index into a (d x bins) table of each cell of V (n x d).
 
-    The top edge belongs to the last bin so the training maximum stays
-    in range.
+    Static-width floor rule over each column's [lo, hi]; the top edge
+    belongs to the last bin so the training maximum stays in range, and a
+    constant column (hi <= lo) keeps its value in bin 0.
     """
-    if hi <= lo:
-        return np.array([float(len(values))])
-    idx = np.floor((values - lo) / (hi - lo) * bins).astype(int)
-    idx = np.clip(idx, 0, bins - 1)
-    return np.bincount(idx, minlength=bins).astype(float)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    # fmax/fmin send NaN to bin 0, where it stays a valid index
+    idx = np.fmin(np.fmax(np.floor((V - lo) / span * bins), 0), bins - 1).astype(np.intp)
+    return idx + np.arange(V.shape[1]) * bins
+
+
+def histogram_table(V: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
+    """Bin counts of V (n x d): one row of ``bins`` counts per column."""
+    d = V.shape[1]
+    counts = np.bincount(_histogram_cells(V, lo, hi, bins).ravel(), minlength=d * bins)
+    return counts.reshape(d, bins).astype(float)
 
 
 def histogram_lookup(
-    queries: np.ndarray, lo: float, hi: float, heights: np.ndarray
+    Q: np.ndarray, lo: np.ndarray, hi: np.ndarray, table: np.ndarray
 ) -> np.ndarray:
-    """Per-query bin height; zero outside the training range."""
-    bins = len(heights)
-    if hi <= lo:
-        return np.where(queries == lo, heights[0], 0.0)
-    idx = np.floor((queries - lo) / (hi - lo) * bins).astype(int)
-    inside = (queries >= lo) & (queries <= hi)
-    idx = np.clip(idx, 0, bins - 1)
-    out = heights[idx]
-    return np.where(inside, out, 0.0)
+    """Bin height of each cell of Q (n x d) in its column's row of
+    ``table``; zero outside the column's training range."""
+    heights = table.take(_histogram_cells(Q, lo, hi, table.shape[1]))
+    return np.where((Q >= lo) & (Q <= hi), heights, 0.0)
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:

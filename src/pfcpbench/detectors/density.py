@@ -9,8 +9,8 @@ import numpy as np
 from .common import (
     DENSITY_EPS,
     EPS,
-    histogram_heights,
     histogram_lookup,
+    histogram_table,
     iter_chunks,
     kth_smallest,
     sq_distances,
@@ -213,25 +213,16 @@ def fit_loda(X: np.ndarray, params: dict, rng) -> dict:
         feats = rng.choice(d, size=min(nnz, d), replace=False)
         W[i, feats] = rng.normal(size=len(feats))
     Z = X @ W.T
-    los, his, masses = [], [], []
-    n = X.shape[0]
-    for i in range(r):
-        lo, hi = float(Z[:, i].min()), float(Z[:, i].max())
-        counts = histogram_heights(Z[:, i], lo, hi, bins)
-        los.append(lo)
-        his.append(hi)
-        masses.append(counts / n)
-    return {"W": W, "lo": np.array(los), "hi": np.array(his), "masses": masses}
+    lo, hi = Z.min(axis=0), Z.max(axis=0)
+    masses = histogram_table(Z, lo, hi, bins) / X.shape[0]
+    return {"W": W, "lo": lo, "hi": hi, "masses": masses}
 
 
 def score_loda(state: dict, Q: np.ndarray) -> np.ndarray:
     Z = Q @ state["W"].T
-    r = state["W"].shape[0]
-    total = np.zeros(Q.shape[0])
-    for i in range(r):
-        mass = histogram_lookup(Z[:, i], state["lo"][i], state["hi"][i], state["masses"][i])
-        total += -np.log(mass + EPS)
-    return total / r
+    mass = histogram_lookup(Z, state["lo"], state["hi"], state["masses"])
+    # projections summed left to right, as in score_hbos
+    return (-np.log(mass + EPS)).cumsum(axis=1)[:, -1] / state["W"].shape[0]
 
 
 # --------------------------------------------------------------------------

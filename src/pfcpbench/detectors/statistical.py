@@ -4,30 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import EPS, histogram_heights, histogram_lookup, sample_skew_sign
+from .common import EPS, histogram_lookup, histogram_table, sample_skew_sign
 
 
 def fit_hbos(X: np.ndarray, params: dict, rng) -> dict:
-    """Per-feature static-width histograms over the training range,
-    heights normalized so the tallest bin is 1."""
+    """Per-feature static-width histograms over the training range, one
+    (d x bins) table with each row normalized so its tallest bin is 1."""
     bins = int(params.get("bins", 10))
-    los, his, heights = [], [], []
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        lo, hi = float(col.min()), float(col.max())
-        counts = histogram_heights(col, lo, hi, bins)
-        los.append(lo)
-        his.append(hi)
-        heights.append(counts / counts.max())
-    return {"lo": np.array(los), "hi": np.array(his), "heights": heights}
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    counts = histogram_table(X, lo, hi, bins)
+    return {"lo": lo, "hi": hi, "heights": counts / counts.max(axis=1, keepdims=True)}
 
 
 def score_hbos(state: dict, Q: np.ndarray) -> np.ndarray:
-    total = np.zeros(Q.shape[0])
-    for j in range(Q.shape[1]):
-        h = histogram_lookup(Q[:, j], state["lo"][j], state["hi"][j], state["heights"][j])
-        total += -np.log(h + EPS)
-    return total
+    h = histogram_lookup(Q, state["lo"], state["hi"], state["heights"])
+    # features summed left to right: a pairwise sum would change the last bits
+    return (-np.log(h + EPS)).cumsum(axis=1)[:, -1]
 
 
 def _ecdf_tails(sorted_cols: list[np.ndarray], Q: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:

@@ -167,6 +167,18 @@ def test_attack_budget_override_changes_run_dir_and_outcomes(tmp_path):
     assert outcomes and all(o["queries_used"] <= 7 for o in outcomes)
 
 
+def test_v1_detector_container_fails_with_schema_error(pipeline_run, capsys):
+    config, run_dir = pipeline_run
+    assert run("train", config) == 0
+    path = run_dir / "models" / "HBOS.json"
+    doc = json.loads(path.read_text())
+    doc["format"] = "pfcpbench-detector-v1"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("evaluate", config) == 3
+    assert "pfcpbench-detector-v1" in capsys.readouterr().err
+
+
 def test_attack_honors_feasible_set_config(tmp_path):
     j_config = tmp_path / "feasible.json"
     j_config.write_text(json.dumps({
@@ -223,15 +235,52 @@ def j_config_run(tmp_path_factory):
         '{"flood": {"feature": ["ip.ttl"]}}',
         '["flood"]',
         '{"flood": ',
+        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {}}}}',
+        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": "x", "hi": 3}}}}',
+        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": NaN, "hi": 3}}}}',
+        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": 0, "hi": 1e9, "step": 1}}}}',
+        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": 62, "hi": 60}}}}',
+        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": 1e6, "hi": 2e6}}}}',
+        '{"flood": {"features": ["ip.dsfield.dscp"], '
+        '"narrow": {"ip.dsfield.dscp": {"lo": 0, "hi": 1}}}}',
+        '{"flood": {"features": ["ip.dsfield.dscp"], '
+        '"narrow": {"ip.dsfield.dscp": {"labels": ["0", "0"]}}}}',
+        '{"flood": {"features": ["ip.dsfield.dscp"], '
+        '"narrow": {"ip.dsfield.dscp": {"labels": ["no-such-label"]}}}}',
+        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.len": {"lo": 0, "hi": 1e9}}}}',
+        '{"flood": {"features": [], "narrow": {"ip.ttl": {"lo": 0, "hi": 1e9}}}}',
+        '{"flood": {"narrow": {"pfcp.msg_type": {"labels": ["50"]}}}}',
     ],
     ids=["unknown-class", "benign-class", "bare-list", "features-string", "features-number",
-         "narrow-list", "misspelt-key", "top-level-list", "invalid-json"],
+         "narrow-list", "misspelt-key", "top-level-list", "invalid-json",
+         "narrow-empty-bounds", "narrow-string-bound", "narrow-nan-bound", "narrow-extra-key",
+         "narrow-inverted", "narrow-outside-domain", "narrow-bounds-on-categorical",
+         "narrow-repeated-label", "narrow-unknown-label", "narrow-outside-j",
+         "narrow-with-empty-j", "narrow-protected-field"],
 )
 def test_attack_rejects_malformed_feasible_set_config(j_config_run, text, capsys):
     config, j_config = j_config_run
     j_config.write_text(text)
     assert run("attack", config) == 12
     assert "error[ConfigError] feasible-set config" in capsys.readouterr().err
+
+
+def test_attack_narrow_without_features_narrows_the_default_set(j_config_run):
+    config, j_config = j_config_run
+    campaign = only_run_dir(config.parent) / "campaign-HBOS-RS.jsonl"
+
+    def flood_outcomes(text):
+        j_config.write_text(text)
+        assert run("attack", config) == 0
+        outcomes = map(json.loads, campaign.read_text().splitlines())
+        return [o for o in outcomes if o["attack_class"] == "flood"]
+
+    default = flood_outcomes("{}")
+    narrowed = flood_outcomes('{"flood": {"narrow": {"ip.ttl": {"lo": 60, "hi": 62}}}}')
+    assert narrowed
+    assert [o["sample_index"] for o in narrowed] == [o["sample_index"] for o in default]
+    assert any(set(o["modified"]) - {"ip.ttl"} for o in narrowed)
+    assert all(60 <= o["modified"].get("ip.ttl", 60) <= 62 for o in narrowed)
 
 
 def test_full_pipeline_rerun_is_byte_identical(tmp_path):

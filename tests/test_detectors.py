@@ -13,6 +13,7 @@ from pfcpbench.detectors import (
     grid_search,
     score,
 )
+from pfcpbench.detectors.common import EPS
 from pfcpbench.errors import FitError, GridSearchError, GuidelineViolation, SchemaError
 from pfcpbench.evaluate import auc, threshold_metrics
 from pfcpbench.traffic import ClassLabel
@@ -101,6 +102,95 @@ def test_knn_monotone_along_ray():
     direction /= np.linalg.norm(direction)
     scores = [score(model, origin + t * direction) for t in np.linspace(5, 50, 12)]
     assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
+
+
+def _loop_histogram_heights(values, lo, hi, bins):
+    if hi <= lo:
+        return np.array([float(len(values))])
+    idx = np.floor((values - lo) / (hi - lo) * bins).astype(int)
+    idx = np.clip(idx, 0, bins - 1)
+    return np.bincount(idx, minlength=bins).astype(float)
+
+
+def _loop_histogram_lookup(queries, lo, hi, heights):
+    bins = len(heights)
+    if hi <= lo:
+        return np.where(queries == lo, heights[0], 0.0)
+    with np.errstate(invalid="ignore"):  # NaN and inf queries end outside the range
+        idx = np.floor((queries - lo) / (hi - lo) * bins).astype(int)
+    inside = (queries >= lo) & (queries <= hi)
+    idx = np.clip(idx, 0, bins - 1)
+    return np.where(inside, heights[idx], 0.0)
+
+
+def loop_hbos(X: np.ndarray, Q: np.ndarray, bins: int) -> np.ndarray:
+    """HBOS as one histogram per feature, scored feature by feature."""
+    total = np.zeros(Q.shape[0])
+    for j in range(X.shape[1]):
+        lo, hi = float(X[:, j].min()), float(X[:, j].max())
+        counts = _loop_histogram_heights(X[:, j], lo, hi, bins)
+        h = _loop_histogram_lookup(Q[:, j], lo, hi, counts / counts.max())
+        total += -np.log(h + EPS)
+    return total
+
+
+def loop_loda(X: np.ndarray, Q: np.ndarray, W: np.ndarray, bins: int) -> np.ndarray:
+    """LODA given its projections, one projection histogram at a time."""
+    Z, Zq = X @ W.T, Q @ W.T
+    total = np.zeros(Q.shape[0])
+    for i in range(W.shape[0]):
+        lo, hi = float(Z[:, i].min()), float(Z[:, i].max())
+        counts = _loop_histogram_heights(Z[:, i], lo, hi, bins)
+        mass = _loop_histogram_lookup(Zq[:, i], lo, hi, counts / X.shape[0])
+        total += -np.log(mass + EPS)
+    return total / W.shape[0]
+
+
+def _histogram_edge_case_data(seed: int):
+    """Training columns that are continuous, integer-valued (values on bin
+    edges) and constant, with queries at lo, hi, every bin edge, beyond both
+    ends and off the constant."""
+    rng = np.random.default_rng(seed)
+    n = 60
+    X = np.column_stack([
+        rng.normal(size=n),
+        rng.integers(0, 20, size=n).astype(float),
+        np.full(n, 3.5),
+        rng.exponential(size=n),
+        np.zeros(n),
+        rng.integers(-2, 3, size=n).astype(float),
+    ])
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    rows = [X, lo[None], hi[None], lo[None] - 1.0, hi[None] + 1.0,
+            lo[None] - 1e-9, hi[None] + 1e-9, (lo + 1e-3)[None], (hi + 7.0)[None]]
+    for t in np.linspace(0.0, 1.0, 41):
+        rows.append((lo + t * (hi - lo))[None])
+    rows.append(rng.normal(scale=10.0, size=(30, X.shape[1])))
+    return X, np.vstack(rows)
+
+
+@pytest.mark.parametrize("bins", [1, 5, 10, 20])
+@pytest.mark.parametrize("columns", [slice(None), [2, 4]], ids=["mixed", "constant"])
+def test_hbos_and_loda_match_per_feature_loop(bins, columns):
+    X, Q = _histogram_edge_case_data(bins)
+    X, Q = X[:, columns], Q[:, columns]
+    train = numeric_dataset(X)
+    hbos = fit(DetectorConfig(kind=DetectorKind.HBOS, params={"bins": bins}), train)
+    assert np.array_equal(hbos.score_batch(Q), loop_hbos(X, Q, bins))
+    odd = np.tile([np.inf, -np.inf, np.nan], (1, 2))[:, : X.shape[1]]
+    assert np.array_equal(hbos.score_batch(odd), loop_hbos(X, odd, bins))
+    loda = fit(
+        DetectorConfig(kind=DetectorKind.LODA, params={"bins": bins, "projections": 25}), train
+    )
+    W = loda.state["W"]
+    assert np.array_equal(loda.score_batch(Q), loop_loda(X, Q, W, bins))
+    batch = hbos.score_batch(Q)
+    for i in (0, 60, 61, 62, 63, 64, len(Q) - 1):
+        row = Q[i : i + 1]
+        assert hbos.score_batch(row)[0] == batch[i]
+        # a projection of one row can round differently from the same row's
+        # projection in a batch, so LODA is checked row by row against the loop
+        assert loda.score_batch(row)[0] == loop_loda(X, row, W, bins)[0]
 
 
 def test_hbos_single_bin_scores_near_zero():

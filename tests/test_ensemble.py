@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from pfcpbench.cli import load_any_model
 from pfcpbench.detectors import DetectorConfig, DetectorKind, fit
 from pfcpbench.ensemble import (
     PRESETS,
@@ -167,3 +170,16 @@ def test_ensemble_serialization_roundtrip(tmp_path):
     X = validation.to_matrix()
     assert np.array_equal(loaded.score_batch(X), model.score_batch(X))
     assert loaded.spec == model.spec
+
+
+def test_ensemble_embedding_a_v1_detector_is_rejected(tmp_path):
+    spec, bases, train, validation = _toy_setting()
+    path = tmp_path / "ens.json"
+    fit_ensemble(spec, bases, validation, seed=5).save(path)
+    doc = json.loads(path.read_text())
+    doc["bases"][0]["format"] = "pfcpbench-detector-v1"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="pfcpbench-detector-v1"):
+        EnsembleModel.load(path)
+    with pytest.raises(SchemaError, match="pfcpbench-detector-v1"):
+        load_any_model(path)
