@@ -111,13 +111,16 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_preprocessed(run_dir: Path) -> tuple[preprocess.PipelineModel, dict[str, LabeledDataset]]:
+def _load_preprocessed(
+    run_dir: Path, names: tuple[str, ...]
+) -> tuple[preprocess.PipelineModel, dict[str, LabeledDataset]]:
+    """The fitted pipeline and the preprocessed splits named in ``names``."""
     pipeline_path = run_dir / "pipeline.json"
     if not pipeline_path.exists():
         raise errors.ConfigError(f"{pipeline_path} missing; run the preprocess command first")
     model = preprocess.PipelineModel.load(pipeline_path)
     splits = {}
-    for name in SPLIT_NAMES:
+    for name in names:
         path = run_dir / "preprocessed" / f"{name}.csv"
         if not path.exists():
             raise errors.ConfigError(f"{path} missing; run the preprocess command first")
@@ -127,7 +130,7 @@ def _load_preprocessed(run_dir: Path) -> tuple[preprocess.PipelineModel, dict[st
 
 def cmd_train(cfg: RunConfig) -> int:
     run_dir = cfg.run_dir()
-    _, splits = _load_preprocessed(run_dir)
+    _, splits = _load_preprocessed(run_dir, ("train", "validation"))
     train, validation = splits["train"], splits["validation"]
     models_dir = run_dir / "models"
     models_dir.mkdir(exist_ok=True)
@@ -188,13 +191,22 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def load_any_model(path: Path):
-    doc = json.loads(path.read_text())
+def load_any_model(path: Path, loaded: dict | None = None):
+    """Load a detector or ensemble container, parsing it once.
+
+    ``loaded`` maps container paths to (sha256, detector) for detectors
+    already read.  A detector read here is added to it, and an ensemble takes
+    its bases from it before reading them from disk.
+    """
+    loaded = {} if loaded is None else loaded
+    doc, digest = det_mod.read_container(path)
     fmt = doc.get("format")
     if fmt == det_mod.DETECTOR_FORMAT:
-        return det_mod.DetectorModel.from_json_dict(doc)
-    if fmt == "pfcpbench-ensemble-v1":
-        return ens_mod.EnsembleModel.load(path)
+        model = det_mod.DetectorModel.from_json_dict(doc)
+        loaded[path] = (digest, model)
+        return model
+    if fmt == ens_mod.ENSEMBLE_FORMAT:
+        return ens_mod.EnsembleModel.from_json_dict(doc, path.parent, loaded)
     raise errors.SchemaError(f"{path}: unknown model container format {fmt!r}")
 
 
@@ -202,35 +214,36 @@ def _trained_models(run_dir: Path, names: tuple[str, ...] | None) -> list[tuple[
     models_dir = run_dir / "models"
     if not models_dir.exists():
         raise errors.ConfigError(f"{models_dir} missing; run the train command first")
-    out = []
-    for path in sorted(models_dir.glob("*.json")):
-        if path.name.startswith("grid_"):
-            continue
-        name = path.stem
-        if names is not None and name not in names:
-            continue
-        out.append((name, load_any_model(path)))
+    paths = [
+        path for path in sorted(models_dir.glob("*.json"))
+        if not path.name.startswith("grid_") and (names is None or path.stem in names)
+    ]
+    # detectors first, so that each ensemble finds its bases already loaded
+    loaded: dict = {}
+    models = {
+        path.stem: load_any_model(path, loaded)
+        for path in sorted(paths, key=lambda path: path.stem in ens_mod.PRESETS)
+    }
     if names:
-        missing = set(names) - {n for n, _ in out}
-        for name in sorted(missing):
+        for name in sorted(set(names) - set(models)):
             logger.warning("model %s not found, skipped", name)
-    return out
+    return [(path.stem, models[path.stem]) for path in paths]
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     run_dir = cfg.run_dir()
-    pipeline, splits = _load_preprocessed(run_dir)
+    pipeline, splits = _load_preprocessed(run_dir, ("test",))
     test = splits["test"]
     models = _trained_models(run_dir, None)
     if not models:
         raise errors.ConfigError("no trained models to evaluate")
     y = np.array([lab is not ClassLabel.NORMAL for lab in test.labels], dtype=bool)
-    X = test.to_matrix()
+    scores = eval_mod.score_models(models, test.to_matrix())
     rows = [
-        eval_mod.metrics_row(name, model.score_batch(X), y, model.tau, pipeline.scaling_enabled)
-        for name, model in models
+        eval_mod.metrics_row(name, s, y, model.tau, pipeline.scaling_enabled)
+        for (name, model), s in zip(models, scores)
     ]
-    matrix = eval_mod.detection_matrix(models, test)
+    matrix = eval_mod.detection_matrix(models, scores, test)
     eval_mod.emit_report(rows, matrix, None, run_dir)
     print(run_dir)
     return 0
@@ -254,8 +267,9 @@ def _feasible_config(cfg: RunConfig) -> tuple[dict[ClassLabel, tuple[str, ...]],
 
 def cmd_attack(cfg: RunConfig) -> int:
     run_dir = cfg.run_dir()
-    pipeline, splits = _load_preprocessed(run_dir)
-    train, test = splits["train"], splits["test"]
+    from_train = cfg.marginals_source == "train"
+    pipeline, splits = _load_preprocessed(run_dir, ("test", "train") if from_train else ("test",))
+    test = splits["test"]
     attack_rows = test.subset(
         np.array([lab is not ClassLabel.NORMAL for lab in test.labels], dtype=bool)
     )
@@ -267,7 +281,7 @@ def cmd_attack(cfg: RunConfig) -> int:
         for kind, spec in attack_mod.DEFAULT_COMPLIANCE_RULES.items()
     }
     features, narrow = _feasible_config(cfg)
-    marginals_source = train if cfg.marginals_source == "train" else attack_rows
+    marginals_source = splits["train"] if from_train else attack_rows
 
     groups = []
     for name, model in models:

@@ -10,6 +10,7 @@ representation; categorical codes enter as ordinal reals.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -205,11 +206,22 @@ class DetectorModel:
 
     @staticmethod
     def load(path: str | Path) -> "DetectorModel":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise IoError(f"cannot read detector model from {path}: {exc}") from exc
-        return DetectorModel.from_json_dict(doc)
+        return DetectorModel.from_json_dict(read_container(path)[0])
+
+
+def read_container(path: str | Path) -> tuple[dict, str]:
+    """A model container's parsed document and the sha256 of its bytes."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read model container {path}: {exc}") from exc
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: not a JSON model container: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: not a JSON model container: top level is not an object")
+    return doc, hashlib.sha256(data).hexdigest()
 
 
 def _to_jsonable(obj):

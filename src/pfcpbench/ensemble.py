@@ -6,23 +6,29 @@ dual coordinate-ascent loop with a fixed pass budget, so fits are
 bit-reproducible without any external optimizer.  Base detector
 parameters stay frozen; only the stacker is trained on validation, which
 is the one split carrying both classes.
+
+An ensemble container holds the stacker state only.  It lists each base by
+kind and by the sha256 of the base's own container, ``<kind>.json`` in the
+same directory, and loading checks that hash.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import MutableMapping, Sequence
 
 import numpy as np
 
-from .detectors import DetectorKind, DetectorModel, _from_jsonable, _to_jsonable
+from .detectors import DetectorKind, DetectorModel, _from_jsonable, _to_jsonable, read_container
 from .errors import FitError, IoError, SchemaError
 from .traffic import ClassLabel, LabeledDataset
 
 SOLVER_TOL = 1e-3
 SOLVER_MAX_PASSES = 100
+ENSEMBLE_FORMAT = "pfcpbench-ensemble-v2"
 
 
 @dataclass(frozen=True)
@@ -145,10 +151,19 @@ class EnsembleModel:
         return self.margin(base)
 
     def save(self, path: str | Path) -> None:
+        """Write the stacker state.  The bases must already be saved next to
+        ``path`` as ``<kind>.json``: the container records their sha256."""
+        path = Path(path)
+        bases = []
+        for kind in self.spec.base_kinds:
+            try:
+                data = _base_path(path.parent, kind).read_bytes()
+            except OSError as exc:
+                raise IoError(f"cannot write ensemble model to {path}: base unreadable: {exc}") from exc
+            bases.append({"kind": kind.value, "sha256": hashlib.sha256(data).hexdigest()})
         doc = {
-            "format": "pfcpbench-ensemble-v1",
+            "format": ENSEMBLE_FORMAT,
             "name": self.spec.name,
-            "base_kinds": [k.value for k in self.spec.base_kinds],
             "C": self.spec.C,
             "gamma": self.spec.gamma,
             "score_mean": self.score_mean.tolist(),
@@ -158,28 +173,52 @@ class EnsembleModel:
             "bias": self.bias,
             "tau": self.tau,
             "train_accuracy": self.train_accuracy,
-            "bases": [m.to_json_dict() for m in self.base_models],
+            "bases": bases,
         }
         try:
-            Path(path).write_text(json.dumps(doc, sort_keys=True))
+            path.write_text(json.dumps(doc, sort_keys=True))
         except OSError as exc:
             raise IoError(f"cannot write ensemble model to {path}: {exc}") from exc
 
     @staticmethod
     def load(path: str | Path) -> "EnsembleModel":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise IoError(f"cannot read ensemble model from {path}: {exc}") from exc
-        if doc.get("format") != "pfcpbench-ensemble-v1":
-            raise SchemaError(f"{path}: not an ensemble model container")
+        return EnsembleModel.from_json_dict(read_container(path)[0], Path(path).parent, {})
+
+    @staticmethod
+    def from_json_dict(
+        doc: dict,
+        directory: Path,
+        loaded: MutableMapping[Path, tuple[str, DetectorModel]],
+    ) -> "EnsembleModel":
+        """Rebuild an ensemble whose bases sit in ``directory``.
+
+        ``loaded`` maps container paths to (sha256, detector) for detectors
+        already read; a base not in it is read from disk and added.  A base
+        that is missing or whose sha256 differs from the recorded one
+        raises ``SchemaError``.
+        """
+        if doc.get("format") != ENSEMBLE_FORMAT:
+            raise SchemaError(f"not a {ENSEMBLE_FORMAT} container: {doc.get('format')!r}")
+        kinds = tuple(DetectorKind.parse(entry["kind"]) for entry in doc["bases"])
         spec = EnsembleSpec(
-            name=doc["name"],
-            base_kinds=tuple(DetectorKind.parse(k) for k in doc["base_kinds"]),
-            C=float(doc["C"]),
-            gamma=float(doc["gamma"]),
+            name=doc["name"], base_kinds=kinds, C=float(doc["C"]), gamma=float(doc["gamma"])
         )
-        bases = [DetectorModel.from_json_dict(b) for b in doc["bases"]]
+        bases = []
+        for kind, entry in zip(kinds, doc["bases"]):
+            path = _base_path(directory, kind)
+            if path not in loaded:
+                try:
+                    base_doc, digest = read_container(path)
+                except IoError as exc:
+                    raise SchemaError(f"ensemble {spec.name}: base {path.name} missing: {exc}") from exc
+                loaded[path] = (digest, DetectorModel.from_json_dict(base_doc))
+            digest, base = loaded[path]
+            if digest != entry["sha256"]:
+                raise SchemaError(
+                    f"ensemble {spec.name}: base {path} has sha256 {digest}, "
+                    f"the ensemble was saved with {entry['sha256']}"
+                )
+            bases.append(base)
         return EnsembleModel(
             spec=spec,
             base_models=bases,
@@ -191,6 +230,11 @@ class EnsembleModel:
             tau=float(doc["tau"]),
             train_accuracy=float(doc["train_accuracy"]),
         )
+
+
+def _base_path(directory: Path, kind: DetectorKind) -> Path:
+    """Where an ensemble expects the container of its ``kind`` base."""
+    return Path(directory) / f"{kind.value}.json"
 
 
 def fit_ensemble(
@@ -232,13 +276,3 @@ def fit_ensemble(
     margins = model.margin(S)
     model.train_accuracy = float(((margins > 0) == y_bool).mean())
     return model
-
-
-def ensemble_score(model: EnsembleModel, base_scores: np.ndarray) -> np.ndarray:
-    """Signed margin on already-collected base scores."""
-    return model.margin(np.atleast_2d(base_scores))
-
-
-def ensemble_decide(model: EnsembleModel, base_scores: np.ndarray) -> np.ndarray:
-    """Anomalous iff the margin strictly exceeds the ensemble threshold."""
-    return ensemble_score(model, base_scores) > model.tau

@@ -11,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .ensemble import EnsembleModel
 from .errors import IoError, MetricError
 from .traffic import ClassLabel, LabeledDataset
 
@@ -77,6 +78,27 @@ def _tie_averaged_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def score_models(models: Sequence[tuple[str, object]], X: np.ndarray) -> list[np.ndarray]:
+    """Each model's scores on ``X``, in order.
+
+    Every detector object, listed or an ensemble's base, is scored once; an
+    ensemble's score is its margin over its bases' score columns.
+    """
+    by_detector: dict[int, np.ndarray] = {}
+
+    def detector_scores(detector) -> np.ndarray:
+        if id(detector) not in by_detector:
+            by_detector[id(detector)] = detector.score_batch(X)
+        return by_detector[id(detector)]
+
+    return [
+        model.margin(np.column_stack([detector_scores(b) for b in model.base_models]))
+        if isinstance(model, EnsembleModel)
+        else detector_scores(model)
+        for _, model in models
+    ]
+
+
 @dataclass(frozen=True)
 class MetricsRow:
     model: str
@@ -115,14 +137,15 @@ class DetectionMatrix:
     cells: tuple[tuple[float | None, ...], ...]
 
 
-def detection_matrix(models: Sequence[tuple[str, object]], test: LabeledDataset) -> DetectionMatrix:
+def detection_matrix(
+    models: Sequence[tuple[str, object]], scores: Sequence[np.ndarray], test: LabeledDataset
+) -> DetectionMatrix:
+    """Flagged fractions from each model's ``scores`` on ``test``, in order."""
     class_order = tuple(lab for lab in ClassLabel)
-    X = test.to_matrix()
     label_arr = np.array([lab.value for lab in test.labels])
     rows = []
-    for _, model in models:
-        scores = model.score_batch(X)
-        flagged = scores > model.tau
+    for (_, model), model_scores in zip(models, scores):
+        flagged = model_scores > model.tau
         cells = []
         for lab in class_order:
             mask = label_arr == lab.value

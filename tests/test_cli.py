@@ -7,6 +7,10 @@ import pytest
 
 from pfcpbench.cli import main
 from pfcpbench.corpus import default_schema, load_csv
+from pfcpbench.detectors import DetectorKind, DetectorModel
+from pfcpbench.ensemble import EnsembleModel
+
+REPO = Path(__file__).resolve().parent.parent
 
 BASE_CONFIG = {
     "seed": 42,
@@ -328,3 +332,105 @@ def test_synth_corpus_loadable(tmp_path):
     manifest = json.loads((run_dir / "corpus" / "train.csv.manifest.json").read_text())
     assert manifest["schema_version"] == schema.version
     assert manifest["rows"] == len(ds)
+
+
+@pytest.fixture(scope="module")
+def catalog_run(tmp_path_factory):
+    """The shipped catalog config at synth scale 0.01, trained and evaluated,
+    then attacked with HKGIP as the only target (budget 10, traces on)."""
+    tmp_path = tmp_path_factory.mktemp("catalog")
+    doc = json.loads((REPO / "configs" / "benchmark.json").read_text())
+    doc["corpus"]["synth"]["scale"] = 0.01
+    doc["attack"]["targets"] = ["HKGIP"]
+    doc["out"] = str(tmp_path / "runs")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc, indent=2))
+    for cmd in ("synth", "preprocess", "train", "evaluate", "attack"):
+        assert run(cmd, config, "--budget", "10", "--trace") == 0
+    return config, only_run_dir(tmp_path)
+
+
+def file_sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_catalog_evaluate_reports_golden(catalog_run):
+    _, run_dir = catalog_run
+    assert {name: file_sha256(run_dir / name) for name in
+            ("metrics.json", "metrics.csv", "detection_matrix.csv")} == {
+        "metrics.json": "346553af19cda330c9d933585b2bb8448c115cbd794e2005a1efd733f4283ba6",
+        "metrics.csv": "a4271a74f61b027c93adf88fa171de233230d9581cd572c92c5a828eced14936",
+        "detection_matrix.csv": "b8694c2b293f727ca4e4080bfed5737d3e4906434fd1a2ccf597fbe4d65b8e2f",
+    }
+
+
+def test_ensemble_target_campaigns_golden(catalog_run):
+    _, run_dir = catalog_run
+    assert {p.name: file_sha256(p) for p in sorted(run_dir.glob("campaign-*.jsonl"))} == {
+        "campaign-HKGIP-GA_DE.jsonl": "93c7c2ed2b4b012fa9dfe4b1064ae302cac00a0f52f2b37b7fbe06d71e28d62e",
+        "campaign-HKGIP-GA_ES.jsonl": "a25995ba54df4b50088a08a69a555314d90f6b59b66f0e2d0dfeeae0fc63c0f6",
+        "campaign-HKGIP-RS.jsonl": "7d3848fc0ec1fff4bb0c013fdb5cef0526d6c1a9531a6b1015f2c93493a7df5f",
+    }
+
+
+def test_evaluate_scores_each_detector_once(catalog_run, monkeypatch):
+    config, run_dir = catalog_run
+    test_rows = json.loads((run_dir / "preprocessed" / "test.csv.manifest.json").read_text())["rows"]
+    detector_calls: list[tuple[str, int]] = []
+    ensemble_calls: list[str] = []
+    score_detector, score_ensemble = DetectorModel.score_batch, EnsembleModel.score_batch
+
+    def counted_detector(self, Q):
+        detector_calls.append((self.kind.value, len(Q)))
+        return score_detector(self, Q)
+
+    def counted_ensemble(self, X):
+        ensemble_calls.append(self.spec.name)
+        return score_ensemble(self, X)
+
+    monkeypatch.setattr(DetectorModel, "score_batch", counted_detector)
+    monkeypatch.setattr(EnsembleModel, "score_batch", counted_ensemble)
+    assert run("evaluate", config, "--budget", "10", "--trace") == 0
+    # the catalog config trains all twelve detector kinds
+    assert sorted(detector_calls) == sorted((kind.value, test_rows) for kind in DetectorKind)
+    assert ensemble_calls == []
+
+
+def _tamper_base(models: Path):
+    doc = json.loads((models / "HBOS.json").read_text())
+    doc["tau"] += 1.0
+    (models / "HBOS.json").write_text(json.dumps(doc, sort_keys=True))
+
+
+def _delete_base(models: Path):
+    (models / "kNN.json").unlink()
+
+
+def _downgrade_ensemble(models: Path):
+    doc = json.loads((models / "HKGIP.json").read_text())
+    doc["format"] = "pfcpbench-ensemble-v1"
+    (models / "HKGIP.json").write_text(json.dumps(doc, sort_keys=True))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_tamper_base, "sha256"),
+        (_delete_base, "kNN.json"),
+        (_downgrade_ensemble, "pfcpbench-ensemble-v1"),
+    ],
+    ids=["tampered-base", "deleted-base", "v1-ensemble"],
+)
+def test_broken_ensemble_container_fails_with_schema_error(tmp_path, damage, message, capsys):
+    config = write_config(
+        tmp_path, detectors=[], ensembles=["HKGIP"],
+        attack={"algorithms": ["RS"], "targets": ["HKGIP"]},
+    )
+    for cmd in ("preprocess", "train"):
+        assert run(cmd, config) == 0
+    damage(only_run_dir(tmp_path) / "models")
+    for cmd in ("evaluate", "attack"):
+        capsys.readouterr()
+        assert run(cmd, config) == 3, cmd
+        err = capsys.readouterr().err
+        assert "error[SchemaError]" in err and message in err, err

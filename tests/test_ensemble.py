@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,8 +12,6 @@ from pfcpbench.ensemble import (
     EnsembleSpec,
     _rbf,
     collect_base_scores,
-    ensemble_decide,
-    ensemble_score,
     fit_ensemble,
 )
 from pfcpbench.errors import FitError, SchemaError
@@ -110,9 +109,9 @@ def test_decision_boundary_is_strict():
     spec, bases, train, validation = _toy_setting()
     model = fit_ensemble(spec, bases, validation, seed=7)
     S = collect_base_scores(bases, validation)
-    margin = ensemble_score(model, S[:1])[0]
+    margin = model.margin(S[:1])[0]
     model.tau = margin
-    assert ensemble_decide(model, S[:1])[0] == np.False_
+    assert (model.margin(S[:1]) > model.tau)[0] == np.False_
 
 
 def test_single_class_validation_rejected():
@@ -155,17 +154,25 @@ def test_margin_is_locally_lipschitz():
     spec, bases, train, validation = _toy_setting()
     model = fit_ensemble(spec, bases, validation, seed=5)
     S = collect_base_scores(bases, validation)
-    base = ensemble_score(model, S)
+    base = model.margin(S)
     bumped = S.copy()
     bumped[:, 0] += 1e-9
-    assert np.abs(ensemble_score(model, bumped) - base).max() < 1e-6
+    assert np.abs(model.margin(bumped) - base).max() < 1e-6
+
+
+def _saved_ensemble(tmp_path):
+    """A fitted toy ensemble saved with its bases next to it."""
+    spec, bases, train, validation = _toy_setting()
+    model = fit_ensemble(spec, bases, validation, seed=5)
+    for base in bases:
+        base.save(tmp_path / f"{base.kind.value}.json")
+    path = tmp_path / "ens.json"
+    model.save(path)
+    return model, path, validation
 
 
 def test_ensemble_serialization_roundtrip(tmp_path):
-    spec, bases, train, validation = _toy_setting()
-    model = fit_ensemble(spec, bases, validation, seed=5)
-    path = tmp_path / "ens.json"
-    model.save(path)
+    model, path, validation = _saved_ensemble(tmp_path)
     loaded = EnsembleModel.load(path)
     X = validation.to_matrix()
     assert np.array_equal(loaded.score_batch(X), model.score_batch(X))
@@ -173,12 +180,15 @@ def test_ensemble_serialization_roundtrip(tmp_path):
 
 
 def test_ensemble_embedding_a_v1_detector_is_rejected(tmp_path):
-    spec, bases, train, validation = _toy_setting()
-    path = tmp_path / "ens.json"
-    fit_ensemble(spec, bases, validation, seed=5).save(path)
-    doc = json.loads(path.read_text())
-    doc["bases"][0]["format"] = "pfcpbench-detector-v1"
-    path.write_text(json.dumps(doc))
+    _, path, _ = _saved_ensemble(tmp_path)
+    base = tmp_path / "HBOS.json"
+    doc = json.loads(base.read_text())
+    doc["format"] = "pfcpbench-detector-v1"
+    base.write_text(json.dumps(doc))
+    # record the rewritten base's hash, so only its format is wrong
+    ensemble = json.loads(path.read_text())
+    ensemble["bases"][0]["sha256"] = hashlib.sha256(base.read_bytes()).hexdigest()
+    path.write_text(json.dumps(ensemble))
     with pytest.raises(SchemaError, match="pfcpbench-detector-v1"):
         EnsembleModel.load(path)
     with pytest.raises(SchemaError, match="pfcpbench-detector-v1"):
