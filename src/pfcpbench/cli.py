@@ -168,6 +168,8 @@ def cmd_train(cfg: RunConfig) -> int:
             train_log[label] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
             logger.error("%s failed: %s", label, exc)
 
+    V = validation.to_matrix()
+    columns: dict[det_mod.DetectorKind, np.ndarray] = {}  # each base scored once on validation
     for name in cfg.ensembles:
         spec = ens_mod.PRESETS[name]
         try:
@@ -176,8 +178,12 @@ def cmd_train(cfg: RunConfig) -> int:
             train_log[name] = {"status": "error", "error": f"missing base {exc}"}
             continue
         try:
+            for base in bases:
+                if base.kind not in columns:
+                    columns[base.kind] = base.score_batch(V)
             model = ens_mod.fit_ensemble(
-                spec, bases, validation, seed=derive_seed(cfg.seed, "fit", name)
+                spec, bases, validation, np.column_stack([columns[k] for k in spec.base_kinds]),
+                seed=derive_seed(cfg.seed, "fit", name),
             )
             model.save(models_dir / f"{name}.json")
             train_log[name] = {"status": "ok", "train_accuracy": model.train_accuracy}

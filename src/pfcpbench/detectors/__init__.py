@@ -10,9 +10,11 @@ representation; categorical codes enter as ordinal reals.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -111,7 +113,7 @@ _REGISTRY = {
 
 DEFAULT_CONTAMINATION = 0.02
 # Container tag; bumped whenever a detector's saved state changes layout.
-DETECTOR_FORMAT = "pfcpbench-detector-v2"
+DETECTOR_FORMAT = "pfcpbench-detector-v3"
 
 
 @dataclass(frozen=True)
@@ -224,13 +226,19 @@ def read_container(path: str | Path) -> tuple[dict, str]:
     return doc, hashlib.sha256(data).hexdigest()
 
 
+# Array payload dtype by numpy kind; ``data`` is the base64 of the array's
+# little-endian bytes.
+_ARRAY_DTYPES = {"f": "<f8", "i": "<i8", "b": "|b1"}
+
+
 def _to_jsonable(obj):
     if isinstance(obj, np.ndarray):
+        dtype = _ARRAY_DTYPES[obj.dtype.kind]
         return {
             "__ndarray__": True,
-            "dtype": str(obj.dtype),
+            "dtype": dtype,
             "shape": list(obj.shape),
-            "data": obj.ravel().tolist(),
+            "data": base64.b64encode(np.ascontiguousarray(obj, dtype=dtype).tobytes()).decode(),
         }
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
@@ -246,12 +254,32 @@ def _to_jsonable(obj):
 def _from_jsonable(obj):
     if isinstance(obj, dict):
         if obj.get("__ndarray__"):
-            arr = np.array(obj["data"], dtype=obj["dtype"]).reshape(obj["shape"])
-            return arr
+            return _array_from_payload(obj)
         return {k: _from_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_from_jsonable(v) for v in obj]
     return obj
+
+
+def _array_from_payload(obj: dict) -> np.ndarray:
+    """The read-only array an ``__ndarray__`` payload encodes."""
+    dtype, shape, data = obj.get("dtype"), obj.get("shape"), obj.get("data")
+    if dtype not in _ARRAY_DTYPES.values():
+        raise SchemaError(
+            f"array payload: dtype {dtype!r} is not one of {', '.join(_ARRAY_DTYPES.values())}"
+        )
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise SchemaError(f"array payload: shape {shape!r} is not a list of non-negative ints")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"array payload: data is not base64: {exc}") from exc
+    dtype = np.dtype(dtype)
+    if len(raw) != math.prod(shape) * dtype.itemsize:
+        raise SchemaError(
+            f"array payload: {len(raw)} bytes of data for shape {shape} of {dtype.str}"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 def calibrate_threshold(train_scores: np.ndarray, contamination: float) -> float:

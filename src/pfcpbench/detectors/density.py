@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from ..errors import FitError
 from .common import (
     DENSITY_EPS,
     EPS,
@@ -147,55 +148,70 @@ def _avg_path(m: int) -> float:
     return 2.0 * _harmonic(m - 1) - 2.0 * (m - 1) / m
 
 
-def _grow_tree(X: np.ndarray, idx: np.ndarray, depth: int, limit: int, rng) -> dict:
+def _grow_tree(X: np.ndarray, idx: np.ndarray, depth: int, limit: int, rng, nodes: list) -> int:
+    """Append the subtree over rows ``idx`` to ``nodes`` in pre-order, as
+    (feature, threshold, left, right, leaf_path) rows; return its root's
+    index.  A leaf points at itself and carries depth + c(size)."""
+    node = len(nodes)
+    nodes.append((0, 0.0, node, node, depth + _avg_path(len(idx))))  # a leaf unless split
     if depth >= limit or len(idx) <= 1:
-        return {"size": len(idx)}
+        return node
     sub = X[idx]
     spans = sub.max(axis=0) - sub.min(axis=0)
     varying = np.flatnonzero(spans > 0)
     if varying.size == 0:
-        return {"size": len(idx)}
+        return node
     feat = int(rng.choice(varying))
     lo, hi = float(sub[:, feat].min()), float(sub[:, feat].max())
     threshold = float(rng.uniform(lo, hi))
     left_mask = sub[:, feat] < threshold
-    return {
-        "feature": feat,
-        "threshold": threshold,
-        "left": _grow_tree(X, idx[left_mask], depth + 1, limit, rng),
-        "right": _grow_tree(X, idx[~left_mask], depth + 1, limit, rng),
-    }
+    left = _grow_tree(X, idx[left_mask], depth + 1, limit, rng, nodes)
+    right = _grow_tree(X, idx[~left_mask], depth + 1, limit, rng, nodes)
+    nodes[node] = (feat, threshold, left, right, 0.0)
+    return node
 
 
 def fit_iforest(X: np.ndarray, params: dict, rng) -> dict:
+    """Trees as one set of pre-order node arrays; ``roots`` holds each
+    tree's root and ``depth`` the walk length that reaches every leaf."""
     n = X.shape[0]
     trees = int(params.get("trees", 100))
+    if trees < 1:
+        raise FitError(f"IForest needs at least one tree, got {trees}")
     psi = min(int(params.get("subsample", 256)), n)
     limit = max(1, math.ceil(math.log2(max(psi, 2))))
-    forest = []
-    for _ in range(trees):
-        idx = rng.choice(n, size=psi, replace=False)
-        forest.append(_grow_tree(X, idx, 0, limit, rng))
-    return {"forest": forest, "psi": psi}
-
-
-def _tree_paths(node: dict, Q: np.ndarray, idx: np.ndarray, depth: int, out: np.ndarray):
-    if "size" in node:
-        out[idx] = depth + _avg_path(node["size"])
-        return
-    go_left = Q[idx, node["feature"]] < node["threshold"]
-    _tree_paths(node["left"], Q, idx[go_left], depth + 1, out)
-    _tree_paths(node["right"], Q, idx[~go_left], depth + 1, out)
+    nodes: list = []
+    roots = [
+        _grow_tree(X, rng.choice(n, size=psi, replace=False), 0, limit, rng, nodes)
+        for _ in range(trees)
+    ]
+    feature, threshold, left, right, leaf_path = zip(*nodes)
+    return {
+        "roots": np.array(roots, dtype=np.int64),
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold),
+        "left": np.array(left, dtype=np.int64),
+        "right": np.array(right, dtype=np.int64),
+        "leaf_path": np.array(leaf_path),
+        "depth": limit,
+        "psi": psi,
+    }
 
 
 def score_iforest(state: dict, Q: np.ndarray) -> np.ndarray:
-    paths = np.zeros(Q.shape[0])
-    buf = np.empty(Q.shape[0])
-    all_idx = np.arange(Q.shape[0])
-    for tree in state["forest"]:
-        _tree_paths(tree, Q, all_idx, 0, buf)
-        paths += buf
-    mean_path = paths / len(state["forest"])
+    """Walk every tree at once, one gather per level."""
+    roots, feature, threshold = state["roots"], state["feature"], state["threshold"]
+    left, right = state["left"], state["right"]
+    paths = np.empty(Q.shape[0])
+    for a, b in iter_chunks(Q.shape[0]):
+        q = Q[a:b]
+        node = np.broadcast_to(roots, (b - a, roots.size))
+        for _ in range(state["depth"]):
+            go_left = np.take_along_axis(q, feature[node], axis=1) < threshold[node]
+            node = np.where(go_left, left[node], right[node])
+        # trees summed left to right, as a running sum over trees would
+        paths[a:b] = state["leaf_path"][node].cumsum(axis=1)[:, -1]
+    mean_path = paths / roots.size
     return np.power(2.0, -mean_path / _avg_path(state["psi"]))
 
 

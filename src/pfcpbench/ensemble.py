@@ -28,7 +28,7 @@ from .traffic import ClassLabel, LabeledDataset
 
 SOLVER_TOL = 1e-3
 SOLVER_MAX_PASSES = 100
-ENSEMBLE_FORMAT = "pfcpbench-ensemble-v2"
+ENSEMBLE_FORMAT = "pfcpbench-ensemble-v3"
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,6 @@ PRESETS = {
         gamma=100.0,
     ),
 }
-
-
-def collect_base_scores(base_models: Sequence[DetectorModel], ds: LabeledDataset) -> np.ndarray:
-    """Score matrix, one column per base model in listed order."""
-    X = ds.to_matrix()
-    return np.column_stack([model.score_batch(X) for model in base_models])
 
 
 def _rbf(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -166,8 +160,8 @@ class EnsembleModel:
             "name": self.spec.name,
             "C": self.spec.C,
             "gamma": self.spec.gamma,
-            "score_mean": self.score_mean.tolist(),
-            "score_sd": self.score_sd.tolist(),
+            "score_mean": _to_jsonable(self.score_mean),
+            "score_sd": _to_jsonable(self.score_sd),
             "support_vectors": _to_jsonable(self.support_vectors),
             "dual_coef": _to_jsonable(self.dual_coef),
             "bias": self.bias,
@@ -222,8 +216,8 @@ class EnsembleModel:
         return EnsembleModel(
             spec=spec,
             base_models=bases,
-            score_mean=np.array(doc["score_mean"], dtype=float),
-            score_sd=np.array(doc["score_sd"], dtype=float),
+            score_mean=_from_jsonable(doc["score_mean"]),
+            score_sd=_from_jsonable(doc["score_sd"]),
             support_vectors=_from_jsonable(doc["support_vectors"]),
             dual_coef=_from_jsonable(doc["dual_coef"]),
             bias=float(doc["bias"]),
@@ -241,23 +235,29 @@ def fit_ensemble(
     spec: EnsembleSpec,
     base_models: Sequence[DetectorModel],
     validation: LabeledDataset,
+    base_scores: np.ndarray,
     seed: int = 42,
 ) -> EnsembleModel:
     """Train the stacking classifier on validation base scores.
 
-    Requires both classes in the validation split: a hinge-loss binary
-    classifier cannot be trained on one class.
+    ``base_scores`` holds the bases' scores on ``validation``, one column
+    per base in listed order.  Requires both classes in the validation
+    split: a hinge-loss binary classifier cannot be trained on one class.
     """
     if len(base_models) != len(spec.base_kinds) or any(
         m.kind is not k for m, k in zip(base_models, spec.base_kinds)
     ):
         raise SchemaError("base models must match the spec kinds in order")
+    S = np.asarray(base_scores, dtype=float)
+    if S.shape != (len(validation), len(base_models)):
+        raise SchemaError(
+            f"base scores have shape {S.shape}, expected {(len(validation), len(base_models))}"
+        )
     y_bool = np.array([lab is not ClassLabel.NORMAL for lab in validation.labels], dtype=bool)
     if not y_bool.any() or y_bool.all():
         raise FitError(
             "ensemble stacking needs both benign and attack rows in validation"
         )
-    S = collect_base_scores(base_models, validation)
     mean = S.mean(axis=0)
     sd = np.maximum(S.std(axis=0), 1e-12)
     Z = (S - mean) / sd

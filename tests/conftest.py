@@ -91,8 +91,13 @@ def bench():
     detectors = {
         kind: fit(DetectorConfig(kind=kind), t_train, seed=MASTER_SEED) for kind in kinds
     }
+    V = t_val.to_matrix()
+    columns = {kind: model.score_batch(V) for kind, model in detectors.items()}
     ensembles = {
-        name: fit_ensemble(spec, [detectors[k] for k in spec.base_kinds], t_val, seed=MASTER_SEED)
+        name: fit_ensemble(
+            spec, [detectors[k] for k in spec.base_kinds], t_val,
+            np.column_stack([columns[k] for k in spec.base_kinds]), seed=MASTER_SEED,
+        )
         for name, spec in PRESETS.items()
     }
     return {

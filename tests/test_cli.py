@@ -1,3 +1,4 @@
+import base64
 import csv
 import hashlib
 import json
@@ -181,6 +182,57 @@ def test_v1_detector_container_fails_with_schema_error(pipeline_run, capsys):
     capsys.readouterr()
     assert run("evaluate", config) == 3
     assert "pfcpbench-detector-v1" in capsys.readouterr().err
+
+
+def _damage_heights(**changes):
+    """Rewrite HBOS's ``heights`` array payload with ``changes``."""
+    def damage(doc):
+        doc["state"]["heights"].update(changes)
+    return damage
+
+
+def _short_data(doc):
+    payload = doc["state"]["heights"]
+    payload["data"] = base64.b64encode(base64.b64decode(payload["data"])[:-8]).decode()
+
+
+def _as_v2_detector(doc):
+    doc["format"] = "pfcpbench-detector-v2"
+    payload = doc["state"]["heights"]
+    shape = payload["shape"]
+    payload["data"] = [0.5] * (shape[0] * shape[1])
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_damage_heights(data="not base64!"), "not base64"),
+        (_damage_heights(data=[1.0, 2.0]), "not base64"),
+        (_short_data, "bytes of data"),
+        (_damage_heights(dtype="<f4"), "dtype"),
+        (_damage_heights(dtype="float64"), "dtype"),
+        (_damage_heights(shape=[-1, 10]), "shape"),
+        (_damage_heights(shape=[2.0, 10]), "shape"),
+        (_damage_heights(shape="3x10"), "shape"),
+        (_as_v2_detector, "pfcpbench-detector-v2"),
+    ],
+    ids=[
+        "bad-base64", "list-data", "short-data", "f4-dtype", "named-dtype",
+        "negative-shape", "float-shape", "string-shape", "v2-detector",
+    ],
+)
+def test_malformed_array_payload_fails_with_schema_error(pipeline_run, damage, message, capsys):
+    config, run_dir = pipeline_run
+    assert run("train", config) == 0
+    path = run_dir / "models" / "HBOS.json"
+    doc = json.loads(path.read_text())
+    damage(doc)
+    path.write_text(json.dumps(doc, sort_keys=True))
+    for cmd in ("evaluate", "attack"):
+        capsys.readouterr()
+        assert run(cmd, config) == 3, cmd
+        err = capsys.readouterr().err
+        assert "error[SchemaError]" in err and message in err, err
 
 
 def test_attack_honors_feasible_set_config(tmp_path):

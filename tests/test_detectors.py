@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,9 +14,11 @@ from pfcpbench.detectors import (
     grid_search,
     score,
 )
-from pfcpbench.detectors.common import EPS
+from pfcpbench.detectors.common import CHUNK_ROWS, EPS
+from pfcpbench.detectors.density import _avg_path
 from pfcpbench.errors import FitError, GridSearchError, GuidelineViolation, SchemaError
 from pfcpbench.evaluate import auc, threshold_metrics
+from pfcpbench.seeding import rng_for
 from pfcpbench.traffic import ClassLabel
 
 from conftest import numeric_dataset
@@ -224,6 +227,95 @@ def test_iforest_scores_bounded():
     assert (s > 0).all() and (s <= 1).all()
 
 
+# --- IForest: the recursive nested-dict forest the flat node arrays replaced ---
+
+
+def _recursive_grow(X, idx, depth, limit, rng):
+    if depth >= limit or len(idx) <= 1:
+        return {"size": len(idx)}
+    sub = X[idx]
+    varying = np.flatnonzero(sub.max(axis=0) - sub.min(axis=0) > 0)
+    if varying.size == 0:
+        return {"size": len(idx)}
+    feat = int(rng.choice(varying))
+    threshold = float(rng.uniform(float(sub[:, feat].min()), float(sub[:, feat].max())))
+    left_mask = sub[:, feat] < threshold
+    return {
+        "feature": feat,
+        "threshold": threshold,
+        "left": _recursive_grow(X, idx[left_mask], depth + 1, limit, rng),
+        "right": _recursive_grow(X, idx[~left_mask], depth + 1, limit, rng),
+    }
+
+
+def _recursive_paths(node, Q, idx, depth, out):
+    if "size" in node:
+        out[idx] = depth + _avg_path(node["size"])
+        return
+    go_left = Q[idx, node["feature"]] < node["threshold"]
+    _recursive_paths(node["left"], Q, idx[go_left], depth + 1, out)
+    _recursive_paths(node["right"], Q, idx[~go_left], depth + 1, out)
+
+
+def recursive_iforest(X, trees, subsample, rng):
+    """The forest grown tree by tree as nested dicts, in the same RNG order."""
+    n = X.shape[0]
+    psi = min(subsample, n)
+    limit = max(1, math.ceil(math.log2(max(psi, 2))))
+    forest = [
+        _recursive_grow(X, rng.choice(n, size=psi, replace=False), 0, limit, rng)
+        for _ in range(trees)
+    ]
+    return forest, psi
+
+
+def recursive_iforest_scores(forest, psi, Q):
+    paths, buf = np.zeros(Q.shape[0]), np.empty(Q.shape[0])
+    for tree in forest:
+        _recursive_paths(tree, Q, np.arange(Q.shape[0]), 0, buf)
+        paths += buf
+    return np.power(2.0, -(paths / len(forest)) / _avg_path(psi))
+
+
+def _split_points(node):
+    if "size" not in node:
+        yield node["feature"], node["threshold"]
+        yield from _split_points(node["left"])
+        yield from _split_points(node["right"])
+
+
+@pytest.mark.parametrize("trees, subsample", [(1, 2), (30, 64), (100, 256)])
+def test_iforest_matches_recursive_tree_walk(trees, subsample):
+    rng = np.random.default_rng(trees)
+    n = 300
+    X = np.column_stack([
+        rng.normal(size=n),
+        rng.integers(0, 5, size=n).astype(float),
+        np.full(n, 2.5),  # constant: never split on
+        rng.exponential(size=n),
+    ])
+    params = {"trees": trees, "subsample": subsample}
+    model = fit(DetectorConfig(kind=DetectorKind.IFOREST, params=params), numeric_dataset(X), seed=11)
+    forest, psi = recursive_iforest(X, trees, subsample, rng_for(11, "detector", "IForest"))
+    # queries: a batch crossing a chunk boundary, the constant column moved
+    # off its value, and every split threshold hit exactly
+    batch = rng.normal(scale=3.0, size=(CHUNK_ROWS + 37, X.shape[1]))
+    off_constant = X[:40].copy()
+    off_constant[:, 2] = np.linspace(-10.0, 10.0, 40)
+    at_split = []
+    for feat, threshold in itertools.islice(
+        (p for tree in forest for p in _split_points(tree)), 400
+    ):
+        row = X[len(at_split) % n].copy()
+        row[feat] = threshold
+        at_split.append(row)
+    for Q in (X, batch, off_constant, np.array(at_split)):
+        expected = recursive_iforest_scores(forest, psi, Q)
+        assert np.array_equal(model.score_batch(Q), expected)
+        for i in range(0, len(Q), 7):
+            assert model.score_batch(Q[i : i + 1])[0] == expected[i]
+
+
 def test_pca_all_components_reconstructs_training_points():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(40, 3))
@@ -262,6 +354,8 @@ def test_fit_rejects_tiny_training_sets():
     ds = numeric_dataset(np.arange(3.0)[:, None])
     with pytest.raises(FitError):
         fit(DetectorConfig(kind=DetectorKind.KNN, params={"k": 5}), ds)
+    with pytest.raises(FitError, match="at least one tree"):
+        fit(DetectorConfig(kind=DetectorKind.IFOREST, params={"trees": 0}), ds)
 
 
 def test_score_dimension_mismatch():
@@ -324,6 +418,8 @@ def test_model_serialization_roundtrip(tmp_path, blob_benchmark, kind):
     loaded = DetectorModel.load(path)
     assert loaded.tau == model.tau
     assert np.array_equal(loaded.score_batch(queries), model.score_batch(queries))
+    loaded.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 # --- grid search -----------------------------------------------------------------

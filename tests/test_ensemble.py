@@ -11,7 +11,6 @@ from pfcpbench.ensemble import (
     EnsembleModel,
     EnsembleSpec,
     _rbf,
-    collect_base_scores,
     fit_ensemble,
 )
 from pfcpbench.errors import FitError, SchemaError
@@ -53,28 +52,38 @@ def _toy_setting(seed=0, n_val_benign=40, n_val_attack=15):
     return spec, bases, train, validation
 
 
-def test_collect_base_scores_shape_and_purity():
+def _base_scores(bases, ds):
+    """Validation score columns, one per base in listed order."""
+    X = ds.to_matrix()
+    return np.column_stack([model.score_batch(X) for model in bases])
+
+
+def _fit(spec, bases, validation, seed):
+    return fit_ensemble(spec, bases, validation, _base_scores(bases, validation), seed=seed)
+
+
+def test_fit_ensemble_rejects_misshapen_base_scores():
     spec, bases, train, validation = _toy_setting()
-    S = collect_base_scores(bases, validation)
-    assert S.shape == (len(validation), 2)
-    assert np.array_equal(S, collect_base_scores(bases, validation))
-    one = collect_base_scores(bases[:1], validation)
-    assert np.array_equal(one[:, 0], bases[0].score_batch(validation.to_matrix()))
+    S = _base_scores(bases, validation)
+    for bad in (S[:, :1], S[1:], S.ravel()):
+        with pytest.raises(SchemaError, match="base scores have shape"):
+            fit_ensemble(spec, bases, validation, bad, seed=1)
 
 
 def test_preset_column_order_matches_base_listing(bench):
+    # an ensemble's score is its margin over its bases' columns in listed order
     spec = PRESETS["HKAIP"]
-    bases = [bench["detectors"][k] for k in spec.base_kinds]
-    S = collect_base_scores(bases, bench["validation"])
-    assert S.shape[1] == 5
+    model = bench["ensembles"]["HKAIP"]
+    assert tuple(m.kind for m in model.base_models) == spec.base_kinds
     X = bench["validation"].to_matrix()
-    for j, model in enumerate(bases):
-        assert np.array_equal(S[:, j], model.score_batch(X))
+    S = np.column_stack([bench["detectors"][k].score_batch(X) for k in spec.base_kinds])
+    assert S.shape[1] == 5
+    assert np.array_equal(model.score_batch(X), model.margin(S))
 
 
 def test_separable_clouds_reach_perfect_training_accuracy():
     spec, bases, train, validation = _toy_setting()
-    model = fit_ensemble(spec, bases, validation, seed=7)
+    model = _fit(spec, bases, validation, 7)
     assert model.train_accuracy == 1.0
 
 
@@ -98,7 +107,7 @@ def test_vanishing_gamma_degenerates_to_majority_class():
     )
     spec = EnsembleSpec("flat", (DetectorKind.KNN,), C=1.0, gamma=1e-9)
     bases = [fit(DetectorConfig(kind=DetectorKind.KNN), train, seed=1)]
-    model = fit_ensemble(spec, bases, validation, seed=1)
+    model = _fit(spec, bases, validation, 1)
     margins = model.score_batch(validation.to_matrix())
     decisions = margins > model.tau
     assert decisions.sum() in (0, len(decisions))
@@ -107,8 +116,8 @@ def test_vanishing_gamma_degenerates_to_majority_class():
 
 def test_decision_boundary_is_strict():
     spec, bases, train, validation = _toy_setting()
-    model = fit_ensemble(spec, bases, validation, seed=7)
-    S = collect_base_scores(bases, validation)
+    model = _fit(spec, bases, validation, 7)
+    S = _base_scores(bases, validation)
     margin = model.margin(S[:1])[0]
     model.tau = margin
     assert (model.margin(S[:1]) > model.tau)[0] == np.False_
@@ -119,19 +128,19 @@ def test_single_class_validation_rejected():
     rng = np.random.default_rng(4)
     benign_only = numeric_dataset(rng.normal(size=(10, 3)))
     with pytest.raises(FitError):
-        fit_ensemble(spec, bases, benign_only, seed=1)
+        _fit(spec, bases, benign_only, 1)
 
 
 def test_base_model_order_enforced():
     spec, bases, train, validation = _toy_setting()
     with pytest.raises(SchemaError):
-        fit_ensemble(spec, list(reversed(bases)), validation, seed=1)
+        _fit(spec, list(reversed(bases)), validation, 1)
 
 
 def test_refit_determinism():
     spec, bases, train, validation = _toy_setting()
-    a = fit_ensemble(spec, bases, validation, seed=5)
-    b = fit_ensemble(spec, bases, validation, seed=5)
+    a = _fit(spec, bases, validation, 5)
+    b = _fit(spec, bases, validation, 5)
     assert np.array_equal(a.dual_coef, b.dual_coef)
     assert np.array_equal(a.support_vectors, b.support_vectors)
     assert np.abs(a.dual_coef - b.dual_coef).max() < 1e-9
@@ -141,9 +150,9 @@ def test_base_permutation_leaves_decisions_unchanged():
     # permuting base order (spec and models together) and refitting gives
     # identical decisions: the kernel is coordinate-permutation invariant
     spec, bases, train, validation = _toy_setting()
-    forward = fit_ensemble(spec, bases, validation, seed=5)
+    forward = _fit(spec, bases, validation, 5)
     spec_rev = EnsembleSpec("toy-rev", tuple(reversed(spec.base_kinds)), C=spec.C, gamma=spec.gamma)
-    backward = fit_ensemble(spec_rev, list(reversed(bases)), validation, seed=5)
+    backward = _fit(spec_rev, list(reversed(bases)), validation, 5)
     X = validation.to_matrix()
     assert np.array_equal(
         forward.score_batch(X) > forward.tau, backward.score_batch(X) > backward.tau
@@ -152,8 +161,8 @@ def test_base_permutation_leaves_decisions_unchanged():
 
 def test_margin_is_locally_lipschitz():
     spec, bases, train, validation = _toy_setting()
-    model = fit_ensemble(spec, bases, validation, seed=5)
-    S = collect_base_scores(bases, validation)
+    model = _fit(spec, bases, validation, 5)
+    S = _base_scores(bases, validation)
     base = model.margin(S)
     bumped = S.copy()
     bumped[:, 0] += 1e-9
@@ -163,7 +172,7 @@ def test_margin_is_locally_lipschitz():
 def _saved_ensemble(tmp_path):
     """A fitted toy ensemble saved with its bases next to it."""
     spec, bases, train, validation = _toy_setting()
-    model = fit_ensemble(spec, bases, validation, seed=5)
+    model = _fit(spec, bases, validation, 5)
     for base in bases:
         base.save(tmp_path / f"{base.kind.value}.json")
     path = tmp_path / "ens.json"
