@@ -480,7 +480,7 @@ def _load_sources(sources: Sequence[SplitSource], schema: FeatureSchema) -> Labe
             ds = ds.subset(mask)
         parts.append(ds)
     if not parts:
-        return LabeledDataset.from_rows(schema, [], [])
+        return LabeledDataset(schema, np.empty((0, schema.d1)), np.empty((0, schema.d2)), [])
     return LabeledDataset.concat(parts)
 
 

@@ -1,11 +1,11 @@
-"""One-class detector catalog with a uniform fit / score / decide surface.
+"""One-class detector catalog with a uniform fit / score_batch surface.
 
 Twelve detectors across three families share a single contract: ``fit``
-learns from benign training data only, ``score`` maps any
-schema-conforming vector to a finite real (higher = more anomalous), and
-``decide`` compares the score against the calibrated threshold with a
-strict inequality.  All detectors consume the preprocessed numeric
-representation; categorical codes enter as ordinal reals.
+learns from benign training data only and calibrates a threshold ``tau``,
+and ``score_batch`` maps each row of a query matrix to a finite real
+(higher = more anomalous).  A row is anomalous when its score is strictly
+above ``tau``: ``score > tau``.  All detectors consume the preprocessed
+numeric representation; categorical codes enter as ordinal reals.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import FitError, GridSearchError, GuidelineViolation, IoError, SchemaError
 from ..seeding import rng_for
-from ..traffic import ClassLabel, FeatureSchema, FeatureVector, LabeledDataset
+from ..traffic import ClassLabel, FeatureSchema, LabeledDataset
 from . import bagging, density, geometric, statistical
 
 
@@ -113,7 +113,7 @@ _REGISTRY = {
 
 DEFAULT_CONTAMINATION = 0.02
 # Container tag; bumped whenever a detector's saved state changes layout.
-DETECTOR_FORMAT = "pfcpbench-detector-v3"
+DETECTOR_FORMAT = "pfcpbench-detector-v4"
 
 
 @dataclass(frozen=True)
@@ -158,17 +158,6 @@ class DetectorModel:
             )
         return _REGISTRY[self.kind][1](self.state, Q)
 
-    def row_matrix(self, x: FeatureVector) -> np.ndarray:
-        """Lay one vector out in schema feature order (1 x d)."""
-        if x.categorical.shape[0] != self.schema.d1 or x.numerical.shape[0] != self.schema.d2:
-            raise SchemaError("feature vector does not conform to the model schema")
-        row = np.empty((1, self.d))
-        for j, pos in enumerate(self.schema.categorical_positions):
-            row[0, pos] = x.categorical[j]
-        for j, pos in enumerate(self.schema.numerical_positions):
-            row[0, pos] = x.numerical[j]
-        return row
-
     def to_json_dict(self) -> dict:
         return {
             "format": DETECTOR_FORMAT,
@@ -205,10 +194,6 @@ class DetectorModel:
             Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True))
         except OSError as exc:
             raise IoError(f"cannot write detector model to {path}: {exc}") from exc
-
-    @staticmethod
-    def load(path: str | Path) -> "DetectorModel":
-        return DetectorModel.from_json_dict(read_container(path)[0])
 
 
 def read_container(path: str | Path) -> tuple[dict, str]:
@@ -324,20 +309,6 @@ def fit(config: DetectorConfig, train: LabeledDataset, seed: int = 42) -> Detect
         float(train_scores.std()),
     )
     return model
-
-
-def score(model: DetectorModel, x: FeatureVector | np.ndarray) -> float:
-    """Anomaly score of one observation; pure in (model, x)."""
-    if isinstance(x, FeatureVector):
-        Q = model.row_matrix(x)
-    else:
-        Q = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(model.score_batch(Q)[0])
-
-
-def decide(model: DetectorModel, x: FeatureVector | np.ndarray) -> bool:
-    """True means anomalous: score strictly above the threshold."""
-    return score(model, x) > model.tau
 
 
 def grid_search(

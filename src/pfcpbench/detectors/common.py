@@ -18,7 +18,8 @@ CHUNK_ROWS = 1024
 def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, |A| x |B|, clipped at zero."""
     sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
-    return np.maximum(sq, 0.0)
+    # in place: one (|A| x |B|) temporary fewer at the distance chunks' peak
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def iter_chunks(n: int, chunk: int = CHUNK_ROWS):

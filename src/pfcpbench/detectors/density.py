@@ -150,10 +150,12 @@ def _avg_path(m: int) -> float:
 
 def _grow_tree(X: np.ndarray, idx: np.ndarray, depth: int, limit: int, rng, nodes: list) -> int:
     """Append the subtree over rows ``idx`` to ``nodes`` in pre-order, as
-    (feature, threshold, left, right, leaf_path) rows; return its root's
-    index.  A leaf points at itself and carries depth + c(size)."""
+    (feature, threshold, right, leaf_path) rows; return its root's index.
+    An internal node's left child is the next node.  A leaf's threshold is
+    -inf, so every row goes right, to the leaf itself; it carries depth +
+    c(size)."""
     node = len(nodes)
-    nodes.append((0, 0.0, node, node, depth + _avg_path(len(idx))))  # a leaf unless split
+    nodes.append((0, -np.inf, node, depth + _avg_path(len(idx))))  # a leaf unless split
     if depth >= limit or len(idx) <= 1:
         return node
     sub = X[idx]
@@ -165,9 +167,9 @@ def _grow_tree(X: np.ndarray, idx: np.ndarray, depth: int, limit: int, rng, node
     lo, hi = float(sub[:, feat].min()), float(sub[:, feat].max())
     threshold = float(rng.uniform(lo, hi))
     left_mask = sub[:, feat] < threshold
-    left = _grow_tree(X, idx[left_mask], depth + 1, limit, rng, nodes)
+    _grow_tree(X, idx[left_mask], depth + 1, limit, rng, nodes)
     right = _grow_tree(X, idx[~left_mask], depth + 1, limit, rng, nodes)
-    nodes[node] = (feat, threshold, left, right, 0.0)
+    nodes[node] = (feat, threshold, right, 0.0)
     return node
 
 
@@ -185,12 +187,11 @@ def fit_iforest(X: np.ndarray, params: dict, rng) -> dict:
         _grow_tree(X, rng.choice(n, size=psi, replace=False), 0, limit, rng, nodes)
         for _ in range(trees)
     ]
-    feature, threshold, left, right, leaf_path = zip(*nodes)
+    feature, threshold, right, leaf_path = zip(*nodes)
     return {
         "roots": np.array(roots, dtype=np.int64),
         "feature": np.array(feature, dtype=np.int64),
         "threshold": np.array(threshold),
-        "left": np.array(left, dtype=np.int64),
         "right": np.array(right, dtype=np.int64),
         "leaf_path": np.array(leaf_path),
         "depth": limit,
@@ -201,14 +202,14 @@ def fit_iforest(X: np.ndarray, params: dict, rng) -> dict:
 def score_iforest(state: dict, Q: np.ndarray) -> np.ndarray:
     """Walk every tree at once, one gather per level."""
     roots, feature, threshold = state["roots"], state["feature"], state["threshold"]
-    left, right = state["left"], state["right"]
+    right = state["right"]
     paths = np.empty(Q.shape[0])
     for a, b in iter_chunks(Q.shape[0]):
         q = Q[a:b]
         node = np.broadcast_to(roots, (b - a, roots.size))
         for _ in range(state["depth"]):
             go_left = np.take_along_axis(q, feature[node], axis=1) < threshold[node]
-            node = np.where(go_left, left[node], right[node])
+            node = np.where(go_left, node + 1, right[node])
         # trees summed left to right, as a running sum over trees would
         paths[a:b] = state["leaf_path"][node].cumsum(axis=1)[:, -1]
     mean_path = paths / roots.size

@@ -175,10 +175,6 @@ class EnsembleModel:
             raise IoError(f"cannot write ensemble model to {path}: {exc}") from exc
 
     @staticmethod
-    def load(path: str | Path) -> "EnsembleModel":
-        return EnsembleModel.from_json_dict(read_container(path)[0], Path(path).parent, {})
-
-    @staticmethod
     def from_json_dict(
         doc: dict,
         directory: Path,

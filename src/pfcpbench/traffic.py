@@ -3,9 +3,8 @@
 A :class:`FeatureSchema` is the contract between extraction, detectors,
 and attacks: an ordered list of per-field descriptors carrying kind
 (categorical / numerical), protocol layer, an environment-dependence flag,
-and a value domain.  Packets become :class:`FeatureVector` instances, a
-pair of integer category codes and reals, and labeled collections of them
-form :class:`LabeledDataset`.
+and a value domain.  A :class:`LabeledDataset` holds labeled packets as
+one integer category-code matrix and one real matrix.
 
 All types are immutable after construction and safe to share across
 threads; every operation here is pure.
@@ -18,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -271,40 +270,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """One observation: integer category codes (d1) and reals (d2).
-
-    Codes index into each categorical descriptor's sorted domain; the
-    sentinels ``MISSING_CODE`` / ``UNKNOWN_CODE`` mark absent and novel
-    categories.  After imputation the numeric part is finite everywhere.
-    """
-
-    categorical: np.ndarray
-    numerical: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "categorical", _frozen(np.asarray(self.categorical, dtype=np.int64).copy())
-        )
-        object.__setattr__(
-            self, "numerical", _frozen(np.asarray(self.numerical, dtype=np.float64).copy())
-        )
-
-    def value_at(self, schema: FeatureSchema, position: int) -> float | int:
-        """Value at a schema position, codes for categorical features."""
-        desc = schema.features[position]
-        if desc.kind == CATEGORICAL:
-            return int(self.categorical[schema.categorical_positions.index(position)])
-        return float(self.numerical[schema.numerical_positions.index(position)])
-
-
 class LabeledDataset:
     """Schema-conforming rows with class labels.
 
-    Stored column-major as one integer code matrix and one real matrix for
-    vectorized detector math; ``rows`` materializes FeatureVectors on
-    demand.  ``row_ids`` carry content hashes used for split disjointness.
+    Stored as one integer code matrix (codes index each categorical
+    descriptor's sorted domain; ``MISSING_CODE`` / ``UNKNOWN_CODE`` mark
+    absent and novel categories) and one real matrix, for vectorized
+    detector math.  ``row_ids`` carry content hashes used for split
+    disjointness.
     """
 
     def __init__(
@@ -329,13 +302,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def row(self, i: int) -> FeatureVector:
-        return FeatureVector(self.categorical[i], self.numerical[i])
-
-    def rows(self) -> Iterator[FeatureVector]:
-        for i in range(len(self)):
-            yield self.row(i)
 
     def to_matrix(self) -> np.ndarray:
         """Single real matrix in schema feature order.
@@ -381,20 +347,6 @@ class LabeledDataset:
             row_ids=np.concatenate([p.row_ids for p in parts]),
         )
 
-    @staticmethod
-    def from_rows(
-        schema: FeatureSchema, rows: Sequence[FeatureVector], labels: Sequence[ClassLabel]
-    ) -> "LabeledDataset":
-        if len(rows) != len(labels):
-            raise SchemaError("|rows| must equal |labels|")
-        if rows:
-            cats = np.stack([r.categorical for r in rows])
-            nums = np.stack([r.numerical for r in rows])
-        else:
-            cats = np.empty((0, schema.d1), dtype=np.int64)
-            nums = np.empty((0, schema.d2), dtype=np.float64)
-        return LabeledDataset(schema, cats, nums, labels)
-
 
 def _content_row_ids(categorical: np.ndarray, numerical: np.ndarray) -> np.ndarray:
     """Per-row 64-bit content hashes (identity proxy for disjointness)."""
@@ -408,88 +360,3 @@ def _content_row_ids(categorical: np.ndarray, numerical: np.ndarray) -> np.ndarr
         h.update(numerical[i].tobytes())
         out[i] = int.from_bytes(h.digest(), "big")
     return out
-
-
-def encode_categorical(schema: FeatureSchema, raw: Mapping[str, str]) -> FeatureVector:
-    """Encode one raw string record against the schema.
-
-    Categorical strings map to stable 0-based codes in the sorted domain;
-    the empty string maps to ``MISSING_CODE`` and unseen categories to
-    ``UNKNOWN_CODE``.  Numerical cells parse as floats, with missing or
-    unparsable cells becoming NaN for later imputation.
-    """
-    missing = [f.name for f in schema.features if f.name not in raw]
-    if missing:
-        raise SchemaError(f"record lacks schema features {sorted(missing)}")
-    codes = np.empty(schema.d1, dtype=np.int64)
-    reals = np.empty(schema.d2, dtype=np.float64)
-    ci = ni = 0
-    for f in schema.features:
-        cell = raw[f.name]
-        if f.kind == CATEGORICAL:
-            codes[ci] = f.domain.code_of(cell)
-            ci += 1
-        else:
-            if cell == MISSING_MARKER:
-                reals[ni] = np.nan
-            else:
-                try:
-                    reals[ni] = float(cell)
-                except ValueError:
-                    reals[ni] = np.nan
-            ni += 1
-    return FeatureVector(codes, reals)
-
-
-def decode_vector(schema: FeatureSchema, x: FeatureVector) -> dict[str, str]:
-    """Inverse of ``encode_categorical`` for in-domain values."""
-    out: dict[str, str] = {}
-    ci = ni = 0
-    for f in schema.features:
-        if f.kind == CATEGORICAL:
-            code = int(x.categorical[ci])
-            ci += 1
-            if code == MISSING_CODE:
-                out[f.name] = MISSING_MARKER
-            elif code == UNKNOWN_CODE or not 0 <= code < len(f.domain):
-                raise SchemaError(f"{f.name}: code {code} is not decodable")
-            else:
-                out[f.name] = f.domain.label_of(code)
-        else:
-            v = float(x.numerical[ni])
-            ni += 1
-            out[f.name] = MISSING_MARKER if math.isnan(v) else repr(v)
-    return out
-
-
-def validate_vector(schema: FeatureSchema, x: FeatureVector) -> list[str]:
-    """Every invariant violation of ``x`` against ``schema``.
-
-    Violations are data, not errors: an empty list means the vector
-    conforms.  ``UNKNOWN_CODE`` is a permitted code (novel categories are
-    legitimate at runtime); ``MISSING_CODE`` and NaN mark imputation gaps.
-    """
-    violations: list[str] = []
-    if x.categorical.shape != (schema.d1,) or x.numerical.shape != (schema.d2,):
-        violations.append(
-            f"length mismatch: got ({x.categorical.shape[0]}, {x.numerical.shape[0]}), "
-            f"schema wants ({schema.d1}, {schema.d2})"
-        )
-        return violations
-    ci = ni = 0
-    for f in schema.features:
-        if f.kind == CATEGORICAL:
-            code = int(x.categorical[ci])
-            ci += 1
-            if code == MISSING_CODE:
-                violations.append(f"{f.name}: missing")
-            elif code != UNKNOWN_CODE and not 0 <= code < len(f.domain):
-                violations.append(f"{f.name}: out-of-domain code {code}")
-        else:
-            v = float(x.numerical[ni])
-            ni += 1
-            if not math.isfinite(v):
-                violations.append(f"{f.name}: non-finite")
-            elif not f.domain.contains(v):
-                violations.append(f"{f.name}: value {v!r} outside [{f.domain.lo}, {f.domain.hi}]")
-    return violations

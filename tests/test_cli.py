@@ -196,6 +196,10 @@ def _short_data(doc):
     payload["data"] = base64.b64encode(base64.b64decode(payload["data"])[:-8]).decode()
 
 
+def _as_v3_detector(doc):
+    doc["format"] = "pfcpbench-detector-v3"
+
+
 def _as_v2_detector(doc):
     doc["format"] = "pfcpbench-detector-v2"
     payload = doc["state"]["heights"]
@@ -215,10 +219,11 @@ def _as_v2_detector(doc):
         (_damage_heights(shape=[2.0, 10]), "shape"),
         (_damage_heights(shape="3x10"), "shape"),
         (_as_v2_detector, "pfcpbench-detector-v2"),
+        (_as_v3_detector, "pfcpbench-detector-v3"),
     ],
     ids=[
         "bad-base64", "list-data", "short-data", "f4-dtype", "named-dtype",
-        "negative-shape", "float-shape", "string-shape", "v2-detector",
+        "negative-shape", "float-shape", "string-shape", "v2-detector", "v3-detector",
     ],
 )
 def test_malformed_array_payload_fails_with_schema_error(pipeline_run, damage, message, capsys):

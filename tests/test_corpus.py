@@ -18,7 +18,7 @@ from pfcpbench.corpus import (
     synth_benchmark_splits,
 )
 from pfcpbench.errors import GuidelineViolation, IoError, SchemaError
-from pfcpbench.traffic import ATTACK_LABELS, ClassLabel
+from pfcpbench.traffic import ATTACK_LABELS, MISSING_CODE, UNKNOWN_CODE, ClassLabel
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +36,16 @@ def test_load_csv_basic(tmp_path, tiny_schema):
         "A,1.5,0,normal\n"
         "B,2.0,1,flood\n"
         "C,3.0,-1,\n"
+        ",4.0,2,normal\n"  # empty categorical cell
+        "Z,5.0,3,normal\n"  # label outside the domain
+        "A,,abc,normal\n"  # empty and unparsable numeric cells
     )
     ds = load_csv(path, tiny_schema)
-    assert len(ds) == 3
-    assert ds.labels == (ClassLabel.NORMAL, ClassLabel.FLOOD, ClassLabel.NORMAL)
-    assert ds.numerical[:, 0].tolist() == [1.5, 2.0, 3.0]
+    assert len(ds) == 6
+    assert ds.labels[:3] == (ClassLabel.NORMAL, ClassLabel.FLOOD, ClassLabel.NORMAL)
+    assert ds.numerical[:5, 0].tolist() == [1.5, 2.0, 3.0, 4.0, 5.0]
+    assert ds.categorical[:, 0].tolist() == [0, 1, 2, MISSING_CODE, UNKNOWN_CODE, 0]
+    assert np.isnan(ds.numerical[5]).all()
 
 
 def test_load_csv_ignores_extra_columns(tmp_path, tiny_schema, caplog):

@@ -4,15 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from pfcpbench.cli import load_any_model
 from pfcpbench.detectors import (
     DetectorConfig,
     DetectorKind,
-    DetectorModel,
     calibrate_threshold,
-    decide,
     fit,
     grid_search,
-    score,
 )
 from pfcpbench.detectors.common import CHUNK_ROWS, EPS
 from pfcpbench.detectors.density import _avg_path
@@ -92,8 +90,9 @@ def test_knn_and_lof_match_brute_force():
 def test_knn_trivial_examples():
     train = numeric_dataset(np.array([[0.0], [10.0]]))
     model = fit(DetectorConfig(kind=DetectorKind.KNN, params={"k": 1}), train)
-    assert score(model, np.array([5.0])) == pytest.approx(5.0)
-    assert score(model, np.array([0.0])) == 0.0
+    s = model.score_batch(np.array([[5.0], [0.0]]))
+    assert s[0] == pytest.approx(5.0)
+    assert s[1] == 0.0
 
 
 def test_knn_monotone_along_ray():
@@ -103,8 +102,8 @@ def test_knn_monotone_along_ray():
     origin = train.numerical[0]
     direction = np.array([1.0, 0.5, -0.25])
     direction /= np.linalg.norm(direction)
-    scores = [score(model, origin + t * direction) for t in np.linspace(5, 50, 12)]
-    assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
+    scores = model.score_batch(origin + np.linspace(5, 50, 12)[:, None] * direction)
+    assert np.all(np.diff(scores) >= -1e-12)
 
 
 def _loop_histogram_heights(values, lo, hi, bins):
@@ -199,9 +198,9 @@ def test_hbos_and_loda_match_per_feature_loop(bins, columns):
 def test_hbos_single_bin_scores_near_zero():
     train = numeric_dataset(np.linspace(0, 1, 50)[:, None])
     model = fit(DetectorConfig(kind=DetectorKind.HBOS, params={"bins": 1}), train)
-    for q in (0.0, 0.3, 1.0):
-        assert abs(score(model, np.array([q]))) < 1e-5  # log(1/(1+eps))
-    assert score(model, np.array([2.0])) > 10  # out of range hits the floor
+    s = model.score_batch(np.array([[0.0], [0.3], [1.0], [2.0]]))
+    assert np.all(np.abs(s[:3]) < 1e-5)  # log(1/(1+eps))
+    assert s[3] > 10  # out of range hits the floor
 
 
 def test_gmm_single_component_monotone_in_distance():
@@ -211,8 +210,8 @@ def test_gmm_single_component_monotone_in_distance():
     mean = X.mean()
     # closed form: -log N(x | mu, sigma^2) grows in |x - mu|
     qs = mean + np.array([0.0, 0.5, 1.0, 2.0, 4.0])
-    scores = [score(model, np.array([q])) for q in qs]
-    assert all(b > a for a, b in zip(scores, scores[1:]))
+    scores = model.score_batch(qs[:, None])
+    assert np.all(np.diff(scores) > 0)
     sigma2 = X.var()
     expected = 0.5 * math.log(2 * math.pi * sigma2) + (qs[-1] - mean) ** 2 / (2 * sigma2)
     assert scores[-1] == pytest.approx(float(expected), rel=1e-2)
@@ -331,9 +330,10 @@ def test_decision_is_strictly_above_threshold():
     train = numeric_dataset(np.arange(20.0)[:, None])
     model = fit(DetectorConfig(kind=DetectorKind.KNN, params={"k": 1}), train)
     model.tau = 3.0
-    assert decide(model, np.array([19.0 + 3.0])) is False  # score == tau
-    assert decide(model, np.array([19.0 + 4.0])) is True
-    assert decide(model, np.array([19.0 + 2.0])) is False
+    scores = model.score_batch(np.array([[19.0 + 3.0], [19.0 + 4.0], [19.0 + 2.0]]))
+    assert scores[0] == model.tau
+    # score == tau is not anomalous
+    assert (scores > model.tau).tolist() == [False, True, False]
 
 
 def test_calibrate_threshold_quantile():
@@ -415,7 +415,7 @@ def test_model_serialization_roundtrip(tmp_path, blob_benchmark, kind):
     model = fit(DetectorConfig(kind=kind), train, seed=42)
     path = tmp_path / f"{kind.value}.json"
     model.save(path)
-    loaded = DetectorModel.load(path)
+    loaded = load_any_model(path)
     assert loaded.tau == model.tau
     assert np.array_equal(loaded.score_batch(queries), model.score_batch(queries))
     loaded.save(tmp_path / "again.json")

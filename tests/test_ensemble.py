@@ -8,7 +8,6 @@ from pfcpbench.cli import load_any_model
 from pfcpbench.detectors import DetectorConfig, DetectorKind, fit
 from pfcpbench.ensemble import (
     PRESETS,
-    EnsembleModel,
     EnsembleSpec,
     _rbf,
     fit_ensemble,
@@ -182,7 +181,7 @@ def _saved_ensemble(tmp_path):
 
 def test_ensemble_serialization_roundtrip(tmp_path):
     model, path, validation = _saved_ensemble(tmp_path)
-    loaded = EnsembleModel.load(path)
+    loaded = load_any_model(path)
     X = validation.to_matrix()
     assert np.array_equal(loaded.score_batch(X), model.score_batch(X))
     assert loaded.spec == model.spec
@@ -198,7 +197,5 @@ def test_ensemble_embedding_a_v1_detector_is_rejected(tmp_path):
     ensemble = json.loads(path.read_text())
     ensemble["bases"][0]["sha256"] = hashlib.sha256(base.read_bytes()).hexdigest()
     path.write_text(json.dumps(ensemble))
-    with pytest.raises(SchemaError, match="pfcpbench-detector-v1"):
-        EnsembleModel.load(path)
     with pytest.raises(SchemaError, match="pfcpbench-detector-v1"):
         load_any_model(path)

@@ -5,21 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfcpbench.corpus import load_csv, save_csv
 from pfcpbench.errors import SchemaError
 from pfcpbench.traffic import (
-    MISSING_CODE,
-    UNKNOWN_CODE,
     CategoricalDomain,
     ClassLabel,
     FeatureDescriptor,
     FeatureSchema,
-    FeatureVector,
     LabeledDataset,
     NumericDomain,
-    decode_vector,
-    encode_categorical,
     parse_label,
-    validate_vector,
 )
 
 
@@ -29,44 +24,24 @@ def test_categorical_codes_are_sorted_positions():
     assert domain.code_of("B") == 1
 
 
-def test_encode_missing_and_unknown(tiny_schema):
-    x = encode_categorical(tiny_schema, {"proto.kind": "B", "proto.len": "4.5", "proto.count": "1"})
-    assert x.categorical[0] == 1
-    assert x.numerical.tolist() == [4.5, 1.0]
-
-    missing = encode_categorical(tiny_schema, {"proto.kind": "", "proto.len": "", "proto.count": "0"})
-    assert missing.categorical[0] == MISSING_CODE
-    assert np.isnan(missing.numerical[0])
-
-    unknown = encode_categorical(tiny_schema, {"proto.kind": "Z", "proto.len": "1", "proto.count": "0"})
-    assert unknown.categorical[0] == UNKNOWN_CODE
+def _csv_roundtrip(tmp_dir, ds: LabeledDataset) -> tuple[list[list[str]], LabeledDataset]:
+    """The data cells ``save_csv`` writes for ``ds``'s rows, and ``load_csv`` of them."""
+    path = tmp_dir / "rows.csv"
+    save_csv(ds, path, manifest=False)
+    cells = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return cells, load_csv(path, ds.schema)
 
 
-def test_encode_requires_every_feature(tiny_schema):
-    with pytest.raises(SchemaError):
-        encode_categorical(tiny_schema, {"proto.kind": "A"})
+def _one_row(schema, label, length, count) -> LabeledDataset:
+    code = schema.features[0].domain.code_of(label)
+    return LabeledDataset(schema, [[code]], [[length, count]], [ClassLabel.NORMAL])
 
 
-def test_validate_vector_cases(tiny_schema):
-    ok = FeatureVector(np.array([0]), np.array([1.0, 0.0]))
-    assert validate_vector(tiny_schema, ok) == []
-
-    nan = FeatureVector(np.array([0]), np.array([np.nan, 0.0]))
-    assert any("non-finite" in v for v in validate_vector(tiny_schema, nan))
-
-    out_of_domain = FeatureVector(np.array([3]), np.array([1.0, 0.0]))  # |domain| == 3
-    assert any("out-of-domain" in v for v in validate_vector(tiny_schema, out_of_domain))
-
-    breach = FeatureVector(np.array([0]), np.array([200.0, 0.0]))
-    assert any("outside" in v for v in validate_vector(tiny_schema, breach))
-
-    short = FeatureVector(np.array([0]), np.array([1.0]))
-    assert any("length mismatch" in v for v in validate_vector(tiny_schema, short))
-
-
-def test_roundtrip_in_domain(tiny_schema):
-    raw = {"proto.kind": "C", "proto.len": repr(42.25), "proto.count": repr(-3.0)}
-    assert decode_vector(tiny_schema, encode_categorical(tiny_schema, raw)) == raw
+def test_roundtrip_in_domain(tmp_path, tiny_schema):
+    cells, loaded = _csv_roundtrip(tmp_path, _one_row(tiny_schema, "C", 42.25, -3.0))
+    assert cells == [["C", repr(42.25), repr(-3.0), "normal"]]
+    assert loaded.categorical.tolist() == [[2]]
+    assert loaded.numerical.tolist() == [[42.25, -3.0]]
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -75,7 +50,7 @@ def test_roundtrip_in_domain(tiny_schema):
     length=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
     count=st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
 )
-def test_roundtrip_property(label, length, count):
+def test_roundtrip_property(tmp_path_factory, label, length, count):
     schema = FeatureSchema(
         features=(
             FeatureDescriptor(
@@ -85,24 +60,12 @@ def test_roundtrip_property(label, length, count):
             FeatureDescriptor("proto.count", "numerical", "pfcp", False, NumericDomain(-5.0, 5.0)),
         )
     )
-    raw = {"proto.kind": label, "proto.len": repr(length), "proto.count": repr(count)}
-    encoded = encode_categorical(schema, raw)
-    assert decode_vector(schema, encoded) == raw
-    assert validate_vector(schema, encoded) == []
-
-
-@pytest.mark.parametrize("which", ["cat-too-big", "cat-missing", "num-nan", "num-breach"])
-def test_validate_rejects_mutations(tiny_schema, which):
-    cats, nums = np.array([1]), np.array([10.0, 2.0])
-    if which == "cat-too-big":
-        cats = np.array([len(tiny_schema.features[0].domain)])
-    elif which == "cat-missing":
-        cats = np.array([MISSING_CODE])
-    elif which == "num-nan":
-        nums = np.array([np.nan, 2.0])
-    elif which == "num-breach":
-        nums = np.array([10.0, 50.0])
-    assert validate_vector(tiny_schema, FeatureVector(cats, nums)) != []
+    ds = _one_row(schema, label, length, count)
+    cells, loaded = _csv_roundtrip(tmp_path_factory.mktemp("roundtrip"), ds)
+    assert cells == [[label, repr(length), repr(count), "normal"]]
+    assert np.array_equal(loaded.categorical, ds.categorical)
+    assert np.array_equal(loaded.numerical, ds.numerical)
+    assert loaded.labels == ds.labels
 
 
 def test_schema_roundtrip(tmp_path, tiny_schema):
@@ -126,27 +89,23 @@ def test_schema_rejects_duplicates():
 
 
 def test_vectors_are_immutable(tiny_schema):
-    x = FeatureVector(np.array([0]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        x.numerical[0] = 5.0
-    ds = LabeledDataset.from_rows(tiny_schema, [x], [ClassLabel.NORMAL])
+    ds = LabeledDataset(tiny_schema, [[0]], [[1.0, 2.0]], [ClassLabel.NORMAL])
     with pytest.raises(ValueError):
         ds.numerical[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        ds.categorical[0, 0] = 1
 
 
 def test_dataset_row_alignment(tiny_schema):
-    rows = [
-        FeatureVector(np.array([i % 3]), np.array([float(i), 0.0])) for i in range(5)
-    ]
-    ds = LabeledDataset.from_rows(tiny_schema, rows, [ClassLabel.NORMAL] * 5)
+    cats = [[i % 3] for i in range(5)]
+    nums = [[float(i), 0.0] for i in range(5)]
+    ds = LabeledDataset(tiny_schema, cats, nums, [ClassLabel.NORMAL] * 5)
     assert len(ds) == 5
     matrix = ds.to_matrix()
     # schema order: categorical first position, then the two numericals
     assert matrix.shape == (5, 3)
     assert matrix[:, 0].tolist() == [0, 1, 2, 0, 1]
     assert matrix[:, 1].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-    with pytest.raises(SchemaError):
-        LabeledDataset.from_rows(tiny_schema, rows, [ClassLabel.NORMAL] * 4)
 
 
 def test_parse_label_aliases():
