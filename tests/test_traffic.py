@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from pfcpbench.corpus import load_csv, save_csv
 from pfcpbench.errors import SchemaError
 from pfcpbench.traffic import (
+    MISSING_CODE,
+    UNKNOWN_CODE,
     CategoricalDomain,
     ClassLabel,
     FeatureDescriptor,
@@ -22,6 +24,15 @@ def test_categorical_codes_are_sorted_positions():
     domain = CategoricalDomain(("C", "A", "B"))
     assert domain.labels == ("A", "B", "C")
     assert domain.code_of("B") == 1
+
+
+def test_encode_missing_and_unknown(tmp_path, tiny_schema):
+    path = tmp_path / "rows.csv"
+    path.write_text("proto.kind,proto.len,proto.count\nB,4.5,1\n,,0\nZ,1,0\n")
+    ds = load_csv(path, tiny_schema)
+    assert ds.categorical[:, 0].tolist() == [1, MISSING_CODE, UNKNOWN_CODE]
+    assert ds.numerical[0].tolist() == [4.5, 1.0]
+    assert np.isnan(ds.numerical[1, 0])
 
 
 def _csv_roundtrip(tmp_dir, ds: LabeledDataset) -> tuple[list[list[str]], LabeledDataset]:
