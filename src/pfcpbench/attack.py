@@ -347,7 +347,7 @@ def estimate_marginals(source: LabeledDataset, feasible: FeasibleSet) -> Margina
     each feasible index's domain."""
     if len(source) == 0:
         raise MarginalsError("cannot estimate marginals from an empty source")
-    M = source.to_matrix()
+    M = source.matrix
     schema = source.schema
     entries = {}
     for j in feasible.indices:
@@ -678,7 +678,7 @@ def run_campaign(
         feasible_sets[kind] = build_feasible_set(schema, names, compliance_specs[kind], kind_narrow)
         marginals[kind] = estimate_marginals(marginals_source, feasible_sets[kind])
 
-    X = attack_samples.to_matrix()
+    X = attack_samples.matrix
     scores = model.score_batch(X)
     detected = scores > model.tau
     if not detected.any():

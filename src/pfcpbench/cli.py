@@ -21,7 +21,7 @@ from . import detectors as det_mod
 from . import ensemble as ens_mod
 from . import evaluate as eval_mod
 from . import errors, preprocess
-from .config import DetectorEntry, RunConfig, load_run_config, parse_algorithm
+from .config import DetectorEntry, RunConfig, parse_algorithm, parse_run_config, read_config
 from .seeding import derive_seed
 from .traffic import ClassLabel, FeatureSchema, LabeledDataset
 
@@ -50,6 +50,15 @@ def _schema_for(cfg: RunConfig) -> FeatureSchema:
     return FeatureSchema.load(cfg.schema)
 
 
+def _synth_splits(cfg: RunConfig, schema: FeatureSchema) -> tuple[LabeledDataset, ...]:
+    return corpus_mod.synth_benchmark_splits(
+        seed=derive_seed(cfg.seed, "corpus"),
+        schema=schema,
+        scale=float(cfg.synth.get("scale", 0.1)),
+        noise_scale=float(cfg.synth.get("noise_scale", 1.0)),
+    )
+
+
 def _raw_splits(cfg: RunConfig, run_dir: Path) -> tuple[LabeledDataset, ...]:
     """Raw splits: persisted corpus CSVs win, then split sources, then the
     synthetic generator."""
@@ -60,13 +69,7 @@ def _raw_splits(cfg: RunConfig, run_dir: Path) -> tuple[LabeledDataset, ...]:
         return tuple(corpus_mod.load_csv(p, schema) for p in csvs)
     if cfg.splits is not None:
         return corpus_mod.build_splits(cfg.splits, schema)
-    synth = cfg.synth or {}
-    return corpus_mod.synth_benchmark_splits(
-        seed=derive_seed(cfg.seed, "corpus"),
-        schema=schema,
-        scale=float(synth.get("scale", 0.1)),
-        noise_scale=float(synth.get("noise_scale", 1.0)),
-    )
+    return _synth_splits(cfg, schema)
 
 
 def cmd_synth(cfg: RunConfig) -> int:
@@ -75,13 +78,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     run_dir = cfg.run_dir()
     corpus_dir = run_dir / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)
-    schema = _schema_for(cfg)
-    splits = corpus_mod.synth_benchmark_splits(
-        seed=derive_seed(cfg.seed, "corpus"),
-        schema=schema,
-        scale=float(cfg.synth.get("scale", 0.1)),
-        noise_scale=float(cfg.synth.get("noise_scale", 1.0)),
-    )
+    splits = _synth_splits(cfg, _schema_for(cfg))
     for name, ds in zip(SPLIT_NAMES, splits):
         corpus_mod.save_csv(ds, corpus_dir / f"{name}.csv", seed=cfg.seed)
         logger.info("wrote %s (%d rows)", corpus_dir / f"{name}.csv", len(ds))
@@ -168,7 +165,7 @@ def cmd_train(cfg: RunConfig) -> int:
             train_log[label] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
             logger.error("%s failed: %s", label, exc)
 
-    V = validation.to_matrix()
+    V = validation.matrix
     columns: dict[det_mod.DetectorKind, np.ndarray] = {}  # each base scored once on validation
     for name in cfg.ensembles:
         spec = ens_mod.PRESETS[name]
@@ -244,7 +241,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if not models:
         raise errors.ConfigError("no trained models to evaluate")
     y = np.array([lab is not ClassLabel.NORMAL for lab in test.labels], dtype=bool)
-    scores = eval_mod.score_models(models, test.to_matrix())
+    scores = eval_mod.score_models(models, test.matrix)
     rows = [
         eval_mod.metrics_row(name, s, y, model.tau, pipeline.scaling_enabled)
         for (name, model), s in zip(models, scores)
@@ -379,13 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict:
+def _overrides(args: argparse.Namespace, raw_doc: dict) -> dict:
     overrides: dict = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out"] = args.out
-    raw_doc = json.loads(Path(args.config).read_text()) if Path(args.config).exists() else {}
     if args.no_scale:
         pipeline = dict(raw_doc.get("pipeline", {}))
         pipeline["scaling"] = False
@@ -416,7 +412,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_run_config(args.config, overrides=_overrides(args))
+        doc = read_config(args.config)
+        cfg = parse_run_config(doc, _overrides(args, doc))
         return COMMANDS[args.command](cfg)
     except errors.PfcpBenchError as exc:
         code = EXIT_CODES.get(type(exc), 1)

@@ -68,7 +68,9 @@ class RunConfig:
     raw: dict = field(compare=False, default_factory=dict)
 
     def run_hash(self) -> str:
-        doc = dict(self.raw)
+        """Digest of the run's content: the config without its output root,
+        which is a deployment path, so any spelling of it finds the run."""
+        doc = {key: value for key, value in self.raw.items() if key != "out"}
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
@@ -90,19 +92,33 @@ def _parse_sources(entries: Sequence[dict]) -> tuple[SplitSource, ...]:
     return tuple(out)
 
 
-def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    """Parse and validate the run-config document, applying CLI overrides.
-
-    Overrides become part of the canonical config, so a flag change maps
-    to a different run directory.
-    """
+def read_config(path: str | Path) -> dict:
+    """The run-config document: a JSON object read from ``path``."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
         doc = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object")
+    return doc
+
+
+def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+    """Read, parse and validate the run-config document at ``path``."""
+    return parse_run_config(read_config(path), overrides)
+
+
+def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
+    """Validate a run-config document, applying CLI overrides.
+
+    Overrides become part of the canonical config, so a flag change maps
+    to a different run directory.
+    """
     doc = dict(doc)
     for key, value in (overrides or {}).items():
         if value is not None:

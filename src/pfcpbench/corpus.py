@@ -26,6 +26,7 @@ from .seeding import rng_for
 from .traffic import (
     ATTACK_LABELS,
     CATEGORICAL,
+    MISSING_CODE,
     MISSING_MARKER,
     CategoricalDomain,
     ClassLabel,
@@ -162,23 +163,17 @@ def _truncnorm(rng, n, center, sd, lo, hi, scale=1.0, integer=False):
 def _assemble(
     schema: FeatureSchema, columns: Mapping[str, np.ndarray], labels: Sequence[ClassLabel]
 ) -> LabeledDataset:
-    n = len(labels)
-    cats = np.empty((n, schema.d1), dtype=np.int64)
-    nums = np.empty((n, schema.d2), dtype=np.float64)
-    ci = ni = 0
-    for f in schema.features:
+    M = np.empty((len(labels), len(schema)))
+    for j, f in enumerate(schema.features):
         col = columns.get(f.name)
-        if f.kind == CATEGORICAL:
-            if col is None:
-                cats[:, ci] = np.full(n, -1)  # MISSING
-            else:
-                lookup = {lab: i for i, lab in enumerate(f.domain.labels)}
-                cats[:, ci] = np.array([lookup[str(v)] for v in col], dtype=np.int64)
-            ci += 1
+        if col is None:
+            M[:, j] = MISSING_CODE if f.kind == CATEGORICAL else np.nan
+        elif f.kind == CATEGORICAL:
+            lookup = {lab: i for i, lab in enumerate(f.domain.labels)}
+            M[:, j] = [lookup[str(v)] for v in col]
         else:
-            nums[:, ni] = np.full(n, np.nan) if col is None else np.asarray(col, dtype=float)
-            ni += 1
-    return LabeledDataset(schema, cats, nums, labels)
+            M[:, j] = col
+    return LabeledDataset(schema, M, labels)
 
 
 def synth_benign(cfg: SynthConfig, schema: FeatureSchema) -> LabeledDataset:
@@ -362,44 +357,26 @@ def load_csv(
     if extra:
         logger.warning("%s: ignoring %d non-schema columns: %s", path, len(extra), extra)
 
-    missing_cols = schema_names - set(matched)
-    cat_specs = []
-    num_specs = []
-    ci = ni = 0
-    for f in schema.features:
-        if f.kind == CATEGORICAL:
-            cat_specs.append((ci, f))
-            ci += 1
-        else:
-            num_specs.append((ni, f))
-            ni += 1
-
-    rows_cat: list[np.ndarray] = []
-    rows_num: list[np.ndarray] = []
+    # a cell of a column absent from the header reads as empty
+    parsers = [
+        (f.name, f.domain.code_of if f.kind == CATEGORICAL else _parse_real)
+        for f in schema.features
+    ]
+    rows: list[list[float]] = []
     labels: list[ClassLabel] = []
     for record in reader:
-        codes = np.empty(schema.d1, dtype=np.int64)
-        for j, f in cat_specs:
-            cell = MISSING_MARKER if f.name in missing_cols else (record.get(f.name) or "")
-            codes[j] = f.domain.code_of(cell)
-        reals = np.empty(schema.d2, dtype=np.float64)
-        for j, f in num_specs:
-            cell = MISSING_MARKER if f.name in missing_cols else (record.get(f.name) or "")
-            if cell == MISSING_MARKER:
-                reals[j] = np.nan
-            else:
-                try:
-                    reals[j] = float(cell)
-                except ValueError:
-                    reals[j] = np.nan
-        rows_cat.append(codes)
-        rows_num.append(reals)
+        rows.append([parse(record.get(name) or MISSING_MARKER) for name, parse in parsers])
         raw_label = (record.get(label_column) or "") if label_column else ""
         labels.append(parse_label(raw_label) if raw_label.strip() else ClassLabel.NORMAL)
+    return LabeledDataset(schema, rows, labels)
 
-    cats = np.stack(rows_cat) if rows_cat else np.empty((0, schema.d1), dtype=np.int64)
-    nums = np.stack(rows_num) if rows_num else np.empty((0, schema.d2), dtype=np.float64)
-    return LabeledDataset(schema, cats, nums, labels)
+
+def _parse_real(cell: str) -> float:
+    """A numerical cell; an empty or unparsable one is missing (NaN)."""
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
 def save_csv(
@@ -415,22 +392,16 @@ def save_csv(
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(list(ds.schema.names) + [label_column])
-            for i in range(len(ds)):
+            for values, label in zip(ds.matrix.tolist(), ds.labels):
                 row = []
-                ci = ni = 0
-                for f in ds.schema.features:
-                    if f.kind == CATEGORICAL:
-                        code = int(ds.categorical[i, ci])
-                        ci += 1
-                        if code < 0:
-                            row.append(MISSING_MARKER if code == -1 else UNKNOWN_MARKER)
-                        else:
-                            row.append(f.domain.label_of(code))
-                    else:
-                        v = float(ds.numerical[i, ni])
-                        ni += 1
+                for f, v in zip(ds.schema.features, values):
+                    if f.kind != CATEGORICAL:
                         row.append(MISSING_MARKER if math.isnan(v) else repr(v))
-                row.append(ds.labels[i].value)
+                    elif v < 0:
+                        row.append(MISSING_MARKER if v == MISSING_CODE else UNKNOWN_MARKER)
+                    else:
+                        row.append(f.domain.label_of(int(v)))
+                row.append(label.value)
                 writer.writerow(row)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -480,7 +451,7 @@ def _load_sources(sources: Sequence[SplitSource], schema: FeatureSchema) -> Labe
             ds = ds.subset(mask)
         parts.append(ds)
     if not parts:
-        return LabeledDataset(schema, np.empty((0, schema.d1)), np.empty((0, schema.d2)), [])
+        return LabeledDataset(schema, np.empty((0, len(schema))), [])
     return LabeledDataset.concat(parts)
 
 
@@ -491,7 +462,7 @@ def build_splits(
 
     Training must be benign-only (anomaly-agnostic training); rows seen in
     an earlier split are dropped from later ones so the three splits stay
-    pairwise disjoint under the row-content identity proxy.
+    pairwise disjoint by row content (the bytes of each matrix row).
     """
     train = _load_sources(spec.train_sources, schema)
     bad = [lab for lab in train.labels if lab is not ClassLabel.NORMAL]
@@ -502,9 +473,9 @@ def build_splits(
     validation = _load_sources(spec.val_sources, schema)
     test = _load_sources(spec.test_sources, schema)
 
-    seen = set(train.row_ids.tolist())
+    seen = {row.tobytes() for row in train.matrix}
     validation = _drop_seen(validation, seen, "validation")
-    seen.update(validation.row_ids.tolist())
+    seen.update(row.tobytes() for row in validation.matrix)
     test = _drop_seen(test, seen, "test")
 
     if not any(lab is not ClassLabel.NORMAL for lab in validation.labels):
@@ -515,7 +486,7 @@ def build_splits(
 
 
 def _drop_seen(ds: LabeledDataset, seen: set, name: str) -> LabeledDataset:
-    mask = np.array([rid not in seen for rid in ds.row_ids.tolist()], dtype=bool)
+    mask = np.array([row.tobytes() not in seen for row in ds.matrix], dtype=bool)
     dropped = int((~mask).sum())
     if dropped:
         logger.warning("%s split: dropped %d rows already present in earlier splits", name, dropped)

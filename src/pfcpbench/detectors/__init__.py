@@ -286,7 +286,7 @@ def fit(config: DetectorConfig, train: LabeledDataset, seed: int = 42) -> Detect
             f"{config.kind.value} needs at least {min_rows(config.params)} training rows, "
             f"got {len(train)}"
         )
-    X = train.to_matrix()
+    X = train.matrix
     rng = rng_for(seed, "detector", config.kind.value)
     state = fit_fn(X, config.params, rng)
     model = DetectorModel(
@@ -338,7 +338,7 @@ def grid_search(
     if not candidates:
         raise GridSearchError("empty hyperparameter grid")
     y = np.array([lab is not ClassLabel.NORMAL for lab in validation.labels], dtype=bool)
-    V = validation.to_matrix()
+    V = validation.matrix
 
     log: list[dict] = []
     best: tuple[float, tuple, DetectorConfig] | None = None

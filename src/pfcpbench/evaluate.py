@@ -199,7 +199,6 @@ def emit_report(
     matrix: DetectionMatrix | None,
     evasion: Sequence[EvasionRow] | None,
     out_dir: str | Path,
-    formats: Sequence[str] = ("json", "csv"),
 ) -> list[Path]:
     """Write report files with deterministic ordering and 4-decimal floats.
 
@@ -212,9 +211,6 @@ def emit_report(
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create report directory {out_dir}: {exc}") from exc
-    unknown = set(formats) - {"json", "csv"}
-    if unknown:
-        raise IoError(f"unsupported report formats {sorted(unknown)}")
     written: list[Path] = []
 
     def write(path: Path, text: str):
@@ -236,12 +232,10 @@ def emit_report(
             }
             for m in sorted(metrics, key=lambda m: (m.model, m.scaled))
         ]
-        if "json" in formats:
-            write(out_dir / "metrics.json", json.dumps(metric_dicts, indent=2, sort_keys=True))
-        if "csv" in formats:
-            write(out_dir / "metrics.csv", _csv_text(
-                ["model", "scaled", "auc", "precision", "recall", "f1"], metric_dicts
-            ))
+        write(out_dir / "metrics.json", json.dumps(metric_dicts, indent=2, sort_keys=True))
+        write(out_dir / "metrics.csv", _csv_text(
+            ["model", "scaled", "auc", "precision", "recall", "f1"], metric_dicts
+        ))
     if evasion is not None:
         evasion_dicts = [
             {
@@ -254,13 +248,11 @@ def emit_report(
             }
             for e in sorted(evasion, key=lambda e: (e.model, e.algorithm, e.scaled))
         ]
-        if "json" in formats:
-            write(out_dir / "evasion.json", json.dumps(evasion_dicts, indent=2, sort_keys=True))
-        if "csv" in formats:
-            write(out_dir / "evasion.csv", _csv_text(
-                ["model", "algorithm", "scaled", "evasion_rate", "n_attempted", "n_evaded"],
-                evasion_dicts,
-            ))
+        write(out_dir / "evasion.json", json.dumps(evasion_dicts, indent=2, sort_keys=True))
+        write(out_dir / "evasion.csv", _csv_text(
+            ["model", "algorithm", "scaled", "evasion_rate", "n_attempted", "n_evaded"],
+            evasion_dicts,
+        ))
     if matrix is not None:
         lines = [",".join(["model"] + list(matrix.classes))]
         for name, cells in zip(matrix.models, matrix.cells):

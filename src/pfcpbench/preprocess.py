@@ -62,26 +62,18 @@ DEFAULT_GT1_PATTERNS = (
 IMPUTER_MAX_ROUNDS = 10
 
 
-def _is_missing_matrix(ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Missing masks for the categorical and numerical blocks."""
-    return ds.categorical == MISSING_CODE, np.isnan(ds.numerical)
+def _missing_mask(ds: LabeledDataset) -> np.ndarray:
+    """Missing cells: ``MISSING_CODE`` in a categorical column, NaN in a
+    numerical one."""
+    categorical = np.array([f.kind == CATEGORICAL for f in ds.schema.features], dtype=bool)
+    return np.where(categorical, ds.matrix == MISSING_CODE, np.isnan(ds.matrix))
 
 
 def select_features(ds: LabeledDataset, keep_names: Sequence[str]) -> LabeledDataset:
     """Dataset restricted to ``keep_names`` (original order preserved)."""
     schema = ds.schema.subset(keep_names)
-    keep = set(keep_names)
-    cat_idx = [j for j, pos in enumerate(ds.schema.categorical_positions)
-               if ds.schema.features[pos].name in keep]
-    num_idx = [j for j, pos in enumerate(ds.schema.numerical_positions)
-               if ds.schema.features[pos].name in keep]
-    return LabeledDataset(
-        schema,
-        ds.categorical[:, cat_idx],
-        ds.numerical[:, num_idx],
-        ds.labels,
-        row_ids=ds.row_ids,
-    )
+    columns = [ds.schema.position(name) for name in schema.names]
+    return LabeledDataset(schema, ds.matrix[:, columns], ds.labels)
 
 
 def drop_environment_features(
@@ -114,21 +106,11 @@ def filter_control_plane(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, 
             keep.append(f.name)
         else:
             report[f.name] = "GT2"
-    cat_missing, num_missing = _is_missing_matrix(ds)
+    missing = _missing_mask(ds)
 
     def layer_present(protocols: tuple[str, ...]) -> np.ndarray:
-        present = np.zeros(len(ds), dtype=bool)
-        ci = ni = 0
-        for f in ds.schema.features:
-            if f.kind == CATEGORICAL:
-                if f.protocol in protocols:
-                    present |= ~cat_missing[:, ci]
-                ci += 1
-            else:
-                if f.protocol in protocols:
-                    present |= ~num_missing[:, ni]
-                ni += 1
-        return present
+        columns = [j for j, f in enumerate(ds.schema.features) if f.protocol in protocols]
+        return (~missing[:, columns]).any(axis=1)
 
     other = layer_present(("tcp", "icmp"))
     control = layer_present(("udp", "pfcp"))
@@ -145,19 +127,12 @@ def filter_control_plane(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, 
 def drop_uninformative(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, str]]:
     """Remove constant, all-missing, and exact-duplicate columns."""
     report: dict[str, str] = {}
-    cat_missing, num_missing = _is_missing_matrix(ds)
+    missing = _missing_mask(ds)
     keep = []
     kept_columns: list[tuple[str, str, np.ndarray]] = []  # (kind, name, raw column)
-    ci = ni = 0
-    for f in ds.schema.features:
-        if f.kind == CATEGORICAL:
-            col = ds.categorical[:, ci]
-            observed = col[~cat_missing[:, ci]]
-            ci += 1
-        else:
-            col = ds.numerical[:, ni]
-            observed = col[~num_missing[:, ni]]
-            ni += 1
+    for j, f in enumerate(ds.schema.features):
+        col = ds.matrix[:, j]
+        observed = col[~missing[:, j]]
         if len(ds) and observed.size == 0:
             report[f.name] = "GT3:all-missing"
             continue
@@ -166,7 +141,7 @@ def drop_uninformative(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, st
             continue
         duplicate_of = None
         for kind, name, other in kept_columns:
-            if kind == f.kind and np.array_equal(col, other, equal_nan=(f.kind != CATEGORICAL)):
+            if kind == f.kind and np.array_equal(col, other, equal_nan=True):
                 duplicate_of = name
                 break
         if duplicate_of is not None:
@@ -198,12 +173,22 @@ class ImputerState:
     tol: float = 1e-3
 
 
+def _numeric_block(
+    schema: FeatureSchema, M: np.ndarray
+) -> tuple[list[int], list[str], np.ndarray]:
+    """Numerical positions, their names, and a C-ordered copy of those
+    columns of ``M`` (the regressions' ``others @ coefs`` rounds by layout)."""
+    positions = list(schema.numerical_positions)
+    names = [schema.features[pos].name for pos in positions]
+    return positions, names, np.ascontiguousarray(M[:, positions])
+
+
 def fit_imputer(train: LabeledDataset, tol: float = 1e-3) -> ImputerState:
-    cat_missing, num_missing = _is_missing_matrix(train)
+    missing = _missing_mask(train)
     cat_modes: dict[str, int] = {}
-    for j, pos in enumerate(train.schema.categorical_positions):
+    for pos in train.schema.categorical_positions:
         name = train.schema.features[pos].name
-        observed = train.categorical[:, j][~cat_missing[:, j]]
+        observed = train.matrix[:, pos][~missing[:, pos]]
         observed = observed[observed != UNKNOWN_CODE]
         if observed.size == 0:
             logger.warning("%s: no observed training categories, imputing UNKNOWN", name)
@@ -212,8 +197,8 @@ def fit_imputer(train: LabeledDataset, tol: float = 1e-3) -> ImputerState:
         codes, counts = np.unique(observed, return_counts=True)
         cat_modes[name] = int(codes[np.argmax(counts)])  # ties: smallest code wins
 
-    num_names = [train.schema.features[pos].name for pos in train.schema.numerical_positions]
-    X = train.numerical.copy()
+    num_pos, num_names, X = _numeric_block(train.schema, train.matrix)
+    num_missing = missing[:, num_pos]
     medians: dict[str, float] = {}
     for j, name in enumerate(num_names):
         observed = X[:, j][~num_missing[:, j]]
@@ -227,21 +212,14 @@ def fit_imputer(train: LabeledDataset, tol: float = 1e-3) -> ImputerState:
     incomplete = [j for j in range(X.shape[1]) if num_missing[:, j].any()]
     regressions: dict[str, tuple[float, ...]] = {}
     if incomplete and X.shape[1] >= 2:
-        for _ in range(IMPUTER_MAX_ROUNDS):
-            max_delta = 0.0
-            for j in incomplete:
-                coefs = _fit_column_regression(X, num_missing[:, j], j)
-                if coefs is None:
-                    continue
+
+        def refit(j: int) -> tuple[float, ...] | None:
+            coefs = _fit_column_regression(X, num_missing[:, j], j)
+            if coefs is not None:
                 regressions[num_names[j]] = coefs
-                predicted = _predict_column(X, j, coefs)
-                rows = num_missing[:, j]
-                delta = np.abs(predicted[rows] - X[rows, j])
-                if delta.size:
-                    max_delta = max(max_delta, float(delta.max()))
-                X[rows, j] = predicted[rows]
-            if max_delta < tol:
-                break
+            return coefs
+
+        _impute_rounds(X, num_missing, incomplete, refit, tol)
     return ImputerState(cat_modes=cat_modes, num_medians=medians, regressions=regressions, tol=tol)
 
 
@@ -266,18 +244,40 @@ def _predict_column(X: np.ndarray, j: int, coefs: tuple[float, ...]) -> np.ndarr
     return coefs[0] + others @ np.asarray(coefs[1:])
 
 
+def _impute_rounds(
+    X: np.ndarray, missing: np.ndarray, columns: list[int], coefs_for, tol: float
+) -> None:
+    """Round-robin: refill the missing rows of each column in ``columns``
+    from its regression on the others (``coefs_for(j)``, None skips it),
+    until no refilled value moves by ``tol`` or more."""
+    for _ in range(IMPUTER_MAX_ROUNDS):
+        max_delta = 0.0
+        for j in columns:
+            coefs = coefs_for(j)
+            if coefs is None:
+                continue
+            predicted = _predict_column(X, j, coefs)
+            rows = missing[:, j]
+            delta = np.abs(predicted[rows] - X[rows, j])
+            if delta.size:
+                max_delta = max(max_delta, float(delta.max()))
+            X[rows, j] = predicted[rows]
+        if max_delta < tol:
+            break
+
+
 def apply_imputer(state: ImputerState, ds: LabeledDataset) -> LabeledDataset:
     """Fill every missing entry; output has zero MISSING codes and NaNs."""
-    cats = ds.categorical.copy()
-    for j, pos in enumerate(ds.schema.categorical_positions):
+    M = ds.matrix.copy()
+    missing = _missing_mask(ds)
+    for pos in ds.schema.categorical_positions:
         name = ds.schema.features[pos].name
         if name not in state.cat_modes:
             raise SchemaError(f"imputer has no state for categorical feature {name!r}")
-        cats[cats[:, j] == MISSING_CODE, j] = state.cat_modes[name]
+        M[missing[:, pos], pos] = state.cat_modes[name]
 
-    num_names = [ds.schema.features[pos].name for pos in ds.schema.numerical_positions]
-    X = ds.numerical.copy()
-    missing = np.isnan(X)
+    num_pos, num_names, X = _numeric_block(ds.schema, M)
+    missing = missing[:, num_pos]
     for j, name in enumerate(num_names):
         if name not in state.num_medians:
             raise SchemaError(f"imputer has no state for numerical feature {name!r}")
@@ -285,18 +285,9 @@ def apply_imputer(state: ImputerState, ds: LabeledDataset) -> LabeledDataset:
     pending = [j for j, name in enumerate(num_names)
                if name in state.regressions and missing[:, j].any()]
     if pending:
-        for _ in range(IMPUTER_MAX_ROUNDS):
-            max_delta = 0.0
-            for j in pending:
-                predicted = _predict_column(X, j, state.regressions[num_names[j]])
-                rows = missing[:, j]
-                delta = np.abs(predicted[rows] - X[rows, j])
-                if delta.size:
-                    max_delta = max(max_delta, float(delta.max()))
-                X[rows, j] = predicted[rows]
-            if max_delta < state.tol:
-                break
-    return LabeledDataset(ds.schema, cats, X, ds.labels, row_ids=ds.row_ids)
+        _impute_rounds(X, missing, pending, lambda j: state.regressions[num_names[j]], state.tol)
+    M[:, num_pos] = X
+    return LabeledDataset(ds.schema, M, ds.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +308,9 @@ class ScalerState:
 
 def fit_scaler(train: LabeledDataset) -> ScalerState:
     stats: dict[str, tuple[float, float, float]] = {}
-    for j, pos in enumerate(train.schema.numerical_positions):
+    for pos in train.schema.numerical_positions:
         name = train.schema.features[pos].name
-        col = train.numerical[:, j]
+        col = train.matrix[:, pos]
         if np.isnan(col).any():
             raise PipelineError(f"{name}: scaler fitted before imputation")
         med, q1, q3 = (float(np.quantile(col, q)) for q in (0.5, 0.25, 0.75))
@@ -332,14 +323,14 @@ def fit_scaler(train: LabeledDataset) -> ScalerState:
 def apply_scaler(state: ScalerState, ds: LabeledDataset) -> LabeledDataset:
     """x -> (x - median) / IQR; degenerate features are centered only.
     Categorical codes pass through untouched."""
-    X = ds.numerical.copy()
-    for j, pos in enumerate(ds.schema.numerical_positions):
+    M = ds.matrix.copy()
+    for pos in ds.schema.numerical_positions:
         name = ds.schema.features[pos].name
         if name not in state.stats:
             raise SchemaError(f"scaler has no state for feature {name!r}")
         med, scale = state.scale_of(name)
-        X[:, j] = (X[:, j] - med) / scale
-    return LabeledDataset(ds.schema, ds.categorical, X, ds.labels, row_ids=ds.row_ids)
+        M[:, pos] = (M[:, pos] - med) / scale
+    return LabeledDataset(ds.schema, M, ds.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +443,11 @@ def fit_pipeline(
 
     # The output schema re-learns numerical domains from the transformed
     # training data; attack feasibility clamps candidate values to them.
-    num_col = {ds.schema.features[pos].name: j
-               for j, pos in enumerate(ds.schema.numerical_positions)}
     out_features = []
-    for f in ds.schema.features:
+    for f, col in zip(ds.schema.features, ds.matrix.T):
         if f.kind == CATEGORICAL:
             out_features.append(f)
         else:
-            col = ds.numerical[:, num_col[f.name]]
             out_features.append(
                 replace(f, domain=NumericDomain(float(col.min()), float(col.max())))
             )
@@ -490,6 +478,4 @@ def transform(model: PipelineModel, ds: LabeledDataset) -> LabeledDataset:
     out = apply_imputer(model.imputer_state, out)
     if model.scaling_enabled and model.scaler_state is not None:
         out = apply_scaler(model.scaler_state, out)
-    return LabeledDataset(
-        model.output_schema, out.categorical, out.numerical, out.labels, row_ids=out.row_ids
-    )
+    return LabeledDataset(model.output_schema, out.matrix, out.labels)

@@ -4,7 +4,7 @@ A :class:`FeatureSchema` is the contract between extraction, detectors,
 and attacks: an ordered list of per-field descriptors carrying kind
 (categorical / numerical), protocol layer, an environment-dependence flag,
 and a value domain.  A :class:`LabeledDataset` holds labeled packets as
-one integer category-code matrix and one real matrix.
+one real matrix in schema order, categorical cells as their integer codes.
 
 All types are immutable after construction and safe to share across
 threads; every operation here is pure.
@@ -154,8 +154,9 @@ class FeatureDescriptor:
 class FeatureSchema:
     """Ordered feature descriptors plus a version counter.
 
-    Ordering is stable across save/load; positions in this order are the
-    index space used by feasible sets and marginals.
+    Ordering is stable across save/load; positions in this order index
+    the columns of every dataset matrix, and the feasible sets and
+    marginals too.
     """
 
     features: tuple[FeatureDescriptor, ...]
@@ -192,14 +193,6 @@ class FeatureSchema:
     @property
     def numerical_positions(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.features) if f.kind == NUMERICAL)
-
-    @property
-    def d1(self) -> int:
-        return len(self.categorical_positions)
-
-    @property
-    def d2(self) -> int:
-        return len(self.numerical_positions)
 
     def subset(self, keep_names: Sequence[str], version: int | None = None) -> "FeatureSchema":
         """Schema restricted to ``keep_names``, preserving original order."""
@@ -265,68 +258,30 @@ class FeatureSchema:
         return FeatureSchema.from_json_dict(doc)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 class LabeledDataset:
     """Schema-conforming rows with class labels.
 
-    Stored as one integer code matrix (codes index each categorical
-    descriptor's sorted domain; ``MISSING_CODE`` / ``UNKNOWN_CODE`` mark
-    absent and novel categories) and one real matrix, for vectorized
-    detector math.  ``row_ids`` carry content hashes used for split
-    disjointness.
+    Stored as one read-only float64 ``matrix`` whose columns are the schema
+    positions, the representation every detector consumes.  A categorical
+    cell holds its code as an exact small integer: codes index the
+    descriptor's sorted domain, and ``MISSING_CODE`` / ``UNKNOWN_CODE`` mark
+    absent and novel categories.  A missing numerical cell is NaN.
     """
 
-    def __init__(
-        self,
-        schema: FeatureSchema,
-        categorical: np.ndarray,
-        numerical: np.ndarray,
-        labels: Sequence[ClassLabel],
-        row_ids: np.ndarray | None = None,
-    ):
-        categorical = np.asarray(categorical, dtype=np.int64).reshape(len(labels), schema.d1)
-        numerical = np.asarray(numerical, dtype=np.float64).reshape(len(labels), schema.d2)
+    def __init__(self, schema: FeatureSchema, matrix: np.ndarray, labels: Sequence[ClassLabel]):
+        matrix = np.array(matrix, dtype=np.float64, order="C").reshape(len(labels), len(schema))
+        matrix.flags.writeable = False
         self.schema = schema
-        self.categorical = _frozen(categorical.copy())
-        self.numerical = _frozen(numerical.copy())
+        self.matrix = matrix
         self.labels = tuple(labels)
-        if row_ids is None:
-            row_ids = _content_row_ids(self.categorical, self.numerical)
-        self.row_ids = _frozen(np.asarray(row_ids, dtype=np.uint64).copy())
-        if len(self.row_ids) != len(self.labels):
-            raise SchemaError("row_ids / labels length mismatch")
 
     def __len__(self) -> int:
         return len(self.labels)
 
-    def to_matrix(self) -> np.ndarray:
-        """Single real matrix in schema feature order.
-
-        Categorical codes enter as ordinal reals; this is the representation
-        every detector consumes.
-        """
-        n = len(self)
-        out = np.empty((n, len(self.schema)), dtype=np.float64)
-        for j, pos in enumerate(self.schema.categorical_positions):
-            out[:, pos] = self.categorical[:, j]
-        for j, pos in enumerate(self.schema.numerical_positions):
-            out[:, pos] = self.numerical[:, j]
-        return out
-
     def subset(self, mask: np.ndarray) -> "LabeledDataset":
         mask = np.asarray(mask)
         idx = np.flatnonzero(mask) if mask.dtype == bool else mask
-        return LabeledDataset(
-            self.schema,
-            self.categorical[idx],
-            self.numerical[idx],
-            [self.labels[i] for i in idx],
-            row_ids=self.row_ids[idx],
-        )
+        return LabeledDataset(self.schema, self.matrix[idx], [self.labels[i] for i in idx])
 
     @staticmethod
     def concat(parts: Sequence["LabeledDataset"]) -> "LabeledDataset":
@@ -339,24 +294,4 @@ class LabeledDataset:
         labels: list[ClassLabel] = []
         for p in parts:
             labels.extend(p.labels)
-        return LabeledDataset(
-            schema,
-            np.concatenate([p.categorical for p in parts]),
-            np.concatenate([p.numerical for p in parts]),
-            labels,
-            row_ids=np.concatenate([p.row_ids for p in parts]),
-        )
-
-
-def _content_row_ids(categorical: np.ndarray, numerical: np.ndarray) -> np.ndarray:
-    """Per-row 64-bit content hashes (identity proxy for disjointness)."""
-    import hashlib
-
-    n = categorical.shape[0]
-    out = np.empty(n, dtype=np.uint64)
-    for i in range(n):
-        h = hashlib.blake2b(digest_size=8)
-        h.update(categorical[i].tobytes())
-        h.update(numerical[i].tobytes())
-        out[i] = int.from_bytes(h.digest(), "big")
-    return out
+        return LabeledDataset(schema, np.concatenate([p.matrix for p in parts]), labels)

@@ -55,7 +55,7 @@ def numeric_dataset(X: np.ndarray, labels=None) -> LabeledDataset:
     schema = numeric_schema(X.shape[1])
     if labels is None:
         labels = [ClassLabel.NORMAL] * X.shape[0]
-    return LabeledDataset(schema, np.empty((X.shape[0], 0), dtype=np.int64), X, labels)
+    return LabeledDataset(schema, X, labels)
 
 
 @pytest.fixture(scope="session")
@@ -91,7 +91,7 @@ def bench():
     detectors = {
         kind: fit(DetectorConfig(kind=kind), t_train, seed=MASTER_SEED) for kind in kinds
     }
-    V = t_val.to_matrix()
+    V = t_val.matrix
     columns = {kind: model.score_batch(V) for kind, model in detectors.items()}
     ensembles = {
         name: fit_ensemble(

@@ -77,17 +77,20 @@ def test_criterion_2_scaler_imputer_correctness():
         # every kept feature family
         train = synth_benign(SynthConfig(n_benign=21341, seed=42), schema)
         rng = np.random.default_rng(77)
-        cats = train.categorical.copy()
-        cats.flags.writeable = True
-        nums = train.numerical.copy()
-        nums.flags.writeable = True
+        cat_pos = list(schema.categorical_positions)
+        num_pos = list(schema.numerical_positions)
+        cats = train.matrix[:, cat_pos]
+        nums = train.matrix[:, num_pos]
         cat_mask = rng.random(cats.shape) < 0.01
         cats[cat_mask] = MISSING_CODE
         num_mask = rng.random(nums.shape) < 0.01
         nums[num_mask] = np.nan
         from pfcpbench.traffic import LabeledDataset
 
-        dirty = LabeledDataset(schema, cats, nums, train.labels)
+        matrix = train.matrix.copy()
+        matrix[:, cat_pos] = cats
+        matrix[:, num_pos] = nums
+        dirty = LabeledDataset(schema, matrix, train.labels)
 
         # CPU time of this process: other jobs on the machine do not count
         start = time.process_time()
@@ -96,12 +99,13 @@ def test_criterion_2_scaler_imputer_correctness():
         elapsed = time.process_time() - start
         assert elapsed < 5.0, f"pipeline took {elapsed:.2f}s of CPU time"
 
-        assert not np.isnan(out.numerical).any()
-        assert np.isfinite(out.numerical).all()
-        assert (out.categorical != MISSING_CODE).all()
-        med = np.quantile(out.numerical, 0.5, axis=0)
-        q1 = np.quantile(out.numerical, 0.25, axis=0)
-        q3 = np.quantile(out.numerical, 0.75, axis=0)
+        numerical = out.matrix[:, out.schema.numerical_positions]
+        assert not np.isnan(numerical).any()
+        assert np.isfinite(numerical).all()
+        assert (out.matrix[:, out.schema.categorical_positions] != MISSING_CODE).all()
+        med = np.quantile(numerical, 0.5, axis=0)
+        q1 = np.quantile(numerical, 0.25, axis=0)
+        q3 = np.quantile(numerical, 0.75, axis=0)
         nondegenerate = (q3 - q1) > 0
         assert np.abs(med[nondegenerate]).max() < 1e-9
         assert np.abs((q3 - q1)[nondegenerate] - 1.0).max() < 1e-9
@@ -154,7 +158,7 @@ def test_criterion_4_detector_sanity(blob_benchmark, bench):
 
         test = bench["test"]
         y = np.array([lab is not ClassLabel.NORMAL for lab in test.labels])
-        X = test.to_matrix()
+        X = test.matrix
         f1 = {
             kind.value: threshold_metrics(model.score_batch(X), y, model.tau).f1
             for kind, model in bench["detectors"].items()
@@ -230,8 +234,8 @@ def test_criterion_6_attack_effectiveness_ordering(campaign_bench):
         assert es_scaled <= es + 1e-12
 
         # equality witness for the invariance argument above
-        X_unscaled = campaign_bench[False]["attacks"].to_matrix()
-        X_scaled = campaign_bench[True]["attacks"].to_matrix()
+        X_unscaled = campaign_bench[False]["attacks"].matrix
+        X_scaled = campaign_bench[True]["attacks"].matrix
         s_unscaled = campaign_bench[False]["model"].score_batch(X_unscaled)
         s_scaled = campaign_bench[True]["model"].score_batch(X_scaled)
         assert np.abs(s_unscaled - s_scaled).max() < 1e-6

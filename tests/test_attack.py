@@ -62,7 +62,7 @@ def toy():
     n = 200
     cats = rng.integers(0, 3, size=(n, 1))
     nums = np.column_stack([rng.uniform(0, 10, n), rng.uniform(0, 90, n)])
-    source = LabeledDataset(schema, cats, nums, [ClassLabel.NORMAL] * n)
+    source = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.NORMAL] * n)
     return schema, spec, feasible, source
 
 
@@ -130,7 +130,7 @@ def test_deletion_message_type_predicate():
     schema = default_schema()
     ds = synth_attack(ClassLabel.DELETION, 3, 5, schema)
     spec = DEFAULT_COMPLIANCE_RULES[ClassLabel.DELETION]
-    row = ds.to_matrix()[0]
+    row = ds.matrix[0]
     assert check_compliant(spec, schema, row)
     mutated = row.copy()
     pos = schema.position("pfcp.msg_type")
@@ -176,7 +176,7 @@ def test_marginal_frequencies(toy):
     schema, spec, feasible, _ = toy
     cats = np.array([[0], [0], [1]])
     nums = np.column_stack([np.array([1.0, 2.0, 3.0]), np.full(3, 50.0)])
-    source = LabeledDataset(schema, cats, nums, [ClassLabel.NORMAL] * 3)
+    source = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.NORMAL] * 3)
     marginals = estimate_marginals(source, feasible)
     kind, codes, probs = marginals.entries[schema.position("pfcp.mark")]
     assert kind == "cat"
@@ -192,9 +192,7 @@ def test_marginal_frequencies(toy):
 
 def test_marginals_empty_source(toy):
     schema, spec, feasible, _ = toy
-    empty = LabeledDataset(
-        schema, np.empty((0, 1), dtype=np.int64), np.empty((0, 2)), []
-    )
+    empty = LabeledDataset(schema, np.empty((0, 3)), [])
     with pytest.raises(MarginalsError):
         estimate_marginals(empty, feasible)
 
@@ -389,7 +387,7 @@ def test_campaign_skips_undetected_and_counts_queries(toy):
     cats = rng.integers(0, 3, size=(n, 1))
     sizes = np.concatenate([np.full(15, 9.0), np.full(15, 1.0)])  # half detected at tau=5
     nums = np.column_stack([sizes, np.full(n, 500.0)])
-    attacks = LabeledDataset(schema, cats, nums, [ClassLabel.RESTORATION_TEID] * n)
+    attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * n)
     outcomes = run_campaign(
         _ThresholdModel(5.0),
         attacks,
@@ -411,7 +409,7 @@ def test_campaign_with_no_detections_warns(toy, caplog):
     schema, spec, feasible, source = toy
     cats = np.zeros((5, 1), dtype=np.int64)
     nums = np.column_stack([np.full(5, 1.0), np.full(5, 500.0)])
-    attacks = LabeledDataset(schema, cats, nums, [ClassLabel.RESTORATION_TEID] * 5)
+    attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * 5)
     with caplog.at_level("WARNING"):
         outcomes = run_campaign(
             _ThresholdModel(5.0),
@@ -429,7 +427,7 @@ def test_campaign_budget_one_reduces_ga_to_single_draw(toy):
     schema, spec, feasible, source = toy
     cats = np.zeros((4, 1), dtype=np.int64)
     nums = np.column_stack([np.full(4, 9.5), np.full(4, 500.0)])
-    attacks = LabeledDataset(schema, cats, nums, [ClassLabel.RESTORATION_TEID] * 4)
+    attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * 4)
     outcomes = run_campaign(
         _ThresholdModel(9.0),
         attacks,
@@ -446,7 +444,7 @@ def test_campaign_deterministic(toy):
     rng = np.random.default_rng(12)
     cats = rng.integers(0, 3, size=(10, 1))
     nums = np.column_stack([np.full(10, 9.0), np.full(10, 500.0)])
-    attacks = LabeledDataset(schema, cats, nums, [ClassLabel.RESTORATION_TEID] * 10)
+    attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * 10)
 
     def run():
         return run_campaign(
@@ -491,7 +489,7 @@ def test_campaign_golden_traces(toy, algorithm):
     k = 16
     cats = (np.arange(k) % 3).reshape(-1, 1)
     nums = np.column_stack([np.linspace(0.5, 9.5, k), 300.0 + 18.0 * np.arange(k)])
-    attacks = LabeledDataset(schema, cats, nums, [ClassLabel.RESTORATION_TEID] * k)
+    attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * k)
     outcomes = run_campaign(
         _DistanceModel(),
         attacks,
@@ -516,11 +514,11 @@ def test_scale_compliance_maps_thresholds():
     scaled_spec = scale_compliance(raw_spec, pipeline)
     attacks = synth_attack(ClassLabel.RESTORATION_TEID, 10, 8, schema)
     transformed = transform(pipeline, attacks)
-    M = transformed.to_matrix()
+    M = transformed.matrix
     for i in range(len(transformed)):
         assert check_compliant(scaled_spec, pipeline.output_schema, M[i])
     # benign rows stay below the mapped pool bound
-    benign_t = transform(pipeline, train).to_matrix()
+    benign_t = transform(pipeline, train).matrix
     pos = pipeline.output_schema.position("pfcp.f_teid.teid")
     _, _, threshold = scaled_spec.predicates[0]
     assert (benign_t[:, pos] <= threshold).all()

@@ -379,6 +379,36 @@ def test_missing_config_is_config_error(tmp_path, capsys):
     assert "error[ConfigError]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ('{"seed": 1,', []),
+        ('{"seed": 1,', ["--no-scale", "--budget", "5"]),
+        ("[1, 2]", []),
+        ("[1, 2]", ["--ensemble", "HKAIP"]),
+        ('"runs"', []),
+    ],
+    ids=["truncated", "truncated-with-flags", "array", "array-with-flags", "string"],
+)
+def test_malformed_config_is_config_error(tmp_path, capsys, text, flags):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["preprocess", "--config", str(path), *flags]) == 12
+    assert "error[ConfigError]" in capsys.readouterr().err
+
+
+def test_out_spelling_does_not_change_run_dir(tmp_path, monkeypatch):
+    # the output root is where runs live, not part of a run's content
+    config = write_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert run("preprocess", config, "--out", str(tmp_path / "out")) == 0
+    assert run("train", config, "--out", "out") == 0
+    (run_dir,) = (tmp_path / "out").glob("run-*")
+    assert (run_dir / "pipeline.json").exists()
+    assert (run_dir / "models" / "HBOS.json").exists()
+    assert not (tmp_path / "runs").exists()
+
+
 def test_synth_corpus_loadable(tmp_path):
     config = write_config(tmp_path)
     assert run("synth", config) == 0

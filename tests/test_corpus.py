@@ -43,9 +43,9 @@ def test_load_csv_basic(tmp_path, tiny_schema):
     ds = load_csv(path, tiny_schema)
     assert len(ds) == 6
     assert ds.labels[:3] == (ClassLabel.NORMAL, ClassLabel.FLOOD, ClassLabel.NORMAL)
-    assert ds.numerical[:5, 0].tolist() == [1.5, 2.0, 3.0, 4.0, 5.0]
-    assert ds.categorical[:, 0].tolist() == [0, 1, 2, MISSING_CODE, UNKNOWN_CODE, 0]
-    assert np.isnan(ds.numerical[5]).all()
+    assert ds.matrix[:5, 1].tolist() == [1.5, 2.0, 3.0, 4.0, 5.0]
+    assert ds.matrix[:, 0].tolist() == [0, 1, 2, MISSING_CODE, UNKNOWN_CODE, 0]
+    assert np.isnan(ds.matrix[5, 1:]).all()
 
 
 def test_load_csv_ignores_extra_columns(tmp_path, tiny_schema, caplog):
@@ -74,8 +74,7 @@ def test_csv_roundtrip(tmp_path, schema):
     path = tmp_path / "out.csv"
     save_csv(ds, path, seed=7)
     loaded = load_csv(path, schema)
-    assert np.array_equal(loaded.categorical, ds.categorical)
-    assert np.array_equal(loaded.numerical, ds.numerical, equal_nan=True)
+    assert np.array_equal(loaded.matrix, ds.matrix, equal_nan=True)
     assert loaded.labels == ds.labels
     assert (tmp_path / "out.csv.manifest.json").exists()
 
@@ -86,8 +85,7 @@ def test_csv_roundtrip(tmp_path, schema):
 def test_synth_benign_deterministic(schema):
     cfg = SynthConfig(n_benign=100, seed=42)
     a, b = synth_benign(cfg, schema), synth_benign(cfg, schema)
-    assert np.array_equal(a.categorical, b.categorical)
-    assert np.array_equal(a.numerical, b.numerical, equal_nan=True)
+    assert np.array_equal(a.matrix, b.matrix, equal_nan=True)
 
 
 def test_synth_benign_empty(schema):
@@ -97,16 +95,15 @@ def test_synth_benign_empty(schema):
 def test_benign_teids_stay_in_pool(schema):
     # derived bound: scan the generated TEID column against the pool limit
     ds = synth_benign(SynthConfig(n_benign=2000, seed=42), schema)
-    col = schema.numerical_positions.index(schema.position("pfcp.f_teid.teid"))
-    assert (ds.numerical[:, col] <= TEID_POOL_MAX).all()
-    assert (ds.numerical[:, col] >= 1024).all()
+    col = schema.position("pfcp.f_teid.teid")
+    assert (ds.matrix[:, col] <= TEID_POOL_MAX).all()
+    assert (ds.matrix[:, col] >= 1024).all()
 
 
 def test_synth_attack_deterministic(schema):
     a = synth_attack(ClassLabel.FLOOD, 25, 9, schema)
     b = synth_attack(ClassLabel.FLOOD, 25, 9, schema)
-    assert np.array_equal(a.numerical, b.numerical, equal_nan=True)
-    assert np.array_equal(a.categorical, b.categorical)
+    assert np.array_equal(a.matrix, b.matrix, equal_nan=True)
 
 
 def test_synth_attack_rejects_normal(schema):
@@ -117,15 +114,15 @@ def test_synth_attack_rejects_normal(schema):
 def test_deletion_rows_carry_message_type_54(schema):
     ds = synth_attack(ClassLabel.DELETION, 13, 3, schema)
     assert len(ds) == 13
-    col = schema.categorical_positions.index(schema.position("pfcp.msg_type"))
+    col = schema.position("pfcp.msg_type")
     code_54 = schema.descriptor("pfcp.msg_type").domain.code_of("54")
-    assert set(ds.categorical[:, col].tolist()) == {code_54}
+    assert set(ds.matrix[:, col].tolist()) == {code_54}
 
 
 def test_restoration_teids_exceed_pool(schema):
     ds = synth_attack(ClassLabel.RESTORATION_TEID, 20, 3, schema)
-    col = schema.numerical_positions.index(schema.position("pfcp.f_teid.teid"))
-    assert (ds.numerical[:, col] > TEID_POOL_MAX).all()
+    col = schema.position("pfcp.f_teid.teid")
+    assert (ds.matrix[:, col] > TEID_POOL_MAX).all()
 
 
 @pytest.mark.parametrize("kind", ATTACK_LABELS)
@@ -133,8 +130,7 @@ def test_generator_rows_are_compliant(schema, kind):
     # every generated row satisfies its class predicates
     ds = synth_attack(kind, 40, 11, schema)
     spec = DEFAULT_COMPLIANCE_RULES[kind]
-    M = ds.to_matrix()
-    assert all(check_compliant(spec, schema, M[i]) for i in range(len(ds)))
+    assert all(check_compliant(spec, schema, row) for row in ds.matrix)
 
 
 # --- splits -----------------------------------------------------------------
@@ -175,18 +171,42 @@ def test_split_spec_rejects_attack_filter_on_train(tmp_path, schema):
 
 def test_build_splits_disjoint(tmp_path, schema):
     benign_path, attack_path = _write_corpus(tmp_path, schema)
+    # a benign row with an empty categorical and an empty numeric cell, put
+    # in every split, and a variant of it whose categorical cell is filled
+    lines = benign_path.read_text().splitlines()
+    header = lines[0].split(",")
+    variant = lines[1].split(",")
+    variant[header.index("pfcp.seqno")] = ""
+    repeated = list(variant)
+    repeated[header.index("pfcp.s")] = ""
+    repeat_path = tmp_path / "repeat.csv"
+    repeat_path.write_text("\n".join([lines[0], ",".join(repeated)]) + "\n")
+    variant_path = tmp_path / "variant.csv"
+    variant_path.write_text("\n".join([lines[0], ",".join(repeated), ",".join(variant)]) + "\n")
     spec = SplitSpec(
-        train_sources=(SplitSource(str(benign_path), include=(ClassLabel.NORMAL,)),),
-        val_sources=(SplitSource(str(benign_path)), SplitSource(str(attack_path))),
-        test_sources=(SplitSource(str(attack_path)),),
+        train_sources=(
+            SplitSource(str(benign_path), include=(ClassLabel.NORMAL,)),
+            SplitSource(str(repeat_path), include=(ClassLabel.NORMAL,)),
+        ),
+        val_sources=(
+            SplitSource(str(benign_path)), SplitSource(str(attack_path)), SplitSource(str(repeat_path)),
+        ),
+        test_sources=(SplitSource(str(attack_path)), SplitSource(str(variant_path))),
     )
     train, val, test = build_splits(spec, schema)
-    ids = [set(ds.row_ids.tolist()) for ds in (train, val, test)]
+    ids = [{row.tobytes() for row in ds.matrix} for ds in (train, val, test)]
     assert ids[0] & ids[1] == set()
     assert ids[0] & ids[2] == set()
     assert ids[1] & ids[2] == set()
-    # validation reuses the benign file: every row deduplicated away
+    # validation reuses the benign file and the repeated row: every benign
+    # row deduplicated away
     assert class_distribution(val)[ClassLabel.NORMAL] == 0
+    assert len(val) == 12
+    # the repeated row goes, though its empty cells are MISSING_CODE and NaN;
+    # the variant differs in one cell and stays
+    (row,) = test.matrix
+    assert row[schema.position("pfcp.s")] != MISSING_CODE
+    assert np.isnan(row[schema.position("pfcp.seqno")])
 
 
 def test_benign_only_validation_warns(tmp_path, schema, caplog):

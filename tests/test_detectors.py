@@ -99,7 +99,7 @@ def test_knn_monotone_along_ray():
     rng = np.random.default_rng(2)
     train = numeric_dataset(rng.normal(size=(30, 3)))
     model = fit(DetectorConfig(kind=DetectorKind.KNN), train)
-    origin = train.numerical[0]
+    origin = train.matrix[0]
     direction = np.array([1.0, 0.5, -0.25])
     direction /= np.linalg.norm(direction)
     scores = model.score_batch(origin + np.linspace(5, 50, 12)[:, None] * direction)

@@ -53,7 +53,7 @@ def _toy_setting(seed=0, n_val_benign=40, n_val_attack=15):
 
 def _base_scores(bases, ds):
     """Validation score columns, one per base in listed order."""
-    X = ds.to_matrix()
+    X = ds.matrix
     return np.column_stack([model.score_batch(X) for model in bases])
 
 
@@ -74,7 +74,7 @@ def test_preset_column_order_matches_base_listing(bench):
     spec = PRESETS["HKAIP"]
     model = bench["ensembles"]["HKAIP"]
     assert tuple(m.kind for m in model.base_models) == spec.base_kinds
-    X = bench["validation"].to_matrix()
+    X = bench["validation"].matrix
     S = np.column_stack([bench["detectors"][k].score_batch(X) for k in spec.base_kinds])
     assert S.shape[1] == 5
     assert np.array_equal(model.score_batch(X), model.margin(S))
@@ -107,7 +107,7 @@ def test_vanishing_gamma_degenerates_to_majority_class():
     spec = EnsembleSpec("flat", (DetectorKind.KNN,), C=1.0, gamma=1e-9)
     bases = [fit(DetectorConfig(kind=DetectorKind.KNN), train, seed=1)]
     model = _fit(spec, bases, validation, 1)
-    margins = model.score_batch(validation.to_matrix())
+    margins = model.score_batch(validation.matrix)
     decisions = margins > model.tau
     assert decisions.sum() in (0, len(decisions))
     assert not decisions.any()  # majority class is benign
@@ -152,7 +152,7 @@ def test_base_permutation_leaves_decisions_unchanged():
     forward = _fit(spec, bases, validation, 5)
     spec_rev = EnsembleSpec("toy-rev", tuple(reversed(spec.base_kinds)), C=spec.C, gamma=spec.gamma)
     backward = _fit(spec_rev, list(reversed(bases)), validation, 5)
-    X = validation.to_matrix()
+    X = validation.matrix
     assert np.array_equal(
         forward.score_batch(X) > forward.tau, backward.score_batch(X) > backward.tau
     )
@@ -182,7 +182,7 @@ def _saved_ensemble(tmp_path):
 def test_ensemble_serialization_roundtrip(tmp_path):
     model, path, validation = _saved_ensemble(tmp_path)
     loaded = load_any_model(path)
-    X = validation.to_matrix()
+    X = validation.matrix
     assert np.array_equal(loaded.score_batch(X), model.score_batch(X))
     assert loaded.spec == model.spec
 

@@ -143,7 +143,7 @@ def _mixed_test_dataset():
 def test_detection_matrix_flag_all_and_none():
     test = _mixed_test_dataset()
     models = [("all", _StubModel(True)), ("none", _StubModel(False))]
-    X = test.to_matrix()
+    X = test.matrix
     matrix = detection_matrix(models, [m.score_batch(X) for _, m in models], test)
     assert matrix.models == ("all", "none")
     by_class = dict(zip(matrix.classes, matrix.cells[0]))
@@ -157,7 +157,7 @@ def test_detection_matrix_micro_consistency(bench):
     # binary recall equals the attack-count-weighted mean of attack cells
     test = bench["test"]
     model = bench["detectors"][list(bench["detectors"])[0]]
-    scores = model.score_batch(test.to_matrix())
+    scores = model.score_batch(test.matrix)
     matrix = detection_matrix([("m", model)], [scores], test)
     y = np.array([lab is not ClassLabel.NORMAL for lab in test.labels])
     tm = threshold_metrics(scores, y, model.tau)

@@ -1,7 +1,18 @@
+import csv
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from pfcpbench.corpus import SynthConfig, default_schema, synth_benign
+from pfcpbench.corpus import (
+    SynthConfig,
+    default_schema,
+    load_csv,
+    save_csv,
+    synth_benchmark_splits,
+    synth_benign,
+)
 from pfcpbench.errors import GuidelineViolation, PipelineError
 from pfcpbench.preprocess import (
     DEFAULT_GT1_PATTERNS,
@@ -31,7 +42,6 @@ from pfcpbench.traffic import (
 def make_dataset(columns, n, labels=None, protocols=None, env=None):
     """columns: name -> (kind, values); categorical values are codes."""
     feats = []
-    cats, nums = [], []
     for name, (kind, values) in columns.items():
         proto = (protocols or {}).get(name, "pfcp")
         flagged = (env or {}).get(name, False)
@@ -39,16 +49,13 @@ def make_dataset(columns, n, labels=None, protocols=None, env=None):
             feats.append(
                 FeatureDescriptor(name, "categorical", proto, flagged, CategoricalDomain(("a", "b", "c")))
             )
-            cats.append(values)
         else:
             feats.append(
                 FeatureDescriptor(name, "numerical", proto, flagged, NumericDomain(-1e9, 1e9))
             )
-            nums.append(values)
     schema = FeatureSchema(features=tuple(feats))
-    cats = np.column_stack(cats) if cats else np.empty((n, 0), dtype=np.int64)
-    nums = np.column_stack(nums) if nums else np.empty((n, 0))
-    return LabeledDataset(schema, cats, nums, labels or [ClassLabel.NORMAL] * n)
+    matrix = np.column_stack([values for _, values in columns.values()])
+    return LabeledDataset(schema, matrix, labels or [ClassLabel.NORMAL] * n)
 
 
 # --- environment fields ------------------------------------------------------
@@ -146,7 +153,7 @@ def test_categorical_mode_imputation():
     state = fit_imputer(ds)
     assert state.cat_modes["pfcp.kind"] == 0
     out = apply_imputer(state, ds)
-    assert out.categorical[:, 0].tolist() == [0, 0, 1, 0]
+    assert out.matrix[:, 0].tolist() == [0, 0, 1, 0]
 
 
 def test_regression_imputation_learns_linear_relation():
@@ -157,13 +164,13 @@ def test_regression_imputation_learns_linear_relation():
     ds = make_dataset({"pfcp.x": ("num", x), "pfcp.y": ("num", y)}, 6)
     state = fit_imputer(ds, tol=1e-9)
     out = apply_imputer(state, ds)
-    assert out.numerical[5, 1] == pytest.approx(6.0, abs=1e-6)
+    assert out.matrix[5, 1] == pytest.approx(6.0, abs=1e-6)
 
 
 def test_imputer_identity_without_missing():
     ds = make_dataset({"pfcp.a": ("num", np.arange(5.0))}, 5)
     out = apply_imputer(fit_imputer(ds), ds)
-    assert np.array_equal(out.numerical, ds.numerical)
+    assert np.array_equal(out.matrix, ds.matrix)
 
 
 def test_imputer_all_missing_fallback(caplog):
@@ -185,13 +192,13 @@ def test_scaler_median_iqr_convention():
     state = fit_scaler(ds)
     assert state.stats["pfcp.a"] == (3.0, 2.0, 4.0)
     out = apply_scaler(state, ds)
-    assert out.numerical[:, 0].tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert out.matrix[:, 0].tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 
 def test_scaler_degenerate_centers_only():
     ds = make_dataset({"pfcp.a": ("num", np.full(5, 4.0))}, 5)
     out = apply_scaler(fit_scaler(ds), ds)
-    assert out.numerical[:, 0].tolist() == [0.0] * 5
+    assert out.matrix[:, 0].tolist() == [0.0] * 5
 
 
 def test_scaler_leaves_categoricals_untouched():
@@ -199,7 +206,8 @@ def test_scaler_leaves_categoricals_untouched():
         {"pfcp.kind": ("cat", np.array([0, 1, 2])), "pfcp.a": ("num", np.array([1.0, 2, 3]))}, 3
     )
     out = apply_scaler(fit_scaler(ds), ds)
-    assert np.array_equal(out.categorical, ds.categorical)
+    assert out.matrix[:, 0].tolist() == [0, 1, 2]
+    assert out.matrix[:, 1].tolist() == [-1.0, 0.0, 1.0]
 
 
 # --- full pipeline ----------------------------------------------------------------
@@ -227,8 +235,7 @@ def test_pipeline_transform_deterministic_and_stateless():
     digest = model.state_hash()
     a = transform(model, other)
     b = transform(model, other)
-    assert np.array_equal(a.numerical, b.numerical)
-    assert np.array_equal(a.categorical, b.categorical)
+    assert np.array_equal(a.matrix, b.matrix)
     assert model.state_hash() == digest
 
 
@@ -237,10 +244,11 @@ def test_pipeline_output_is_clean_and_normalized():
     train = synth_benign(SynthConfig(n_benign=501, seed=3), schema)  # odd count
     model = fit_pipeline(train, scaling_enabled=True)
     out = transform(model, train)
-    assert not np.isnan(out.numerical).any()
-    assert (out.categorical != MISSING_CODE).all()
-    med = np.quantile(out.numerical, 0.5, axis=0)
-    iqr = np.quantile(out.numerical, 0.75, axis=0) - np.quantile(out.numerical, 0.25, axis=0)
+    numerical = out.matrix[:, out.schema.numerical_positions]
+    assert not np.isnan(numerical).any()
+    assert (out.matrix[:, out.schema.categorical_positions] != MISSING_CODE).all()
+    med = np.quantile(numerical, 0.5, axis=0)
+    iqr = np.quantile(numerical, 0.75, axis=0) - np.quantile(numerical, 0.25, axis=0)
     assert np.abs(med).max() < 1e-9
     assert np.abs(iqr - 1.0).max() < 1e-9
     # no environment-dependent name survives
@@ -257,11 +265,9 @@ def test_pipeline_scaling_toggle():
     assert model.scaling_enabled is False
     assert model.scaler_state is None
     out = transform(model, train)
-    kept_numeric = [n for n in model.kept_features
-                    if model.output_schema.descriptor(n).kind == "numerical"]
-    src_cols = [train.schema.numerical_positions.index(train.schema.position(n))
-                for n in kept_numeric]
-    assert np.array_equal(out.numerical, train.numerical[:, src_cols])
+    out_cols = list(out.schema.numerical_positions)
+    src_cols = [train.schema.position(out.schema.names[j]) for j in out_cols]
+    assert np.array_equal(out.matrix[:, out_cols], train.matrix[:, src_cols])
 
 
 def test_pipeline_model_roundtrip(tmp_path):
@@ -274,4 +280,42 @@ def test_pipeline_model_roundtrip(tmp_path):
     assert loaded.state_hash() == model.state_hash()
     out_a = transform(model, train)
     out_b = transform(loaded, train)
-    assert np.array_equal(out_a.numerical, out_b.numerical)
+    assert np.array_equal(out_a.matrix, out_b.matrix)
+
+
+# --- imputation golden ---------------------------------------------------------
+
+
+def _blank_cells(path, rate, seed):
+    """Empty about ``rate`` of the feature cells of a saved CSV, in place."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rng = np.random.default_rng(seed)
+    for row in rows[1:]:
+        for j in np.flatnonzero(rng.random(len(row) - 1) < rate):
+            row[j] = ""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def test_imputation_path_golden(tmp_path):
+    """Pipeline state and transformed output on a corpus with ~8% empty
+    cells, so the regression imputer runs both at fit and at transform."""
+    train, _, test = synth_benchmark_splits(seed=11, scale=0.05)
+    dirty = {}
+    for seed, (name, ds) in enumerate((("train", train), ("test", test))):
+        save_csv(ds, tmp_path / f"{name}.csv", manifest=False)
+        _blank_cells(tmp_path / f"{name}.csv", 0.08, seed)
+        dirty[name] = load_csv(tmp_path / f"{name}.csv", train.schema)
+    model = fit_pipeline(dirty["train"])
+    assert model.imputer_state.regressions
+    state = json.dumps(model.to_json_dict(), sort_keys=True).encode()
+    digests = {"pipeline": hashlib.sha256(state).hexdigest()}
+    for name, ds in dirty.items():
+        save_csv(transform(model, ds), tmp_path / f"out-{name}.csv", manifest=False)
+        digests[name] = hashlib.sha256((tmp_path / f"out-{name}.csv").read_bytes()).hexdigest()
+    assert digests == {
+        "pipeline": "133297866d5960fff3f1c308ab2070d8c958f3d63b172a7372493d010b7744ab",
+        "train": "76309adf33e34ee9cf3638859aa64f1e8a6348576a9acaba599cf6f661bc5e25",
+        "test": "3309c4a731794f2e3c311ae70fea068af5c694bd56eaee77241bd1db07e11cff",
+    }

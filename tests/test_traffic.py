@@ -30,9 +30,9 @@ def test_encode_missing_and_unknown(tmp_path, tiny_schema):
     path = tmp_path / "rows.csv"
     path.write_text("proto.kind,proto.len,proto.count\nB,4.5,1\n,,0\nZ,1,0\n")
     ds = load_csv(path, tiny_schema)
-    assert ds.categorical[:, 0].tolist() == [1, MISSING_CODE, UNKNOWN_CODE]
-    assert ds.numerical[0].tolist() == [4.5, 1.0]
-    assert np.isnan(ds.numerical[1, 0])
+    assert ds.matrix[:, 0].tolist() == [1, MISSING_CODE, UNKNOWN_CODE]
+    assert ds.matrix[0, 1:].tolist() == [4.5, 1.0]
+    assert np.isnan(ds.matrix[1, 1])
 
 
 def _csv_roundtrip(tmp_dir, ds: LabeledDataset) -> tuple[list[list[str]], LabeledDataset]:
@@ -45,14 +45,13 @@ def _csv_roundtrip(tmp_dir, ds: LabeledDataset) -> tuple[list[list[str]], Labele
 
 def _one_row(schema, label, length, count) -> LabeledDataset:
     code = schema.features[0].domain.code_of(label)
-    return LabeledDataset(schema, [[code]], [[length, count]], [ClassLabel.NORMAL])
+    return LabeledDataset(schema, [[code, length, count]], [ClassLabel.NORMAL])
 
 
 def test_roundtrip_in_domain(tmp_path, tiny_schema):
     cells, loaded = _csv_roundtrip(tmp_path, _one_row(tiny_schema, "C", 42.25, -3.0))
     assert cells == [["C", repr(42.25), repr(-3.0), "normal"]]
-    assert loaded.categorical.tolist() == [[2]]
-    assert loaded.numerical.tolist() == [[42.25, -3.0]]
+    assert loaded.matrix.tolist() == [[2, 42.25, -3.0]]
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -74,8 +73,7 @@ def test_roundtrip_property(tmp_path_factory, label, length, count):
     ds = _one_row(schema, label, length, count)
     cells, loaded = _csv_roundtrip(tmp_path_factory.mktemp("roundtrip"), ds)
     assert cells == [[label, repr(length), repr(count), "normal"]]
-    assert np.array_equal(loaded.categorical, ds.categorical)
-    assert np.array_equal(loaded.numerical, ds.numerical)
+    assert np.array_equal(loaded.matrix, ds.matrix)
     assert loaded.labels == ds.labels
 
 
@@ -100,23 +98,33 @@ def test_schema_rejects_duplicates():
 
 
 def test_vectors_are_immutable(tiny_schema):
-    ds = LabeledDataset(tiny_schema, [[0]], [[1.0, 2.0]], [ClassLabel.NORMAL])
+    source = np.array([[0.0, 1.0, 2.0]])
+    ds = LabeledDataset(tiny_schema, source, [ClassLabel.NORMAL])
+    assert not ds.matrix.flags.writeable
     with pytest.raises(ValueError):
-        ds.numerical[0, 0] = 9.0
+        ds.matrix[0, 1] = 9.0
     with pytest.raises(ValueError):
-        ds.categorical[0, 0] = 1
+        ds.matrix[0, 0] = 1
+    source[0, 1] = 9.0  # the dataset holds its own copy
+    assert ds.matrix[0, 1] == 1.0
 
 
-def test_dataset_row_alignment(tiny_schema):
-    cats = [[i % 3] for i in range(5)]
-    nums = [[float(i), 0.0] for i in range(5)]
-    ds = LabeledDataset(tiny_schema, cats, nums, [ClassLabel.NORMAL] * 5)
+def test_dataset_row_alignment(tmp_path, tiny_schema):
+    labels = [ClassLabel.NORMAL, ClassLabel.FLOOD] * 2 + [ClassLabel.NORMAL]
+    ds = LabeledDataset(tiny_schema, [[i % 3, float(i), -1.0] for i in range(5)], labels)
     assert len(ds) == 5
-    matrix = ds.to_matrix()
-    # schema order: categorical first position, then the two numericals
-    assert matrix.shape == (5, 3)
-    assert matrix[:, 0].tolist() == [0, 1, 2, 0, 1]
-    assert matrix[:, 1].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert ds.matrix.shape == (5, 3)
+    assert ds.matrix[:, 0].tolist() == [0, 1, 2, 0, 1]
+    assert ds.matrix[:, 1].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    floods = ds.subset(np.array([lab is ClassLabel.FLOOD for lab in labels]))
+    assert floods.matrix[:, 1].tolist() == [1.0, 3.0]
+    assert floods.labels == (ClassLabel.FLOOD, ClassLabel.FLOOD)
+    with pytest.raises(ValueError):
+        LabeledDataset(tiny_schema, ds.matrix, labels[:4])
+    # columns follow the schema positions, not the order of the CSV header
+    path = tmp_path / "rows.csv"
+    path.write_text("proto.count,proto.len,proto.kind\n-2,7.5,C\n")
+    assert load_csv(path, tiny_schema).matrix.tolist() == [[2, 7.5, -2.0]]
 
 
 def test_parse_label_aliases():
