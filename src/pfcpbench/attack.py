@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Generator, Mapping, Sequence
 
@@ -162,10 +162,13 @@ def scale_compliance(spec: ComplianceSpec, pipeline: PipelineModel) -> Complianc
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Indices the attacker may modify, with their per-index value domains."""
+    """Schema positions J the attacker may modify, with each one's allowed
+    values: a ``NumericDomain``, or the tuple of allowed schema codes of a
+    categorical feature.  ``fixed`` masks the positions outside J."""
 
     indices: tuple[int, ...]
-    domains: dict  # position -> CategoricalDomain | NumericDomain
+    domains: dict  # position -> NumericDomain | tuple[int, ...]
+    fixed: np.ndarray = field(compare=False)
 
 
 def build_feasible_set(
@@ -202,16 +205,21 @@ def build_feasible_set(
         domain = schema.features[pos].domain
         if name in narrow:
             where = f"feasible-set config: {compliance.attack_class.value} narrow {name}"
-            domain = _narrowed(domain, narrow[name], where)
+            domains[pos] = _narrowed(domain, narrow[name], where)
+        else:
+            domains[pos] = tuple(range(len(domain))) if isinstance(domain, CategoricalDomain) else domain
         indices.append(pos)
-        domains[pos] = domain
-    return FeasibleSet(indices=tuple(sorted(indices)), domains=domains)
+    fixed = np.ones(len(schema), dtype=bool)
+    fixed[indices] = False
+    fixed.flags.writeable = False
+    return FeasibleSet(indices=tuple(sorted(indices)), domains=domains, fixed=fixed)
 
 
 def _narrowed(domain, spec, where: str):
-    """``domain`` cut down by a J-config narrowing: exactly ``{"labels":
-    [...]}``, distinct labels of a categorical domain, or exactly ``{"lo":
-    number, "hi": number}`` meeting a numerical domain."""
+    """The values of ``domain`` left by a J-config narrowing: exactly
+    ``{"labels": [...]}``, distinct labels of a categorical domain, as their
+    codes, or exactly ``{"lo": number, "hi": number}`` meeting a numerical
+    domain."""
     categorical = isinstance(domain, CategoricalDomain)
     try:
         if set(spec) != ({"labels"} if categorical else {"lo", "hi"}):
@@ -220,7 +228,8 @@ def _narrowed(domain, spec, where: str):
             labels = spec["labels"]
             if not isinstance(labels, list) or not labels or not set(labels) <= set(domain.labels):
                 raise ValueError
-            return CategoricalDomain(tuple(labels))  # SchemaError on a repeated label
+            # SchemaError on a repeated label
+            return tuple(map(domain.code_of, CategoricalDomain(tuple(labels)).labels))
         if not all(type(spec[key]) in (int, float) for key in ("lo", "hi")):
             raise TypeError
         # SchemaError when the cut is empty or a bound is not finite
@@ -229,94 +238,80 @@ def _narrowed(domain, spec, where: str):
         raise ConfigError(f"{where}: {spec!r} does not narrow {domain}") from exc
 
 
-def load_feasible_config(path) -> dict[ClassLabel, dict]:
-    """J-config file: JSON mapping attack class value -> an object with an
-    optional ``features`` name list and optional per-feature domain
-    ``narrow``-ing.  Any other shape raises ``ConfigError``."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"feasible-set config {path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("feasible-set config must be a JSON object")
-    classes = {label.value: label for label in ATTACK_LABELS}
-    entries = {}
-    for key, entry in doc.items():
-        if key not in classes:
-            raise ConfigError(f"feasible-set config: {key!r} is not an attack class")
-        if not (
-            isinstance(entry, dict)
-            and set(entry) <= {"features", "narrow"}
-            and isinstance(entry.get("features", []), list)
-            and all(isinstance(name, str) for name in entry.get("features", []))
-            and isinstance(entry.get("narrow", {}), dict)
-        ):
-            raise ConfigError(
-                f"feasible-set config: {key} must be an object with an optional "
-                '"features" list of names and an optional "narrow" object'
-            )
-        entries[classes[key]] = entry
-    return entries
+def load_feasible_sets(
+    path, schema: FeatureSchema, specs: Mapping[ClassLabel, ComplianceSpec]
+) -> dict[ClassLabel, FeasibleSet]:
+    """The feasible set J of each attack class in ``specs``: the default
+    controllable features, unless the J-config file at ``path`` (if any)
+    gives the class other ``features`` or ``narrow``s their domains.  A class
+    given no features and no narrowing is skipped, left out of the result.
+    A J-config of any other shape raises ``ConfigError``."""
+    entries: dict = {}
+    if path:
+        try:
+            doc = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"feasible-set config {path}: invalid JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("feasible-set config must be a JSON object")
+        classes = {label.value: label for label in ATTACK_LABELS}
+        for key, entry in doc.items():
+            if key not in classes:
+                raise ConfigError(f"feasible-set config: {key!r} is not an attack class")
+            if not (
+                isinstance(entry, dict)
+                and set(entry) <= {"features", "narrow"}
+                and isinstance(entry.get("features", []), list)
+                and all(isinstance(name, str) for name in entry.get("features", []))
+                and isinstance(entry.get("narrow", {}), dict)
+            ):
+                raise ConfigError(
+                    f"feasible-set config: {key} must be an object with an optional "
+                    '"features" list of names and an optional "narrow" object'
+                )
+            entries[classes[key]] = entry
+    sets = {}
+    for kind, spec in specs.items():
+        entry = entries.get(kind, {})
+        names = entry.get("features", DEFAULT_CONTROLLABLE_FEATURES)
+        narrow = entry.get("narrow")
+        if not names and not narrow:
+            logger.warning("%s: empty feasible set, class skipped", kind.value)
+            continue
+        sets[kind] = build_feasible_set(schema, names, spec, narrow)
+    return sets
 
 
 # ---------------------------------------------------------------------------
 # Feasibility / compliance checks
 
 
-def _domain_ok(desc, domain, value: float) -> bool:
-    if isinstance(domain, CategoricalDomain):
-        code = int(value)
-        if value != code:
-            return False
-        # narrowed categorical domains hold a subset of the original labels;
-        # the code still indexes the full schema domain
-        full = desc.domain
-        return 0 <= code < len(full) and full.labels[code] in domain.labels
-    return domain.contains(float(value))
-
-
-def check_feasible(
-    x: np.ndarray, candidate: np.ndarray, feasible: FeasibleSet, schema: FeatureSchema
-) -> bool:
-    """Candidate equals x outside J and stays in-domain inside J."""
-    x = np.asarray(x, dtype=float)
+def check_feasible(x: np.ndarray, candidate: np.ndarray, feasible: FeasibleSet) -> bool:
+    """Candidate equals x outside J and holds an allowed value inside J."""
     candidate = np.asarray(candidate, dtype=float)
-    if candidate.shape != x.shape or candidate.shape != (len(schema),):
+    fixed = feasible.fixed
+    if candidate.shape != fixed.shape or not (candidate[fixed] == x[fixed]).all():
         return False
-    mask = np.ones(len(schema), dtype=bool)
-    for j in feasible.indices:
-        mask[j] = False
-    if not np.array_equal(candidate[mask], x[mask]):
-        return False
-    for j in feasible.indices:
-        if not _domain_ok(schema.features[j], feasible.domains[j], candidate[j]):
+    row = candidate.tolist()  # Python floats compare faster than numpy scalars
+    for j, allowed in feasible.domains.items():
+        value = row[j]
+        if isinstance(allowed, tuple):
+            if value not in allowed:
+                return False
+        elif not allowed.lo <= value <= allowed.hi:
             return False
     return True
 
 
-def check_compliant(
-    spec: ComplianceSpec,
-    schema: FeatureSchema,
-    candidate: np.ndarray,
-    original: np.ndarray | None = None,
-) -> bool:
-    """All predicates hold; protected fields equal the original when given."""
-    candidate = np.asarray(candidate, dtype=float)
-    if original is not None:
-        for name in spec.protected:
-            pos = schema.position(name)
-            if candidate[pos] != original[pos]:
-                return False
+def check_compliant(spec: ComplianceSpec, schema: FeatureSchema, candidate: np.ndarray) -> bool:
+    """All class predicates hold on ``candidate``."""
     for name, relation, value in spec.predicates:
         pos = schema.position(name)
         desc = schema.features[pos]
         if desc.kind == CATEGORICAL:
-            code = desc.domain.code_of(str(value))
-            if not _RELATIONS[relation](float(candidate[pos]), float(code)):
-                return False
-        else:
-            if not _RELATIONS[relation](float(candidate[pos]), float(value)):
-                return False
+            value = desc.domain.code_of(str(value))
+        if not _RELATIONS[relation](float(candidate[pos]), float(value)):
+            return False
     return True
 
 
@@ -347,26 +342,19 @@ def estimate_marginals(source: LabeledDataset, feasible: FeasibleSet) -> Margina
     each feasible index's domain."""
     if len(source) == 0:
         raise MarginalsError("cannot estimate marginals from an empty source")
-    M = source.matrix
-    schema = source.schema
     entries = {}
     for j in feasible.indices:
-        desc = schema.features[j]
-        domain = feasible.domains[j]
-        col = M[:, j]
-        if desc.kind == CATEGORICAL:
-            keep = np.array([_domain_ok(desc, domain, v) for v in col], dtype=bool)
-            observed = col[keep].astype(int)
-            if observed.size == 0:
-                raise MarginalsError(f"{desc.name}: no in-domain source values")
-            codes, counts = np.unique(observed, return_counts=True)
+        allowed = feasible.domains[j]
+        col = source.matrix[:, j]
+        categorical = isinstance(allowed, tuple)
+        keep = np.isin(col, allowed) if categorical else (col >= allowed.lo) & (col <= allowed.hi)
+        if not keep.any():
+            raise MarginalsError(f"{source.schema.features[j].name}: no in-domain source values")
+        if categorical:
+            codes, counts = np.unique(col[keep].astype(int), return_counts=True)
             entries[j] = ("cat", codes.astype(float), counts / counts.sum())
         else:
-            keep = (col >= domain.lo) & (col <= domain.hi) & np.isfinite(col)
-            observed = np.sort(col[keep])
-            if observed.size == 0:
-                raise MarginalsError(f"{desc.name}: no in-domain source values")
-            entries[j] = ("num", observed, None)
+            entries[j] = ("num", np.sort(col[keep]), None)
     return Marginals(entries=entries)
 
 
@@ -378,9 +366,10 @@ class QueryOracle:
     """Wraps the defender's score function behind the threat model.
 
     The attacker sees only fitness values max(0, score - tau); every call
-    burns one unit of budget, and every candidate is verified feasible and
-    compliant before the score function runs (a violation here is an
-    optimizer bug, not a runtime condition).
+    burns one unit of budget.  Construction checks that the original is
+    compliant and that J avoids its protected fields, so a candidate checked
+    feasible before the score function runs is compliant too (a violation
+    is an optimizer bug, not a runtime condition).
     """
 
     def __init__(
@@ -395,13 +384,16 @@ class QueryOracle:
     ):
         if budget < 1:
             raise ConfigError("oracle budget must be at least 1")
+        if not check_compliant(compliance, schema, original):
+            raise ComplianceViolation("the original sample is not compliant")
+        touched = sorted(n for n in compliance.protected if schema.position(n) in feasible.domains)
+        if touched:
+            raise ComplianceViolation(f"feasible set includes protected fields {touched}")
         self._score_fn = score_fn
         self.tau = tau
         self.budget = budget
-        self.schema = schema
         self.original = np.asarray(original, dtype=float).copy()
         self.feasible = feasible
-        self.compliance = compliance
         self.queries_used = 0
         self.trace: list[tuple[int, float]] = []
         self.best_candidate = self.original.copy()
@@ -414,10 +406,8 @@ class QueryOracle:
     def fitness(self, candidate: np.ndarray) -> float:
         if self.queries_used >= self.budget:
             raise BudgetExhausted(f"query budget of {self.budget} spent")
-        if not check_feasible(self.original, candidate, self.feasible, self.schema):
+        if not check_feasible(self.original, candidate, self.feasible):
             raise ComplianceViolation("optimizer produced an infeasible candidate")
-        if not check_compliant(self.compliance, self.schema, candidate, self.original):
-            raise ComplianceViolation("optimizer produced a non-compliant candidate")
         self.queries_used += 1
         value = max(0.0, float(self._score_fn(candidate)) - self.tau)
         self.trace.append((self.queries_used, value))
@@ -646,37 +636,26 @@ def attack_sample(
 def run_campaign(
     model,
     attack_samples: LabeledDataset,
-    feasible_features: Mapping[ClassLabel, Sequence[str]] | None,
+    feasible_sets: Mapping[ClassLabel, FeasibleSet],
     compliance_specs: Mapping[ClassLabel, ComplianceSpec],
     cfg: AttackConfig,
     marginals_source: LabeledDataset,
-    narrow: Mapping[ClassLabel, Mapping] | None = None,
 ) -> list[AttackOutcome]:
     """Attack every initially-detected sample with a per-sample budget.
 
     ``model`` only needs ``score_batch`` and ``tau``; the optimizers never
     see anything else.  Samples the detector misses are skipped: evasion is
-    defined over detected samples.  Per-sample RNG streams derive from
-    (seed, algorithm, sample index), so campaign order does not matter.
+    defined over detected samples, and so are samples of a class without a
+    feasible set.  Per-sample RNG streams derive from (seed, algorithm,
+    sample index), so campaign order does not matter.
     """
     if any(lab is ClassLabel.NORMAL for lab in attack_samples.labels):
         raise SchemaError("campaign input must contain attack rows only")
     schema = attack_samples.schema
-    if feasible_features is None:
-        feasible_features = {
-            kind: DEFAULT_CONTROLLABLE_FEATURES for kind in compliance_specs
-        }
-    feasible_sets: dict[ClassLabel, FeasibleSet] = {}
-    marginals: dict[ClassLabel, Marginals] = {}
-    for kind, names in feasible_features.items():
-        if kind not in compliance_specs:
-            raise ConfigError(f"no compliance spec for class {kind.value}")
-        kind_narrow = (narrow or {}).get(kind)
-        if not names and not kind_narrow:
-            logger.warning("%s: empty feasible set, class skipped", kind.value)
-            continue
-        feasible_sets[kind] = build_feasible_set(schema, names, compliance_specs[kind], kind_narrow)
-        marginals[kind] = estimate_marginals(marginals_source, feasible_sets[kind])
+    marginals = {
+        kind: estimate_marginals(marginals_source, feasible)
+        for kind, feasible in feasible_sets.items()
+    }
 
     X = attack_samples.matrix
     scores = model.score_batch(X)

@@ -23,7 +23,7 @@ from . import evaluate as eval_mod
 from . import errors, preprocess
 from .config import DetectorEntry, RunConfig, parse_algorithm, parse_run_config, read_config
 from .seeding import derive_seed
-from .traffic import ClassLabel, FeatureSchema, LabeledDataset
+from .traffic import ClassLabel, FeatureSchema, LabeledDataset, read_container
 
 logger = logging.getLogger("pfcpbench")
 
@@ -202,7 +202,7 @@ def load_any_model(path: Path, loaded: dict | None = None):
     its bases from it before reading them from disk.
     """
     loaded = {} if loaded is None else loaded
-    doc, digest = det_mod.read_container(path)
+    doc, digest = read_container(path)
     fmt = doc.get("format")
     if fmt == det_mod.DETECTOR_FORMAT:
         model = det_mod.DetectorModel.from_json_dict(doc)
@@ -252,22 +252,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def _feasible_config(cfg: RunConfig) -> tuple[dict[ClassLabel, tuple[str, ...]], dict[ClassLabel, dict]]:
-    """Per-class feasible feature names and domain narrowing: the defaults,
-    overridden class by class from the J-config file."""
-    features = {
-        kind: attack_mod.DEFAULT_CONTROLLABLE_FEATURES
-        for kind in attack_mod.DEFAULT_COMPLIANCE_RULES
-    }
-    narrow = {}
-    if cfg.j_config:
-        for kind, entry in attack_mod.load_feasible_config(cfg.j_config).items():
-            features[kind] = tuple(entry.get("features", attack_mod.DEFAULT_CONTROLLABLE_FEATURES))
-            if entry.get("narrow"):
-                narrow[kind] = entry["narrow"]
-    return features, narrow
-
-
 def cmd_attack(cfg: RunConfig) -> int:
     run_dir = cfg.run_dir()
     from_train = cfg.marginals_source == "train"
@@ -283,7 +267,7 @@ def cmd_attack(cfg: RunConfig) -> int:
         kind: attack_mod.scale_compliance(spec, pipeline)
         for kind, spec in attack_mod.DEFAULT_COMPLIANCE_RULES.items()
     }
-    features, narrow = _feasible_config(cfg)
+    feasible = attack_mod.load_feasible_sets(cfg.j_config, attack_rows.schema, specs)
     marginals_source = splits["train"] if from_train else attack_rows
 
     groups = []
@@ -297,7 +281,7 @@ def cmd_attack(cfg: RunConfig) -> int:
                 rs_retries=cfg.rs_retries,
             )
             outcomes = attack_mod.run_campaign(
-                model, attack_rows, features, specs, attack_cfg, marginals_source, narrow
+                model, attack_rows, feasible, specs, attack_cfg, marginals_source
             )
             attack_mod.write_outcomes_jsonl(
                 outcomes,

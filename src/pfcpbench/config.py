@@ -93,7 +93,8 @@ def _parse_sources(entries: Sequence[dict]) -> tuple[SplitSource, ...]:
 
 
 def read_config(path: str | Path) -> dict:
-    """The run-config document: a JSON object read from ``path``."""
+    """The run-config document: a JSON object read from ``path``, whose
+    sections, lists and numbers have the types the parser expects."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -103,9 +104,39 @@ def read_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: the top level must be a JSON object")
+    _check_shape(doc, _SHAPE, "", path)
     return doc
+
+
+# What a run config may hold: objects with their fields, lists with the shape
+# of their items, and value types, where a float field takes integers too.
+# Any field may be absent; those named in _NULLABLE may also be null.
+_SHAPE = {
+    "seed": int,
+    "corpus": {"synth": {"scale": float, "noise_scale": float}, "splits": {}},
+    "pipeline": {"gt1_patterns": [str]},
+    "detectors": [{"kind": str, "params": {}, "grid": {}, "contamination": float}],
+    "ensembles": [str],
+    "attack": {"algorithms": [str], "targets": [str], "j_config": str,
+               "budget": int, "popsize": int, "rs_retries": int},
+}
+_NULLABLE = {"synth", "splits", "gt1_patterns", "targets", "j_config", "grid"}
+_TYPE_NAMES = {dict: "an object", list: "a list", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def _check_shape(value, shape, name: str, path: Path) -> None:
+    expected = type(shape) if isinstance(shape, (dict, list)) else shape
+    if type(value) not in ((int, float) if expected is float else (expected,)):
+        where = name or "the top level"
+        raise ConfigError(f"{path}: {where} must be {_TYPE_NAMES[expected]}, got {value!r}")
+    if isinstance(shape, dict):
+        for key, inner in shape.items():
+            if key in value and not (value[key] is None and key in _NULLABLE):
+                _check_shape(value[key], inner, f"{name}.{key}" if name else key, path)
+    elif isinstance(shape, list):
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{name}[{i}]", path)
 
 
 def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
@@ -114,7 +145,8 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
 
 
 def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
-    """Validate a run-config document, applying CLI overrides.
+    """Validate a run-config document as ``read_config`` returns it,
+    applying CLI overrides.
 
     Overrides become part of the canonical config, so a flag change maps
     to a different run directory.
@@ -124,7 +156,7 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         if value is not None:
             doc[key] = value
 
-    seed = int(doc.get("seed", 42))
+    seed = doc.get("seed", 42)
     out = str(doc.get("out", "runs"))
     schema = str(doc.get("schema", "default"))
     if schema != "default" and not Path(schema).exists():
@@ -155,7 +187,7 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     for entry in doc.get("detectors", []):
         detectors.append(
             DetectorEntry(
-                kind=DetectorKind.parse(entry["kind"]),
+                kind=DetectorKind.parse(entry.get("kind", "")),
                 params=dict(entry.get("params", {})),
                 grid=entry.get("grid"),
                 contamination=float(entry.get("contamination", DEFAULT_CONTAMINATION)),
@@ -188,12 +220,12 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         detectors=tuple(detectors),
         ensembles=ensembles,
         algorithms=algorithms,
-        budget=int(attack_doc.get("budget", 100)),
-        popsize=int(attack_doc.get("popsize", 20)),
+        budget=attack_doc.get("budget", 100),
+        popsize=attack_doc.get("popsize", 20),
         attack_targets=None if targets is None else tuple(targets),
         j_config=j_config,
         marginals_source=marginals_source,
-        rs_retries=int(attack_doc.get("rs_retries", 1)),
+        rs_retries=attack_doc.get("rs_retries", 1),
         include_traces=bool(attack_doc.get("include_traces", False)),
         raw=doc,
     )

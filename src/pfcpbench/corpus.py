@@ -15,7 +15,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -137,17 +137,14 @@ class SynthConfig:
     """Knobs for the synthetic generator."""
 
     n_benign: int
-    attack_counts: Mapping[ClassLabel, int] = field(default_factory=dict)
     seed: int = 42
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        if self.n_benign < 0 or any(c < 0 for c in self.attack_counts.values()):
+        if self.n_benign < 0:
             raise SchemaError("sample counts must be >= 0")
         if self.noise_scale <= 0:
             raise SchemaError("noise_scale must be > 0")
-        if ClassLabel.NORMAL in self.attack_counts:
-            raise SchemaError("attack_counts must not include the benign class")
 
 
 def _choice(rng: np.random.Generator, probs: Mapping[str, float], n: int) -> np.ndarray:
@@ -287,12 +284,8 @@ def synth_corpus(
 ) -> LabeledDataset:
     """One dataset mixing benign rows and any requested attack classes."""
     parts = []
-    n_benign = counts.get(ClassLabel.NORMAL, 0)
     cfg = SynthConfig(
-        n_benign=n_benign,
-        attack_counts={k: v for k, v in counts.items() if k is not ClassLabel.NORMAL},
-        seed=seed,
-        noise_scale=noise_scale,
+        n_benign=counts.get(ClassLabel.NORMAL, 0), seed=seed, noise_scale=noise_scale
     )
     parts.append(synth_benign(cfg, schema))
     for kind in ATTACK_LABELS:

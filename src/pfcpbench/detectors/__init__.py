@@ -11,7 +11,6 @@ numeric representation; categorical codes enter as ordinal reals.
 from __future__ import annotations
 
 import base64
-import hashlib
 import itertools
 import json
 import math
@@ -24,7 +23,7 @@ import numpy as np
 
 from ..errors import FitError, GridSearchError, GuidelineViolation, IoError, SchemaError
 from ..seeding import rng_for
-from ..traffic import ClassLabel, FeatureSchema, LabeledDataset
+from ..traffic import ClassLabel, FeatureSchema, LabeledDataset, malformed
 from . import bagging, density, geometric, statistical
 
 
@@ -59,13 +58,13 @@ _REGISTRY = {
         density.fit_knn,
         density.score_knn,
         {"k": 5},
-        lambda p: int(p.get("k", 5)) + 1,
+        lambda p: int(p["k"]) + 1,
     ),
     DetectorKind.LOF: (
         density.fit_lof,
         density.score_lof,
         {"k": 20},
-        lambda p: int(p.get("k", 20)) + 1,
+        lambda p: int(p["k"]) + 1,
     ),
     DetectorKind.IFOREST: (
         density.fit_iforest,
@@ -95,19 +94,19 @@ _REGISTRY = {
         geometric.fit_abod,
         geometric.score_abod,
         {"k": 10},
-        lambda p: int(p.get("k", 10)) + 1,
+        lambda p: int(p["k"]) + 1,
     ),
     DetectorKind.GMM: (
         geometric.fit_gmm,
         geometric.score_gmm,
         {"components": 4},
-        lambda p: int(p.get("components", 4)),
+        lambda p: int(p["components"]),
     ),
     DetectorKind.FEATURE_BAGGING: (
         bagging.fit_feature_bagging,
         bagging.score_feature_bagging,
         {"bag_count": 10, "k": 20, "subset_range": None},
-        lambda p: int(p.get("k", 20)) + 1,
+        lambda p: int(p["k"]) + 1,
     ),
 }
 
@@ -175,40 +174,26 @@ class DetectorModel:
     def from_json_dict(doc: dict) -> "DetectorModel":
         if doc.get("format") != DETECTOR_FORMAT:
             raise SchemaError(f"not a {DETECTOR_FORMAT} container: {doc.get('format')!r}")
-        kind = DetectorKind.parse(doc["kind"])
-        config = DetectorConfig(
-            kind=kind, params=doc["params"], contamination=doc["contamination"]
-        )
-        return DetectorModel(
-            kind=kind,
-            config=config,
-            state=_from_jsonable(doc["state"]),
-            tau=float(doc["tau"]),
-            train_score_stats=tuple(doc["train_score_stats"]),
-            seed=int(doc["seed"]),
-            schema=FeatureSchema.from_json_dict(doc["schema"]),
-        )
+        with malformed("detector container"):
+            kind = DetectorKind.parse(doc["kind"])
+            config = DetectorConfig(
+                kind=kind, params=doc["params"], contamination=doc["contamination"]
+            )
+            return DetectorModel(
+                kind=kind,
+                config=config,
+                state=_from_jsonable(doc["state"]),
+                tau=float(doc["tau"]),
+                train_score_stats=tuple(doc["train_score_stats"]),
+                seed=int(doc["seed"]),
+                schema=FeatureSchema.from_json_dict(doc["schema"]),
+            )
 
     def save(self, path: str | Path) -> None:
         try:
             Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True))
         except OSError as exc:
             raise IoError(f"cannot write detector model to {path}: {exc}") from exc
-
-
-def read_container(path: str | Path) -> tuple[dict, str]:
-    """A model container's parsed document and the sha256 of its bytes."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read model container {path}: {exc}") from exc
-    try:
-        doc = json.loads(data)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: not a JSON model container: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: not a JSON model container: top level is not an object")
-    return doc, hashlib.sha256(data).hexdigest()
 
 
 # Array payload dtype by numpy kind; ``data`` is the base64 of the array's

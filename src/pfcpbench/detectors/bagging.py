@@ -11,10 +11,10 @@ from .density import fit_lof, score_lof
 
 
 def fit_feature_bagging(X: np.ndarray, params: dict, rng) -> dict:
-    m = int(params.get("bag_count", 10))
-    k = int(params.get("k", 20))
+    m = int(params["bag_count"])
+    k = int(params["k"])
     d = X.shape[1]
-    if params.get("subset_range") is not None:
+    if params["subset_range"] is not None:
         lo, hi = (int(v) for v in params["subset_range"])
         lo, hi = max(1, lo), min(d, hi)
     else:

@@ -23,7 +23,7 @@ from .common import (
 
 
 def fit_knn(X: np.ndarray, params: dict, rng) -> dict:
-    return {"train": X.copy(), "k": int(params.get("k", 5))}
+    return {"train": X.copy(), "k": int(params["k"])}
 
 
 def score_knn(state: dict, Q: np.ndarray) -> np.ndarray:
@@ -62,7 +62,7 @@ def fit_lof(X: np.ndarray, params: dict, rng) -> dict:
     k-distance and cached neighbor slice; local reachability densities and
     in-sample factors follow from the cache.  Neighbor sets exclude the
     point itself and include distance ties."""
-    k = int(params.get("k", 20))
+    k = int(params["k"])
     n = X.shape[0]
     kdist = np.empty(n)
     nn_idx = np.empty((n, min(k + 1, n - 1)), dtype=np.int64)
@@ -177,10 +177,10 @@ def fit_iforest(X: np.ndarray, params: dict, rng) -> dict:
     """Trees as one set of pre-order node arrays; ``roots`` holds each
     tree's root and ``depth`` the walk length that reaches every leaf."""
     n = X.shape[0]
-    trees = int(params.get("trees", 100))
+    trees = int(params["trees"])
     if trees < 1:
         raise FitError(f"IForest needs at least one tree, got {trees}")
-    psi = min(int(params.get("subsample", 256)), n)
+    psi = min(int(params["subsample"]), n)
     limit = max(1, math.ceil(math.log2(max(psi, 2))))
     nodes: list = []
     roots = [
@@ -221,8 +221,8 @@ def score_iforest(state: dict, Q: np.ndarray) -> np.ndarray:
 
 
 def fit_loda(X: np.ndarray, params: dict, rng) -> dict:
-    r = int(params.get("projections", 100))
-    bins = int(params.get("bins", 10))
+    r = int(params["projections"])
+    bins = int(params["bins"])
     d = X.shape[1]
     nnz = max(1, math.ceil(math.sqrt(d)))
     W = np.zeros((r, d))
@@ -249,8 +249,8 @@ def score_loda(state: dict, Q: np.ndarray) -> np.ndarray:
 
 def fit_inne(X: np.ndarray, params: dict, rng) -> dict:
     n = X.shape[0]
-    t = int(params.get("members", 200))
-    psi = min(int(params.get("sample_size", 8)), n)
+    t = int(params["members"])
+    psi = min(int(params["sample_size"]), n)
     members = []
     for _ in range(t):
         idx = rng.choice(n, size=psi, replace=False)

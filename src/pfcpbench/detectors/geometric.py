@@ -14,7 +14,7 @@ GMM_TOL = 1e-7
 def fit_pca(X: np.ndarray, params: dict, rng) -> dict:
     """Keep the smallest component count explaining the requested variance
     fraction; anomalies are scored by squared reconstruction error."""
-    vf = float(params.get("variance_fraction", 0.95))
+    vf = float(params["variance_fraction"])
     mean = X.mean(axis=0)
     centered = X - mean
     _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
@@ -38,7 +38,7 @@ def score_pca(state: dict, Q: np.ndarray) -> np.ndarray:
 
 
 def fit_abod(X: np.ndarray, params: dict, rng) -> dict:
-    return {"train": X.copy(), "k": int(params.get("k", 10))}
+    return {"train": X.copy(), "k": int(params["k"])}
 
 
 def score_abod(state: dict, Q: np.ndarray) -> np.ndarray:
@@ -100,7 +100,7 @@ def _regularized_cholesky(cov: np.ndarray) -> np.ndarray:
 def fit_gmm(X: np.ndarray, params: dict, rng) -> dict:
     """Full-covariance EM with a diagonal ridge; score is the negative
     log-likelihood under the fitted mixture."""
-    K = int(params.get("components", 4))
+    K = int(params["components"])
     n, d = X.shape
     means = X[rng.choice(n, size=K, replace=False)].copy()
     base_cov = np.cov(X, rowvar=False).reshape(d, d)

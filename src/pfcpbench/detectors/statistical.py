@@ -10,7 +10,7 @@ from .common import EPS, histogram_lookup, histogram_table, sample_skew_sign
 def fit_hbos(X: np.ndarray, params: dict, rng) -> dict:
     """Per-feature static-width histograms over the training range, one
     (d x bins) table with each row normalized so its tallest bin is 1."""
-    bins = int(params.get("bins", 10))
+    bins = int(params["bins"])
     lo, hi = X.min(axis=0), X.max(axis=0)
     counts = histogram_table(X, lo, hi, bins)
     return {"lo": lo, "hi": hi, "heights": counts / counts.max(axis=1, keepdims=True)}

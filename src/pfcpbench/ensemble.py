@@ -22,9 +22,9 @@ from typing import MutableMapping, Sequence
 
 import numpy as np
 
-from .detectors import DetectorKind, DetectorModel, _from_jsonable, _to_jsonable, read_container
+from .detectors import DetectorKind, DetectorModel, _from_jsonable, _to_jsonable
 from .errors import FitError, IoError, SchemaError
-from .traffic import ClassLabel, LabeledDataset
+from .traffic import ClassLabel, LabeledDataset, malformed, read_container
 
 SOLVER_TOL = 1e-3
 SOLVER_MAX_PASSES = 100
@@ -189,37 +189,38 @@ class EnsembleModel:
         """
         if doc.get("format") != ENSEMBLE_FORMAT:
             raise SchemaError(f"not a {ENSEMBLE_FORMAT} container: {doc.get('format')!r}")
-        kinds = tuple(DetectorKind.parse(entry["kind"]) for entry in doc["bases"])
-        spec = EnsembleSpec(
-            name=doc["name"], base_kinds=kinds, C=float(doc["C"]), gamma=float(doc["gamma"])
-        )
-        bases = []
-        for kind, entry in zip(kinds, doc["bases"]):
-            path = _base_path(directory, kind)
-            if path not in loaded:
-                try:
-                    base_doc, digest = read_container(path)
-                except IoError as exc:
-                    raise SchemaError(f"ensemble {spec.name}: base {path.name} missing: {exc}") from exc
-                loaded[path] = (digest, DetectorModel.from_json_dict(base_doc))
-            digest, base = loaded[path]
-            if digest != entry["sha256"]:
-                raise SchemaError(
-                    f"ensemble {spec.name}: base {path} has sha256 {digest}, "
-                    f"the ensemble was saved with {entry['sha256']}"
-                )
-            bases.append(base)
-        return EnsembleModel(
-            spec=spec,
-            base_models=bases,
-            score_mean=_from_jsonable(doc["score_mean"]),
-            score_sd=_from_jsonable(doc["score_sd"]),
-            support_vectors=_from_jsonable(doc["support_vectors"]),
-            dual_coef=_from_jsonable(doc["dual_coef"]),
-            bias=float(doc["bias"]),
-            tau=float(doc["tau"]),
-            train_accuracy=float(doc["train_accuracy"]),
-        )
+        with malformed("ensemble container"):
+            kinds = tuple(DetectorKind.parse(entry["kind"]) for entry in doc["bases"])
+            spec = EnsembleSpec(
+                name=doc["name"], base_kinds=kinds, C=float(doc["C"]), gamma=float(doc["gamma"])
+            )
+            bases = []
+            for kind, entry in zip(kinds, doc["bases"]):
+                path = _base_path(directory, kind)
+                if path not in loaded:
+                    try:
+                        base_doc, digest = read_container(path)
+                    except IoError as exc:
+                        raise SchemaError(f"ensemble {spec.name}: base {path.name} missing: {exc}") from exc
+                    loaded[path] = (digest, DetectorModel.from_json_dict(base_doc))
+                digest, base = loaded[path]
+                if digest != entry["sha256"]:
+                    raise SchemaError(
+                        f"ensemble {spec.name}: base {path} has sha256 {digest}, "
+                        f"the ensemble was saved with {entry['sha256']}"
+                    )
+                bases.append(base)
+            return EnsembleModel(
+                spec=spec,
+                base_models=bases,
+                score_mean=_from_jsonable(doc["score_mean"]),
+                score_sd=_from_jsonable(doc["score_sd"]),
+                support_vectors=_from_jsonable(doc["support_vectors"]),
+                dual_coef=_from_jsonable(doc["dual_coef"]),
+                bias=float(doc["bias"]),
+                tau=float(doc["tau"]),
+                train_accuracy=float(doc["train_accuracy"]),
+            )
 
 
 def _base_path(directory: Path, kind: DetectorKind) -> Path:

@@ -38,6 +38,8 @@ from .traffic import (
     FeatureSchema,
     LabeledDataset,
     NumericDomain,
+    malformed,
+    read_container,
 )
 
 logger = logging.getLogger(__name__)
@@ -375,29 +377,30 @@ class PipelineModel:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "PipelineModel":
-        imputer = ImputerState(
-            cat_modes={k: int(v) for k, v in doc["imputer"]["cat_modes"].items()},
-            num_medians={k: float(v) for k, v in doc["imputer"]["num_medians"].items()},
-            regressions={
-                k: tuple(float(x) for x in v)
-                for k, v in doc["imputer"]["regressions"].items()
-            },
-            tol=float(doc["imputer"]["tol"]),
-        )
-        scaler = None
-        if doc["scaler"] is not None:
-            scaler = ScalerState(
-                stats={k: tuple(float(x) for x in v) for k, v in doc["scaler"].items()}
+        with malformed("pipeline model"):
+            imputer = ImputerState(
+                cat_modes={k: int(v) for k, v in doc["imputer"]["cat_modes"].items()},
+                num_medians={k: float(v) for k, v in doc["imputer"]["num_medians"].items()},
+                regressions={
+                    k: tuple(float(x) for x in v)
+                    for k, v in doc["imputer"]["regressions"].items()
+                },
+                tol=float(doc["imputer"]["tol"]),
             )
-        return PipelineModel(
-            kept_features=tuple(doc["kept_features"]),
-            drop_report=dict(doc["drop_report"]),
-            imputer_state=imputer,
-            scaler_state=scaler,
-            scaling_enabled=bool(doc["scaling_enabled"]),
-            input_schema=FeatureSchema.from_json_dict(doc["input_schema"]),
-            output_schema=FeatureSchema.from_json_dict(doc["output_schema"]),
-        )
+            scaler = None
+            if doc["scaler"] is not None:
+                scaler = ScalerState(
+                    stats={k: tuple(float(x) for x in v) for k, v in doc["scaler"].items()}
+                )
+            return PipelineModel(
+                kept_features=tuple(doc["kept_features"]),
+                drop_report=dict(doc["drop_report"]),
+                imputer_state=imputer,
+                scaler_state=scaler,
+                scaling_enabled=bool(doc["scaling_enabled"]),
+                input_schema=FeatureSchema.from_json_dict(doc["input_schema"]),
+                output_schema=FeatureSchema.from_json_dict(doc["output_schema"]),
+            )
 
     def save(self, path: str | Path) -> None:
         try:
@@ -407,11 +410,7 @@ class PipelineModel:
 
     @staticmethod
     def load(path: str | Path) -> "PipelineModel":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise IoError(f"cannot read pipeline model from {path}: {exc}") from exc
-        return PipelineModel.from_json_dict(doc)
+        return PipelineModel.from_json_dict(read_container(path)[0])
 
 
 def fit_pipeline(

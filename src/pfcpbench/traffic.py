@@ -12,8 +12,10 @@ threads; every operation here is pure.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -78,6 +80,32 @@ def parse_label(raw: str) -> ClassLabel:
     raise SchemaError(f"unknown class label {raw!r}")
 
 
+def read_container(path: str | Path) -> tuple[dict, str]:
+    """A saved schema, pipeline or model file's JSON object and the sha256
+    of its bytes; ``IoError`` when unreadable, ``SchemaError`` when no JSON
+    object."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: not a JSON container: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: not a JSON container: top level is not an object")
+    return doc, hashlib.sha256(data).hexdigest()
+
+
+@contextmanager
+def malformed(what: str):
+    """Raise a missing key or wrongly typed value in a saved ``what`` as ``SchemaError``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SchemaError(f"malformed {what}: {type(exc).__name__} {exc}") from exc
+
+
 @dataclass(frozen=True)
 class CategoricalDomain:
     """Finite, sorted label set.  Codes are 0-based positions, which keeps
@@ -121,9 +149,6 @@ class NumericDomain:
             raise SchemaError("numeric domain bounds must be finite")
         if self.lo > self.hi:
             raise SchemaError(f"numeric domain requires lo <= hi, got [{self.lo}, {self.hi}]")
-
-    def contains(self, value: float) -> bool:
-        return math.isfinite(value) and self.lo <= value <= self.hi
 
     def clamp(self, value: float) -> float:
         return min(max(value, self.lo), self.hi)
@@ -223,25 +248,26 @@ class FeatureSchema:
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "FeatureSchema":
-        feats = []
-        for entry in doc["features"]:
-            raw_domain = entry["domain"]
-            if "labels" in raw_domain:
-                domain: CategoricalDomain | NumericDomain = CategoricalDomain(
-                    tuple(raw_domain["labels"])
+        with malformed("feature schema"):
+            feats = []
+            for entry in doc["features"]:
+                raw_domain = entry["domain"]
+                if "labels" in raw_domain:
+                    domain: CategoricalDomain | NumericDomain = CategoricalDomain(
+                        tuple(raw_domain["labels"])
+                    )
+                else:
+                    domain = NumericDomain(float(raw_domain["lo"]), float(raw_domain["hi"]))
+                feats.append(
+                    FeatureDescriptor(
+                        name=entry["name"],
+                        kind=entry["kind"],
+                        protocol=entry["protocol"],
+                        environment_dependent=bool(entry["environment_dependent"]),
+                        domain=domain,
+                    )
                 )
-            else:
-                domain = NumericDomain(float(raw_domain["lo"]), float(raw_domain["hi"]))
-            feats.append(
-                FeatureDescriptor(
-                    name=entry["name"],
-                    kind=entry["kind"],
-                    protocol=entry["protocol"],
-                    environment_dependent=bool(entry["environment_dependent"]),
-                    domain=domain,
-                )
-            )
-        return FeatureSchema(features=tuple(feats), version=int(doc["version"]))
+            return FeatureSchema(features=tuple(feats), version=int(doc["version"]))
 
     def save(self, path: str | Path) -> None:
         try:
@@ -251,11 +277,7 @@ class FeatureSchema:
 
     @staticmethod
     def load(path: str | Path) -> "FeatureSchema":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise IoError(f"cannot read schema from {path}: {exc}") from exc
-        return FeatureSchema.from_json_dict(doc)
+        return FeatureSchema.from_json_dict(read_container(path)[0])
 
 
 class LabeledDataset:

@@ -8,7 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from pfcpbench.attack import DEFAULT_COMPLIANCE_RULES, AttackConfig, run_campaign, scale_compliance
+from pfcpbench.attack import (
+    DEFAULT_COMPLIANCE_RULES,
+    AttackConfig,
+    load_feasible_sets,
+    run_campaign,
+    scale_compliance,
+)
 from pfcpbench.corpus import synth_benchmark_splits
 from pfcpbench.detectors import DetectorConfig, DetectorKind, fit
 from pfcpbench.ensemble import PRESETS, fit_ensemble
@@ -131,15 +137,18 @@ def campaign_bench():
             kind: scale_compliance(spec, pipeline)
             for kind, spec in DEFAULT_COMPLIANCE_RULES.items()
         }
+        feasible = load_feasible_sets(None, attacks.schema, specs)
         campaigns = {}
         for algorithm in ("RS", "GA_DE", "GA_ES"):
             cfg = AttackConfig(algorithm=algorithm, seed=MASTER_SEED)
-            campaigns[algorithm] = run_campaign(hbos, attacks, None, specs, cfg, t_train)
+            campaigns[algorithm] = run_campaign(hbos, attacks, feasible, specs, cfg, t_train)
         out[scaling] = {
             "pipeline": pipeline,
             "train": t_train,
             "model": hbos,
             "attacks": attacks,
+            "specs": specs,
+            "feasible": feasible,
             "campaigns": campaigns,
         }
     out["build_seconds"] = time.monotonic() - t0

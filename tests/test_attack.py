@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from pfcpbench import attack as attack_mod
 from pfcpbench.attack import (
     DEFAULT_COMPLIANCE_RULES,
-    DEFAULT_CONTROLLABLE_FEATURES,
     GA_DE,
     GA_ES,
     RS,
@@ -18,6 +18,7 @@ from pfcpbench.attack import (
     check_compliant,
     check_feasible,
     estimate_marginals,
+    load_feasible_sets,
     run_campaign,
     scale_compliance,
 )
@@ -91,7 +92,7 @@ def _detected_sample(schema):
 def test_identity_modification_is_feasible(toy):
     schema, spec, feasible, _ = toy
     x = _detected_sample(schema)
-    assert check_feasible(x, x.copy(), feasible, schema)
+    assert check_feasible(x, x.copy(), feasible)
 
 
 def test_out_of_j_change_is_infeasible(toy):
@@ -99,7 +100,7 @@ def test_out_of_j_change_is_infeasible(toy):
     x = _detected_sample(schema)
     candidate = x.copy()
     candidate[2] = 700.0  # protected teid is outside J
-    assert not check_feasible(x, candidate, feasible, schema)
+    assert not check_feasible(x, candidate, feasible)
 
 
 def test_out_of_domain_value_is_infeasible(toy):
@@ -107,10 +108,10 @@ def test_out_of_domain_value_is_infeasible(toy):
     x = _detected_sample(schema)
     candidate = x.copy()
     candidate[1] = 11.0  # above the size domain
-    assert not check_feasible(x, candidate, feasible, schema)
+    assert not check_feasible(x, candidate, feasible)
     candidate = x.copy()
     candidate[0] = 3.0  # no such category code
-    assert not check_feasible(x, candidate, feasible, schema)
+    assert not check_feasible(x, candidate, feasible)
 
 
 def test_compliance_predicates(toy):
@@ -121,9 +122,9 @@ def test_compliance_predicates(toy):
     broken[2] = 50.0  # teid must stay above 100
     assert not check_compliant(spec, schema, broken)
     moved = x.copy()
-    moved[2] = 600.0  # satisfies the predicate but differs from original
+    moved[2] = 600.0  # satisfies the predicate; feasibility keeps it from the oracle
     assert check_compliant(spec, schema, moved)
-    assert not check_compliant(spec, schema, moved, original=x)
+    assert not check_feasible(x, moved, feasible)
 
 
 def test_deletion_message_type_predicate():
@@ -235,6 +236,23 @@ def test_oracle_rejects_noncompliant_candidates(toy):
     with pytest.raises(ComplianceViolation):
         oracle.fitness(bad)
     assert oracle.queries_used == 0  # rejected candidates burn no budget
+
+
+def test_oracle_rejects_noncompliant_original(toy):
+    schema, spec, feasible, _ = toy
+    x = _detected_sample(schema)
+    x[2] = 50.0  # teid must stay above 100
+    with pytest.raises(ComplianceViolation):
+        _oracle(schema, spec, feasible, x)
+
+
+def test_oracle_rejects_feasible_set_touching_protected_fields(toy):
+    # a set built for a class that does not protect the TEID
+    schema, spec, _, _ = toy
+    unprotected = ComplianceSpec(ClassLabel.FLOOD, frozenset(), ())
+    feasible = build_feasible_set(schema, ("pfcp.size", "pfcp.teid"), unprotected)
+    with pytest.raises(ComplianceViolation):
+        _oracle(schema, spec, feasible, _detected_sample(schema))
 
 
 # --- optimizers -----------------------------------------------------------------------
@@ -373,7 +391,7 @@ def test_campaign_rejects_benign_rows(toy):
         run_campaign(
             _ThresholdModel(0.5),
             source,
-            None,
+            {ClassLabel.RESTORATION_TEID: feasible},
             {ClassLabel.RESTORATION_TEID: spec},
             AttackConfig(algorithm=RS),
             source,
@@ -391,7 +409,7 @@ def test_campaign_skips_undetected_and_counts_queries(toy):
     outcomes = run_campaign(
         _ThresholdModel(5.0),
         attacks,
-        {ClassLabel.RESTORATION_TEID: ("pfcp.mark", "pfcp.size")},
+        {ClassLabel.RESTORATION_TEID: feasible},
         {ClassLabel.RESTORATION_TEID: spec},
         AttackConfig(algorithm=RS, seed=2),
         source,
@@ -401,8 +419,9 @@ def test_campaign_skips_undetected_and_counts_queries(toy):
     assert all(o.initial_score > 5.0 for o in outcomes)
     # evaded outcomes carry compliant candidates differing only on J
     for o in outcomes:
-        assert check_feasible(o.original, o.best_candidate, feasible, schema)
-        assert check_compliant(spec, schema, o.best_candidate, o.original)
+        assert check_feasible(o.original, o.best_candidate, feasible)
+        assert check_compliant(spec, schema, o.best_candidate)
+        assert o.best_candidate[2] == o.original[2]  # the protected TEID
 
 
 def test_campaign_with_no_detections_warns(toy, caplog):
@@ -414,7 +433,7 @@ def test_campaign_with_no_detections_warns(toy, caplog):
         outcomes = run_campaign(
             _ThresholdModel(5.0),
             attacks,
-            {ClassLabel.RESTORATION_TEID: ("pfcp.size",)},
+            {ClassLabel.RESTORATION_TEID: build_feasible_set(schema, ("pfcp.size",), spec)},
             {ClassLabel.RESTORATION_TEID: spec},
             AttackConfig(algorithm=RS, seed=2),
             source,
@@ -431,7 +450,7 @@ def test_campaign_budget_one_reduces_ga_to_single_draw(toy):
     outcomes = run_campaign(
         _ThresholdModel(9.0),
         attacks,
-        {ClassLabel.RESTORATION_TEID: ("pfcp.size",)},
+        {ClassLabel.RESTORATION_TEID: build_feasible_set(schema, ("pfcp.size",), spec)},
         {ClassLabel.RESTORATION_TEID: spec},
         AttackConfig(algorithm=GA_DE, seed=2, budget=1),
         source,
@@ -450,7 +469,7 @@ def test_campaign_deterministic(toy):
         return run_campaign(
             _ThresholdModel(2.0),
             attacks,
-            {ClassLabel.RESTORATION_TEID: ("pfcp.mark", "pfcp.size")},
+            {ClassLabel.RESTORATION_TEID: feasible},
             {ClassLabel.RESTORATION_TEID: spec},
             AttackConfig(algorithm=GA_ES, seed=3, budget=50),
             source,
@@ -493,7 +512,7 @@ def test_campaign_golden_traces(toy, algorithm):
     outcomes = run_campaign(
         _DistanceModel(),
         attacks,
-        {ClassLabel.RESTORATION_TEID: ("pfcp.mark", "pfcp.size")},
+        {ClassLabel.RESTORATION_TEID: feasible},
         {ClassLabel.RESTORATION_TEID: spec},
         AttackConfig(algorithm=algorithm, seed=11, budget=37, rs_retries=3),
         source,
@@ -504,6 +523,37 @@ def test_campaign_golden_traces(toy, algorithm):
         digest.update(json.dumps(doc).encode())
     assert len(outcomes) == 12
     assert digest.hexdigest() == GOLDEN_TRACE_DIGESTS[algorithm]
+
+
+def test_campaign_compliance_checks_do_not_grow_with_budget(toy, monkeypatch):
+    # compliance is checked per sample, never per query
+    schema, spec, feasible, source = toy
+    k = 16
+    cats = (np.arange(k) % 3).reshape(-1, 1)
+    nums = np.column_stack([np.linspace(0.5, 9.5, k), 300.0 + 18.0 * np.arange(k)])
+    attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * k)
+    calls = []
+    original = attack_mod.check_compliant
+    monkeypatch.setattr(
+        attack_mod, "check_compliant", lambda *args: calls.append(1) or original(*args)
+    )
+
+    def run(budget):
+        calls.clear()
+        outcomes = run_campaign(
+            _DistanceModel(),
+            attacks,
+            {ClassLabel.RESTORATION_TEID: feasible},
+            {ClassLabel.RESTORATION_TEID: spec},
+            AttackConfig(algorithm=GA_DE, seed=11, budget=budget),
+            source,
+        )
+        return sum(o.queries_used for o in outcomes), len(calls)
+
+    few_queries, few_checks = run(2)
+    many_queries, many_checks = run(60)
+    assert many_queries > few_queries
+    assert many_checks == few_checks
 
 
 def test_scale_compliance_maps_thresholds():
@@ -526,8 +576,9 @@ def test_scale_compliance_maps_thresholds():
 
 def test_default_controllable_features_disjoint_from_protected():
     schema = default_schema()
+    sets = load_feasible_sets(None, schema, DEFAULT_COMPLIANCE_RULES)
+    assert set(sets) == set(DEFAULT_COMPLIANCE_RULES)
     for kind, spec in DEFAULT_COMPLIANCE_RULES.items():
-        fs = build_feasible_set(schema, DEFAULT_CONTROLLABLE_FEATURES, spec)
-        assert set(fs.indices).isdisjoint(
+        assert set(sets[kind].indices).isdisjoint(
             {schema.position(name) for name in spec.protected}
         )

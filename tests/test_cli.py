@@ -9,7 +9,7 @@ import pytest
 from pfcpbench.cli import main
 from pfcpbench.corpus import default_schema, load_csv
 from pfcpbench.detectors import DetectorKind, DetectorModel
-from pfcpbench.ensemble import EnsembleModel
+from pfcpbench.ensemble import ENSEMBLE_FORMAT, EnsembleModel
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -269,6 +269,26 @@ def test_attack_honors_feasible_set_config(tmp_path):
             assert set(o["modified"]) <= allowed
 
 
+def test_attack_builds_each_feasible_set_once(tmp_path, monkeypatch):
+    from pfcpbench import attack
+
+    built = []
+    build = attack.build_feasible_set
+
+    def counted(schema, names, spec, narrow=None):
+        built.append(spec.attack_class)
+        return build(schema, names, spec, narrow)
+
+    monkeypatch.setattr(attack, "build_feasible_set", counted)
+    config = write_config(
+        tmp_path, attack={"algorithms": ["RS", "GA_DE", "GA_ES"], "targets": ["HBOS"]}
+    )
+    for cmd in ("preprocess", "train", "attack"):
+        assert run(cmd, config, "--budget", "3") == 0
+    assert len(list(only_run_dir(tmp_path).glob("campaign-*.jsonl"))) == 3
+    assert sorted(built, key=str) == sorted(attack.DEFAULT_COMPLIANCE_RULES, key=str)
+
+
 @pytest.fixture(scope="module")
 def j_config_run(tmp_path_factory):
     """A trained run whose config points at a J-config file the test rewrites."""
@@ -387,14 +407,47 @@ def test_missing_config_is_config_error(tmp_path, capsys):
         ("[1, 2]", []),
         ("[1, 2]", ["--ensemble", "HKAIP"]),
         ('"runs"', []),
+        ('{"attack": [1]}', []),
+        ('{"pipeline": 3}', []),
+        ('{"seed": "x"}', []),
+        ('{"attack": {"budget": "many"}}', []),
+        ('{"corpus": {"synth": {"scale": "x"}}}', []),
     ],
-    ids=["truncated", "truncated-with-flags", "array", "array-with-flags", "string"],
+    ids=["truncated", "truncated-with-flags", "array", "array-with-flags", "string",
+         "attack-list", "pipeline-number", "seed-string", "budget-string", "scale-string"],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, text, flags):
     path = tmp_path / "config.json"
     path.write_text(text)
     assert main(["preprocess", "--config", str(path), *flags]) == 12
-    assert "error[ConfigError]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error[ConfigError]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "target, text, prepare, command",
+    [
+        ("pipeline.json", "{", ("preprocess",), "train"),
+        ("pipeline.json", '{"kept_features": []}', ("preprocess",), "train"),
+        ("models/HBOS.json", '{"format": "pfcpbench-detector-v4"}', ("preprocess", "train"), "evaluate"),
+        ("schema.json", '{"version": 1}', (), "preprocess"),
+    ],
+    ids=["truncated-pipeline", "pipeline-without-imputer", "detector-without-kind",
+         "schema-without-features"],
+)
+def test_damaged_artefact_fails_with_schema_error(tmp_path, capsys, target, text, prepare, command):
+    if target == "schema.json":
+        (tmp_path / target).write_text(text)
+        config = write_config(tmp_path, schema=str(tmp_path / target))
+    else:
+        config = write_config(tmp_path)
+        for cmd in prepare:
+            assert run(cmd, config) == 0
+        (only_run_dir(tmp_path) / target).write_text(text)
+    capsys.readouterr()
+    assert run(command, config) == 3
+    err = capsys.readouterr().err
+    assert "error[SchemaError]" in err and "Traceback" not in err
 
 
 def test_out_spelling_does_not_change_run_dir(tmp_path, monkeypatch):
@@ -493,6 +546,10 @@ def _delete_base(models: Path):
     (models / "kNN.json").unlink()
 
 
+def _strip_ensemble(models: Path):
+    (models / "HKGIP.json").write_text(json.dumps({"format": ENSEMBLE_FORMAT}))
+
+
 def _downgrade_ensemble(models: Path):
     doc = json.loads((models / "HKGIP.json").read_text())
     doc["format"] = "pfcpbench-ensemble-v1"
@@ -505,8 +562,9 @@ def _downgrade_ensemble(models: Path):
         (_tamper_base, "sha256"),
         (_delete_base, "kNN.json"),
         (_downgrade_ensemble, "pfcpbench-ensemble-v1"),
+        (_strip_ensemble, "malformed ensemble container"),
     ],
-    ids=["tampered-base", "deleted-base", "v1-ensemble"],
+    ids=["tampered-base", "deleted-base", "v1-ensemble", "format-only-ensemble"],
 )
 def test_broken_ensemble_container_fails_with_schema_error(tmp_path, damage, message, capsys):
     config = write_config(

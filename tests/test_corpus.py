@@ -261,5 +261,3 @@ def test_synth_config_validation():
         SynthConfig(n_benign=-1)
     with pytest.raises(SchemaError):
         SynthConfig(n_benign=1, noise_scale=0.0)
-    with pytest.raises(SchemaError):
-        SynthConfig(n_benign=1, attack_counts={ClassLabel.NORMAL: 3})
