@@ -179,17 +179,21 @@ def build_feasible_set(
 ) -> FeasibleSet:
     """Resolve controllable feature names to schema positions.
 
-    Raises when no feature is named, when a feature is in the attack
-    class's protected set (modifying it would break the attack itself), and
-    when ``narrow`` names a feature outside J or does not fit its domain.
+    Raises when no feature is named, when a feature is named twice or is not
+    in ``schema``, when a feature is in the attack class's protected set
+    (modifying it would break the attack itself), and when ``narrow`` names
+    a feature outside J or does not fit its domain.
     """
     narrow = narrow or {}
+    where = f"feasible-set config: {compliance.attack_class.value}"
+    unknown = sorted(set(feature_names) - set(schema.names))
+    if unknown:
+        raise ConfigError(f"{where} names {unknown}, which are not in the schema")
+    if len(set(feature_names)) != len(feature_names):
+        raise ConfigError(f"{where} names a feature more than once: {list(feature_names)}")
     stray = set(narrow) - set(feature_names)
     if stray:
-        raise ConfigError(
-            f"feasible-set config: {compliance.attack_class.value} narrows "
-            f"{sorted(stray)}, which are not in its feasible set"
-        )
+        raise ConfigError(f"{where} narrows {sorted(stray)}, which are not in its feasible set")
     if not feature_names:
         raise ConfigError(f"{compliance.attack_class.value}: empty feasible set")
     overlap = set(feature_names) & set(compliance.protected)
@@ -204,8 +208,7 @@ def build_feasible_set(
         pos = schema.position(name)
         domain = schema.features[pos].domain
         if name in narrow:
-            where = f"feasible-set config: {compliance.attack_class.value} narrow {name}"
-            domains[pos] = _narrowed(domain, narrow[name], where)
+            domains[pos] = _narrowed(domain, narrow[name], f"{where} narrow {name}")
         else:
             domains[pos] = tuple(range(len(domain))) if isinstance(domain, CategoricalDomain) else domain
         indices.append(pos)

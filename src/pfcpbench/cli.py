@@ -8,7 +8,6 @@ the same configuration reproduces byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -23,7 +22,9 @@ from . import evaluate as eval_mod
 from . import errors, preprocess
 from .config import DetectorEntry, RunConfig, parse_algorithm, parse_run_config, read_config
 from .seeding import derive_seed
-from .traffic import ClassLabel, FeatureSchema, LabeledDataset, read_container
+from .traffic import (
+    ClassLabel, FeatureSchema, LabeledDataset, make_dir, read_container, write_json, write_text,
+)
 
 logger = logging.getLogger("pfcpbench")
 
@@ -76,8 +77,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     if cfg.synth is None:
         raise errors.ConfigError("synth command needs corpus.synth in the config")
     run_dir = cfg.run_dir()
-    corpus_dir = run_dir / "corpus"
-    corpus_dir.mkdir(parents=True, exist_ok=True)
+    corpus_dir = make_dir(run_dir / "corpus")
     splits = _synth_splits(cfg, _schema_for(cfg))
     for name, ds in zip(SPLIT_NAMES, splits):
         corpus_mod.save_csv(ds, corpus_dir / f"{name}.csv", seed=cfg.seed)
@@ -87,20 +87,16 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_preprocess(cfg: RunConfig) -> int:
-    run_dir = cfg.run_dir()
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = make_dir(cfg.run_dir())
     train, validation, test = _raw_splits(cfg, run_dir)
     patterns = cfg.gt1_patterns or preprocess.DEFAULT_GT1_PATTERNS
     model = preprocess.fit_pipeline(train, scaling_enabled=cfg.scaling, gt1_patterns=patterns)
     model.save(run_dir / "pipeline.json")
-    out_dir = run_dir / "preprocessed"
-    out_dir.mkdir(exist_ok=True)
+    out_dir = make_dir(run_dir / "preprocessed")
     for name, ds in zip(SPLIT_NAMES, (train, validation, test)):
         transformed = preprocess.transform(model, ds)
         corpus_mod.save_csv(transformed, out_dir / f"{name}.csv", seed=cfg.seed)
-    (run_dir / "drop_report.json").write_text(
-        json.dumps(dict(sorted(model.drop_report.items())), indent=2, sort_keys=True)
-    )
+    write_json(run_dir / "drop_report.json", dict(sorted(model.drop_report.items())), indent=2)
     logger.info(
         "pipeline kept %d features, dropped %d", len(model.kept_features), len(model.drop_report)
     )
@@ -129,8 +125,7 @@ def cmd_train(cfg: RunConfig) -> int:
     run_dir = cfg.run_dir()
     _, splits = _load_preprocessed(run_dir, ("train", "validation"))
     train, validation = splits["train"], splits["validation"]
-    models_dir = run_dir / "models"
-    models_dir.mkdir(exist_ok=True)
+    models_dir = make_dir(run_dir / "models")
     train_log: dict[str, dict] = {}
 
     fitted: dict[det_mod.DetectorKind, det_mod.DetectorModel] = {}
@@ -149,9 +144,7 @@ def cmd_train(cfg: RunConfig) -> int:
                     kind, entry.grid, train, validation,
                     contamination=entry.contamination, seed=seed,
                 )
-                (models_dir / f"grid_{label}.json").write_text(
-                    json.dumps(log, indent=2, sort_keys=True)
-                )
+                write_json(models_dir / f"grid_{label}.json", log, indent=2)
             else:
                 config = det_mod.DetectorConfig(
                     kind=kind, params=entry.params, contamination=entry.contamination
@@ -189,7 +182,7 @@ def cmd_train(cfg: RunConfig) -> int:
             train_log[name] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
             logger.error("ensemble %s failed: %s", name, exc)
 
-    (run_dir / "train_log.json").write_text(json.dumps(train_log, indent=2, sort_keys=True))
+    write_json(run_dir / "train_log.json", train_log, indent=2)
     print(run_dir)
     return 0
 
@@ -303,13 +296,12 @@ def cmd_attack(cfg: RunConfig) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     """Consolidate evaluate/attack outputs under report/."""
     run_dir = cfg.run_dir()
-    report_dir = run_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
+    report_dir = make_dir(run_dir / "report")
     found = False
     for name in ("metrics.json", "metrics.csv", "evasion.json", "evasion.csv", "detection_matrix.csv"):
         src = run_dir / name
         if src.exists():
-            (report_dir / name).write_text(src.read_text())
+            write_text(report_dir / name, src.read_text())
             found = True
         else:
             logger.warning("%s not present yet", src)

@@ -12,7 +12,6 @@ envelope, which is what one-class detectors key on.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from .traffic import (
     LabeledDataset,
     NumericDomain,
     parse_label,
+    write_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -406,7 +406,7 @@ def save_csv(
         }
         if seed is not None:
             doc["seed"] = seed
-        Path(str(path) + ".manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+        write_json(str(path) + ".manifest.json", doc, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import base64
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,9 +20,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import FitError, GridSearchError, GuidelineViolation, IoError, SchemaError
+from ..errors import FitError, GridSearchError, GuidelineViolation, SchemaError
 from ..seeding import rng_for
-from ..traffic import ClassLabel, FeatureSchema, LabeledDataset, malformed
+from ..traffic import ClassLabel, FeatureSchema, LabeledDataset, malformed, write_json
 from . import bagging, density, geometric, statistical
 
 
@@ -52,8 +51,8 @@ class DetectorKind(Enum):
 # kind -> (fit, score, default params, minimum training rows as fn(params))
 _REGISTRY = {
     DetectorKind.HBOS: (statistical.fit_hbos, statistical.score_hbos, {"bins": 10}, lambda p: 1),
-    DetectorKind.COPOD: (statistical.fit_copod, statistical.score_copod, {}, lambda p: 1),
-    DetectorKind.ECOD: (statistical.fit_ecod, statistical.score_ecod, {}, lambda p: 1),
+    DetectorKind.COPOD: (statistical.fit_ecdf, statistical.score_copod, {}, lambda p: 1),
+    DetectorKind.ECOD: (statistical.fit_ecdf, statistical.score_ecod, {}, lambda p: 1),
     DetectorKind.KNN: (
         density.fit_knn,
         density.score_knn,
@@ -91,7 +90,7 @@ _REGISTRY = {
         lambda p: 2,
     ),
     DetectorKind.ABOD: (
-        geometric.fit_abod,
+        density.fit_knn,
         geometric.score_abod,
         {"k": 10},
         lambda p: int(p["k"]) + 1,
@@ -112,7 +111,7 @@ _REGISTRY = {
 
 DEFAULT_CONTAMINATION = 0.02
 # Container tag; bumped whenever a detector's saved state changes layout.
-DETECTOR_FORMAT = "pfcpbench-detector-v4"
+DETECTOR_FORMAT = "pfcpbench-detector-v5"
 
 
 @dataclass(frozen=True)
@@ -190,10 +189,7 @@ class DetectorModel:
             )
 
     def save(self, path: str | Path) -> None:
-        try:
-            Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True))
-        except OSError as exc:
-            raise IoError(f"cannot write detector model to {path}: {exc}") from exc
+        write_json(path, self.to_json_dict())
 
 
 # Array payload dtype by numpy kind; ``data`` is the base64 of the array's

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .density import fit_lof, score_lof
+from .density import lof_in_sample, score_lof
 
 
 def fit_feature_bagging(X: np.ndarray, params: dict, rng) -> dict:
@@ -24,23 +24,28 @@ def fit_feature_bagging(X: np.ndarray, params: dict, rng) -> dict:
     for _ in range(m):
         size = int(rng.integers(lo, hi + 1))
         feats = np.sort(rng.choice(d, size=size, replace=False))
-        lof_state = fit_lof(X[:, feats], {"k": k}, rng)
-        # z-normalization uses the member's in-sample factor distribution
-        train_scores = lof_state["train_lof"]
+        # z-normalization uses the member's in-sample factor distribution,
+        # computed on the F-ordered X[:, feats] (scoring differs, see below)
+        kdist, lrd, factors = lof_in_sample(X[:, feats], k)
         members.append(
             {
                 "features": feats,
-                "lof": lof_state,
-                "mean": float(train_scores.mean()),
-                "sd": float(max(train_scores.std(), 1e-12)),
+                "train_kdist": kdist,
+                "train_lrd": lrd,
+                "mean": float(factors.mean()),
+                "sd": float(max(factors.std(), 1e-12)),
             }
         )
-    return {"members": members}
+    return {"train": X.copy(), "k": k, "members": members}
 
 
 def score_feature_bagging(state: dict, Q: np.ndarray) -> np.ndarray:
+    train, k = state["train"], state["k"]
     total = np.zeros(Q.shape[0])
     for member in state["members"]:
-        s = score_lof(member["lof"], Q[:, member["features"]])
-        total += (s - member["mean"]) / member["sd"]
+        feats = member["features"]
+        # a member and its columns of the shared matrix make a LOF state; C
+        # order, because BLAS rounds the F-ordered train[:, feats] differently
+        lof = {**member, "train": np.ascontiguousarray(train[:, feats]), "k": k}
+        total += (score_lof(lof, Q[:, feats]) - member["mean"]) / member["sd"]
     return total / len(state["members"])

@@ -27,9 +27,13 @@ def iter_chunks(n: int, chunk: int = CHUNK_ROWS):
         yield start, min(start + chunk, n)
 
 
-def kth_smallest(dists: np.ndarray, k: int) -> np.ndarray:
-    """Per-row k-th smallest value (1-based k)."""
-    return np.partition(dists, k - 1, axis=1)[:, k - 1]
+def nearest(d: np.ndarray, take: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and values of the ``take`` smallest entries of each row of the
+    distance chunk ``d``, ascending; equal values keep their selection order."""
+    idx = np.argpartition(d, take - 1, axis=1)[:, :take]
+    nd = np.take_along_axis(d, idx, axis=1)
+    order = np.argsort(nd, axis=1, kind="stable")
+    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(nd, order, axis=1)
 
 
 def _histogram_cells(V: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from .common import (
     histogram_lookup,
     histogram_table,
     iter_chunks,
-    kth_smallest,
+    nearest,
     sq_distances,
 )
 
@@ -23,6 +23,7 @@ from .common import (
 
 
 def fit_knn(X: np.ndarray, params: dict, rng) -> dict:
+    """The whole fitted state of kNN, and of ABOD too: the rows and k."""
     return {"train": X.copy(), "k": int(params["k"])}
 
 
@@ -31,80 +32,78 @@ def score_knn(state: dict, Q: np.ndarray) -> np.ndarray:
     out = np.empty(Q.shape[0])
     for a, b in iter_chunks(Q.shape[0]):
         d = np.sqrt(sq_distances(Q[a:b], train))
-        out[a:b] = kth_smallest(d, k)
+        out[a:b] = nearest(d, k)[1][:, k - 1]
     return out
 
 
 # --------------------------------------------------------------------------
 # LOF: ratio of neighbor local reachability density to the query's own.
+# A row's neighbors are every column within its k-distance, so a distance
+# tie can make the set larger than k.
 
 
-def _topk_neighbors(d: np.ndarray, k: int):
-    """Sorted top-(k+1) neighbor slice of one distance chunk.
+def _neighborhoods(d: np.ndarray, k: int):
+    """Each row's k-distance and neighbors in the distance chunk ``d``.
 
-    Returns (idx, nd, kdist, tied): indices and distances of the k+1
-    nearest columns, the per-row k-distance, and a mask of rows whose
-    neighbor set extends past k because of distance ties.
+    Returns (kdist, nn, nd, ties): the k-th smallest distance, the columns
+    and distances of the k nearest, and, for each row whose neighbor set
+    grows past k through a tie, its row mapped to the columns and distances
+    of every member (``d <= kdist``).  Members are read from ``d`` itself,
+    so the column that sets the k-distance is always one of them.
     """
     take = min(k + 1, d.shape[1])
-    idx = np.argpartition(d, take - 1, axis=1)[:, :take]
-    nd = np.take_along_axis(d, idx, axis=1)
-    order = np.argsort(nd, axis=1, kind="stable")
-    nd = np.take_along_axis(nd, order, axis=1)
-    idx = np.take_along_axis(idx, order, axis=1)
+    nn, nd = nearest(d, take)
     kdist = nd[:, k - 1]
-    tied = nd[:, k] <= kdist if take > k else np.zeros(d.shape[0], dtype=bool)
-    return idx, nd, kdist, tied
+    ties = {}
+    if take > k:
+        for i in np.flatnonzero(nd[:, k] <= kdist):
+            member = np.flatnonzero(d[i] <= kdist[i])
+            ties[i] = (member, d[i, member])
+    return kdist, nn[:, :k], nd[:, :k], ties
 
 
-def fit_lof(X: np.ndarray, params: dict, rng) -> dict:
-    """One pass over the training pairwise distances yields each point's
-    k-distance and cached neighbor slice; local reachability densities and
-    in-sample factors follow from the cache.  Neighbor sets exclude the
-    point itself and include distance ties."""
-    k = int(params["k"])
+def _neighbor_mean(f, nn: np.ndarray, nd: np.ndarray, ties: dict) -> np.ndarray:
+    """Per row, the mean of ``f(columns, distances)`` over its neighbors."""
+    out = f(nn, nd).mean(axis=1)
+    for i, (member, dist) in ties.items():
+        out[i] = f(member, dist).mean()
+    return out
+
+
+def _lrd(kdist_t: np.ndarray, nn: np.ndarray, nd: np.ndarray, ties: dict) -> np.ndarray:
+    """Local reachability density: the inverse of the mean reach distance,
+    max(neighbor's k-distance, distance to it), over each row's neighbors."""
+    reach = _neighbor_mean(lambda cols, dist: np.maximum(kdist_t[cols], dist), nn, nd, ties)
+    return 1.0 / np.maximum(reach, DENSITY_EPS)
+
+
+def _mean_lrd(lrd_t: np.ndarray, nn: np.ndarray, nd: np.ndarray, ties: dict) -> np.ndarray:
+    """Mean local reachability density of each row's neighbors."""
+    return _neighbor_mean(lambda cols, _: lrd_t[cols], nn, nd, ties)
+
+
+def lof_in_sample(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k-distances, local reachability densities and in-sample factors of
+    the rows of X, each over its neighbors other than itself, from one pass
+    over the pairwise distances."""
     n = X.shape[0]
     kdist = np.empty(n)
-    nn_idx = np.empty((n, min(k + 1, n - 1)), dtype=np.int64)
-    nn_dist = np.empty_like(nn_idx, dtype=np.float64)
-    tied = np.zeros(n, dtype=bool)
+    nn = np.empty((n, k), dtype=np.int64)
+    nd = np.empty((n, k))
+    ties = {}
     for a, b in iter_chunks(n):
         d = np.sqrt(sq_distances(X[a:b], X))
         d[np.arange(b - a), np.arange(a, b)] = np.inf  # self is not a neighbor
-        idx, nd, kd, td = _topk_neighbors(d, k)
-        kdist[a:b] = kd
-        nn_idx[a:b] = idx[:, : nn_idx.shape[1]]
-        nn_dist[a:b] = nd[:, : nn_idx.shape[1]]
-        tied[a:b] = td
+        kdist[a:b], nn[a:b], nd[a:b], chunk_ties = _neighborhoods(d, k)
+        ties.update((a + i, hood) for i, hood in chunk_ties.items())
+    lrd = _lrd(kdist, nn, nd, ties)
+    return kdist, lrd, _mean_lrd(lrd, nn, nd, ties) / lrd
 
-    def reach_mean_of(rows_idx, rows_nd):
-        return np.maximum(kdist[rows_idx], rows_nd).mean(axis=1)
 
-    reach_mean = np.empty(n)
-    fast = ~tied
-    reach_mean[fast] = reach_mean_of(nn_idx[fast, :k], nn_dist[fast, :k])
-    for i in np.flatnonzero(tied):  # ties re-expand against the full set
-        d = np.sqrt(sq_distances(X[i : i + 1], X))[0]
-        d[i] = np.inf
-        member = d <= kdist[i]
-        reach_mean[i] = np.maximum(kdist[member], d[member]).mean()
-    lrd = 1.0 / np.maximum(reach_mean, DENSITY_EPS)
-
-    # In-sample factors: mean neighbor lrd over own lrd.
-    lof_train = np.empty(n)
-    lof_train[fast] = lrd[nn_idx[fast, :k]].mean(axis=1) / lrd[fast]
-    for i in np.flatnonzero(tied):
-        d = np.sqrt(sq_distances(X[i : i + 1], X))[0]
-        d[i] = np.inf
-        member = d <= kdist[i]
-        lof_train[i] = lrd[member].mean() / lrd[i]
-    return {
-        "train": X.copy(),
-        "k": k,
-        "train_kdist": kdist,
-        "train_lrd": lrd,
-        "train_lof": lof_train,
-    }
+def fit_lof(X: np.ndarray, params: dict, rng) -> dict:
+    k = int(params["k"])
+    kdist, lrd, _ = lof_in_sample(X, k)
+    return {"train": X.copy(), "k": k, "train_kdist": kdist, "train_lrd": lrd}
 
 
 def score_lof(state: dict, Q: np.ndarray) -> np.ndarray:
@@ -113,21 +112,8 @@ def score_lof(state: dict, Q: np.ndarray) -> np.ndarray:
     out = np.empty(Q.shape[0])
     for a, b in iter_chunks(Q.shape[0]):
         d = np.sqrt(sq_distances(Q[a:b], train))
-        idx, nd, kdist_q, tied = _topk_neighbors(d, k)
-        fast = ~tied
-        lrd_q = np.empty(b - a)
-        lrd_mean = np.empty(b - a)
-        if fast.any():
-            nn = idx[fast, :k]
-            reach = np.maximum(kdist_t[nn], nd[fast, :k]).mean(axis=1)
-            lrd_q[fast] = 1.0 / np.maximum(reach, DENSITY_EPS)
-            lrd_mean[fast] = lrd_t[nn].mean(axis=1)
-        for i in np.flatnonzero(tied):
-            member = d[i] <= kdist_q[i]
-            reach = np.maximum(kdist_t[member], d[i, member]).mean()
-            lrd_q[i] = 1.0 / max(reach, DENSITY_EPS)
-            lrd_mean[i] = lrd_t[member].mean()
-        out[a:b] = lrd_mean / lrd_q
+        _, nn, nd, ties = _neighborhoods(d, k)
+        out[a:b] = _mean_lrd(lrd_t, nn, nd, ties) / _lrd(kdist_t, nn, nd, ties)
     return out
 
 

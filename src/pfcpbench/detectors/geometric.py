@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import ABOF_EPS, iter_chunks, logsumexp, sq_distances
+from .common import ABOF_EPS, iter_chunks, logsumexp, nearest, sq_distances
 
 GMM_RIDGE = 1e-6
 GMM_MAX_ITER = 200
@@ -37,10 +37,6 @@ def score_pca(state: dict, Q: np.ndarray) -> np.ndarray:
     return (residual**2).sum(axis=1)
 
 
-def fit_abod(X: np.ndarray, params: dict, rng) -> dict:
-    return {"train": X.copy(), "k": int(params["k"])}
-
-
 def score_abod(state: dict, Q: np.ndarray) -> np.ndarray:
     """Fast angle-based variant over the k nearest training neighbors.
 
@@ -53,17 +49,14 @@ def score_abod(state: dict, Q: np.ndarray) -> np.ndarray:
     # a few spare neighbors so coincident points can be skipped
     spare = min(k + 8, train.shape[0])
     for a, b in iter_chunks(Q.shape[0], 256):
-        d2 = sq_distances(Q[a:b], train)
-        part = np.argpartition(d2, spare - 1, axis=1)[:, :spare]
-        for i in range(a, b):
-            cand = part[i - a]
-            cand = cand[np.argsort(d2[i - a, cand], kind="stable")]
-            usable = cand[d2[i - a, cand] > ABOF_EPS][:k]
+        near, near_d2 = nearest(sq_distances(Q[a:b], train), spare)
+        for i, cand, cand_d2 in zip(range(a, b), near, near_d2):
+            apart = cand_d2 > ABOF_EPS
+            usable, norms2 = cand[apart][:k], cand_d2[apart][:k]
             if len(usable) < 2:
                 out[i] = -np.log(ABOF_EPS)
                 continue
             diffs = train[usable] - Q[i]
-            norms2 = d2[i - a, usable]
             dots = diffs @ diffs.T
             quot = dots / np.outer(norms2, norms2)
             iu = np.triu_indices(len(usable), k=1)

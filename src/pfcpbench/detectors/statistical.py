@@ -22,50 +22,38 @@ def score_hbos(state: dict, Q: np.ndarray) -> np.ndarray:
     return (-np.log(h + EPS)).cumsum(axis=1)[:, -1]
 
 
-def _ecdf_tails(sorted_cols: list[np.ndarray], Q: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right empirical tail probabilities per dimension."""
-    n_train = len(sorted_cols[0])
-    left = np.empty_like(Q)
-    right = np.empty_like(Q)
-    for j, col in enumerate(sorted_cols):
-        left[:, j] = np.searchsorted(col, Q[:, j], side="right") / n_train
-        right[:, j] = (n_train - np.searchsorted(col, Q[:, j], side="left")) / n_train
-    return np.maximum(left, floor), np.maximum(right, floor)
-
-
-def fit_copod(X: np.ndarray, params: dict, rng) -> dict:
-    """Empirical per-dimension CDFs plus tail-side selection by skewness."""
+def fit_ecdf(X: np.ndarray, params: dict, rng) -> dict:
+    """Empirical per-dimension CDFs, as one (d x n) table of sorted training
+    columns, plus tail-side selection by skewness; COPOD and ECOD share it."""
     return {
-        "sorted": [np.sort(X[:, j]) for j in range(X.shape[1])],
+        "sorted": np.sort(np.ascontiguousarray(X.T), axis=1),
         "skew_sign": sample_skew_sign(X),
     }
 
 
-def score_copod(state: dict, Q: np.ndarray) -> np.ndarray:
-    left, right = _ecdf_tails(state["sorted"], Q, EPS)
-    u_left = -np.log(left)
-    u_right = -np.log(right)
+def _tail_scores(state: dict, Q: np.ndarray, floor: float) -> np.ndarray:
+    """The largest of the left-tail, right-tail and skew-chosen-tail sums of
+    -log empirical tail probabilities, each probability floored at ``floor``."""
+    table = state["sorted"]
+    n = table.shape[1]
+    left = np.empty_like(Q)
+    right = np.empty_like(Q)
+    for j, col in enumerate(table):
+        left[:, j] = np.searchsorted(col, Q[:, j], side="right") / n
+        right[:, j] = (n - np.searchsorted(col, Q[:, j], side="left")) / n
+    u_left = -np.log(np.maximum(left, floor))
+    u_right = -np.log(np.maximum(right, floor))
     u_skew = np.where(state["skew_sign"] < 0, u_left, u_right)
     return np.maximum.reduce(
         [u_left.sum(axis=1), u_right.sum(axis=1), u_skew.sum(axis=1)]
     )
 
 
-def fit_ecod(X: np.ndarray, params: dict, rng) -> dict:
-    return {
-        "n": X.shape[0],
-        "sorted": [np.sort(X[:, j]) for j in range(X.shape[1])],
-        "skew_sign": sample_skew_sign(X),
-    }
+def score_copod(state: dict, Q: np.ndarray) -> np.ndarray:
+    return _tail_scores(state, Q, EPS)
 
 
 def score_ecod(state: dict, Q: np.ndarray) -> np.ndarray:
     # Tail probabilities floored at 1/n: a query beyond every training
     # value contributes log(n) per dimension.
-    left, right = _ecdf_tails(state["sorted"], Q, 1.0 / state["n"])
-    o_left = -np.log(left)
-    o_right = -np.log(right)
-    o_auto = np.where(state["skew_sign"] < 0, o_left, o_right)
-    return np.maximum.reduce(
-        [o_left.sum(axis=1), o_right.sum(axis=1), o_auto.sum(axis=1)]
-    )
+    return _tail_scores(state, Q, 1.0 / state["sorted"].shape[1])

@@ -15,7 +15,6 @@ same directory, and loading checks that hash.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import MutableMapping, Sequence
@@ -23,8 +22,9 @@ from typing import MutableMapping, Sequence
 import numpy as np
 
 from .detectors import DetectorKind, DetectorModel, _from_jsonable, _to_jsonable
+from .detectors.common import sq_distances
 from .errors import FitError, IoError, SchemaError
-from .traffic import ClassLabel, LabeledDataset, malformed, read_container
+from .traffic import ClassLabel, LabeledDataset, malformed, read_container, write_json
 
 SOLVER_TOL = 1e-3
 SOLVER_MAX_PASSES = 100
@@ -82,8 +82,7 @@ PRESETS = {
 
 
 def _rbf(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    return np.exp(-gamma * sq_distances(A, B))
 
 
 def _dual_coordinate_ascent(K: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
@@ -169,10 +168,7 @@ class EnsembleModel:
             "train_accuracy": self.train_accuracy,
             "bases": bases,
         }
-        try:
-            path.write_text(json.dumps(doc, sort_keys=True))
-        except OSError as exc:
-            raise IoError(f"cannot write ensemble model to {path}: {exc}") from exc
+        write_json(path, doc)
 
     @staticmethod
     def from_json_dict(

@@ -4,7 +4,6 @@ evasion-rate tables, and deterministic report emission."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -12,8 +11,8 @@ from typing import Sequence
 import numpy as np
 
 from .ensemble import EnsembleModel
-from .errors import IoError, MetricError
-from .traffic import ClassLabel, LabeledDataset
+from .errors import MetricError
+from .traffic import ClassLabel, LabeledDataset, make_dir, write_json, write_text
 
 NA = "n/a"
 
@@ -199,26 +198,14 @@ def emit_report(
     matrix: DetectionMatrix | None,
     evasion: Sequence[EvasionRow] | None,
     out_dir: str | Path,
-) -> list[Path]:
+) -> None:
     """Write report files with deterministic ordering and 4-decimal floats.
 
     Emits ``metrics.{json,csv}``, ``detection_matrix.csv``, and
     ``evasion.{json,csv}`` under ``out_dir``; sections passed as None are
     skipped so callers can emit partial reports without clobbering others.
     """
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create report directory {out_dir}: {exc}") from exc
-    written: list[Path] = []
-
-    def write(path: Path, text: str):
-        try:
-            path.write_text(text)
-        except OSError as exc:
-            raise IoError(f"cannot write report file {path}: {exc}") from exc
-        written.append(path)
+    out_dir = make_dir(Path(out_dir))
 
     if metrics is not None:
         metric_dicts = [
@@ -232,8 +219,8 @@ def emit_report(
             }
             for m in sorted(metrics, key=lambda m: (m.model, m.scaled))
         ]
-        write(out_dir / "metrics.json", json.dumps(metric_dicts, indent=2, sort_keys=True))
-        write(out_dir / "metrics.csv", _csv_text(
+        write_json(out_dir / "metrics.json", metric_dicts, indent=2)
+        write_text(out_dir / "metrics.csv", _csv_text(
             ["model", "scaled", "auc", "precision", "recall", "f1"], metric_dicts
         ))
     if evasion is not None:
@@ -248,8 +235,8 @@ def emit_report(
             }
             for e in sorted(evasion, key=lambda e: (e.model, e.algorithm, e.scaled))
         ]
-        write(out_dir / "evasion.json", json.dumps(evasion_dicts, indent=2, sort_keys=True))
-        write(out_dir / "evasion.csv", _csv_text(
+        write_json(out_dir / "evasion.json", evasion_dicts, indent=2)
+        write_text(out_dir / "evasion.csv", _csv_text(
             ["model", "algorithm", "scaled", "evasion_rate", "n_attempted", "n_evaded"],
             evasion_dicts,
         ))
@@ -257,8 +244,7 @@ def emit_report(
         lines = [",".join(["model"] + list(matrix.classes))]
         for name, cells in zip(matrix.models, matrix.cells):
             lines.append(",".join([name] + [str(_round4(c)) for c in cells]))
-        write(out_dir / "detection_matrix.csv", "\n".join(lines) + "\n")
-    return written
+        write_text(out_dir / "detection_matrix.csv", "\n".join(lines) + "\n")
 
 
 def _csv_text(fields: list[str], rows: list[dict]) -> str:

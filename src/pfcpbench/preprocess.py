@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GuidelineViolation, IoError, PipelineError, SchemaError
+from .errors import GuidelineViolation, PipelineError, SchemaError
 from .traffic import (
     CATEGORICAL,
     CONTROL_PLANE_PROTOCOLS,
@@ -40,6 +40,7 @@ from .traffic import (
     NumericDomain,
     malformed,
     read_container,
+    write_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -403,10 +404,7 @@ class PipelineModel:
             )
 
     def save(self, path: str | Path) -> None:
-        try:
-            Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True))
-        except OSError as exc:
-            raise IoError(f"cannot write pipeline model to {path}: {exc}") from exc
+        write_json(path, self.to_json_dict(), indent=2)
 
     @staticmethod
     def load(path: str | Path) -> "PipelineModel":

@@ -97,6 +97,28 @@ def read_container(path: str | Path) -> tuple[dict, str]:
     return doc, hashlib.sha256(data).hexdigest()
 
 
+def make_dir(path: Path) -> Path:
+    """``path``, created with its parents if missing; ``IoError`` when it cannot be."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create directory {path}: {exc}") from exc
+    return path
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``; ``IoError`` when the file cannot be written."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(path: str | Path, doc, indent: int | None = None) -> None:
+    """Write ``doc`` to ``path`` as JSON with sorted keys, as ``read_container`` reads it."""
+    write_text(path, json.dumps(doc, indent=indent, sort_keys=True))
+
+
 @contextmanager
 def malformed(what: str):
     """Raise a missing key or wrongly typed value in a saved ``what`` as ``SchemaError``."""
@@ -270,10 +292,7 @@ class FeatureSchema:
             return FeatureSchema(features=tuple(feats), version=int(doc["version"]))
 
     def save(self, path: str | Path) -> None:
-        try:
-            Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True))
-        except OSError as exc:
-            raise IoError(f"cannot write schema to {path}: {exc}") from exc
+        write_json(path, self.to_json_dict(), indent=2)
 
     @staticmethod
     def load(path: str | Path) -> "FeatureSchema":

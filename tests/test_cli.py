@@ -8,7 +8,7 @@ import pytest
 
 from pfcpbench.cli import main
 from pfcpbench.corpus import default_schema, load_csv
-from pfcpbench.detectors import DetectorKind, DetectorModel
+from pfcpbench.detectors import DETECTOR_FORMAT, DetectorKind, DetectorModel
 from pfcpbench.ensemble import ENSEMBLE_FORMAT, EnsembleModel
 
 REPO = Path(__file__).resolve().parent.parent
@@ -196,8 +196,10 @@ def _short_data(doc):
     payload["data"] = base64.b64encode(base64.b64decode(payload["data"])[:-8]).decode()
 
 
-def _as_v3_detector(doc):
-    doc["format"] = "pfcpbench-detector-v3"
+def _retagged(tag):
+    def damage(doc):
+        doc["format"] = tag
+    return damage
 
 
 def _as_v2_detector(doc):
@@ -219,11 +221,13 @@ def _as_v2_detector(doc):
         (_damage_heights(shape=[2.0, 10]), "shape"),
         (_damage_heights(shape="3x10"), "shape"),
         (_as_v2_detector, "pfcpbench-detector-v2"),
-        (_as_v3_detector, "pfcpbench-detector-v3"),
+        (_retagged("pfcpbench-detector-v3"), "pfcpbench-detector-v3"),
+        (_retagged("pfcpbench-detector-v4"), "pfcpbench-detector-v4"),
     ],
     ids=[
         "bad-base64", "list-data", "short-data", "f4-dtype", "named-dtype",
         "negative-shape", "float-shape", "string-shape", "v2-detector", "v3-detector",
+        "v4-detector",
     ],
 )
 def test_malformed_array_payload_fails_with_schema_error(pipeline_run, damage, message, capsys):
@@ -331,13 +335,16 @@ def j_config_run(tmp_path_factory):
         '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.len": {"lo": 0, "hi": 1e9}}}}',
         '{"flood": {"features": [], "narrow": {"ip.ttl": {"lo": 0, "hi": 1e9}}}}',
         '{"flood": {"narrow": {"pfcp.msg_type": {"labels": ["50"]}}}}',
+        '{"flood": {"features": ["ip.src"]}}',
+        '{"flood": {"features": ["ip.ttl", "ip.len", "ip.ttl"]}}',
     ],
     ids=["unknown-class", "benign-class", "bare-list", "features-string", "features-number",
          "narrow-list", "misspelt-key", "top-level-list", "invalid-json",
          "narrow-empty-bounds", "narrow-string-bound", "narrow-nan-bound", "narrow-extra-key",
          "narrow-inverted", "narrow-outside-domain", "narrow-bounds-on-categorical",
          "narrow-repeated-label", "narrow-unknown-label", "narrow-outside-j",
-         "narrow-with-empty-j", "narrow-protected-field"],
+         "narrow-with-empty-j", "narrow-protected-field", "feature-not-in-schema",
+         "repeated-feature"],
 )
 def test_attack_rejects_malformed_feasible_set_config(j_config_run, text, capsys):
     config, j_config = j_config_run
@@ -429,7 +436,7 @@ def test_malformed_config_is_config_error(tmp_path, capsys, text, flags):
     [
         ("pipeline.json", "{", ("preprocess",), "train"),
         ("pipeline.json", '{"kept_features": []}', ("preprocess",), "train"),
-        ("models/HBOS.json", '{"format": "pfcpbench-detector-v4"}', ("preprocess", "train"), "evaluate"),
+        ("models/HBOS.json", json.dumps({"format": DETECTOR_FORMAT}), ("preprocess", "train"), "evaluate"),
         ("schema.json", '{"version": 1}', (), "preprocess"),
     ],
     ids=["truncated-pipeline", "pipeline-without-imputer", "detector-without-kind",
@@ -448,6 +455,16 @@ def test_damaged_artefact_fails_with_schema_error(tmp_path, capsys, target, text
     assert run(command, config) == 3
     err = capsys.readouterr().err
     assert "error[SchemaError]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synth", "preprocess"])
+def test_out_on_a_regular_file_is_io_error(tmp_path, capsys, command):
+    config = write_config(tmp_path)
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    assert run(command, config, "--out", str(blocker)) == 2
+    err = capsys.readouterr().err
+    assert "error[IoError]" in err and "Traceback" not in err
 
 
 def test_out_spelling_does_not_change_run_dir(tmp_path, monkeypatch):

@@ -37,12 +37,11 @@ def brute_knn(train: np.ndarray, q: np.ndarray, k: int) -> float:
     return dists[k - 1]
 
 
-def brute_lof(train: np.ndarray, queries: np.ndarray, k: int) -> list[float]:
+def brute_lof_in_sample(train: np.ndarray, k: int):
+    """Per training row: k-distance, local reachability density and in-sample
+    factor, each over the neighbours other than the row itself."""
     n = len(train)
-
-    def dist(a, b):
-        return math.dist(a, b)
-
+    dist = math.dist
     kdist = []
     neighbors = []
     for i in range(n):
@@ -54,6 +53,14 @@ def brute_lof(train: np.ndarray, queries: np.ndarray, k: int) -> list[float]:
     for i in range(n):
         reach = [max(kdist[j], dist(train[i], train[j])) for j in neighbors[i]]
         lrd.append(1.0 / (sum(reach) / len(reach)))
+    factors = [sum(lrd[j] for j in neighbors[i]) / len(neighbors[i]) / lrd[i] for i in range(n)]
+    return kdist, lrd, factors
+
+
+def brute_lof(train: np.ndarray, queries: np.ndarray, k: int) -> list[float]:
+    n = len(train)
+    dist = math.dist
+    kdist, lrd, _ = brute_lof_in_sample(train, k)
     out = []
     for q in queries:
         ds = sorted(dist(q, t) for t in train)
@@ -82,6 +89,61 @@ def test_knn_and_lof_match_brute_force():
         got = lof.score_batch(Q)
         want = brute_lof(X, Q, k)
         assert np.abs(got - np.array(want)).max() < 1e-9
+
+
+def test_lof_matches_brute_force_on_distance_ties():
+    # Integer grid points with duplicated rows: many rows and queries have
+    # their (k+1)-th neighbour exactly as far as their k-th, so the neighbour
+    # set grows past k, in fit and in scoring.  Each point has at most one
+    # duplicate and k >= 2, so no k-distance is 0.
+    rng = np.random.default_rng(11)
+    k = 3
+    grid = rng.choice(6, size=(30, 2)).astype(float)
+    grid = np.unique(grid, axis=0)
+    X = np.vstack([grid, grid[:8]])
+    Q = np.vstack([rng.choice(7, size=(12, 2)).astype(float), grid[:3], grid[-2:]])
+
+    def tied(rows, exclude_self):
+        count = 0
+        for i, q in enumerate(rows):
+            ds = sorted(
+                math.dist(q, t) for j, t in enumerate(X) if not (exclude_self and j == i)
+            )
+            count += ds[k] == ds[k - 1]
+        return count
+
+    assert tied(X, True) > 0 and tied(Q, False) > 0
+    lof = fit(DetectorConfig(kind=DetectorKind.LOF, params={"k": k}), numeric_dataset(X))
+    got = lof.score_batch(Q)
+    assert np.abs(got - np.array(brute_lof(X, Q, k))).max() < 1e-9
+    _, lrd, _ = brute_lof_in_sample(X, k)
+    assert np.abs(lof.state["train_lrd"] - np.array(lrd)).max() < 1e-9
+    assert np.abs(lof.score_batch(X) - np.array(brute_lof(X, X, k))).max() < 1e-9
+
+
+def test_feature_bagging_matches_member_loop():
+    # Reference: each member's LOF by brute force on its own columns,
+    # z-normalized by the mean and sd of its in-sample factors, averaged.
+    rng = np.random.default_rng(12)
+    k = 4
+    X = rng.normal(size=(40, 5))
+    Q = np.vstack([rng.normal(size=(10, 5)) * 2, X[:3]])
+    model = fit(
+        DetectorConfig(kind=DetectorKind.FEATURE_BAGGING, params={"bag_count": 4, "k": k}),
+        numeric_dataset(X),
+        seed=5,
+    )
+    want = np.zeros(len(Q))
+    members = model.state["members"]
+    for member in members:
+        feats = list(member["features"])
+        _, _, factors = brute_lof_in_sample(X[:, feats], k)
+        mean, sd = np.mean(factors), max(np.std(factors), 1e-12)
+        assert member["mean"] == pytest.approx(mean, rel=1e-12)
+        assert member["sd"] == pytest.approx(sd, rel=1e-9)
+        want += (np.array(brute_lof(X[:, feats], Q[:, feats], k)) - mean) / sd
+    want /= len(members)
+    assert np.abs(model.score_batch(Q) - want).max() < 1e-9
 
 
 # --- spec'd spot checks --------------------------------------------------------
