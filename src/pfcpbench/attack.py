@@ -142,21 +142,22 @@ def scale_compliance(spec: ComplianceSpec, pipeline: PipelineModel) -> Complianc
     relation direction is preserved; categorical predicates are untouched.
     """
     # predicate fields are protected, so checking the protected set covers both
-    missing = [name for name in spec.protected if name not in pipeline.kept_features]
+    schema, scaler = pipeline.output_schema, pipeline.scaler
+    missing = [name for name in spec.protected if name not in schema.names]
     if missing:
         raise ConfigError(
             f"{spec.attack_class.value}: compliance references dropped features {sorted(missing)}"
         )
-    if not pipeline.scaling_enabled or pipeline.scaler_state is None:
+    if scaler is None:
         return spec
     predicates = []
     for name, relation, value in spec.predicates:
-        desc = pipeline.output_schema.descriptor(name)
-        if desc.kind == CATEGORICAL:
+        pos = schema.position(name)
+        if schema.features[pos].kind == CATEGORICAL:
             predicates.append((name, relation, value))
         else:
-            med, scale = pipeline.scaler_state.scale_of(name)
-            predicates.append((name, relation, (float(value) - med) / scale))
+            scaled = (float(value) - scaler.center[pos]) / scaler.scale[pos]
+            predicates.append((name, relation, scaled))
     return ComplianceSpec(spec.attack_class, spec.protected, tuple(predicates))
 
 
@@ -253,6 +254,8 @@ def load_feasible_sets(
     if path:
         try:
             doc = json.loads(Path(path).read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read feasible-set config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"feasible-set config {path}: invalid JSON ({exc})") from exc
         if not isinstance(doc, dict):

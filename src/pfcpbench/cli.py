@@ -98,7 +98,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
         corpus_mod.save_csv(transformed, out_dir / f"{name}.csv", seed=cfg.seed)
     write_json(run_dir / "drop_report.json", dict(sorted(model.drop_report.items())), indent=2)
     logger.info(
-        "pipeline kept %d features, dropped %d", len(model.kept_features), len(model.drop_report)
+        "pipeline kept %d features, dropped %d", len(model.output_schema), len(model.drop_report)
     )
     print(run_dir)
     return 0
@@ -140,7 +140,7 @@ def cmd_train(cfg: RunConfig) -> int:
         try:
             seed = derive_seed(cfg.seed, "fit", label)
             if entry.grid:
-                config, log = det_mod.grid_search(
+                model, log = det_mod.grid_search(
                     kind, entry.grid, train, validation,
                     contamination=entry.contamination, seed=seed,
                 )
@@ -149,10 +149,10 @@ def cmd_train(cfg: RunConfig) -> int:
                 config = det_mod.DetectorConfig(
                     kind=kind, params=entry.params, contamination=entry.contamination
                 )
-            model = det_mod.fit(config, train, seed=seed)
+                model = det_mod.fit(config, train, seed=seed)
             model.save(models_dir / f"{label}.json")
             fitted[kind] = model
-            train_log[label] = {"status": "ok", "params": config.params, "tau": model.tau}
+            train_log[label] = {"status": "ok", "params": model.config.params, "tau": model.tau}
             logger.info("fitted %s (tau=%.6g)", label, model.tau)
         except errors.PfcpBenchError as exc:
             train_log[label] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
@@ -236,7 +236,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     y = np.array([lab is not ClassLabel.NORMAL for lab in test.labels], dtype=bool)
     scores = eval_mod.score_models(models, test.matrix)
     rows = [
-        eval_mod.metrics_row(name, s, y, model.tau, pipeline.scaling_enabled)
+        eval_mod.metrics_row(name, s, y, model.tau, pipeline.scaler is not None)
         for (name, model), s in zip(models, scores)
     ]
     matrix = eval_mod.detection_matrix(models, scores, test)
@@ -282,7 +282,7 @@ def cmd_attack(cfg: RunConfig) -> int:
                 run_dir / f"campaign-{name}-{algorithm}.jsonl",
                 include_trace=cfg.include_traces,
             )
-            groups.append((name, algorithm, pipeline.scaling_enabled, outcomes))
+            groups.append((name, algorithm, pipeline.scaler is not None, outcomes))
             logger.info(
                 "%s vs %s: %d/%d evaded",
                 algorithm, name, sum(o.evaded for o in outcomes), len(outcomes),

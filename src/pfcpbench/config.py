@@ -85,11 +85,19 @@ def _parse_sources(entries: Sequence[dict]) -> tuple[SplitSource, ...]:
         out.append(
             SplitSource(
                 path=entry["path"],
-                include=None if include is None else tuple(ClassLabel(v) for v in include),
+                include=None if include is None else tuple(_class_label(v) for v in include),
                 label_column=entry.get("label_column", DEFAULT_LABEL_COLUMN),
             )
         )
     return tuple(out)
+
+
+def _class_label(value: str) -> ClassLabel:
+    try:
+        return ClassLabel(value)
+    except ValueError:
+        known = [label.value for label in ClassLabel]
+        raise ConfigError(f"corpus.splits: unknown class {value!r} (have {known})") from None
 
 
 def read_config(path: str | Path) -> dict:
@@ -110,27 +118,40 @@ def read_config(path: str | Path) -> dict:
 
 # What a run config may hold: objects with their fields, lists with the shape
 # of their items, and value types, where a float field takes integers too.
-# Any field may be absent; those named in _NULLABLE may also be null.
+# An object may hold no other field, except one whose shape is ``dict``,
+# which may hold any.  Any field may be absent except those named in
+# _REQUIRED; those named in _NULLABLE may also be null.
+_SOURCES = [{"path": str, "include": [str], "label_column": str}]
 _SHAPE = {
     "seed": int,
-    "corpus": {"synth": {"scale": float, "noise_scale": float}, "splits": {}},
-    "pipeline": {"gt1_patterns": [str]},
-    "detectors": [{"kind": str, "params": {}, "grid": {}, "contamination": float}],
+    "out": str,
+    "schema": str,
+    "corpus": {"synth": {"scale": float, "noise_scale": float},
+               "splits": {"train": _SOURCES, "validation": _SOURCES, "test": _SOURCES}},
+    "pipeline": {"scaling": bool, "gt1_patterns": [str]},
+    "detectors": [{"kind": str, "params": dict, "grid": dict, "contamination": float}],
     "ensembles": [str],
-    "attack": {"algorithms": [str], "targets": [str], "j_config": str,
-               "budget": int, "popsize": int, "rs_retries": int},
+    "attack": {"algorithms": [str], "targets": [str], "j_config": str, "marginals": str,
+               "budget": int, "popsize": int, "rs_retries": int, "include_traces": bool},
 }
-_NULLABLE = {"synth", "splits", "gt1_patterns", "targets", "j_config", "grid"}
+_REQUIRED = {"path"}
+_NULLABLE = {"synth", "splits", "include", "gt1_patterns", "targets", "j_config", "grid"}
 _TYPE_NAMES = {dict: "an object", list: "a list", int: "an integer", float: "a number",
-               str: "a string"}
+               str: "a string", bool: "true or false"}
 
 
 def _check_shape(value, shape, name: str, path: Path) -> None:
     expected = type(shape) if isinstance(shape, (dict, list)) else shape
+    where = name or "the top level"
     if type(value) not in ((int, float) if expected is float else (expected,)):
-        where = name or "the top level"
         raise ConfigError(f"{path}: {where} must be {_TYPE_NAMES[expected]}, got {value!r}")
     if isinstance(shape, dict):
+        unknown = sorted(set(value) - set(shape))
+        if unknown:
+            raise ConfigError(f"{path}: {where} has unknown fields {unknown}")
+        absent = sorted(_REQUIRED & set(shape) - set(value))
+        if absent:
+            raise ConfigError(f"{path}: {where} needs the fields {absent}")
         for key, inner in shape.items():
             if key in value and not (value[key] is None and key in _NULLABLE):
                 _check_shape(value[key], inner, f"{name}.{key}" if name else key, path)
@@ -180,7 +201,7 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError("config needs corpus.synth or corpus.splits")
 
     pipeline_doc = doc.get("pipeline", {})
-    scaling = bool(pipeline_doc.get("scaling", True))
+    scaling = pipeline_doc.get("scaling", True)
     patterns = pipeline_doc.get("gt1_patterns")
 
     detectors = []
@@ -226,6 +247,6 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         j_config=j_config,
         marginals_source=marginals_source,
         rs_retries=attack_doc.get("rs_retries", 1),
-        include_traces=bool(attack_doc.get("include_traces", False)),
+        include_traces=attack_doc.get("include_traces", False),
         raw=doc,
     )

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -261,7 +261,13 @@ def fit(config: DetectorConfig, train: LabeledDataset, seed: int = 42) -> Detect
     bad = sum(1 for lab in train.labels if lab is not ClassLabel.NORMAL)
     if bad:
         raise GuidelineViolation("GT4", f"{bad} attack rows in detector training data")
-    fit_fn, _, _, min_rows = _REGISTRY[config.kind]
+    fit_fn, _, defaults, min_rows = _REGISTRY[config.kind]
+    for name, value in config.params.items():
+        if type(defaults[name]) is int and not (type(value) is int and value >= 1):
+            raise FitError(f"{config.kind.value}: {name} must be an integer of at least 1, "
+                           f"got {value!r}")
+        if name == "variance_fraction" and not (type(value) in (int, float) and 0 < value <= 1):
+            raise FitError(f"{config.kind.value}: {name} must lie in (0, 1], got {value!r}")
     if len(train) < min_rows(config.params):
         raise FitError(
             f"{config.kind.value} needs at least {min_rows(config.params)} training rows, "
@@ -294,18 +300,18 @@ def fit(config: DetectorConfig, train: LabeledDataset, seed: int = 42) -> Detect
 
 def grid_search(
     kind: DetectorKind,
-    grid: Mapping[str, Sequence],
+    grid: Mapping[str, list],
     train: LabeledDataset,
     validation: LabeledDataset,
     contamination: float = DEFAULT_CONTAMINATION,
     seed: int = 42,
-) -> tuple[DetectorConfig, list[dict]]:
+) -> tuple[DetectorModel, list[dict]]:
     """Exhaustive search maximizing validation F1.
 
     Grid keys are the kind's hyperparameters; "contamination" may also be
-    swept.  Returns the winning config and a per-candidate log.  Ties
-    break toward the lexicographically smaller hyperparameter tuple
-    (sorted name order).
+    swept, and each key's values are a non-empty list.  Returns the fitted
+    winning model and a per-candidate log.  Ties break toward the
+    lexicographically smaller hyperparameter tuple (sorted name order).
     """
     from ..evaluate import threshold_metrics
 
@@ -315,14 +321,17 @@ def grid_search(
         raise GridSearchError("labels required: validation must contain both classes")
 
     names = sorted(grid)
+    for name in names:
+        if not (isinstance(grid[name], list) and grid[name]):
+            raise GridSearchError(
+                f"{kind.value}: grid values of {name} must be a non-empty list, got {grid[name]!r}"
+            )
     candidates = [dict(zip(names, combo)) for combo in itertools.product(*(grid[n] for n in names))]
-    if not candidates:
-        raise GridSearchError("empty hyperparameter grid")
     y = np.array([lab is not ClassLabel.NORMAL for lab in validation.labels], dtype=bool)
     V = validation.matrix
 
     log: list[dict] = []
-    best: tuple[float, tuple, DetectorConfig] | None = None
+    best: tuple[float, tuple, DetectorModel] | None = None  # only the best model is kept
     for point in candidates:
         params = {k: v for k, v in point.items() if k != "contamination"}
         config = DetectorConfig(
@@ -334,5 +343,5 @@ def grid_search(
         key = tuple(point[n] for n in names)
         log.append({"params": point, "f1": metrics.f1})
         if best is None or metrics.f1 > best[0] or (metrics.f1 == best[0] and key < best[1]):
-            best = (metrics.f1, key, config)
+            best = (metrics.f1, key, model)
     return best[2], log

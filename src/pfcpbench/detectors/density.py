@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from ..errors import FitError
 from .common import (
     DENSITY_EPS,
     EPS,
@@ -164,8 +163,6 @@ def fit_iforest(X: np.ndarray, params: dict, rng) -> dict:
     tree's root and ``depth`` the walk length that reaches every leaf."""
     n = X.shape[0]
     trees = int(params["trees"])
-    if trees < 1:
-        raise FitError(f"IForest needs at least one tree, got {trees}")
     psi = min(int(params["subsample"]), n)
     limit = max(1, math.ceil(math.log2(max(psi, 2))))
     nodes: list = []

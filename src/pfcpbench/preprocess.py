@@ -63,6 +63,9 @@ DEFAULT_GT1_PATTERNS = (
 )
 
 IMPUTER_MAX_ROUNDS = 10
+IMPUTER_TOL = 1e-3
+# Container tag; bumped whenever the saved pipeline state changes layout.
+PIPELINE_FORMAT = "pfcpbench-pipeline-v2"
 
 
 def _missing_mask(ds: LabeledDataset) -> np.ndarray:
@@ -72,28 +75,23 @@ def _missing_mask(ds: LabeledDataset) -> np.ndarray:
     return np.where(categorical, ds.matrix == MISSING_CODE, np.isnan(ds.matrix))
 
 
-def select_features(ds: LabeledDataset, keep_names: Sequence[str]) -> LabeledDataset:
-    """Dataset restricted to ``keep_names`` (original order preserved)."""
-    schema = ds.schema.subset(keep_names)
-    columns = [ds.schema.position(name) for name in schema.names]
-    return LabeledDataset(schema, ds.matrix[:, columns], ds.labels)
+def _drop_reported(
+    ds: LabeledDataset, report: dict[str, str]
+) -> tuple[LabeledDataset, dict[str, str]]:
+    """``ds`` without the columns ``report`` names (order preserved), and the report."""
+    columns = [j for j, name in enumerate(ds.schema.names) if name not in report]
+    schema = FeatureSchema(tuple(ds.schema.features[j] for j in columns), ds.schema.version)
+    return LabeledDataset(schema, ds.matrix[:, columns], ds.labels), report
 
 
 def drop_environment_features(
     ds: LabeledDataset, patterns: Sequence[str] = DEFAULT_GT1_PATTERNS
 ) -> tuple[LabeledDataset, dict[str, str]]:
     """Remove fields flagged environment-dependent or matching the blocklist."""
-    report: dict[str, str] = {}
-    keep = []
-    for f in ds.schema.features:
-        blocked = f.environment_dependent or any(
-            fnmatch.fnmatch(f.name, pat) for pat in patterns
-        )
-        if blocked:
-            report[f.name] = "GT1"
-        else:
-            keep.append(f.name)
-    return select_features(ds, keep), report
+    return _drop_reported(ds, {
+        f.name: "GT1" for f in ds.schema.features
+        if f.environment_dependent or any(fnmatch.fnmatch(f.name, pat) for pat in patterns)
+    })
 
 
 def filter_control_plane(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, str]]:
@@ -102,36 +100,25 @@ def filter_control_plane(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, 
     A row is considered non-control-plane content when it carries values
     only in TCP/ICMP-layer fields and none in UDP/PFCP fields.
     """
-    report: dict[str, str] = {}
-    keep = []
-    for f in ds.schema.features:
-        if f.protocol in CONTROL_PLANE_PROTOCOLS:
-            keep.append(f.name)
-        else:
-            report[f.name] = "GT2"
     missing = _missing_mask(ds)
 
     def layer_present(protocols: tuple[str, ...]) -> np.ndarray:
         columns = [j for j, f in enumerate(ds.schema.features) if f.protocol in protocols]
         return (~missing[:, columns]).any(axis=1)
 
-    other = layer_present(("tcp", "icmp"))
-    control = layer_present(("udp", "pfcp"))
-    row_mask = ~(other & ~control)
-    dropped_rows = int((~row_mask).sum())
-    if dropped_rows:
-        logger.info("GT2: dropped %d non-control-plane rows", dropped_rows)
-    out = select_features(ds, keep)
-    if dropped_rows:
-        out = out.subset(row_mask)
-    return out, report
+    dropped = layer_present(("tcp", "icmp")) & ~layer_present(("udp", "pfcp"))
+    if dropped.any():
+        logger.info("GT2: dropped %d non-control-plane rows", int(dropped.sum()))
+        ds = ds.subset(~dropped)
+    return _drop_reported(ds, {
+        f.name: "GT2" for f in ds.schema.features if f.protocol not in CONTROL_PLANE_PROTOCOLS
+    })
 
 
 def drop_uninformative(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, str]]:
     """Remove constant, all-missing, and exact-duplicate columns."""
     report: dict[str, str] = {}
     missing = _missing_mask(ds)
-    keep = []
     kept_columns: list[tuple[str, str, np.ndarray]] = []  # (kind, name, raw column)
     for j, f in enumerate(ds.schema.features):
         col = ds.matrix[:, j]
@@ -150,9 +137,8 @@ def drop_uninformative(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, st
         if duplicate_of is not None:
             report[f.name] = f"GT3:duplicate-of-{duplicate_of}"
             continue
-        keep.append(f.name)
         kept_columns.append((f.kind, f.name, col))
-    return select_features(ds, keep), report
+    return _drop_reported(ds, report)
 
 
 # ---------------------------------------------------------------------------
@@ -163,67 +149,53 @@ def drop_uninformative(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, st
 class ImputerState:
     """Frozen imputation parameters, all learned from the training split.
 
-    ``cat_modes`` maps categorical feature name to the training mode code.
-    ``num_medians`` is the per-numerical-feature fallback.  Features with
-    missing training values additionally get round-robin regression
-    coefficients (intercept followed by one weight per other numerical
-    feature, in schema order).
+    ``fill`` holds one value per column in schema order: the training mode
+    code of a categorical column (``UNKNOWN_CODE`` when no category was
+    observed) or the training median of a numerical one (0 when entirely
+    missing).  Numerical features with missing training values additionally
+    get round-robin regression coefficients, keyed by name (intercept
+    followed by one weight per other numerical feature, in schema order).
     """
 
-    cat_modes: dict[str, int]
-    num_medians: dict[str, float]
+    fill: tuple[float, ...]
     regressions: dict[str, tuple[float, ...]]
-    tol: float = 1e-3
 
 
-def _numeric_block(
-    schema: FeatureSchema, M: np.ndarray
-) -> tuple[list[int], list[str], np.ndarray]:
-    """Numerical positions, their names, and a C-ordered copy of those
-    columns of ``M`` (the regressions' ``others @ coefs`` rounds by layout)."""
-    positions = list(schema.numerical_positions)
-    names = [schema.features[pos].name for pos in positions]
-    return positions, names, np.ascontiguousarray(M[:, positions])
-
-
-def fit_imputer(train: LabeledDataset, tol: float = 1e-3) -> ImputerState:
+def fit_imputer(train: LabeledDataset) -> ImputerState:
     missing = _missing_mask(train)
-    cat_modes: dict[str, int] = {}
-    for pos in train.schema.categorical_positions:
-        name = train.schema.features[pos].name
-        observed = train.matrix[:, pos][~missing[:, pos]]
-        observed = observed[observed != UNKNOWN_CODE]
-        if observed.size == 0:
-            logger.warning("%s: no observed training categories, imputing UNKNOWN", name)
-            cat_modes[name] = UNKNOWN_CODE
-            continue
-        codes, counts = np.unique(observed, return_counts=True)
-        cat_modes[name] = int(codes[np.argmax(counts)])  # ties: smallest code wins
-
-    num_pos, num_names, X = _numeric_block(train.schema, train.matrix)
-    num_missing = missing[:, num_pos]
-    medians: dict[str, float] = {}
-    for j, name in enumerate(num_names):
-        observed = X[:, j][~num_missing[:, j]]
-        if observed.size == 0:
-            logger.warning("%s: entirely missing in training data, imputing 0", name)
-            medians[name] = 0.0
+    fill = []
+    for j, f in enumerate(train.schema.features):
+        observed = train.matrix[~missing[:, j], j]
+        if f.kind == CATEGORICAL:
+            observed = observed[observed != UNKNOWN_CODE]
+            if observed.size == 0:
+                logger.warning("%s: no observed training categories, imputing UNKNOWN", f.name)
+                fill.append(float(UNKNOWN_CODE))
+            else:
+                codes, counts = np.unique(observed, return_counts=True)
+                fill.append(float(codes[np.argmax(counts)]))  # ties: smallest code wins
+        elif observed.size == 0:
+            logger.warning("%s: entirely missing in training data, imputing 0", f.name)
+            fill.append(0.0)
         else:
-            medians[name] = float(np.median(observed))
-        X[num_missing[:, j], j] = medians[name]
+            fill.append(float(np.median(observed)))
 
-    incomplete = [j for j in range(X.shape[1]) if num_missing[:, j].any()]
+    num_pos = list(train.schema.numerical_positions)
+    num_missing = missing[:, num_pos]
+    incomplete = [j for j in range(len(num_pos)) if num_missing[:, j].any()]
     regressions: dict[str, tuple[float, ...]] = {}
-    if incomplete and X.shape[1] >= 2:
+    if incomplete and len(num_pos) >= 2:
+        # C-ordered, because the regressions' ``others @ coefs`` rounds by layout
+        X = np.ascontiguousarray(np.where(missing, fill, train.matrix)[:, num_pos])
 
         def refit(j: int) -> tuple[float, ...] | None:
             coefs = _fit_column_regression(X, num_missing[:, j], j)
             if coefs is not None:
-                regressions[num_names[j]] = coefs
+                regressions[train.schema.features[num_pos[j]].name] = coefs
             return coefs
 
-        _impute_rounds(X, num_missing, incomplete, refit, tol)
-    return ImputerState(cat_modes=cat_modes, num_medians=medians, regressions=regressions, tol=tol)
+        _impute_rounds(X, num_missing, incomplete, refit)
+    return ImputerState(fill=tuple(fill), regressions=regressions)
 
 
 def _fit_column_regression(X: np.ndarray, missing: np.ndarray, j: int) -> tuple[float, ...] | None:
@@ -247,12 +219,10 @@ def _predict_column(X: np.ndarray, j: int, coefs: tuple[float, ...]) -> np.ndarr
     return coefs[0] + others @ np.asarray(coefs[1:])
 
 
-def _impute_rounds(
-    X: np.ndarray, missing: np.ndarray, columns: list[int], coefs_for, tol: float
-) -> None:
+def _impute_rounds(X: np.ndarray, missing: np.ndarray, columns: list[int], coefs_for) -> None:
     """Round-robin: refill the missing rows of each column in ``columns``
     from its regression on the others (``coefs_for(j)``, None skips it),
-    until no refilled value moves by ``tol`` or more."""
+    until no refilled value moves by ``IMPUTER_TOL`` or more."""
     for _ in range(IMPUTER_MAX_ROUNDS):
         max_delta = 0.0
         for j in columns:
@@ -265,31 +235,22 @@ def _impute_rounds(
             if delta.size:
                 max_delta = max(max_delta, float(delta.max()))
             X[rows, j] = predicted[rows]
-        if max_delta < tol:
+        if max_delta < IMPUTER_TOL:
             break
 
 
 def apply_imputer(state: ImputerState, ds: LabeledDataset) -> LabeledDataset:
     """Fill every missing entry; output has zero MISSING codes and NaNs."""
-    M = ds.matrix.copy()
     missing = _missing_mask(ds)
-    for pos in ds.schema.categorical_positions:
-        name = ds.schema.features[pos].name
-        if name not in state.cat_modes:
-            raise SchemaError(f"imputer has no state for categorical feature {name!r}")
-        M[missing[:, pos], pos] = state.cat_modes[name]
-
-    num_pos, num_names, X = _numeric_block(ds.schema, M)
-    missing = missing[:, num_pos]
-    for j, name in enumerate(num_names):
-        if name not in state.num_medians:
-            raise SchemaError(f"imputer has no state for numerical feature {name!r}")
-        X[missing[:, j], j] = state.num_medians[name]
-    pending = [j for j, name in enumerate(num_names)
-               if name in state.regressions and missing[:, j].any()]
+    M = np.where(missing, state.fill, ds.matrix)
+    num_pos = list(ds.schema.numerical_positions)
+    names = [ds.schema.features[pos].name for pos in num_pos]
+    pending = [j for j, pos in enumerate(num_pos)
+               if names[j] in state.regressions and missing[:, pos].any()]
     if pending:
-        _impute_rounds(X, missing, pending, lambda j: state.regressions[num_names[j]], state.tol)
-    M[:, num_pos] = X
+        X = np.ascontiguousarray(M[:, num_pos])
+        _impute_rounds(X, missing[:, num_pos], pending, lambda j: state.regressions[names[j]])
+        M[:, num_pos] = X
     return LabeledDataset(ds.schema, M, ds.labels)
 
 
@@ -299,41 +260,35 @@ def apply_imputer(state: ImputerState, ds: LabeledDataset) -> LabeledDataset:
 
 @dataclass(frozen=True)
 class ScalerState:
-    """Per-numerical-feature (median, q1, q3), linear-interpolation quantiles."""
+    """One (center, scale) pair per column in schema order: (0, 1) for a
+    categorical column, so its codes pass through, and the median and IQR
+    (linear-interpolation quantiles) of a numerical one, with scale 1 when
+    the IQR is degenerate."""
 
-    stats: dict[str, tuple[float, float, float]]
-
-    def scale_of(self, name: str) -> tuple[float, float]:
-        med, q1, q3 = self.stats[name]
-        iqr = q3 - q1
-        return med, (iqr if iqr > 0 else 1.0)
+    center: tuple[float, ...]
+    scale: tuple[float, ...]
 
 
 def fit_scaler(train: LabeledDataset) -> ScalerState:
-    stats: dict[str, tuple[float, float, float]] = {}
-    for pos in train.schema.numerical_positions:
-        name = train.schema.features[pos].name
-        col = train.matrix[:, pos]
+    center, scale = [], []
+    for f, col in zip(train.schema.features, train.matrix.T):
+        if f.kind == CATEGORICAL:
+            center.append(0.0)
+            scale.append(1.0)
+            continue
         if np.isnan(col).any():
-            raise PipelineError(f"{name}: scaler fitted before imputation")
+            raise PipelineError(f"{f.name}: scaler fitted before imputation")
         med, q1, q3 = (float(np.quantile(col, q)) for q in (0.5, 0.25, 0.75))
-        stats[name] = (med, q1, q3)
         if q3 <= q1:
-            logger.info("%s: degenerate IQR, feature will only be centered", name)
-    return ScalerState(stats=stats)
+            logger.info("%s: degenerate IQR, feature will only be centered", f.name)
+        center.append(med)
+        scale.append(q3 - q1 if q3 - q1 > 0 else 1.0)
+    return ScalerState(center=tuple(center), scale=tuple(scale))
 
 
 def apply_scaler(state: ScalerState, ds: LabeledDataset) -> LabeledDataset:
-    """x -> (x - median) / IQR; degenerate features are centered only.
-    Categorical codes pass through untouched."""
-    M = ds.matrix.copy()
-    for pos in ds.schema.numerical_positions:
-        name = ds.schema.features[pos].name
-        if name not in state.stats:
-            raise SchemaError(f"scaler has no state for feature {name!r}")
-        med, scale = state.scale_of(name)
-        M[:, pos] = (M[:, pos] - med) / scale
-    return LabeledDataset(ds.schema, M, ds.labels)
+    """x -> (x - center) / scale, exact for categorical codes (x - 0) / 1."""
+    return LabeledDataset(ds.schema, (ds.matrix - state.center) / state.scale, ds.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +297,27 @@ def apply_scaler(state: ScalerState, ds: LabeledDataset) -> LabeledDataset:
 
 @dataclass(frozen=True)
 class PipelineModel:
-    kept_features: tuple[str, ...]
-    drop_report: dict[str, str]
-    imputer_state: ImputerState
-    scaler_state: ScalerState | None
-    scaling_enabled: bool
-    input_schema: FeatureSchema
+    """All frozen pipeline state.  The imputer's and the scaler's per-column
+    values are in ``output_schema`` order; ``scaler`` is None when scaling
+    is off."""
+
     output_schema: FeatureSchema
+    drop_report: dict[str, str]
+    imputer: ImputerState
+    scaler: ScalerState | None
+
+    def __post_init__(self):
+        d = len(self.output_schema)
+        lengths = [len(self.imputer.fill)]
+        if self.scaler is not None:
+            lengths += [len(self.scaler.center), len(self.scaler.scale)]
+        if any(n != d for n in lengths):
+            raise SchemaError(f"pipeline state has {lengths} values for {d} columns")
+        numerical = {self.output_schema.features[pos].name
+                     for pos in self.output_schema.numerical_positions}
+        for name, coefs in self.imputer.regressions.items():
+            if name not in numerical or len(coefs) != len(numerical):
+                raise SchemaError(f"pipeline regression for {name!r} does not fit the schema")
 
     def state_hash(self) -> str:
         """Digest of all frozen state; transform must never change it."""
@@ -358,49 +327,39 @@ class PipelineModel:
 
     def to_json_dict(self) -> dict:
         return {
-            "kept_features": list(self.kept_features),
-            "drop_report": dict(sorted(self.drop_report.items())),
-            "imputer": {
-                "cat_modes": dict(sorted(self.imputer_state.cat_modes.items())),
-                "num_medians": dict(sorted(self.imputer_state.num_medians.items())),
-                "regressions": {
-                    k: list(v) for k, v in sorted(self.imputer_state.regressions.items())
-                },
-                "tol": self.imputer_state.tol,
-            },
-            "scaler": None
-            if self.scaler_state is None
-            else {k: list(v) for k, v in sorted(self.scaler_state.stats.items())},
-            "scaling_enabled": self.scaling_enabled,
-            "input_schema": self.input_schema.to_json_dict(),
+            "format": PIPELINE_FORMAT,
             "output_schema": self.output_schema.to_json_dict(),
+            "drop_report": dict(self.drop_report),
+            "imputer": {
+                "fill": list(self.imputer.fill),
+                "regressions": {k: list(v) for k, v in self.imputer.regressions.items()},
+            },
+            "scaler": None if self.scaler is None else {
+                "center": list(self.scaler.center), "scale": list(self.scaler.scale)
+            },
         }
 
     @staticmethod
     def from_json_dict(doc: dict) -> "PipelineModel":
+        if doc.get("format") != PIPELINE_FORMAT:
+            raise SchemaError(f"not a {PIPELINE_FORMAT} container: {doc.get('format')!r}")
+
+        def floats(values) -> tuple[float, ...]:
+            return tuple(float(x) for x in values)
+
         with malformed("pipeline model"):
-            imputer = ImputerState(
-                cat_modes={k: int(v) for k, v in doc["imputer"]["cat_modes"].items()},
-                num_medians={k: float(v) for k, v in doc["imputer"]["num_medians"].items()},
-                regressions={
-                    k: tuple(float(x) for x in v)
-                    for k, v in doc["imputer"]["regressions"].items()
-                },
-                tol=float(doc["imputer"]["tol"]),
-            )
-            scaler = None
-            if doc["scaler"] is not None:
-                scaler = ScalerState(
-                    stats={k: tuple(float(x) for x in v) for k, v in doc["scaler"].items()}
-                )
+            imputer = doc["imputer"]
+            scaler = doc["scaler"]
             return PipelineModel(
-                kept_features=tuple(doc["kept_features"]),
-                drop_report=dict(doc["drop_report"]),
-                imputer_state=imputer,
-                scaler_state=scaler,
-                scaling_enabled=bool(doc["scaling_enabled"]),
-                input_schema=FeatureSchema.from_json_dict(doc["input_schema"]),
                 output_schema=FeatureSchema.from_json_dict(doc["output_schema"]),
+                drop_report=dict(doc["drop_report"]),
+                imputer=ImputerState(
+                    fill=floats(imputer["fill"]),
+                    regressions={k: floats(v) for k, v in imputer["regressions"].items()},
+                ),
+                scaler=None if scaler is None else ScalerState(
+                    center=floats(scaler["center"]), scale=floats(scaler["scale"])
+                ),
             )
 
     def save(self, path: str | Path) -> None:
@@ -415,7 +374,6 @@ def fit_pipeline(
     train: LabeledDataset,
     scaling_enabled: bool = True,
     gt1_patterns: Sequence[str] = DEFAULT_GT1_PATTERNS,
-    tol: float = 1e-3,
 ) -> PipelineModel:
     """Fit all pipeline state on the benign training split."""
     bad = sum(1 for lab in train.labels if lab is not ClassLabel.NORMAL)
@@ -432,7 +390,7 @@ def fit_pipeline(
     if len(ds.schema) == 0:
         raise PipelineError("no features survive preprocessing")
 
-    imputer = fit_imputer(ds, tol=tol)
+    imputer = fit_imputer(ds)
     ds = apply_imputer(imputer, ds)
     scaler = fit_scaler(ds) if scaling_enabled else None
     if scaler is not None:
@@ -440,26 +398,13 @@ def fit_pipeline(
 
     # The output schema re-learns numerical domains from the transformed
     # training data; attack feasibility clamps candidate values to them.
-    out_features = []
-    for f, col in zip(ds.schema.features, ds.matrix.T):
-        if f.kind == CATEGORICAL:
-            out_features.append(f)
-        else:
-            out_features.append(
-                replace(f, domain=NumericDomain(float(col.min()), float(col.max())))
-            )
-    output_schema = FeatureSchema(
-        features=tuple(out_features), version=train.schema.version + 1
+    low, high = ds.matrix.min(axis=0), ds.matrix.max(axis=0)
+    features = tuple(
+        f if f.kind == CATEGORICAL else replace(f, domain=NumericDomain(float(lo), float(hi)))
+        for f, lo, hi in zip(ds.schema.features, low, high)
     )
-    return PipelineModel(
-        kept_features=ds.schema.names,
-        drop_report=report,
-        imputer_state=imputer,
-        scaler_state=scaler,
-        scaling_enabled=scaling_enabled,
-        input_schema=train.schema,
-        output_schema=output_schema,
-    )
+    output_schema = FeatureSchema(features=features, version=train.schema.version + 1)
+    return PipelineModel(output_schema, report, imputer, scaler)
 
 
 def transform(model: PipelineModel, ds: LabeledDataset) -> LabeledDataset:
@@ -468,11 +413,11 @@ def transform(model: PipelineModel, ds: LabeledDataset) -> LabeledDataset:
     Deterministic and stateless: the same input always maps to the same
     output and the model is never mutated.
     """
-    missing = [n for n in model.kept_features if n not in ds.schema.names]
+    names = model.output_schema.names
+    missing = [n for n in names if n not in ds.schema.names]
     if missing:
         raise SchemaError(f"dataset lacks pipeline features {missing}")
-    out = select_features(ds, model.kept_features)
-    out = apply_imputer(model.imputer_state, out)
-    if model.scaling_enabled and model.scaler_state is not None:
-        out = apply_scaler(model.scaler_state, out)
-    return LabeledDataset(model.output_schema, out.matrix, out.labels)
+    columns = [ds.schema.position(n) for n in names]
+    out = LabeledDataset(model.output_schema, ds.matrix[:, columns], ds.labels)
+    out = apply_imputer(model.imputer, out)
+    return out if model.scaler is None else apply_scaler(model.scaler, out)

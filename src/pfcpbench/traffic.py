@@ -241,15 +241,6 @@ class FeatureSchema:
     def numerical_positions(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.features) if f.kind == NUMERICAL)
 
-    def subset(self, keep_names: Sequence[str], version: int | None = None) -> "FeatureSchema":
-        """Schema restricted to ``keep_names``, preserving original order."""
-        keep = set(keep_names)
-        unknown = keep - set(self.names)
-        if unknown:
-            raise SchemaError(f"unknown features {sorted(unknown)}")
-        feats = tuple(f for f in self.features if f.name in keep)
-        return FeatureSchema(features=feats, version=self.version if version is None else version)
-
     def to_json_dict(self) -> dict:
         feats = []
         for f in self.features:

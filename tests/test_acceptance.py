@@ -308,7 +308,7 @@ def test_criterion_8_external_dataset_reproduction():
 
         model = fit_pipeline(train, scaling_enabled=True)
         surviving = {"ip": 0, "udp": 0, "pfcp": 0}
-        for name in model.kept_features:
+        for name in model.output_schema.names:
             proto = model.output_schema.descriptor(name).protocol
             if proto in surviving:
                 surviving[proto] += 1

@@ -574,6 +574,11 @@ def test_scale_compliance_maps_thresholds():
     assert (benign_t[:, pos] <= threshold).all()
 
 
+def test_missing_feasible_set_config_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read feasible-set config"):
+        load_feasible_sets(tmp_path / "absent.json", default_schema(), DEFAULT_COMPLIANCE_RULES)
+
+
 def test_default_controllable_features_disjoint_from_protected():
     schema = default_schema()
     sets = load_feasible_sets(None, schema, DEFAULT_COMPLIANCE_RULES)

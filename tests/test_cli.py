@@ -5,11 +5,16 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from pfcpbench import detectors as det_mod
 from pfcpbench.cli import main
+from pfcpbench.config import parse_run_config, read_config
 from pfcpbench.corpus import default_schema, load_csv
 from pfcpbench.detectors import DETECTOR_FORMAT, DetectorKind, DetectorModel
 from pfcpbench.ensemble import ENSEMBLE_FORMAT, EnsembleModel
+from pfcpbench.errors import PfcpBenchError
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -73,7 +78,6 @@ def test_preprocess_no_scale_flag(tmp_path):
     assert run("preprocess", config, "--no-scale") == 0
     run_dir = only_run_dir(tmp_path)
     doc = json.loads((run_dir / "pipeline.json").read_text())
-    assert doc["scaling_enabled"] is False
     assert doc["scaler"] is None
 
 
@@ -113,6 +117,38 @@ def test_train_writes_models_and_grid_log(tmp_path):
     assert all("f1" in entry for entry in grid_log)
     train_log = json.loads((run_dir / "train_log.json").read_text())
     assert train_log["HBOS"]["status"] == "ok"
+
+
+def test_train_keeps_the_grid_winner_without_refitting(tmp_path, monkeypatch):
+    fitted = []
+    real_fit = det_mod.fit
+
+    def counting_fit(config, *args, **kwargs):
+        fitted.append(config.kind)
+        return real_fit(config, *args, **kwargs)
+
+    monkeypatch.setattr(det_mod, "fit", counting_fit)
+    config = write_config(tmp_path, detectors=[{"kind": "HBOS", "grid": {"bins": [5, 10, 20]}}])
+    assert run("preprocess", config) == 0
+    assert run("train", config) == 0
+    assert fitted == [DetectorKind.HBOS] * 3
+
+
+def test_train_logs_bad_hyperparameters(tmp_path):
+    config = write_config(tmp_path, detectors=[
+        {"kind": "kNN", "params": {"k": 0}},
+        {"kind": "LODA", "params": {"bins": "x"}},
+        {"kind": "HBOS", "grid": {"bins": 3}},
+        {"kind": "PCA", "grid": {"variance_fraction": [0]}},
+    ])
+    assert run("preprocess", config) == 0
+    assert run("train", config) == 0
+    train_log = json.loads((only_run_dir(tmp_path) / "train_log.json").read_text())
+    assert {name: entry["error"].split(":")[0] for name, entry in train_log.items()} == {
+        "kNN": "FitError", "LODA": "FitError", "HBOS": "GridSearchError", "PCA": "FitError",
+    }
+    assert "k must be" in train_log["kNN"]["error"]
+    assert "variance_fraction must lie in (0, 1]" in train_log["PCA"]["error"]
 
 
 def test_train_pulls_ensemble_bases(tmp_path):
@@ -353,6 +389,19 @@ def test_attack_rejects_malformed_feasible_set_config(j_config_run, text, capsys
     assert "error[ConfigError] feasible-set config" in capsys.readouterr().err
 
 
+def test_attack_rejects_a_directory_as_feasible_set_config(j_config_run, capsys):
+    config, j_config = j_config_run
+    j_config.unlink()
+    j_config.mkdir()
+    try:
+        assert run("attack", config) == 12
+    finally:
+        j_config.rmdir()
+        j_config.write_text("{}")
+    err = capsys.readouterr().err
+    assert "error[ConfigError] cannot read feasible-set config" in err and "Traceback" not in err
+
+
 def test_attack_narrow_without_features_narrows_the_default_set(j_config_run):
     config, j_config = j_config_run
     campaign = only_run_dir(config.parent) / "campaign-HBOS-RS.jsonl"
@@ -419,11 +468,21 @@ def test_missing_config_is_config_error(tmp_path, capsys):
         ('{"seed": "x"}', []),
         ('{"attack": {"budget": "many"}}', []),
         ('{"corpus": {"synth": {"scale": "x"}}}', []),
+        ('{"corpus": {"splits": {"train": [{"include": ["normal"]}]}}}', []),
+        ('{"corpus": {"splits": {"train": [{"path": "a.csv", "include": ["nope"]}]}}}', []),
+        ('{"corpus": {"splits": {"train": "a.csv"}}}', []),
+        ('{"pipeline": {"scaling": "no"}}', []),
+        ('{"attack": {"include_traces": "yes"}}', []),
+        ('{"attack": {"budgte": 5}}', []),
+        ('{"sede": 1}', []),
     ],
     ids=["truncated", "truncated-with-flags", "array", "array-with-flags", "string",
-         "attack-list", "pipeline-number", "seed-string", "budget-string", "scale-string"],
+         "attack-list", "pipeline-number", "seed-string", "budget-string", "scale-string",
+         "split-without-path", "split-unknown-class", "split-list-string", "scaling-string",
+         "include-traces-string", "misspelt-attack-key", "misspelt-top-level-key"],
 )
-def test_malformed_config_is_config_error(tmp_path, capsys, text, flags):
+def test_malformed_config_is_config_error(tmp_path, monkeypatch, capsys, text, flags):
+    monkeypatch.chdir(tmp_path)  # a config read as valid would write its run here
     path = tmp_path / "config.json"
     path.write_text(text)
     assert main(["preprocess", "--config", str(path), *flags]) == 12
@@ -431,15 +490,66 @@ def test_malformed_config_is_config_error(tmp_path, capsys, text, flags):
     assert "error[ConfigError]" in err and "Traceback" not in err
 
 
+def _json_paths(doc, prefix=()):
+    """Every (path, value) of a JSON document, the containers included."""
+    yield prefix, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_FIELD_NAMES = st.sampled_from(
+    ["seed", "out", "schema", "corpus", "synth", "splits", "train", "path", "include", "pipeline",
+     "scaling", "detectors", "kind", "params", "grid", "attack", "budget", "include_traces"]
+) | st.text(max_size=6)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_run_config_parses_or_fails_cleanly(tmp_path, data):
+    # the shipped config with keys dropped, keys added and leaves swapped
+    # for JSON values of other types
+    doc = json.loads((REPO / "configs" / "benchmark.json").read_text())
+    for _ in range(data.draw(st.integers(1, 4))):
+        path, value = data.draw(st.sampled_from(list(_json_paths(doc))))
+        action = data.draw(st.sampled_from(["drop", "add", "swap"]))
+        if action == "add" and isinstance(value, dict):
+            value[data.draw(_FIELD_NAMES)] = data.draw(_JSON_VALUES)
+        elif not path:
+            doc = data.draw(_JSON_VALUES)
+        else:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if action == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_JSON_VALUES)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    try:
+        parse_run_config(read_config(config))
+    except PfcpBenchError:
+        pass
+
+
 @pytest.mark.parametrize(
     "target, text, prepare, command",
     [
         ("pipeline.json", "{", ("preprocess",), "train"),
         ("pipeline.json", '{"kept_features": []}', ("preprocess",), "train"),
+        ("pipeline.json", '{"format": "pfcpbench-pipeline-v2"}', ("preprocess",), "train"),
         ("models/HBOS.json", json.dumps({"format": DETECTOR_FORMAT}), ("preprocess", "train"), "evaluate"),
         ("schema.json", '{"version": 1}', (), "preprocess"),
     ],
-    ids=["truncated-pipeline", "pipeline-without-imputer", "detector-without-kind",
+    ids=["truncated-pipeline", "pipeline-without-imputer", "tagged-pipeline-without-imputer",
+         "detector-without-kind",
          "schema-without-features"],
 )
 def test_damaged_artefact_fails_with_schema_error(tmp_path, capsys, target, text, prepare, command):

@@ -416,8 +416,28 @@ def test_fit_rejects_tiny_training_sets():
     ds = numeric_dataset(np.arange(3.0)[:, None])
     with pytest.raises(FitError):
         fit(DetectorConfig(kind=DetectorKind.KNN, params={"k": 5}), ds)
-    with pytest.raises(FitError, match="at least one tree"):
+    with pytest.raises(FitError, match="trees must be an integer of at least 1"):
         fit(DetectorConfig(kind=DetectorKind.IFOREST, params={"trees": 0}), ds)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        (DetectorKind.KNN, {"k": 0}),
+        (DetectorKind.HBOS, {"bins": "x"}),
+        (DetectorKind.HBOS, {"bins": True}),
+        (DetectorKind.GMM, {"components": 2.0}),
+        (DetectorKind.PCA, {"variance_fraction": 0}),
+        (DetectorKind.PCA, {"variance_fraction": 1.5}),
+    ],
+    ids=["k-zero", "bins-string", "bins-bool", "components-float", "variance-zero",
+         "variance-above-one"],
+)
+def test_fit_rejects_bad_hyperparameter_values(kind, params):
+    ds = numeric_dataset(np.arange(40.0).reshape(20, 2))
+    (name,) = params
+    with pytest.raises(FitError, match=name):
+        fit(DetectorConfig(kind=kind, params=params), ds)
 
 
 def test_score_dimension_mismatch():
@@ -498,7 +518,7 @@ def test_grid_search_single_point():
     train = numeric_dataset(rng.normal(size=(50, 2)))
     validation = _labeled_validation(rng.normal(size=(20, 2)), rng.normal(size=(5, 2)) + 30)
     best, log = grid_search(DetectorKind.KNN, {"k": [3]}, train, validation)
-    assert best.params["k"] == 3
+    assert best.config.params["k"] == 3
     assert len(log) == 1
 
 
@@ -508,6 +528,15 @@ def test_grid_search_requires_labels():
     benign_only = numeric_dataset(rng.normal(size=(10, 2)))
     with pytest.raises(GridSearchError):
         grid_search(DetectorKind.KNN, {"k": [1, 3]}, train, benign_only)
+
+
+@pytest.mark.parametrize("grid", [{"k": 3}, {"k": []}, {"k": "35"}])
+def test_grid_search_rejects_values_that_are_not_a_non_empty_list(grid):
+    rng = np.random.default_rng(9)
+    train = numeric_dataset(rng.normal(size=(50, 2)))
+    validation = _labeled_validation(rng.normal(size=(20, 2)), rng.normal(size=(5, 2)) + 30)
+    with pytest.raises(GridSearchError, match="non-empty list"):
+        grid_search(DetectorKind.KNN, grid, train, validation)
 
 
 def test_grid_search_tie_breaks_lexicographically():
@@ -520,7 +549,7 @@ def test_grid_search_tie_breaks_lexicographically():
     validation = _labeled_validation(central, rng.normal(size=(6, 2)) + 1000)
     best, log = grid_search(DetectorKind.KNN, {"k": [5, 1, 3]}, train, validation)
     assert all(entry["f1"] == 1.0 for entry in log)
-    assert best.params["k"] == 1
+    assert best.config.params["k"] == 1
 
 
 def test_grid_search_prefers_small_k_for_singleton_outliers():
@@ -548,4 +577,4 @@ def test_grid_search_prefers_small_k_for_singleton_outliers():
     expect = {k: f1_for(k) for k in (1, 5)}
     assert expect[1] == 1.0 and expect[1] > expect[5]
     best, _ = grid_search(DetectorKind.KNN, {"k": [1, 5]}, train, validation)
-    assert best.params["k"] == 1
+    assert best.config.params["k"] == 1

@@ -13,7 +13,7 @@ from pfcpbench.corpus import (
     synth_benchmark_splits,
     synth_benign,
 )
-from pfcpbench.errors import GuidelineViolation, PipelineError
+from pfcpbench.errors import GuidelineViolation, PipelineError, SchemaError
 from pfcpbench.preprocess import (
     DEFAULT_GT1_PATTERNS,
     PipelineModel,
@@ -151,7 +151,7 @@ def test_categorical_mode_imputation():
         {"pfcp.kind": ("cat", np.array([0, 0, 1, MISSING_CODE]))}, 4
     )
     state = fit_imputer(ds)
-    assert state.cat_modes["pfcp.kind"] == 0
+    assert state.fill == (0.0,)
     out = apply_imputer(state, ds)
     assert out.matrix[:, 0].tolist() == [0, 0, 1, 0]
 
@@ -162,7 +162,7 @@ def test_regression_imputation_learns_linear_relation():
     x = np.array([0.0, 1.0, 2.0, 4.0, 5.0, 3.0])
     y = np.array([0.0, 2.0, 4.0, 8.0, 10.0, np.nan])
     ds = make_dataset({"pfcp.x": ("num", x), "pfcp.y": ("num", y)}, 6)
-    state = fit_imputer(ds, tol=1e-9)
+    state = fit_imputer(ds)
     out = apply_imputer(state, ds)
     assert out.matrix[5, 1] == pytest.approx(6.0, abs=1e-6)
 
@@ -179,7 +179,7 @@ def test_imputer_all_missing_fallback(caplog):
     )
     with caplog.at_level("WARNING"):
         state = fit_imputer(ds)
-    assert state.num_medians["pfcp.a"] == 0.0
+    assert state.fill == (0.0, 1.0)
     assert any("entirely missing" in r.message for r in caplog.records)
 
 
@@ -190,7 +190,7 @@ def test_scaler_median_iqr_convention():
     # train column [1..5]: median 3, IQR 2, so 5 -> 1.0
     ds = make_dataset({"pfcp.a": ("num", np.array([1.0, 2, 3, 4, 5]))}, 5)
     state = fit_scaler(ds)
-    assert state.stats["pfcp.a"] == (3.0, 2.0, 4.0)
+    assert (state.center, state.scale) == ((3.0,), (2.0,))
     out = apply_scaler(state, ds)
     assert out.matrix[:, 0].tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
@@ -262,8 +262,7 @@ def test_pipeline_scaling_toggle():
     schema = default_schema()
     train = synth_benign(SynthConfig(n_benign=200, seed=3), schema)
     model = fit_pipeline(train, scaling_enabled=False)
-    assert model.scaling_enabled is False
-    assert model.scaler_state is None
+    assert model.scaler is None
     out = transform(model, train)
     out_cols = list(out.schema.numerical_positions)
     src_cols = [train.schema.position(out.schema.names[j]) for j in out_cols]
@@ -281,6 +280,24 @@ def test_pipeline_model_roundtrip(tmp_path):
     out_a = transform(model, train)
     out_b = transform(loaded, train)
     assert np.array_equal(out_a.matrix, out_b.matrix)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda doc: doc["imputer"]["fill"].pop(),
+        lambda doc: doc["scaler"]["scale"].append(1.0),
+        lambda doc: doc["imputer"]["regressions"].update({"pfcp.msg_type": [0.0]}),
+    ],
+    ids=["short-fill", "long-scale", "regression-on-categorical"],
+)
+def test_pipeline_state_must_fit_its_schema(tmp_path, damage):
+    train = synth_benign(SynthConfig(n_benign=120, seed=6), default_schema())
+    doc = fit_pipeline(train).to_json_dict()
+    damage(doc)
+    (tmp_path / "pipeline.json").write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="pipeline"):
+        PipelineModel.load(tmp_path / "pipeline.json")
 
 
 # --- imputation golden ---------------------------------------------------------
@@ -308,14 +325,14 @@ def test_imputation_path_golden(tmp_path):
         _blank_cells(tmp_path / f"{name}.csv", 0.08, seed)
         dirty[name] = load_csv(tmp_path / f"{name}.csv", train.schema)
     model = fit_pipeline(dirty["train"])
-    assert model.imputer_state.regressions
+    assert model.imputer.regressions
     state = json.dumps(model.to_json_dict(), sort_keys=True).encode()
     digests = {"pipeline": hashlib.sha256(state).hexdigest()}
     for name, ds in dirty.items():
         save_csv(transform(model, ds), tmp_path / f"out-{name}.csv", manifest=False)
         digests[name] = hashlib.sha256((tmp_path / f"out-{name}.csv").read_bytes()).hexdigest()
     assert digests == {
-        "pipeline": "133297866d5960fff3f1c308ab2070d8c958f3d63b172a7372493d010b7744ab",
+        "pipeline": "adc3feb5999399b68218d7558d21d4584becbe32492bb53d5b4a82d4a394a2c5",
         "train": "76309adf33e34ee9cf3638859aa64f1e8a6348576a9acaba599cf6f661bc5e25",
         "test": "3309c4a731794f2e3c311ae70fea068af5c694bd56eaee77241bd1db07e11cff",
     }
