@@ -11,14 +11,15 @@ Three optimizers solve the resulting positive-part minimization: a
 single-draw random search and two genetic variants, one built on
 differential mutation with two-point crossover and one on recombination
 plus per-gene resampling.  Optimizers are generators that only propose
-candidates; ``attack_sample`` alone queries the oracle and spends budget.
+genomes, one value per position of J; ``attack_sample`` alone queries the
+oracle, which builds each candidate from its original, and spends budget.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Generator, Mapping, Sequence
 
@@ -163,13 +164,13 @@ def scale_compliance(spec: ComplianceSpec, pipeline: PipelineModel) -> Complianc
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Schema positions J the attacker may modify, with each one's allowed
-    values: a ``NumericDomain``, or the tuple of allowed schema codes of a
-    categorical feature.  ``fixed`` masks the positions outside J."""
+    """Schema positions J the attacker may modify, in ascending order, and
+    each one's allowed values: a ``NumericDomain``, or the tuple of allowed
+    schema codes of a categorical feature.  A genome holds one value per
+    position of J, in the same order."""
 
     indices: tuple[int, ...]
-    domains: dict  # position -> NumericDomain | tuple[int, ...]
-    fixed: np.ndarray = field(compare=False)
+    domains: tuple  # NumericDomain | tuple[int, ...], aligned with indices
 
 
 def build_feasible_set(
@@ -203,7 +204,6 @@ def build_feasible_set(
             f"{compliance.attack_class.value}: feasible set overlaps protected fields "
             f"{sorted(overlap)}"
         )
-    indices = []
     domains = {}
     for name in feature_names:
         pos = schema.position(name)
@@ -212,11 +212,8 @@ def build_feasible_set(
             domains[pos] = _narrowed(domain, narrow[name], f"{where} narrow {name}")
         else:
             domains[pos] = tuple(range(len(domain))) if isinstance(domain, CategoricalDomain) else domain
-        indices.append(pos)
-    fixed = np.ones(len(schema), dtype=bool)
-    fixed[indices] = False
-    fixed.flags.writeable = False
-    return FeasibleSet(indices=tuple(sorted(indices)), domains=domains, fixed=fixed)
+    indices = tuple(sorted(domains))
+    return FeasibleSet(indices=indices, domains=tuple(domains[j] for j in indices))
 
 
 def _narrowed(domain, spec, where: str):
@@ -292,15 +289,13 @@ def load_feasible_sets(
 # Feasibility / compliance checks
 
 
-def check_feasible(x: np.ndarray, candidate: np.ndarray, feasible: FeasibleSet) -> bool:
-    """Candidate equals x outside J and holds an allowed value inside J."""
-    candidate = np.asarray(candidate, dtype=float)
-    fixed = feasible.fixed
-    if candidate.shape != fixed.shape or not (candidate[fixed] == x[fixed]).all():
+def check_feasible(genes: np.ndarray, feasible: FeasibleSet) -> bool:
+    """``genes`` holds one allowed value per position of J."""
+    genes = np.asarray(genes, dtype=float)
+    if genes.shape != (len(feasible.indices),):
         return False
-    row = candidate.tolist()  # Python floats compare faster than numpy scalars
-    for j, allowed in feasible.domains.items():
-        value = row[j]
+    # Python floats compare faster than numpy scalars
+    for value, allowed in zip(genes.tolist(), feasible.domains):
         if isinstance(allowed, tuple):
             if value not in allowed:
                 return False
@@ -327,18 +322,18 @@ def check_compliant(spec: ComplianceSpec, schema: FeatureSchema, candidate: np.n
 
 @dataclass
 class Marginals:
-    """Per-index empirical sampling distributions.
+    """Per-gene empirical sampling distributions, aligned with the genome.
 
-    Categorical entries hold (codes, frequencies); numerical entries hold
-    the observed value multiset.  Sampling can only return values seen in
-    the source and inside the index's domain.
+    A categorical gene holds (codes, frequencies); a numerical gene holds
+    the observed value multiset and ``None``.  Sampling can only return
+    values seen in the source and inside the gene's domain.
     """
 
-    entries: dict  # position -> ("cat", codes, probs) | ("num", values, None)
+    entries: tuple  # (values, probs or None) per gene
 
-    def sample(self, j: int, rng: np.random.Generator) -> float:
-        kind, values, probs = self.entries[j]
-        if kind == "cat":
+    def sample(self, g: int, rng: np.random.Generator) -> float:
+        values, probs = self.entries[g]
+        if probs is not None:
             return float(rng.choice(values, p=probs))
         return float(values[rng.integers(len(values))])
 
@@ -348,9 +343,8 @@ def estimate_marginals(source: LabeledDataset, feasible: FeasibleSet) -> Margina
     each feasible index's domain."""
     if len(source) == 0:
         raise MarginalsError("cannot estimate marginals from an empty source")
-    entries = {}
-    for j in feasible.indices:
-        allowed = feasible.domains[j]
+    entries = []
+    for j, allowed in zip(feasible.indices, feasible.domains):
         col = source.matrix[:, j]
         categorical = isinstance(allowed, tuple)
         keep = np.isin(col, allowed) if categorical else (col >= allowed.lo) & (col <= allowed.hi)
@@ -358,10 +352,10 @@ def estimate_marginals(source: LabeledDataset, feasible: FeasibleSet) -> Margina
             raise MarginalsError(f"{source.schema.features[j].name}: no in-domain source values")
         if categorical:
             codes, counts = np.unique(col[keep].astype(int), return_counts=True)
-            entries[j] = ("cat", codes.astype(float), counts / counts.sum())
+            entries.append((codes.astype(float), counts / counts.sum()))
         else:
-            entries[j] = ("num", np.sort(col[keep]), None)
-    return Marginals(entries=entries)
+            entries.append((np.sort(col[keep]), None))
+    return Marginals(entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +366,12 @@ class QueryOracle:
     """Wraps the defender's score function behind the threat model.
 
     The attacker sees only fitness values max(0, score - tau); every call
-    burns one unit of budget.  Construction checks that the original is
-    compliant and that J avoids its protected fields, so a candidate checked
-    feasible before the score function runs is compliant too (a violation
-    is an optimizer bug, not a runtime condition).
+    burns one unit of budget.  Each query's candidate is the original with
+    the proposed genes written into J, so it equals the original outside J
+    by construction.  Construction checks that the original is compliant
+    and that J avoids its protected fields, so a candidate whose genes lie
+    in their domains is feasible and compliant (an out-of-domain genome is
+    an optimizer bug, not a runtime condition).
     """
 
     def __init__(
@@ -392,7 +388,7 @@ class QueryOracle:
             raise ConfigError("oracle budget must be at least 1")
         if not check_compliant(compliance, schema, original):
             raise ComplianceViolation("the original sample is not compliant")
-        touched = sorted(n for n in compliance.protected if schema.position(n) in feasible.domains)
+        touched = sorted(n for n in compliance.protected if schema.position(n) in feasible.indices)
         if touched:
             raise ComplianceViolation(f"feasible set includes protected fields {touched}")
         self._score_fn = score_fn
@@ -400,6 +396,7 @@ class QueryOracle:
         self.budget = budget
         self.original = np.asarray(original, dtype=float).copy()
         self.feasible = feasible
+        self._J = list(feasible.indices)
         self.queries_used = 0
         self.trace: list[tuple[int, float]] = []
         self.best_candidate = self.original.copy()
@@ -409,17 +406,19 @@ class QueryOracle:
     def remaining(self) -> int:
         return self.budget - self.queries_used
 
-    def fitness(self, candidate: np.ndarray) -> float:
+    def fitness(self, genes: np.ndarray) -> float:
         if self.queries_used >= self.budget:
             raise BudgetExhausted(f"query budget of {self.budget} spent")
-        if not check_feasible(self.original, candidate, self.feasible):
-            raise ComplianceViolation("optimizer produced an infeasible candidate")
+        if not check_feasible(genes, self.feasible):
+            raise ComplianceViolation("optimizer produced an infeasible genome")
         self.queries_used += 1
+        candidate = self.original.copy()
+        candidate[self._J] = genes
         value = max(0.0, float(self._score_fn(candidate)) - self.tau)
         self.trace.append((self.queries_used, value))
         if value < self.best_fitness:
             self.best_fitness = value
-            self.best_candidate = np.asarray(candidate, dtype=float).copy()
+            self.best_candidate = candidate
         return value
 
 
@@ -494,65 +493,45 @@ def _outcome(oracle: QueryOracle, idx: int, kind: ClassLabel, algorithm: str, in
 
 
 # ---------------------------------------------------------------------------
-# Optimizers: candidate generators that never see the oracle
+# Optimizers: genome generators that never see the oracle
 
 Proposals = Generator[np.ndarray, float, None]
 
 
-def _sample_candidate(
-    x: np.ndarray, feasible: FeasibleSet, marginals: Marginals, rng: np.random.Generator
-) -> np.ndarray:
-    candidate = x.copy()
-    for j in feasible.indices:
-        candidate[j] = marginals.sample(j, rng)
-    return candidate
+def _init_population(
+    marginals: Marginals, popsize: int, rng: np.random.Generator
+) -> Generator[np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
+    """Propose ``popsize`` genomes drawn gene by gene from the marginals;
+    return them as a (popsize, |J|) matrix with their fitness values.  Rows
+    are kept as they are queried, so a popsize beyond the budget costs
+    nothing."""
+    pop, fits = [], []
+    for _ in range(popsize):
+        genes = np.array([marginals.sample(g, rng) for g in range(len(marginals.entries))])
+        fits.append((yield genes))
+        pop.append(genes)
+    return np.array(pop), np.array(fits)
 
 
 def rs_attack(
-    x: np.ndarray,
-    feasible: FeasibleSet,
-    marginals: Marginals,
-    cfg: AttackConfig,
-    rng: np.random.Generator,
+    feasible: FeasibleSet, marginals: Marginals, cfg: AttackConfig, rng: np.random.Generator
 ) -> Proposals:
-    """Random search: by default a single draw from the marginals."""
-    for _ in range(cfg.rs_retries):
-        yield _sample_candidate(x, feasible, marginals, rng)
-
-
-def _init_population(
-    x: np.ndarray,
-    feasible: FeasibleSet,
-    marginals: Marginals,
-    popsize: int,
-    rng: np.random.Generator,
-) -> Generator[np.ndarray, float, tuple[list[np.ndarray], list[float]]]:
-    pop: list[np.ndarray] = []
-    fits: list[float] = []
-    for _ in range(popsize):
-        candidate = _sample_candidate(x, feasible, marginals, rng)
-        fits.append((yield candidate))
-        pop.append(candidate)
-    return pop, fits
+    """Random search: ``rs_retries`` draws from the marginals, one by default."""
+    yield from _init_population(marginals, cfg.rs_retries, rng)
 
 
 def ga_de_attack(
-    x: np.ndarray,
-    feasible: FeasibleSet,
-    marginals: Marginals,
-    cfg: AttackConfig,
-    rng: np.random.Generator,
+    feasible: FeasibleSet, marginals: Marginals, cfg: AttackConfig, rng: np.random.Generator
 ) -> Proposals:
     """Differential-evolution variant.
 
     Numeric genes mutate as a + F (b - c) clamped to the feasible domain;
-    two-point crossover over the J positions mixes the mutant into the
-    parent, resampling categorical genes wherever the crossover segment
-    lands.  Replacement is greedy per slot, so later children of a
-    generation already see earlier replacements.
+    two-point crossover over the genome mixes the mutant into the parent,
+    resampling categorical genes wherever the crossover segment lands.
+    Replacement is greedy per slot, so later children of a generation
+    already see earlier replacements.
     """
-    J = feasible.indices
-    pop, fits = yield from _init_population(x, feasible, marginals, cfg.popsize, rng)
+    pop, fits = yield from _init_population(marginals, cfg.popsize, rng)
     if len(pop) < 4:
         return
     while True:
@@ -562,55 +541,48 @@ def ga_de_attack(
             others = [t for t in range(len(pop)) if t != i and t != a]
             b, c = rng.choice(others, size=2, replace=False)
             child = pop[i].copy()
-            cut1, cut2 = np.sort(rng.choice(len(J) + 1, size=2, replace=False))
-            for j in J[cut1:cut2]:
-                domain = feasible.domains[j]
+            cut1, cut2 = np.sort(rng.choice(len(child) + 1, size=2, replace=False))
+            for g in range(cut1, cut2):
+                domain = feasible.domains[g]
                 if isinstance(domain, NumericDomain):
-                    child[j] = domain.clamp(pop[a][j] + cfg.diff_weight * (pop[b][j] - pop[c][j]))
+                    child[g] = domain.clamp(pop[a, g] + cfg.diff_weight * (pop[b, g] - pop[c, g]))
                 else:
-                    child[j] = marginals.sample(j, rng)
+                    child[g] = marginals.sample(g, rng)
             f = yield child
             if f <= fits[i]:
                 pop[i], fits[i] = child, f
 
 
 def ga_es_attack(
-    x: np.ndarray,
-    feasible: FeasibleSet,
-    marginals: Marginals,
-    cfg: AttackConfig,
-    rng: np.random.Generator,
+    feasible: FeasibleSet, marginals: Marginals, cfg: AttackConfig, rng: np.random.Generator
 ) -> Proposals:
     """Evolution-strategy variant: (mu + lambda) with uniform two-parent
     recombination at the configured ratio, per-gene marginal resampling at
     rate 1/|J|, and elitist survivor selection."""
-    J = feasible.indices
-    mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / len(J)
-    pop, fits = yield from _init_population(x, feasible, marginals, cfg.popsize, rng)
+    mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / len(feasible.indices)
+    pop, fits = yield from _init_population(marginals, cfg.popsize, rng)
     if len(pop) < 2:
         return
     while True:
-        children: list[np.ndarray] = []
-        child_fits: list[float] = []
-        for _ in range(cfg.popsize):
+        children = np.empty_like(pop)
+        child_fits = np.empty(len(pop))
+        for k, child in enumerate(children):
             if rng.random() < cfg.recombination_ratio:
                 p1, p2 = rng.choice(len(pop), size=2, replace=False)
-                child = pop[p1].copy()
-                for j in J:
-                    if rng.random() < 0.5:
-                        child[j] = pop[p2][j]
+                # one uniform per gene, in gene order: the stream of a per-gene loop
+                child[:] = np.where(rng.random(len(child)) < 0.5, pop[p2], pop[p1])
             else:
-                child = pop[int(rng.integers(len(pop)))].copy()
-            for j in J:
+                child[:] = pop[rng.integers(len(pop))]
+            # per gene, because a mutating gene's marginal draw comes before
+            # the next gene's uniform
+            for g in range(len(child)):
                 if rng.random() < mutation_rate:
-                    child[j] = marginals.sample(j, rng)
-            child_fits.append((yield child))
-            children.append(child)
-        pool = pop + children
-        pool_fits = fits + child_fits
-        order = np.argsort(pool_fits, kind="stable")[: cfg.popsize]
-        pop = [pool[i] for i in order]
-        fits = [pool_fits[i] for i in order]
+                    child[g] = marginals.sample(g, rng)
+            child_fits[k] = yield child
+        pool = np.concatenate([pop, children])
+        pool_fits = np.concatenate([fits, child_fits])
+        order = np.argsort(pool_fits, kind="stable")[: len(pop)]
+        pop, fits = pool[order], pool_fits[order]
 
 
 _OPTIMIZERS = {RS: rs_attack, GA_DE: ga_de_attack, GA_ES: ga_es_attack}
@@ -621,18 +593,18 @@ def attack_sample(
 ) -> None:
     """Run ``cfg.algorithm`` against one sample.
 
-    The only caller of the oracle: each proposed candidate costs one query
-    and its fitness is sent back to the optimizer.  Stops on the first zero
+    The only caller of the oracle: each proposed genome costs one query and
+    its fitness is sent back to the optimizer.  Stops on the first zero
     fitness, when the budget is spent, or when the optimizer returns.
     """
-    proposals = _OPTIMIZERS[cfg.algorithm](oracle.original, oracle.feasible, marginals, cfg, rng)
+    proposals = _OPTIMIZERS[cfg.algorithm](oracle.feasible, marginals, cfg, rng)
     value = None
     while oracle.remaining > 0 and value != 0.0:
         try:
-            candidate = proposals.send(value)
+            genes = proposals.send(value)
         except StopIteration:
             break
-        value = oracle.fitness(candidate)
+        value = oracle.fitness(genes)
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,7 @@ def cmd_train(cfg: RunConfig) -> int:
                 if base.kind not in columns:
                     columns[base.kind] = base.score_batch(V)
             model = ens_mod.fit_ensemble(
-                spec, bases, validation, np.column_stack([columns[k] for k in spec.base_kinds]),
-                seed=derive_seed(cfg.seed, "fit", name),
+                spec, bases, validation, np.column_stack([columns[k] for k in spec.base_kinds])
             )
             model.save(models_dir / f"{name}.json")
             train_log[name] = {"status": "ok", "train_accuracy": model.train_accuracy}

@@ -111,7 +111,7 @@ _REGISTRY = {
 
 DEFAULT_CONTAMINATION = 0.02
 # Container tag; bumped whenever a detector's saved state changes layout.
-DETECTOR_FORMAT = "pfcpbench-detector-v5"
+DETECTOR_FORMAT = "pfcpbench-detector-v6"
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,9 @@ class DetectorConfig:
     contamination: float = DEFAULT_CONTAMINATION
 
     def __post_init__(self):
-        if not 0.0 < self.contamination < 0.5:
-            raise SchemaError("contamination must lie in (0, 0.5)")
+        c = self.contamination
+        if not (isinstance(c, (int, float)) and not isinstance(c, bool) and 0.0 < c < 0.5):
+            raise SchemaError(f"contamination must be a number in (0, 0.5), got {c!r}")
         defaults = _REGISTRY[self.kind][2]
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -262,12 +263,19 @@ def fit(config: DetectorConfig, train: LabeledDataset, seed: int = 42) -> Detect
     if bad:
         raise GuidelineViolation("GT4", f"{bad} attack rows in detector training data")
     fit_fn, _, defaults, min_rows = _REGISTRY[config.kind]
+    d = len(train.schema)
     for name, value in config.params.items():
         if type(defaults[name]) is int and not (type(value) is int and value >= 1):
             raise FitError(f"{config.kind.value}: {name} must be an integer of at least 1, "
                            f"got {value!r}")
         if name == "variance_fraction" and not (type(value) in (int, float) and 0 < value <= 1):
             raise FitError(f"{config.kind.value}: {name} must lie in (0, 1], got {value!r}")
+        if name == "subset_range" and value is not None and not (
+            isinstance(value, (list, tuple)) and len(value) == 2
+            and all(type(v) is int for v in value) and 1 <= value[0] <= min(value[1], d)
+        ):
+            raise FitError(f"{config.kind.value}: {name} must be null or [lo, hi], integers "
+                           f"with 1 <= lo <= hi and lo <= {d} features, got {value!r}")
     if len(train) < min_rows(config.params):
         raise FitError(
             f"{config.kind.value} needs at least {min_rows(config.params)} training rows, "

@@ -15,8 +15,8 @@ def fit_feature_bagging(X: np.ndarray, params: dict, rng) -> dict:
     k = int(params["k"])
     d = X.shape[1]
     if params["subset_range"] is not None:
-        lo, hi = (int(v) for v in params["subset_range"])
-        lo, hi = max(1, lo), min(d, hi)
+        lo, hi = params["subset_range"]  # 1 <= lo <= hi and lo <= d, checked in fit
+        hi = min(d, hi)
     else:
         lo = math.ceil(d / 2)
         hi = max(lo, d - 1)

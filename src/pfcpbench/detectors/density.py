@@ -231,29 +231,32 @@ def score_loda(state: dict, Q: np.ndarray) -> np.ndarray:
 
 
 def fit_inne(X: np.ndarray, params: dict, rng) -> dict:
+    """t members of psi sampled centers each, stacked: centers (t, psi, d),
+    and each center's radius and its nearest neighbour's radius (t, psi)."""
     n = X.shape[0]
     t = int(params["members"])
     psi = min(int(params["sample_size"]), n)
-    members = []
-    for _ in range(t):
-        idx = rng.choice(n, size=psi, replace=False)
-        centers = X[idx]
-        d = np.sqrt(sq_distances(centers, centers))
+    centers = np.empty((t, psi, X.shape[1]))
+    radii = np.empty((t, psi))
+    nn_radii = np.empty((t, psi))
+    for m in range(t):
+        centers[m] = X[rng.choice(n, size=psi, replace=False)]
+        d = np.sqrt(sq_distances(centers[m], centers[m]))
         np.fill_diagonal(d, np.inf)
         nn = d.argmin(axis=1)
-        radii = d[np.arange(psi), nn]
-        members.append({"centers": centers, "radii": radii, "nn_radii": radii[nn]})
-    return {"members": members}
+        radii[m] = d[np.arange(psi), nn]
+        nn_radii[m] = radii[m, nn]
+    return {"centers": centers, "radii": radii, "nn_radii": nn_radii}
 
 
 def score_inne(state: dict, Q: np.ndarray) -> np.ndarray:
     total = np.zeros(Q.shape[0])
-    for member in state["members"]:
-        d = np.sqrt(sq_distances(Q, member["centers"]))
-        inside = d <= member["radii"][None, :]
-        radii = np.where(inside, member["radii"][None, :], np.inf)
-        best = radii.argmin(axis=1)
+    # member by member: one product over all t * psi centers rounds differently
+    for centers, radii, nn_radii in zip(state["centers"], state["radii"], state["nn_radii"]):
+        d = np.sqrt(sq_distances(Q, centers))
+        inside = d <= radii[None, :]
+        best = np.where(inside, radii[None, :], np.inf).argmin(axis=1)
         covered = inside.any(axis=1)
-        ratio = member["nn_radii"][best] / np.maximum(member["radii"][best], DENSITY_EPS)
+        ratio = nn_radii[best] / np.maximum(radii[best], DENSITY_EPS)
         total += np.where(covered, 1.0 - ratio, 1.0)
-    return total / len(state["members"])
+    return total / len(state["radii"])

@@ -229,7 +229,6 @@ def fit_ensemble(
     base_models: Sequence[DetectorModel],
     validation: LabeledDataset,
     base_scores: np.ndarray,
-    seed: int = 42,
 ) -> EnsembleModel:
     """Train the stacking classifier on validation base scores.
 

@@ -385,6 +385,8 @@ def fit_pipeline(
     report.update(rep)
     ds, rep = filter_control_plane(ds)
     report.update(rep)
+    if len(ds) == 0:
+        raise PipelineError("no benign training rows remain after GT2")
     ds, rep = drop_uninformative(ds)
     report.update(rep)
     if len(ds.schema) == 0:

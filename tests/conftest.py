@@ -102,7 +102,7 @@ def bench():
     ensembles = {
         name: fit_ensemble(
             spec, [detectors[k] for k in spec.base_kinds], t_val,
-            np.column_stack([columns[k] for k in spec.base_kinds]), seed=MASTER_SEED,
+            np.column_stack([columns[k] for k in spec.base_kinds]),
         )
         for name, spec in PRESETS.items()
     }

@@ -193,9 +193,14 @@ def test_criterion_5_attack_compliance_and_budget(campaign_bench):
                     assert outcome.queries_used == 1
                 spec = setting["specs"][outcome.attack_class]
                 feasible = setting["feasible"][outcome.attack_class]
-                # the oracle checks feasibility on every query; re-verify the
-                # best candidates, and their compliance, independently here
-                assert check_feasible(outcome.original, outcome.best_candidate, feasible)
+                # the oracle builds every candidate from its original and
+                # checks its genes' domains; re-verify the best candidates,
+                # and their compliance, independently here
+                J = list(feasible.indices)
+                assert np.array_equal(
+                    np.delete(outcome.best_candidate, J), np.delete(outcome.original, J)
+                )
+                assert check_feasible(outcome.best_candidate[J], feasible)
                 protected = [schema.position(name) for name in spec.protected]
                 assert (outcome.best_candidate[protected] == outcome.original[protected]).all()
                 assert check_compliant(spec, schema, outcome.best_candidate)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfcpbench import attack as attack_mod
 from pfcpbench.attack import (
@@ -89,29 +91,22 @@ def _detected_sample(schema):
 # --- feasibility / compliance -----------------------------------------------------
 
 
+def _genes(x, feasible):
+    return x[list(feasible.indices)]
+
+
 def test_identity_modification_is_feasible(toy):
     schema, spec, feasible, _ = toy
     x = _detected_sample(schema)
-    assert check_feasible(x, x.copy(), feasible)
-
-
-def test_out_of_j_change_is_infeasible(toy):
-    schema, spec, feasible, _ = toy
-    x = _detected_sample(schema)
-    candidate = x.copy()
-    candidate[2] = 700.0  # protected teid is outside J
-    assert not check_feasible(x, candidate, feasible)
+    assert check_feasible(_genes(x, feasible), feasible)
 
 
 def test_out_of_domain_value_is_infeasible(toy):
-    schema, spec, feasible, _ = toy
-    x = _detected_sample(schema)
-    candidate = x.copy()
-    candidate[1] = 11.0  # above the size domain
-    assert not check_feasible(x, candidate, feasible)
-    candidate = x.copy()
-    candidate[0] = 3.0  # no such category code
-    assert not check_feasible(x, candidate, feasible)
+    _, _, feasible, _ = toy
+    # genes are (mark, size), in J order
+    assert not check_feasible(np.array([2.0, 11.0]), feasible)  # above the size domain
+    assert not check_feasible(np.array([3.0, 9.0]), feasible)  # no such category code
+    assert not check_feasible(np.array([2.0, 9.0, 500.0]), feasible)  # one gene per J position
 
 
 def test_compliance_predicates(toy):
@@ -121,10 +116,6 @@ def test_compliance_predicates(toy):
     broken = x.copy()
     broken[2] = 50.0  # teid must stay above 100
     assert not check_compliant(spec, schema, broken)
-    moved = x.copy()
-    moved[2] = 600.0  # satisfies the predicate; feasibility keeps it from the oracle
-    assert check_compliant(spec, schema, moved)
-    assert not check_feasible(x, moved, feasible)
 
 
 def test_deletion_message_type_predicate():
@@ -163,10 +154,11 @@ def test_feasible_set_narrowing(toy):
     narrowed = build_feasible_set(
         schema, ("pfcp.size",), spec, narrow={"pfcp.size": {"lo": 2.0, "hi": 3.0}}
     )
-    pos = schema.position("pfcp.size")
+    assert narrowed.indices == (schema.position("pfcp.size"),)
+    assert narrowed.domains == (NumericDomain(2.0, 3.0),)
     marginals = estimate_marginals(source, narrowed)
     rng = np.random.default_rng(1)
-    draws = [marginals.sample(pos, rng) for _ in range(200)]
+    draws = [marginals.sample(0, rng) for _ in range(200)]  # the one gene, size
     assert all(2.0 <= v <= 3.0 for v in draws)
 
 
@@ -179,16 +171,18 @@ def test_marginal_frequencies(toy):
     nums = np.column_stack([np.array([1.0, 2.0, 3.0]), np.full(3, 50.0)])
     source = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.NORMAL] * 3)
     marginals = estimate_marginals(source, feasible)
-    kind, codes, probs = marginals.entries[schema.position("pfcp.mark")]
-    assert kind == "cat"
+    # one entry per gene, in J order; the protected teid is not a gene
+    assert len(marginals.entries) == len(feasible.indices) == 2
+    mark = feasible.indices.index(schema.position("pfcp.mark"))
+    size = feasible.indices.index(schema.position("pfcp.size"))
+    codes, probs = marginals.entries[mark]
     assert codes.tolist() == [0.0, 1.0]
     assert probs.tolist() == [2 / 3, 1 / 3]
-    kind, values, _ = marginals.entries[schema.position("pfcp.size")]
-    assert kind == "num"
+    values, probs = marginals.entries[size]
+    assert values.tolist() == [1.0, 2.0, 3.0]
+    assert probs is None  # a numerical gene
     rng = np.random.default_rng(2)
-    assert all(marginals.sample(schema.position("pfcp.size"), rng) in {1.0, 2.0, 3.0}
-               for _ in range(50))
-    assert schema.position("pfcp.teid") not in marginals.entries
+    assert all(marginals.sample(size, rng) in {1.0, 2.0, 3.0} for _ in range(50))
 
 
 def test_marginals_empty_source(toy):
@@ -205,37 +199,37 @@ def test_fitness_positive_part(toy):
     schema, spec, feasible, _ = toy
     x = _detected_sample(schema)
     oracle = _oracle(schema, spec, feasible, x, tau=5.0)
-    low = x.copy()
-    low[1] = 0.0  # score 0 = tau - 5
-    assert oracle.fitness(low) == 0.0
-    high = x.copy()
-    high[1] = 7.0  # tau + 2
-    assert oracle.fitness(high) == pytest.approx(2.0)
-    boundary = x.copy()
-    boundary[1] = 5.0  # exactly tau: not anomalous under the strict rule
-    assert oracle.fitness(boundary) == 0.0
+    # genes are (mark, size); the score is the size
+    assert oracle.fitness(np.array([2.0, 0.0])) == 0.0  # score 0 = tau - 5
+    assert oracle.fitness(np.array([2.0, 7.0])) == pytest.approx(2.0)  # tau + 2
+    # exactly tau: not anomalous under the strict rule
+    assert oracle.fitness(np.array([2.0, 5.0])) == 0.0
     assert oracle.queries_used == 3
+    assert oracle.best_candidate.tolist() == [2.0, 0.0, 500.0]
 
 
 def test_budget_exhaustion(toy):
     schema, spec, feasible, _ = toy
     x = _detected_sample(schema)
     oracle = _oracle(schema, spec, feasible, x, budget=2)
-    oracle.fitness(x.copy())
-    oracle.fitness(x.copy())
+    genes = _genes(x, feasible)
+    oracle.fitness(genes)
+    oracle.fitness(genes)
     with pytest.raises(BudgetExhausted):
-        oracle.fitness(x.copy())
+        oracle.fitness(genes)
 
 
 def test_oracle_rejects_noncompliant_candidates(toy):
     schema, spec, feasible, _ = toy
     x = _detected_sample(schema)
-    oracle = _oracle(schema, spec, feasible, x)
-    bad = x.copy()
-    bad[2] = 999.0  # touches a protected index
-    with pytest.raises(ComplianceViolation):
-        oracle.fitness(bad)
-    assert oracle.queries_used == 0  # rejected candidates burn no budget
+    scored = []
+    oracle = _oracle(schema, spec, feasible, x, score_fn=lambda row: scored.append(row) or 9.0)
+    # an out-of-domain size, an unknown mark code, and a genome that is a full row
+    for bad in ([2.0, 11.0], [3.0, 9.0], [2.0, 9.0, 500.0]):
+        with pytest.raises(ComplianceViolation):
+            oracle.fitness(np.array(bad))
+    assert oracle.queries_used == 0  # rejected genomes burn no budget
+    assert scored == []  # and never reach the score function
 
 
 def test_oracle_rejects_noncompliant_original(toy):
@@ -278,11 +272,13 @@ def test_rs_single_query(toy):
     "cfg, queries",
     [
         (AttackConfig(algorithm=RS, seed=1, rs_retries=7), 7),  # all retries spent
+        # retries beyond the oracle's budget of 100 are never drawn
+        (AttackConfig(algorithm=RS, seed=1, rs_retries=10**12), 100),
         # populations too small to breed stop after initialisation
         (AttackConfig(algorithm=GA_DE, seed=1, popsize=3), 3),
         (AttackConfig(algorithm=GA_ES, seed=1, popsize=1), 1),
     ],
-    ids=["RS-retries7", "GA_DE-popsize3", "GA_ES-popsize1"],
+    ids=["RS-retries7", "RS-retries-beyond-budget", "GA_DE-popsize3", "GA_ES-popsize1"],
 )
 def test_unevadable_sample_spends_every_proposal(toy, cfg, queries):
     schema, spec, feasible, source = toy
@@ -355,6 +351,128 @@ def test_monotone_best_so_far(toy):
     assert best == oracle.best_fitness
 
 
+def test_scored_rows_equal_their_original_outside_j(toy):
+    # the oracle builds each candidate from its original, so no optimizer
+    # can move a position outside J, whatever genes it proposes
+    schema, spec, feasible, source = toy
+    marginals = _marginals_for(toy)
+    x = _detected_sample(schema)
+    J = list(feasible.indices)
+    for algorithm in (RS, GA_DE, GA_ES):
+        rows = []
+        score_fn = lambda row: rows.append(row.copy()) or float(row[1])
+        oracle = _oracle(schema, spec, feasible, x, score_fn=score_fn, tau=-1.0, budget=45)
+        cfg = AttackConfig(algorithm=algorithm, seed=7, popsize=6, rs_retries=5)
+        attack_sample(oracle, marginals, cfg, rng_for(7, "t"))
+        assert len(rows) == oracle.queries_used == (5 if algorithm == RS else 45)
+        for row in rows:
+            assert np.array_equal(np.delete(row, J), np.delete(x, J))
+            assert check_feasible(row[J], feasible)
+
+
+# Five controllable features and a protected TEID, for the property test.
+_WIDE_SCHEMA = FeatureSchema(
+    features=(
+        FeatureDescriptor("pfcp.mark", "categorical", "pfcp", False, CategoricalDomain(("a", "b", "c"))),
+        FeatureDescriptor("pfcp.size", "numerical", "pfcp", False, NumericDomain(0.0, 10.0)),
+        FeatureDescriptor("pfcp.teid", "numerical", "pfcp", False, NumericDomain(0.0, 1e6)),
+        FeatureDescriptor("pfcp.flag", "categorical", "pfcp", False, CategoricalDomain(("0", "1"))),
+        FeatureDescriptor("pfcp.len", "numerical", "pfcp", False, NumericDomain(0.0, 100.0)),
+        FeatureDescriptor("pfcp.dur", "numerical", "pfcp", False, NumericDomain(-5.0, 5.0)),
+    )
+)
+_WIDE_SOURCE = np.column_stack([
+    np.arange(60) % 3,
+    np.linspace(0.0, 10.0, 60),
+    np.full(60, 50.0),
+    np.arange(60) % 2,
+    np.linspace(0.0, 100.0, 60) ** 2 / 100.0,
+    np.sin(np.arange(60.0)) * 5.0,
+])
+
+
+class _RecordingModel:
+    """Scores rows by their controllable values and keeps every row it sees."""
+
+    def __init__(self, tau):
+        self.tau = tau
+        self.calls = []
+
+    def score_batch(self, X):
+        self.calls.append(X.copy())
+        return X[:, 1] + X[:, 4] / 10.0 + X[:, 5] + 0.5 * (X[:, 0] == 2) + X[:, 3]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_scored_row_is_feasible_and_within_budget(data):
+    schema = _WIDE_SCHEMA
+    spec = ComplianceSpec(
+        ClassLabel.RESTORATION_TEID, frozenset({"pfcp.teid"}), (("pfcp.teid", ">", 100.0),)
+    )
+    controllable = [f.name for f in schema.features if f.name != "pfcp.teid"]
+    names = data.draw(st.lists(st.sampled_from(controllable), min_size=1, unique=True), "J")
+    narrow, allowed = {}, {}  # allowed: a set of codes, or numerical bounds
+    for name in names:
+        pos = schema.position(name)
+        domain = schema.features[pos].domain
+        narrowed = data.draw(st.booleans(), f"narrow {name}")
+        if isinstance(domain, CategoricalDomain):
+            labels = domain.labels
+            if narrowed:
+                labels = data.draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+                narrow[name] = {"labels": labels}
+            allowed[pos] = {float(domain.code_of(label)) for label in labels}
+        else:
+            bounds = (domain.lo, domain.hi)
+            if narrowed:
+                # bounds at source values, so that every narrowing keeps some
+                values = st.sampled_from(_WIDE_SOURCE[:, pos].tolist())
+                bounds = tuple(sorted(data.draw(st.lists(values, min_size=2, max_size=2))))
+                narrow[name] = dict(zip(("lo", "hi"), bounds))
+            allowed[pos] = bounds
+    feasible = build_feasible_set(schema, names, spec, narrow)
+    cfg = AttackConfig(
+        algorithm=data.draw(st.sampled_from([RS, GA_DE, GA_ES]), "algorithm"),
+        budget=data.draw(st.integers(1, 40), "budget"),
+        popsize=data.draw(st.integers(1, 10), "popsize"),
+        rs_retries=data.draw(st.integers(1, 6), "rs_retries"),
+        seed=data.draw(st.integers(0, 1000), "seed"),
+    )
+    # four originals, some outside J's domains, all with a compliant TEID
+    originals = np.array([
+        [2.0, 9.5, 500.0, 1.0, 90.0, 4.0],
+        [1.0, 7.0, 800.0, 0.0, 150.0, -6.0],
+        [0.0, 12.0, 300.0, 1.0, 20.0, 0.0],
+        [2.0, 3.0, 101.0, 1.0, 99.0, 2.5],
+    ])
+    attacks = LabeledDataset(schema, originals, [ClassLabel.RESTORATION_TEID] * 4)
+    model = _RecordingModel(tau=data.draw(st.floats(0.0, 15.0), "tau"))
+    source = LabeledDataset(schema, _WIDE_SOURCE, [ClassLabel.NORMAL] * len(_WIDE_SOURCE))
+    outcomes = run_campaign(
+        model, attacks, {ClassLabel.RESTORATION_TEID: feasible},
+        {ClassLabel.RESTORATION_TEID: spec}, cfg, source,
+    )
+    # the first call scores the originals; each later one is one query, and
+    # the samples are attacked one after another in index order
+    queries = model.calls[1:]
+    assert all(q.shape == (1, 6) for q in queries)
+    assert sum(o.queries_used for o in outcomes) == len(queries)
+    J = list(feasible.indices)
+    start = 0
+    for o in outcomes:
+        assert 1 <= o.queries_used <= (cfg.rs_retries if cfg.algorithm == RS else cfg.budget)
+        assert o.queries_used <= cfg.budget
+        for (row,) in queries[start:start + o.queries_used]:
+            assert np.array_equal(np.delete(row, J), np.delete(originals[o.sample_index], J))
+            for j in J:
+                if isinstance(allowed[j], set):
+                    assert row[j] in allowed[j]
+                else:
+                    assert allowed[j][0] <= row[j] <= allowed[j][1]
+        start += o.queries_used
+
+
 def test_rs_cannot_evade_oracle_ignoring_j(toy):
     # the oracle keys only on the protected feature: no J choice helps
     schema, spec, feasible, source = toy
@@ -418,8 +536,10 @@ def test_campaign_skips_undetected_and_counts_queries(toy):
     assert all(o.queries_used == 1 for o in outcomes)
     assert all(o.initial_score > 5.0 for o in outcomes)
     # evaded outcomes carry compliant candidates differing only on J
+    J = list(feasible.indices)
     for o in outcomes:
-        assert check_feasible(o.original, o.best_candidate, feasible)
+        assert np.array_equal(np.delete(o.best_candidate, J), np.delete(o.original, J))
+        assert check_feasible(o.best_candidate[J], feasible)
         assert check_compliant(spec, schema, o.best_candidate)
         assert o.best_candidate[2] == o.original[2]  # the protected TEID
 

@@ -140,15 +140,36 @@ def test_train_logs_bad_hyperparameters(tmp_path):
         {"kind": "LODA", "params": {"bins": "x"}},
         {"kind": "HBOS", "grid": {"bins": 3}},
         {"kind": "PCA", "grid": {"variance_fraction": [0]}},
+        {"kind": "COPOD", "grid": {"contamination": ["x"]}},
+        {"kind": "FeatureBagging", "params": {"subset_range": [5, 2]}},
     ])
     assert run("preprocess", config) == 0
     assert run("train", config) == 0
     train_log = json.loads((only_run_dir(tmp_path) / "train_log.json").read_text())
     assert {name: entry["error"].split(":")[0] for name, entry in train_log.items()} == {
         "kNN": "FitError", "LODA": "FitError", "HBOS": "GridSearchError", "PCA": "FitError",
+        "COPOD": "SchemaError", "FeatureBagging": "FitError",
     }
     assert "k must be" in train_log["kNN"]["error"]
     assert "variance_fraction must lie in (0, 1]" in train_log["PCA"]["error"]
+    assert "contamination must be a number" in train_log["COPOD"]["error"]
+    assert "subset_range must be null or [lo, hi]" in train_log["FeatureBagging"]["error"]
+
+
+def test_preprocess_with_an_empty_training_csv_is_a_pipeline_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert run("synth", config) == 0
+    corpus = only_run_dir(tmp_path) / "corpus"
+    empty = tmp_path / "empty_train.csv"
+    empty.write_text((corpus / "train.csv").read_text().splitlines()[0] + "\n")
+    splits = {
+        "train": [{"path": str(empty)}],
+        "validation": [{"path": str(corpus / "validation.csv")}],
+        "test": [{"path": str(corpus / "test.csv")}],
+    }
+    config = write_config(tmp_path, corpus={"splits": splits})
+    assert run("preprocess", config) == 6
+    assert "no benign training rows" in capsys.readouterr().err
 
 
 def test_train_pulls_ensemble_bases(tmp_path):
@@ -259,11 +280,12 @@ def _as_v2_detector(doc):
         (_as_v2_detector, "pfcpbench-detector-v2"),
         (_retagged("pfcpbench-detector-v3"), "pfcpbench-detector-v3"),
         (_retagged("pfcpbench-detector-v4"), "pfcpbench-detector-v4"),
+        (_retagged("pfcpbench-detector-v5"), "pfcpbench-detector-v5"),
     ],
     ids=[
         "bad-base64", "list-data", "short-data", "f4-dtype", "named-dtype",
         "negative-shape", "float-shape", "string-shape", "v2-detector", "v3-detector",
-        "v4-detector",
+        "v4-detector", "v5-detector",
     ],
 )
 def test_malformed_array_payload_fails_with_schema_error(pipeline_run, damage, message, capsys):

@@ -146,6 +146,95 @@ def test_feature_bagging_matches_member_loop():
     assert np.abs(model.score_batch(Q) - want).max() < 1e-9
 
 
+def loop_tail_scores(X: np.ndarray, Q: np.ndarray, floor: float) -> list[float]:
+    """COPOD / ECOD (Li et al. 2020, 2022) per query: the largest of the
+    left-tail, right-tail and skewness-chosen-tail sums of -log empirical
+    tail probabilities, each floored at ``floor``."""
+    n, d = X.shape
+    columns = [X[:, j].tolist() for j in range(d)]
+    skews = []
+    for col in columns:
+        mu = sum(col) / n
+        m2 = sum((v - mu) ** 2 for v in col) / n
+        m3 = sum((v - mu) ** 3 for v in col) / n
+        skews.append(m3 / m2**1.5 if m2 > 0 else 0.0)
+    out = []
+    for q in Q.tolist():
+        left = right = chosen = 0.0
+        for col, skew, value in zip(columns, skews, q):
+            p_left = max(sum(v <= value for v in col) / n, floor)
+            p_right = max(sum(v >= value for v in col) / n, floor)
+            left -= math.log(p_left)
+            right -= math.log(p_right)
+            chosen -= math.log(p_left if skew < 0 else p_right)
+        out.append(max(left, right, chosen))
+    return out
+
+
+@pytest.mark.parametrize("kind", [DetectorKind.COPOD, DetectorKind.ECOD])
+def test_copod_and_ecod_match_tail_probability_loop(kind):
+    rng = np.random.default_rng(13)
+    n = 60
+    X = np.column_stack([
+        rng.exponential(size=n),  # right-skewed
+        -rng.exponential(size=n),  # left-skewed
+        rng.integers(0, 4, size=n).astype(float),  # ties with the queries below
+        np.full(n, 1.5),  # constant: no skew, right tail
+    ])
+    Q = np.vstack([
+        rng.normal(scale=2.0, size=(20, 4)),
+        X[:10],  # every value equals a training value
+        [[-50.0, 50.0, -1.0, 1.5], [50.0, -50.0, 9.0, 2.0]],  # beyond every training value
+    ])
+    model = fit(DetectorConfig(kind=kind), numeric_dataset(X))
+    floor = EPS if kind is DetectorKind.COPOD else 1.0 / n
+    assert np.abs(model.score_batch(Q) - np.array(loop_tail_scores(X, Q, floor))).max() < 1e-9
+
+
+def loop_inne(X: np.ndarray, Q: np.ndarray, members: int, psi: int, rng) -> list[float]:
+    """iNNE (Bandaragoda et al. 2018), member by member in the same RNG
+    order: each sampled center's radius is the distance to its nearest other
+    center; a query inside some hypersphere scores 1 - radius(nn of c) /
+    radius(c) for the smallest covering c, and 1 when none covers it; the
+    score is the mean over members."""
+    totals = [0.0] * len(Q)
+    for _ in range(members):
+        centers = X[rng.choice(len(X), size=psi, replace=False)].tolist()
+        radii, nn = [], []
+        for i, c in enumerate(centers):
+            others = [(math.dist(c, o), j) for j, o in enumerate(centers) if j != i]
+            radius, j = min(others)
+            radii.append(radius)
+            nn.append(j)
+        for qi, q in enumerate(Q.tolist()):
+            best = None
+            for i, c in enumerate(centers):
+                if math.dist(q, c) <= radii[i] and (best is None or radii[i] < radii[best]):
+                    best = i
+            totals[qi] += 1.0 if best is None else 1.0 - radii[nn[best]] / radii[best]
+    return [total / members for total in totals]
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["continuous", "integer-grid"])
+def test_inne_matches_hypersphere_loop(grid):
+    rng = np.random.default_rng(14)
+    if grid:
+        # distinct integer points: distances are exact, so many queries lie
+        # exactly on a sphere and many radii tie
+        X = np.unique(rng.integers(0, 6, size=(120, 3)), axis=0).astype(float)
+        Q = rng.integers(-2, 8, size=(60, 3)).astype(float)
+    else:
+        X = rng.normal(size=(80, 3))
+        # queries mostly near the training data, some far outside every sphere
+        Q = np.vstack([rng.normal(scale=0.8, size=(30, 3)), rng.normal(scale=6.0, size=(10, 3))])
+    params = {"members": 25, "sample_size": 8}
+    model = fit(DetectorConfig(kind=DetectorKind.INNE, params=params), numeric_dataset(X), seed=3)
+    want = loop_inne(X, Q, 25, 8, rng_for(3, "detector", "INNE"))
+    got = model.score_batch(Q)
+    assert np.abs(got - np.array(want)).max() < 1e-9
+    assert 0.0 < (got < 1.0).mean() < 1.0  # some queries covered, some not
+
+
 # --- spec'd spot checks --------------------------------------------------------
 
 
@@ -429,9 +518,17 @@ def test_fit_rejects_tiny_training_sets():
         (DetectorKind.GMM, {"components": 2.0}),
         (DetectorKind.PCA, {"variance_fraction": 0}),
         (DetectorKind.PCA, {"variance_fraction": 1.5}),
+        # the training rows have d = 2 features
+        (DetectorKind.FEATURE_BAGGING, {"subset_range": "x"}),
+        (DetectorKind.FEATURE_BAGGING, {"subset_range": [2, 1]}),
+        (DetectorKind.FEATURE_BAGGING, {"subset_range": [1]}),
+        (DetectorKind.FEATURE_BAGGING, {"subset_range": [3, 4]}),
+        (DetectorKind.FEATURE_BAGGING, {"subset_range": [0, 2]}),
+        (DetectorKind.FEATURE_BAGGING, {"subset_range": [True, 2]}),
     ],
     ids=["k-zero", "bins-string", "bins-bool", "components-float", "variance-zero",
-         "variance-above-one"],
+         "variance-above-one", "subset-string", "subset-reversed", "subset-one-bound",
+         "subset-above-d", "subset-zero", "subset-bool"],
 )
 def test_fit_rejects_bad_hyperparameter_values(kind, params):
     ds = numeric_dataset(np.arange(40.0).reshape(20, 2))
@@ -452,6 +549,9 @@ def test_config_validates_params():
         DetectorConfig(kind=DetectorKind.HBOS, params={"bogus": 1})
     with pytest.raises(SchemaError):
         DetectorConfig(kind=DetectorKind.HBOS, contamination=0.7)
+    for value in ("x", None, True):
+        with pytest.raises(SchemaError, match="contamination must be a number"):
+            DetectorConfig(kind=DetectorKind.HBOS, contamination=value)
 
 
 # --- invariance and determinism -------------------------------------------------

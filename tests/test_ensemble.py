@@ -57,8 +57,8 @@ def _base_scores(bases, ds):
     return np.column_stack([model.score_batch(X) for model in bases])
 
 
-def _fit(spec, bases, validation, seed):
-    return fit_ensemble(spec, bases, validation, _base_scores(bases, validation), seed=seed)
+def _fit(spec, bases, validation):
+    return fit_ensemble(spec, bases, validation, _base_scores(bases, validation))
 
 
 def test_fit_ensemble_rejects_misshapen_base_scores():
@@ -66,7 +66,7 @@ def test_fit_ensemble_rejects_misshapen_base_scores():
     S = _base_scores(bases, validation)
     for bad in (S[:, :1], S[1:], S.ravel()):
         with pytest.raises(SchemaError, match="base scores have shape"):
-            fit_ensemble(spec, bases, validation, bad, seed=1)
+            fit_ensemble(spec, bases, validation, bad)
 
 
 def test_preset_column_order_matches_base_listing(bench):
@@ -82,7 +82,7 @@ def test_preset_column_order_matches_base_listing(bench):
 
 def test_separable_clouds_reach_perfect_training_accuracy():
     spec, bases, train, validation = _toy_setting()
-    model = _fit(spec, bases, validation, 7)
+    model = _fit(spec, bases, validation)
     assert model.train_accuracy == 1.0
 
 
@@ -106,7 +106,7 @@ def test_vanishing_gamma_degenerates_to_majority_class():
     )
     spec = EnsembleSpec("flat", (DetectorKind.KNN,), C=1.0, gamma=1e-9)
     bases = [fit(DetectorConfig(kind=DetectorKind.KNN), train, seed=1)]
-    model = _fit(spec, bases, validation, 1)
+    model = _fit(spec, bases, validation)
     margins = model.score_batch(validation.matrix)
     decisions = margins > model.tau
     assert decisions.sum() in (0, len(decisions))
@@ -115,7 +115,7 @@ def test_vanishing_gamma_degenerates_to_majority_class():
 
 def test_decision_boundary_is_strict():
     spec, bases, train, validation = _toy_setting()
-    model = _fit(spec, bases, validation, 7)
+    model = _fit(spec, bases, validation)
     S = _base_scores(bases, validation)
     margin = model.margin(S[:1])[0]
     model.tau = margin
@@ -127,19 +127,19 @@ def test_single_class_validation_rejected():
     rng = np.random.default_rng(4)
     benign_only = numeric_dataset(rng.normal(size=(10, 3)))
     with pytest.raises(FitError):
-        _fit(spec, bases, benign_only, 1)
+        _fit(spec, bases, benign_only)
 
 
 def test_base_model_order_enforced():
     spec, bases, train, validation = _toy_setting()
     with pytest.raises(SchemaError):
-        _fit(spec, list(reversed(bases)), validation, 1)
+        _fit(spec, list(reversed(bases)), validation)
 
 
 def test_refit_determinism():
     spec, bases, train, validation = _toy_setting()
-    a = _fit(spec, bases, validation, 5)
-    b = _fit(spec, bases, validation, 5)
+    a = _fit(spec, bases, validation)
+    b = _fit(spec, bases, validation)
     assert np.array_equal(a.dual_coef, b.dual_coef)
     assert np.array_equal(a.support_vectors, b.support_vectors)
     assert np.abs(a.dual_coef - b.dual_coef).max() < 1e-9
@@ -149,9 +149,9 @@ def test_base_permutation_leaves_decisions_unchanged():
     # permuting base order (spec and models together) and refitting gives
     # identical decisions: the kernel is coordinate-permutation invariant
     spec, bases, train, validation = _toy_setting()
-    forward = _fit(spec, bases, validation, 5)
+    forward = _fit(spec, bases, validation)
     spec_rev = EnsembleSpec("toy-rev", tuple(reversed(spec.base_kinds)), C=spec.C, gamma=spec.gamma)
-    backward = _fit(spec_rev, list(reversed(bases)), validation, 5)
+    backward = _fit(spec_rev, list(reversed(bases)), validation)
     X = validation.matrix
     assert np.array_equal(
         forward.score_batch(X) > forward.tau, backward.score_batch(X) > backward.tau
@@ -160,7 +160,7 @@ def test_base_permutation_leaves_decisions_unchanged():
 
 def test_margin_is_locally_lipschitz():
     spec, bases, train, validation = _toy_setting()
-    model = _fit(spec, bases, validation, 5)
+    model = _fit(spec, bases, validation)
     S = _base_scores(bases, validation)
     base = model.margin(S)
     bumped = S.copy()
@@ -171,7 +171,7 @@ def test_margin_is_locally_lipschitz():
 def _saved_ensemble(tmp_path):
     """A fitted toy ensemble saved with its bases next to it."""
     spec, bases, train, validation = _toy_setting()
-    model = _fit(spec, bases, validation, 5)
+    model = _fit(spec, bases, validation)
     for base in bases:
         base.save(tmp_path / f"{base.kind.value}.json")
     path = tmp_path / "ens.json"

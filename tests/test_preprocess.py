@@ -227,6 +227,12 @@ def test_pipeline_rejects_empty_survivors():
         fit_pipeline(ds)
 
 
+def test_pipeline_rejects_an_empty_training_split():
+    train = synth_benign(SynthConfig(n_benign=50, seed=3), default_schema())
+    with pytest.raises(PipelineError, match="no benign training rows"):
+        fit_pipeline(train.subset(np.zeros(len(train), dtype=bool)))
+
+
 def test_pipeline_transform_deterministic_and_stateless():
     schema = default_schema()
     train = synth_benign(SynthConfig(n_benign=300, seed=3), schema)
