@@ -11,20 +11,24 @@ Three optimizers solve the resulting positive-part minimization: a
 single-draw random search and two genetic variants, one built on
 differential mutation with two-point crossover and one on recombination
 plus per-gene resampling.  Optimizers are generators that only propose
-genomes, one value per position of J; ``attack_sample`` alone queries the
-oracle, which builds each candidate from its original, and spends budget.
+genomes, one value per position of J.  A campaign runs in lockstep: it
+advances every sample's optimizer by one genome per round, has each
+sample's oracle check its genome and build the candidate from its
+original, scores the round's candidates as one block and charges each
+sample one query.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Generator, Mapping, Sequence
 
 import numpy as np
 
+from .detectors import ROW_INVARIANT_KINDS
 from .errors import (
     BudgetExhausted,
     ComplianceViolation,
@@ -167,10 +171,23 @@ class FeasibleSet:
     """Schema positions J the attacker may modify, in ascending order, and
     each one's allowed values: a ``NumericDomain``, or the tuple of allowed
     schema codes of a categorical feature.  A genome holds one value per
-    position of J, in the same order."""
+    position of J, in the same order.  Built once from ``domains``: each
+    gene's bounds ``lo``/``hi`` (a categorical gene's extreme codes) and the
+    ``categorical`` genes."""
 
     indices: tuple[int, ...]
     domains: tuple  # NumericDomain | tuple[int, ...], aligned with indices
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
+    categorical: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bounds = [(min(d), max(d)) if isinstance(d, tuple) else (d.lo, d.hi) for d in self.domains]
+        lo, hi = np.array(bounds, dtype=float).reshape(-1, 2).T.copy()
+        lo.flags.writeable = hi.flags.writeable = False
+        categorical = tuple(g for g, d in enumerate(self.domains) if isinstance(d, tuple))
+        for name, value in (("lo", lo), ("hi", hi), ("categorical", categorical)):
+            object.__setattr__(self, name, value)
 
 
 def build_feasible_set(
@@ -292,16 +309,12 @@ def load_feasible_sets(
 def check_feasible(genes: np.ndarray, feasible: FeasibleSet) -> bool:
     """``genes`` holds one allowed value per position of J."""
     genes = np.asarray(genes, dtype=float)
-    if genes.shape != (len(feasible.indices),):
+    if genes.shape != feasible.lo.shape:
         return False
-    # Python floats compare faster than numpy scalars
-    for value, allowed in zip(genes.tolist(), feasible.domains):
-        if isinstance(allowed, tuple):
-            if value not in allowed:
-                return False
-        elif not allowed.lo <= value <= allowed.hi:
-            return False
-    return True
+    # a NaN gene fails both bounds
+    if not ((feasible.lo <= genes) & (genes <= feasible.hi)).all():
+        return False
+    return all(genes.item(g) in feasible.domains[g] for g in feasible.categorical)
 
 
 def check_compliant(spec: ComplianceSpec, schema: FeatureSchema, candidate: np.ndarray) -> bool:
@@ -330,11 +343,21 @@ class Marginals:
     """
 
     entries: tuple  # (values, probs or None) per gene
+    # each categorical gene's normalized cumulative frequencies, None for a
+    # numerical gene
+    cdfs: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.cdfs = tuple(
+            None if probs is None else (cdf := probs.cumsum()) / cdf[-1]
+            for _, probs in self.entries
+        )
 
     def sample(self, g: int, rng: np.random.Generator) -> float:
-        values, probs = self.entries[g]
-        if probs is not None:
-            return float(rng.choice(values, p=probs))
+        values, cdf = self.entries[g][0], self.cdfs[g]
+        if cdf is not None:
+            # how ``rng.choice(values, p=probs)`` draws, without re-checking p
+            return float(values[cdf.searchsorted(rng.random(), side="right")])
         return float(values[rng.integers(len(values))])
 
 
@@ -363,20 +386,20 @@ def estimate_marginals(source: LabeledDataset, feasible: FeasibleSet) -> Margina
 
 
 class QueryOracle:
-    """Wraps the defender's score function behind the threat model.
+    """One sample's side of the threat model: its candidates and its budget.
 
-    The attacker sees only fitness values max(0, score - tau); every call
-    burns one unit of budget.  Each query's candidate is the original with
-    the proposed genes written into J, so it equals the original outside J
-    by construction.  Construction checks that the original is compliant
-    and that J avoids its protected fields, so a candidate whose genes lie
-    in their domains is feasible and compliant (an out-of-domain genome is
-    an optimizer bug, not a runtime condition).
+    The attacker sees only fitness values max(0, score - tau); every query
+    burns one unit of budget.  ``candidate`` checks a genome and builds the
+    row that querying it scores: the original with the genes written into
+    J, so it equals the original outside J by construction.  ``fitness``
+    charges the query once that row is scored.  Construction checks that
+    the original is compliant and that J avoids its protected fields, so a
+    candidate whose genes lie in their domains is feasible and compliant
+    (an out-of-domain genome is an optimizer bug, not a runtime condition).
     """
 
     def __init__(
         self,
-        score_fn: Callable[[np.ndarray], float],
         tau: float,
         budget: int,
         schema: FeatureSchema,
@@ -391,7 +414,6 @@ class QueryOracle:
         touched = sorted(n for n in compliance.protected if schema.position(n) in feasible.indices)
         if touched:
             raise ComplianceViolation(f"feasible set includes protected fields {touched}")
-        self._score_fn = score_fn
         self.tau = tau
         self.budget = budget
         self.original = np.asarray(original, dtype=float).copy()
@@ -406,15 +428,22 @@ class QueryOracle:
     def remaining(self) -> int:
         return self.budget - self.queries_used
 
-    def fitness(self, genes: np.ndarray) -> float:
+    def candidate(self, genes: np.ndarray) -> np.ndarray:
+        """The row that querying ``genes`` scores.  Raises when the budget
+        is spent or a gene lies outside its domain; neither burns budget."""
         if self.queries_used >= self.budget:
             raise BudgetExhausted(f"query budget of {self.budget} spent")
         if not check_feasible(genes, self.feasible):
             raise ComplianceViolation("optimizer produced an infeasible genome")
-        self.queries_used += 1
         candidate = self.original.copy()
         candidate[self._J] = genes
-        value = max(0.0, float(self._score_fn(candidate)) - self.tau)
+        return candidate
+
+    def fitness(self, candidate: np.ndarray, score: float) -> float:
+        """Charge one query for ``candidate``, built by ``candidate()`` and
+        scored ``score``, and record it; return its fitness."""
+        self.queries_used += 1
+        value = max(0.0, float(score) - self.tau)
         self.trace.append((self.queries_used, value))
         if value < self.best_fitness:
             self.best_fitness = value
@@ -588,23 +617,36 @@ def ga_es_attack(
 _OPTIMIZERS = {RS: rs_attack, GA_DE: ga_de_attack, GA_ES: ga_es_attack}
 
 
-def attack_sample(
-    oracle: QueryOracle, marginals: Marginals, cfg: AttackConfig, rng: np.random.Generator
-) -> None:
-    """Run ``cfg.algorithm`` against one sample.
-
-    The only caller of the oracle: each proposed genome costs one query and
-    its fitness is sent back to the optimizer.  Stops on the first zero
-    fitness, when the budget is spent, or when the optimizer returns.
-    """
-    proposals = _OPTIMIZERS[cfg.algorithm](oracle.feasible, marginals, cfg, rng)
-    value = None
-    while oracle.remaining > 0 and value != 0.0:
-        try:
-            genes = proposals.send(value)
-        except StopIteration:
-            break
-        value = oracle.fitness(genes)
+def _lockstep(model, attacks: Sequence[tuple[QueryOracle, Proposals]]) -> None:
+    """Drive every (oracle, optimizer) pair in rounds until each one stops:
+    on its first zero fitness, when its budget is spent, or when its
+    optimizer returns.  A round takes one genome from each live optimizer
+    and checks them all before any is scored.  Their candidates are scored
+    in one call when the model's kind is row-invariant, else one row per
+    call, so that no score depends on which other samples are still live."""
+    batched = getattr(model, "kind", None) in ROW_INVARIANT_KINDS
+    live = [(oracle, proposals, None) for oracle, proposals in attacks]
+    while True:
+        queued = []
+        for oracle, proposals, value in live:
+            if oracle.remaining == 0 or value == 0.0:
+                continue
+            try:
+                genes = proposals.send(value)
+            except StopIteration:
+                continue
+            queued.append((oracle, proposals, oracle.candidate(genes)))
+        if not queued:
+            return
+        block = np.array([candidate for _, _, candidate in queued])
+        if batched:
+            scores = model.score_batch(block)
+        else:
+            scores = [model.score_batch(block[k : k + 1])[0] for k in range(len(block))]
+        live = [
+            (oracle, proposals, oracle.fitness(candidate, score))
+            for (oracle, proposals, candidate), score in zip(queued, scores)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +663,12 @@ def run_campaign(
 ) -> list[AttackOutcome]:
     """Attack every initially-detected sample with a per-sample budget.
 
-    ``model`` only needs ``score_batch`` and ``tau``; the optimizers never
-    see anything else.  Samples the detector misses are skipped: evasion is
-    defined over detected samples, and so are samples of a class without a
-    feasible set.  Per-sample RNG streams derive from (seed, algorithm,
-    sample index), so campaign order does not matter.
+    ``model`` only needs ``score_batch`` and ``tau``, and a ``kind`` when
+    it is a detector; the optimizers never see anything else.  Samples the
+    detector misses are skipped: evasion is defined over detected samples,
+    and so are samples of a class without a feasible set.  Per-sample RNG
+    streams derive from (seed, algorithm, sample index), so the order in
+    which the samples' queries are made does not matter.
     """
     if any(lab is ClassLabel.NORMAL for lab in attack_samples.labels):
         raise SchemaError("campaign input must contain attack rows only")
@@ -642,8 +685,7 @@ def run_campaign(
         logger.warning("campaign: no attack sample is initially detected")
         return []
 
-    score_one = lambda row: float(model.score_batch(row.reshape(1, -1))[0])
-    outcomes: list[AttackOutcome] = []
+    attacked = []
     skipped_noncompliant = 0
     for i in range(len(attack_samples)):
         kind = attack_samples.labels[i]
@@ -655,7 +697,6 @@ def run_campaign(
             skipped_noncompliant += 1
             continue
         oracle = QueryOracle(
-            score_fn=score_one,
             tau=model.tau,
             budget=cfg.budget,
             schema=schema,
@@ -664,14 +705,18 @@ def run_campaign(
             compliance=compliance_specs[kind],
         )
         rng = rng_for(cfg.seed, "attack", cfg.algorithm, i)
-        attack_sample(oracle, marginals[kind], cfg, rng)
-        outcomes.append(_outcome(oracle, i, kind, cfg.algorithm, float(scores[i])))
+        proposals = _OPTIMIZERS[cfg.algorithm](oracle.feasible, marginals[kind], cfg, rng)
+        attacked.append((i, kind, oracle, proposals))
     if skipped_noncompliant:
         logger.warning(
             "campaign: skipped %d samples violating their own class predicates",
             skipped_noncompliant,
         )
-    return outcomes
+    _lockstep(model, [(oracle, proposals) for _, _, oracle, proposals in attacked])
+    return [
+        _outcome(oracle, i, kind, cfg.algorithm, float(scores[i]))
+        for i, kind, oracle, _ in attacked
+    ]
 
 
 def write_outcomes_jsonl(

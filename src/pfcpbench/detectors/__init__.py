@@ -109,6 +109,16 @@ _REGISTRY = {
     ),
 }
 
+# Kinds whose score of a row does not depend on the other rows scored with
+# it, bit for bit: ``score_batch(Q)[i] == score_batch(Q[i:i+1])[0]``.  An
+# attack campaign scores each round's candidates in one call for these kinds
+# only.  The others round differently with the shape of the batch: kNN, LOF,
+# ABOD, FeatureBagging, PCA, GMM and LODA through their BLAS products, and
+# every ensemble through its bases and stacker.
+ROW_INVARIANT_KINDS = frozenset(
+    {DetectorKind.HBOS, DetectorKind.COPOD, DetectorKind.ECOD, DetectorKind.IFOREST, DetectorKind.INNE}
+)
+
 DEFAULT_CONTAMINATION = 0.02
 # Container tag; bumped whenever a detector's saved state changes layout.
 DETECTOR_FORMAT = "pfcpbench-detector-v6"

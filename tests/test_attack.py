@@ -15,7 +15,6 @@ from pfcpbench.attack import (
     AttackConfig,
     ComplianceSpec,
     QueryOracle,
-    attack_sample,
     build_feasible_set,
     check_compliant,
     check_feasible,
@@ -25,6 +24,7 @@ from pfcpbench.attack import (
     scale_compliance,
 )
 from pfcpbench.corpus import SynthConfig, default_schema, synth_attack, synth_benign
+from pfcpbench.detectors import ROW_INVARIANT_KINDS, DetectorKind
 from pfcpbench.errors import (
     BudgetExhausted,
     ComplianceViolation,
@@ -69,11 +69,8 @@ def toy():
     return schema, spec, feasible, source
 
 
-def _oracle(schema, spec, feasible, original, budget=100, score_fn=None, tau=1.0):
-    if score_fn is None:
-        score_fn = lambda row: float(row[1])  # score = the controllable size feature
+def _oracle(schema, spec, feasible, original, budget=100, tau=1.0):
     return QueryOracle(
-        score_fn=score_fn,
         tau=tau,
         budget=budget,
         schema=schema,
@@ -86,6 +83,32 @@ def _oracle(schema, spec, feasible, original, budget=100, score_fn=None, tau=1.0
 def _detected_sample(schema):
     # mark=c, size=9 (detected when tau < 9), teid=500 (compliant)
     return np.array([2.0, 9.0, 500.0])
+
+
+class _RowModel:
+    """Scores each row by ``score(row)`` (by default the controllable size)
+    and keeps every row it is sent."""
+
+    def __init__(self, tau, score=lambda row: float(row[1])):
+        self.tau = tau
+        self.score = score
+        self.calls = []
+
+    def score_batch(self, X):
+        self.calls.append(X.copy())
+        return np.array([self.score(row) for row in X])
+
+
+def _drive_one(toy, cfg, rng, tau, budget=100, score=lambda row: float(row[1])):
+    """Attack the detected sample through the campaign loop alone, with
+    ``rng`` as its optimizer's stream; returns its oracle and the model."""
+    schema, spec, feasible, source = toy
+    oracle = _oracle(schema, spec, feasible, _detected_sample(schema), budget=budget, tau=tau)
+    model = _RowModel(tau, score)
+    marginals = estimate_marginals(source, feasible)
+    proposals = attack_mod._OPTIMIZERS[cfg.algorithm](feasible, marginals, cfg, rng)
+    attack_mod._lockstep(model, [(oracle, proposals)])
+    return oracle, model
 
 
 # --- feasibility / compliance -----------------------------------------------------
@@ -107,6 +130,18 @@ def test_out_of_domain_value_is_infeasible(toy):
     assert not check_feasible(np.array([2.0, 11.0]), feasible)  # above the size domain
     assert not check_feasible(np.array([3.0, 9.0]), feasible)  # no such category code
     assert not check_feasible(np.array([2.0, 9.0, 500.0]), feasible)  # one gene per J position
+
+
+def test_check_feasible_on_narrowed_domains(toy):
+    # codes between allowed codes, NaN genes and wrong shapes are infeasible
+    schema, spec, _, _ = toy
+    narrow = {"pfcp.mark": {"labels": ["a", "c"]}, "pfcp.size": {"lo": 2.0, "hi": 3.0}}
+    feasible = build_feasible_set(schema, ("pfcp.mark", "pfcp.size"), spec, narrow)
+    assert check_feasible(np.array([0.0, 2.5]), feasible)
+    assert check_feasible([2.0, 3.0], feasible)
+    for genes in ([1.0, 2.5], [0.5, 2.5], [0.0, 3.5], [np.nan, 2.5], [0.0, np.nan],
+                  [[0.0, 2.5]], [0.0], []):
+        assert not check_feasible(np.array(genes), feasible), genes
 
 
 def test_compliance_predicates(toy):
@@ -185,6 +220,20 @@ def test_marginal_frequencies(toy):
     assert all(marginals.sample(size, rng) in {1.0, 2.0, 3.0} for _ in range(50))
 
 
+def test_categorical_draws_match_generator_choice():
+    # a categorical gene draws through its precomputed CDF exactly as
+    # rng.choice(values, p=probs) does: same values, same stream after
+    codes = np.array([0.0, 1.0, 2.0])
+    for probs in ([0.2, 0.5, 0.3], [1 / 3, 1 / 3, 1 / 3], [0.0, 1.0, 0.0], [0.1, 0.0, 0.9]):
+        probs = np.array(probs)
+        marginals = attack_mod.Marginals(entries=((codes, probs),))
+        ours, theirs = np.random.default_rng(21), np.random.default_rng(21)
+        drawn = [marginals.sample(0, ours) for _ in range(2000)]
+        assert drawn == [float(theirs.choice(codes, p=probs)) for _ in range(2000)]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random(5).tolist() == theirs.random(5).tolist()
+
+
 def test_marginals_empty_source(toy):
     schema, spec, feasible, _ = toy
     empty = LabeledDataset(schema, np.empty((0, 3)), [])
@@ -199,11 +248,15 @@ def test_fitness_positive_part(toy):
     schema, spec, feasible, _ = toy
     x = _detected_sample(schema)
     oracle = _oracle(schema, spec, feasible, x, tau=5.0)
-    # genes are (mark, size); the score is the size
-    assert oracle.fitness(np.array([2.0, 0.0])) == 0.0  # score 0 = tau - 5
-    assert oracle.fitness(np.array([2.0, 7.0])) == pytest.approx(2.0)  # tau + 2
+
+    def query(genes):  # genes are (mark, size); the score is the size
+        candidate = oracle.candidate(np.array(genes))
+        return oracle.fitness(candidate, candidate[1])
+
+    assert query([2.0, 0.0]) == 0.0  # score 0 = tau - 5
+    assert query([2.0, 7.0]) == pytest.approx(2.0)  # tau + 2
     # exactly tau: not anomalous under the strict rule
-    assert oracle.fitness(np.array([2.0, 5.0])) == 0.0
+    assert query([2.0, 5.0]) == 0.0
     assert oracle.queries_used == 3
     assert oracle.best_candidate.tolist() == [2.0, 0.0, 500.0]
 
@@ -213,23 +266,39 @@ def test_budget_exhaustion(toy):
     x = _detected_sample(schema)
     oracle = _oracle(schema, spec, feasible, x, budget=2)
     genes = _genes(x, feasible)
-    oracle.fitness(genes)
-    oracle.fitness(genes)
+    oracle.fitness(oracle.candidate(genes), 9.0)
+    oracle.fitness(oracle.candidate(genes), 9.0)
     with pytest.raises(BudgetExhausted):
-        oracle.fitness(genes)
+        oracle.candidate(genes)
 
 
-def test_oracle_rejects_noncompliant_candidates(toy):
-    schema, spec, feasible, _ = toy
+def test_oracle_rejects_noncompliant_candidates(toy, monkeypatch):
+    schema, spec, feasible, source = toy
     x = _detected_sample(schema)
-    scored = []
-    oracle = _oracle(schema, spec, feasible, x, score_fn=lambda row: scored.append(row) or 9.0)
+    oracle = _oracle(schema, spec, feasible, x)
     # an out-of-domain size, an unknown mark code, and a genome that is a full row
-    for bad in ([2.0, 11.0], [3.0, 9.0], [2.0, 9.0, 500.0]):
+    bad_genomes = ([2.0, 11.0], [3.0, 9.0], [2.0, 9.0, 500.0])
+    for bad in bad_genomes:
         with pytest.raises(ComplianceViolation):
-            oracle.fitness(np.array(bad))
+            oracle.candidate(np.array(bad))
     assert oracle.queries_used == 0  # rejected genomes burn no budget
-    assert scored == []  # and never reach the score function
+    # and never reach the model: the first sample of a round proposes a good
+    # genome, the second a bad one, and the round is not scored
+    attacks = LabeledDataset(schema, np.array([x, x]), [ClassLabel.RESTORATION_TEID] * 2)
+    for bad in bad_genomes:
+        genomes = iter([_genes(x, feasible), np.array(bad)])
+
+        def propose(*args):
+            yield next(genomes)
+
+        monkeypatch.setitem(attack_mod._OPTIMIZERS, RS, propose)
+        model = _RowModel(tau=1.0)
+        with pytest.raises(ComplianceViolation):
+            run_campaign(
+                model, attacks, {ClassLabel.RESTORATION_TEID: feasible},
+                {ClassLabel.RESTORATION_TEID: spec}, AttackConfig(algorithm=RS), source,
+            )
+        assert len(model.calls) == 1  # the originals' initial scores only
 
 
 def test_oracle_rejects_noncompliant_original(toy):
@@ -252,19 +321,9 @@ def test_oracle_rejects_feasible_set_touching_protected_fields(toy):
 # --- optimizers -----------------------------------------------------------------------
 
 
-def _marginals_for(toy_tuple):
-    schema, spec, feasible, source = toy_tuple
-    return estimate_marginals(source, feasible)
-
-
 def test_rs_single_query(toy):
-    schema, spec, feasible, source = toy
-    marginals = _marginals_for(toy)
-    x = _detected_sample(schema)
-    oracle = _oracle(schema, spec, feasible, x, tau=20.0)  # unevadable tau? no: size<=10 -> always 0
-    oracle = _oracle(schema, spec, feasible, x, tau=-1.0)  # every candidate scores above tau
-    cfg = AttackConfig(algorithm=RS, seed=1)
-    attack_sample(oracle, marginals, cfg, rng_for(1, "t"))
+    # every candidate scores above tau
+    oracle, _ = _drive_one(toy, AttackConfig(algorithm=RS, seed=1), rng_for(1, "t"), tau=-1.0)
     assert oracle.queries_used == 1
 
 
@@ -281,70 +340,48 @@ def test_rs_single_query(toy):
     ids=["RS-retries7", "RS-retries-beyond-budget", "GA_DE-popsize3", "GA_ES-popsize1"],
 )
 def test_unevadable_sample_spends_every_proposal(toy, cfg, queries):
-    schema, spec, feasible, source = toy
-    marginals = _marginals_for(toy)
-    x = _detected_sample(schema)
-    oracle = _oracle(schema, spec, feasible, x, tau=-1.0)
-    attack_sample(oracle, marginals, cfg, rng_for(1, "t"))
+    oracle, _ = _drive_one(toy, cfg, rng_for(1, "t"), tau=-1.0)
     assert oracle.queries_used == queries
 
 
 def test_ga_de_stops_on_zero_fitness_at_init(toy):
-    schema, spec, feasible, source = toy
-    marginals = _marginals_for(toy)
-    x = _detected_sample(schema)
-    oracle = _oracle(schema, spec, feasible, x, tau=15.0)  # any size <= 10 scores below tau
+    # any size <= 10 scores below tau
     cfg = AttackConfig(algorithm=GA_DE, seed=1)
-    attack_sample(oracle, marginals, cfg, rng_for(1, "t"))
+    oracle, _ = _drive_one(toy, cfg, rng_for(1, "t"), tau=15.0)
     assert oracle.best_fitness == 0.0
     assert oracle.queries_used <= cfg.popsize
 
 
 def test_ga_de_respects_budget_and_improves(toy):
-    schema, spec, feasible, source = toy
-    marginals = _marginals_for(toy)
-    x = _detected_sample(schema)
-    # oracle punishes distance from size 4.2; unreachable zero keeps it running
-    score_fn = lambda row: abs(row[1] - 4.2) + 3.0
-    oracle = _oracle(schema, spec, feasible, x, score_fn=score_fn, tau=1.0, budget=60)
-    cfg = AttackConfig(algorithm=GA_DE, seed=3)
-    attack_sample(oracle, marginals, cfg, rng_for(3, "t"))
+    # the model punishes distance from size 4.2; unreachable zero keeps it running
+    oracle, _ = _drive_one(
+        toy, AttackConfig(algorithm=GA_DE, seed=3), rng_for(3, "t"), tau=1.0, budget=60,
+        score=lambda row: abs(row[1] - 4.2) + 3.0,
+    )
     assert oracle.queries_used == 60
     fits = [f for _, f in oracle.trace]
     assert min(fits[:20]) > oracle.best_fitness or fits.index(min(fits)) >= 20
 
 
 def test_ga_es_static_without_variation(toy):
-    schema, spec, feasible, source = toy
-    marginals = _marginals_for(toy)
-    x = _detected_sample(schema)
-    oracle = _oracle(schema, spec, feasible, x, tau=-1.0, budget=100)
     cfg = AttackConfig(algorithm=GA_ES, seed=4, recombination_ratio=0.0, mutation_rate=0.0)
-    attack_sample(oracle, marginals, cfg, rng_for(4, "t"))
+    oracle, _ = _drive_one(toy, cfg, rng_for(4, "t"), tau=-1.0)
     init_best = min(f for _, f in oracle.trace[: cfg.popsize])
     assert oracle.best_fitness == pytest.approx(init_best)
 
 
 def test_ga_es_deterministic(toy):
-    schema, spec, feasible, source = toy
-    marginals = _marginals_for(toy)
-    x = _detected_sample(schema)
     traces = []
     for _ in range(2):
-        oracle = _oracle(schema, spec, feasible, x, tau=-1.0, budget=40)
         cfg = AttackConfig(algorithm=GA_ES, seed=5)
-        attack_sample(oracle, marginals, cfg, rng_for(5, "sample", 0))
+        oracle, _ = _drive_one(toy, cfg, rng_for(5, "sample", 0), tau=-1.0, budget=40)
         traces.append(tuple(oracle.trace))
     assert traces[0] == traces[1]
 
 
 def test_monotone_best_so_far(toy):
-    schema, spec, feasible, source = toy
-    marginals = _marginals_for(toy)
-    x = _detected_sample(schema)
-    oracle = _oracle(schema, spec, feasible, x, tau=-1.0, budget=80)
     cfg = AttackConfig(algorithm=GA_DE, seed=6)
-    attack_sample(oracle, marginals, cfg, rng_for(6, "t"))
+    oracle, _ = _drive_one(toy, cfg, rng_for(6, "t"), tau=-1.0, budget=80)
     best = np.inf
     for _, f in oracle.trace:
         best = min(best, f)
@@ -355,15 +392,12 @@ def test_scored_rows_equal_their_original_outside_j(toy):
     # the oracle builds each candidate from its original, so no optimizer
     # can move a position outside J, whatever genes it proposes
     schema, spec, feasible, source = toy
-    marginals = _marginals_for(toy)
     x = _detected_sample(schema)
     J = list(feasible.indices)
     for algorithm in (RS, GA_DE, GA_ES):
-        rows = []
-        score_fn = lambda row: rows.append(row.copy()) or float(row[1])
-        oracle = _oracle(schema, spec, feasible, x, score_fn=score_fn, tau=-1.0, budget=45)
         cfg = AttackConfig(algorithm=algorithm, seed=7, popsize=6, rs_retries=5)
-        attack_sample(oracle, marginals, cfg, rng_for(7, "t"))
+        oracle, model = _drive_one(toy, cfg, rng_for(7, "t"), tau=-1.0, budget=45)
+        rows = [row for call in model.calls for row in call]
         assert len(rows) == oracle.queries_used == (5 if algorithm == RS else 45)
         for row in rows:
             assert np.array_equal(np.delete(row, J), np.delete(x, J))
@@ -453,39 +487,36 @@ def test_every_scored_row_is_feasible_and_within_budget(data):
         model, attacks, {ClassLabel.RESTORATION_TEID: feasible},
         {ClassLabel.RESTORATION_TEID: spec}, cfg, source,
     )
-    # the first call scores the originals; each later one is one query, and
-    # the samples are attacked one after another in index order
+    # the first call scores the originals; each later one is one query of a
+    # model outside ROW_INVARIANT_KINDS, so one row, and the samples' rows
+    # interleave round by round: the protected TEID tells them apart
     queries = model.calls[1:]
     assert all(q.shape == (1, 6) for q in queries)
     assert sum(o.queries_used for o in outcomes) == len(queries)
     J = list(feasible.indices)
-    start = 0
     for o in outcomes:
         assert 1 <= o.queries_used <= (cfg.rs_retries if cfg.algorithm == RS else cfg.budget)
         assert o.queries_used <= cfg.budget
-        for (row,) in queries[start:start + o.queries_used]:
+        rows = [row for (row,) in queries if row[2] == originals[o.sample_index, 2]]
+        assert len(rows) == o.queries_used
+        for row in rows:
             assert np.array_equal(np.delete(row, J), np.delete(originals[o.sample_index], J))
             for j in J:
                 if isinstance(allowed[j], set):
                     assert row[j] in allowed[j]
                 else:
                     assert allowed[j][0] <= row[j] <= allowed[j][1]
-        start += o.queries_used
 
 
 def test_rs_cannot_evade_oracle_ignoring_j(toy):
-    # the oracle keys only on the protected feature: no J choice helps
-    schema, spec, feasible, source = toy
-    marginals = _marginals_for(toy)
+    # the model keys only on the protected feature: no J choice helps
     evaded = 0
     for trial in range(100):
-        x = _detected_sample(schema)
-        oracle = _oracle(
-            schema, spec, feasible, x,
-            score_fn=lambda row: float(row[2]), tau=400.0,  # teid=500 > 400: detected
-        )
         cfg = AttackConfig(algorithm=RS, seed=trial)
-        attack_sample(oracle, marginals, cfg, rng_for(trial, "t"))
+        oracle, _ = _drive_one(
+            toy, cfg, rng_for(trial, "t"),
+            tau=400.0, score=lambda row: float(row[2]),  # teid=500 > 400: detected
+        )
         evaded += oracle.best_fitness == 0.0
     assert evaded == 0
 
@@ -643,6 +674,84 @@ def test_campaign_golden_traces(toy, algorithm):
         digest.update(json.dumps(doc).encode())
     assert len(outcomes) == 12
     assert digest.hexdigest() == GOLDEN_TRACE_DIGESTS[algorithm]
+
+
+class _BatchSizeModel(_DistanceModel):
+    """``_DistanceModel`` plus ``per_row * len(Q)``: with ``per_row`` set, a
+    row's score depends on how many rows share its call.  ``kind`` decides
+    whether a campaign may score a round's candidates in one call."""
+
+    def __init__(self, kind, per_row):
+        self.kind = kind
+        self.per_row = per_row
+        self.rows_per_call = []
+
+    def score_batch(self, X):
+        self.rows_per_call.append(len(X))
+        return super().score_batch(X) + self.per_row * len(X)
+
+
+def _one_sample_one_row_campaign(model, attacks, feasible, cfg, source):
+    """Reference campaign: each detected sample attacked to its end before
+    the next, every query scored alone; (index, trace, best, fitness) each."""
+    marginals = estimate_marginals(source, feasible)
+    J = list(feasible.indices)
+    initial = model.score_batch(attacks.matrix)
+    outcomes = []
+    for i, original in enumerate(attacks.matrix):
+        if not initial[i] > model.tau:
+            continue
+        rng = rng_for(cfg.seed, "attack", cfg.algorithm, i)
+        proposals = attack_mod._OPTIMIZERS[cfg.algorithm](feasible, marginals, cfg, rng)
+        trace, best, best_fitness, value = [], original, np.inf, None
+        while len(trace) < cfg.budget and value != 0.0:
+            try:
+                genes = proposals.send(value)
+            except StopIteration:
+                break
+            candidate = original.copy()
+            candidate[J] = genes
+            value = max(0.0, float(model.score_batch(candidate[None, :])[0]) - model.tau)
+            trace.append((len(trace) + 1, value))
+            if value < best_fitness:
+                best, best_fitness = candidate, value
+        outcomes.append((i, tuple(trace), best.tolist(), best_fitness))
+    return outcomes
+
+
+@pytest.mark.parametrize("algorithm", [RS, GA_DE, GA_ES])
+def test_lockstep_campaign_matches_one_sample_one_row_reference(toy, algorithm):
+    schema, spec, feasible, source = toy
+    k = 16
+    cats = (np.arange(k) % 3).reshape(-1, 1)
+    nums = np.column_stack([np.linspace(0.5, 9.5, k), 300.0 + 18.0 * np.arange(k)])
+    attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * k)
+    cfg = AttackConfig(algorithm=algorithm, seed=11, budget=37, rs_retries=3)
+
+    def lockstep(model):
+        outcomes = run_campaign(
+            model, attacks, {ClassLabel.RESTORATION_TEID: feasible},
+            {ClassLabel.RESTORATION_TEID: spec}, cfg, source,
+        )
+        return [(o.sample_index, o.trace, o.best_candidate.tolist(), o.best_fitness) for o in outcomes]
+
+    def reference(kind, per_row):
+        model = _BatchSizeModel(kind, per_row)
+        return _one_sample_one_row_campaign(model, attacks, feasible, cfg, source)
+
+    # a declared kind: the first round scores all 12 detected samples in one call
+    assert DetectorKind.HBOS in ROW_INVARIANT_KINDS
+    declared = _BatchSizeModel(DetectorKind.HBOS, per_row=0.0)
+    assert lockstep(declared) == reference(DetectorKind.HBOS, 0.0)
+    assert declared.rows_per_call[1] == 12
+    # any other kind: one row per call, so a batch-dependent score does not move
+    assert DetectorKind.LODA not in ROW_INVARIANT_KINDS
+    fallback = _BatchSizeModel(DetectorKind.LODA, per_row=1e-13)
+    assert lockstep(fallback) == reference(DetectorKind.LODA, 1e-13)
+    assert set(fallback.rows_per_call[1:]) == {1}
+    # and it would move had the rounds been batched
+    batched = lockstep(_BatchSizeModel(DetectorKind.HBOS, per_row=1e-13))
+    assert batched != reference(DetectorKind.LODA, 1e-13)
 
 
 def test_campaign_compliance_checks_do_not_grow_with_budget(toy, monkeypatch):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from pfcpbench.cli import load_any_model
+from pfcpbench.corpus import synth_benchmark_splits
 from pfcpbench.detectors import (
+    ROW_INVARIANT_KINDS,
     DetectorConfig,
     DetectorKind,
     calibrate_threshold,
@@ -16,6 +18,7 @@ from pfcpbench.detectors.common import CHUNK_ROWS, EPS
 from pfcpbench.detectors.density import _avg_path
 from pfcpbench.errors import FitError, GridSearchError, GuidelineViolation, SchemaError
 from pfcpbench.evaluate import auc, threshold_metrics
+from pfcpbench.preprocess import fit_pipeline, transform
 from pfcpbench.seeding import rng_for
 from pfcpbench.traffic import ClassLabel
 
@@ -569,6 +572,52 @@ def test_translation_invariance(kind):
     a = fit(DetectorConfig(kind=kind), numeric_dataset(X), seed=9).score_batch(Q)
     b = fit(DetectorConfig(kind=kind), numeric_dataset(X + shift), seed=9).score_batch(Q + shift)
     assert np.abs(a - b).max() < 1e-6
+
+
+@pytest.fixture(scope="module")
+def pfcp_edge_rows():
+    """Scaled PFCP training split, and query rows at the places where a
+    last-bit difference would change a score: the training minima and
+    maxima (also the training rows that attain them), HBOS's bin edges,
+    midpoints, values outside the training range, test rows, and test rows
+    with some cells moved onto those values."""
+    train, _, test = synth_benchmark_splits(seed=42, scale=0.05)
+    pipeline = fit_pipeline(train, scaling_enabled=True)
+    train = transform(pipeline, train)
+    T, rows = train.matrix, transform(pipeline, test).matrix
+    rng = np.random.default_rng(5)
+    lo, hi = T.min(axis=0), T.max(axis=0)
+    span = hi - lo
+    bins = DetectorConfig(kind=DetectorKind.HBOS).params["bins"]
+    special = np.stack(
+        [lo, hi, (lo + hi) / 2, lo - span - 1, hi + span + 1]
+        + [lo + span * (k / bins) for k in range(bins + 1)]
+    )
+    attaining = T[np.unique(np.concatenate([T.argmin(axis=0), T.argmax(axis=0)]))]
+    pairs = rng.integers(len(T), size=(30, 2))
+    midpoints = (T[pairs[:, 0]] + T[pairs[:, 1]]) / 2
+    mixed = rows[rng.integers(len(rows), size=40)]
+    moved = rng.random(mixed.shape) < 0.3
+    mixed[moved] = special[rng.integers(len(special), size=mixed.shape), np.arange(T.shape[1])][moved]
+    return train, np.vstack([special, attaining, midpoints, rows[:60], mixed])
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_INVARIANT_KINDS, key=lambda k: k.value))
+def test_row_invariant_kinds_score_a_row_alike_in_any_batch(pfcp_edge_rows, kind):
+    # the attack scores a round's candidates in one call for these kinds,
+    # so each row's score must not depend on the rows sharing its call
+    train, Q = pfcp_edge_rows
+    model = fit(DetectorConfig(kind=kind), train, seed=42)
+    full = model.score_batch(Q)
+    alone = np.concatenate([model.score_batch(Q[i : i + 1]) for i in range(len(Q))])
+    assert alone.tobytes() == full.tobytes()
+    rng = np.random.default_rng(3)
+    order = rng.permutation(len(Q))
+    cuts = np.sort(rng.choice(np.arange(1, len(Q)), size=6, replace=False))
+    shuffled = np.empty_like(full)
+    for part in np.split(order, cuts):
+        shuffled[part] = model.score_batch(Q[part])
+    assert shuffled.tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("kind", RANDOMIZED)
