@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Generator, Mapping, Sequence
@@ -177,14 +178,13 @@ class FeasibleSet:
 
     indices: tuple[int, ...]
     domains: tuple  # NumericDomain | tuple[int, ...], aligned with indices
-    lo: np.ndarray = field(init=False, repr=False, compare=False)
-    hi: np.ndarray = field(init=False, repr=False, compare=False)
+    lo: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    hi: tuple[float, ...] = field(init=False, repr=False, compare=False)
     categorical: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bounds = [(min(d), max(d)) if isinstance(d, tuple) else (d.lo, d.hi) for d in self.domains]
-        lo, hi = np.array(bounds, dtype=float).reshape(-1, 2).T.copy()
-        lo.flags.writeable = hi.flags.writeable = False
+        lo, hi = tuple(b[0] for b in bounds), tuple(b[1] for b in bounds)
         categorical = tuple(g for g, d in enumerate(self.domains) if isinstance(d, tuple))
         for name, value in (("lo", lo), ("hi", hi), ("categorical", categorical)):
             object.__setattr__(self, name, value)
@@ -309,12 +309,13 @@ def load_feasible_sets(
 def check_feasible(genes: np.ndarray, feasible: FeasibleSet) -> bool:
     """``genes`` holds one allowed value per position of J."""
     genes = np.asarray(genes, dtype=float)
-    if genes.shape != feasible.lo.shape:
+    if genes.shape != (len(feasible.lo),):
         return False
-    # a NaN gene fails both bounds
-    if not ((feasible.lo <= genes) & (genes <= feasible.hi)).all():
+    # compared as Python floats: a NaN gene fails both bounds
+    values = genes.tolist()
+    if not (all(map(operator.le, feasible.lo, values)) and all(map(operator.le, values, feasible.hi))):
         return False
-    return all(genes.item(g) in feasible.domains[g] for g in feasible.categorical)
+    return all(values[g] in feasible.domains[g] for g in feasible.categorical)
 
 
 def check_compliant(spec: ComplianceSpec, schema: FeatureSchema, candidate: np.ndarray) -> bool:
@@ -346,12 +347,20 @@ class Marginals:
     # each categorical gene's normalized cumulative frequencies, None for a
     # numerical gene
     cdfs: tuple = field(init=False, repr=False)
+    # (g, None) for a categorical gene g, (g, value arrays) for numerical genes g, g+1, ...
+    runs: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.cdfs = tuple(
             None if probs is None else (cdf := probs.cumsum()) / cdf[-1]
             for _, probs in self.entries
         )
+        self.runs = []
+        for g, (values, probs) in enumerate(self.entries):
+            if probs is None and self.runs and self.runs[-1][1] is not None:
+                self.runs[-1][1].append(values)
+            else:
+                self.runs.append((g, [values] if probs is None else None))
 
     def sample(self, g: int, rng: np.random.Generator) -> float:
         values, cdf = self.entries[g][0], self.cdfs[g]
@@ -359,6 +368,18 @@ class Marginals:
             # how ``rng.choice(values, p=probs)`` draws, without re-checking p
             return float(values[cdf.searchsorted(rng.random(), side="right")])
         return float(values[rng.integers(len(values))])
+
+    def genome(self, rng: np.random.Generator) -> np.ndarray:
+        """One draw per gene, the stream of ``sample`` called gene by gene: given
+        an array of bounds, ``rng.integers`` draws a run of numerical genes in order."""
+        genes = np.empty(len(self.entries))
+        for g, pools in self.runs:
+            if pools is None:
+                genes[g] = self.sample(g, rng)
+            else:
+                draws = rng.integers([len(values) for values in pools]).tolist()
+                genes[g : g + len(pools)] = [values[k] for values, k in zip(pools, draws)]
+        return genes
 
 
 def estimate_marginals(source: LabeledDataset, feasible: FeasibleSet) -> Marginals:
@@ -418,7 +439,7 @@ class QueryOracle:
         self.budget = budget
         self.original = np.asarray(original, dtype=float).copy()
         self.feasible = feasible
-        self._J = list(feasible.indices)
+        self._J = np.array(feasible.indices)
         self.queries_used = 0
         self.trace: list[tuple[int, float]] = []
         self.best_candidate = self.original.copy()
@@ -506,21 +527,6 @@ class AttackOutcome:
         return doc
 
 
-def _outcome(oracle: QueryOracle, idx: int, kind: ClassLabel, algorithm: str, initial: float) -> AttackOutcome:
-    return AttackOutcome(
-        sample_index=idx,
-        attack_class=kind,
-        algorithm=algorithm,
-        original=oracle.original,
-        best_candidate=oracle.best_candidate,
-        best_fitness=float(oracle.best_fitness),
-        queries_used=oracle.queries_used,
-        evaded=oracle.best_fitness == 0.0,
-        initial_score=initial,
-        trace=tuple(oracle.trace),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Optimizers: genome generators that never see the oracle
 
@@ -536,10 +542,18 @@ def _init_population(
     nothing."""
     pop, fits = [], []
     for _ in range(popsize):
-        genes = np.array([marginals.sample(g, rng) for g in range(len(marginals.entries))])
-        fits.append((yield genes))
-        pop.append(genes)
+        pop.append(marginals.genome(rng))
+        fits.append((yield pop[-1]))
     return np.array(pop), np.array(fits)
+
+
+def _draw_pair(n: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Two distinct integers below ``n``, drawn as ``rng.choice(n, size=2, replace=False)``
+    draws them (Floyd's two bounded draws, then a shuffle): same pair, same stream."""
+    a, b = rng.integers(n - 1), rng.integers(n)
+    if b == a:
+        b = n - 1
+    return (a, b) if rng.integers(2) else (b, a)
 
 
 def rs_attack(
@@ -566,11 +580,11 @@ def ga_de_attack(
     while True:
         for i in range(len(pop)):
             # best/1 base vector: differences perturb the incumbent best
-            a = int(np.argmin(fits))
+            a = int(fits.argmin())
             others = [t for t in range(len(pop)) if t != i and t != a]
-            b, c = rng.choice(others, size=2, replace=False)
+            b, c = (others[k] for k in _draw_pair(len(others), rng))
             child = pop[i].copy()
-            cut1, cut2 = np.sort(rng.choice(len(child) + 1, size=2, replace=False))
+            cut1, cut2 = sorted(_draw_pair(len(child) + 1, rng))
             for g in range(cut1, cut2):
                 domain = feasible.domains[g]
                 if isinstance(domain, NumericDomain):
@@ -597,7 +611,7 @@ def ga_es_attack(
         child_fits = np.empty(len(pop))
         for k, child in enumerate(children):
             if rng.random() < cfg.recombination_ratio:
-                p1, p2 = rng.choice(len(pop), size=2, replace=False)
+                p1, p2 = _draw_pair(len(pop), rng)
                 # one uniform per gene, in gene order: the stream of a per-gene loop
                 child[:] = np.where(rng.random(len(child)) < 0.5, pop[p2], pop[p1])
             else:
@@ -714,7 +728,12 @@ def run_campaign(
         )
     _lockstep(model, [(oracle, proposals) for _, _, oracle, proposals in attacked])
     return [
-        _outcome(oracle, i, kind, cfg.algorithm, float(scores[i]))
+        AttackOutcome(
+            sample_index=i, attack_class=kind, algorithm=cfg.algorithm, original=oracle.original,
+            best_candidate=oracle.best_candidate, best_fitness=float(oracle.best_fitness),
+            queries_used=oracle.queries_used, evaded=oracle.best_fitness == 0.0,
+            initial_score=float(scores[i]), trace=tuple(oracle.trace),
+        )
         for i, kind, oracle, _ in attacked
     ]
 

@@ -66,10 +66,10 @@ def histogram_lookup(
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
+    # methods, not np.* wrappers: the same sums, cheaper on GMM's one-row scores
+    m = a.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-    return out
+    return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis=axis)
 
 
 def sample_skew_sign(X: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from .common import ABOF_EPS, iter_chunks, logsumexp, nearest, sq_distances
 GMM_RIDGE = 1e-6
 GMM_MAX_ITER = 200
 GMM_TOL = 1e-7
+LOG_2PI = np.log(2.0 * np.pi)
 
 
 def fit_pca(X: np.ndarray, params: dict, rng) -> dict:
@@ -74,8 +75,8 @@ def _log_gaussians(Q: np.ndarray, means: np.ndarray, chols: list[np.ndarray]) ->
         diff = Q - means[k]
         y = np.linalg.solve(L, diff.T)
         maha = (y**2).sum(axis=0)
-        logdet = 2.0 * np.log(np.diag(L)).sum()
-        out[:, k] = -0.5 * (maha + logdet + d * np.log(2.0 * np.pi))
+        logdet = 2.0 * np.log(L.diagonal()).sum()
+        out[:, k] = -0.5 * (maha + logdet + d * LOG_2PI)
     return out
 
 

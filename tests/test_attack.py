@@ -234,6 +234,45 @@ def test_categorical_draws_match_generator_choice():
         assert ours.random(5).tolist() == theirs.random(5).tolist()
 
 
+def test_pair_draws_match_generator_choice():
+    # two distinct indices drawn exactly as rng.choice(n, size=2,
+    # replace=False) draws them: same pairs, same stream after
+    for n in range(2, 65):
+        ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+        drawn = [attack_mod._draw_pair(n, ours) for _ in range(2000)]
+        assert drawn == [tuple(theirs.choice(n, size=2, replace=False).tolist()) for _ in range(2000)]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_genome_draws_match_the_per_gene_loop(data):
+    # runs of numerical genes, a categorical gene between each two runs; a
+    # genome is drawn with the stream of one ``sample`` call per gene
+    runs = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=5), "runs")
+    layout = []
+    for r, run in enumerate(runs):
+        layout += [False] * run + ([True] if r < len(runs) - 1 else [])
+    if not layout:
+        layout = [False]
+    entries = []
+    for g, categorical in enumerate(layout):
+        size = data.draw(st.integers(1, 6), f"size {g}")
+        if categorical:
+            weights = np.array(data.draw(st.lists(st.integers(0, 5), min_size=size, max_size=size)))
+            weights[0] += 1  # some mass
+            entries.append((np.arange(size, dtype=float), weights / weights.sum()))
+        else:
+            entries.append((np.sort(np.arange(size) * 1.5 - g), None))
+    marginals = attack_mod.Marginals(entries=tuple(entries))
+    seed = data.draw(st.integers(0, 2**32 - 1), "seed")
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        expected = np.array([marginals.sample(g, theirs) for g in range(len(entries))])
+        assert marginals.genome(ours).tobytes() == expected.tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_marginals_empty_source(toy):
     schema, spec, feasible, _ = toy
     empty = LabeledDataset(schema, np.empty((0, 3)), [])
@@ -674,6 +713,80 @@ def test_campaign_golden_traces(toy, algorithm):
         digest.update(json.dumps(doc).encode())
     assert len(outcomes) == 12
     assert digest.hexdigest() == GOLDEN_TRACE_DIGESTS[algorithm]
+
+
+# Nine genes in gene order: runs of two, three and two numerical genes with a
+# categorical gene between each pair of runs.  The protected TEID sits among
+# them in the schema, outside J.
+_RUNS_SCHEMA = FeatureSchema(
+    features=tuple(
+        FeatureDescriptor(
+            name, "categorical" if labels else "numerical", "pfcp", False,
+            CategoricalDomain(labels) if labels else NumericDomain(0.0, 1e6 if name == "pfcp.teid" else 10.0),
+        )
+        for name, labels in (
+            ("n0", ()), ("n1", ()), ("c0", ("a", "b", "c", "d")), ("n2", ()), ("n3", ()),
+            ("n4", ()), ("pfcp.teid", ()), ("c1", ("x", "y", "z")), ("n5", ()), ("n6", ()),
+        )
+    )
+)
+_RUNS_NUMERICAL = [0, 1, 3, 4, 5, 8, 9]
+
+
+class _RunsDistanceModel:
+    """Mean distance of the numerical genes from 4, categorical genes other
+    than "b" and "z", and the TEID's offset from 500."""
+
+    tau = 1.0
+
+    def score_batch(self, X):
+        return (
+            np.abs(X[:, _RUNS_NUMERICAL] - 4.0).mean(axis=1)
+            + 0.5 * (X[:, 2] != 1) + 0.3 * (X[:, 7] != 2) + (X[:, 6] - 500.0) / 100.0
+        )
+
+
+# the same digest as GOLDEN_TRACE_DIGESTS over a J whose runs of numerical
+# genes a draw may take in one call; recorded before any such change
+GOLDEN_RUNS_DIGESTS = {
+    RS: "24badd666edc370216b76e9f55bfa6d90b26ede600846b5f69a27fad030756af",
+    GA_DE: "7b1a96e93ac118a10449dcbc6181c02adecbaf8f04c3ed8ffe4dea27162bd2c0",
+    GA_ES: "f418329a3c6f2463457e882b94c8b1096e36fbc801665fa62a8df2ff7d51b894",
+}
+
+
+@pytest.mark.parametrize("algorithm", [RS, GA_DE, GA_ES])
+def test_campaign_golden_traces_on_runs_of_numerical_genes(algorithm):
+    # budget 29 with popsize 8 runs out partway through the third generation
+    schema = _RUNS_SCHEMA
+    spec = ComplianceSpec(
+        ClassLabel.RESTORATION_TEID, frozenset({"pfcp.teid"}), (("pfcp.teid", ">", 100.0),)
+    )
+    names = [f.name for f in schema.features if f.name != "pfcp.teid"]
+    feasible = build_feasible_set(schema, names, spec)
+    rng = np.random.default_rng(17)
+    source = np.round(rng.uniform(0.0, 10.0, size=(90, 10)), 2)
+    source[:, 2], source[:, 7], source[:, 6] = rng.integers(4, size=90), rng.integers(3, size=90), 50.0
+    k = 14
+    originals = np.column_stack([
+        np.linspace(0.5, 9.5, k), np.linspace(9.0, 1.0, k), np.arange(k) % 4, np.full(k, 7.0),
+        np.linspace(2.0, 8.0, k), np.full(k, 9.5), 300.0 + 25.0 * np.arange(k), np.arange(k) % 3,
+        np.linspace(0.0, 10.0, k), np.full(k, 4.0),
+    ])
+    outcomes = run_campaign(
+        _RunsDistanceModel(),
+        LabeledDataset(schema, originals, [ClassLabel.RESTORATION_TEID] * k),
+        {ClassLabel.RESTORATION_TEID: feasible},
+        {ClassLabel.RESTORATION_TEID: spec},
+        AttackConfig(algorithm=algorithm, seed=23, budget=29, popsize=8, rs_retries=4),
+        LabeledDataset(schema, source, [ClassLabel.NORMAL] * len(source)),
+    )
+    digest = hashlib.sha256()
+    for o in outcomes:
+        doc = [o.sample_index, [list(t) for t in o.trace], o.best_candidate.tolist()]
+        digest.update(json.dumps(doc).encode())
+    assert len(outcomes) == 13
+    assert digest.hexdigest() == GOLDEN_RUNS_DIGESTS[algorithm]
 
 
 class _BatchSizeModel(_DistanceModel):

@@ -371,6 +371,36 @@ def test_gmm_single_component_monotone_in_distance():
     assert scores[-1] == pytest.approx(float(expected), rel=1e-2)
 
 
+def direct_gmm_scores(state: dict, Q: np.ndarray) -> list[float]:
+    """-log of the mixture density at each row, summed over the components
+    with the explicit inverse and determinant of each covariance L L^T."""
+    out = []
+    for q in Q:
+        density = 0.0
+        for mean, L, log_weight in zip(state["means"], state["chols"], state["log_weights"]):
+            cov = L @ L.T
+            diff = q - mean
+            maha = diff @ np.linalg.inv(cov) @ diff
+            norm = math.sqrt((2.0 * math.pi) ** len(q) * np.linalg.det(cov))
+            density += math.exp(log_weight) * math.exp(-0.5 * maha) / norm
+        out.append(-math.log(density))
+    return out
+
+
+@pytest.mark.parametrize("components", [1, 3])
+def test_gmm_matches_direct_density_sum(components):
+    rng = np.random.default_rng(8)
+    centers = np.array([[0.0, 0.0, 0.0], [4.0, -1.0, 2.0], [-3.0, 3.0, 1.0]])
+    X = centers[np.arange(300) % 3] + rng.normal(size=(300, 3)) @ np.diag([1.0, 0.5, 2.0])
+    model = fit(
+        DetectorConfig(kind=DetectorKind.GMM, params={"components": components}),
+        numeric_dataset(X), seed=5,
+    )
+    Q = np.vstack([X[:20], rng.normal(scale=4.0, size=(20, 3))])
+    scores = model.score_batch(Q)
+    assert scores.tolist() == pytest.approx(direct_gmm_scores(model.state, Q), rel=1e-9)
+
+
 def test_iforest_scores_bounded():
     rng = np.random.default_rng(4)
     train = numeric_dataset(rng.normal(size=(200, 4)))
@@ -618,6 +648,21 @@ def test_row_invariant_kinds_score_a_row_alike_in_any_batch(pfcp_edge_rows, kind
     for part in np.split(order, cuts):
         shuffled[part] = model.score_batch(Q[part])
     assert shuffled.tobytes() == full.tobytes()
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP 4(a): a FeatureBagging row that attains a column extreme "
+    "scores 8.9e-4 apart alone and in a batch",
+)
+def test_feature_bagging_scores_a_row_within_rounding_alone_and_in_a_batch(pfcp_edge_rows):
+    # far beyond the last-bit differences of a BLAS product; likely its LOF
+    # members' tie sets move with the row's rounded zero distance to itself
+    train, Q = pfcp_edge_rows
+    model = fit(DetectorConfig(kind=DetectorKind.FEATURE_BAGGING), train, seed=42)
+    full = model.score_batch(Q)
+    alone = np.concatenate([model.score_batch(Q[i : i + 1]) for i in range(len(Q))])
+    np.testing.assert_allclose(alone, full, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", RANDOMIZED)
