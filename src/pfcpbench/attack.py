@@ -55,6 +55,9 @@ RS = "RS"
 GA_DE = "GA_DE"
 GA_ES = "GA_ES"
 ALGORITHMS = (RS, GA_DE, GA_ES)
+DIFF_WEIGHT = 0.5  # GA_DE's differential weight F on numeric genes
+RECOMBINATION_RATIO = 0.9  # share of GA_ES children bred from two parents
+MUTATIONS_PER_CHILD = 1.0  # genes GA_ES resamples per child, on average
 
 _RELATIONS: dict[str, Callable[[float, float], bool]] = {
     "=": lambda a, b: a == b,
@@ -481,9 +484,6 @@ class AttackConfig:
     algorithm: str = GA_DE
     popsize: int = 20
     budget: int = 100
-    diff_weight: float = 0.5  # differential mutation weight on numeric genes
-    recombination_ratio: float = 0.9
-    mutation_rate: float | None = None  # defaults to 1/|J|
     seed: int = 42
     rs_retries: int = 1  # single-draw random search by default
 
@@ -588,7 +588,7 @@ def ga_de_attack(
             for g in range(cut1, cut2):
                 domain = feasible.domains[g]
                 if isinstance(domain, NumericDomain):
-                    child[g] = domain.clamp(pop[a, g] + cfg.diff_weight * (pop[b, g] - pop[c, g]))
+                    child[g] = domain.clamp(pop[a, g] + DIFF_WEIGHT * (pop[b, g] - pop[c, g]))
                 else:
                     child[g] = marginals.sample(g, rng)
             f = yield child
@@ -600,9 +600,9 @@ def ga_es_attack(
     feasible: FeasibleSet, marginals: Marginals, cfg: AttackConfig, rng: np.random.Generator
 ) -> Proposals:
     """Evolution-strategy variant: (mu + lambda) with uniform two-parent
-    recombination at the configured ratio, per-gene marginal resampling at
+    recombination at ``RECOMBINATION_RATIO``, per-gene marginal resampling at
     rate 1/|J|, and elitist survivor selection."""
-    mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / len(feasible.indices)
+    mutation_rate = MUTATIONS_PER_CHILD / len(feasible.indices)
     pop, fits = yield from _init_population(marginals, cfg.popsize, rng)
     if len(pop) < 2:
         return
@@ -610,7 +610,7 @@ def ga_es_attack(
         children = np.empty_like(pop)
         child_fits = np.empty(len(pop))
         for k, child in enumerate(children):
-            if rng.random() < cfg.recombination_ratio:
+            if rng.random() < RECOMBINATION_RATIO:
                 p1, p2 = _draw_pair(len(pop), rng)
                 # one uniform per gene, in gene order: the stream of a per-gene loop
                 child[:] = np.where(rng.random(len(child)) < 0.5, pop[p2], pop[p1])

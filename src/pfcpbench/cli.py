@@ -234,12 +234,14 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         raise errors.ConfigError("no trained models to evaluate")
     y = np.array([lab is not ClassLabel.NORMAL for lab in test.labels], dtype=bool)
     scores = eval_mod.score_models(models, test.matrix)
-    rows = [
-        eval_mod.metrics_row(name, s, y, model.tau, pipeline.scaler is not None)
+    scaled = pipeline.scaler is not None
+    metrics = [
+        eval_mod.metrics_row(name, s, y, model.tau, scaled)
         for (name, model), s in zip(models, scores)
     ]
+    eval_mod.emit_report("metrics", metrics, run_dir)
     matrix = eval_mod.detection_matrix(models, scores, test)
-    eval_mod.emit_report(rows, matrix, None, run_dir)
+    eval_mod.emit_report("detection_matrix", matrix, run_dir, csv_only=True)
     print(run_dir)
     return 0
 
@@ -261,8 +263,9 @@ def cmd_attack(cfg: RunConfig) -> int:
     }
     feasible = attack_mod.load_feasible_sets(cfg.j_config, attack_rows.schema, specs)
     marginals_source = splits["train"] if from_train else attack_rows
+    scaled = pipeline.scaler is not None
 
-    groups = []
+    rows = []
     for name, model in models:
         for algorithm in cfg.algorithms:
             attack_cfg = attack_mod.AttackConfig(
@@ -281,13 +284,11 @@ def cmd_attack(cfg: RunConfig) -> int:
                 run_dir / f"campaign-{name}-{algorithm}.jsonl",
                 include_trace=cfg.include_traces,
             )
-            groups.append((name, algorithm, pipeline.scaler is not None, outcomes))
+            rows.append(eval_mod.evasion_row(name, algorithm, scaled, outcomes))
             logger.info(
-                "%s vs %s: %d/%d evaded",
-                algorithm, name, sum(o.evaded for o in outcomes), len(outcomes),
+                "%s vs %s: %d/%d evaded", algorithm, name, rows[-1]["n_evaded"], len(outcomes)
             )
-    rows = eval_mod.evasion_table(groups)
-    eval_mod.emit_report(None, None, rows, run_dir)
+    eval_mod.emit_report("evasion", rows, run_dir, columns=eval_mod.EVASION_COLUMNS)
     print(run_dir)
     return 0
 
@@ -297,7 +298,7 @@ def cmd_report(cfg: RunConfig) -> int:
     run_dir = cfg.run_dir()
     report_dir = make_dir(run_dir / "report")
     found = False
-    for name in ("metrics.json", "metrics.csv", "evasion.json", "evasion.csv", "detection_matrix.csv"):
+    for name in eval_mod.REPORT_FILES:
         src = run_dir / name
         if src.exists():
             write_text(report_dir / name, src.read_text())

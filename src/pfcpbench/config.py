@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -199,6 +200,9 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
                     raise ConfigError(f"split source {src.path} does not exist")
     if synth is None and splits is None:
         raise ConfigError("config needs corpus.synth or corpus.splits")
+    for key, value in (synth or {}).items():
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"corpus.synth.{key} must be a finite number > 0, got {value!r}")
 
     pipeline_doc = doc.get("pipeline", {})
     scaling = pipeline_doc.get("scaling", True)

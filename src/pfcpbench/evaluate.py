@@ -4,6 +4,7 @@ evasion-rate tables, and deterministic report emission."""
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -98,161 +99,84 @@ def score_models(models: Sequence[tuple[str, object]], X: np.ndarray) -> list[np
     ]
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    model: str
-    auc: float
-    precision: float
-    recall: float
-    f1: float
-    scaled: bool
-
-
 def metrics_row(
     model_name: str, scores: np.ndarray, labels: np.ndarray, tau: float, scaled: bool
-) -> MetricsRow:
+) -> dict:
+    """One row of the metrics table: AUC and the thresholded metrics."""
     tm = threshold_metrics(scores, labels, tau)
-    return MetricsRow(
-        model=model_name,
-        auc=auc(scores, labels),
-        precision=tm.precision,
-        recall=tm.recall,
-        f1=tm.f1,
-        scaled=scaled,
-    )
-
-
-@dataclass(frozen=True)
-class DetectionMatrix:
-    """Per-model, per-class flagged fraction.
-
-    For attack classes the cell is that class's recall; for Normal it is
-    the false-positive rate, i.e. the benign fraction raising alarms.
-    Missing classes render as "n/a".
-    """
-
-    models: tuple[str, ...]
-    classes: tuple[str, ...]
-    cells: tuple[tuple[float | None, ...], ...]
+    return {"model": model_name, "scaled": scaled, "auc": auc(scores, labels),
+            "precision": tm.precision, "recall": tm.recall, "f1": tm.f1}
 
 
 def detection_matrix(
     models: Sequence[tuple[str, object]], scores: Sequence[np.ndarray], test: LabeledDataset
-) -> DetectionMatrix:
-    """Flagged fractions from each model's ``scores`` on ``test``, in order."""
-    class_order = tuple(lab for lab in ClassLabel)
+) -> list[dict]:
+    """One row per model: its name, then for each ``ClassLabel`` in enum order
+    the fraction of that class in ``test`` its ``scores`` flag.
+
+    For attack classes the cell is that class's recall; for Normal it is
+    the false-positive rate.  A class absent from ``test`` gets None.
+    """
     label_arr = np.array([lab.value for lab in test.labels])
+    masks = {lab.value: label_arr == lab.value for lab in ClassLabel}
     rows = []
-    for (_, model), model_scores in zip(models, scores):
+    for (name, model), model_scores in zip(models, scores):
         flagged = model_scores > model.tau
-        cells = []
-        for lab in class_order:
-            mask = label_arr == lab.value
-            cells.append(float(flagged[mask].mean()) if mask.any() else None)
-        rows.append(tuple(cells))
-    return DetectionMatrix(
-        models=tuple(name for name, _ in models),
-        classes=tuple(lab.value for lab in class_order),
-        cells=tuple(rows),
-    )
-
-
-@dataclass(frozen=True)
-class EvasionRow:
-    model: str
-    algorithm: str
-    scaled: bool
-    evasion_rate: float | None  # None when nothing was attempted
-    n_attempted: int
-    n_evaded: int
-
-
-def evasion_table(
-    groups: Sequence[tuple[str, str, bool, Sequence]],
-) -> list[EvasionRow]:
-    """Aggregate campaign outcomes into one row per
-    (model, algorithm, scaled) group."""
-    rows = []
-    for model_name, algorithm, scaled, outcomes in groups:
-        attempted = len(outcomes)
-        evaded = sum(1 for o in outcomes if o.evaded)
-        rows.append(
-            EvasionRow(
-                model=model_name,
-                algorithm=algorithm,
-                scaled=scaled,
-                evasion_rate=(evaded / attempted) if attempted else None,
-                n_attempted=attempted,
-                n_evaded=evaded,
-            )
-        )
+        rows.append({"model": name} | {
+            cls: float(flagged[mask].mean()) if mask.any() else None
+            for cls, mask in masks.items()
+        })
     return rows
 
 
-def _round4(x: float | None):
-    return NA if x is None else round(float(x), 4)
+def evasion_row(name: str, algorithm: str, scaled: bool, outcomes: Sequence) -> dict:
+    """One row of the evasion table: the campaign ``outcomes`` of ``algorithm``
+    against model ``name``; the rate is None when nothing was attempted."""
+    attempted = len(outcomes)
+    evaded = sum(1 for o in outcomes if o.evaded)
+    return {"model": name, "algorithm": algorithm, "scaled": scaled,
+            "evasion_rate": evaded / attempted if attempted else None,
+            "n_attempted": attempted, "n_evaded": evaded}
+
+
+# the header of an evasion table with no rows
+EVASION_COLUMNS = tuple(evasion_row("", "", False, ()))
+
+# every file the tables above are written to
+REPORT_FILES = ("metrics.json", "metrics.csv", "evasion.json", "evasion.csv", "detection_matrix.csv")
+
+
+def _cell(value):
+    if value is None:
+        return NA
+    return round(float(value), 4) if isinstance(value, float) else value
 
 
 def emit_report(
-    metrics: Sequence[MetricsRow] | None,
-    matrix: DetectionMatrix | None,
-    evasion: Sequence[EvasionRow] | None,
+    name: str,
+    rows: Sequence[dict],
     out_dir: str | Path,
+    columns: Sequence[str] | None = None,
+    csv_only: bool = False,
 ) -> None:
-    """Write report files with deterministic ordering and 4-decimal floats.
+    """Write the report table ``name`` from ``rows`` as ``<name>.json`` and
+    ``<name>.csv`` under ``out_dir``, or as the CSV alone when ``csv_only``.
 
-    Emits ``metrics.{json,csv}``, ``detection_matrix.csv``, and
-    ``evasion.{json,csv}`` under ``out_dir``; sections passed as None are
-    skipped so callers can emit partial reports without clobbering others.
+    Rows are sorted by their cells from the left, so by the columns that
+    name them (model, then algorithm and scaled); floats are rounded to 4
+    decimals and None is written as "n/a".  The CSV header is ``columns``,
+    else the first row's keys, so a table that may be empty names its
+    ``columns``.
     """
     out_dir = make_dir(Path(out_dir))
-
-    if metrics is not None:
-        metric_dicts = [
-            {
-                "model": m.model,
-                "scaled": m.scaled,
-                "auc": _round4(m.auc),
-                "precision": _round4(m.precision),
-                "recall": _round4(m.recall),
-                "f1": _round4(m.f1),
-            }
-            for m in sorted(metrics, key=lambda m: (m.model, m.scaled))
-        ]
-        write_json(out_dir / "metrics.json", metric_dicts, indent=2)
-        write_text(out_dir / "metrics.csv", _csv_text(
-            ["model", "scaled", "auc", "precision", "recall", "f1"], metric_dicts
-        ))
-    if evasion is not None:
-        evasion_dicts = [
-            {
-                "model": e.model,
-                "algorithm": e.algorithm,
-                "scaled": e.scaled,
-                "evasion_rate": _round4(e.evasion_rate),
-                "n_attempted": e.n_attempted,
-                "n_evaded": e.n_evaded,
-            }
-            for e in sorted(evasion, key=lambda e: (e.model, e.algorithm, e.scaled))
-        ]
-        write_json(out_dir / "evasion.json", evasion_dicts, indent=2)
-        write_text(out_dir / "evasion.csv", _csv_text(
-            ["model", "algorithm", "scaled", "evasion_rate", "n_attempted", "n_evaded"],
-            evasion_dicts,
-        ))
-    if matrix is not None:
-        lines = [",".join(["model"] + list(matrix.classes))]
-        for name, cells in zip(matrix.models, matrix.cells):
-            lines.append(",".join([name] + [str(_round4(c)) for c in cells]))
-        write_text(out_dir / "detection_matrix.csv", "\n".join(lines) + "\n")
-
-
-def _csv_text(fields: list[str], rows: list[dict]) -> str:
-    import io
-
+    rows = [
+        {key: _cell(value) for key, value in row.items()}
+        for row in sorted(rows, key=lambda row: list(row.values()))
+    ]
+    if not csv_only:
+        write_json(out_dir / f"{name}.json", rows, indent=2)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row[k] for k in fields})
-    return buf.getvalue()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(rows[0]) if columns is None else columns)
+    writer.writerows(row.values() for row in rows)
+    write_text(out_dir / f"{name}.csv", buf.getvalue())

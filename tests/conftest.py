@@ -3,6 +3,14 @@ synthetic PFCP benchmark reused across unit and acceptance tests."""
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, set before numpy loads: spinning BLAS worker threads add
+# their CPU time to ``time.process_time`` and make CPU-time bounds depend on
+# machine load.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import time
 
 import numpy as np

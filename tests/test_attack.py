@@ -402,8 +402,10 @@ def test_ga_de_respects_budget_and_improves(toy):
     assert min(fits[:20]) > oracle.best_fitness or fits.index(min(fits)) >= 20
 
 
-def test_ga_es_static_without_variation(toy):
-    cfg = AttackConfig(algorithm=GA_ES, seed=4, recombination_ratio=0.0, mutation_rate=0.0)
+def test_ga_es_static_without_variation(toy, monkeypatch):
+    monkeypatch.setattr(attack_mod, "RECOMBINATION_RATIO", 0.0)
+    monkeypatch.setattr(attack_mod, "MUTATIONS_PER_CHILD", 0.0)
+    cfg = AttackConfig(algorithm=GA_ES, seed=4)
     oracle, _ = _drive_one(toy, cfg, rng_for(4, "t"), tau=-1.0)
     init_best = min(f for _, f in oracle.trace[: cfg.popsize])
     assert oracle.best_fitness == pytest.approx(init_best)

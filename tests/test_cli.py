@@ -206,6 +206,18 @@ def test_attack_respects_algorithm_restriction(tmp_path):
     assert not (run_dir / "campaign-HBOS-GA_DE.jsonl").exists()
 
 
+def test_attack_without_algorithms_writes_an_empty_evasion_table(tmp_path):
+    config = write_config(tmp_path, attack={"algorithms": [], "targets": ["HBOS"]})
+    for cmd in ("preprocess", "train", "attack"):
+        assert run(cmd, config) == 0
+    run_dir = only_run_dir(tmp_path)
+    assert (run_dir / "evasion.json").read_text() == "[]"
+    assert (run_dir / "evasion.csv").read_text() == (
+        "model,algorithm,scaled,evasion_rate,n_attempted,n_evaded\n"
+    )
+    assert not list(run_dir.glob("campaign-*.jsonl"))
+
+
 def test_attack_budget_override_changes_run_dir_and_outcomes(tmp_path):
     config = write_config(
         tmp_path,
@@ -512,6 +524,24 @@ def test_malformed_config_is_config_error(tmp_path, monkeypatch, capsys, text, f
     assert "error[ConfigError]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["synth", "preprocess"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("scale", 0), ("scale", -0.3), ("scale", float("nan")), ("scale", float("inf")),
+     ("noise_scale", -1), ("noise_scale", 0), ("noise_scale", float("nan"))],
+    ids=["scale-zero", "scale-negative", "scale-nan", "scale-inf",
+         "noise-negative", "noise-zero", "noise-nan"],
+)
+def test_bad_synth_size_is_config_error(tmp_path, monkeypatch, capsys, command, field, value):
+    # NaN and Infinity are JSON as Python reads and writes it
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, corpus={"synth": {"scale": 0.03, field: value}})
+    assert run(command, config) == 12
+    err = capsys.readouterr().err
+    assert f"corpus.synth.{field}" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 def _json_paths(doc, prefix=()):
     """Every (path, value) of a JSON document, the containers included."""
     yield prefix, doc
@@ -650,6 +680,14 @@ def test_catalog_evaluate_reports_golden(catalog_run):
         "metrics.json": "346553af19cda330c9d933585b2bb8448c115cbd794e2005a1efd733f4283ba6",
         "metrics.csv": "a4271a74f61b027c93adf88fa171de233230d9581cd572c92c5a828eced14936",
         "detection_matrix.csv": "b8694c2b293f727ca4e4080bfed5737d3e4906434fd1a2ccf597fbe4d65b8e2f",
+    }
+
+
+def test_catalog_evasion_reports_golden(catalog_run):
+    _, run_dir = catalog_run
+    assert {name: file_sha256(run_dir / name) for name in ("evasion.json", "evasion.csv")} == {
+        "evasion.json": "6a4eb2998ef24df8d5d135d842b6d4698e38f08c20defc455c67be05f905e7c8",
+        "evasion.csv": "dcf9b2556670eba6777fd9ceb28395b2d9874752baa762f578a445d08e63b693",
     }
 
 

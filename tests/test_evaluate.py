@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from pfcpbench.errors import MetricError
 from pfcpbench.evaluate import (
-    DetectionMatrix,
-    EvasionRow,
+    EVASION_COLUMNS,
     auc,
     detection_matrix,
     emit_report,
-    evasion_table,
+    evasion_row,
     metrics_row,
     threshold_metrics,
 )
@@ -144,13 +143,14 @@ def test_detection_matrix_flag_all_and_none():
     test = _mixed_test_dataset()
     models = [("all", _StubModel(True)), ("none", _StubModel(False))]
     X = test.matrix
-    matrix = detection_matrix(models, [m.score_batch(X) for _, m in models], test)
-    assert matrix.models == ("all", "none")
-    by_class = dict(zip(matrix.classes, matrix.cells[0]))
+    rows = detection_matrix(models, [m.score_batch(X) for _, m in models], test)
+    assert [row["model"] for row in rows] == ["all", "none"]
+    assert list(rows[0]) == ["model"] + [lab.value for lab in ClassLabel]
+    by_class = rows[0]
     assert by_class["normal"] == 1.0  # worst false-positive rate
     assert by_class["flood"] == 1.0
     assert by_class["restoration_teid"] is None  # class absent -> n/a
-    assert all(c in (0.0, None) for c in matrix.cells[1])
+    assert all(c in (0.0, None) for name, c in rows[1].items() if name != "model")
 
 
 def test_detection_matrix_micro_consistency(bench):
@@ -158,14 +158,13 @@ def test_detection_matrix_micro_consistency(bench):
     test = bench["test"]
     model = bench["detectors"][list(bench["detectors"])[0]]
     scores = model.score_batch(test.matrix)
-    matrix = detection_matrix([("m", model)], [scores], test)
+    (cells,) = detection_matrix([("m", model)], [scores], test)
     y = np.array([lab is not ClassLabel.NORMAL for lab in test.labels])
     tm = threshold_metrics(scores, y, model.tau)
     weights = {}
     for lab in test.labels:
         if lab is not ClassLabel.NORMAL:
             weights[lab.value] = weights.get(lab.value, 0) + 1
-    cells = dict(zip(matrix.classes, matrix.cells[0]))
     weighted = sum(cells[name] * count for name, count in weights.items())
     assert weighted / sum(weights.values()) == pytest.approx(tm.recall, abs=1e-12)
 
@@ -179,26 +178,31 @@ class _Outcome:
 
 
 def test_evasion_table_rates():
-    rows = evasion_table(
-        [
-            ("HBOS", "RS", False, [_Outcome(True)] * 25 + [_Outcome(False)] * 25),
-            ("HBOS", "GA_DE", False, []),
-        ]
-    )
-    assert rows[0].evasion_rate == pytest.approx(0.5)
-    assert rows[0].n_attempted == 50
-    assert rows[1].evasion_rate is None
-    assert rows[1].n_attempted == 0
+    rows = [
+        evasion_row("HBOS", "RS", False, [_Outcome(True)] * 25 + [_Outcome(False)] * 25),
+        evasion_row("HBOS", "GA_DE", False, []),
+    ]
+    assert rows[0]["evasion_rate"] == pytest.approx(0.5)
+    assert rows[0]["n_attempted"] == 50
+    assert rows[0]["n_evaded"] == 25
+    assert rows[1]["evasion_rate"] is None
+    assert rows[1]["n_attempted"] == 0
+    assert tuple(rows[0]) == EVASION_COLUMNS
 
 
 def test_evasion_bounds():
     rng = np.random.default_rng(2)
     outcomes = [_Outcome(bool(rng.integers(2))) for _ in range(30)]
-    rows = evasion_table([("m", "RS", True, outcomes)])
-    assert 0.0 <= rows[0].evasion_rate <= 1.0
+    row = evasion_row("m", "RS", True, outcomes)
+    assert 0.0 <= row["evasion_rate"] <= 1.0
 
 
 # --- report emission ---------------------------------------------------------------
+
+
+def _evasion(algorithm, rate, attempted, evaded):
+    return {"model": "HBOS", "algorithm": algorithm, "scaled": False,
+            "evasion_rate": rate, "n_attempted": attempted, "n_evaded": evaded}
 
 
 def _sample_report_inputs():
@@ -211,36 +215,37 @@ def _sample_report_inputs():
             scaled=False,
         )
     ]
-    matrix = DetectionMatrix(
-        models=("HBOS",),
-        classes=("normal", "flood"),
-        cells=((0.0163, 0.9964),),
-    )
-    evasion = [
-        EvasionRow("HBOS", "RS", False, 0.0, 55, 0),
-        EvasionRow("HBOS", "GA_DE", False, 0.98371, 55, 54),
-    ]
+    matrix = [{"model": "HBOS", "normal": 0.0163, "flood": 0.9964}]
+    evasion = [_evasion("RS", 0.0, 55, 0), _evasion("GA_DE", 0.98371, 55, 54)]
     return metrics, matrix, evasion
+
+
+def _emit_all(metrics, matrix, evasion, out_dir):
+    emit_report("metrics", metrics, out_dir)
+    emit_report("detection_matrix", matrix, out_dir, csv_only=True)
+    emit_report("evasion", evasion, out_dir, columns=EVASION_COLUMNS)
 
 
 def test_emit_report_formats_agree(tmp_path):
     metrics, matrix, evasion = _sample_report_inputs()
-    emit_report(metrics, matrix, evasion, tmp_path)
+    _emit_all(metrics, matrix, evasion, tmp_path)
     loaded = json.loads((tmp_path / "metrics.json").read_text())
     csv_lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
     header = csv_lines[0].split(",")
     values = dict(zip(header, csv_lines[1].split(",")))
     assert float(values["auc"]) == loaded[0]["auc"]
     assert float(values["f1"]) == loaded[0]["f1"]
+    assert header == list(metrics[0])  # the row builder's column order
     ev = json.loads((tmp_path / "evasion.json").read_text())
     assert ev[0]["algorithm"] == "GA_DE"  # deterministic sort order
     assert ev[0]["evasion_rate"] == 0.9837  # four decimals
+    assert not (tmp_path / "detection_matrix.json").exists()
 
 
 def test_emit_report_deterministic(tmp_path):
     metrics, matrix, evasion = _sample_report_inputs()
-    emit_report(metrics, matrix, evasion, tmp_path / "a")
-    emit_report(metrics, matrix, evasion, tmp_path / "b")
+    _emit_all(metrics, matrix, evasion, tmp_path / "a")
+    _emit_all(metrics, matrix, evasion[::-1], tmp_path / "b")
     for name in ("metrics.json", "metrics.csv", "evasion.json", "evasion.csv", "detection_matrix.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -248,8 +253,8 @@ def test_emit_report_deterministic(tmp_path):
 def test_emit_report_three_decimal_rendering(tmp_path):
     # a rate like 0.996 renders without trailing zeros after rounding
     metrics, matrix, _ = _sample_report_inputs()
-    evasion = [EvasionRow("HBOS", "GA_DE", False, 0.996, 500, 498)]
-    emit_report(metrics, matrix, evasion, tmp_path)
+    evasion = [_evasion("GA_DE", 0.996, 500, 498)]
+    _emit_all(metrics, matrix, evasion, tmp_path)
     assert '"evasion_rate": 0.996' in (tmp_path / "evasion.json").read_text()
     matrix_text = (tmp_path / "detection_matrix.csv").read_text()
     assert "0.9964" in matrix_text
@@ -257,8 +262,30 @@ def test_emit_report_three_decimal_rendering(tmp_path):
 
 def test_emit_report_partial_sections(tmp_path):
     metrics, matrix, evasion = _sample_report_inputs()
-    emit_report(metrics, None, None, tmp_path)
+    emit_report("metrics", metrics, tmp_path)
     assert (tmp_path / "metrics.json").exists()
     assert not (tmp_path / "evasion.json").exists()
-    emit_report(None, None, evasion, tmp_path)
+    emit_report("evasion", evasion, tmp_path, columns=EVASION_COLUMNS)
     assert (tmp_path / "evasion.json").exists()
+
+
+def test_emit_report_writes_none_as_na_in_both_formats(tmp_path):
+    emit_report("evasion", [evasion_row("HBOS", "RS", True, [])], tmp_path)
+    assert json.loads((tmp_path / "evasion.json").read_text())[0]["evasion_rate"] == "n/a"
+    assert (tmp_path / "evasion.csv").read_text().splitlines()[1] == "HBOS,RS,True,n/a,0,0"
+    emit_report("detection_matrix", [{"model": "m", "normal": 0.12345, "flood": None}],
+                tmp_path, csv_only=True)
+    assert (tmp_path / "detection_matrix.csv").read_text() == "model,normal,flood\nm,0.1235,n/a\n"
+
+
+def test_emit_report_sorts_rows_by_their_cells_from_the_left(tmp_path):
+    rows = [evasion_row(model, algorithm, scaled, [])
+            for model in ("kNN", "HBOS") for algorithm in ("RS", "GA_ES")
+            for scaled in (True, False)]
+    emit_report("evasion", rows, tmp_path)
+    ev = json.loads((tmp_path / "evasion.json").read_text())
+    assert [(e["model"], e["algorithm"], e["scaled"]) for e in ev] == [
+        ("HBOS", "GA_ES", False), ("HBOS", "GA_ES", True), ("HBOS", "RS", False),
+        ("HBOS", "RS", True), ("kNN", "GA_ES", False), ("kNN", "GA_ES", True),
+        ("kNN", "RS", False), ("kNN", "RS", True),
+    ]
