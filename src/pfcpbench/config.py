@@ -161,6 +161,14 @@ def _check_shape(value, shape, name: str, path: Path) -> None:
             _check_shape(item, shape[0], f"{name}[{i}]", path)
 
 
+def _check_distinct(names: Sequence[str], field: str) -> None:
+    """A repeated name would fit a model or run a campaign twice, or keep
+    only the last of two detector entries."""
+    repeats = sorted({name for name in names if names.count(name) > 1})
+    if repeats:
+        raise ConfigError(f"{field} repeats {repeats}")
+
+
 def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Read, parse and validate the run-config document at ``path``."""
     return parse_run_config(read_config(path), overrides)
@@ -219,13 +227,16 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
             )
         )
 
+    _check_distinct([entry.kind.value for entry in detectors], "detectors")
     ensembles = tuple(doc.get("ensembles", []))
+    _check_distinct(ensembles, "ensembles")
     for name in ensembles:
         if name not in PRESETS:
             raise ConfigError(f"unknown ensemble preset {name!r} (have {sorted(PRESETS)})")
 
     attack_doc = doc.get("attack", {})
     algorithms = tuple(parse_algorithm(a) for a in attack_doc.get("algorithms", ["RS", "GA_DE", "GA_ES"]))
+    _check_distinct(algorithms, "attack.algorithms")
     j_config = attack_doc.get("j_config")
     if j_config is not None and not Path(j_config).exists():
         raise ConfigError(f"feasible-set config {j_config} does not exist")

@@ -133,27 +133,25 @@ def _avg_path(m: int) -> float:
     return 2.0 * _harmonic(m - 1) - 2.0 * (m - 1) / m
 
 
-def _grow_tree(X: np.ndarray, idx: np.ndarray, depth: int, limit: int, rng, nodes: list) -> int:
-    """Append the subtree over rows ``idx`` to ``nodes`` in pre-order, as
+def _grow_tree(sub: np.ndarray, depth: int, limit: int, rng, nodes: list) -> int:
+    """Append the subtree over the rows ``sub`` to ``nodes`` in pre-order, as
     (feature, threshold, right, leaf_path) rows; return its root's index.
     An internal node's left child is the next node.  A leaf's threshold is
     -inf, so every row goes right, to the leaf itself; it carries depth +
     c(size)."""
     node = len(nodes)
-    nodes.append((0, -np.inf, node, depth + _avg_path(len(idx))))  # a leaf unless split
-    if depth >= limit or len(idx) <= 1:
+    nodes.append((0, -np.inf, node, depth + _avg_path(len(sub))))  # a leaf unless split
+    if depth >= limit or len(sub) <= 1:
         return node
-    sub = X[idx]
-    spans = sub.max(axis=0) - sub.min(axis=0)
-    varying = np.flatnonzero(spans > 0)
+    lo, hi = sub.min(axis=0), sub.max(axis=0)
+    varying = np.flatnonzero(hi > lo)
     if varying.size == 0:
         return node
-    feat = int(rng.choice(varying))
-    lo, hi = float(sub[:, feat].min()), float(sub[:, feat].max())
-    threshold = float(rng.uniform(lo, hi))
+    feat = int(varying[rng.integers(len(varying))])  # the draw rng.choice(varying) makes
+    threshold = float(rng.uniform(lo[feat], hi[feat]))
     left_mask = sub[:, feat] < threshold
-    _grow_tree(X, idx[left_mask], depth + 1, limit, rng, nodes)
-    right = _grow_tree(X, idx[~left_mask], depth + 1, limit, rng, nodes)
+    _grow_tree(sub[left_mask], depth + 1, limit, rng, nodes)
+    right = _grow_tree(sub[~left_mask], depth + 1, limit, rng, nodes)
     nodes[node] = (feat, threshold, right, 0.0)
     return node
 
@@ -167,7 +165,7 @@ def fit_iforest(X: np.ndarray, params: dict, rng) -> dict:
     limit = max(1, math.ceil(math.log2(max(psi, 2))))
     nodes: list = []
     roots = [
-        _grow_tree(X, rng.choice(n, size=psi, replace=False), 0, limit, rng, nodes)
+        _grow_tree(X[rng.choice(n, size=psi, replace=False)], 0, limit, rng, nodes)
         for _ in range(trees)
     ]
     feature, threshold, right, leaf_path = zip(*nodes)

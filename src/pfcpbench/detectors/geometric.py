@@ -49,19 +49,21 @@ def score_abod(state: dict, Q: np.ndarray) -> np.ndarray:
     out = np.empty(Q.shape[0])
     # a few spare neighbors so coincident points can be skipped
     spare = min(k + 8, train.shape[0])
+    pairs = {}  # usable-neighbour count -> its upper-triangle indices
     for a, b in iter_chunks(Q.shape[0], 256):
         near, near_d2 = nearest(sq_distances(Q[a:b], train), spare)
         for i, cand, cand_d2 in zip(range(a, b), near, near_d2):
             apart = cand_d2 > ABOF_EPS
             usable, norms2 = cand[apart][:k], cand_d2[apart][:k]
-            if len(usable) < 2:
+            m = len(usable)
+            if m < 2:
                 out[i] = -np.log(ABOF_EPS)
                 continue
+            if m not in pairs:
+                pairs[m] = np.triu_indices(m, k=1)
             diffs = train[usable] - Q[i]
-            dots = diffs @ diffs.T
-            quot = dots / np.outer(norms2, norms2)
-            iu = np.triu_indices(len(usable), k=1)
-            out[i] = -np.log(np.var(quot[iu]) + ABOF_EPS)
+            quot = (diffs @ diffs.T) / (norms2[:, None] * norms2[None, :])
+            out[i] = -np.log(np.var(quot[pairs[m]]) + ABOF_EPS)
     return out
 
 

@@ -94,14 +94,14 @@ def _dual_coordinate_ascent(K: np.ndarray, y: np.ndarray, C: float) -> np.ndarra
     declared.  Stops when the largest step in a pass drops below tolerance.
     """
     n = len(y)
-    alpha = np.zeros(n)
+    alpha, y = [0.0] * n, y.tolist()  # Python floats: numpy's arithmetic, less overhead
     f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij
-    diag = np.clip(np.diag(K), 1e-12, None)
-    active = np.ones(n, dtype=bool)
+    diag = np.clip(np.diag(K), 1e-12, None).tolist()
+    active = [True] * n
     for sweep in range(SOLVER_MAX_PASSES):
         max_step = 0.0
-        for i in np.flatnonzero(active):
-            gradient = y[i] * f[i] - 1.0
+        for i in [i for i in range(n) if active[i]]:
+            gradient = y[i] * f.item(i) - 1.0
             if (alpha[i] == 0.0 and gradient > SOLVER_TOL) or (
                 alpha[i] == C and gradient < -SOLVER_TOL
             ):
@@ -114,10 +114,10 @@ def _dual_coordinate_ascent(K: np.ndarray, y: np.ndarray, C: float) -> np.ndarra
                 alpha[i] = new_alpha
                 max_step = max(max_step, abs(step))
         if max_step < SOLVER_TOL:
-            if active.all():
+            if all(active):
                 break
-            active[:] = True  # optimality must hold on the full set
-    return alpha
+            active = [True] * n  # optimality must hold on the full set
+    return np.array(alpha)
 
 
 @dataclass

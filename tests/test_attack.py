@@ -244,6 +244,18 @@ def test_pair_draws_match_generator_choice():
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def test_bounded_index_draw_matches_generator_choice():
+    # IForest picks a split feature as varying[rng.integers(len(varying))],
+    # the one bounded draw rng.choice(varying) makes: same values, same
+    # stream after
+    for size in range(1, 65):
+        varying = np.flatnonzero(np.arange(2 * size) % 2 == 0)
+        ours, theirs = np.random.default_rng(size), np.random.default_rng(size)
+        drawn = [varying[ours.integers(len(varying))] for _ in range(500)]
+        assert drawn == [theirs.choice(varying) for _ in range(500)]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_genome_draws_match_the_per_gene_loop(data):

@@ -524,6 +524,26 @@ def test_malformed_config_is_config_error(tmp_path, monkeypatch, capsys, text, f
     assert "error[ConfigError]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "updates, named",
+    [
+        ({"attack": {"algorithms": ["RS", "rs"], "targets": ["HBOS"]}}, "attack.algorithms"),
+        ({"ensembles": ["HKAIP", "HKLIP", "HKAIP"]}, "ensembles"),
+        ({"detectors": [{"kind": "HBOS"}, {"kind": "hbos", "params": {"bins": 5}}]}, "detectors"),
+    ],
+    ids=["algorithm", "ensemble", "detector-kind"],
+)
+def test_repeated_name_is_config_error(tmp_path, monkeypatch, capsys, updates, named):
+    # a repeat would run a campaign twice, fit an ensemble twice or keep
+    # only the last of two detector entries
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, **updates)
+    assert run("preprocess", config) == 12
+    err = capsys.readouterr().err
+    assert "error[ConfigError]" in err and f"{named} repeats" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "preprocess"])
 @pytest.mark.parametrize(
     "field, value",

@@ -14,8 +14,10 @@ from pfcpbench.detectors import (
     fit,
     grid_search,
 )
-from pfcpbench.detectors.common import CHUNK_ROWS, EPS
+from pfcpbench.detectors import density
+from pfcpbench.detectors.common import ABOF_EPS, CHUNK_ROWS, EPS, iter_chunks, nearest, sq_distances
 from pfcpbench.detectors.density import _avg_path
+from pfcpbench.detectors.geometric import score_abod
 from pfcpbench.errors import FitError, GridSearchError, GuidelineViolation, SchemaError
 from pfcpbench.evaluate import auc, threshold_metrics
 from pfcpbench.preprocess import fit_pipeline, transform
@@ -497,6 +499,181 @@ def test_iforest_matches_recursive_tree_walk(trees, subsample):
         assert np.array_equal(model.score_batch(Q), expected)
         for i in range(0, len(Q), 7):
             assert model.score_batch(Q[i : i + 1])[0] == expected[i]
+
+
+# --- reference copies of earlier loop implementations: the current code must
+# give the same bits.  Each is kept as it was, not as it would be written now.
+
+
+def _reference_grow_tree(X, idx, depth, limit, rng, nodes):
+    node = len(nodes)
+    nodes.append((0, -np.inf, node, depth + _avg_path(len(idx))))  # a leaf unless split
+    if depth >= limit or len(idx) <= 1:
+        return node
+    sub = X[idx]
+    spans = sub.max(axis=0) - sub.min(axis=0)
+    varying = np.flatnonzero(spans > 0)
+    if varying.size == 0:
+        return node
+    feat = int(rng.choice(varying))
+    lo, hi = float(sub[:, feat].min()), float(sub[:, feat].max())
+    threshold = float(rng.uniform(lo, hi))
+    left_mask = sub[:, feat] < threshold
+    _reference_grow_tree(X, idx[left_mask], depth + 1, limit, rng, nodes)
+    right = _reference_grow_tree(X, idx[~left_mask], depth + 1, limit, rng, nodes)
+    nodes[node] = (feat, threshold, right, 0.0)
+    return node
+
+
+def reference_fit_iforest(X, params, rng):
+    n = X.shape[0]
+    trees = int(params["trees"])
+    psi = min(int(params["subsample"]), n)
+    limit = max(1, math.ceil(math.log2(max(psi, 2))))
+    nodes: list = []
+    roots = [
+        _reference_grow_tree(X, rng.choice(n, size=psi, replace=False), 0, limit, rng, nodes)
+        for _ in range(trees)
+    ]
+    feature, threshold, right, leaf_path = zip(*nodes)
+    return {
+        "roots": np.array(roots, dtype=np.int64),
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold),
+        "right": np.array(right, dtype=np.int64),
+        "leaf_path": np.array(leaf_path),
+        "depth": limit,
+        "psi": psi,
+    }
+
+
+def reference_score_abod(state, Q):
+    train, k = state["train"], state["k"]
+    out = np.empty(Q.shape[0])
+    spare = min(k + 8, train.shape[0])
+    for a, b in iter_chunks(Q.shape[0], 256):
+        near, near_d2 = nearest(sq_distances(Q[a:b], train), spare)
+        for i, cand, cand_d2 in zip(range(a, b), near, near_d2):
+            apart = cand_d2 > ABOF_EPS
+            usable, norms2 = cand[apart][:k], cand_d2[apart][:k]
+            if len(usable) < 2:
+                out[i] = -np.log(ABOF_EPS)
+                continue
+            diffs = train[usable] - Q[i]
+            dots = diffs @ diffs.T
+            quot = dots / np.outer(norms2, norms2)
+            iu = np.triu_indices(len(usable), k=1)
+            out[i] = -np.log(np.var(quot[iu]) + ABOF_EPS)
+    return out
+
+
+def assert_same_state(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[key].dtype == value.dtype, key
+            assert np.array_equal(got[key], value), key
+        else:
+            assert type(got[key]) is type(value) and got[key] == value, key
+
+
+def _iforest_cases(pfcp_train):
+    rng = np.random.default_rng(8)
+    normal = rng.normal(size=(300, 5))
+    constant = normal.copy()
+    constant[:, [1, 3]] = 2.5  # two columns never split on
+    duplicated = np.repeat(rng.integers(0, 3, size=(40, 3)).astype(float), 7, axis=0)
+    return {
+        "pfcp": (pfcp_train, {"trees": 100, "subsample": 256}),
+        "constant-columns": (constant, {"trees": 30, "subsample": 64}),
+        "all-constant": (np.full((50, 3), -1.25), {"trees": 5, "subsample": 16}),
+        "duplicate-rows": (duplicated, {"trees": 30, "subsample": 128}),
+        "n-below-subsample": (normal[:90], {"trees": 20, "subsample": 256}),
+        "n-2": (normal[:2], {"trees": 10, "subsample": 256}),
+        "n-2-equal": (np.ones((2, 4)), {"trees": 3, "subsample": 256}),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["pfcp", "constant-columns", "all-constant", "duplicate-rows", "n-below-subsample", "n-2",
+     "n-2-equal"],
+)
+@pytest.mark.parametrize("seed", [0, 7, 42, 1234])
+def test_iforest_fit_matches_reference_loop(pfcp_edge_rows, case, seed):
+    X, params = _iforest_cases(pfcp_edge_rows[0].matrix)[case]
+    got = density.fit_iforest(X, params, np.random.default_rng(seed))
+    assert_same_state(got, reference_fit_iforest(X, params, np.random.default_rng(seed)))
+
+
+def _abod_cases(pfcp_edge_rows):
+    rng = np.random.default_rng(6)
+    base = rng.normal(size=(40, 3))
+    # rows 0-2 coincide, and so do rows 3-4: a query at them has
+    # coincident training neighbours, and spare ones to take their place
+    train = np.vstack([np.repeat(base[:1], 3, axis=0), np.repeat(base[1:2], 2, axis=0), base[2:]])
+    Q = np.vstack([train, rng.normal(size=(300, 3)), base[:2] + 1e-9])
+    # one distinct row among copies: a query at the copies keeps 1 usable
+    # neighbour
+    lonely = np.vstack([np.zeros((6, 2)), [[1.0, 1.0]]])
+    lonely_q = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, -0.5], [0.0, 1e-7]])
+    train_pfcp, edge = pfcp_edge_rows
+    return {
+        "coincident": (train, Q, 5),
+        "few-usable": (lonely, lonely_q, 5),
+        "all-coincident": (np.zeros((4, 2)), np.array([[0.0, 0.0], [1.0, 0.0]]), 3),
+        "pfcp": (train_pfcp.matrix, np.vstack([train_pfcp.matrix, edge]), 10),
+    }
+
+
+@pytest.mark.parametrize("case", ["coincident", "few-usable", "all-coincident", "pfcp"])
+def test_abod_matches_reference_loop(pfcp_edge_rows, case):
+    train, Q, k = _abod_cases(pfcp_edge_rows)[case]
+    state = density.fit_knn(train, {"k": k}, None)
+    got, want = score_abod(state, Q), reference_score_abod(state, Q)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if case == "few-usable":
+        assert want[0] == -np.log(ABOF_EPS)  # the floor: under 2 usable neighbours
+
+
+def brute_abod(train: np.ndarray, queries: np.ndarray, k: int) -> list[float]:
+    """ABOF over the first k training rows, by squared distance, that are
+    farther than ABOF_EPS: the population variance over their pairs of
+    <q-a, q-b> / (|q-a|^2 |q-b|^2), then -log(var + ABOF_EPS)."""
+    out = []
+    for q in queries:
+        d2 = [sum((qj - tj) ** 2 for qj, tj in zip(q, t)) for t in train]
+        order = sorted(range(len(train)), key=lambda j: d2[j])  # stable
+        near = [j for j in order if d2[j] > ABOF_EPS][:k]
+        quots = []
+        for x in range(len(near)):
+            for y in range(x + 1, len(near)):
+                a, b = train[near[x]], train[near[y]]
+                dot = sum((qj - aj) * (qj - bj) for qj, aj, bj in zip(q, a, b))
+                quots.append(dot / (d2[near[x]] * d2[near[y]]))
+        if len(near) < 2:
+            out.append(-math.log(ABOF_EPS))
+            continue
+        mean = sum(quots) / len(quots)
+        var = sum((v - mean) ** 2 for v in quots) / len(quots)
+        out.append(-math.log(var + ABOF_EPS))
+    return out
+
+
+def test_abod_matches_brute_force():
+    # continuous rows, no distance tie at any query's k-th usable neighbour;
+    # queries at training rows (coincident neighbours, dropped) and at
+    # rows repeated up to 3 times, within the detector's 8 spare neighbours
+    rng = np.random.default_rng(12)
+    for trial in range(12):
+        n = int(rng.integers(12, 60))
+        d = int(rng.integers(2, 6))
+        k = int(rng.integers(2, min(10, n - 4)))
+        X = rng.normal(size=(n, d))
+        X = np.vstack([X, np.repeat(X[:2], [2, 1], axis=0)])
+        Q = np.vstack([X[: n // 2], rng.normal(scale=1.5, size=(20, d))])
+        model = fit(DetectorConfig(kind=DetectorKind.ABOD, params={"k": k}), numeric_dataset(X))
+        np.testing.assert_allclose(model.score_batch(Q), brute_abod(X, Q, k), rtol=1e-9)
 
 
 def test_pca_all_components_reconstructs_training_points():

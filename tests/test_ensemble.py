@@ -8,7 +8,10 @@ from pfcpbench.cli import load_any_model
 from pfcpbench.detectors import DetectorConfig, DetectorKind, fit
 from pfcpbench.ensemble import (
     PRESETS,
+    SOLVER_MAX_PASSES,
+    SOLVER_TOL,
     EnsembleSpec,
+    _dual_coordinate_ascent,
     _rbf,
     fit_ensemble,
 )
@@ -143,6 +146,75 @@ def test_refit_determinism():
     assert np.array_equal(a.dual_coef, b.dual_coef)
     assert np.array_equal(a.support_vectors, b.support_vectors)
     assert np.abs(a.dual_coef - b.dual_coef).max() < 1e-9
+
+
+def reference_dual_coordinate_ascent(K, y, C, trace):
+    """An earlier form of the solver, on numpy arrays, kept as it was but
+    for ``trace``, which records the passes made, the re-check passes and
+    whether the tolerance was met."""
+    n = len(y)
+    alpha = np.zeros(n)
+    f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij
+    diag = np.clip(np.diag(K), 1e-12, None)
+    active = np.ones(n, dtype=bool)
+    trace.update(passes=0, rechecks=0, converged=False)
+    for sweep in range(SOLVER_MAX_PASSES):
+        trace["passes"] += 1
+        max_step = 0.0
+        for i in np.flatnonzero(active):
+            gradient = y[i] * f[i] - 1.0
+            if (alpha[i] == 0.0 and gradient > SOLVER_TOL) or (
+                alpha[i] == C and gradient < -SOLVER_TOL
+            ):
+                active[i] = False
+                continue
+            new_alpha = min(max(alpha[i] - gradient / diag[i], 0.0), C)
+            step = new_alpha - alpha[i]
+            if step != 0.0:
+                f += step * y[i] * K[:, i]
+                alpha[i] = new_alpha
+                max_step = max(max_step, abs(step))
+        if max_step < SOLVER_TOL:
+            if active.all():
+                trace["converged"] = True
+                break
+            active[:] = True  # optimality must hold on the full set
+            trace["rechecks"] += 1
+    return alpha
+
+
+@pytest.mark.parametrize(
+    "case, seed, C, gamma",
+    [("C-binds", 0, 0.5, 1.0), ("recheck-then-converge", 7, 10.0, 10.0),
+     ("out-of-passes", 0, 1000.0, 0.01), ("converges", 0, 100.0, 100.0)],
+)
+def test_solver_matches_reference_loop(case, seed, C, gamma):
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(60, 3))
+    y = np.where(rng.random(60) < 0.3, 1.0, -1.0)
+    K = _rbf(Z, Z, gamma)
+    trace = {}
+    want = reference_dual_coordinate_ascent(K, y, C, trace)
+    got = _dual_coordinate_ascent(K, y, C)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert {
+        "C-binds": (want == C).any() and trace["rechecks"] > 0,
+        "recheck-then-converge": trace["rechecks"] > 0 and trace["converged"],
+        "out-of-passes": trace["passes"] == SOLVER_MAX_PASSES and not trace["converged"],
+        "converges": trace["converged"] and trace["rechecks"] == 0,
+    }[case]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_solver_matches_reference_loop_on_preset_kernels(bench, name):
+    spec = PRESETS[name]
+    validation = bench["validation"]
+    S = np.column_stack([bench["detectors"][k].score_batch(validation.matrix) for k in spec.base_kinds])
+    Z = (S - S.mean(axis=0)) / np.maximum(S.std(axis=0), 1e-12)
+    y = np.array([1.0 if lab is not ClassLabel.NORMAL else -1.0 for lab in validation.labels])
+    K = _rbf(Z, Z, spec.gamma)
+    want = reference_dual_coordinate_ascent(K, y, spec.C, {})
+    assert np.array_equal(_dual_coordinate_ascent(K, y, spec.C), want)
 
 
 def test_base_permutation_leaves_decisions_unchanged():
