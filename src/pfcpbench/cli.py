@@ -55,8 +55,8 @@ def _synth_splits(cfg: RunConfig, schema: FeatureSchema) -> tuple[LabeledDataset
     return corpus_mod.synth_benchmark_splits(
         seed=derive_seed(cfg.seed, "corpus"),
         schema=schema,
-        scale=float(cfg.synth.get("scale", 0.1)),
-        noise_scale=float(cfg.synth.get("noise_scale", 1.0)),
+        scale=cfg.synth["scale"],
+        noise_scale=cfg.synth["noise_scale"],
     )
 
 
@@ -89,8 +89,9 @@ def cmd_synth(cfg: RunConfig) -> int:
 def cmd_preprocess(cfg: RunConfig) -> int:
     run_dir = make_dir(cfg.run_dir())
     train, validation, test = _raw_splits(cfg, run_dir)
-    patterns = cfg.gt1_patterns or preprocess.DEFAULT_GT1_PATTERNS
-    model = preprocess.fit_pipeline(train, scaling_enabled=cfg.scaling, gt1_patterns=patterns)
+    model = preprocess.fit_pipeline(
+        train, scaling_enabled=cfg.scaling, gt1_patterns=cfg.gt1_patterns
+    )
     model.save(run_dir / "pipeline.json")
     out_dir = make_dir(run_dir / "preprocessed")
     for name, ds in zip(SPLIT_NAMES, (train, validation, test)):
@@ -365,7 +366,9 @@ def _overrides(args: argparse.Namespace, raw_doc: dict) -> dict:
     attack_doc = dict(raw_doc.get("attack", {}))
     touched = False
     if args.ensemble:
-        overrides["ensembles"] = sorted(set(raw_doc.get("ensembles", [])) | set(args.ensemble))
+        # the config's own repeats stay, for parse_run_config to reject
+        ensembles = raw_doc.get("ensembles", [])
+        overrides["ensembles"] = sorted(ensembles + list(set(args.ensemble) - set(ensembles)))
     if args.algorithm:
         attack_doc["algorithms"] = [parse_algorithm(a) for a in args.algorithm]
         touched = True

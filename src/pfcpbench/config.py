@@ -18,7 +18,8 @@ from .attack import ALGORITHMS, GA_DE, GA_ES, RS
 from .corpus import DEFAULT_LABEL_COLUMN, SplitSource, SplitSpec
 from .detectors import DEFAULT_CONTAMINATION, DetectorKind
 from .ensemble import PRESETS
-from .errors import ConfigError
+from .errors import ConfigError, SchemaError
+from .preprocess import DEFAULT_GT1_PATTERNS
 from .traffic import ClassLabel
 
 _ALGORITHM_ALIASES = {
@@ -28,6 +29,10 @@ _ALGORITHM_ALIASES = {
     "ga-es": GA_ES,
     "ga_es": GA_ES,
 }
+
+# corpus.synth values a config leaves out; a config without a corpus section
+# synthesizes at these.
+_SYNTH_DEFAULTS = {"scale": 0.1, "noise_scale": 1.0}
 
 
 def parse_algorithm(name: str) -> str:
@@ -52,10 +57,10 @@ class RunConfig:
     seed: int
     out: str
     schema: str  # "default" or a schema JSON path
-    synth: dict | None  # {"scale": float, "noise_scale": float}
+    synth: dict | None  # {"scale": float, "noise_scale": float}, defaults applied
     splits: SplitSpec | None
     scaling: bool
-    gt1_patterns: tuple[str, ...] | None
+    gt1_patterns: tuple[str, ...]
     detectors: tuple[DetectorEntry, ...]
     ensembles: tuple[str, ...]
     algorithms: tuple[str, ...]
@@ -91,6 +96,14 @@ def _parse_sources(entries: Sequence[dict]) -> tuple[SplitSource, ...]:
             )
         )
     return tuple(out)
+
+
+def _detector_kind(name: str) -> DetectorKind:
+    try:
+        return DetectorKind.parse(name)
+    except SchemaError:
+        known = [kind.value for kind in DetectorKind]
+        raise ConfigError(f"detectors: unknown kind {name!r} (have {known})") from None
 
 
 def _class_label(value: str) -> ClassLabel:
@@ -192,7 +205,7 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     if schema != "default" and not Path(schema).exists():
         raise ConfigError(f"schema file {schema} does not exist")
 
-    corpus_doc = doc.get("corpus", {"synth": {"scale": 0.1}})
+    corpus_doc = doc.get("corpus", {"synth": {}})
     synth = corpus_doc.get("synth")
     splits = None
     if corpus_doc.get("splits"):
@@ -208,9 +221,11 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
                     raise ConfigError(f"split source {src.path} does not exist")
     if synth is None and splits is None:
         raise ConfigError("config needs corpus.synth or corpus.splits")
-    for key, value in (synth or {}).items():
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"corpus.synth.{key} must be a finite number > 0, got {value!r}")
+    if synth is not None:
+        synth = {key: float(synth.get(key, default)) for key, default in _SYNTH_DEFAULTS.items()}
+        for key, value in synth.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"corpus.synth.{key} must be a finite number > 0, got {value!r}")
 
     pipeline_doc = doc.get("pipeline", {})
     scaling = pipeline_doc.get("scaling", True)
@@ -220,7 +235,7 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     for entry in doc.get("detectors", []):
         detectors.append(
             DetectorEntry(
-                kind=DetectorKind.parse(entry.get("kind", "")),
+                kind=_detector_kind(entry.get("kind", "")),
                 params=dict(entry.get("params", {})),
                 grid=entry.get("grid"),
                 contamination=float(entry.get("contamination", DEFAULT_CONTAMINATION)),
@@ -252,7 +267,7 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         synth=synth,
         splits=splits,
         scaling=scaling,
-        gt1_patterns=None if patterns is None else tuple(patterns),
+        gt1_patterns=tuple(DEFAULT_GT1_PATTERNS if patterns is None else patterns),
         detectors=tuple(detectors),
         ensembles=ensembles,
         algorithms=algorithms,

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import FitError, GridSearchError, GuidelineViolation, SchemaError
 from ..seeding import rng_for
-from ..traffic import ClassLabel, FeatureSchema, LabeledDataset, malformed, write_json
+from ..traffic import ClassLabel, LabeledDataset, malformed, write_json
 from . import bagging, density, geometric, statistical
 
 
@@ -121,7 +121,7 @@ ROW_INVARIANT_KINDS = frozenset(
 
 DEFAULT_CONTAMINATION = 0.02
 # Container tag; bumped whenever a detector's saved state changes layout.
-DETECTOR_FORMAT = "pfcpbench-detector-v6"
+DETECTOR_FORMAT = "pfcpbench-detector-v7"
 
 
 @dataclass(frozen=True)
@@ -145,19 +145,17 @@ class DetectorConfig:
 
 @dataclass
 class DetectorModel:
-    """A fitted detector plus its calibrated decision threshold."""
+    """A fitted detector: its state, calibrated decision threshold, and the
+    width ``d`` of the rows it scores."""
 
-    kind: DetectorKind
     config: DetectorConfig
     state: dict
     tau: float
-    train_score_stats: tuple[float, float, float, float]  # min, max, mean, sd
-    seed: int
-    schema: FeatureSchema
+    d: int
 
     @property
-    def d(self) -> int:
-        return len(self.schema)
+    def kind(self) -> DetectorKind:
+        return self.config.kind
 
     def score_batch(self, Q: np.ndarray) -> np.ndarray:
         Q = np.asarray(Q, dtype=np.float64)
@@ -174,9 +172,7 @@ class DetectorModel:
             "params": self.config.params,
             "contamination": self.config.contamination,
             "tau": self.tau,
-            "train_score_stats": list(self.train_score_stats),
-            "seed": self.seed,
-            "schema": self.schema.to_json_dict(),
+            "d": self.d,
             "state": _to_jsonable(self.state),
         }
 
@@ -185,18 +181,18 @@ class DetectorModel:
         if doc.get("format") != DETECTOR_FORMAT:
             raise SchemaError(f"not a {DETECTOR_FORMAT} container: {doc.get('format')!r}")
         with malformed("detector container"):
-            kind = DetectorKind.parse(doc["kind"])
+            if type(doc["d"]) is not int or doc["d"] < 1:
+                raise ValueError(f"d must be a positive integer, got {doc['d']!r}")
             config = DetectorConfig(
-                kind=kind, params=doc["params"], contamination=doc["contamination"]
+                kind=DetectorKind.parse(doc["kind"]),
+                params=doc["params"],
+                contamination=doc["contamination"],
             )
             return DetectorModel(
-                kind=kind,
                 config=config,
                 state=_from_jsonable(doc["state"]),
                 tau=float(doc["tau"]),
-                train_score_stats=tuple(doc["train_score_stats"]),
-                seed=int(doc["seed"]),
-                schema=FeatureSchema.from_json_dict(doc["schema"]),
+                d=doc["d"],
             )
 
     def save(self, path: str | Path) -> None:
@@ -272,7 +268,7 @@ def fit(config: DetectorConfig, train: LabeledDataset, seed: int = 42) -> Detect
     bad = sum(1 for lab in train.labels if lab is not ClassLabel.NORMAL)
     if bad:
         raise GuidelineViolation("GT4", f"{bad} attack rows in detector training data")
-    fit_fn, _, defaults, min_rows = _REGISTRY[config.kind]
+    fit_fn, score_fn, defaults, min_rows = _REGISTRY[config.kind]
     d = len(train.schema)
     for name, value in config.params.items():
         if type(defaults[name]) is int and not (type(value) is int and value >= 1):
@@ -292,28 +288,16 @@ def fit(config: DetectorConfig, train: LabeledDataset, seed: int = 42) -> Detect
             f"got {len(train)}"
         )
     X = train.matrix
-    rng = rng_for(seed, "detector", config.kind.value)
-    state = fit_fn(X, config.params, rng)
-    model = DetectorModel(
-        kind=config.kind,
-        config=config,
-        state=state,
-        tau=0.0,
-        train_score_stats=(0.0, 0.0, 0.0, 0.0),
-        seed=seed,
-        schema=train.schema,
-    )
-    train_scores = model.score_batch(X)
+    state = fit_fn(X, config.params, rng_for(seed, "detector", config.kind.value))
+    train_scores = score_fn(state, X)  # what score_batch computes on X
     if not np.all(np.isfinite(train_scores)):
         raise FitError(f"{config.kind.value}: non-finite training scores")
-    model.tau = calibrate_threshold(train_scores, config.contamination)
-    model.train_score_stats = (
-        float(train_scores.min()),
-        float(train_scores.max()),
-        float(train_scores.mean()),
-        float(train_scores.std()),
+    return DetectorModel(
+        config=config,
+        state=state,
+        tau=calibrate_threshold(train_scores, config.contamination),
+        d=d,
     )
-    return model
 
 
 def grid_search(

@@ -15,9 +15,9 @@ same directory, and loading checks that hash.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import MutableMapping, Sequence
+from typing import ClassVar, MutableMapping, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .traffic import ClassLabel, LabeledDataset, malformed, read_container, writ
 
 SOLVER_TOL = 1e-3
 SOLVER_MAX_PASSES = 100
-ENSEMBLE_FORMAT = "pfcpbench-ensemble-v3"
+ENSEMBLE_FORMAT = "pfcpbench-ensemble-v4"
 
 
 @dataclass(frozen=True)
@@ -128,16 +128,14 @@ class EnsembleModel:
     score_sd: np.ndarray
     support_vectors: np.ndarray  # normalized base-score rows with alpha > 0
     dual_coef: np.ndarray  # alpha_i * y_i for the support rows
-    bias: float = 0.0
-    tau: float = 0.0  # decision threshold on the signed margin
-    train_accuracy: float = field(default=0.0)
-
-    def normalize(self, base_scores: np.ndarray) -> np.ndarray:
-        return (base_scores - self.score_mean) / self.score_sd
+    train_accuracy: float = 0.0
+    # Decision threshold on the signed margin: the dual has no intercept, so
+    # a row is anomalous when its margin is above 0.
+    tau: ClassVar[float] = 0.0
 
     def margin(self, base_scores: np.ndarray) -> np.ndarray:
-        Z = self.normalize(base_scores)
-        return _rbf(Z, self.support_vectors, self.spec.gamma) @ self.dual_coef + self.bias
+        Z = (base_scores - self.score_mean) / self.score_sd
+        return _rbf(Z, self.support_vectors, self.spec.gamma) @ self.dual_coef
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
         base = np.column_stack([m.score_batch(X) for m in self.base_models])
@@ -163,8 +161,6 @@ class EnsembleModel:
             "score_sd": _to_jsonable(self.score_sd),
             "support_vectors": _to_jsonable(self.support_vectors),
             "dual_coef": _to_jsonable(self.dual_coef),
-            "bias": self.bias,
-            "tau": self.tau,
             "train_accuracy": self.train_accuracy,
             "bases": bases,
         }
@@ -213,8 +209,6 @@ class EnsembleModel:
                 score_sd=_from_jsonable(doc["score_sd"]),
                 support_vectors=_from_jsonable(doc["support_vectors"]),
                 dual_coef=_from_jsonable(doc["dual_coef"]),
-                bias=float(doc["bias"]),
-                tau=float(doc["tau"]),
                 train_accuracy=float(doc["train_accuracy"]),
             )
 

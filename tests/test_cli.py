@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pfcpbench import detectors as det_mod
-from pfcpbench.cli import main
+from pfcpbench.cli import _overrides, build_parser, main
 from pfcpbench.config import parse_run_config, read_config
 from pfcpbench.corpus import default_schema, load_csv
 from pfcpbench.detectors import DETECTOR_FORMAT, DetectorKind, DetectorModel
@@ -293,11 +293,12 @@ def _as_v2_detector(doc):
         (_retagged("pfcpbench-detector-v3"), "pfcpbench-detector-v3"),
         (_retagged("pfcpbench-detector-v4"), "pfcpbench-detector-v4"),
         (_retagged("pfcpbench-detector-v5"), "pfcpbench-detector-v5"),
+        (_retagged("pfcpbench-detector-v6"), "pfcpbench-detector-v6"),
     ],
     ids=[
         "bad-base64", "list-data", "short-data", "f4-dtype", "named-dtype",
         "negative-shape", "float-shape", "string-shape", "v2-detector", "v3-detector",
-        "v4-detector", "v5-detector",
+        "v4-detector", "v5-detector", "v6-detector",
     ],
 )
 def test_malformed_array_payload_fails_with_schema_error(pipeline_run, damage, message, capsys):
@@ -544,6 +545,59 @@ def test_repeated_name_is_config_error(tmp_path, monkeypatch, capsys, updates, n
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "updates, named",
+    [
+        ({"detectors": [{"kind": "nope"}]}, "detectors: unknown kind 'nope'"),
+        ({"ensembles": ["HKXYZ"]}, "unknown ensemble preset 'HKXYZ'"),
+        ({"attack": {"algorithms": ["GA_XX"]}}, "unknown attack algorithm 'GA_XX'"),
+    ],
+    ids=["detector-kind", "ensemble-preset", "algorithm"],
+)
+def test_unknown_name_is_config_error(tmp_path, monkeypatch, capsys, updates, named):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, **updates)
+    assert run("preprocess", config) == 12
+    err = capsys.readouterr().err
+    assert "error[ConfigError]" in err and named in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_ensemble_flag_keeps_the_configs_repeated_preset(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, ensembles=["HKAIP", "HKAIP"])
+    assert run("preprocess", config, "--ensemble", "HKLIP") == 12
+    err = capsys.readouterr().err
+    assert "ensembles repeats ['HKAIP']" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+    # without repeats the merged list, and so the run directory, is the
+    # sorted union of the config's presets and the flag's
+    args = build_parser().parse_args(
+        ["train", "--config", str(config), "--ensemble", "HKGIP", "--ensemble", "HKAIP",
+         "--ensemble", "HKGIP"]
+    )
+    merged = _overrides(args, {"ensembles": ["HKLIP", "HKAIP"]})["ensembles"]
+    assert merged == ["HKAIP", "HKGIP", "HKLIP"]
+
+
+@pytest.mark.parametrize("patterns, dropped", [([], False), (None, True)], ids=["empty", "null"])
+def test_empty_gt1_patterns_drop_only_flagged_fields(tmp_path, patterns, dropped):
+    # ip.src matches a default pattern; with its environment flag cleared,
+    # only the patterns can drop it
+    doc = default_schema().to_json_dict()
+    (entry,) = [f for f in doc["features"] if f["name"] == "ip.src"]
+    entry["environment_dependent"] = False
+    (tmp_path / "schema.json").write_text(json.dumps(doc))
+    config = write_config(
+        tmp_path, schema=str(tmp_path / "schema.json"),
+        pipeline={"scaling": False, "gt1_patterns": patterns},
+    )
+    assert run("preprocess", config) == 0
+    report = json.loads((only_run_dir(tmp_path) / "drop_report.json").read_text())
+    assert (report.get("ip.src") == "GT1") is dropped
+    assert report["udp.dstport"] == "GT1"  # still environment-flagged
+
+
 @pytest.mark.parametrize("command", ["synth", "preprocess"])
 @pytest.mark.parametrize(
     "field, value",
@@ -757,10 +811,12 @@ def _strip_ensemble(models: Path):
     (models / "HKGIP.json").write_text(json.dumps({"format": ENSEMBLE_FORMAT}))
 
 
-def _downgrade_ensemble(models: Path):
-    doc = json.loads((models / "HKGIP.json").read_text())
-    doc["format"] = "pfcpbench-ensemble-v1"
-    (models / "HKGIP.json").write_text(json.dumps(doc, sort_keys=True))
+def _retagged_ensemble(tag):
+    def damage(models: Path):
+        doc = json.loads((models / "HKGIP.json").read_text())
+        doc["format"] = tag
+        (models / "HKGIP.json").write_text(json.dumps(doc, sort_keys=True))
+    return damage
 
 
 @pytest.mark.parametrize(
@@ -768,10 +824,11 @@ def _downgrade_ensemble(models: Path):
     [
         (_tamper_base, "sha256"),
         (_delete_base, "kNN.json"),
-        (_downgrade_ensemble, "pfcpbench-ensemble-v1"),
+        (_retagged_ensemble("pfcpbench-ensemble-v1"), "pfcpbench-ensemble-v1"),
         (_strip_ensemble, "malformed ensemble container"),
+        (_retagged_ensemble("pfcpbench-ensemble-v3"), "pfcpbench-ensemble-v3"),
     ],
-    ids=["tampered-base", "deleted-base", "v1-ensemble", "format-only-ensemble"],
+    ids=["tampered-base", "deleted-base", "v1-ensemble", "format-only-ensemble", "v3-ensemble"],
 )
 def test_broken_ensemble_container_fails_with_schema_error(tmp_path, damage, message, capsys):
     config = write_config(

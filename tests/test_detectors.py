@@ -10,6 +10,7 @@ from pfcpbench.detectors import (
     ROW_INVARIANT_KINDS,
     DetectorConfig,
     DetectorKind,
+    DetectorModel,
     calibrate_threshold,
     fit,
     grid_search,
@@ -873,6 +874,15 @@ def test_model_serialization_roundtrip(tmp_path, blob_benchmark, kind):
     assert np.array_equal(loaded.score_batch(queries), model.score_batch(queries))
     loaded.save(tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("d", [0, -1, 2.0, "2", None, True])
+def test_container_with_a_bad_row_width_is_rejected(d):
+    train = numeric_dataset(np.arange(20.0).reshape(10, 2))
+    doc = fit(DetectorConfig(kind=DetectorKind.HBOS), train).to_json_dict()
+    doc["d"] = d
+    with pytest.raises(SchemaError, match="malformed detector container: .*d must be"):
+        DetectorModel.from_json_dict(doc)
 
 
 # --- grid search -----------------------------------------------------------------

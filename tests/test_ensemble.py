@@ -259,6 +259,18 @@ def test_ensemble_serialization_roundtrip(tmp_path):
     assert loaded.spec == model.spec
 
 
+def test_saved_containers_hold_only_what_loading_reads(tmp_path):
+    # a field that nothing reads back must not creep into a container
+    _, path, validation = _saved_ensemble(tmp_path)
+    detector = json.loads((tmp_path / "HBOS.json").read_text())
+    assert set(detector) == {"format", "kind", "params", "contamination", "tau", "d", "state"}
+    assert detector["d"] == validation.matrix.shape[1]
+    assert set(json.loads(path.read_text())) == {
+        "format", "name", "C", "gamma", "score_mean", "score_sd", "support_vectors",
+        "dual_coef", "train_accuracy", "bases",
+    }
+
+
 def test_ensemble_embedding_a_v1_detector_is_rejected(tmp_path):
     _, path, _ = _saved_ensemble(tmp_path)
     base = tmp_path / "HBOS.json"
