@@ -191,14 +191,15 @@ def load_any_model(path: Path, loaded: dict | None = None):
     """Load a detector or ensemble container, parsing it once.
 
     ``loaded`` maps container paths to (sha256, detector) for detectors
-    already read.  A detector read here is added to it, and an ensemble takes
-    its bases from it before reading them from disk.
+    already read, and shared array files to (sha256, bytes).  A detector read
+    here is added to it, and an ensemble takes its bases from it, and a
+    detector its shared arrays, before reading them from disk.
     """
     loaded = {} if loaded is None else loaded
     doc, digest = read_container(path)
     fmt = doc.get("format")
     if fmt == det_mod.DETECTOR_FORMAT:
-        model = det_mod.DetectorModel.from_json_dict(doc)
+        model = det_mod.DetectorModel.from_json_dict(doc, path.parent, loaded)
         loaded[path] = (digest, model)
         return model
     if fmt == ens_mod.ENSEMBLE_FORMAT:

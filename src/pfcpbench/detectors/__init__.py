@@ -11,18 +11,20 @@ numeric representation; categorical codes enter as ordinal reals.
 from __future__ import annotations
 
 import base64
+import hashlib
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, MutableMapping
 
 import numpy as np
 
 from ..errors import FitError, GridSearchError, GuidelineViolation, SchemaError
 from ..seeding import rng_for
-from ..traffic import ClassLabel, LabeledDataset, malformed, write_json
+from ..traffic import ClassLabel, LabeledDataset, malformed, write_bytes, write_json
 from . import bagging, density, geometric, statistical
 
 
@@ -109,6 +111,30 @@ _REGISTRY = {
     ),
 }
 
+# kind -> the keys of the state its fit function returns; a container must
+# hold exactly these.
+_STATE_KEYS = {
+    DetectorKind.HBOS: {"lo", "hi", "heights"},
+    DetectorKind.COPOD: {"sorted", "skew_sign"},
+    DetectorKind.ECOD: {"sorted", "skew_sign"},
+    DetectorKind.KNN: {"train", "k"},
+    DetectorKind.LOF: {"train", "k", "train_kdist", "train_lrd"},
+    DetectorKind.IFOREST: {"roots", "feature", "threshold", "right", "leaf_path", "depth", "psi"},
+    DetectorKind.LODA: {"W", "lo", "hi", "masses"},
+    DetectorKind.INNE: {"centers", "radii", "nn_radii"},
+    DetectorKind.PCA: {"mean", "components"},
+    DetectorKind.ABOD: {"train", "k"},
+    DetectorKind.GMM: {"means", "chols", "log_weights"},
+    DetectorKind.FEATURE_BAGGING: {"train", "k", "members"},
+}
+_MEMBER_KEYS = {"features", "train_kdist", "train_lrd", "mean", "sd"}  # FeatureBagging's
+
+# State arrays that several kinds of one run hold equal: the training rows
+# (kNN, ABOD, LOF and FeatureBagging) and the sorted columns (COPOD and
+# ECOD).  A container references each by the sha256 of its bytes, and
+# ``save`` writes those bytes once, to ``<sha256>.<dtype>`` beside it.
+SHARED_KEYS = frozenset({"train", "sorted"})
+
 # Kinds whose score of a row does not depend on the other rows scored with
 # it, bit for bit: ``score_batch(Q)[i] == score_batch(Q[i:i+1])[0]``.  An
 # attack campaign scores each round's candidates in one call for these kinds
@@ -121,7 +147,7 @@ ROW_INVARIANT_KINDS = frozenset(
 
 DEFAULT_CONTAMINATION = 0.02
 # Container tag; bumped whenever a detector's saved state changes layout.
-DETECTOR_FORMAT = "pfcpbench-detector-v7"
+DETECTOR_FORMAT = "pfcpbench-detector-v8"
 
 
 @dataclass(frozen=True)
@@ -166,20 +192,49 @@ class DetectorModel:
         return _REGISTRY[self.kind][1](self.state, Q)
 
     def to_json_dict(self) -> dict:
-        return {
+        return self._encode()[0]
+
+    def _encode(self) -> tuple[dict, dict[str, bytes]]:
+        """The container, and the bytes of each shared array it references
+        by file name."""
+        state, files = {}, {}
+        for key, value in self.state.items():
+            if key in SHARED_KEYS:
+                dtype = _ARRAY_DTYPES[value.dtype.kind]
+                raw = np.ascontiguousarray(value, dtype=dtype).tobytes()
+                digest = hashlib.sha256(raw).hexdigest()
+                files[_shared_name(digest, dtype)] = raw
+                state[key] = {"__ndarray__": True, "dtype": dtype, "shape": list(value.shape),
+                              "sha256": digest}
+            else:
+                state[key] = _to_jsonable(value)
+        doc = {
             "format": DETECTOR_FORMAT,
             "kind": self.kind.value,
             "params": self.config.params,
             "contamination": self.config.contamination,
             "tau": self.tau,
             "d": self.d,
-            "state": _to_jsonable(self.state),
+            "state": state,
         }
+        return doc, files
 
     @staticmethod
-    def from_json_dict(doc: dict) -> "DetectorModel":
+    def from_json_dict(
+        doc: dict,
+        directory: Path | None = None,
+        loaded: MutableMapping[Path, tuple] | None = None,
+    ) -> "DetectorModel":
+        """Rebuild a detector whose shared arrays sit in ``directory``.
+
+        ``loaded`` maps the paths of files already read to (sha256, contents);
+        a shared array not in it is read from disk and added.  A shared file
+        that is missing or whose bytes do not hash to its name raises
+        ``SchemaError``, as does a state whose keys are not its kind's.
+        """
         if doc.get("format") != DETECTOR_FORMAT:
             raise SchemaError(f"not a {DETECTOR_FORMAT} container: {doc.get('format')!r}")
+        loaded = {} if loaded is None else loaded
         with malformed("detector container"):
             if type(doc["d"]) is not int or doc["d"] < 1:
                 raise ValueError(f"d must be a positive integer, got {doc['d']!r}")
@@ -188,20 +243,44 @@ class DetectorModel:
                 params=doc["params"],
                 contamination=doc["contamination"],
             )
-            return DetectorModel(
-                config=config,
-                state=_from_jsonable(doc["state"]),
-                tau=float(doc["tau"]),
-                d=doc["d"],
-            )
+            state = _from_jsonable(doc["state"], directory, loaded)
+            expected = _STATE_KEYS[config.kind]
+            if not isinstance(state, dict) or set(state) != expected:
+                raise ValueError(f"{config.kind.value} state must hold exactly "
+                                 f"{sorted(expected)}, got {sorted(state)}")
+            if config.kind is DetectorKind.FEATURE_BAGGING and not all(
+                isinstance(member, dict) and set(member) == _MEMBER_KEYS
+                for member in state["members"]
+            ):
+                raise ValueError(f"each FeatureBagging member state must hold exactly "
+                                 f"{sorted(_MEMBER_KEYS)}")
+            return DetectorModel(config=config, state=state, tau=float(doc["tau"]), d=doc["d"])
 
     def save(self, path: str | Path) -> None:
-        write_json(path, self.to_json_dict())
+        """Write the container to ``path`` and each shared array it
+        references into the same directory, unless already there."""
+        path = Path(path)
+        doc, files = self._encode()
+        for name, raw in files.items():
+            target = path.parent / name
+            try:
+                if target.read_bytes() == raw:
+                    continue  # written by another model of the run
+            except OSError:
+                pass
+            write_bytes(target, raw)
+        write_json(path, doc)
 
 
-# Array payload dtype by numpy kind; ``data`` is the base64 of the array's
-# little-endian bytes.
+# Array payload dtype by numpy kind.  An inline payload holds ``data``, the
+# base64 of the array's little-endian bytes; a shared one holds ``sha256``.
 _ARRAY_DTYPES = {"f": "<f8", "i": "<i8", "b": "|b1"}
+_SHA256 = re.compile("[0-9a-f]{64}")
+
+
+def _shared_name(digest: str, dtype: str) -> str:
+    """File name of a shared array: its sha256 and its dtype, such as ``.f8``."""
+    return f"{digest}.{dtype[1:]}"
 
 
 def _to_jsonable(obj):
@@ -224,35 +303,62 @@ def _to_jsonable(obj):
     return obj
 
 
-def _from_jsonable(obj):
+def _from_jsonable(obj, directory: Path | None = None, loaded: MutableMapping | None = None):
     if isinstance(obj, dict):
         if obj.get("__ndarray__"):
-            return _array_from_payload(obj)
-        return {k: _from_jsonable(v) for k, v in obj.items()}
+            return _array_from_payload(obj, directory, loaded)
+        return {k: _from_jsonable(v, directory, loaded) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_from_jsonable(v) for v in obj]
+        return [_from_jsonable(v, directory, loaded) for v in obj]
     return obj
 
 
-def _array_from_payload(obj: dict) -> np.ndarray:
+def _array_from_payload(
+    obj: dict, directory: Path | None, loaded: MutableMapping | None
+) -> np.ndarray:
     """The read-only array an ``__ndarray__`` payload encodes."""
-    dtype, shape, data = obj.get("dtype"), obj.get("shape"), obj.get("data")
+    dtype, shape = obj.get("dtype"), obj.get("shape")
     if dtype not in _ARRAY_DTYPES.values():
         raise SchemaError(
             f"array payload: dtype {dtype!r} is not one of {', '.join(_ARRAY_DTYPES.values())}"
         )
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise SchemaError(f"array payload: shape {shape!r} is not a list of non-negative ints")
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"array payload: data is not base64: {exc}") from exc
+    if "sha256" in obj:
+        raw = _read_shared(obj["sha256"], dtype, directory, loaded)
+    else:
+        try:
+            raw = base64.b64decode(obj.get("data"), validate=True)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"array payload: data is not base64: {exc}") from exc
     dtype = np.dtype(dtype)
     if len(raw) != math.prod(shape) * dtype.itemsize:
         raise SchemaError(
             f"array payload: {len(raw)} bytes of data for shape {shape} of {dtype.str}"
         )
     return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+
+def _read_shared(
+    digest, dtype: str, directory: Path | None, loaded: MutableMapping | None
+) -> bytes:
+    """The bytes of the shared array file ``digest`` names in ``directory``,
+    read once per ``loaded`` cache and checked against ``digest``."""
+    if not (isinstance(digest, str) and _SHA256.fullmatch(digest)):
+        raise SchemaError(f"array payload: sha256 {digest!r} is not a hex digest")
+    if directory is None:
+        raise SchemaError(f"array payload: shared array {digest} read without its directory")
+    path = Path(directory) / _shared_name(digest, dtype)
+    if path not in loaded:
+        try:
+            raw = path.read_bytes()
+        except OSError as exc:
+            raise SchemaError(f"shared array {path.name} missing: {exc}") from exc
+        actual = hashlib.sha256(raw).hexdigest()
+        if actual != digest:
+            raise SchemaError(f"shared array {path} has sha256 {actual}, not the one it is named by")
+        loaded[path] = (actual, raw)
+    return loaded[path][1]
 
 
 def calibrate_threshold(train_scores: np.ndarray, contamination: float) -> float:

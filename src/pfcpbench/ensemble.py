@@ -28,7 +28,7 @@ from .traffic import ClassLabel, LabeledDataset, malformed, read_container, writ
 
 SOLVER_TOL = 1e-3
 SOLVER_MAX_PASSES = 100
-ENSEMBLE_FORMAT = "pfcpbench-ensemble-v4"
+ENSEMBLE_FORMAT = "pfcpbench-ensemble-v5"
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,8 @@ class EnsembleModel:
     score_sd: np.ndarray
     support_vectors: np.ndarray  # normalized base-score rows with alpha > 0
     dual_coef: np.ndarray  # alpha_i * y_i for the support rows
-    train_accuracy: float = 0.0
+    # set by fit_ensemble for the train log; not saved, so None once loaded
+    train_accuracy: float | None = None
     # Decision threshold on the signed margin: the dual has no intercept, so
     # a row is anomalous when its margin is above 0.
     tau: ClassVar[float] = 0.0
@@ -161,7 +162,6 @@ class EnsembleModel:
             "score_sd": _to_jsonable(self.score_sd),
             "support_vectors": _to_jsonable(self.support_vectors),
             "dual_coef": _to_jsonable(self.dual_coef),
-            "train_accuracy": self.train_accuracy,
             "bases": bases,
         }
         write_json(path, doc)
@@ -170,14 +170,14 @@ class EnsembleModel:
     def from_json_dict(
         doc: dict,
         directory: Path,
-        loaded: MutableMapping[Path, tuple[str, DetectorModel]],
+        loaded: MutableMapping[Path, tuple],
     ) -> "EnsembleModel":
         """Rebuild an ensemble whose bases sit in ``directory``.
 
         ``loaded`` maps container paths to (sha256, detector) for detectors
-        already read; a base not in it is read from disk and added.  A base
-        that is missing or whose sha256 differs from the recorded one
-        raises ``SchemaError``.
+        already read; a base not in it is read from disk and added, with the
+        shared arrays it references.  A base that is missing or whose sha256
+        differs from the recorded one raises ``SchemaError``.
         """
         if doc.get("format") != ENSEMBLE_FORMAT:
             raise SchemaError(f"not a {ENSEMBLE_FORMAT} container: {doc.get('format')!r}")
@@ -194,7 +194,7 @@ class EnsembleModel:
                         base_doc, digest = read_container(path)
                     except IoError as exc:
                         raise SchemaError(f"ensemble {spec.name}: base {path.name} missing: {exc}") from exc
-                    loaded[path] = (digest, DetectorModel.from_json_dict(base_doc))
+                    loaded[path] = (digest, DetectorModel.from_json_dict(base_doc, directory, loaded))
                 digest, base = loaded[path]
                 if digest != entry["sha256"]:
                     raise SchemaError(
@@ -209,7 +209,6 @@ class EnsembleModel:
                 score_sd=_from_jsonable(doc["score_sd"]),
                 support_vectors=_from_jsonable(doc["support_vectors"]),
                 dual_coef=_from_jsonable(doc["dual_coef"]),
-                train_accuracy=float(doc["train_accuracy"]),
             )
 
 

@@ -114,6 +114,14 @@ def write_text(path: str | Path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path``; ``IoError`` when the file cannot be written."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def write_json(path: str | Path, doc, indent: int | None = None) -> None:
     """Write ``doc`` to ``path`` as JSON with sorted keys, as ``read_container`` reads it."""
     write_text(path, json.dumps(doc, indent=indent, sort_keys=True))

@@ -294,11 +294,12 @@ def _as_v2_detector(doc):
         (_retagged("pfcpbench-detector-v4"), "pfcpbench-detector-v4"),
         (_retagged("pfcpbench-detector-v5"), "pfcpbench-detector-v5"),
         (_retagged("pfcpbench-detector-v6"), "pfcpbench-detector-v6"),
+        (_retagged("pfcpbench-detector-v7"), "pfcpbench-detector-v7"),
     ],
     ids=[
         "bad-base64", "list-data", "short-data", "f4-dtype", "named-dtype",
         "negative-shape", "float-shape", "string-shape", "v2-detector", "v3-detector",
-        "v4-detector", "v5-detector", "v6-detector",
+        "v4-detector", "v5-detector", "v6-detector", "v7-detector",
     ],
 )
 def test_malformed_array_payload_fails_with_schema_error(pipeline_run, damage, message, capsys):
@@ -807,6 +808,40 @@ def _delete_base(models: Path):
     (models / "kNN.json").unlink()
 
 
+def _shared_train(models: Path) -> Path:
+    """The one shared array file of an HKGIP run: kNN's training rows."""
+    (path,) = models.glob("*.f8")
+    return path
+
+
+def _delete_shared(models: Path):
+    _shared_train(models).unlink()
+
+
+def _flip_shared_byte(models: Path):
+    path = _shared_train(models)
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _truncate_shared(models: Path):
+    path = _shared_train(models)
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _unhashed_reference(models: Path):
+    doc = json.loads((models / "kNN.json").read_text())
+    doc["state"]["train"]["sha256"] = "../HBOS.json"
+    (models / "kNN.json").write_text(json.dumps(doc, sort_keys=True))
+
+
+def _drop_gmm_state_key(models: Path):
+    doc = json.loads((models / "GMM.json").read_text())
+    del doc["state"]["log_weights"]
+    (models / "GMM.json").write_text(json.dumps(doc, sort_keys=True))
+
+
 def _strip_ensemble(models: Path):
     (models / "HKGIP.json").write_text(json.dumps({"format": ENSEMBLE_FORMAT}))
 
@@ -827,8 +862,16 @@ def _retagged_ensemble(tag):
         (_retagged_ensemble("pfcpbench-ensemble-v1"), "pfcpbench-ensemble-v1"),
         (_strip_ensemble, "malformed ensemble container"),
         (_retagged_ensemble("pfcpbench-ensemble-v3"), "pfcpbench-ensemble-v3"),
+        (_retagged_ensemble("pfcpbench-ensemble-v4"), "pfcpbench-ensemble-v4"),
+        (_delete_shared, "missing"),
+        (_flip_shared_byte, "sha256"),
+        (_truncate_shared, "sha256"),
+        (_unhashed_reference, "not a hex digest"),
+        (_drop_gmm_state_key, "state must hold exactly"),
     ],
-    ids=["tampered-base", "deleted-base", "v1-ensemble", "format-only-ensemble", "v3-ensemble"],
+    ids=["tampered-base", "deleted-base", "v1-ensemble", "format-only-ensemble", "v3-ensemble",
+         "v4-ensemble", "deleted-shared-array", "flipped-shared-byte", "truncated-shared-array",
+         "unhashed-reference", "state-key-missing"],
 )
 def test_broken_ensemble_container_fails_with_schema_error(tmp_path, damage, message, capsys):
     config = write_config(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -874,6 +875,39 @@ def test_model_serialization_roundtrip(tmp_path, blob_benchmark, kind):
     assert np.array_equal(loaded.score_batch(queries), model.score_batch(queries))
     loaded.save(tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def _drop_last_key(state):
+    del state[sorted(state)[-1]]  # the shared "train" for kNN, ABOD and FeatureBagging
+
+
+def _add_key(state):
+    state["unread"] = 1
+
+
+@pytest.mark.parametrize("edit", [_drop_last_key, _add_key], ids=["missing", "extra"])
+@pytest.mark.parametrize("kind", list(DetectorKind))
+def test_container_whose_state_keys_are_not_its_kinds_is_rejected(tmp_path, blob_benchmark,
+                                                                    kind, edit):
+    train, _, _ = blob_benchmark
+    path = tmp_path / f"{kind.value}.json"
+    fit(DetectorConfig(kind=kind), train, seed=42).save(path)
+    doc = json.loads(path.read_text())
+    edit(doc["state"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="state must hold exactly"):
+        load_any_model(path)
+
+
+def test_feature_bagging_member_missing_a_key_is_rejected(tmp_path, blob_benchmark):
+    train, _, _ = blob_benchmark
+    path = tmp_path / "FeatureBagging.json"
+    fit(DetectorConfig(kind=DetectorKind.FEATURE_BAGGING), train, seed=42).save(path)
+    doc = json.loads(path.read_text())
+    del doc["state"]["members"][0]["mean"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="member state must hold exactly"):
+        load_any_model(path)
 
 
 @pytest.mark.parametrize("d", [0, -1, 2.0, "2", None, True])

@@ -267,7 +267,7 @@ def test_saved_containers_hold_only_what_loading_reads(tmp_path):
     assert detector["d"] == validation.matrix.shape[1]
     assert set(json.loads(path.read_text())) == {
         "format", "name", "C", "gamma", "score_mean", "score_sd", "support_vectors",
-        "dual_coef", "train_accuracy", "bases",
+        "dual_coef", "bases",
     }
 
 

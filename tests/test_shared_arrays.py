@@ -1,0 +1,135 @@
+"""Shared state arrays: the training rows that kNN, ABOD, LOF and
+FeatureBagging keep, and the sorted columns of COPOD and ECOD, are each
+written once to ``models/<sha256>.f8`` and referenced from the containers."""
+
+import base64
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from pfcpbench.cli import _trained_models, main
+from pfcpbench.corpus import synth_benchmark_splits
+from pfcpbench.detectors import DetectorConfig, DetectorKind, fit
+from pfcpbench.ensemble import PRESETS, fit_ensemble
+from pfcpbench.preprocess import fit_pipeline, transform
+
+SPLITS = ("train", "validation", "test")
+SHARING_KINDS = ("kNN", "ABOD", "LOF", "FeatureBagging", "COPOD", "ECOD")
+
+# Bytes of every file of models/ after training the six sharing kinds at scale
+# 0.03 (``shared_runs``): 341,286 with each shared array written once, and
+# 893,850 when each container embedded its own base64 copy.  One more copy of
+# either 92 kB array passes the ceiling.
+MODELS_BYTES_CEILING = 352_000
+
+
+@pytest.fixture(scope="module")
+def saved_catalog(tmp_path_factory):
+    """All 12 kinds and 4 presets fitted at scale 0.03 and saved as the train
+    command saves them; returns the run directory, the fitted models by
+    name, and the preprocessed splits."""
+    raw = synth_benchmark_splits(seed=42, scale=0.03)
+    pipeline = fit_pipeline(raw[0], scaling_enabled=True)
+    splits = {name: transform(pipeline, ds) for name, ds in zip(SPLITS, raw)}
+    run_dir = tmp_path_factory.mktemp("catalog")
+    models_dir = run_dir / "models"
+    models_dir.mkdir()
+    fitted = {}
+    for kind in DetectorKind:
+        model = fit(DetectorConfig(kind=kind), splits["train"], seed=42)
+        model.save(models_dir / f"{kind.value}.json")
+        fitted[kind.value] = model
+    V = splits["validation"]
+    for name, spec in PRESETS.items():
+        bases = [fitted[kind.value] for kind in spec.base_kinds]
+        scores = np.column_stack([base.score_batch(V.matrix) for base in bases])
+        model = fit_ensemble(spec, bases, V, scores)
+        model.save(models_dir / f"{name}.json")
+        fitted[name] = model
+    return run_dir, fitted, splits
+
+
+def test_loaded_models_score_every_split_as_the_fitted_ones(saved_catalog):
+    run_dir, fitted, splits = saved_catalog
+    loaded = dict(_trained_models(run_dir, None))
+    assert set(loaded) == set(fitted) and len(loaded) == 16
+    for name, model in loaded.items():
+        for split in SPLITS:
+            X = splits[split].matrix
+            assert np.array_equal(model.score_batch(X), fitted[name].score_batch(X)), (name, split)
+
+
+@pytest.mark.parametrize("target", ["kNN", "COPOD", "HKLIF"])
+def test_one_target_loads_cold_with_its_shared_arrays(saved_catalog, target):
+    # the attack stage loads its targets alone
+    run_dir, fitted, splits = saved_catalog
+    ((name, model),) = _trained_models(run_dir, (target,))
+    assert name == target
+    X = splits["test"].matrix
+    assert np.array_equal(model.score_batch(X), fitted[target].score_batch(X))
+
+
+def test_one_load_reads_each_shared_file_once(saved_catalog):
+    run_dir, _, _ = saved_catalog
+    models = dict(_trained_models(run_dir, None))
+    rows = [models[kind].state["train"] for kind in ("kNN", "ABOD", "LOF", "FeatureBagging")]
+    assert all(np.shares_memory(rows[0], other) for other in rows[1:])
+    assert np.shares_memory(models["COPOD"].state["sorted"], models["ECOD"].state["sorted"])
+    hklif = models["HKLIF"]
+    assert all(base is models[base.kind.value] for base in hklif.base_models)
+
+
+def test_training_matrix_is_stored_once(saved_catalog):
+    run_dir, fitted, splits = saved_catalog
+    models_dir = run_dir / "models"
+    tables = {
+        "train": splits["train"].matrix.astype("<f8").tobytes(),
+        "sorted": fitted["COPOD"].state["sorted"].astype("<f8").tobytes(),
+    }
+    shared = sorted(p.name for p in models_dir.iterdir() if p.suffix != ".json")
+    assert shared == sorted(f"{hashlib.sha256(raw).hexdigest()}.f8" for raw in tables.values())
+    for raw in tables.values():
+        holders = [p.name for p in models_dir.iterdir() if raw in p.read_bytes()]
+        assert holders == [f"{hashlib.sha256(raw).hexdigest()}.f8"]
+        encoded = base64.b64encode(raw)
+        assert not [p.name for p in models_dir.glob("*.json") if encoded in p.read_bytes()]
+
+
+def _train_into(tmp_path, tag: str):
+    config = tmp_path / f"config_{tag}.json"
+    config.write_text(json.dumps({
+        "seed": 42,
+        "out": str(tmp_path / f"runs_{tag}"),
+        "corpus": {"synth": {"scale": 0.03}},
+        "pipeline": {"scaling": True},
+        "detectors": [{"kind": kind} for kind in SHARING_KINDS],
+        "ensembles": [],
+    }))
+    for command in ("preprocess", "train"):
+        assert main([command, "--config", str(config)]) == 0
+    (run_dir,) = (tmp_path / f"runs_{tag}").glob("run-*")
+    return run_dir / "models"
+
+
+@pytest.fixture(scope="module")
+def shared_runs(tmp_path_factory):
+    """models/ of the six sharing kinds, trained twice into two out roots."""
+    tmp_path = tmp_path_factory.mktemp("shared")
+    return _train_into(tmp_path, "a"), _train_into(tmp_path, "b")
+
+
+def test_shared_files_rerun_byte_identically(shared_runs):
+    a, b = shared_runs
+    files = sorted(p.name for p in a.iterdir())
+    assert files == sorted(p.name for p in b.iterdir())
+    assert len([name for name in files if name.endswith(".f8")]) == 2
+    for name in files:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_models_dir_stays_under_its_byte_ceiling(shared_runs):
+    # a container that embeds a shared array again fails here
+    total = sum(p.stat().st_size for p in shared_runs[0].glob("*"))
+    assert total <= MODELS_BYTES_CEILING, total
