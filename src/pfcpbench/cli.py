@@ -182,9 +182,20 @@ def cmd_train(cfg: RunConfig) -> int:
             train_log[name] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
             logger.error("ensemble %s failed: %s", name, exc)
 
+    _remove_unreferenced_arrays(models_dir)
     write_json(run_dir / "train_log.json", train_log, indent=2)
     print(run_dir)
     return 0
+
+
+def _remove_unreferenced_arrays(models_dir: Path) -> None:
+    """Delete each shared array file that no container in ``models_dir``
+    names, such as one an earlier training on other rows left behind."""
+    containers = [path.read_bytes() for path in models_dir.glob("*.json")]
+    for path in list(models_dir.iterdir()):
+        digest = path.name.partition(".")[0].encode()
+        if det_mod.is_shared_file(path.name) and not any(digest in raw for raw in containers):
+            path.unlink()
 
 
 def load_any_model(path: Path, loaded: dict | None = None):

@@ -139,11 +139,13 @@ SHARED_KEYS = frozenset({"train", "sorted"})
 # it, bit for bit: ``score_batch(Q)[i] == score_batch(Q[i:i+1])[0]``.  An
 # attack campaign scores each round's candidates in one call for these kinds
 # only.  The others round differently with the shape of the batch: kNN, LOF,
-# ABOD, FeatureBagging, PCA, GMM and LODA through their BLAS products, and
-# every ensemble through its bases and stacker.
-ROW_INVARIANT_KINDS = frozenset(
-    {DetectorKind.HBOS, DetectorKind.COPOD, DetectorKind.ECOD, DetectorKind.IFOREST, DetectorKind.INNE}
-)
+# ABOD, FeatureBagging, PCA and LODA through their BLAS products, and every
+# ensemble through its bases and stacker.  GMM's scoring sums in a fixed
+# order; its EM solves are on the training side only.
+ROW_INVARIANT_KINDS = frozenset({
+    DetectorKind.HBOS, DetectorKind.COPOD, DetectorKind.ECOD, DetectorKind.IFOREST,
+    DetectorKind.INNE, DetectorKind.GMM,
+})
 
 DEFAULT_CONTAMINATION = 0.02
 # Container tag; bumped whenever a detector's saved state changes layout.
@@ -281,6 +283,12 @@ _SHA256 = re.compile("[0-9a-f]{64}")
 def _shared_name(digest: str, dtype: str) -> str:
     """File name of a shared array: its sha256 and its dtype, such as ``.f8``."""
     return f"{digest}.{dtype[1:]}"
+
+
+def is_shared_file(name: str) -> bool:
+    """Whether ``name`` is a shared array's file name (``_shared_name``)."""
+    digest, _, suffix = name.partition(".")
+    return bool(_SHA256.fullmatch(digest)) and suffix in {dt[1:] for dt in _ARRAY_DTYPES.values()}
 
 
 def _to_jsonable(obj):

@@ -68,7 +68,9 @@ def score_abod(state: dict, Q: np.ndarray) -> np.ndarray:
 
 
 def _log_gaussians(Q: np.ndarray, means: np.ndarray, chols: list[np.ndarray]) -> np.ndarray:
-    """Per-component multivariate normal log densities (|Q| x K)."""
+    """Per-component multivariate normal log densities (|Q| x K), for EM in
+    ``fit_gmm`` only: its solve rounds with the batch's shape, so
+    ``score_gmm`` does not use it."""
     n, d = Q.shape
     K = means.shape[0]
     out = np.empty((n, K))
@@ -123,5 +125,19 @@ def fit_gmm(X: np.ndarray, params: dict, rng) -> dict:
 
 
 def score_gmm(state: dict, Q: np.ndarray) -> np.ndarray:
-    log_prob = _log_gaussians(Q, state["means"], state["chols"]) + state["log_weights"]
+    """Negative log-likelihood under the mixture, the same bits for a row in
+    any batch: ``y = (Q - mu_k) L_k^-T`` is summed one column of
+    ``Q - mu_k`` at a time, in a fixed order, with no BLAS product or
+    solve, whose rounding follows the batch's shape."""
+    chols = np.asarray(state["chols"])
+    d = Q.shape[1]
+    inv_cols = np.linalg.inv(chols).transpose(0, 2, 1)  # [k, j]: column j of L_k^-1
+    diff = Q[:, None, :] - state["means"]  # |Q| x K x d
+    y = diff[:, :, :1] * inv_cols[:, 0]
+    for j in range(1, d):
+        tail = y[:, :, j:]  # L_k^-1 is lower triangular
+        tail += diff[:, :, j : j + 1] * inv_cols[:, j, j:]
+    maha = (y * y).sum(axis=2)
+    logdet = 2.0 * np.log(chols.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    log_prob = -0.5 * (maha + logdet + d * LOG_2PI) + state["log_weights"]
     return -logsumexp(log_prob, axis=1)

@@ -24,7 +24,7 @@ from pfcpbench.attack import (
     scale_compliance,
 )
 from pfcpbench.corpus import SynthConfig, default_schema, synth_attack, synth_benign
-from pfcpbench.detectors import ROW_INVARIANT_KINDS, DetectorKind
+from pfcpbench.detectors import ROW_INVARIANT_KINDS, DetectorConfig, DetectorKind, fit
 from pfcpbench.errors import (
     BudgetExhausted,
     ComplianceViolation,
@@ -879,6 +879,44 @@ def test_lockstep_campaign_matches_one_sample_one_row_reference(toy, algorithm):
     # and it would move had the rounds been batched
     batched = lockstep(_BatchSizeModel(DetectorKind.HBOS, per_row=1e-13))
     assert batched != reference(DetectorKind.LODA, 1e-13)
+
+
+class _CountingModel:
+    """A fitted detector that records how many rows each score call holds."""
+
+    def __init__(self, model):
+        self.model, self.kind, self.tau = model, model.kind, model.tau
+        self.rows_per_call = []
+
+    def score_batch(self, X):
+        self.rows_per_call.append(len(X))
+        return self.model.score_batch(X)
+
+
+@pytest.mark.parametrize("algorithm", [RS, GA_DE, GA_ES])
+def test_lockstep_campaign_scores_each_gmm_round_in_one_call(toy, algorithm):
+    schema, spec, feasible, source = toy
+    model = _CountingModel(fit(DetectorConfig(kind=DetectorKind.GMM), source, seed=3))
+    k = 16
+    cats = (np.arange(k) % 3).reshape(-1, 1)
+    nums = np.column_stack([np.linspace(0.5, 9.5, k), 101.0 + 2.0 * np.arange(k)])
+    attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * k)
+    cfg = AttackConfig(algorithm=algorithm, seed=11, budget=37, rs_retries=3)
+    outcomes = run_campaign(
+        model, attacks, {ClassLabel.RESTORATION_TEID: feasible},
+        {ClassLabel.RESTORATION_TEID: spec}, cfg, source,
+    )
+    # the first call scores the originals; then one call per round, holding
+    # every sample still live in that round
+    used = [o.queries_used for o in outcomes]
+    assert model.rows_per_call[1] == len(outcomes) > 1
+    assert model.rows_per_call[1:] == [
+        sum(n >= r for n in used) for r in range(1, max(used) + 1)
+    ]
+    reference = _one_sample_one_row_campaign(model.model, attacks, feasible, cfg, source)
+    assert [
+        (o.sample_index, o.trace, o.best_candidate.tolist(), o.best_fitness) for o in outcomes
+    ] == reference
 
 
 def test_campaign_compliance_checks_do_not_grow_with_budget(toy, monkeypatch):

@@ -769,9 +769,9 @@ def test_catalog_evasion_reports_golden(catalog_run):
 def test_ensemble_target_campaigns_golden(catalog_run):
     _, run_dir = catalog_run
     assert {p.name: file_sha256(p) for p in sorted(run_dir.glob("campaign-*.jsonl"))} == {
-        "campaign-HKGIP-GA_DE.jsonl": "93c7c2ed2b4b012fa9dfe4b1064ae302cac00a0f52f2b37b7fbe06d71e28d62e",
-        "campaign-HKGIP-GA_ES.jsonl": "a25995ba54df4b50088a08a69a555314d90f6b59b66f0e2d0dfeeae0fc63c0f6",
-        "campaign-HKGIP-RS.jsonl": "7d3848fc0ec1fff4bb0c013fdb5cef0526d6c1a9531a6b1015f2c93493a7df5f",
+        "campaign-HKGIP-GA_DE.jsonl": "a3420a775c5797c87b50b66d3ba92ea5911f7011a5d8744c80a62d892fa5a4e6",
+        "campaign-HKGIP-GA_ES.jsonl": "5635db5a5937c26d671e7adb3ca5514652ef13631e3d3332e329d43da1b4c06c",
+        "campaign-HKGIP-RS.jsonl": "8f361ced799f1d9ae89237db828cd175ca1ead92cd42cbd7dc8b3765838d44c2",
     }
 
 

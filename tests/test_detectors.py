@@ -811,12 +811,17 @@ def pfcp_edge_rows():
     return train, np.vstack([special, attaining, midpoints, rows[:60], mixed])
 
 
-@pytest.mark.parametrize("kind", sorted(ROW_INVARIANT_KINDS, key=lambda k: k.value))
-def test_row_invariant_kinds_score_a_row_alike_in_any_batch(pfcp_edge_rows, kind):
+@pytest.mark.parametrize("kind, params", [
+    *(pytest.param(kind, {}, id=str(kind))
+      for kind in sorted(ROW_INVARIANT_KINDS, key=lambda k: k.value)),
+    # the gmm-evasion workload's GMM, beside the default four components
+    pytest.param(DetectorKind.GMM, {"components": 1}, id="DetectorKind.GMM-components=1"),
+])
+def test_row_invariant_kinds_score_a_row_alike_in_any_batch(pfcp_edge_rows, kind, params):
     # the attack scores a round's candidates in one call for these kinds,
     # so each row's score must not depend on the rows sharing its call
     train, Q = pfcp_edge_rows
-    model = fit(DetectorConfig(kind=kind), train, seed=42)
+    model = fit(DetectorConfig(kind=kind, params=params), train, seed=42)
     full = model.score_batch(Q)
     alone = np.concatenate([model.score_batch(Q[i : i + 1]) for i in range(len(Q))])
     assert alone.tobytes() == full.tobytes()

@@ -97,14 +97,14 @@ def test_training_matrix_is_stored_once(saved_catalog):
         assert not [p.name for p in models_dir.glob("*.json") if encoded in p.read_bytes()]
 
 
-def _train_into(tmp_path, tag: str):
+def _train_into(tmp_path, tag: str, kinds=SHARING_KINDS):
     config = tmp_path / f"config_{tag}.json"
     config.write_text(json.dumps({
         "seed": 42,
         "out": str(tmp_path / f"runs_{tag}"),
         "corpus": {"synth": {"scale": 0.03}},
         "pipeline": {"scaling": True},
-        "detectors": [{"kind": kind} for kind in SHARING_KINDS],
+        "detectors": [{"kind": kind} for kind in kinds],
         "ensembles": [],
     }))
     for command in ("preprocess", "train"):
@@ -133,3 +133,18 @@ def test_models_dir_stays_under_its_byte_ceiling(shared_runs):
     # a container that embeds a shared array again fails here
     total = sum(p.stat().st_size for p in shared_runs[0].glob("*"))
     assert total <= MODELS_BYTES_CEILING, total
+
+
+def test_retraining_on_other_rows_leaves_no_stale_shared_file(tmp_path):
+    models_dir = _train_into(tmp_path, "retrain", kinds=("FeatureBagging",))
+    (before,) = models_dir.glob("*.f8")
+    run_dir = models_dir.parent
+    train_csv = run_dir / "preprocessed" / "train.csv"
+    lines = train_csv.read_text().splitlines(keepends=True)
+    train_csv.write_text("".join(lines[:-1]))
+    config = tmp_path / "config_retrain.json"
+    assert main(["train", "--config", str(config)]) == 0
+    (after,) = models_dir.glob("*.f8")
+    assert after.name != before.name
+    assert [name for name, _ in _trained_models(run_dir, None)] == ["FeatureBagging"]
+    assert main(["evaluate", "--config", str(config)]) == 0
