@@ -140,12 +140,12 @@ def cmd_train(cfg: RunConfig) -> int:
         label = kind.value
         try:
             seed = derive_seed(cfg.seed, "fit", label)
+            extra = {}  # a grid search's per-candidate log
             if entry.grid:
-                model, log = det_mod.grid_search(
+                model, extra["grid"] = det_mod.grid_search(
                     kind, entry.grid, train, validation,
                     contamination=entry.contamination, seed=seed,
                 )
-                write_json(models_dir / f"grid_{label}.json", log, indent=2)
             else:
                 config = det_mod.DetectorConfig(
                     kind=kind, params=entry.params, contamination=entry.contamination
@@ -153,7 +153,8 @@ def cmd_train(cfg: RunConfig) -> int:
                 model = det_mod.fit(config, train, seed=seed)
             model.save(models_dir / f"{label}.json")
             fitted[kind] = model
-            train_log[label] = {"status": "ok", "params": model.config.params, "tau": model.tau}
+            train_log[label] = {"status": "ok", "params": model.config.params, "tau": model.tau,
+                                **extra}
             logger.info("fitted %s (tau=%.6g)", label, model.tau)
         except errors.PfcpBenchError as exc:
             train_log[label] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
@@ -189,12 +190,12 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _remove_unreferenced_arrays(models_dir: Path) -> None:
-    """Delete each shared array file that no container in ``models_dir``
-    names, such as one an earlier training on other rows left behind."""
+    """Delete each array file that no container in ``models_dir`` names,
+    such as one an earlier training on other rows left behind."""
     containers = [path.read_bytes() for path in models_dir.glob("*.json")]
     for path in list(models_dir.iterdir()):
         digest = path.name.partition(".")[0].encode()
-        if det_mod.is_shared_file(path.name) and not any(digest in raw for raw in containers):
+        if det_mod.is_array_file(path.name) and not any(digest in raw for raw in containers):
             path.unlink()
 
 
@@ -202,9 +203,9 @@ def load_any_model(path: Path, loaded: dict | None = None):
     """Load a detector or ensemble container, parsing it once.
 
     ``loaded`` maps container paths to (sha256, detector) for detectors
-    already read, and shared array files to (sha256, bytes).  A detector read
-    here is added to it, and an ensemble takes its bases from it, and a
-    detector its shared arrays, before reading them from disk.
+    already read, and array files to (sha256, bytes).  A detector read here
+    is added to it, and a container takes its bases and array files from
+    it before reading them from disk.
     """
     loaded = {} if loaded is None else loaded
     doc, digest = read_container(path)
@@ -223,8 +224,7 @@ def _trained_models(run_dir: Path, names: tuple[str, ...] | None) -> list[tuple[
     if not models_dir.exists():
         raise errors.ConfigError(f"{models_dir} missing; run the train command first")
     paths = [
-        path for path in sorted(models_dir.glob("*.json"))
-        if not path.name.startswith("grid_") and (names is None or path.stem in names)
+        path for path in sorted(models_dir.glob("*.json")) if names is None or path.stem in names
     ]
     # detectors first, so that each ensemble finds its bases already loaded
     loaded: dict = {}

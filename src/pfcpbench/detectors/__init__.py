@@ -10,9 +10,9 @@ numeric representation; categorical codes enter as ordinal reals.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import itertools
+import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -125,15 +125,9 @@ _STATE_KEYS = {
     DetectorKind.PCA: {"mean", "components"},
     DetectorKind.ABOD: {"train", "k"},
     DetectorKind.GMM: {"means", "chols", "log_weights"},
-    DetectorKind.FEATURE_BAGGING: {"train", "k", "members"},
+    DetectorKind.FEATURE_BAGGING: {"train", "k", "features", "train_kdist", "train_lrd", "mean",
+                                   "sd"},
 }
-_MEMBER_KEYS = {"features", "train_kdist", "train_lrd", "mean", "sd"}  # FeatureBagging's
-
-# State arrays that several kinds of one run hold equal: the training rows
-# (kNN, ABOD, LOF and FeatureBagging) and the sorted columns (COPOD and
-# ECOD).  A container references each by the sha256 of its bytes, and
-# ``save`` writes those bytes once, to ``<sha256>.<dtype>`` beside it.
-SHARED_KEYS = frozenset({"train", "sorted"})
 
 # Kinds whose score of a row does not depend on the other rows scored with
 # it, bit for bit: ``score_batch(Q)[i] == score_batch(Q[i:i+1])[0]``.  An
@@ -148,8 +142,11 @@ ROW_INVARIANT_KINDS = frozenset({
 })
 
 DEFAULT_CONTAMINATION = 0.02
+# Integer hyperparameters whose least value is not 1: a one-row subsample
+# has no spread for IForest's path norm or INNE's radii.
+_INT_MINIMUMS = {"subsample": 2, "sample_size": 2}
 # Container tag; bumped whenever a detector's saved state changes layout.
-DETECTOR_FORMAT = "pfcpbench-detector-v8"
+DETECTOR_FORMAT = "pfcpbench-detector-v9"
 
 
 @dataclass(frozen=True)
@@ -193,23 +190,9 @@ class DetectorModel:
             )
         return _REGISTRY[self.kind][1](self.state, Q)
 
-    def to_json_dict(self) -> dict:
-        return self._encode()[0]
-
-    def _encode(self) -> tuple[dict, dict[str, bytes]]:
-        """The container, and the bytes of each shared array it references
-        by file name."""
-        state, files = {}, {}
-        for key, value in self.state.items():
-            if key in SHARED_KEYS:
-                dtype = _ARRAY_DTYPES[value.dtype.kind]
-                raw = np.ascontiguousarray(value, dtype=dtype).tobytes()
-                digest = hashlib.sha256(raw).hexdigest()
-                files[_shared_name(digest, dtype)] = raw
-                state[key] = {"__ndarray__": True, "dtype": dtype, "shape": list(value.shape),
-                              "sha256": digest}
-            else:
-                state[key] = _to_jsonable(value)
+    def save(self, path: str | Path) -> None:
+        """Write the container to ``path`` and its array files beside it."""
+        state, files = encode_arrays(self.state)
         doc = {
             "format": DETECTOR_FORMAT,
             "kind": self.kind.value,
@@ -219,24 +202,21 @@ class DetectorModel:
             "d": self.d,
             "state": state,
         }
-        return doc, files
+        write_container(path, doc, files)
 
     @staticmethod
     def from_json_dict(
-        doc: dict,
-        directory: Path | None = None,
-        loaded: MutableMapping[Path, tuple] | None = None,
+        doc: dict, directory: Path, loaded: MutableMapping[Path, tuple]
     ) -> "DetectorModel":
-        """Rebuild a detector whose shared arrays sit in ``directory``.
+        """Rebuild a detector whose array files sit in ``directory``.
 
-        ``loaded`` maps the paths of files already read to (sha256, contents);
-        a shared array not in it is read from disk and added.  A shared file
-        that is missing or whose bytes do not hash to its name raises
-        ``SchemaError``, as does a state whose keys are not its kind's.
+        ``loaded`` is the cache ``decode_arrays`` reads array files through.
+        A state whose keys are not its kind's, a bad array reference and a
+        container that no longer hashes to its recorded sha256 raise
+        ``SchemaError``.
         """
         if doc.get("format") != DETECTOR_FORMAT:
             raise SchemaError(f"not a {DETECTOR_FORMAT} container: {doc.get('format')!r}")
-        loaded = {} if loaded is None else loaded
         with malformed("detector container"):
             if type(doc["d"]) is not int or doc["d"] < 1:
                 raise ValueError(f"d must be a positive integer, got {doc['d']!r}")
@@ -245,100 +225,85 @@ class DetectorModel:
                 params=doc["params"],
                 contamination=doc["contamination"],
             )
-            state = _from_jsonable(doc["state"], directory, loaded)
+            state = decode_arrays(doc["state"], directory, loaded)
             expected = _STATE_KEYS[config.kind]
-            if not isinstance(state, dict) or set(state) != expected:
+            if set(state) != expected:
                 raise ValueError(f"{config.kind.value} state must hold exactly "
                                  f"{sorted(expected)}, got {sorted(state)}")
-            if config.kind is DetectorKind.FEATURE_BAGGING and not all(
-                isinstance(member, dict) and set(member) == _MEMBER_KEYS
-                for member in state["members"]
-            ):
-                raise ValueError(f"each FeatureBagging member state must hold exactly "
-                                 f"{sorted(_MEMBER_KEYS)}")
+            check_container_digest(doc, f"{config.kind.value} detector container")
             return DetectorModel(config=config, state=state, tau=float(doc["tau"]), d=doc["d"])
 
-    def save(self, path: str | Path) -> None:
-        """Write the container to ``path`` and each shared array it
-        references into the same directory, unless already there."""
-        path = Path(path)
-        doc, files = self._encode()
-        for name, raw in files.items():
-            target = path.parent / name
-            try:
-                if target.read_bytes() == raw:
-                    continue  # written by another model of the run
-            except OSError:
-                pass
-            write_bytes(target, raw)
-        write_json(path, doc)
 
-
-# Array payload dtype by numpy kind.  An inline payload holds ``data``, the
-# base64 of the array's little-endian bytes; a shared one holds ``sha256``.
+# Every ndarray of a saved state is a reference
+# {"__ndarray__": true, "dtype", "shape", "sha256"} to its raw little-endian
+# C-order bytes in the file ``<sha256>.<dtype>`` beside the container, such
+# as ``.f8``, so equal arrays of a run are stored once.  Dtype by numpy kind:
 _ARRAY_DTYPES = {"f": "<f8", "i": "<i8", "b": "|b1"}
 _SHA256 = re.compile("[0-9a-f]{64}")
 
 
-def _shared_name(digest: str, dtype: str) -> str:
-    """File name of a shared array: its sha256 and its dtype, such as ``.f8``."""
+def _array_name(digest: str, dtype: str) -> str:
     return f"{digest}.{dtype[1:]}"
 
 
-def is_shared_file(name: str) -> bool:
-    """Whether ``name`` is a shared array's file name (``_shared_name``)."""
+def is_array_file(name: str) -> bool:
+    """Whether ``name`` is an array file's name (``<sha256>.<dtype>``)."""
     digest, _, suffix = name.partition(".")
     return bool(_SHA256.fullmatch(digest)) and suffix in {dt[1:] for dt in _ARRAY_DTYPES.values()}
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        dtype = _ARRAY_DTYPES[obj.dtype.kind]
-        return {
-            "__ndarray__": True,
-            "dtype": dtype,
-            "shape": list(obj.shape),
-            "data": base64.b64encode(np.ascontiguousarray(obj, dtype=dtype).tobytes()).decode(),
-        }
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+def encode_arrays(values: Mapping) -> tuple[dict, dict[str, bytes]]:
+    """``values`` with each ndarray replaced by its reference, and the bytes
+    of each referenced file by file name."""
+    doc, files = {}, {}
+    for key, value in values.items():
+        if isinstance(value, np.ndarray):
+            dtype = _ARRAY_DTYPES[value.dtype.kind]
+            raw = np.ascontiguousarray(value, dtype=dtype).tobytes()
+            digest = hashlib.sha256(raw).hexdigest()
+            files[_array_name(digest, dtype)] = raw
+            value = {"__ndarray__": True, "dtype": dtype, "shape": list(value.shape),
+                     "sha256": digest}
+        doc[key] = value
+    return doc, files
 
 
-def _from_jsonable(obj, directory: Path | None = None, loaded: MutableMapping | None = None):
-    if isinstance(obj, dict):
-        if obj.get("__ndarray__"):
-            return _array_from_payload(obj, directory, loaded)
-        return {k: _from_jsonable(v, directory, loaded) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_from_jsonable(v, directory, loaded) for v in obj]
-    return obj
+def decode_arrays(doc: Mapping, directory: Path, loaded: MutableMapping[Path, tuple]) -> dict:
+    """``doc`` with each array reference replaced by its read-only array.
+
+    ``loaded`` maps the paths of files already read to (sha256, contents); a
+    file not in it is read from ``directory`` and added.  A bad dtype or
+    shape, a file that is missing or does not hash to its name, and one
+    whose size does not fit the shape raise ``SchemaError``.
+    """
+    return {
+        key: _read_array(value, directory, loaded)
+        if isinstance(value, dict) and value.get("__ndarray__") else value
+        for key, value in doc.items()
+    }
 
 
-def _array_from_payload(
-    obj: dict, directory: Path | None, loaded: MutableMapping | None
-) -> np.ndarray:
-    """The read-only array an ``__ndarray__`` payload encodes."""
-    dtype, shape = obj.get("dtype"), obj.get("shape")
+def _read_array(ref: dict, directory: Path, loaded: MutableMapping[Path, tuple]) -> np.ndarray:
+    dtype, shape, digest = ref.get("dtype"), ref.get("shape"), ref.get("sha256")
     if dtype not in _ARRAY_DTYPES.values():
         raise SchemaError(
             f"array payload: dtype {dtype!r} is not one of {', '.join(_ARRAY_DTYPES.values())}"
         )
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise SchemaError(f"array payload: shape {shape!r} is not a list of non-negative ints")
-    if "sha256" in obj:
-        raw = _read_shared(obj["sha256"], dtype, directory, loaded)
-    else:
+    if not (isinstance(digest, str) and _SHA256.fullmatch(digest)):
+        raise SchemaError(f"array payload: sha256 {digest!r} is not a hex digest")
+    path = Path(directory) / _array_name(digest, dtype)
+    if path not in loaded:
         try:
-            raw = base64.b64decode(obj.get("data"), validate=True)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"array payload: data is not base64: {exc}") from exc
+            raw = path.read_bytes()
+        except OSError as exc:
+            raise SchemaError(f"array file {path.name} missing: {exc}") from exc
+        actual = hashlib.sha256(raw).hexdigest()
+        if actual != digest:
+            raise SchemaError(f"array file {path} has sha256 {actual}, not the one it is named by")
+        loaded[path] = (actual, raw)
+    raw = loaded[path][1]
     dtype = np.dtype(dtype)
     if len(raw) != math.prod(shape) * dtype.itemsize:
         raise SchemaError(
@@ -347,26 +312,33 @@ def _array_from_payload(
     return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
-def _read_shared(
-    digest, dtype: str, directory: Path | None, loaded: MutableMapping | None
-) -> bytes:
-    """The bytes of the shared array file ``digest`` names in ``directory``,
-    read once per ``loaded`` cache and checked against ``digest``."""
-    if not (isinstance(digest, str) and _SHA256.fullmatch(digest)):
-        raise SchemaError(f"array payload: sha256 {digest!r} is not a hex digest")
-    if directory is None:
-        raise SchemaError(f"array payload: shared array {digest} read without its directory")
-    path = Path(directory) / _shared_name(digest, dtype)
-    if path not in loaded:
+def _canonical_sha256(doc: dict) -> str:
+    """The sha256 of ``doc``'s JSON as ``write_json`` writes it."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def write_container(path: str | Path, doc: dict, files: Mapping[str, bytes]) -> None:
+    """Write each array file of ``files`` beside ``path``, unless one with
+    its bytes is there already, and then ``doc`` to ``path`` with the sha256
+    of its own JSON, which ``check_container_digest`` checks."""
+    path = Path(path)
+    for name, raw in files.items():
+        target = path.parent / name
         try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            raise SchemaError(f"shared array {path.name} missing: {exc}") from exc
-        actual = hashlib.sha256(raw).hexdigest()
-        if actual != digest:
-            raise SchemaError(f"shared array {path} has sha256 {actual}, not the one it is named by")
-        loaded[path] = (actual, raw)
-    return loaded[path][1]
+            if target.read_bytes() == raw:
+                continue  # written by another model of the run
+        except OSError:
+            pass
+        write_bytes(target, raw)
+    write_json(path, {**doc, "sha256": _canonical_sha256(doc)})
+
+
+def check_container_digest(doc: dict, what: str) -> None:
+    """Raise ``SchemaError`` unless ``doc`` without its ``sha256`` hashes to
+    that ``sha256``, as ``write_container`` wrote it."""
+    body = {key: value for key, value in doc.items() if key != "sha256"}
+    if doc.get("sha256") != _canonical_sha256(body):
+        raise SchemaError(f"{what} does not hash to its recorded sha256 {doc.get('sha256')!r}")
 
 
 def calibrate_threshold(train_scores: np.ndarray, contamination: float) -> float:
@@ -385,8 +357,9 @@ def fit(config: DetectorConfig, train: LabeledDataset, seed: int = 42) -> Detect
     fit_fn, score_fn, defaults, min_rows = _REGISTRY[config.kind]
     d = len(train.schema)
     for name, value in config.params.items():
-        if type(defaults[name]) is int and not (type(value) is int and value >= 1):
-            raise FitError(f"{config.kind.value}: {name} must be an integer of at least 1, "
+        least = _INT_MINIMUMS.get(name, 1)
+        if type(defaults[name]) is int and not (type(value) is int and value >= least):
+            raise FitError(f"{config.kind.value}: {name} must be an integer of at least {least}, "
                            f"got {value!r}")
         if name == "variance_fraction" and not (type(value) in (int, float) and 0 < value <= 1):
             raise FitError(f"{config.kind.value}: {name} must lie in (0, 1], got {value!r}")

@@ -120,7 +120,7 @@ def fit_gmm(X: np.ndarray, params: dict, rng) -> dict:
         if abs(ll - prev_ll) < GMM_TOL:
             break
         prev_ll = ll
-    chols = [_regularized_cholesky(c) for c in covs]
+    chols = np.array([_regularized_cholesky(c) for c in covs])  # K x d x d
     return {"means": means, "chols": chols, "log_weights": np.log(weights)}
 
 
@@ -129,8 +129,7 @@ def score_gmm(state: dict, Q: np.ndarray) -> np.ndarray:
     any batch: ``y = (Q - mu_k) L_k^-T`` is summed one column of
     ``Q - mu_k`` at a time, in a fixed order, with no BLAS product or
     solve, whose rounding follows the batch's shape."""
-    chols = np.asarray(state["chols"])
-    d = Q.shape[1]
+    chols, d = state["chols"], Q.shape[1]
     inv_cols = np.linalg.inv(chols).transpose(0, 2, 1)  # [k, j]: column j of L_k^-1
     diff = Q[:, None, :] - state["means"]  # |Q| x K x d
     y = diff[:, :, :1] * inv_cols[:, 0]

@@ -21,14 +21,17 @@ from typing import ClassVar, MutableMapping, Sequence
 
 import numpy as np
 
-from .detectors import DetectorKind, DetectorModel, _from_jsonable, _to_jsonable
+from .detectors import (
+    DetectorKind, DetectorModel, check_container_digest, decode_arrays, encode_arrays,
+    write_container,
+)
 from .detectors.common import sq_distances
 from .errors import FitError, IoError, SchemaError
-from .traffic import ClassLabel, LabeledDataset, malformed, read_container, write_json
+from .traffic import ClassLabel, LabeledDataset, malformed, read_container
 
 SOLVER_TOL = 1e-3
 SOLVER_MAX_PASSES = 100
-ENSEMBLE_FORMAT = "pfcpbench-ensemble-v5"
+ENSEMBLE_FORMAT = "pfcpbench-ensemble-v6"
 
 
 @dataclass(frozen=True)
@@ -153,18 +156,18 @@ class EnsembleModel:
             except OSError as exc:
                 raise IoError(f"cannot write ensemble model to {path}: base unreadable: {exc}") from exc
             bases.append({"kind": kind.value, "sha256": hashlib.sha256(data).hexdigest()})
-        doc = {
+        doc, files = encode_arrays({
             "format": ENSEMBLE_FORMAT,
             "name": self.spec.name,
             "C": self.spec.C,
             "gamma": self.spec.gamma,
-            "score_mean": _to_jsonable(self.score_mean),
-            "score_sd": _to_jsonable(self.score_sd),
-            "support_vectors": _to_jsonable(self.support_vectors),
-            "dual_coef": _to_jsonable(self.dual_coef),
+            "score_mean": self.score_mean,
+            "score_sd": self.score_sd,
+            "support_vectors": self.support_vectors,
+            "dual_coef": self.dual_coef,
             "bases": bases,
-        }
-        write_json(path, doc)
+        })
+        write_container(path, doc, files)
 
     @staticmethod
     def from_json_dict(
@@ -175,9 +178,10 @@ class EnsembleModel:
         """Rebuild an ensemble whose bases sit in ``directory``.
 
         ``loaded`` maps container paths to (sha256, detector) for detectors
-        already read; a base not in it is read from disk and added, with the
-        shared arrays it references.  A base that is missing or whose sha256
-        differs from the recorded one raises ``SchemaError``.
+        already read, and array files to (sha256, bytes); a base or file not
+        in it is read from disk and added.  A base that is missing or whose
+        sha256 differs from the recorded one raises ``SchemaError``, as does
+        a container that no longer hashes to its own recorded sha256.
         """
         if doc.get("format") != ENSEMBLE_FORMAT:
             raise SchemaError(f"not a {ENSEMBLE_FORMAT} container: {doc.get('format')!r}")
@@ -202,13 +206,15 @@ class EnsembleModel:
                         f"the ensemble was saved with {entry['sha256']}"
                     )
                 bases.append(base)
+            arrays = decode_arrays(doc, directory, loaded)
+            check_container_digest(doc, f"ensemble {spec.name} container")
             return EnsembleModel(
                 spec=spec,
                 base_models=bases,
-                score_mean=_from_jsonable(doc["score_mean"]),
-                score_sd=_from_jsonable(doc["score_sd"]),
-                support_vectors=_from_jsonable(doc["support_vectors"]),
-                dual_coef=_from_jsonable(doc["dual_coef"]),
+                score_mean=arrays["score_mean"],
+                score_sd=arrays["score_sd"],
+                support_vectors=arrays["support_vectors"],
+                dual_coef=arrays["dual_coef"],
             )
 
 

@@ -1,4 +1,3 @@
-import base64
 import csv
 import hashlib
 import json
@@ -112,11 +111,15 @@ def test_train_writes_models_and_grid_log(tmp_path):
     assert run("train", config) == 0
     run_dir = only_run_dir(tmp_path)
     assert (run_dir / "models" / "HBOS.json").exists()
-    grid_log = json.loads((run_dir / "models" / "grid_HBOS.json").read_text())
-    assert len(grid_log) == 4
-    assert all("f1" in entry for entry in grid_log)
+    # models/ holds containers and array files only; the grid log is in train_log.json
+    assert all(p.suffix == ".json" or det_mod.is_array_file(p.name)
+               for p in (run_dir / "models").iterdir())
+    assert [p.name for p in (run_dir / "models").glob("*.json")] == ["HBOS.json"]
     train_log = json.loads((run_dir / "train_log.json").read_text())
     assert train_log["HBOS"]["status"] == "ok"
+    grid_log = train_log["HBOS"]["grid"]
+    assert len(grid_log) == 4
+    assert all("f1" in entry for entry in grid_log)
 
 
 def test_train_keeps_the_grid_winner_without_refitting(tmp_path, monkeypatch):
@@ -254,36 +257,62 @@ def test_v1_detector_container_fails_with_schema_error(pipeline_run, capsys):
 
 
 def _damage_heights(**changes):
-    """Rewrite HBOS's ``heights`` array payload with ``changes``."""
-    def damage(doc):
+    """Rewrite HBOS's ``heights`` array reference with ``changes``."""
+    def damage(doc, models):
         doc["state"]["heights"].update(changes)
     return damage
 
 
-def _short_data(doc):
-    payload = doc["state"]["heights"]
-    payload["data"] = base64.b64encode(base64.b64decode(payload["data"])[:-8]).decode()
+def _inline_data(data):
+    """``heights`` as an inline ``data`` payload, as v8 and older stored most
+    arrays, in place of its file's sha256."""
+    def damage(doc, models):
+        doc["state"]["heights"]["data"] = data
+        del doc["state"]["heights"]["sha256"]
+    return damage
+
+
+def _truncate_heights_file(doc, models):
+    path = models / f"{doc['state']['heights']['sha256']}.f8"
+    path.write_bytes(path.read_bytes()[:-8])
 
 
 def _retagged(tag):
-    def damage(doc):
+    def damage(doc, models):
         doc["format"] = tag
     return damage
 
 
-def _as_v2_detector(doc):
+def _as_v2_detector(doc, models):
     doc["format"] = "pfcpbench-detector-v2"
     payload = doc["state"]["heights"]
     shape = payload["shape"]
     payload["data"] = [0.5] * (shape[0] * shape[1])
 
 
+def _string_iforest_depth(doc, models):
+    doc["state"]["depth"] = "3"
+
+
+def _reverse_loda_shape(doc, models):
+    doc["state"]["W"]["shape"].reverse()  # the same byte count
+
+
+def _assert_exit_3(config, message, capsys):
+    for cmd in ("evaluate", "attack"):
+        capsys.readouterr()
+        assert run(cmd, config) == 3, cmd
+        err = capsys.readouterr().err
+        assert "error[SchemaError]" in err and message in err, err
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (_damage_heights(data="not base64!"), "not base64"),
-        (_damage_heights(data=[1.0, 2.0]), "not base64"),
-        (_short_data, "bytes of data"),
+        (_inline_data("AAAAAAAAAAA="), "sha256 None"),
+        (_inline_data([1.0, 2.0]), "sha256 None"),
+        (_truncate_heights_file, "sha256"),
+        (_damage_heights(shape=[1, 3]), "bytes of data"),
         (_damage_heights(dtype="<f4"), "dtype"),
         (_damage_heights(dtype="float64"), "dtype"),
         (_damage_heights(shape=[-1, 10]), "shape"),
@@ -295,11 +324,13 @@ def _as_v2_detector(doc):
         (_retagged("pfcpbench-detector-v5"), "pfcpbench-detector-v5"),
         (_retagged("pfcpbench-detector-v6"), "pfcpbench-detector-v6"),
         (_retagged("pfcpbench-detector-v7"), "pfcpbench-detector-v7"),
+        (_retagged("pfcpbench-detector-v8"), "pfcpbench-detector-v8"),
     ],
     ids=[
-        "bad-base64", "list-data", "short-data", "f4-dtype", "named-dtype",
-        "negative-shape", "float-shape", "string-shape", "v2-detector", "v3-detector",
-        "v4-detector", "v5-detector", "v6-detector", "v7-detector",
+        "inline-base64-data", "inline-list-data", "truncated-array-file", "wrong-byte-count",
+        "f4-dtype", "named-dtype", "negative-shape", "float-shape", "string-shape",
+        "v2-detector", "v3-detector", "v4-detector", "v5-detector", "v6-detector",
+        "v7-detector", "v8-detector",
     ],
 )
 def test_malformed_array_payload_fails_with_schema_error(pipeline_run, damage, message, capsys):
@@ -307,13 +338,28 @@ def test_malformed_array_payload_fails_with_schema_error(pipeline_run, damage, m
     assert run("train", config) == 0
     path = run_dir / "models" / "HBOS.json"
     doc = json.loads(path.read_text())
-    damage(doc)
+    damage(doc, path.parent)
     path.write_text(json.dumps(doc, sort_keys=True))
-    for cmd in ("evaluate", "attack"):
-        capsys.readouterr()
-        assert run(cmd, config) == 3, cmd
-        err = capsys.readouterr().err
-        assert "error[SchemaError]" in err and message in err, err
+    _assert_exit_3(config, message, capsys)
+
+
+@pytest.mark.parametrize(
+    "kind, damage",
+    [("IForest", _string_iforest_depth), ("LODA", _reverse_loda_shape)],
+    ids=["string-iforest-depth", "reversed-loda-shape"],
+)
+def test_damaged_container_that_still_parses_fails_with_schema_error(tmp_path, kind, damage,
+                                                                    capsys):
+    # each would score into a TypeError or ValueError traceback if it loaded
+    config = write_config(tmp_path, detectors=[{"kind": kind}],
+                          attack={"algorithms": ["RS"], "targets": [kind]})
+    for cmd in ("preprocess", "train"):
+        assert run(cmd, config) == 0
+    path = only_run_dir(tmp_path) / "models" / f"{kind}.json"
+    doc = json.loads(path.read_text())
+    damage(doc, path.parent)
+    path.write_text(json.dumps(doc, sort_keys=True))
+    _assert_exit_3(config, "does not hash to its recorded sha256", capsys)
 
 
 def test_attack_honors_feasible_set_config(tmp_path):
@@ -809,9 +855,9 @@ def _delete_base(models: Path):
 
 
 def _shared_train(models: Path) -> Path:
-    """The one shared array file of an HKGIP run: kNN's training rows."""
-    (path,) = models.glob("*.f8")
-    return path
+    """The array file of kNN's training rows, which its container references."""
+    digest = json.loads((models / "kNN.json").read_text())["state"]["train"]["sha256"]
+    return models / f"{digest}.f8"
 
 
 def _delete_shared(models: Path):
@@ -863,6 +909,7 @@ def _retagged_ensemble(tag):
         (_strip_ensemble, "malformed ensemble container"),
         (_retagged_ensemble("pfcpbench-ensemble-v3"), "pfcpbench-ensemble-v3"),
         (_retagged_ensemble("pfcpbench-ensemble-v4"), "pfcpbench-ensemble-v4"),
+        (_retagged_ensemble("pfcpbench-ensemble-v5"), "pfcpbench-ensemble-v5"),
         (_delete_shared, "missing"),
         (_flip_shared_byte, "sha256"),
         (_truncate_shared, "sha256"),
@@ -870,7 +917,7 @@ def _retagged_ensemble(tag):
         (_drop_gmm_state_key, "state must hold exactly"),
     ],
     ids=["tampered-base", "deleted-base", "v1-ensemble", "format-only-ensemble", "v3-ensemble",
-         "v4-ensemble", "deleted-shared-array", "flipped-shared-byte", "truncated-shared-array",
+         "v4-ensemble", "v5-ensemble", "deleted-shared-array", "flipped-shared-byte", "truncated-shared-array",
          "unhashed-reference", "state-key-missing"],
 )
 def test_broken_ensemble_container_fails_with_schema_error(tmp_path, damage, message, capsys):
@@ -881,8 +928,4 @@ def test_broken_ensemble_container_fails_with_schema_error(tmp_path, damage, mes
     for cmd in ("preprocess", "train"):
         assert run(cmd, config) == 0
     damage(only_run_dir(tmp_path) / "models")
-    for cmd in ("evaluate", "attack"):
-        capsys.readouterr()
-        assert run(cmd, config) == 3, cmd
-        err = capsys.readouterr().err
-        assert "error[SchemaError]" in err and message in err, err
+    _assert_exit_3(config, message, capsys)

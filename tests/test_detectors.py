@@ -11,7 +11,6 @@ from pfcpbench.detectors import (
     ROW_INVARIANT_KINDS,
     DetectorConfig,
     DetectorKind,
-    DetectorModel,
     calibrate_threshold,
     fit,
     grid_search,
@@ -140,16 +139,17 @@ def test_feature_bagging_matches_member_loop():
         numeric_dataset(X),
         seed=5,
     )
+    state = model.state
+    assert state["features"].shape == (4, 5) and state["train_kdist"].shape == (4, 40)
     want = np.zeros(len(Q))
-    members = model.state["members"]
-    for member in members:
-        feats = list(member["features"])
+    for mask, member_mean, member_sd in zip(state["features"], state["mean"], state["sd"]):
+        feats = [j for j in range(5) if mask[j]]  # the member's columns, ascending
         _, _, factors = brute_lof_in_sample(X[:, feats], k)
         mean, sd = np.mean(factors), max(np.std(factors), 1e-12)
-        assert member["mean"] == pytest.approx(mean, rel=1e-12)
-        assert member["sd"] == pytest.approx(sd, rel=1e-9)
+        assert member_mean == pytest.approx(mean, rel=1e-12)
+        assert member_sd == pytest.approx(sd, rel=1e-9)
         want += (np.array(brute_lof(X[:, feats], Q[:, feats], k)) - mean) / sd
-    want /= len(members)
+    want /= len(state["features"])
     assert np.abs(model.score_batch(Q) - want).max() < 1e-9
 
 
@@ -722,6 +722,17 @@ def test_fit_rejects_tiny_training_sets():
 
 
 @pytest.mark.parametrize(
+    "kind, name", [(DetectorKind.IFOREST, "subsample"), (DetectorKind.INNE, "sample_size")]
+)
+def test_fit_rejects_single_row_subsamples(kind, name):
+    # one sampled row has no spread: IForest's path norm and INNE's radii divide 0 by 0
+    ds = numeric_dataset(np.arange(20.0).reshape(10, 2))
+    with pytest.raises(FitError, match=f"{name} must be an integer of at least 2, got 1"):
+        fit(DetectorConfig(kind=kind, params={name: 1}), ds)
+    fit(DetectorConfig(kind=kind, params={name: 2}), ds)
+
+
+@pytest.mark.parametrize(
     "kind, params",
     [
         (DetectorKind.KNN, {"k": 0}),
@@ -883,7 +894,7 @@ def test_model_serialization_roundtrip(tmp_path, blob_benchmark, kind):
 
 
 def _drop_last_key(state):
-    del state[sorted(state)[-1]]  # the shared "train" for kNN, ABOD and FeatureBagging
+    del state[sorted(state)[-1]]  # "train" for kNN and ABOD, "train_lrd" for FeatureBagging
 
 
 def _add_key(state):
@@ -904,24 +915,37 @@ def test_container_whose_state_keys_are_not_its_kinds_is_rejected(tmp_path, blob
         load_any_model(path)
 
 
-def test_feature_bagging_member_missing_a_key_is_rejected(tmp_path, blob_benchmark):
-    train, _, _ = blob_benchmark
-    path = tmp_path / "FeatureBagging.json"
-    fit(DetectorConfig(kind=DetectorKind.FEATURE_BAGGING), train, seed=42).save(path)
+@pytest.mark.parametrize("d", [0, -1, 2.0, "2", None, True])
+def test_container_with_a_bad_row_width_is_rejected(tmp_path, d):
+    train = numeric_dataset(np.arange(20.0).reshape(10, 2))
+    path = tmp_path / "HBOS.json"
+    fit(DetectorConfig(kind=DetectorKind.HBOS), train).save(path)
     doc = json.loads(path.read_text())
-    del doc["state"]["members"][0]["mean"]
+    doc["d"] = d
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match="member state must hold exactly"):
+    with pytest.raises(SchemaError, match="malformed detector container: .*d must be"):
         load_any_model(path)
 
 
-@pytest.mark.parametrize("d", [0, -1, 2.0, "2", None, True])
-def test_container_with_a_bad_row_width_is_rejected(d):
-    train = numeric_dataset(np.arange(20.0).reshape(10, 2))
-    doc = fit(DetectorConfig(kind=DetectorKind.HBOS), train).to_json_dict()
-    doc["d"] = d
-    with pytest.raises(SchemaError, match="malformed detector container: .*d must be"):
-        DetectorModel.from_json_dict(doc)
+@pytest.mark.parametrize("kind", list(DetectorKind))
+def test_fitted_state_holds_only_arrays_and_ints(blob_benchmark, kind):
+    # a flat state is what the container codec stores: no nested dicts or lists
+    train, _, _ = blob_benchmark
+    state = fit(DetectorConfig(kind=kind), train, seed=42).state
+    assert all(isinstance(v, np.ndarray) or type(v) is int for v in state.values()), state
+
+
+def test_pca_on_constant_rows_saves_an_empty_array_and_scores_alike(tmp_path):
+    train = numeric_dataset(np.full((10, 3), 2.5))
+    model = fit(DetectorConfig(kind=DetectorKind.PCA), train)
+    assert model.state["components"].shape == (0, 3)
+    path = tmp_path / "PCA.json"
+    model.save(path)
+    assert [p.stat().st_size for p in tmp_path.iterdir() if p.suffix == ".f8"].count(0) == 1
+    loaded = load_any_model(path)
+    assert loaded.state["components"].shape == (0, 3)
+    Q = np.array([[2.5, 2.5, 2.5], [0.0, 1.0, -3.0]])
+    assert np.array_equal(loaded.score_batch(Q), model.score_batch(Q))
 
 
 # --- grid search -----------------------------------------------------------------

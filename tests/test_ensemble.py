@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfcpbench.cli import load_any_model
 from pfcpbench.detectors import DetectorConfig, DetectorKind, fit
@@ -263,11 +265,13 @@ def test_saved_containers_hold_only_what_loading_reads(tmp_path):
     # a field that nothing reads back must not creep into a container
     _, path, validation = _saved_ensemble(tmp_path)
     detector = json.loads((tmp_path / "HBOS.json").read_text())
-    assert set(detector) == {"format", "kind", "params", "contamination", "tau", "d", "state"}
+    # "sha256" is the container's own digest, which loading checks
+    assert set(detector) == {"format", "kind", "params", "contamination", "tau", "d", "state",
+                             "sha256"}
     assert detector["d"] == validation.matrix.shape[1]
     assert set(json.loads(path.read_text())) == {
         "format", "name", "C", "gamma", "score_mean", "score_sd", "support_vectors",
-        "dual_coef", "bases",
+        "dual_coef", "bases", "sha256",
     }
 
 
@@ -283,3 +287,69 @@ def test_ensemble_embedding_a_v1_detector_is_rejected(tmp_path):
     path.write_text(json.dumps(ensemble))
     with pytest.raises(SchemaError, match="pfcpbench-detector-v1"):
         load_any_model(path)
+
+
+@pytest.fixture(scope="module")
+def saved_containers(tmp_path_factory):
+    """The toy ensemble saved with its bases, and an IForest (int state
+    values) beside them; returns the directory and the fitted models by
+    container name."""
+    directory = tmp_path_factory.mktemp("containers")
+    model, path, validation = _saved_ensemble(directory)
+    fitted = {path.name: model, **{f"{b.kind.value}.json": b for b in model.base_models}}
+    iforest = fit(DetectorConfig(kind=DetectorKind.IFOREST, params={"trees": 5}),
+                  _toy_setting()[2], seed=1)
+    iforest.save(directory / "IForest.json")
+    fitted["IForest.json"] = iforest
+    return directory, fitted, validation.matrix
+
+
+def _value_paths(value, path=()):
+    """The path to every value inside the JSON ``value``, below its root."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from _value_paths(item, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_replacing_one_value_of_a_container_fails_or_changes_nothing(saved_containers, data):
+    directory, fitted, X = saved_containers
+    name = data.draw(st.sampled_from(sorted(fitted)))
+    target = directory / name
+    original = target.read_bytes()
+    doc = json.loads(original)
+    where = data.draw(st.sampled_from(list(_value_paths(doc))))
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = data.draw(JSON_VALUES)
+    target.write_text(json.dumps(doc, sort_keys=True))
+    try:
+        loaded = load_any_model(target)
+    except SchemaError:
+        return
+    finally:
+        target.write_bytes(original)
+    assert loaded.tau == fitted[name].tau
+    assert np.array_equal(loaded.score_batch(X), fitted[name].score_batch(X))
+
+
+def test_container_that_no_longer_hashes_to_its_digest_is_rejected(tmp_path):
+    _saved_ensemble(tmp_path)
+    for name, key in (("HBOS.json", "tau"), ("ens.json", "gamma")):
+        doc = json.loads((tmp_path / name).read_text())
+        doc[key] += 1.0
+        (tmp_path / name).write_text(json.dumps(doc, sort_keys=True))
+        with pytest.raises(SchemaError, match="does not hash to its recorded sha256"):
+            load_any_model(tmp_path / name)

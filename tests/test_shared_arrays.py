@@ -1,8 +1,8 @@
-"""Shared state arrays: the training rows that kNN, ABOD, LOF and
-FeatureBagging keep, and the sorted columns of COPOD and ECOD, are each
-written once to ``models/<sha256>.f8`` and referenced from the containers."""
+"""Shared state arrays: every state array is written to
+``models/<sha256>.<dtype>`` and referenced from its container, so the
+training rows that kNN, ABOD, LOF and FeatureBagging keep, and the sorted
+columns of COPOD and ECOD, are each stored once."""
 
-import base64
 import hashlib
 import json
 
@@ -19,9 +19,10 @@ SPLITS = ("train", "validation", "test")
 SHARING_KINDS = ("kNN", "ABOD", "LOF", "FeatureBagging", "COPOD", "ECOD")
 
 # Bytes of every file of models/ after training the six sharing kinds at scale
-# 0.03 (``shared_runs``): 341,286 with each shared array written once, and
-# 893,850 when each container embedded its own base64 copy.  One more copy of
-# either 92 kB array passes the ceiling.
+# 0.03 (``shared_runs``): 301,016 with every array a file, 341,286 when only
+# the two shared arrays were files and the rest inline base64, and 893,850
+# when each container embedded its own base64 copy.  One more copy of either
+# 92 kB array passes the ceiling.
 MODELS_BYTES_CEILING = 352_000
 
 
@@ -81,20 +82,31 @@ def test_one_load_reads_each_shared_file_once(saved_catalog):
     assert all(base is models[base.kind.value] for base in hklif.base_models)
 
 
+def _referenced_file(models_dir, kind: str, key: str):
+    ref = json.loads((models_dir / f"{kind}.json").read_text())["state"][key]
+    return models_dir / f"{ref['sha256']}.{ref['dtype'][1:]}"
+
+
+def _assert_no_two_files_alike(models_dir):
+    contents = [p.read_bytes() for p in models_dir.iterdir()]
+    assert len(set(contents)) == len(contents)
+
+
 def test_training_matrix_is_stored_once(saved_catalog):
     run_dir, fitted, splits = saved_catalog
     models_dir = run_dir / "models"
     tables = {
-        "train": splits["train"].matrix.astype("<f8").tobytes(),
-        "sorted": fitted["COPOD"].state["sorted"].astype("<f8").tobytes(),
+        "train": (splits["train"].matrix, ("kNN", "ABOD", "LOF", "FeatureBagging")),
+        "sorted": (fitted["COPOD"].state["sorted"], ("COPOD", "ECOD")),
     }
-    shared = sorted(p.name for p in models_dir.iterdir() if p.suffix != ".json")
-    assert shared == sorted(f"{hashlib.sha256(raw).hexdigest()}.f8" for raw in tables.values())
-    for raw in tables.values():
-        holders = [p.name for p in models_dir.iterdir() if raw in p.read_bytes()]
-        assert holders == [f"{hashlib.sha256(raw).hexdigest()}.f8"]
-        encoded = base64.b64encode(raw)
-        assert not [p.name for p in models_dir.glob("*.json") if encoded in p.read_bytes()]
+    for key, (table, kinds) in tables.items():
+        raw = table.astype("<f8").tobytes()
+        (path,) = {_referenced_file(models_dir, kind, key) for kind in kinds}
+        assert path.name == f"{hashlib.sha256(raw).hexdigest()}.f8"
+        assert path.read_bytes() == raw
+        assert [p.name for p in models_dir.iterdir() if raw in p.read_bytes()] == [path.name]
+    _assert_no_two_files_alike(models_dir)
+    assert not [p.name for p in models_dir.glob("*.json") if b'"data"' in p.read_bytes()]
 
 
 def _train_into(tmp_path, tag: str, kinds=SHARING_KINDS):
@@ -124,9 +136,13 @@ def test_shared_files_rerun_byte_identically(shared_runs):
     a, b = shared_runs
     files = sorted(p.name for p in a.iterdir())
     assert files == sorted(p.name for p in b.iterdir())
-    assert len([name for name in files if name.endswith(".f8")]) == 2
     for name in files:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    shared = {_referenced_file(a, kind, "train").name for kind in ("kNN", "ABOD", "LOF",
+                                                                   "FeatureBagging")}
+    shared |= {_referenced_file(a, kind, "sorted").name for kind in ("COPOD", "ECOD")}
+    assert len(shared) == 2
+    _assert_no_two_files_alike(a)
 
 
 def test_models_dir_stays_under_its_byte_ceiling(shared_runs):
@@ -137,14 +153,21 @@ def test_models_dir_stays_under_its_byte_ceiling(shared_runs):
 
 def test_retraining_on_other_rows_leaves_no_stale_shared_file(tmp_path):
     models_dir = _train_into(tmp_path, "retrain", kinds=("FeatureBagging",))
-    (before,) = models_dir.glob("*.f8")
+    before = _referenced_file(models_dir, "FeatureBagging", "train")
     run_dir = models_dir.parent
     train_csv = run_dir / "preprocessed" / "train.csv"
     lines = train_csv.read_text().splitlines(keepends=True)
     train_csv.write_text("".join(lines[:-1]))
     config = tmp_path / "config_retrain.json"
     assert main(["train", "--config", str(config)]) == 0
-    (after,) = models_dir.glob("*.f8")
-    assert after.name != before.name
+    after = _referenced_file(models_dir, "FeatureBagging", "train")
+    assert after.name != before.name and not before.exists()
+    # every file left is the container or one it references
+    state = json.loads((models_dir / "FeatureBagging.json").read_text())["state"]
+    assert sorted(p.name for p in models_dir.iterdir()) == sorted(
+        ["FeatureBagging.json"]
+        + [_referenced_file(models_dir, "FeatureBagging", key).name
+           for key, value in state.items() if isinstance(value, dict)]
+    )
     assert [name for name, _ in _trained_models(run_dir, None)] == ["FeatureBagging"]
     assert main(["evaluate", "--config", str(config)]) == 0
