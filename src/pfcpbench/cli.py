@@ -8,9 +8,11 @@ the same configuration reproduces byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -127,6 +129,9 @@ def cmd_train(cfg: RunConfig) -> int:
     _, splits = _load_preprocessed(run_dir, ("train", "validation"))
     train, validation = splits["train"], splits["validation"]
     models_dir = make_dir(run_dir / "models")
+    # models/ holds what this training fits and nothing an earlier one left
+    _remove(path for path in models_dir.iterdir()
+            if path.suffix == ".json" or det_mod.is_array_file(path.name))
     train_log: dict[str, dict] = {}
 
     fitted: dict[det_mod.DetectorKind, det_mod.DetectorModel] = {}
@@ -183,20 +188,19 @@ def cmd_train(cfg: RunConfig) -> int:
             train_log[name] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
             logger.error("ensemble %s failed: %s", name, exc)
 
-    _remove_unreferenced_arrays(models_dir)
     write_json(run_dir / "train_log.json", train_log, indent=2)
     print(run_dir)
     return 0
 
 
-def _remove_unreferenced_arrays(models_dir: Path) -> None:
-    """Delete each array file that no container in ``models_dir`` names,
-    such as one an earlier training on other rows left behind."""
-    containers = [path.read_bytes() for path in models_dir.glob("*.json")]
-    for path in list(models_dir.iterdir()):
-        digest = path.name.partition(".")[0].encode()
-        if det_mod.is_array_file(path.name) and not any(digest in raw for raw in containers):
+def _remove(paths: Iterable[Path]) -> None:
+    """Delete each file of ``paths``, an earlier run's output that a stage
+    writes afresh; ``IoError`` when one cannot be deleted."""
+    for path in list(paths):
+        try:
             path.unlink()
+        except OSError as exc:
+            raise errors.IoError(f"cannot remove {path}: {exc}") from exc
 
 
 def load_any_model(path: Path, loaded: dict | None = None):
@@ -277,16 +281,13 @@ def cmd_attack(cfg: RunConfig) -> int:
     feasible = attack_mod.load_feasible_sets(cfg.j_config, attack_rows.schema, specs)
     marginals_source = splits["train"] if from_train else attack_rows
     scaled = pipeline.scaler is not None
+    _remove(run_dir.glob("campaign-*.jsonl"))  # campaigns of an earlier attack
 
     rows = []
     for name, model in models:
         for algorithm in cfg.algorithms:
-            attack_cfg = attack_mod.AttackConfig(
-                algorithm=algorithm,
-                popsize=cfg.popsize,
-                budget=cfg.budget,
-                seed=derive_seed(cfg.seed, "campaign", name),
-                rs_retries=cfg.rs_retries,
+            attack_cfg = dataclasses.replace(
+                cfg.attack, algorithm=algorithm, seed=derive_seed(cfg.seed, "campaign", name)
             )
             outcomes = attack_mod.run_campaign(
                 model, attack_rows, feasible, specs, attack_cfg, marginals_source

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .attack import ALGORITHMS, GA_DE, GA_ES, RS
+from .attack import ALGORITHMS, GA_DE, GA_ES, RS, AttackConfig
 from .corpus import DEFAULT_LABEL_COLUMN, SplitSource, SplitSpec
 from .detectors import DEFAULT_CONTAMINATION, DetectorKind
 from .ensemble import PRESETS
@@ -64,12 +64,10 @@ class RunConfig:
     detectors: tuple[DetectorEntry, ...]
     ensembles: tuple[str, ...]
     algorithms: tuple[str, ...]
-    budget: int
-    popsize: int
+    attack: AttackConfig  # popsize, budget and rs_retries; each campaign sets algorithm and seed
     attack_targets: tuple[str, ...] | None  # None = every trained model
     j_config: str | None
     marginals_source: str  # "train" or "attack"
-    rs_retries: int
     include_traces: bool
     raw: dict = field(compare=False, default_factory=dict)
 
@@ -259,6 +257,8 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     if marginals_source not in ("train", "attack"):
         raise ConfigError("attack.marginals must be 'train' or 'attack'")
     targets = attack_doc.get("targets")
+    attack = AttackConfig(**{key: attack_doc[key] for key in ("popsize", "budget", "rs_retries")
+                             if key in attack_doc})
 
     return RunConfig(
         seed=seed,
@@ -271,12 +271,10 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         detectors=tuple(detectors),
         ensembles=ensembles,
         algorithms=algorithms,
-        budget=attack_doc.get("budget", 100),
-        popsize=attack_doc.get("popsize", 20),
+        attack=attack,
         attack_targets=None if targets is None else tuple(targets),
         j_config=j_config,
         marginals_source=marginals_source,
-        rs_retries=attack_doc.get("rs_retries", 1),
         include_traces=attack_doc.get("include_traces", False),
         raw=doc,
     )

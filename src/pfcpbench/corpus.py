@@ -338,7 +338,7 @@ def load_csv(
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     reader = csv.DictReader(text.splitlines())
     header = reader.fieldnames or []

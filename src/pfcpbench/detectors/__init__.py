@@ -318,18 +318,12 @@ def _canonical_sha256(doc: dict) -> str:
 
 
 def write_container(path: str | Path, doc: dict, files: Mapping[str, bytes]) -> None:
-    """Write each array file of ``files`` beside ``path``, unless one with
-    its bytes is there already, and then ``doc`` to ``path`` with the sha256
-    of its own JSON, which ``check_container_digest`` checks."""
+    """Write each array file of ``files`` beside ``path``, and then ``doc``
+    to ``path`` with the sha256 of its own JSON, which
+    ``check_container_digest`` checks."""
     path = Path(path)
     for name, raw in files.items():
-        target = path.parent / name
-        try:
-            if target.read_bytes() == raw:
-                continue  # written by another model of the run
-        except OSError:
-            pass
-        write_bytes(target, raw)
+        write_bytes(path.parent / name, raw)
     write_json(path, {**doc, "sha256": _canonical_sha256(doc)})
 
 

@@ -159,6 +159,76 @@ def test_train_logs_bad_hyperparameters(tmp_path):
     assert "subset_range must be null or [lo, hi]" in train_log["FeatureBagging"]["error"]
 
 
+def test_failed_retrain_leaves_no_earlier_model_to_score(tmp_path):
+    config = write_config(
+        tmp_path,
+        detectors=[{"kind": "HBOS"}, {"kind": "kNN", "params": {"k": 5}}],
+        attack={"algorithms": ["RS"], "targets": None},
+    )
+    for cmd in ("preprocess", "train", "evaluate", "attack"):
+        assert run(cmd, config) == 0
+    run_dir = only_run_dir(tmp_path)
+    assert (run_dir / "campaign-kNN-RS.jsonl").exists()
+    # five rows are too few for kNN with k = 5, and enough for HBOS
+    train_csv = run_dir / "preprocessed" / "train.csv"
+    train_csv.write_text("\n".join(train_csv.read_text().splitlines()[:6]) + "\n")
+    for cmd in ("train", "evaluate", "attack"):
+        assert run(cmd, config) == 0
+    train_log = json.loads((run_dir / "train_log.json").read_text())
+    assert train_log["kNN"]["error"].startswith("FitError")
+    assert [p.name for p in (run_dir / "models").glob("*.json")] == ["HBOS.json"]
+    metrics = json.loads((run_dir / "metrics.json").read_text())
+    assert [row["model"] for row in metrics] == ["HBOS"]
+    matrix = list(csv.DictReader((run_dir / "detection_matrix.csv").read_text().splitlines()))
+    assert [row["model"] for row in matrix] == ["HBOS"]
+    evasion = json.loads((run_dir / "evasion.json").read_text())
+    assert [row["model"] for row in evasion] == ["HBOS"]
+    assert [p.name for p in run_dir.glob("campaign-*.jsonl")] == ["campaign-HBOS-RS.jsonl"]
+
+
+def test_train_clears_earlier_models_and_keeps_other_files(pipeline_run):
+    config, run_dir = pipeline_run
+    models_dir = run_dir / "models"
+    models_dir.mkdir()
+    (models_dir / "grid_HBOS.json").write_text('[{"params": {"bins": 5}, "f1": 0.5}]')
+    (models_dir / f"{'ab' * 32}.f8").write_bytes(bytes(8))
+    (models_dir / "NOTES.txt").write_text("kept")
+    assert run("train", config) == 0
+    assert sorted(p.name for p in models_dir.glob("*.json")) == ["HBOS.json"]
+    assert not (models_dir / f"{'ab' * 32}.f8").exists()
+    assert (models_dir / "NOTES.txt").read_text() == "kept"
+    assert run("evaluate", config) == 0
+
+
+def test_stage_that_cannot_start_keeps_its_earlier_outputs(tmp_path, capsys):
+    j_config = tmp_path / "feasible.json"
+    j_config.write_text("{}")
+    config = write_config(
+        tmp_path, attack={"algorithms": ["RS"], "targets": ["HBOS"], "j_config": str(j_config)}
+    )
+    for cmd in ("preprocess", "train", "attack"):
+        assert run(cmd, config) == 0
+    run_dir = only_run_dir(tmp_path)
+    before = tree_digest(run_dir)
+    j_config.write_text('{"flood": {"features": "ip.ttl"}}')
+    assert run("attack", config) == 12
+    (run_dir / "preprocessed" / "validation.csv").unlink()
+    assert run("train", config) == 12
+    del before["preprocessed/validation.csv"]
+    assert tree_digest(run_dir) == before
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_corpus_csv_that_is_not_utf8_is_io_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert run("synth", config) == 0
+    with open(only_run_dir(tmp_path) / "corpus" / "test.csv", "ab") as csv_file:
+        csv_file.write(b"\xff")
+    assert run("preprocess", config) == 2
+    err = capsys.readouterr().err
+    assert "error[IoError] cannot read" in err and "test.csv" in err and "Traceback" not in err
+
+
 def test_preprocess_with_an_empty_training_csv_is_a_pipeline_error(tmp_path, capsys):
     config = write_config(tmp_path)
     assert run("synth", config) == 0
@@ -557,11 +627,16 @@ def test_missing_config_is_config_error(tmp_path, capsys):
         ('{"attack": {"include_traces": "yes"}}', []),
         ('{"attack": {"budgte": 5}}', []),
         ('{"sede": 1}', []),
+        ('{"attack": {"budget": 0}}', []),
+        ('{"attack": {"popsize": 0}}', []),
+        ("{}", ["--budget", "0"]),
+        ("{}", ["--rs-retries", "0"]),
     ],
     ids=["truncated", "truncated-with-flags", "array", "array-with-flags", "string",
          "attack-list", "pipeline-number", "seed-string", "budget-string", "scale-string",
          "split-without-path", "split-unknown-class", "split-list-string", "scaling-string",
-         "include-traces-string", "misspelt-attack-key", "misspelt-top-level-key"],
+         "include-traces-string", "misspelt-attack-key", "misspelt-top-level-key",
+         "budget-zero", "popsize-zero", "budget-flag-zero", "rs-retries-flag-zero"],
 )
 def test_malformed_config_is_config_error(tmp_path, monkeypatch, capsys, text, flags):
     monkeypatch.chdir(tmp_path)  # a config read as valid would write its run here
