@@ -1,8 +1,8 @@
 """Batch command-line surface: preprocess -> train -> evaluate -> attack -> report.
 
 Every command is an idempotent writer into a content-addressed run
-directory derived from the (flag-merged) config, so re-running a step with
-the same configuration reproduces byte-identical artifacts.
+directory derived from the config with ``--seed`` applied, so re-running a
+step with the same configuration reproduces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import detectors as det_mod
 from . import ensemble as ens_mod
 from . import evaluate as eval_mod
 from . import errors, preprocess
-from .config import DetectorEntry, RunConfig, parse_algorithm, parse_run_config, read_config
+from .config import DetectorEntry, RunConfig, load_run_config
 from .seeding import derive_seed
 from .traffic import (
     ClassLabel, FeatureSchema, LabeledDataset, make_dir, read_container, write_json, write_text,
@@ -194,11 +194,11 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _remove(paths: Iterable[Path]) -> None:
-    """Delete each file of ``paths``, an earlier run's output that a stage
-    writes afresh; ``IoError`` when one cannot be deleted."""
+    """Delete each file of ``paths`` that exists, an earlier run's output
+    that a stage writes afresh; ``IoError`` when one cannot be deleted."""
     for path in list(paths):
         try:
-            path.unlink()
+            path.unlink(missing_ok=True)
         except OSError as exc:
             raise errors.IoError(f"cannot remove {path}: {exc}") from exc
 
@@ -281,7 +281,8 @@ def cmd_attack(cfg: RunConfig) -> int:
     feasible = attack_mod.load_feasible_sets(cfg.j_config, attack_rows.schema, specs)
     marginals_source = splits["train"] if from_train else attack_rows
     scaled = pipeline.scaler is not None
-    _remove(run_dir.glob("campaign-*.jsonl"))  # campaigns of an earlier attack
+    # campaigns and evasion table of an earlier attack
+    _remove([*run_dir.glob("campaign-*.jsonl"), run_dir / "evasion.json", run_dir / "evasion.csv"])
 
     rows = []
     for name, model in models:
@@ -308,7 +309,8 @@ def cmd_attack(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    """Consolidate evaluate/attack outputs under report/."""
+    """Consolidate evaluate/attack outputs under report/, which mirrors the
+    run directory's tables: a table absent there is removed here too."""
     run_dir = cfg.run_dir()
     report_dir = make_dir(run_dir / "report")
     found = False
@@ -319,6 +321,7 @@ def cmd_report(cfg: RunConfig) -> int:
             found = True
         else:
             logger.warning("%s not present yet", src)
+            _remove([report_dir / name])
     if not found:
         raise errors.ConfigError("nothing to report; run evaluate and/or attack first")
     print(report_dir)
@@ -344,59 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="run-config JSON document")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--out", default=None, help="override the output root directory")
-    parser.add_argument(
-        "--no-scale", action="store_true", help="disable robust scaling in the pipeline"
-    )
-    parser.add_argument(
-        "--ensemble", action="append", default=None, metavar="NAME",
-        help="add an ensemble preset (repeatable)",
-    )
-    parser.add_argument(
-        "--algorithm", action="append", default=None, metavar="ALGO",
-        help="restrict attack algorithms (rs, ga-de, ga-es; repeatable)",
-    )
-    parser.add_argument("--budget", type=int, default=None, help="override the attack query budget")
-    parser.add_argument(
-        "--rs-retries", type=int, default=None,
-        help="random-search draws per sample (default 1)",
-    )
-    parser.add_argument(
-        "--trace", action="store_true", help="include per-query traces in campaign output"
-    )
     return parser
-
-
-def _overrides(args: argparse.Namespace, raw_doc: dict) -> dict:
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.no_scale:
-        pipeline = dict(raw_doc.get("pipeline", {}))
-        pipeline["scaling"] = False
-        overrides["pipeline"] = pipeline
-    attack_doc = dict(raw_doc.get("attack", {}))
-    touched = False
-    if args.ensemble:
-        # the config's own repeats stay, for parse_run_config to reject
-        ensembles = raw_doc.get("ensembles", [])
-        overrides["ensembles"] = sorted(ensembles + list(set(args.ensemble) - set(ensembles)))
-    if args.algorithm:
-        attack_doc["algorithms"] = [parse_algorithm(a) for a in args.algorithm]
-        touched = True
-    if args.budget is not None:
-        attack_doc["budget"] = args.budget
-        touched = True
-    if args.rs_retries is not None:
-        attack_doc["rs_retries"] = args.rs_retries
-        touched = True
-    if args.trace:
-        attack_doc["include_traces"] = True
-        touched = True
-    if touched:
-        overrides["attack"] = attack_doc
-    return overrides
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -404,8 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = read_config(args.config)
-        cfg = parse_run_config(doc, _overrides(args, doc))
+        cfg = load_run_config(args.config, {"seed": args.seed, "out": args.out})
         return COMMANDS[args.command](cfg)
     except errors.PfcpBenchError as exc:
         code = EXIT_CODES.get(type(exc), 1)

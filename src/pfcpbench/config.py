@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .attack import ALGORITHMS, GA_DE, GA_ES, RS, AttackConfig
+from .attack import ALGORITHMS, AttackConfig
 from .corpus import DEFAULT_LABEL_COLUMN, SplitSource, SplitSpec
 from .detectors import DEFAULT_CONTAMINATION, DetectorKind
 from .ensemble import PRESETS
@@ -22,25 +22,16 @@ from .errors import ConfigError, SchemaError
 from .preprocess import DEFAULT_GT1_PATTERNS
 from .traffic import ClassLabel
 
-_ALGORITHM_ALIASES = {
-    "rs": RS,
-    "ga-de": GA_DE,
-    "ga_de": GA_DE,
-    "ga-es": GA_ES,
-    "ga_es": GA_ES,
-}
-
 # corpus.synth values a config leaves out; a config without a corpus section
 # synthesizes at these.
 _SYNTH_DEFAULTS = {"scale": 0.1, "noise_scale": 1.0}
 
 
 def parse_algorithm(name: str) -> str:
-    key = name.strip().lower()
-    if key in _ALGORITHM_ALIASES:
-        return _ALGORITHM_ALIASES[key]
-    if name.strip().upper() in ALGORITHMS:
-        return name.strip().upper()
+    """The algorithm ``name`` spells, in any case and with ``-`` for ``_``."""
+    key = name.strip().upper().replace("-", "_")
+    if key in ALGORITHMS:
+        return key
     raise ConfigError(f"unknown attack algorithm {name!r}")
 
 
@@ -186,11 +177,11 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
 
 
 def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
-    """Validate a run-config document as ``read_config`` returns it,
-    applying CLI overrides.
+    """Validate a run-config document as ``read_config`` returns it, with
+    each field of ``overrides`` that is not None set over the document's.
 
-    Overrides become part of the canonical config, so a flag change maps
-    to a different run directory.
+    The CLI overrides only ``seed`` and ``out``; a seed becomes part of the
+    canonical config and so names a different run directory.
     """
     doc = dict(doc)
     for key, value in (overrides or {}).items():
@@ -248,7 +239,7 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"unknown ensemble preset {name!r} (have {sorted(PRESETS)})")
 
     attack_doc = doc.get("attack", {})
-    algorithms = tuple(parse_algorithm(a) for a in attack_doc.get("algorithms", ["RS", "GA_DE", "GA_ES"]))
+    algorithms = tuple(parse_algorithm(a) for a in attack_doc.get("algorithms", ALGORITHMS))
     _check_distinct(algorithms, "attack.algorithms")
     j_config = attack_doc.get("j_config")
     if j_config is not None and not Path(j_config).exists():

@@ -372,19 +372,13 @@ def _parse_real(cell: str) -> float:
         return math.nan
 
 
-def save_csv(
-    ds: LabeledDataset,
-    path: str | Path,
-    label_column: str = DEFAULT_LABEL_COLUMN,
-    manifest: bool = True,
-    seed: int | None = None,
-) -> None:
+def save_csv(ds: LabeledDataset, path: str | Path, seed: int | None = None) -> None:
     """Write a dataset back to the ingest CSV format plus a JSON manifest."""
     path = Path(path)
     try:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(list(ds.schema.names) + [label_column])
+            writer.writerow(list(ds.schema.names) + [DEFAULT_LABEL_COLUMN])
             for values, label in zip(ds.matrix.tolist(), ds.labels):
                 row = []
                 for f, v in zip(ds.schema.features, values):
@@ -398,15 +392,14 @@ def save_csv(
                 writer.writerow(row)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-    if manifest:
-        doc = {
-            "rows": len(ds),
-            "class_counts": {k.value: v for k, v in class_distribution(ds).items()},
-            "schema_version": ds.schema.version,
-        }
-        if seed is not None:
-            doc["seed"] = seed
-        write_json(str(path) + ".manifest.json", doc, indent=2)
+    doc = {
+        "rows": len(ds),
+        "class_counts": {k.value: v for k, v in class_distribution(ds).items()},
+        "schema_version": ds.schema.version,
+    }
+    if seed is not None:
+        doc["seed"] = seed
+    write_json(str(path) + ".manifest.json", doc, indent=2)
 
 
 # ---------------------------------------------------------------------------

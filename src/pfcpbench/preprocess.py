@@ -19,8 +19,6 @@ updating it.
 from __future__ import annotations
 
 import fnmatch
-import hashlib
-import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -318,12 +316,6 @@ class PipelineModel:
         for name, coefs in self.imputer.regressions.items():
             if name not in numerical or len(coefs) != len(numerical):
                 raise SchemaError(f"pipeline regression for {name!r} does not fit the schema")
-
-    def state_hash(self) -> str:
-        """Digest of all frozen state; transform must never change it."""
-        return hashlib.sha256(
-            json.dumps(self.to_json_dict(), sort_keys=True).encode()
-        ).hexdigest()
 
     def to_json_dict(self) -> dict:
         return {

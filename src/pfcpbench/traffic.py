@@ -238,13 +238,6 @@ class FeatureSchema:
         except KeyError:
             raise SchemaError(f"unknown feature {name!r}") from None
 
-    def descriptor(self, name: str) -> FeatureDescriptor:
-        return self.features[self.position(name)]
-
-    @property
-    def categorical_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.features) if f.kind == CATEGORICAL)
-
     @property
     def numerical_positions(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.features) if f.kind == NUMERICAL)

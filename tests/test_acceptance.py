@@ -77,8 +77,8 @@ def test_criterion_2_scaler_imputer_correctness():
         # every kept feature family
         train = synth_benign(SynthConfig(n_benign=21341, seed=42), schema)
         rng = np.random.default_rng(77)
-        cat_pos = list(schema.categorical_positions)
         num_pos = list(schema.numerical_positions)
+        cat_pos = [pos for pos in range(len(schema)) if pos not in num_pos]
         cats = train.matrix[:, cat_pos]
         nums = train.matrix[:, num_pos]
         cat_mask = rng.random(cats.shape) < 0.01
@@ -102,7 +102,8 @@ def test_criterion_2_scaler_imputer_correctness():
         numerical = out.matrix[:, out.schema.numerical_positions]
         assert not np.isnan(numerical).any()
         assert np.isfinite(numerical).all()
-        assert (out.matrix[:, out.schema.categorical_positions] != MISSING_CODE).all()
+        categorical = np.delete(out.matrix, out.schema.numerical_positions, axis=1)
+        assert (categorical != MISSING_CODE).all()
         med = np.quantile(numerical, 0.5, axis=0)
         q1 = np.quantile(numerical, 0.25, axis=0)
         q3 = np.quantile(numerical, 0.75, axis=0)
@@ -313,8 +314,7 @@ def test_criterion_8_external_dataset_reproduction():
 
         model = fit_pipeline(train, scaling_enabled=True)
         surviving = {"ip": 0, "udp": 0, "pfcp": 0}
-        for name in model.output_schema.names:
-            proto = model.output_schema.descriptor(name).protocol
-            if proto in surviving:
-                surviving[proto] += 1
+        for feature in model.output_schema.features:
+            if feature.protocol in surviving:
+                surviving[feature.protocol] += 1
         assert surviving == {"ip": 4, "udp": 1, "pfcp": 28}

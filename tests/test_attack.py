@@ -161,7 +161,7 @@ def test_deletion_message_type_predicate():
     assert check_compliant(spec, schema, row)
     mutated = row.copy()
     pos = schema.position("pfcp.msg_type")
-    mutated[pos] = schema.descriptor("pfcp.msg_type").domain.code_of("50")
+    mutated[pos] = schema.features[pos].domain.code_of("50")
     assert not check_compliant(spec, schema, mutated)
 
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pfcpbench import detectors as det_mod
-from pfcpbench.cli import _overrides, build_parser, main
-from pfcpbench.config import parse_run_config, read_config
+from pfcpbench.cli import main
+from pfcpbench.config import parse_algorithm, parse_run_config, read_config
 from pfcpbench.corpus import default_schema, load_csv
 from pfcpbench.detectors import DETECTOR_FORMAT, DetectorKind, DetectorModel
 from pfcpbench.ensemble import ENSEMBLE_FORMAT, EnsembleModel
-from pfcpbench.errors import PfcpBenchError
+from pfcpbench.errors import ConfigError, PfcpBenchError
+from pfcpbench.preprocess import PipelineModel
+from pfcpbench.traffic import ClassLabel
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -72,12 +75,13 @@ def test_preprocess_writes_artifacts(pipeline_run):
     assert report["udp.dstport"] == "GT1"
 
 
-def test_preprocess_no_scale_flag(tmp_path):
-    config = write_config(tmp_path)
-    assert run("preprocess", config, "--no-scale") == 0
+@pytest.mark.parametrize("scaling", [False, True], ids=["off", "on"])
+def test_preprocess_follows_pipeline_scaling(tmp_path, scaling):
+    config = write_config(tmp_path, pipeline={"scaling": scaling})
+    assert run("preprocess", config) == 0
     run_dir = only_run_dir(tmp_path)
     doc = json.loads((run_dir / "pipeline.json").read_text())
-    assert doc["scaler"] is None
+    assert (doc["scaler"] is not None) is scaling
 
 
 def test_preprocess_rerun_is_byte_identical(pipeline_run):
@@ -268,10 +272,10 @@ def test_evaluate_outputs(tmp_path):
 
 
 def test_attack_respects_algorithm_restriction(tmp_path):
-    config = write_config(tmp_path)
-    for cmd in ("preprocess", "train"):
+    # a lower-case name is the same algorithm as its canonical spelling
+    config = write_config(tmp_path, attack={"algorithms": ["rs"], "targets": ["HBOS"]})
+    for cmd in ("preprocess", "train", "attack"):
         assert run(cmd, config) == 0
-    assert run("attack", config, "--algorithm", "rs") == 0
     run_dir = only_run_dir(tmp_path)
     evasion = json.loads((run_dir / "evasion.json").read_text())
     assert {e["algorithm"] for e in evasion} == {"RS"}
@@ -291,25 +295,22 @@ def test_attack_without_algorithms_writes_an_empty_evasion_table(tmp_path):
     assert not list(run_dir.glob("campaign-*.jsonl"))
 
 
-def test_attack_budget_override_changes_run_dir_and_outcomes(tmp_path):
-    config = write_config(
-        tmp_path,
-        attack={"algorithms": ["GA_DE"], "targets": ["HBOS"], "budget": 100},
-    )
-    for cmd in ("preprocess", "train"):
-        assert run(cmd, config) == 0
-    # overriding the budget addresses a different run; rebuild its inputs
-    for cmd in ("preprocess", "train"):
-        assert run(cmd, config, "--budget", "7") == 0
-    assert run("attack", config, "--budget", "7") == 0
+def test_attack_budget_changes_run_dir_and_outcomes(tmp_path):
+    for budget in (100, 7):
+        config = write_config(
+            tmp_path,
+            attack={"algorithms": ["GA_DE"], "targets": ["HBOS"], "budget": budget},
+        )
+        for cmd in ("preprocess", "train"):
+            assert run(cmd, config) == 0
+    # the budget is part of the run's content, so each budget has its own run
+    assert run("attack", config) == 0
     runs = sorted((tmp_path / "runs").glob("run-*"))
     assert len(runs) == 2
-    override_dir = next(
-        r for r in runs if (r / "campaign-HBOS-GA_DE.jsonl").exists()
-    )
+    (attacked,) = [r for r in runs if (r / "campaign-HBOS-GA_DE.jsonl").exists()]
     outcomes = [
         json.loads(line)
-        for line in (override_dir / "campaign-HBOS-GA_DE.jsonl").read_text().splitlines()
+        for line in (attacked / "campaign-HBOS-GA_DE.jsonl").read_text().splitlines()
     ]
     assert outcomes and all(o["queries_used"] <= 7 for o in outcomes)
 
@@ -461,6 +462,45 @@ def test_attack_honors_feasible_set_config(tmp_path):
             assert set(o["modified"]) <= allowed
 
 
+def test_attack_marginals_from_the_attack_rows(tmp_path):
+    # RS and GA_ES set a gene only to a value drawn from the marginals;
+    # GA_DE's a + F(b - c) makes new values, so it is left out.  The fields
+    # of J are those where some attack rows fall inside the benign range; in
+    # the rest, such as ip.ttl, no attack row does, so they have no marginal.
+    j_config = tmp_path / "feasible.json"
+    j_config.write_text(json.dumps({
+        label.value: {"features": ["ip.dsfield.dscp", "ip.len", "udp.length", "pfcp.length"]}
+        for label in ClassLabel if label is not ClassLabel.NORMAL
+    }))
+    campaigns = {}
+    for source in ("train", "attack"):
+        (tmp_path / source).mkdir()
+        config = write_config(
+            tmp_path / source,
+            attack={"algorithms": ["RS", "GA_ES"], "targets": ["HBOS"], "marginals": source,
+                    "j_config": str(j_config)},
+        )
+        for cmd in ("preprocess", "train", "attack"):
+            assert run(cmd, config) == 0
+        run_dir = only_run_dir(tmp_path / source)
+        campaigns[source] = {p.name: p.read_text() for p in run_dir.glob("campaign-*.jsonl")}
+    assert sorted(campaigns["attack"]) == ["campaign-HBOS-GA_ES.jsonl", "campaign-HBOS-RS.jsonl"]
+    for name, text in campaigns["attack"].items():
+        assert text != campaigns["train"][name], name
+    schema = PipelineModel.load(run_dir / "pipeline.json").output_schema
+    test = load_csv(run_dir / "preprocessed" / "test.csv", schema)
+    attack_rows = test.matrix[[label is not ClassLabel.NORMAL for label in test.labels]]
+    modified = [
+        (name, value)
+        for text in campaigns["attack"].values()
+        for outcome in map(json.loads, text.splitlines())
+        for name, value in outcome["modified"].items()
+    ]
+    assert modified
+    for name, value in modified:
+        assert value in attack_rows[:, schema.position(name)], (name, value)
+
+
 def test_attack_builds_each_feasible_set_once(tmp_path, monkeypatch):
     from pfcpbench import attack
 
@@ -473,10 +513,10 @@ def test_attack_builds_each_feasible_set_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(attack, "build_feasible_set", counted)
     config = write_config(
-        tmp_path, attack={"algorithms": ["RS", "GA_DE", "GA_ES"], "targets": ["HBOS"]}
+        tmp_path, attack={"algorithms": ["RS", "GA_DE", "GA_ES"], "targets": ["HBOS"], "budget": 3}
     )
     for cmd in ("preprocess", "train", "attack"):
-        assert run(cmd, config, "--budget", "3") == 0
+        assert run(cmd, config) == 0
     assert len(list(only_run_dir(tmp_path).glob("campaign-*.jsonl"))) == 3
     assert sorted(built, key=str) == sorted(attack.DEFAULT_COMPLIANCE_RULES, key=str)
 
@@ -601,6 +641,46 @@ def test_report_without_artifacts_fails(tmp_path):
     assert run("report", config) == 12  # ConfigError exit family
 
 
+@pytest.fixture()
+def reported_run(tmp_path):
+    """A two-detector run taken through all six stages."""
+    config = write_config(
+        tmp_path, seed=1, corpus={"synth": {"scale": 0.02}},
+        detectors=[{"kind": "HBOS"}, {"kind": "kNN"}],
+        attack={"algorithms": ["RS"], "budget": 10},
+    )
+    for cmd in ("synth", "preprocess", "train", "evaluate", "attack", "report"):
+        assert run(cmd, config) == 0
+    run_dir = only_run_dir(tmp_path)
+    assert (run_dir / "report" / "evasion.json").exists()
+    return config, run_dir
+
+
+def test_failed_attack_leaves_no_evasion_table(reported_run, capsys):
+    config, run_dir = reported_run
+    train_csv = run_dir / "preprocessed" / "train.csv"
+    train_csv.write_text(train_csv.read_text().splitlines()[0] + "\n")
+    assert run("attack", config) == 9  # no training rows to draw marginals from
+    assert "error[MarginalsError]" in capsys.readouterr().err
+    # neither this attack's campaigns nor the last attack's table remain
+    assert not list(run_dir.glob("campaign-*.jsonl"))
+    assert not (run_dir / "evasion.json").exists() and not (run_dir / "evasion.csv").exists()
+    assert run("report", config) == 0
+    assert sorted(p.name for p in (run_dir / "report").iterdir()) == [
+        "detection_matrix.csv", "metrics.csv", "metrics.json",
+    ]
+
+
+def test_report_drops_a_table_the_run_no_longer_has(reported_run):
+    config, run_dir = reported_run
+    (run_dir / "metrics.json").unlink()
+    (run_dir / "metrics.csv").unlink()
+    assert run("report", config) == 0
+    assert sorted(p.name for p in (run_dir / "report").iterdir()) == [
+        "detection_matrix.csv", "evasion.csv", "evasion.json",
+    ]
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     code = main(["preprocess", "--config", str(tmp_path / "absent.json")])
     assert code == 12
@@ -608,41 +688,37 @@ def test_missing_config_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, flags",
+    "text",
     [
-        ('{"seed": 1,', []),
-        ('{"seed": 1,', ["--no-scale", "--budget", "5"]),
-        ("[1, 2]", []),
-        ("[1, 2]", ["--ensemble", "HKAIP"]),
-        ('"runs"', []),
-        ('{"attack": [1]}', []),
-        ('{"pipeline": 3}', []),
-        ('{"seed": "x"}', []),
-        ('{"attack": {"budget": "many"}}', []),
-        ('{"corpus": {"synth": {"scale": "x"}}}', []),
-        ('{"corpus": {"splits": {"train": [{"include": ["normal"]}]}}}', []),
-        ('{"corpus": {"splits": {"train": [{"path": "a.csv", "include": ["nope"]}]}}}', []),
-        ('{"corpus": {"splits": {"train": "a.csv"}}}', []),
-        ('{"pipeline": {"scaling": "no"}}', []),
-        ('{"attack": {"include_traces": "yes"}}', []),
-        ('{"attack": {"budgte": 5}}', []),
-        ('{"sede": 1}', []),
-        ('{"attack": {"budget": 0}}', []),
-        ('{"attack": {"popsize": 0}}', []),
-        ("{}", ["--budget", "0"]),
-        ("{}", ["--rs-retries", "0"]),
+        '{"seed": 1,',
+        "[1, 2]",
+        '"runs"',
+        '{"attack": [1]}',
+        '{"pipeline": 3}',
+        '{"seed": "x"}',
+        '{"attack": {"budget": "many"}}',
+        '{"corpus": {"synth": {"scale": "x"}}}',
+        '{"corpus": {"splits": {"train": [{"include": ["normal"]}]}}}',
+        '{"corpus": {"splits": {"train": [{"path": "a.csv", "include": ["nope"]}]}}}',
+        '{"corpus": {"splits": {"train": "a.csv"}}}',
+        '{"pipeline": {"scaling": "no"}}',
+        '{"attack": {"include_traces": "yes"}}',
+        '{"attack": {"budgte": 5}}',
+        '{"sede": 1}',
+        '{"attack": {"budget": 0}}',
+        '{"attack": {"popsize": 0}}',
+        '{"attack": {"rs_retries": 0}}',
     ],
-    ids=["truncated", "truncated-with-flags", "array", "array-with-flags", "string",
-         "attack-list", "pipeline-number", "seed-string", "budget-string", "scale-string",
-         "split-without-path", "split-unknown-class", "split-list-string", "scaling-string",
-         "include-traces-string", "misspelt-attack-key", "misspelt-top-level-key",
-         "budget-zero", "popsize-zero", "budget-flag-zero", "rs-retries-flag-zero"],
+    ids=["truncated", "array", "string", "attack-list", "pipeline-number", "seed-string",
+         "budget-string", "scale-string", "split-without-path", "split-unknown-class",
+         "split-list-string", "scaling-string", "include-traces-string", "misspelt-attack-key",
+         "misspelt-top-level-key", "budget-zero", "popsize-zero", "rs-retries-zero"],
 )
-def test_malformed_config_is_config_error(tmp_path, monkeypatch, capsys, text, flags):
+def test_malformed_config_is_config_error(tmp_path, monkeypatch, capsys, text):
     monkeypatch.chdir(tmp_path)  # a config read as valid would write its run here
     path = tmp_path / "config.json"
     path.write_text(text)
-    assert main(["preprocess", "--config", str(path), *flags]) == 12
+    assert main(["preprocess", "--config", str(path)]) == 12
     err = capsys.readouterr().err
     assert "error[ConfigError]" in err and "Traceback" not in err
 
@@ -685,21 +761,19 @@ def test_unknown_name_is_config_error(tmp_path, monkeypatch, capsys, updates, na
     assert not (tmp_path / "runs").exists()
 
 
-def test_ensemble_flag_keeps_the_configs_repeated_preset(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    config = write_config(tmp_path, ensembles=["HKAIP", "HKAIP"])
-    assert run("preprocess", config, "--ensemble", "HKLIP") == 12
-    err = capsys.readouterr().err
-    assert "ensembles repeats ['HKAIP']" in err and "Traceback" not in err
-    assert not (tmp_path / "runs").exists()
-    # without repeats the merged list, and so the run directory, is the
-    # sorted union of the config's presets and the flag's
-    args = build_parser().parse_args(
-        ["train", "--config", str(config), "--ensemble", "HKGIP", "--ensemble", "HKAIP",
-         "--ensemble", "HKGIP"]
-    )
-    merged = _overrides(args, {"ensembles": ["HKLIP", "HKAIP"]})["ensembles"]
-    assert merged == ["HKAIP", "HKGIP", "HKLIP"]
+@pytest.mark.parametrize(
+    "spelling, name",
+    [("rs", "RS"), ("RS", "RS"), (" ga-de ", "GA_DE"), ("GA-DE", "GA_DE"), ("ga_de", "GA_DE"),
+     ("Ga_Es", "GA_ES"), ("ga-es\n", "GA_ES")],
+)
+def test_algorithm_spellings(spelling, name):
+    assert parse_algorithm(spelling) == name
+
+
+@pytest.mark.parametrize("spelling", ["ga de", "r-s", "GA__DE", ""])
+def test_unknown_algorithm_spelling(spelling):
+    with pytest.raises(ConfigError, match=re.escape(f"unknown attack algorithm {spelling!r}")):
+        parse_algorithm(spelling)
 
 
 @pytest.mark.parametrize("patterns, dropped", [([], False), (None, True)], ids=["empty", "null"])
@@ -856,12 +930,12 @@ def catalog_run(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("catalog")
     doc = json.loads((REPO / "configs" / "benchmark.json").read_text())
     doc["corpus"]["synth"]["scale"] = 0.01
-    doc["attack"]["targets"] = ["HKGIP"]
+    doc["attack"].update(targets=["HKGIP"], budget=10, include_traces=True)
     doc["out"] = str(tmp_path / "runs")
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc, indent=2))
     for cmd in ("synth", "preprocess", "train", "evaluate", "attack"):
-        assert run(cmd, config, "--budget", "10", "--trace") == 0
+        assert run(cmd, config) == 0
     return config, only_run_dir(tmp_path)
 
 
@@ -913,7 +987,7 @@ def test_evaluate_scores_each_detector_once(catalog_run, monkeypatch):
 
     monkeypatch.setattr(DetectorModel, "score_batch", counted_detector)
     monkeypatch.setattr(EnsembleModel, "score_batch", counted_ensemble)
-    assert run("evaluate", config, "--budget", "10", "--trace") == 0
+    assert run("evaluate", config) == 0
     # the catalog config trains all twelve detector kinds
     assert sorted(detector_calls) == sorted((kind.value, test_rows) for kind in DetectorKind)
     assert ensemble_calls == []

@@ -115,7 +115,7 @@ def test_deletion_rows_carry_message_type_54(schema):
     ds = synth_attack(ClassLabel.DELETION, 13, 3, schema)
     assert len(ds) == 13
     col = schema.position("pfcp.msg_type")
-    code_54 = schema.descriptor("pfcp.msg_type").domain.code_of("54")
+    code_54 = schema.features[col].domain.code_of("54")
     assert set(ds.matrix[:, col].tolist()) == {code_54}
 
 
@@ -141,8 +141,8 @@ def _write_corpus(tmp_path, schema):
     attacks = synth_attack(ClassLabel.FLOOD, 12, 5, schema)
     benign_path = tmp_path / "benign.csv"
     attack_path = tmp_path / "attacks.csv"
-    save_csv(benign, benign_path, manifest=False)
-    save_csv(attacks, attack_path, manifest=False)
+    save_csv(benign, benign_path)
+    save_csv(attacks, attack_path)
     return benign_path, attack_path
 
 
@@ -212,7 +212,7 @@ def test_build_splits_disjoint(tmp_path, schema):
 def test_benign_only_validation_warns(tmp_path, schema, caplog):
     benign_path, _ = _write_corpus(tmp_path, schema)
     half = tmp_path / "half.csv"
-    save_csv(synth_benign(SynthConfig(n_benign=10, seed=77), schema), half, manifest=False)
+    save_csv(synth_benign(SynthConfig(n_benign=10, seed=77), schema), half)
     spec = SplitSpec(
         train_sources=(SplitSource(str(benign_path)),),
         val_sources=(SplitSource(str(half)),),

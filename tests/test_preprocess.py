@@ -238,11 +238,11 @@ def test_pipeline_transform_deterministic_and_stateless():
     train = synth_benign(SynthConfig(n_benign=300, seed=3), schema)
     other = synth_benign(SynthConfig(n_benign=50, seed=4), schema)
     model = fit_pipeline(train)
-    digest = model.state_hash()
+    state = model.to_json_dict()
     a = transform(model, other)
     b = transform(model, other)
     assert np.array_equal(a.matrix, b.matrix)
-    assert model.state_hash() == digest
+    assert model.to_json_dict() == state
 
 
 def test_pipeline_output_is_clean_and_normalized():
@@ -252,7 +252,8 @@ def test_pipeline_output_is_clean_and_normalized():
     out = transform(model, train)
     numerical = out.matrix[:, out.schema.numerical_positions]
     assert not np.isnan(numerical).any()
-    assert (out.matrix[:, out.schema.categorical_positions] != MISSING_CODE).all()
+    categorical = np.delete(out.matrix, out.schema.numerical_positions, axis=1)
+    assert (categorical != MISSING_CODE).all()
     med = np.quantile(numerical, 0.5, axis=0)
     iqr = np.quantile(numerical, 0.75, axis=0) - np.quantile(numerical, 0.25, axis=0)
     assert np.abs(med).max() < 1e-9
@@ -282,7 +283,7 @@ def test_pipeline_model_roundtrip(tmp_path):
     path = tmp_path / "pipeline.json"
     model.save(path)
     loaded = PipelineModel.load(path)
-    assert loaded.state_hash() == model.state_hash()
+    assert loaded.to_json_dict() == model.to_json_dict()
     out_a = transform(model, train)
     out_b = transform(loaded, train)
     assert np.array_equal(out_a.matrix, out_b.matrix)
@@ -327,7 +328,7 @@ def test_imputation_path_golden(tmp_path):
     train, _, test = synth_benchmark_splits(seed=11, scale=0.05)
     dirty = {}
     for seed, (name, ds) in enumerate((("train", train), ("test", test))):
-        save_csv(ds, tmp_path / f"{name}.csv", manifest=False)
+        save_csv(ds, tmp_path / f"{name}.csv")
         _blank_cells(tmp_path / f"{name}.csv", 0.08, seed)
         dirty[name] = load_csv(tmp_path / f"{name}.csv", train.schema)
     model = fit_pipeline(dirty["train"])
@@ -335,7 +336,7 @@ def test_imputation_path_golden(tmp_path):
     state = json.dumps(model.to_json_dict(), sort_keys=True).encode()
     digests = {"pipeline": hashlib.sha256(state).hexdigest()}
     for name, ds in dirty.items():
-        save_csv(transform(model, ds), tmp_path / f"out-{name}.csv", manifest=False)
+        save_csv(transform(model, ds), tmp_path / f"out-{name}.csv")
         digests[name] = hashlib.sha256((tmp_path / f"out-{name}.csv").read_bytes()).hexdigest()
     assert digests == {
         "pipeline": "adc3feb5999399b68218d7558d21d4584becbe32492bb53d5b4a82d4a394a2c5",

@@ -38,7 +38,7 @@ def test_encode_missing_and_unknown(tmp_path, tiny_schema):
 def _csv_roundtrip(tmp_dir, ds: LabeledDataset) -> tuple[list[list[str]], LabeledDataset]:
     """The data cells ``save_csv`` writes for ``ds``'s rows, and ``load_csv`` of them."""
     path = tmp_dir / "rows.csv"
-    save_csv(ds, path, manifest=False)
+    save_csv(ds, path)
     cells = [line.split(",") for line in path.read_text().splitlines()[1:]]
     return cells, load_csv(path, ds.schema)
 
