@@ -175,12 +175,14 @@ class FeasibleSet:
     """Schema positions J the attacker may modify, in ascending order, and
     each one's allowed values: a ``NumericDomain``, or the tuple of allowed
     schema codes of a categorical feature.  A genome holds one value per
-    position of J, in the same order.  Built once from ``domains``: each
-    gene's bounds ``lo``/``hi`` (a categorical gene's extreme codes) and the
-    ``categorical`` genes."""
+    position of J, in the same order.  ``compliance`` is the spec of the
+    attack class J was built for, whose protected fields J avoids.  Built
+    once from ``domains``: each gene's bounds ``lo``/``hi`` (a categorical
+    gene's extreme codes) and the ``categorical`` genes."""
 
     indices: tuple[int, ...]
     domains: tuple  # NumericDomain | tuple[int, ...], aligned with indices
+    compliance: ComplianceSpec
     lo: tuple[float, ...] = field(init=False, repr=False, compare=False)
     hi: tuple[float, ...] = field(init=False, repr=False, compare=False)
     categorical: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -199,7 +201,8 @@ def build_feasible_set(
     compliance: ComplianceSpec,
     narrow: Mapping[str, object] | None = None,
 ) -> FeasibleSet:
-    """Resolve controllable feature names to schema positions.
+    """Resolve controllable feature names to schema positions, in a set
+    that records ``compliance``.
 
     Raises when no feature is named, when a feature is named twice or is not
     in ``schema``, when a feature is in the attack class's protected set
@@ -233,7 +236,7 @@ def build_feasible_set(
         else:
             domains[pos] = tuple(range(len(domain))) if isinstance(domain, CategoricalDomain) else domain
     indices = tuple(sorted(domains))
-    return FeasibleSet(indices=indices, domains=tuple(domains[j] for j in indices))
+    return FeasibleSet(indices, tuple(domains[j] for j in indices), compliance)
 
 
 def _narrowed(domain, spec, where: str):
@@ -387,21 +390,26 @@ class Marginals:
 
 def estimate_marginals(source: LabeledDataset, feasible: FeasibleSet) -> Marginals:
     """Frequency tables / value multisets over the source, restricted to
-    each feasible index's domain."""
+    each feasible index's domain.  Raises one ``MarginalsError`` naming
+    every gene whose domain holds no source value."""
     if len(source) == 0:
         raise MarginalsError("cannot estimate marginals from an empty source")
-    entries = []
+    entries, empty = [], []
     for j, allowed in zip(feasible.indices, feasible.domains):
         col = source.matrix[:, j]
         categorical = isinstance(allowed, tuple)
         keep = np.isin(col, allowed) if categorical else (col >= allowed.lo) & (col <= allowed.hi)
         if not keep.any():
-            raise MarginalsError(f"{source.schema.features[j].name}: no in-domain source values")
-        if categorical:
+            empty.append(source.schema.features[j].name)
+        elif categorical:
             codes, counts = np.unique(col[keep].astype(int), return_counts=True)
             entries.append((codes.astype(float), counts / counts.sum()))
         else:
             entries.append((np.sort(col[keep]), None))
+    if empty:
+        raise MarginalsError(
+            f"{feasible.compliance.attack_class.value}: no in-domain source values for {empty}"
+        )
     return Marginals(entries=tuple(entries))
 
 
@@ -416,28 +424,14 @@ class QueryOracle:
     burns one unit of budget.  ``candidate`` checks a genome and builds the
     row that querying it scores: the original with the genes written into
     J, so it equals the original outside J by construction.  ``fitness``
-    charges the query once that row is scored.  Construction checks that
-    the original is compliant and that J avoids its protected fields, so a
-    candidate whose genes lie in their domains is feasible and compliant
-    (an out-of-domain genome is an optimizer bug, not a runtime condition).
+    charges the query once that row is scored.  ``run_campaign`` builds an
+    oracle only for a compliant original, and J avoids the protected fields
+    of the class it was built for, so a candidate whose genes lie in their
+    domains is feasible and compliant (an out-of-domain genome is an
+    optimizer bug, not a runtime condition).
     """
 
-    def __init__(
-        self,
-        tau: float,
-        budget: int,
-        schema: FeatureSchema,
-        original: np.ndarray,
-        feasible: FeasibleSet,
-        compliance: ComplianceSpec,
-    ):
-        if budget < 1:
-            raise ConfigError("oracle budget must be at least 1")
-        if not check_compliant(compliance, schema, original):
-            raise ComplianceViolation("the original sample is not compliant")
-        touched = sorted(n for n in compliance.protected if schema.position(n) in feasible.indices)
-        if touched:
-            raise ComplianceViolation(f"feasible set includes protected fields {touched}")
+    def __init__(self, tau: float, budget: int, original: np.ndarray, feasible: FeasibleSet):
         self.tau = tau
         self.budget = budget
         self.original = np.asarray(original, dtype=float).copy()
@@ -671,26 +665,22 @@ def run_campaign(
     model,
     attack_samples: LabeledDataset,
     feasible_sets: Mapping[ClassLabel, FeasibleSet],
-    compliance_specs: Mapping[ClassLabel, ComplianceSpec],
+    marginals: Mapping[ClassLabel, Marginals],
     cfg: AttackConfig,
-    marginals_source: LabeledDataset,
 ) -> list[AttackOutcome]:
     """Attack every initially-detected sample with a per-sample budget.
 
     ``model`` only needs ``score_batch`` and ``tau``, and a ``kind`` when
     it is a detector; the optimizers never see anything else.  Samples the
     detector misses are skipped: evasion is defined over detected samples,
-    and so are samples of a class without a feasible set.  Per-sample RNG
-    streams derive from (seed, algorithm, sample index), so the order in
-    which the samples' queries are made does not matter.
+    and so are samples of a class without a feasible set, and samples that
+    break their own class predicates (counted in one warning).  Per-sample
+    RNG streams derive from (seed, algorithm, sample index), so the order
+    in which the samples' queries are made does not matter.
     """
     if any(lab is ClassLabel.NORMAL for lab in attack_samples.labels):
         raise SchemaError("campaign input must contain attack rows only")
     schema = attack_samples.schema
-    marginals = {
-        kind: estimate_marginals(marginals_source, feasible)
-        for kind, feasible in feasible_sets.items()
-    }
 
     X = attack_samples.matrix
     scores = model.score_batch(X)
@@ -705,21 +695,15 @@ def run_campaign(
         kind = attack_samples.labels[i]
         if not detected[i] or kind not in feasible_sets:
             continue
-        if not check_compliant(compliance_specs[kind], schema, X[i]):
+        feasible = feasible_sets[kind]
+        if not check_compliant(feasible.compliance, schema, X[i]):
             # a sample violating its own class predicates is not a valid
             # member of the class; attacking it would be meaningless
             skipped_noncompliant += 1
             continue
-        oracle = QueryOracle(
-            tau=model.tau,
-            budget=cfg.budget,
-            schema=schema,
-            original=X[i],
-            feasible=feasible_sets[kind],
-            compliance=compliance_specs[kind],
-        )
+        oracle = QueryOracle(model.tau, cfg.budget, X[i], feasible)
         rng = rng_for(cfg.seed, "attack", cfg.algorithm, i)
-        proposals = _OPTIMIZERS[cfg.algorithm](oracle.feasible, marginals[kind], cfg, rng)
+        proposals = _OPTIMIZERS[cfg.algorithm](feasible, marginals[kind], cfg, rng)
         attacked.append((i, kind, oracle, proposals))
     if skipped_noncompliant:
         logger.warning(

@@ -279,10 +279,15 @@ def cmd_attack(cfg: RunConfig) -> int:
         for kind, spec in attack_mod.DEFAULT_COMPLIANCE_RULES.items()
     }
     feasible = attack_mod.load_feasible_sets(cfg.j_config, attack_rows.schema, specs)
-    marginals_source = splits["train"] if from_train else attack_rows
     scaled = pipeline.scaler is not None
     # campaigns and evasion table of an earlier attack
     _remove([*run_dir.glob("campaign-*.jsonl"), run_dir / "evasion.json", run_dir / "evasion.csv"])
+    source = splits["train"] if from_train else attack_rows
+    # estimated once per command, and only when some campaign draws from them
+    marginals = {
+        kind: attack_mod.estimate_marginals(source, feasible_set)
+        for kind, feasible_set in feasible.items()
+    } if cfg.algorithms else {}
 
     rows = []
     for name, model in models:
@@ -290,9 +295,7 @@ def cmd_attack(cfg: RunConfig) -> int:
             attack_cfg = dataclasses.replace(
                 cfg.attack, algorithm=algorithm, seed=derive_seed(cfg.seed, "campaign", name)
             )
-            outcomes = attack_mod.run_campaign(
-                model, attack_rows, feasible, specs, attack_cfg, marginals_source
-            )
+            outcomes = attack_mod.run_campaign(model, attack_rows, feasible, marginals, attack_cfg)
             attack_mod.write_outcomes_jsonl(
                 outcomes,
                 attack_rows.schema,

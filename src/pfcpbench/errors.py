@@ -53,9 +53,10 @@ class BudgetExhausted(PfcpBenchError):
 
 
 class ComplianceViolation(PfcpBenchError):
-    """An attack candidate reached the oracle without passing the
-    feasibility/compliance checks.  Indicates a bug in an optimizer, never
-    an expected runtime condition."""
+    """An optimizer proposed a genome with a gene outside its domain, the one
+    check the oracle makes on each query besides the budget (compliance
+    holds by construction).  Indicates a bug in an optimizer, never an
+    expected runtime condition."""
 
 
 class ConfigError(PfcpBenchError):

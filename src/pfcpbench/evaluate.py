@@ -65,17 +65,10 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _tie_averaged_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # 1-based average rank
-        i = j + 1
-    return ranks
+    """1-based ranks of ``values``, each tie given its average rank."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # rank of each distinct value's last copy
+    return (ends - (counts - 1) / 2)[inverse]
 
 
 def score_models(models: Sequence[tuple[str, object]], X: np.ndarray) -> list[np.ndarray]:

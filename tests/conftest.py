@@ -19,6 +19,7 @@ import pytest
 from pfcpbench.attack import (
     DEFAULT_COMPLIANCE_RULES,
     AttackConfig,
+    estimate_marginals,
     load_feasible_sets,
     run_campaign,
     scale_compliance,
@@ -146,10 +147,11 @@ def campaign_bench():
             for kind, spec in DEFAULT_COMPLIANCE_RULES.items()
         }
         feasible = load_feasible_sets(None, attacks.schema, specs)
+        marginals = {kind: estimate_marginals(t_train, f) for kind, f in feasible.items()}
         campaigns = {}
         for algorithm in ("RS", "GA_DE", "GA_ES"):
             cfg = AttackConfig(algorithm=algorithm, seed=MASTER_SEED)
-            campaigns[algorithm] = run_campaign(hbos, attacks, feasible, specs, cfg, t_train)
+            campaigns[algorithm] = run_campaign(hbos, attacks, feasible, marginals, cfg)
         out[scaling] = {
             "pipeline": pipeline,
             "train": t_train,

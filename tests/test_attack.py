@@ -69,15 +69,16 @@ def toy():
     return schema, spec, feasible, source
 
 
-def _oracle(schema, spec, feasible, original, budget=100, tau=1.0):
-    return QueryOracle(
-        tau=tau,
-        budget=budget,
-        schema=schema,
-        original=original,
-        feasible=feasible,
-        compliance=spec,
-    )
+def _oracle(feasible, original, budget=100, tau=1.0):
+    return QueryOracle(tau=tau, budget=budget, original=original, feasible=feasible)
+
+
+def _campaign(model, attacks, feasible, cfg, source):
+    """``run_campaign`` against the one class ``feasible`` was built for,
+    its marginals estimated from ``source``."""
+    kind = feasible.compliance.attack_class
+    marginals = {kind: estimate_marginals(source, feasible)}
+    return run_campaign(model, attacks, {kind: feasible}, marginals, cfg)
 
 
 def _detected_sample(schema):
@@ -103,7 +104,7 @@ def _drive_one(toy, cfg, rng, tau, budget=100, score=lambda row: float(row[1])):
     """Attack the detected sample through the campaign loop alone, with
     ``rng`` as its optimizer's stream; returns its oracle and the model."""
     schema, spec, feasible, source = toy
-    oracle = _oracle(schema, spec, feasible, _detected_sample(schema), budget=budget, tau=tau)
+    oracle = _oracle(feasible, _detected_sample(schema), budget=budget, tau=tau)
     model = _RowModel(tau, score)
     marginals = estimate_marginals(source, feasible)
     proposals = attack_mod._OPTIMIZERS[cfg.algorithm](feasible, marginals, cfg, rng)
@@ -166,9 +167,17 @@ def test_deletion_message_type_predicate():
 
 
 def test_feasible_set_rejects_protected_overlap(toy):
-    schema, spec, _, _ = toy
-    with pytest.raises(ConfigError):
+    # a set built for a class records that class's spec, so no oracle or
+    # campaign can pair it with a spec whose protected fields it touches
+    schema, spec, feasible, _ = toy
+    assert feasible.compliance is spec
+    with pytest.raises(ConfigError, match="overlaps protected fields"):
         build_feasible_set(schema, ("pfcp.teid",), spec)
+    with pytest.raises(ConfigError, match="overlaps protected fields"):
+        build_feasible_set(schema, ("pfcp.size", "pfcp.teid"), spec)
+    unprotected = ComplianceSpec(ClassLabel.FLOOD, frozenset(), ())
+    touching = build_feasible_set(schema, ("pfcp.size", "pfcp.teid"), unprotected)
+    assert touching.compliance is unprotected
 
 
 def test_feasible_set_rejects_empty_j(toy):
@@ -292,13 +301,28 @@ def test_marginals_empty_source(toy):
         estimate_marginals(empty, feasible)
 
 
+def test_marginals_error_names_the_class_and_every_gene_without_source_values(toy):
+    # both genes of J are narrowed past every source value; one error names
+    # them both, so one J-config fixes them
+    schema, spec, _, source = toy
+    narrow = {"pfcp.mark": {"labels": ["c"]}, "pfcp.size": {"lo": 2.0, "hi": 3.0}}
+    marks, sizes = source.matrix[:, 0], source.matrix[:, 1]
+    missing = source.subset((marks != 2) & ((sizes < 2.0) | (sizes > 3.0)))
+    feasible = build_feasible_set(schema, ("pfcp.mark", "pfcp.size"), spec, narrow)
+    with pytest.raises(MarginalsError) as info:
+        estimate_marginals(missing, feasible)
+    assert str(info.value) == (
+        "restoration_teid: no in-domain source values for ['pfcp.mark', 'pfcp.size']"
+    )
+
+
 # --- fitness and budget --------------------------------------------------------------
 
 
 def test_fitness_positive_part(toy):
     schema, spec, feasible, _ = toy
     x = _detected_sample(schema)
-    oracle = _oracle(schema, spec, feasible, x, tau=5.0)
+    oracle = _oracle(feasible, x, tau=5.0)
 
     def query(genes):  # genes are (mark, size); the score is the size
         candidate = oracle.candidate(np.array(genes))
@@ -315,7 +339,7 @@ def test_fitness_positive_part(toy):
 def test_budget_exhaustion(toy):
     schema, spec, feasible, _ = toy
     x = _detected_sample(schema)
-    oracle = _oracle(schema, spec, feasible, x, budget=2)
+    oracle = _oracle(feasible, x, budget=2)
     genes = _genes(x, feasible)
     oracle.fitness(oracle.candidate(genes), 9.0)
     oracle.fitness(oracle.candidate(genes), 9.0)
@@ -326,7 +350,7 @@ def test_budget_exhaustion(toy):
 def test_oracle_rejects_noncompliant_candidates(toy, monkeypatch):
     schema, spec, feasible, source = toy
     x = _detected_sample(schema)
-    oracle = _oracle(schema, spec, feasible, x)
+    oracle = _oracle(feasible, x)
     # an out-of-domain size, an unknown mark code, and a genome that is a full row
     bad_genomes = ([2.0, 11.0], [3.0, 9.0], [2.0, 9.0, 500.0])
     for bad in bad_genomes:
@@ -345,28 +369,8 @@ def test_oracle_rejects_noncompliant_candidates(toy, monkeypatch):
         monkeypatch.setitem(attack_mod._OPTIMIZERS, RS, propose)
         model = _RowModel(tau=1.0)
         with pytest.raises(ComplianceViolation):
-            run_campaign(
-                model, attacks, {ClassLabel.RESTORATION_TEID: feasible},
-                {ClassLabel.RESTORATION_TEID: spec}, AttackConfig(algorithm=RS), source,
-            )
+            _campaign(model, attacks, feasible, AttackConfig(algorithm=RS), source)
         assert len(model.calls) == 1  # the originals' initial scores only
-
-
-def test_oracle_rejects_noncompliant_original(toy):
-    schema, spec, feasible, _ = toy
-    x = _detected_sample(schema)
-    x[2] = 50.0  # teid must stay above 100
-    with pytest.raises(ComplianceViolation):
-        _oracle(schema, spec, feasible, x)
-
-
-def test_oracle_rejects_feasible_set_touching_protected_fields(toy):
-    # a set built for a class that does not protect the TEID
-    schema, spec, _, _ = toy
-    unprotected = ComplianceSpec(ClassLabel.FLOOD, frozenset(), ())
-    feasible = build_feasible_set(schema, ("pfcp.size", "pfcp.teid"), unprotected)
-    with pytest.raises(ComplianceViolation):
-        _oracle(schema, spec, feasible, _detected_sample(schema))
 
 
 # --- optimizers -----------------------------------------------------------------------
@@ -536,10 +540,7 @@ def test_every_scored_row_is_feasible_and_within_budget(data):
     attacks = LabeledDataset(schema, originals, [ClassLabel.RESTORATION_TEID] * 4)
     model = _RecordingModel(tau=data.draw(st.floats(0.0, 15.0), "tau"))
     source = LabeledDataset(schema, _WIDE_SOURCE, [ClassLabel.NORMAL] * len(_WIDE_SOURCE))
-    outcomes = run_campaign(
-        model, attacks, {ClassLabel.RESTORATION_TEID: feasible},
-        {ClassLabel.RESTORATION_TEID: spec}, cfg, source,
-    )
+    outcomes = _campaign(model, attacks, feasible, cfg, source)
     # the first call scores the originals; each later one is one query of a
     # model outside ROW_INVARIANT_KINDS, so one row, and the samples' rows
     # interleave round by round: the protected TEID tells them apart
@@ -590,14 +591,7 @@ class _ThresholdModel:
 def test_campaign_rejects_benign_rows(toy):
     schema, spec, feasible, source = toy
     with pytest.raises(SchemaError):
-        run_campaign(
-            _ThresholdModel(0.5),
-            source,
-            {ClassLabel.RESTORATION_TEID: feasible},
-            {ClassLabel.RESTORATION_TEID: spec},
-            AttackConfig(algorithm=RS),
-            source,
-        )
+        _campaign(_ThresholdModel(0.5), source, feasible, AttackConfig(algorithm=RS), source)
 
 
 def test_campaign_skips_undetected_and_counts_queries(toy):
@@ -608,11 +602,10 @@ def test_campaign_skips_undetected_and_counts_queries(toy):
     sizes = np.concatenate([np.full(15, 9.0), np.full(15, 1.0)])  # half detected at tau=5
     nums = np.column_stack([sizes, np.full(n, 500.0)])
     attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * n)
-    outcomes = run_campaign(
+    outcomes = _campaign(
         _ThresholdModel(5.0),
         attacks,
-        {ClassLabel.RESTORATION_TEID: feasible},
-        {ClassLabel.RESTORATION_TEID: spec},
+        feasible,
         AttackConfig(algorithm=RS, seed=2),
         source,
     )
@@ -628,17 +621,36 @@ def test_campaign_skips_undetected_and_counts_queries(toy):
         assert o.best_candidate[2] == o.original[2]  # the protected TEID
 
 
+def test_campaign_skips_originals_that_break_their_class_predicates(toy, caplog):
+    # a row whose TEID is at or below 100 is not a member of its class: it
+    # is not queried and gets no outcome, and one warning counts the rows
+    schema, spec, feasible, source = toy
+    teids = np.array([500.0, 50.0, 300.0, 100.0, 90.0])
+    nums = np.column_stack([np.full(5, 9.0), teids])
+    attacks = LabeledDataset(
+        schema, np.column_stack([np.zeros((5, 1)), nums]), [ClassLabel.RESTORATION_TEID] * 5
+    )
+    model = _RowModel(tau=1.0)
+    with caplog.at_level("WARNING"):
+        outcomes = _campaign(model, attacks, feasible, AttackConfig(algorithm=GA_DE), source)
+    assert [o.sample_index for o in outcomes] == [0, 2]
+    queried = {row[2] for call in model.calls[1:] for row in call}
+    assert queried == {500.0, 300.0}
+    assert sum(o.queries_used for o in outcomes) == len(model.calls) - 1
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["campaign: skipped 3 samples violating their own class predicates"]
+
+
 def test_campaign_with_no_detections_warns(toy, caplog):
     schema, spec, feasible, source = toy
     cats = np.zeros((5, 1), dtype=np.int64)
     nums = np.column_stack([np.full(5, 1.0), np.full(5, 500.0)])
     attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * 5)
     with caplog.at_level("WARNING"):
-        outcomes = run_campaign(
+        outcomes = _campaign(
             _ThresholdModel(5.0),
             attacks,
-            {ClassLabel.RESTORATION_TEID: build_feasible_set(schema, ("pfcp.size",), spec)},
-            {ClassLabel.RESTORATION_TEID: spec},
+            build_feasible_set(schema, ("pfcp.size",), spec),
             AttackConfig(algorithm=RS, seed=2),
             source,
         )
@@ -651,11 +663,10 @@ def test_campaign_budget_one_reduces_ga_to_single_draw(toy):
     cats = np.zeros((4, 1), dtype=np.int64)
     nums = np.column_stack([np.full(4, 9.5), np.full(4, 500.0)])
     attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * 4)
-    outcomes = run_campaign(
+    outcomes = _campaign(
         _ThresholdModel(9.0),
         attacks,
-        {ClassLabel.RESTORATION_TEID: build_feasible_set(schema, ("pfcp.size",), spec)},
-        {ClassLabel.RESTORATION_TEID: spec},
+        build_feasible_set(schema, ("pfcp.size",), spec),
         AttackConfig(algorithm=GA_DE, seed=2, budget=1),
         source,
     )
@@ -670,11 +681,10 @@ def test_campaign_deterministic(toy):
     attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * 10)
 
     def run():
-        return run_campaign(
+        return _campaign(
             _ThresholdModel(2.0),
             attacks,
-            {ClassLabel.RESTORATION_TEID: feasible},
-            {ClassLabel.RESTORATION_TEID: spec},
+            feasible,
             AttackConfig(algorithm=GA_ES, seed=3, budget=50),
             source,
         )
@@ -713,11 +723,10 @@ def test_campaign_golden_traces(toy, algorithm):
     cats = (np.arange(k) % 3).reshape(-1, 1)
     nums = np.column_stack([np.linspace(0.5, 9.5, k), 300.0 + 18.0 * np.arange(k)])
     attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * k)
-    outcomes = run_campaign(
+    outcomes = _campaign(
         _DistanceModel(),
         attacks,
-        {ClassLabel.RESTORATION_TEID: feasible},
-        {ClassLabel.RESTORATION_TEID: spec},
+        feasible,
         AttackConfig(algorithm=algorithm, seed=11, budget=37, rs_retries=3),
         source,
     )
@@ -787,11 +796,10 @@ def test_campaign_golden_traces_on_runs_of_numerical_genes(algorithm):
         np.linspace(2.0, 8.0, k), np.full(k, 9.5), 300.0 + 25.0 * np.arange(k), np.arange(k) % 3,
         np.linspace(0.0, 10.0, k), np.full(k, 4.0),
     ])
-    outcomes = run_campaign(
+    outcomes = _campaign(
         _RunsDistanceModel(),
         LabeledDataset(schema, originals, [ClassLabel.RESTORATION_TEID] * k),
-        {ClassLabel.RESTORATION_TEID: feasible},
-        {ClassLabel.RESTORATION_TEID: spec},
+        feasible,
         AttackConfig(algorithm=algorithm, seed=23, budget=29, popsize=8, rs_retries=4),
         LabeledDataset(schema, source, [ClassLabel.NORMAL] * len(source)),
     )
@@ -856,10 +864,7 @@ def test_lockstep_campaign_matches_one_sample_one_row_reference(toy, algorithm):
     cfg = AttackConfig(algorithm=algorithm, seed=11, budget=37, rs_retries=3)
 
     def lockstep(model):
-        outcomes = run_campaign(
-            model, attacks, {ClassLabel.RESTORATION_TEID: feasible},
-            {ClassLabel.RESTORATION_TEID: spec}, cfg, source,
-        )
+        outcomes = _campaign(model, attacks, feasible, cfg, source)
         return [(o.sample_index, o.trace, o.best_candidate.tolist(), o.best_fitness) for o in outcomes]
 
     def reference(kind, per_row):
@@ -902,10 +907,7 @@ def test_lockstep_campaign_scores_each_gmm_round_in_one_call(toy, algorithm):
     nums = np.column_stack([np.linspace(0.5, 9.5, k), 101.0 + 2.0 * np.arange(k)])
     attacks = LabeledDataset(schema, np.column_stack([cats, nums]), [ClassLabel.RESTORATION_TEID] * k)
     cfg = AttackConfig(algorithm=algorithm, seed=11, budget=37, rs_retries=3)
-    outcomes = run_campaign(
-        model, attacks, {ClassLabel.RESTORATION_TEID: feasible},
-        {ClassLabel.RESTORATION_TEID: spec}, cfg, source,
-    )
+    outcomes = _campaign(model, attacks, feasible, cfg, source)
     # the first call scores the originals; then one call per round, holding
     # every sample still live in that round
     used = [o.queries_used for o in outcomes]
@@ -934,11 +936,10 @@ def test_campaign_compliance_checks_do_not_grow_with_budget(toy, monkeypatch):
 
     def run(budget):
         calls.clear()
-        outcomes = run_campaign(
+        outcomes = _campaign(
             _DistanceModel(),
             attacks,
-            {ClassLabel.RESTORATION_TEID: feasible},
-            {ClassLabel.RESTORATION_TEID: spec},
+            feasible,
             AttackConfig(algorithm=GA_DE, seed=11, budget=budget),
             source,
         )

@@ -284,7 +284,11 @@ def test_attack_respects_algorithm_restriction(tmp_path):
 
 
 def test_attack_without_algorithms_writes_an_empty_evasion_table(tmp_path):
-    config = write_config(tmp_path, attack={"algorithms": [], "targets": ["HBOS"]})
+    # with no campaign to draw from them, no marginals are estimated: the
+    # attack rows give the default J's ip.ttl none, and this still exits 0
+    config = write_config(
+        tmp_path, attack={"algorithms": [], "targets": ["HBOS"], "marginals": "attack"}
+    )
     for cmd in ("preprocess", "train", "attack"):
         assert run(cmd, config) == 0
     run_dir = only_run_dir(tmp_path)
@@ -519,6 +523,27 @@ def test_attack_builds_each_feasible_set_once(tmp_path, monkeypatch):
         assert run(cmd, config) == 0
     assert len(list(only_run_dir(tmp_path).glob("campaign-*.jsonl"))) == 3
     assert sorted(built, key=str) == sorted(attack.DEFAULT_COMPLIANCE_RULES, key=str)
+
+
+def test_attack_estimates_each_class_marginals_once(tmp_path, monkeypatch):
+    # three campaigns, one estimate per attacked class
+    from pfcpbench import attack
+
+    estimated = []
+    estimate = attack.estimate_marginals
+
+    def counted(source, feasible):
+        estimated.append(feasible.compliance.attack_class)
+        return estimate(source, feasible)
+
+    monkeypatch.setattr(attack, "estimate_marginals", counted)
+    config = write_config(
+        tmp_path, attack={"algorithms": ["RS", "GA_DE", "GA_ES"], "targets": ["HBOS"], "budget": 3}
+    )
+    for cmd in ("preprocess", "train", "attack"):
+        assert run(cmd, config) == 0
+    assert len(list(only_run_dir(tmp_path).glob("campaign-*.jsonl"))) == 3
+    assert sorted(estimated, key=str) == sorted(attack.DEFAULT_COMPLIANCE_RULES, key=str)
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pfcpbench.errors import MetricError
 from pfcpbench.evaluate import (
     EVASION_COLUMNS,
+    _tie_averaged_ranks,
     auc,
     detection_matrix,
     emit_report,
@@ -91,6 +92,17 @@ def test_auc_matches_threshold_sweep_oracle():
     for _ in range(20):
         n = int(rng.integers(10, 80))
         scores = np.round(rng.normal(size=n), 1)  # coarse grid forces ties
+        labels = rng.random(n) < 0.4
+        if labels.all() or not labels.any():
+            continue
+        assert auc(scores, labels) == pytest.approx(brute_force_auc(scores, labels), abs=1e-9)
+    # tie-heavy: three values and both zeros, which tie with each other
+    for _ in range(20):
+        n = int(rng.integers(10, 80))
+        scores = rng.choice([-1.0, -0.0, 0.0, 2.5], size=n)
+        # each value's average rank: those below it, then the middle of its ties
+        below, tied = (scores[:, None] > scores).sum(1), (scores[:, None] == scores).sum(1)
+        assert _tie_averaged_ranks(scores).tolist() == (below + (tied + 1) / 2).tolist()
         labels = rng.random(n) < 0.4
         if labels.all() or not labels.any():
             continue
