@@ -24,7 +24,6 @@ import json
 import logging
 import operator
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Generator, Mapping, Sequence
 
 import numpy as np
@@ -40,7 +39,6 @@ from .errors import (
 from .preprocess import PipelineModel
 from .seeding import rng_for
 from .traffic import (
-    ATTACK_LABELS,
     CATEGORICAL,
     ClassLabel,
     CategoricalDomain,
@@ -210,7 +208,7 @@ def build_feasible_set(
     a feature outside J or does not fit its domain.
     """
     narrow = narrow or {}
-    where = f"feasible-set config: {compliance.attack_class.value}"
+    where = f"attack.feasible.{compliance.attack_class.value}"
     unknown = sorted(set(feature_names) - set(schema.names))
     if unknown:
         raise ConfigError(f"{where} names {unknown}, which are not in the schema")
@@ -220,13 +218,10 @@ def build_feasible_set(
     if stray:
         raise ConfigError(f"{where} narrows {sorted(stray)}, which are not in its feasible set")
     if not feature_names:
-        raise ConfigError(f"{compliance.attack_class.value}: empty feasible set")
+        raise ConfigError(f"{where}: empty feasible set")
     overlap = set(feature_names) & set(compliance.protected)
     if overlap:
-        raise ConfigError(
-            f"{compliance.attack_class.value}: feasible set overlaps protected fields "
-            f"{sorted(overlap)}"
-        )
+        raise ConfigError(f"{where}: feasible set overlaps protected fields {sorted(overlap)}")
     domains = {}
     for name in feature_names:
         pos = schema.position(name)
@@ -240,7 +235,7 @@ def build_feasible_set(
 
 
 def _narrowed(domain, spec, where: str):
-    """The values of ``domain`` left by a J-config narrowing: exactly
+    """The values of ``domain`` left by an ``attack.feasible`` narrowing: exactly
     ``{"labels": [...]}``, distinct labels of a categorical domain, as their
     codes, or exactly ``{"lo": number, "hi": number}`` meeting a numerical
     domain."""
@@ -258,44 +253,20 @@ def _narrowed(domain, spec, where: str):
             raise TypeError
         # SchemaError when the cut is empty or a bound is not finite
         return NumericDomain(max(spec["lo"], domain.lo), min(spec["hi"], domain.hi))
-    except (TypeError, ValueError, SchemaError) as exc:
+    except (TypeError, ValueError, OverflowError, SchemaError) as exc:
         raise ConfigError(f"{where}: {spec!r} does not narrow {domain}") from exc
 
 
 def load_feasible_sets(
-    path, schema: FeatureSchema, specs: Mapping[ClassLabel, ComplianceSpec]
+    entries: Mapping[ClassLabel, Mapping],
+    schema: FeatureSchema,
+    specs: Mapping[ClassLabel, ComplianceSpec],
 ) -> dict[ClassLabel, FeasibleSet]:
     """The feasible set J of each attack class in ``specs``: the default
-    controllable features, unless the J-config file at ``path`` (if any)
-    gives the class other ``features`` or ``narrow``s their domains.  A class
-    given no features and no narrowing is skipped, left out of the result.
-    A J-config of any other shape raises ``ConfigError``."""
-    entries: dict = {}
-    if path:
-        try:
-            doc = json.loads(Path(path).read_text())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read feasible-set config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"feasible-set config {path}: invalid JSON ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("feasible-set config must be a JSON object")
-        classes = {label.value: label for label in ATTACK_LABELS}
-        for key, entry in doc.items():
-            if key not in classes:
-                raise ConfigError(f"feasible-set config: {key!r} is not an attack class")
-            if not (
-                isinstance(entry, dict)
-                and set(entry) <= {"features", "narrow"}
-                and isinstance(entry.get("features", []), list)
-                and all(isinstance(name, str) for name in entry.get("features", []))
-                and isinstance(entry.get("narrow", {}), dict)
-            ):
-                raise ConfigError(
-                    f"feasible-set config: {key} must be an object with an optional "
-                    '"features" list of names and an optional "narrow" object'
-                )
-            entries[classes[key]] = entry
+    controllable features, unless the class's entry in ``entries`` (the run
+    config's ``attack.feasible``) gives it other ``features`` or ``narrow``s
+    their domains.  A class given no features and no narrowing is skipped,
+    left out of the result."""
     sets = {}
     for kind, spec in specs.items():
         entry = entries.get(kind, {})
@@ -407,8 +378,10 @@ def estimate_marginals(source: LabeledDataset, feasible: FeasibleSet) -> Margina
         else:
             entries.append((np.sort(col[keep]), None))
     if empty:
+        label = feasible.compliance.attack_class.value
         raise MarginalsError(
-            f"{feasible.compliance.attack_class.value}: no in-domain source values for {empty}"
+            f"{label}: no in-domain source values for {empty}; "
+            f"leave them out of attack.feasible.{label}.features"
         )
     return Marginals(entries=tuple(entries))
 

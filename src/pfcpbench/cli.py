@@ -63,15 +63,14 @@ def _synth_splits(cfg: RunConfig, schema: FeatureSchema) -> tuple[LabeledDataset
 
 
 def _raw_splits(cfg: RunConfig, run_dir: Path) -> tuple[LabeledDataset, ...]:
-    """Raw splits: persisted corpus CSVs win, then split sources, then the
-    synthetic generator."""
+    """Raw splits: a split-source config's sources; for a synth config, the
+    corpus CSVs that synth persisted, or else the synthetic generator."""
     schema = _schema_for(cfg)
-    corpus_dir = run_dir / "corpus"
-    csvs = [corpus_dir / f"{name}.csv" for name in SPLIT_NAMES]
-    if all(p.exists() for p in csvs):
-        return tuple(corpus_mod.load_csv(p, schema) for p in csvs)
     if cfg.splits is not None:
         return corpus_mod.build_splits(cfg.splits, schema)
+    csvs = [run_dir / "corpus" / f"{name}.csv" for name in SPLIT_NAMES]
+    if all(p.exists() for p in csvs):
+        return tuple(corpus_mod.load_csv(p, schema) for p in csvs)
     return _synth_splits(cfg, schema)
 
 
@@ -278,7 +277,7 @@ def cmd_attack(cfg: RunConfig) -> int:
         kind: attack_mod.scale_compliance(spec, pipeline)
         for kind, spec in attack_mod.DEFAULT_COMPLIANCE_RULES.items()
     }
-    feasible = attack_mod.load_feasible_sets(cfg.j_config, attack_rows.schema, specs)
+    feasible = attack_mod.load_feasible_sets(cfg.feasible, attack_rows.schema, specs)
     scaled = pipeline.scaler is not None
     # campaigns and evasion table of an earlier attack
     _remove([*run_dir.glob("campaign-*.jsonl"), run_dir / "evasion.json", run_dir / "evasion.csv"])

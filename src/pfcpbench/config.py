@@ -20,7 +20,7 @@ from .detectors import DEFAULT_CONTAMINATION, DetectorKind
 from .ensemble import PRESETS
 from .errors import ConfigError, SchemaError
 from .preprocess import DEFAULT_GT1_PATTERNS
-from .traffic import ClassLabel
+from .traffic import ATTACK_LABELS, ClassLabel
 
 # corpus.synth values a config leaves out; a config without a corpus section
 # synthesizes at these.
@@ -57,7 +57,7 @@ class RunConfig:
     algorithms: tuple[str, ...]
     attack: AttackConfig  # popsize, budget and rs_retries; each campaign sets algorithm and seed
     attack_targets: tuple[str, ...] | None  # None = every trained model
-    j_config: str | None
+    feasible: dict[ClassLabel, dict]  # attack.feasible: each class's J entry, by class
     marginals_source: str  # "train" or "attack"
     include_traces: bool
     raw: dict = field(compare=False, default_factory=dict)
@@ -134,11 +134,13 @@ _SHAPE = {
     "pipeline": {"scaling": bool, "gt1_patterns": [str]},
     "detectors": [{"kind": str, "params": dict, "grid": dict, "contamination": float}],
     "ensembles": [str],
-    "attack": {"algorithms": [str], "targets": [str], "j_config": str, "marginals": str,
-               "budget": int, "popsize": int, "rs_retries": int, "include_traces": bool},
+    "attack": {"algorithms": [str], "targets": [str], "marginals": str,
+               "budget": int, "popsize": int, "rs_retries": int, "include_traces": bool,
+               "feasible": {label.value: {"features": [str], "narrow": dict}
+                            for label in ATTACK_LABELS}},
 }
 _REQUIRED = {"path"}
-_NULLABLE = {"synth", "splits", "include", "gt1_patterns", "targets", "j_config", "grid"}
+_NULLABLE = {"synth", "splits", "include", "gt1_patterns", "targets", "grid"}
 _TYPE_NAMES = {dict: "an object", list: "a list", int: "an integer", float: "a number",
                str: "a string", bool: "true or false"}
 
@@ -195,10 +197,14 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"schema file {schema} does not exist")
 
     corpus_doc = doc.get("corpus", {"synth": {}})
-    synth = corpus_doc.get("synth")
+    synth, sdoc = corpus_doc.get("synth"), corpus_doc.get("splits")
+    if synth is None and not sdoc:
+        raise ConfigError("config needs corpus.synth or corpus.splits")
+    # the run directory names one corpus, whichever stages have run
+    if synth is not None and sdoc:
+        raise ConfigError("config sets both corpus.synth and corpus.splits; keep one")
     splits = None
-    if corpus_doc.get("splits"):
-        sdoc = corpus_doc["splits"]
+    if sdoc:
         splits = SplitSpec(
             train_sources=_parse_sources(sdoc.get("train", [])),
             val_sources=_parse_sources(sdoc.get("validation", [])),
@@ -208,9 +214,7 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
             for src in sources:
                 if not Path(src.path).exists():
                     raise ConfigError(f"split source {src.path} does not exist")
-    if synth is None and splits is None:
-        raise ConfigError("config needs corpus.synth or corpus.splits")
-    if synth is not None:
+    else:
         synth = {key: float(synth.get(key, default)) for key, default in _SYNTH_DEFAULTS.items()}
         for key, value in synth.items():
             if not (math.isfinite(value) and value > 0):
@@ -241,9 +245,6 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     attack_doc = doc.get("attack", {})
     algorithms = tuple(parse_algorithm(a) for a in attack_doc.get("algorithms", ALGORITHMS))
     _check_distinct(algorithms, "attack.algorithms")
-    j_config = attack_doc.get("j_config")
-    if j_config is not None and not Path(j_config).exists():
-        raise ConfigError(f"feasible-set config {j_config} does not exist")
     marginals_source = attack_doc.get("marginals", "train")
     if marginals_source not in ("train", "attack"):
         raise ConfigError("attack.marginals must be 'train' or 'attack'")
@@ -264,7 +265,7 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         algorithms=algorithms,
         attack=attack,
         attack_targets=None if targets is None else tuple(targets),
-        j_config=j_config,
+        feasible={ClassLabel(key): entry for key, entry in attack_doc.get("feasible", {}).items()},
         marginals_source=marginals_source,
         include_traces=attack_doc.get("include_traces", False),
         raw=doc,

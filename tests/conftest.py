@@ -146,7 +146,7 @@ def campaign_bench():
             kind: scale_compliance(spec, pipeline)
             for kind, spec in DEFAULT_COMPLIANCE_RULES.items()
         }
-        feasible = load_feasible_sets(None, attacks.schema, specs)
+        feasible = load_feasible_sets({}, attacks.schema, specs)
         marginals = {kind: estimate_marginals(t_train, f) for kind, f in feasible.items()}
         campaigns = {}
         for algorithm in ("RS", "GA_DE", "GA_ES"):

@@ -303,7 +303,7 @@ def test_marginals_empty_source(toy):
 
 def test_marginals_error_names_the_class_and_every_gene_without_source_values(toy):
     # both genes of J are narrowed past every source value; one error names
-    # them both, so one J-config fixes them
+    # them both, and the field to edit, so one edit fixes them
     schema, spec, _, source = toy
     narrow = {"pfcp.mark": {"labels": ["c"]}, "pfcp.size": {"lo": 2.0, "hi": 3.0}}
     marks, sizes = source.matrix[:, 0], source.matrix[:, 1]
@@ -312,7 +312,8 @@ def test_marginals_error_names_the_class_and_every_gene_without_source_values(to
     with pytest.raises(MarginalsError) as info:
         estimate_marginals(missing, feasible)
     assert str(info.value) == (
-        "restoration_teid: no in-domain source values for ['pfcp.mark', 'pfcp.size']"
+        "restoration_teid: no in-domain source values for ['pfcp.mark', 'pfcp.size']; "
+        "leave them out of attack.feasible.restoration_teid.features"
     )
 
 
@@ -969,14 +970,9 @@ def test_scale_compliance_maps_thresholds():
     assert (benign_t[:, pos] <= threshold).all()
 
 
-def test_missing_feasible_set_config_is_config_error(tmp_path):
-    with pytest.raises(ConfigError, match="cannot read feasible-set config"):
-        load_feasible_sets(tmp_path / "absent.json", default_schema(), DEFAULT_COMPLIANCE_RULES)
-
-
 def test_default_controllable_features_disjoint_from_protected():
     schema = default_schema()
-    sets = load_feasible_sets(None, schema, DEFAULT_COMPLIANCE_RULES)
+    sets = load_feasible_sets({}, schema, DEFAULT_COMPLIANCE_RULES)
     assert set(sets) == set(DEFAULT_COMPLIANCE_RULES)
     for kind, spec in DEFAULT_COMPLIANCE_RULES.items():
         assert set(sets[kind].indices).isdisjoint(

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -10,13 +11,16 @@ from hypothesis import strategies as st
 
 from pfcpbench import detectors as det_mod
 from pfcpbench.cli import main
-from pfcpbench.config import parse_algorithm, parse_run_config, read_config
+from pfcpbench.attack import (
+    DEFAULT_COMPLIANCE_RULES, DEFAULT_CONTROLLABLE_FEATURES, load_feasible_sets,
+)
+from pfcpbench.config import load_run_config, parse_algorithm, parse_run_config, read_config
 from pfcpbench.corpus import default_schema, load_csv
 from pfcpbench.detectors import DETECTOR_FORMAT, DetectorKind, DetectorModel
 from pfcpbench.ensemble import ENSEMBLE_FORMAT, EnsembleModel
 from pfcpbench.errors import ConfigError, PfcpBenchError
 from pfcpbench.preprocess import PipelineModel
-from pfcpbench.traffic import ClassLabel
+from pfcpbench.traffic import ATTACK_LABELS, CATEGORICAL, ClassLabel
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -41,6 +45,20 @@ def write_config(tmp_path, **updates) -> Path:
 
 def run(cmd, config, *extra) -> int:
     return main([cmd, "--config", str(config), *extra])
+
+
+def with_feasible(feasible) -> dict:
+    """BASE_CONFIG's attack section with ``attack.feasible`` set."""
+    return {**BASE_CONFIG["attack"], "feasible": feasible}
+
+
+def copy_run(run_dir: Path, config: Path) -> Path:
+    """``run_dir``'s outputs copied to the run directory of ``config``, a
+    config that differs from ``run_dir``'s in its attack section only, so
+    that its attack finds the stages before attack done."""
+    target = load_run_config(config).run_dir()
+    shutil.copytree(run_dir, target)
+    return target
 
 
 def only_run_dir(tmp_path) -> Path:
@@ -205,17 +223,18 @@ def test_train_clears_earlier_models_and_keeps_other_files(pipeline_run):
 
 
 def test_stage_that_cannot_start_keeps_its_earlier_outputs(tmp_path, capsys):
-    j_config = tmp_path / "feasible.json"
-    j_config.write_text("{}")
-    config = write_config(
-        tmp_path, attack={"algorithms": ["RS"], "targets": ["HBOS"], "j_config": str(j_config)}
-    )
+    config = write_config(tmp_path)
     for cmd in ("preprocess", "train", "attack"):
         assert run(cmd, config) == 0
     run_dir = only_run_dir(tmp_path)
     before = tree_digest(run_dir)
-    j_config.write_text('{"flood": {"features": "ip.ttl"}}')
-    assert run("attack", config) == 12
+    # an attack whose J names a feature outside the schema, over a copy of
+    # this run's outputs, campaigns included
+    (tmp_path / "bad").mkdir()
+    bad = write_config(tmp_path / "bad", attack=with_feasible({"flood": {"features": ["ip.nope"]}}))
+    bad_dir = copy_run(run_dir, bad)
+    assert run("attack", bad) == 12
+    assert tree_digest(bad_dir) == before
     (run_dir / "preprocessed" / "validation.csv").unlink()
     assert run("train", config) == 12
     del before["preprocessed/validation.csv"]
@@ -247,6 +266,22 @@ def test_preprocess_with_an_empty_training_csv_is_a_pipeline_error(tmp_path, cap
     config = write_config(tmp_path, corpus={"splits": splits})
     assert run("preprocess", config) == 6
     assert "no benign training rows" in capsys.readouterr().err
+
+
+def test_config_with_both_corpus_sources_is_config_error(tmp_path, capsys):
+    # preprocess would otherwise read synth's CSVs when synth had run and
+    # the split sources when not, into one run directory
+    config = write_config(tmp_path)
+    assert run("synth", config) == 0
+    corpus = only_run_dir(tmp_path) / "corpus"
+    splits = {name: [{"path": str(corpus / f"{name}.csv")}]
+              for name in ("train", "validation", "test")}
+    both = write_config(tmp_path, corpus={**BASE_CONFIG["corpus"], "splits": splits})
+    for cmd in ("synth", "preprocess"):
+        assert run(cmd, both) == 12
+    err = capsys.readouterr().err
+    assert "error[ConfigError] config sets both corpus.synth and corpus.splits" in err
+    assert "Traceback" not in err
 
 
 def test_train_pulls_ensemble_bases(tmp_path):
@@ -438,19 +473,10 @@ def test_damaged_container_that_still_parses_fails_with_schema_error(tmp_path, k
 
 
 def test_attack_honors_feasible_set_config(tmp_path):
-    j_config = tmp_path / "feasible.json"
-    j_config.write_text(json.dumps({
+    config = write_config(tmp_path, attack=with_feasible({
         "flood": {"features": ["ip.ttl", "pfcp.seqno"]},
         "deletion": {"features": []},  # class skipped entirely
     }))
-    config = write_config(
-        tmp_path,
-        attack={
-            "algorithms": ["RS"],
-            "targets": ["HBOS"],
-            "j_config": str(j_config),
-        },
-    )
     for cmd in ("preprocess", "train", "attack"):
         assert run(cmd, config) == 0
     run_dir = only_run_dir(tmp_path)
@@ -471,18 +497,17 @@ def test_attack_marginals_from_the_attack_rows(tmp_path):
     # GA_DE's a + F(b - c) makes new values, so it is left out.  The fields
     # of J are those where some attack rows fall inside the benign range; in
     # the rest, such as ip.ttl, no attack row does, so they have no marginal.
-    j_config = tmp_path / "feasible.json"
-    j_config.write_text(json.dumps({
+    feasible = {
         label.value: {"features": ["ip.dsfield.dscp", "ip.len", "udp.length", "pfcp.length"]}
-        for label in ClassLabel if label is not ClassLabel.NORMAL
-    }))
+        for label in ATTACK_LABELS
+    }
     campaigns = {}
     for source in ("train", "attack"):
         (tmp_path / source).mkdir()
         config = write_config(
             tmp_path / source,
             attack={"algorithms": ["RS", "GA_ES"], "targets": ["HBOS"], "marginals": source,
-                    "j_config": str(j_config)},
+                    "feasible": feasible},
         )
         for cmd in ("preprocess", "train", "attack"):
             assert run(cmd, config) == 0
@@ -546,91 +571,102 @@ def test_attack_estimates_each_class_marginals_once(tmp_path, monkeypatch):
     assert sorted(estimated, key=str) == sorted(attack.DEFAULT_COMPLIANCE_RULES, key=str)
 
 
-@pytest.fixture(scope="module")
-def j_config_run(tmp_path_factory):
-    """A trained run whose config points at a J-config file the test rewrites."""
-    tmp_path = tmp_path_factory.mktemp("jconfig")
-    j_config = tmp_path / "feasible.json"
-    j_config.write_text("{}")
-    config = write_config(
-        tmp_path,
-        attack={"algorithms": ["RS"], "targets": ["HBOS"], "j_config": str(j_config)},
-    )
-    for cmd in ("preprocess", "train"):
-        assert run(cmd, config) == 0
-    return config, j_config
+def test_configs_that_differ_only_in_their_feasible_sets_name_two_runs(tmp_path):
+    # J is part of a run's content, as the detector list is
+    for name, feasible in (("default", {}), ("flood", {"flood": {"features": ["ip.ttl"]}})):
+        (tmp_path / name).mkdir()
+        config = write_config(tmp_path / name, out=str(tmp_path / "runs"),
+                              attack=with_feasible(feasible))
+        assert run("preprocess", config) == 0
+    assert len(list((tmp_path / "runs").glob("run-*"))) == 2
 
 
 @pytest.mark.parametrize(
-    "text",
+    "feasible",
     [
-        '{"not_a_class": {"features": ["ip.ttl"]}}',
-        '{"normal": {"features": ["ip.ttl"]}}',
-        '{"restoration_teid": ["ip.ttl"]}',
-        '{"flood": {"features": "ip.ttl"}}',
-        '{"flood": {"features": [7]}}',
-        '{"flood": {"narrow": ["ip.ttl"]}}',
-        '{"flood": {"feature": ["ip.ttl"]}}',
-        '["flood"]',
-        '{"flood": ',
-        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {}}}}',
-        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": "x", "hi": 3}}}}',
-        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": NaN, "hi": 3}}}}',
-        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": 0, "hi": 1e9, "step": 1}}}}',
-        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": 62, "hi": 60}}}}',
-        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": 1e6, "hi": 2e6}}}}',
-        '{"flood": {"features": ["ip.dsfield.dscp"], '
-        '"narrow": {"ip.dsfield.dscp": {"lo": 0, "hi": 1}}}}',
-        '{"flood": {"features": ["ip.dsfield.dscp"], '
-        '"narrow": {"ip.dsfield.dscp": {"labels": ["0", "0"]}}}}',
-        '{"flood": {"features": ["ip.dsfield.dscp"], '
-        '"narrow": {"ip.dsfield.dscp": {"labels": ["no-such-label"]}}}}',
-        '{"flood": {"features": ["ip.ttl"], "narrow": {"ip.len": {"lo": 0, "hi": 1e9}}}}',
-        '{"flood": {"features": [], "narrow": {"ip.ttl": {"lo": 0, "hi": 1e9}}}}',
-        '{"flood": {"narrow": {"pfcp.msg_type": {"labels": ["50"]}}}}',
-        '{"flood": {"features": ["ip.src"]}}',
-        '{"flood": {"features": ["ip.ttl", "ip.len", "ip.ttl"]}}',
+        {"not_a_class": {"features": ["ip.ttl"]}},
+        {"normal": {"features": ["ip.ttl"]}},
+        {"restoration_teid": ["ip.ttl"]},
+        {"flood": {"features": "ip.ttl"}},
+        {"flood": {"features": [7]}},
+        {"flood": {"narrow": ["ip.ttl"]}},
+        {"flood": {"feature": ["ip.ttl"]}},
+        ["flood"],
     ],
     ids=["unknown-class", "benign-class", "bare-list", "features-string", "features-number",
-         "narrow-list", "misspelt-key", "top-level-list", "invalid-json",
-         "narrow-empty-bounds", "narrow-string-bound", "narrow-nan-bound", "narrow-extra-key",
-         "narrow-inverted", "narrow-outside-domain", "narrow-bounds-on-categorical",
-         "narrow-repeated-label", "narrow-unknown-label", "narrow-outside-j",
-         "narrow-with-empty-j", "narrow-protected-field", "feature-not-in-schema",
-         "repeated-feature"],
+         "narrow-list", "misspelt-key", "top-level-list"],
 )
-def test_attack_rejects_malformed_feasible_set_config(j_config_run, text, capsys):
-    config, j_config = j_config_run
-    j_config.write_text(text)
-    assert run("attack", config) == 12
-    assert "error[ConfigError] feasible-set config" in capsys.readouterr().err
-
-
-def test_attack_rejects_a_directory_as_feasible_set_config(j_config_run, capsys):
-    config, j_config = j_config_run
-    j_config.unlink()
-    j_config.mkdir()
-    try:
-        assert run("attack", config) == 12
-    finally:
-        j_config.rmdir()
-        j_config.write_text("{}")
+@pytest.mark.parametrize("command", ["preprocess", "attack"])
+def test_malformed_feasible_set_fails_when_the_config_loads(tmp_path, monkeypatch, capsys,
+                                                            feasible, command):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, attack=with_feasible(feasible))
+    assert run(command, config) == 12
     err = capsys.readouterr().err
-    assert "error[ConfigError] cannot read feasible-set config" in err and "Traceback" not in err
+    assert "error[ConfigError]" in err and "attack.feasible" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
 
 
-def test_attack_narrow_without_features_narrows_the_default_set(j_config_run):
-    config, j_config = j_config_run
-    campaign = only_run_dir(config.parent) / "campaign-HBOS-RS.jsonl"
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """The run directory of BASE_CONFIG taken through train."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    config = write_config(tmp_path)
+    for cmd in ("preprocess", "train"):
+        assert run(cmd, config) == 0
+    return only_run_dir(tmp_path)
 
-    def flood_outcomes(text):
-        j_config.write_text(text)
+
+@pytest.mark.parametrize(
+    "feasible",
+    [
+        {"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {}}}},
+        {"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": "x", "hi": 3}}}},
+        {"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": float("nan"), "hi": 3}}}},
+        {"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": 0, "hi": 1e9, "step": 1}}}},
+        {"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": 62, "hi": 60}}}},
+        {"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": 1e6, "hi": 2e6}}}},
+        {"flood": {"features": ["ip.ttl"], "narrow": {"ip.ttl": {"lo": 10**400, "hi": 10**401}}}},
+        {"flood": {"features": ["ip.dsfield.dscp"],
+                   "narrow": {"ip.dsfield.dscp": {"lo": 0, "hi": 1}}}},
+        {"flood": {"features": ["ip.dsfield.dscp"],
+                   "narrow": {"ip.dsfield.dscp": {"labels": ["0", "0"]}}}},
+        {"flood": {"features": ["ip.dsfield.dscp"],
+                   "narrow": {"ip.dsfield.dscp": {"labels": ["no-such-label"]}}}},
+        {"flood": {"features": ["ip.ttl"], "narrow": {"ip.len": {"lo": 0, "hi": 1e9}}}},
+        {"flood": {"features": [], "narrow": {"ip.ttl": {"lo": 0, "hi": 1e9}}}},
+        {"flood": {"narrow": {"pfcp.msg_type": {"labels": ["50"]}}}},
+        {"flood": {"features": ["pfcp.msg_type"]}},
+        {"flood": {"features": ["ip.src"]}},
+        {"flood": {"features": ["ip.ttl", "ip.len", "ip.ttl"]}},
+    ],
+    ids=["narrow-empty-bounds", "narrow-string-bound", "narrow-nan-bound", "narrow-extra-key",
+         "narrow-inverted", "narrow-outside-domain", "narrow-huge-lo",
+         "narrow-bounds-on-categorical", "narrow-repeated-label", "narrow-unknown-label",
+         "narrow-outside-j", "narrow-with-empty-j", "narrow-protected-field",
+         "protected-feature", "feature-not-in-schema", "repeated-feature"],
+)
+def test_attack_rejects_feasible_set_that_does_not_fit_the_schema(trained_run, tmp_path, feasible,
+                                                                  capsys):
+    # these need the preprocessed schema, so only attack can check them
+    config = write_config(tmp_path, attack=with_feasible(feasible))
+    copy_run(trained_run, config)
+    assert run("attack", config) == 12
+    err = capsys.readouterr().err
+    assert "error[ConfigError] attack.feasible.flood" in err and "Traceback" not in err
+
+
+def test_attack_narrow_without_features_narrows_the_default_set(trained_run, tmp_path):
+    def flood_outcomes(name, feasible):
+        (tmp_path / name).mkdir()
+        config = write_config(tmp_path / name, attack=with_feasible(feasible))
+        run_dir = copy_run(trained_run, config)
         assert run("attack", config) == 0
-        outcomes = map(json.loads, campaign.read_text().splitlines())
+        outcomes = map(json.loads, (run_dir / "campaign-HBOS-RS.jsonl").read_text().splitlines())
         return [o for o in outcomes if o["attack_class"] == "flood"]
 
-    default = flood_outcomes("{}")
-    narrowed = flood_outcomes('{"flood": {"narrow": {"ip.ttl": {"lo": 60, "hi": 62}}}}')
+    default = flood_outcomes("default", {})
+    narrowed = flood_outcomes("narrowed", {"flood": {"narrow": {"ip.ttl": {"lo": 60, "hi": 62}}}})
     assert narrowed
     assert [o["sample_index"] for o in narrowed] == [o["sample_index"] for o in default]
     assert any(set(o["modified"]) - {"ip.ttl"} for o in narrowed)
@@ -852,7 +888,8 @@ _JSON_VALUES = st.recursive(
 )
 _FIELD_NAMES = st.sampled_from(
     ["seed", "out", "schema", "corpus", "synth", "splits", "train", "path", "include", "pipeline",
-     "scaling", "detectors", "kind", "params", "grid", "attack", "budget", "include_traces"]
+     "scaling", "detectors", "kind", "params", "grid", "attack", "budget", "include_traces",
+     "feasible", "features", "narrow", *(label.value for label in ATTACK_LABELS)]
 ) | st.text(max_size=6)
 
 
@@ -882,6 +919,49 @@ def test_fuzzed_run_config_parses_or_fails_cleanly(tmp_path, data):
     config.write_text(json.dumps(doc))
     try:
         parse_run_config(read_config(config))
+    except PfcpBenchError:
+        pass
+
+
+_SCHEMA = default_schema()
+_J_FEATURES = st.sampled_from(_SCHEMA.names) | st.text(max_size=6)
+_LABELS = st.lists(
+    st.sampled_from([label for f in _SCHEMA.features if f.kind == CATEGORICAL
+                     for label in f.domain.labels]) | _JSON_VALUES,
+    max_size=3,
+)
+# JSON numbers include integers past a double's range
+_BOUND = st.integers(-100, 70000) | st.integers(-10**400, 10**400) | st.floats() | _JSON_VALUES
+_NARROWING = (
+    st.fixed_dictionaries({"lo": _BOUND, "hi": _BOUND})
+    | st.fixed_dictionaries({"labels": _LABELS})
+    | st.dictionaries(st.sampled_from(["lo", "hi", "labels"]) | st.text(max_size=3),
+                      _BOUND | _LABELS, max_size=3)
+)
+
+
+@st.composite
+def _j_entry(draw) -> dict:
+    """An ``attack.feasible`` entry: schema feature names mixed with junk,
+    with or without ``features``, and narrowings of names in J."""
+    entry, names = {}, list(DEFAULT_CONTROLLABLE_FEATURES)
+    if draw(st.booleans()):
+        names = entry["features"] = draw(st.lists(_J_FEATURES, max_size=4))
+    narrowed = draw(st.lists(st.sampled_from(names) if names else _J_FEATURES, max_size=3))
+    if narrowed or draw(st.booleans()):
+        entry["narrow"] = {name: draw(_NARROWING) for name in narrowed}
+    return entry
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(feasible=st.dictionaries(st.sampled_from([label.value for label in ATTACK_LABELS]),
+                                _j_entry(), max_size=5))
+def test_fuzzed_feasible_sets_build_or_fail_cleanly(tmp_path, feasible):
+    config = write_config(tmp_path, attack=with_feasible(feasible))
+    try:
+        cfg = parse_run_config(read_config(config))
+        load_feasible_sets(cfg.feasible, _SCHEMA, DEFAULT_COMPLIANCE_RULES)
     except PfcpBenchError:
         pass
 
