@@ -45,6 +45,7 @@ from .traffic import (
     FeatureSchema,
     LabeledDataset,
     NumericDomain,
+    write_text,
 )
 
 logger = logging.getLogger(__name__)
@@ -699,7 +700,7 @@ def write_outcomes_jsonl(
     outcomes: Sequence[AttackOutcome], schema: FeatureSchema, path, include_trace: bool = False
 ) -> None:
     """Campaign results as JSON lines, one outcome per line."""
-    with open(path, "w") as fh:
-        for outcome in outcomes:
-            fh.write(json.dumps(outcome.to_json_dict(schema, include_trace), sort_keys=True))
-            fh.write("\n")
+    write_text(path, "".join(
+        json.dumps(outcome.to_json_dict(schema, include_trace), sort_keys=True) + "\n"
+        for outcome in outcomes
+    ))

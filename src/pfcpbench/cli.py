@@ -25,7 +25,8 @@ from . import errors, preprocess
 from .config import DetectorEntry, RunConfig, load_run_config
 from .seeding import derive_seed
 from .traffic import (
-    ClassLabel, FeatureSchema, LabeledDataset, make_dir, read_container, write_json, write_text,
+    ClassLabel, FeatureSchema, LabeledDataset, make_dir, read_container, read_text, write_json,
+    write_text,
 )
 
 logger = logging.getLogger("pfcpbench")
@@ -148,7 +149,7 @@ def cmd_train(cfg: RunConfig) -> int:
             if entry.grid:
                 model, extra["grid"] = det_mod.grid_search(
                     kind, entry.grid, train, validation,
-                    contamination=entry.contamination, seed=seed,
+                    contamination=entry.contamination, seed=seed, params=entry.params,
                 )
             else:
                 config = det_mod.DetectorConfig(
@@ -164,25 +165,25 @@ def cmd_train(cfg: RunConfig) -> int:
             train_log[label] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
             logger.error("%s failed: %s", label, exc)
 
-    V = validation.matrix
-    columns: dict[det_mod.DetectorKind, np.ndarray] = {}  # each base scored once on validation
+    attacks = np.array([lab is not ClassLabel.NORMAL for lab in validation.labels], dtype=bool)
+    stacked: dict[str, list[det_mod.DetectorModel]] = {}  # ensemble name -> its bases
     for name in cfg.ensembles:
-        spec = ens_mod.PRESETS[name]
         try:
-            bases = [fitted[kind] for kind in spec.base_kinds]
+            stacked[name] = [fitted[kind] for kind in ens_mod.PRESETS[name].base_kinds]
         except KeyError as exc:
             train_log[name] = {"status": "error", "error": f"missing base {exc}"}
-            continue
+    # each base is scored once on validation, however many ensembles list it
+    columns = iter(eval_mod.score_models(
+        [(base.kind.value, base) for bases in stacked.values() for base in bases], validation.matrix
+    ))
+    for name, bases in stacked.items():
+        S = np.column_stack([next(columns) for _ in bases])
         try:
-            for base in bases:
-                if base.kind not in columns:
-                    columns[base.kind] = base.score_batch(V)
-            model = ens_mod.fit_ensemble(
-                spec, bases, validation, np.column_stack([columns[k] for k in spec.base_kinds])
-            )
+            model = ens_mod.fit_ensemble(ens_mod.PRESETS[name], bases, S, attacks)
             model.save(models_dir / f"{name}.json")
-            train_log[name] = {"status": "ok", "train_accuracy": model.train_accuracy}
-            logger.info("fitted ensemble %s (train acc %.4f)", name, model.train_accuracy)
+            accuracy = float(((model.margin(S) > model.tau) == attacks).mean())
+            train_log[name] = {"status": "ok", "train_accuracy": accuracy}
+            logger.info("fitted ensemble %s (train acc %.4f)", name, accuracy)
         except errors.PfcpBenchError as exc:
             train_log[name] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
             logger.error("ensemble %s failed: %s", name, exc)
@@ -203,23 +204,25 @@ def _remove(paths: Iterable[Path]) -> None:
 
 
 def load_any_model(path: Path, loaded: dict | None = None):
-    """Load a detector or ensemble container, parsing it once.
+    """The detector or ensemble at ``path``, loaded once per cache.
 
-    ``loaded`` maps container paths to (sha256, detector) for detectors
-    already read, and array files to (sha256, bytes).  A detector read here
-    is added to it, and a container takes its bases and array files from
-    it before reading them from disk.
+    ``loaded`` maps each container path read to its model, and each array
+    file to its bytes.  A model already in it is returned as it is, so an
+    ensemble's bases are the very detectors loaded from their own paths.
     """
     loaded = {} if loaded is None else loaded
-    doc, digest = read_container(path)
-    fmt = doc.get("format")
-    if fmt == det_mod.DETECTOR_FORMAT:
-        model = det_mod.DetectorModel.from_json_dict(doc, path.parent, loaded)
-        loaded[path] = (digest, model)
-        return model
-    if fmt == ens_mod.ENSEMBLE_FORMAT:
-        return ens_mod.EnsembleModel.from_json_dict(doc, path.parent, loaded)
-    raise errors.SchemaError(f"{path}: unknown model container format {fmt!r}")
+    if path not in loaded:
+        doc = read_container(path)
+        fmt = doc.get("format")
+        if fmt == det_mod.DETECTOR_FORMAT:
+            loaded[path] = det_mod.DetectorModel.from_json_dict(doc, path.parent, loaded)
+        elif fmt == ens_mod.ENSEMBLE_FORMAT:
+            loaded[path] = ens_mod.EnsembleModel.from_json_dict(
+                doc, path.parent, loaded, lambda base: load_any_model(base, loaded)
+            )
+        else:
+            raise errors.SchemaError(f"{path}: unknown model container format {fmt!r}")
+    return loaded[path]
 
 
 def _trained_models(run_dir: Path, names: tuple[str, ...] | None) -> list[tuple[str, object]]:
@@ -229,16 +232,12 @@ def _trained_models(run_dir: Path, names: tuple[str, ...] | None) -> list[tuple[
     paths = [
         path for path in sorted(models_dir.glob("*.json")) if names is None or path.stem in names
     ]
-    # detectors first, so that each ensemble finds its bases already loaded
     loaded: dict = {}
-    models = {
-        path.stem: load_any_model(path, loaded)
-        for path in sorted(paths, key=lambda path: path.stem in ens_mod.PRESETS)
-    }
+    models = [(path.stem, load_any_model(path, loaded)) for path in paths]
     if names:
-        for name in sorted(set(names) - set(models)):
+        for name in sorted(set(names) - {path.stem for path in paths}):
             logger.warning("model %s not found, skipped", name)
-    return [(path.stem, models[path.stem]) for path in paths]
+    return models
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
@@ -319,7 +318,7 @@ def cmd_report(cfg: RunConfig) -> int:
     for name in eval_mod.REPORT_FILES:
         src = run_dir / name
         if src.exists():
-            write_text(report_dir / name, src.read_text())
+            write_text(report_dir / name, read_text(src))
             found = True
         else:
             logger.warning("%s not present yet", src)

@@ -34,6 +34,7 @@ from .traffic import (
     LabeledDataset,
     NumericDomain,
     parse_label,
+    read_text,
     write_json,
 )
 
@@ -336,11 +337,7 @@ def load_csv(
     Normal otherwise.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    reader = csv.DictReader(text.splitlines())
+    reader = csv.DictReader(read_text(path).splitlines())
     header = reader.fieldnames or []
     schema_names = set(schema.names)
     matched = [h for h in header if h in schema_names]
@@ -365,11 +362,12 @@ def load_csv(
 
 
 def _parse_real(cell: str) -> float:
-    """A numerical cell; an empty or unparsable one is missing (NaN)."""
+    """A numerical cell; an empty, unparsable or non-finite one is missing (NaN)."""
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         return math.nan
+    return value if math.isfinite(value) else math.nan
 
 
 def save_csv(ds: LabeledDataset, path: str | Path, seed: int | None = None) -> None:

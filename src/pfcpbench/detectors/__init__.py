@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, MutableMapping
 
@@ -190,8 +191,8 @@ class DetectorModel:
             )
         return _REGISTRY[self.kind][1](self.state, Q)
 
-    def save(self, path: str | Path) -> None:
-        """Write the container to ``path`` and its array files beside it."""
+    def _container(self) -> tuple[dict, dict[str, bytes]]:
+        """The container document, without its sha256, and its array files."""
         state, files = encode_arrays(self.state)
         doc = {
             "format": DETECTOR_FORMAT,
@@ -202,11 +203,20 @@ class DetectorModel:
             "d": self.d,
             "state": state,
         }
-        write_container(path, doc, files)
+        return doc, files
+
+    @cached_property
+    def digest(self) -> str:
+        """The sha256 that ``save`` records, by which an ensemble names this base."""
+        return _canonical_sha256(self._container()[0])
+
+    def save(self, path: str | Path) -> None:
+        """Write the container to ``path`` and its array files beside it."""
+        write_container(path, *self._container())
 
     @staticmethod
     def from_json_dict(
-        doc: dict, directory: Path, loaded: MutableMapping[Path, tuple]
+        doc: dict, directory: Path, loaded: MutableMapping[Path, object]
     ) -> "DetectorModel":
         """Rebuild a detector whose array files sit in ``directory``.
 
@@ -268,11 +278,11 @@ def encode_arrays(values: Mapping) -> tuple[dict, dict[str, bytes]]:
     return doc, files
 
 
-def decode_arrays(doc: Mapping, directory: Path, loaded: MutableMapping[Path, tuple]) -> dict:
+def decode_arrays(doc: Mapping, directory: Path, loaded: MutableMapping[Path, object]) -> dict:
     """``doc`` with each array reference replaced by its read-only array.
 
-    ``loaded`` maps the paths of files already read to (sha256, contents); a
-    file not in it is read from ``directory`` and added.  A bad dtype or
+    ``loaded`` maps the paths of files already read to their bytes; a file
+    not in it is read from ``directory`` and added.  A bad dtype or
     shape, a file that is missing or does not hash to its name, and one
     whose size does not fit the shape raise ``SchemaError``.
     """
@@ -283,7 +293,7 @@ def decode_arrays(doc: Mapping, directory: Path, loaded: MutableMapping[Path, tu
     }
 
 
-def _read_array(ref: dict, directory: Path, loaded: MutableMapping[Path, tuple]) -> np.ndarray:
+def _read_array(ref: dict, directory: Path, loaded: MutableMapping[Path, object]) -> np.ndarray:
     dtype, shape, digest = ref.get("dtype"), ref.get("shape"), ref.get("sha256")
     if dtype not in _ARRAY_DTYPES.values():
         raise SchemaError(
@@ -302,8 +312,8 @@ def _read_array(ref: dict, directory: Path, loaded: MutableMapping[Path, tuple])
         actual = hashlib.sha256(raw).hexdigest()
         if actual != digest:
             raise SchemaError(f"array file {path} has sha256 {actual}, not the one it is named by")
-        loaded[path] = (actual, raw)
-    raw = loaded[path][1]
+        loaded[path] = raw
+    raw = loaded[path]
     dtype = np.dtype(dtype)
     if len(raw) != math.prod(shape) * dtype.itemsize:
         raise SchemaError(
@@ -388,11 +398,13 @@ def grid_search(
     validation: LabeledDataset,
     contamination: float = DEFAULT_CONTAMINATION,
     seed: int = 42,
+    params: Mapping | None = None,
 ) -> tuple[DetectorModel, list[dict]]:
     """Exhaustive search maximizing validation F1.
 
     Grid keys are the kind's hyperparameters; "contamination" may also be
-    swept, and each key's values are a non-empty list.  Returns the fitted
+    swept, and each key's values are a non-empty list.  Each candidate fits
+    ``params`` with the grid point's values over them.  Returns the fitted
     winning model and a per-candidate log.  Ties break toward the
     lexicographically smaller hyperparameter tuple (sorted name order).
     """
@@ -416,9 +428,9 @@ def grid_search(
     log: list[dict] = []
     best: tuple[float, tuple, DetectorModel] | None = None  # only the best model is kept
     for point in candidates:
-        params = {k: v for k, v in point.items() if k != "contamination"}
         config = DetectorConfig(
-            kind=kind, params=params,
+            kind=kind,
+            params={**(params or {}), **{k: v for k, v in point.items() if k != "contamination"}},
             contamination=point.get("contamination", contamination),
         )
         model = fit(config, train, seed=seed)

@@ -8,16 +8,15 @@ parameters stay frozen; only the stacker is trained on validation, which
 is the one split carrying both classes.
 
 An ensemble container holds the stacker state only.  It lists each base by
-kind and by the sha256 of the base's own container, ``<kind>.json`` in the
-same directory, and loading checks that hash.
+kind and by the sha256 that the base's own container, ``<kind>.json`` in
+the same directory, records; loading checks that the base there has it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, MutableMapping, Sequence
+from typing import Callable, ClassVar, MutableMapping, Sequence
 
 import numpy as np
 
@@ -27,11 +26,11 @@ from .detectors import (
 )
 from .detectors.common import sq_distances
 from .errors import FitError, IoError, SchemaError
-from .traffic import ClassLabel, LabeledDataset, malformed, read_container
+from .traffic import malformed
 
 SOLVER_TOL = 1e-3
 SOLVER_MAX_PASSES = 100
-ENSEMBLE_FORMAT = "pfcpbench-ensemble-v6"
+ENSEMBLE_FORMAT = "pfcpbench-ensemble-v7"
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,6 @@ class EnsembleModel:
     score_sd: np.ndarray
     support_vectors: np.ndarray  # normalized base-score rows with alpha > 0
     dual_coef: np.ndarray  # alpha_i * y_i for the support rows
-    # set by fit_ensemble for the train log; not saved, so None once loaded
-    train_accuracy: float | None = None
     # Decision threshold on the signed margin: the dual has no intercept, so
     # a row is anomalous when its margin is above 0.
     tau: ClassVar[float] = 0.0
@@ -146,16 +143,8 @@ class EnsembleModel:
         return self.margin(base)
 
     def save(self, path: str | Path) -> None:
-        """Write the stacker state.  The bases must already be saved next to
-        ``path`` as ``<kind>.json``: the container records their sha256."""
-        path = Path(path)
-        bases = []
-        for kind in self.spec.base_kinds:
-            try:
-                data = _base_path(path.parent, kind).read_bytes()
-            except OSError as exc:
-                raise IoError(f"cannot write ensemble model to {path}: base unreadable: {exc}") from exc
-            bases.append({"kind": kind.value, "sha256": hashlib.sha256(data).hexdigest()})
+        """Write the stacker state, naming each base by its ``digest``; the
+        bases are saved on their own, as ``<kind>.json`` beside ``path``."""
         doc, files = encode_arrays({
             "format": ENSEMBLE_FORMAT,
             "name": self.spec.name,
@@ -165,7 +154,7 @@ class EnsembleModel:
             "score_sd": self.score_sd,
             "support_vectors": self.support_vectors,
             "dual_coef": self.dual_coef,
-            "bases": bases,
+            "bases": [{"kind": base.kind.value, "sha256": base.digest} for base in self.base_models],
         })
         write_container(path, doc, files)
 
@@ -173,15 +162,16 @@ class EnsembleModel:
     def from_json_dict(
         doc: dict,
         directory: Path,
-        loaded: MutableMapping[Path, tuple],
+        loaded: MutableMapping[Path, object],
+        load: Callable[[Path], object],
     ) -> "EnsembleModel":
-        """Rebuild an ensemble whose bases sit in ``directory``.
+        """Rebuild an ensemble whose bases sit in ``directory`` as ``<kind>.json``.
 
-        ``loaded`` maps container paths to (sha256, detector) for detectors
-        already read, and array files to (sha256, bytes); a base or file not
-        in it is read from disk and added.  A base that is missing or whose
-        sha256 differs from the recorded one raises ``SchemaError``, as does
-        a container that no longer hashes to its own recorded sha256.
+        ``load`` returns the model at a path through the cache ``loaded``,
+        which also maps array files to their bytes.  A base that is missing
+        or has another sha256 than the recorded one raises ``SchemaError``,
+        as does a container that no longer hashes to its own recorded
+        sha256.
         """
         if doc.get("format") != ENSEMBLE_FORMAT:
             raise SchemaError(f"not a {ENSEMBLE_FORMAT} container: {doc.get('format')!r}")
@@ -190,24 +180,21 @@ class EnsembleModel:
             spec = EnsembleSpec(
                 name=doc["name"], base_kinds=kinds, C=float(doc["C"]), gamma=float(doc["gamma"])
             )
+            check_container_digest(doc, f"ensemble {spec.name} container")
             bases = []
             for kind, entry in zip(kinds, doc["bases"]):
-                path = _base_path(directory, kind)
-                if path not in loaded:
-                    try:
-                        base_doc, digest = read_container(path)
-                    except IoError as exc:
-                        raise SchemaError(f"ensemble {spec.name}: base {path.name} missing: {exc}") from exc
-                    loaded[path] = (digest, DetectorModel.from_json_dict(base_doc, directory, loaded))
-                digest, base = loaded[path]
-                if digest != entry["sha256"]:
+                path = Path(directory) / f"{kind.value}.json"
+                try:
+                    base = load(path)
+                except IoError as exc:
+                    raise SchemaError(f"ensemble {spec.name}: base {path.name} missing: {exc}") from exc
+                if base.digest != entry["sha256"]:
                     raise SchemaError(
-                        f"ensemble {spec.name}: base {path} has sha256 {digest}, "
+                        f"ensemble {spec.name}: base {path} has sha256 {base.digest}, "
                         f"the ensemble was saved with {entry['sha256']}"
                     )
                 bases.append(base)
             arrays = decode_arrays(doc, directory, loaded)
-            check_container_digest(doc, f"ensemble {spec.name} container")
             return EnsembleModel(
                 spec=spec,
                 base_models=bases,
@@ -218,45 +205,40 @@ class EnsembleModel:
             )
 
 
-def _base_path(directory: Path, kind: DetectorKind) -> Path:
-    """Where an ensemble expects the container of its ``kind`` base."""
-    return Path(directory) / f"{kind.value}.json"
-
-
 def fit_ensemble(
     spec: EnsembleSpec,
     base_models: Sequence[DetectorModel],
-    validation: LabeledDataset,
     base_scores: np.ndarray,
+    attacks: np.ndarray,
 ) -> EnsembleModel:
     """Train the stacking classifier on validation base scores.
 
-    ``base_scores`` holds the bases' scores on ``validation``, one column
-    per base in listed order.  Requires both classes in the validation
-    split: a hinge-loss binary classifier cannot be trained on one class.
+    ``base_scores`` holds one column per base in listed order, and
+    ``attacks`` is true for its rows that are attacks.  Requires both
+    classes: a hinge-loss binary classifier cannot be trained on one.
     """
     if len(base_models) != len(spec.base_kinds) or any(
         m.kind is not k for m, k in zip(base_models, spec.base_kinds)
     ):
         raise SchemaError("base models must match the spec kinds in order")
     S = np.asarray(base_scores, dtype=float)
-    if S.shape != (len(validation), len(base_models)):
+    attacks = np.asarray(attacks, dtype=bool)
+    if S.shape != (len(attacks), len(base_models)):
         raise SchemaError(
-            f"base scores have shape {S.shape}, expected {(len(validation), len(base_models))}"
+            f"base scores have shape {S.shape}, expected {(len(attacks), len(base_models))}"
         )
-    y_bool = np.array([lab is not ClassLabel.NORMAL for lab in validation.labels], dtype=bool)
-    if not y_bool.any() or y_bool.all():
+    if not attacks.any() or attacks.all():
         raise FitError(
             "ensemble stacking needs both benign and attack rows in validation"
         )
     mean = S.mean(axis=0)
     sd = np.maximum(S.std(axis=0), 1e-12)
     Z = (S - mean) / sd
-    y = np.where(y_bool, 1.0, -1.0)
+    y = np.where(attacks, 1.0, -1.0)
     K = _rbf(Z, Z, spec.gamma)
     alpha = _dual_coordinate_ascent(K, y, spec.C)
     support = alpha > 0
-    model = EnsembleModel(
+    return EnsembleModel(
         spec=spec,
         base_models=list(base_models),
         score_mean=mean,
@@ -264,6 +246,3 @@ def fit_ensemble(
         support_vectors=Z[support],
         dual_coef=(alpha * y)[support],
     )
-    margins = model.margin(S)
-    model.train_accuracy = float(((margins > 0) == y_bool).mean())
-    return model

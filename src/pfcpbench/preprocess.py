@@ -359,7 +359,7 @@ class PipelineModel:
 
     @staticmethod
     def load(path: str | Path) -> "PipelineModel":
-        return PipelineModel.from_json_dict(read_container(path)[0])
+        return PipelineModel.from_json_dict(read_container(path))
 
 
 def fit_pipeline(

@@ -12,7 +12,6 @@ threads; every operation here is pure.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from contextlib import contextmanager
@@ -80,10 +79,9 @@ def parse_label(raw: str) -> ClassLabel:
     raise SchemaError(f"unknown class label {raw!r}")
 
 
-def read_container(path: str | Path) -> tuple[dict, str]:
-    """A saved schema, pipeline or model file's JSON object and the sha256
-    of its bytes; ``IoError`` when unreadable, ``SchemaError`` when no JSON
-    object."""
+def read_container(path: str | Path) -> dict:
+    """A saved schema, pipeline or model file's JSON object; ``IoError``
+    when unreadable, ``SchemaError`` when no JSON object."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -94,7 +92,7 @@ def read_container(path: str | Path) -> tuple[dict, str]:
         raise SchemaError(f"{path}: not a JSON container: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: not a JSON container: top level is not an object")
-    return doc, hashlib.sha256(data).hexdigest()
+    return doc
 
 
 def make_dir(path: Path) -> Path:
@@ -104,6 +102,14 @@ def make_dir(path: Path) -> Path:
     except OSError as exc:
         raise IoError(f"cannot create directory {path}: {exc}") from exc
     return path
+
+
+def read_text(path: str | Path) -> str:
+    """The text of ``path``; ``IoError`` when it cannot be read or decoded."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -288,7 +294,7 @@ class FeatureSchema:
 
     @staticmethod
     def load(path: str | Path) -> "FeatureSchema":
-        return FeatureSchema.from_json_dict(read_container(path)[0])
+        return FeatureSchema.from_json_dict(read_container(path))
 
 
 class LabeledDataset:

@@ -108,10 +108,11 @@ def bench():
     }
     V = t_val.matrix
     columns = {kind: model.score_batch(V) for kind, model in detectors.items()}
+    val_attacks = np.array([lab is not ClassLabel.NORMAL for lab in t_val.labels], dtype=bool)
     ensembles = {
         name: fit_ensemble(
-            spec, [detectors[k] for k in spec.base_kinds], t_val,
-            np.column_stack([columns[k] for k in spec.base_kinds]),
+            spec, [detectors[k] for k in spec.base_kinds],
+            np.column_stack([columns[k] for k in spec.base_kinds]), val_attacks,
         )
         for name, spec in PRESETS.items()
     }

@@ -29,6 +29,7 @@ from pfcpbench.errors import (
     BudgetExhausted,
     ComplianceViolation,
     ConfigError,
+    IoError,
     MarginalsError,
     SchemaError,
 )
@@ -978,3 +979,8 @@ def test_default_controllable_features_disjoint_from_protected():
         assert set(sets[kind].indices).isdisjoint(
             {schema.position(name) for name in spec.protected}
         )
+
+
+def test_writing_outcomes_into_a_missing_directory_is_io_error(tmp_path):
+    with pytest.raises(IoError, match="cannot write"):
+        attack_mod.write_outcomes_jsonl([], default_schema(), tmp_path / "absent" / "c.jsonl")

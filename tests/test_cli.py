@@ -144,6 +144,43 @@ def test_train_writes_models_and_grid_log(tmp_path):
     assert all("f1" in entry for entry in grid_log)
 
 
+def test_train_grid_search_keeps_the_entry_params(tmp_path):
+    config = write_config(tmp_path, detectors=[
+        {"kind": "HBOS", "params": {"bins": 7}, "grid": {"contamination": [0.01, 0.02]}},
+    ])
+    for cmd in ("preprocess", "train"):
+        assert run(cmd, config) == 0
+    train_log = json.loads((only_run_dir(tmp_path) / "train_log.json").read_text())
+    assert train_log["HBOS"]["params"] == {"bins": 7}
+
+
+def _corpus_with_one_flood_duration(tmp_path, cell: str) -> Path:
+    """The run directory of a PCA, GMM and kNN run through evaluate, whose
+    synthetic test split has ``cell`` as its first flood row's
+    ``pfcp.duration_measurement``."""
+    tmp_path.mkdir()
+    config = write_config(tmp_path, detectors=[{"kind": "PCA"}, {"kind": "GMM"}, {"kind": "kNN"}])
+    assert run("synth", config) == 0
+    test_csv = only_run_dir(tmp_path) / "corpus" / "test.csv"
+    rows = list(csv.DictReader(test_csv.read_text().splitlines()))
+    next(row for row in rows if row["Label"] == "flood")["pfcp.duration_measurement"] = cell
+    with test_csv.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    for cmd in ("preprocess", "train", "evaluate"):
+        assert run(cmd, config) == 0
+    return only_run_dir(tmp_path)
+
+
+def test_a_non_finite_corpus_cell_is_missing_end_to_end(tmp_path):
+    # an infinite cell reads as an empty one: same reports, no NaN or inf score
+    infinite = _corpus_with_one_flood_duration(tmp_path / "inf", "inf")
+    empty = _corpus_with_one_flood_duration(tmp_path / "empty", "")
+    for name in ("metrics.json", "detection_matrix.csv"):
+        assert (infinite / name).read_bytes() == (empty / name).read_bytes()
+
+
 def test_train_keeps_the_grid_winner_without_refitting(tmp_path, monkeypatch):
     fitted = []
     real_fit = det_mod.fit
@@ -702,6 +739,13 @@ def test_report_without_artifacts_fails(tmp_path):
     assert run("report", config) == 12  # ConfigError exit family
 
 
+def test_report_of_a_table_that_cannot_be_read_is_io_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    (load_run_config(config).run_dir() / "evasion.json").mkdir(parents=True)
+    assert run("report", config) == 2
+    assert "error[IoError] cannot read" in capsys.readouterr().err
+
+
 @pytest.fixture()
 def reported_run(tmp_path):
     """A two-detector run taken through all six stages."""
@@ -1164,6 +1208,7 @@ def _retagged_ensemble(tag):
         (_retagged_ensemble("pfcpbench-ensemble-v3"), "pfcpbench-ensemble-v3"),
         (_retagged_ensemble("pfcpbench-ensemble-v4"), "pfcpbench-ensemble-v4"),
         (_retagged_ensemble("pfcpbench-ensemble-v5"), "pfcpbench-ensemble-v5"),
+        (_retagged_ensemble("pfcpbench-ensemble-v6"), "pfcpbench-ensemble-v6"),
         (_delete_shared, "missing"),
         (_flip_shared_byte, "sha256"),
         (_truncate_shared, "sha256"),
@@ -1171,7 +1216,7 @@ def _retagged_ensemble(tag):
         (_drop_gmm_state_key, "state must hold exactly"),
     ],
     ids=["tampered-base", "deleted-base", "v1-ensemble", "format-only-ensemble", "v3-ensemble",
-         "v4-ensemble", "v5-ensemble", "deleted-shared-array", "flipped-shared-byte", "truncated-shared-array",
+         "v4-ensemble", "v5-ensemble", "v6-ensemble", "deleted-shared-array", "flipped-shared-byte", "truncated-shared-array",
          "unhashed-reference", "state-key-missing"],
 )
 def test_broken_ensemble_container_fails_with_schema_error(tmp_path, damage, message, capsys):

@@ -48,6 +48,14 @@ def test_load_csv_basic(tmp_path, tiny_schema):
     assert np.isnan(ds.matrix[5, 1:]).all()
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "nan", "Infinity"])
+def test_load_csv_reads_a_non_finite_cell_as_missing(tmp_path, tiny_schema, cell):
+    path = tmp_path / "rows.csv"
+    path.write_text(f"proto.kind,proto.len,proto.count\nA,{cell},2\n")
+    ds = load_csv(path, tiny_schema)
+    assert np.isnan(ds.matrix[0, 1]) and ds.matrix[0, 2] == 2.0
+
+
 def test_load_csv_ignores_extra_columns(tmp_path, tiny_schema, caplog):
     path = tmp_path / "rows.csv"
     path.write_text("proto.kind,proto.len,proto.count,bogus\nA,1,2,zzz\n")

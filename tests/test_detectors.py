@@ -966,6 +966,19 @@ def test_grid_search_single_point():
     assert len(log) == 1
 
 
+def test_grid_search_fits_each_point_over_the_fixed_params():
+    rng = np.random.default_rng(8)
+    train = numeric_dataset(rng.normal(size=(50, 2)))
+    validation = _labeled_validation(rng.normal(size=(20, 2)), rng.normal(size=(5, 2)) + 30)
+    best, log = grid_search(DetectorKind.HBOS, {"contamination": [0.01, 0.02]}, train, validation,
+                            params={"bins": 7})
+    assert best.config.params["bins"] == 7
+    assert [entry["params"] for entry in log] == [{"contamination": 0.01}, {"contamination": 0.02}]
+    # where a key is in both, the grid's value wins
+    best, _ = grid_search(DetectorKind.HBOS, {"bins": [5]}, train, validation, params={"bins": 7})
+    assert best.config.params["bins"] == 5
+
+
 def test_grid_search_requires_labels():
     rng = np.random.default_rng(9)
     train = numeric_dataset(rng.normal(size=(50, 2)))

@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfcpbench import ensemble as ens_mod
 from pfcpbench.cli import load_any_model
 from pfcpbench.detectors import DetectorConfig, DetectorKind, fit
 from pfcpbench.ensemble import (
@@ -62,8 +62,13 @@ def _base_scores(bases, ds):
     return np.column_stack([model.score_batch(X) for model in bases])
 
 
+def _attacks(ds):
+    """Whether each row of ``ds`` is an attack."""
+    return np.array([lab is not ClassLabel.NORMAL for lab in ds.labels], dtype=bool)
+
+
 def _fit(spec, bases, validation):
-    return fit_ensemble(spec, bases, validation, _base_scores(bases, validation))
+    return fit_ensemble(spec, bases, _base_scores(bases, validation), _attacks(validation))
 
 
 def test_fit_ensemble_rejects_misshapen_base_scores():
@@ -71,7 +76,7 @@ def test_fit_ensemble_rejects_misshapen_base_scores():
     S = _base_scores(bases, validation)
     for bad in (S[:, :1], S[1:], S.ravel()):
         with pytest.raises(SchemaError, match="base scores have shape"):
-            fit_ensemble(spec, bases, validation, bad)
+            fit_ensemble(spec, bases, bad, _attacks(validation))
 
 
 def test_preset_column_order_matches_base_listing(bench):
@@ -88,7 +93,26 @@ def test_preset_column_order_matches_base_listing(bench):
 def test_separable_clouds_reach_perfect_training_accuracy():
     spec, bases, train, validation = _toy_setting()
     model = _fit(spec, bases, validation)
-    assert model.train_accuracy == 1.0
+    flagged = model.margin(_base_scores(bases, validation)) > model.tau
+    assert np.array_equal(flagged, _attacks(validation))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the solver marks every coordinate active again after a pass whose largest step is below "
+    "SOLVER_TOL; the next full pass shrinks some out again, so all(active) never holds at a "
+    "pass's end and every fit runs SOLVER_MAX_PASSES"))
+def test_solver_stops_once_a_full_pass_moves_every_alpha_less_than_tol(monkeypatch):
+    # a full pass around pass 60 already moves no alpha by SOLVER_TOL, so a
+    # budget of 100 or 200 passes must give the same alphas
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) + 12.0])
+    y = np.r_[-np.ones(40), np.ones(40)]
+    K = _rbf(X, X, gamma=1.0)
+    alphas = []
+    for passes in (100, 200):
+        monkeypatch.setattr(ens_mod, "SOLVER_MAX_PASSES", passes)
+        alphas.append(_dual_coordinate_ascent(K, y, C=10.0))
+    assert np.array_equal(*alphas)
 
 
 def test_kernel_self_similarity_is_one():
@@ -261,6 +285,20 @@ def test_ensemble_serialization_roundtrip(tmp_path):
     assert loaded.spec == model.spec
 
 
+def test_ensemble_saves_without_its_bases_and_loads_once_they_are_beside_it(tmp_path):
+    spec, bases, train, validation = _toy_setting()
+    model = _fit(spec, bases, validation)
+    path = tmp_path / "ens.json"
+    model.save(path)
+    assert [p.name for p in tmp_path.glob("*.json")] == ["ens.json"]
+    for base in bases:
+        base.save(tmp_path / f"{base.kind.value}.json")
+        # the sha256 the ensemble names a base by is the one its container records
+        assert json.loads((tmp_path / f"{base.kind.value}.json").read_text())["sha256"] == base.digest
+    X = validation.matrix
+    assert np.array_equal(load_any_model(path).score_batch(X), model.score_batch(X))
+
+
 def test_saved_containers_hold_only_what_loading_reads(tmp_path):
     # a field that nothing reads back must not creep into a container
     _, path, validation = _saved_ensemble(tmp_path)
@@ -280,11 +318,8 @@ def test_ensemble_embedding_a_v1_detector_is_rejected(tmp_path):
     base = tmp_path / "HBOS.json"
     doc = json.loads(base.read_text())
     doc["format"] = "pfcpbench-detector-v1"
+    # the base keeps its recorded sha256, so only its format is wrong
     base.write_text(json.dumps(doc))
-    # record the rewritten base's hash, so only its format is wrong
-    ensemble = json.loads(path.read_text())
-    ensemble["bases"][0]["sha256"] = hashlib.sha256(base.read_bytes()).hexdigest()
-    path.write_text(json.dumps(ensemble))
     with pytest.raises(SchemaError, match="pfcpbench-detector-v1"):
         load_any_model(path)
 

@@ -9,11 +9,12 @@ import json
 import numpy as np
 import pytest
 
-from pfcpbench.cli import _trained_models, main
+from pfcpbench.cli import _trained_models, load_any_model, main
 from pfcpbench.corpus import synth_benchmark_splits
 from pfcpbench.detectors import DetectorConfig, DetectorKind, fit
 from pfcpbench.ensemble import PRESETS, fit_ensemble
 from pfcpbench.preprocess import fit_pipeline, transform
+from pfcpbench.traffic import ClassLabel
 
 SPLITS = ("train", "validation", "test")
 SHARING_KINDS = ("kNN", "ABOD", "LOF", "FeatureBagging", "COPOD", "ECOD")
@@ -43,13 +44,25 @@ def saved_catalog(tmp_path_factory):
         model.save(models_dir / f"{kind.value}.json")
         fitted[kind.value] = model
     V = splits["validation"]
+    attacks = np.array([lab is not ClassLabel.NORMAL for lab in V.labels], dtype=bool)
     for name, spec in PRESETS.items():
         bases = [fitted[kind.value] for kind in spec.base_kinds]
         scores = np.column_stack([base.score_batch(V.matrix) for base in bases])
-        model = fit_ensemble(spec, bases, V, scores)
+        model = fit_ensemble(spec, bases, scores, attacks)
         model.save(models_dir / f"{name}.json")
         fitted[name] = model
     return run_dir, fitted, splits
+
+
+def test_ensembles_loaded_before_their_detectors_share_them(saved_catalog):
+    run_dir, _, _ = saved_catalog
+    paths = sorted((run_dir / "models").glob("*.json"), key=lambda path: path.stem not in PRESETS)
+    assert paths[0].stem in PRESETS
+    loaded: dict = {}
+    models = {path.stem: load_any_model(path, loaded) for path in paths}
+    for name, spec in PRESETS.items():
+        for kind, base in zip(spec.base_kinds, models[name].base_models):
+            assert base is models[kind.value]
 
 
 def test_loaded_models_score_every_split_as_the_fitted_ones(saved_catalog):
