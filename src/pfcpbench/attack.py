@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Mapping, Sequence
@@ -34,6 +35,7 @@ from .errors import (
     ComplianceViolation,
     ConfigError,
     MarginalsError,
+    MetricError,
     SchemaError,
 )
 from .preprocess import PipelineModel
@@ -433,9 +435,13 @@ class QueryOracle:
 
     def fitness(self, candidate: np.ndarray, score: float) -> float:
         """Charge one query for ``candidate``, built by ``candidate()`` and
-        scored ``score``, and record it; return its fitness."""
+        scored ``score``, and record it; return its fitness.  A non-finite
+        score is an error: max(0, NaN - tau) would read as an evasion."""
+        score = float(score)
+        if not math.isfinite(score):
+            raise MetricError(f"the model scored a candidate {score}")
         self.queries_used += 1
-        value = max(0.0, float(score) - self.tau)
+        value = max(0.0, score - self.tau)
         self.trace.append((self.queries_used, value))
         if value < self.best_fitness:
             self.best_fitness = value

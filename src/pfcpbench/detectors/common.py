@@ -13,13 +13,34 @@ ABOF_EPS = 1e-12
 DENSITY_EPS = 1e-12
 
 CHUNK_ROWS = 1024
+# Rows per pass of the elementwise steps inside one distance chunk: their
+# temporaries stay a small slice of the chunk, while the BLAS product and
+# each element's arithmetic stay those of the whole-chunk expressions.
+BLOCK_ROWS = 32
 
 
 def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, |A| x |B|, clipped at zero."""
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
-    # in place: one (|A| x |B|) temporary fewer at the distance chunks' peak
-    return np.maximum(sq, 0.0, out=sq)
+    """Squared Euclidean distances, |A| x |B|, clipped at zero.
+
+    The result is the array ``A @ B.T`` writes: each element becomes
+    (|a|^2 + |b|^2) - 2 <a, b> in place, a block of rows at a time, so no
+    second |A| x |B| array is made.
+    """
+    a2 = (A * A).sum(axis=1)
+    b2 = (B * B).sum(axis=1)
+    sq = A @ B.T
+    for lo, hi in iter_chunks(len(sq), BLOCK_ROWS):
+        block = sq[lo:hi]
+        block *= 2.0
+        np.subtract(a2[lo:hi, None] + b2, block, out=block)
+        np.maximum(block, 0.0, out=block)
+    return sq
+
+
+def distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euclidean distances, |A| x |B|, in the one array ``sq_distances`` returns."""
+    d = sq_distances(A, B)
+    return np.sqrt(d, out=d)
 
 
 def iter_chunks(n: int, chunk: int = CHUNK_ROWS):
@@ -29,8 +50,11 @@ def iter_chunks(n: int, chunk: int = CHUNK_ROWS):
 
 def nearest(d: np.ndarray, take: int) -> tuple[np.ndarray, np.ndarray]:
     """Columns and values of the ``take`` smallest entries of each row of the
-    distance chunk ``d``, ascending; equal values keep their selection order."""
-    idx = np.argpartition(d, take - 1, axis=1)[:, :take]
+    distance chunk ``d``, ascending; equal values keep their selection order.
+    Selection is per row, so a block of rows at a time picks the same columns."""
+    idx = np.empty((len(d), take), dtype=np.intp)
+    for lo, hi in iter_chunks(len(d), BLOCK_ROWS):
+        idx[lo:hi] = np.argpartition(d[lo:hi], take - 1, axis=1)[:, :take]
     nd = np.take_along_axis(d, idx, axis=1)
     order = np.argsort(nd, axis=1, kind="stable")
     return np.take_along_axis(idx, order, axis=1), np.take_along_axis(nd, order, axis=1)

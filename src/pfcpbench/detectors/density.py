@@ -9,11 +9,11 @@ import numpy as np
 from .common import (
     DENSITY_EPS,
     EPS,
+    distances,
     histogram_lookup,
     histogram_table,
     iter_chunks,
     nearest,
-    sq_distances,
 )
 
 # --------------------------------------------------------------------------
@@ -30,8 +30,9 @@ def score_knn(state: dict, Q: np.ndarray) -> np.ndarray:
     train, k = state["train"], state["k"]
     out = np.empty(Q.shape[0])
     for a, b in iter_chunks(Q.shape[0]):
-        d = np.sqrt(sq_distances(Q[a:b], train))
+        d = distances(Q[a:b], train)
         out[a:b] = nearest(d, k)[1][:, k - 1]
+        del d  # one chunk's distances alive at a time
     return out
 
 
@@ -91,9 +92,10 @@ def lof_in_sample(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     nd = np.empty((n, k))
     ties = {}
     for a, b in iter_chunks(n):
-        d = np.sqrt(sq_distances(X[a:b], X))
+        d = distances(X[a:b], X)
         d[np.arange(b - a), np.arange(a, b)] = np.inf  # self is not a neighbor
         kdist[a:b], nn[a:b], nd[a:b], chunk_ties = _neighborhoods(d, k)
+        del d  # one chunk's distances alive at a time
         ties.update((a + i, hood) for i, hood in chunk_ties.items())
     lrd = _lrd(kdist, nn, nd, ties)
     return kdist, lrd, _mean_lrd(lrd, nn, nd, ties) / lrd
@@ -110,8 +112,9 @@ def score_lof(state: dict, Q: np.ndarray) -> np.ndarray:
     kdist_t, lrd_t = state["train_kdist"], state["train_lrd"]
     out = np.empty(Q.shape[0])
     for a, b in iter_chunks(Q.shape[0]):
-        d = np.sqrt(sq_distances(Q[a:b], train))
+        d = distances(Q[a:b], train)
         _, nn, nd, ties = _neighborhoods(d, k)
+        del d  # one chunk's distances alive at a time
         out[a:b] = _mean_lrd(lrd_t, nn, nd, ties) / _lrd(kdist_t, nn, nd, ties)
     return out
 
@@ -239,7 +242,7 @@ def fit_inne(X: np.ndarray, params: dict, rng) -> dict:
     nn_radii = np.empty((t, psi))
     for m in range(t):
         centers[m] = X[rng.choice(n, size=psi, replace=False)]
-        d = np.sqrt(sq_distances(centers[m], centers[m]))
+        d = distances(centers[m], centers[m])
         np.fill_diagonal(d, np.inf)
         nn = d.argmin(axis=1)
         radii[m] = d[np.arange(psi), nn]
@@ -251,7 +254,7 @@ def score_inne(state: dict, Q: np.ndarray) -> np.ndarray:
     total = np.zeros(Q.shape[0])
     # member by member: one product over all t * psi centers rounds differently
     for centers, radii, nn_radii in zip(state["centers"], state["radii"], state["nn_radii"]):
-        d = np.sqrt(sq_distances(Q, centers))
+        d = distances(Q, centers)
         inside = d <= radii[None, :]
         best = np.where(inside, radii[None, :], np.inf).argmin(axis=1)
         covered = inside.any(axis=1)

@@ -29,13 +29,22 @@ class ThresholdMetrics:
     tn: int
 
 
+def _finite(scores) -> np.ndarray:
+    scores = np.asarray(scores, dtype=float)
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise MetricError(f"{bad} of {scores.size} scores are not finite")
+    return scores
+
+
 def threshold_metrics(scores: np.ndarray, labels: np.ndarray, tau: float) -> ThresholdMetrics:
     """Binary confusion metrics under the strict score > tau decision rule.
 
     ``labels`` are truthy for attacks.  Undefined ratios fall back to 0,
     so a detector that flags nothing reports precision = recall = f1 = 0.
+    A non-finite score is an error.
     """
-    scores = np.asarray(scores, dtype=float)
+    scores = _finite(scores)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape:
         raise MetricError("scores and labels must align")
@@ -52,8 +61,9 @@ def threshold_metrics(scores: np.ndarray, labels: np.ndarray, tau: float) -> Thr
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability that a random attack outscores a random benign sample,
-    ties counted half; equals the trapezoidal ROC area."""
-    scores = np.asarray(scores, dtype=float)
+    ties counted half; equals the trapezoidal ROC area.  A non-finite
+    score is an error: ranked, NaN would sort above every finite score."""
+    scores = _finite(scores)
     labels = np.asarray(labels, dtype=bool)
     n_pos = int(labels.sum())
     n_neg = int((~labels).sum())
@@ -96,8 +106,12 @@ def metrics_row(
     model_name: str, scores: np.ndarray, labels: np.ndarray, tau: float, scaled: bool
 ) -> dict:
     """One row of the metrics table: AUC and the thresholded metrics."""
-    tm = threshold_metrics(scores, labels, tau)
-    return {"model": model_name, "scaled": scaled, "auc": auc(scores, labels),
+    try:
+        tm = threshold_metrics(scores, labels, tau)
+        value = auc(scores, labels)
+    except MetricError as exc:
+        raise MetricError(f"{model_name}: {exc}") from None
+    return {"model": model_name, "scaled": scaled, "auc": value,
             "precision": tm.precision, "recall": tm.recall, "f1": tm.f1}
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from pfcpbench.errors import (
     ConfigError,
     IoError,
     MarginalsError,
+    MetricError,
     SchemaError,
 )
 from pfcpbench.preprocess import fit_pipeline, transform
@@ -594,6 +596,23 @@ def test_campaign_rejects_benign_rows(toy):
     schema, spec, feasible, source = toy
     with pytest.raises(SchemaError):
         _campaign(_ThresholdModel(0.5), source, feasible, AttackConfig(algorithm=RS), source)
+
+
+@pytest.mark.parametrize("algorithm", [RS, GA_DE, GA_ES])
+def test_campaign_fails_on_a_non_finite_candidate_score(toy, algorithm):
+    # max(0, NaN - tau) is 0.0: the campaign recorded a NaN as an evasion
+    schema, spec, feasible, source = toy
+    rows = []
+
+    def score(row):  # the third row the model is sent, the second candidate
+        rows.append(row)
+        return math.nan if len(rows) == 3 else float(row[1]) + 1.0
+
+    attack = LabeledDataset(schema, _detected_sample(schema)[None, :], [ClassLabel.RESTORATION_TEID])
+    cfg = AttackConfig(algorithm=algorithm, rs_retries=5)
+    with pytest.raises(MetricError, match="the model scored a candidate nan"):
+        _campaign(_RowModel(0.5, score), attack, feasible, cfg, source)
+    assert len(rows) == 3
 
 
 def test_campaign_skips_undetected_and_counts_queries(toy):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,16 @@ from pfcpbench.detectors import (
     grid_search,
 )
 from pfcpbench.detectors import density
-from pfcpbench.detectors.common import ABOF_EPS, CHUNK_ROWS, EPS, iter_chunks, nearest, sq_distances
+from pfcpbench.detectors.common import (
+    ABOF_EPS,
+    BLOCK_ROWS,
+    CHUNK_ROWS,
+    EPS,
+    distances,
+    iter_chunks,
+    nearest,
+    sq_distances,
+)
 from pfcpbench.detectors.density import _avg_path
 from pfcpbench.detectors.geometric import score_abod
 from pfcpbench.errors import FitError, GridSearchError, GuidelineViolation, SchemaError
@@ -676,6 +686,72 @@ def test_abod_matches_brute_force():
         Q = np.vstack([X[: n // 2], rng.normal(scale=1.5, size=(20, d))])
         model = fit(DetectorConfig(kind=DetectorKind.ABOD, params={"k": k}), numeric_dataset(X))
         np.testing.assert_allclose(model.score_batch(Q), brute_abod(X, Q, k), rtol=1e-9)
+
+
+# --- the distance kernels work on a chunk a block of rows at a time; they
+# must give the bits of the whole-chunk expressions they replaced, kept here
+# as they were
+
+
+def reference_sq_distances(A, B):
+    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+    return np.maximum(sq, 0.0, out=sq)
+
+
+def reference_nearest(d, take):
+    idx = np.argpartition(d, take - 1, axis=1)[:, :take]
+    nd = np.take_along_axis(d, idx, axis=1)
+    order = np.argsort(nd, axis=1, kind="stable")
+    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(nd, order, axis=1)
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, CHUNK_ROWS + 37])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("data", ["integer-grid", "continuous"])
+def test_blocked_distance_kernels_match_whole_chunk_expressions(rows, order, data):
+    # integer cells on a 4-value grid make many distances equal, so the
+    # selection's tie order is pinned; F order is how FeatureBagging's
+    # X[:, feats] reaches the kernels
+    rng = np.random.default_rng(rows)
+    if data == "integer-grid":
+        A, B = rng.integers(0, 4, size=(rows, 5)), rng.integers(0, 4, size=(300, 5))
+    else:
+        A, B = rng.normal(size=(rows, 5)), rng.normal(size=(300, 5))
+    A, B = (np.asarray(M, dtype=float, order=order) for M in (A, B))
+    want = reference_sq_distances(A, B)
+    assert sq_distances(A, B).tobytes() == want.tobytes()
+    assert distances(A, B).tobytes() == np.sqrt(want).tobytes()
+    d = np.asarray(np.sqrt(want), order=order)
+    for take in (1, 11, B.shape[0]):
+        for got, ref in zip(nearest(d, take), reference_nearest(d, take)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def _traced_peak(f, *args) -> int:
+    """Peak bytes numpy and Python allocate while ``f(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "kind", [DetectorKind.KNN, DetectorKind.LOF, DetectorKind.FEATURE_BAGGING], ids=str
+)
+def test_neighbour_scoring_holds_one_distance_chunk_at_a_time(kind):
+    # past the first chunk, the previous chunk's distances must be freed
+    # before the next are built, and each chunk must be one array
+    rng = np.random.default_rng(9)
+    model = fit(DetectorConfig(kind=kind), numeric_dataset(rng.normal(size=(700, 6))), seed=1)
+    Q = rng.normal(size=(CHUNK_ROWS + 300, 6))
+    assert _traced_peak(model.score_batch, Q) <= 1.25 * 8 * CHUNK_ROWS * 700
+
+
+def test_lof_in_sample_holds_one_distance_chunk_at_a_time():
+    X = np.random.default_rng(10).normal(size=(CHUNK_ROWS + 700, 6))
+    assert _traced_peak(density.lof_in_sample, X, 10) <= 1.25 * 8 * CHUNK_ROWS * len(X)
 
 
 def test_pca_all_components_reconstructs_training_points():

@@ -72,6 +72,19 @@ def test_auc_trivials():
         auc(np.array([1.0, 2.0]), np.array([True, True]))
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_score_is_a_metric_error_not_a_detection(bad):
+    # ranked, a NaN attack score sorted above every other and read as AUC 1.0
+    scores = np.array([0.1, 0.2, 0.3, 5.0, bad])
+    labels = np.array([False, False, False, True, True])
+    with pytest.raises(MetricError, match="1 of 5 scores are not finite"):
+        auc(scores, labels)
+    with pytest.raises(MetricError, match="1 of 5 scores are not finite"):
+        threshold_metrics(scores, labels, 1.0)
+    with pytest.raises(MetricError, match="^LOF: 1 of 5 scores are not finite$"):
+        metrics_row("LOF", scores, labels, 1.0, scaled=False)
+
 def brute_force_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Trapezoidal area under the ROC curve from an explicit threshold sweep."""
     thresholds = np.concatenate(([np.inf], np.sort(np.unique(scores))[::-1], [-np.inf]))
