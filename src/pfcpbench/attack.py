@@ -55,19 +55,12 @@ logger = logging.getLogger(__name__)
 RS = "RS"
 GA_DE = "GA_DE"
 GA_ES = "GA_ES"
-ALGORITHMS = (RS, GA_DE, GA_ES)
 DIFF_WEIGHT = 0.5  # GA_DE's differential weight F on numeric genes
 RECOMBINATION_RATIO = 0.9  # share of GA_ES children bred from two parents
 MUTATIONS_PER_CHILD = 1.0  # genes GA_ES resamples per child, on average
 
-_RELATIONS: dict[str, Callable[[float, float], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-}
+# the relations of DEFAULT_COMPLIANCE_RULES' predicates
+_RELATIONS: dict[str, Callable[[float, float], bool]] = {"=": operator.eq, ">": operator.gt}
 
 
 @dataclass(frozen=True)
@@ -602,7 +595,9 @@ def ga_es_attack(
         pop, fits = pool[order], pool_fits[order]
 
 
+# algorithm name -> its optimizer; a campaign runs any one of these
 _OPTIMIZERS = {RS: rs_attack, GA_DE: ga_de_attack, GA_ES: ga_es_attack}
+ALGORITHMS = tuple(_OPTIMIZERS)
 
 
 def _lockstep(model, attacks: Sequence[tuple[QueryOracle, Proposals]]) -> None:
@@ -658,7 +653,7 @@ def run_campaign(
     RNG streams derive from (seed, algorithm, sample index), so the order
     in which the samples' queries are made does not matter.
     """
-    if any(lab is ClassLabel.NORMAL for lab in attack_samples.labels):
+    if not attack_samples.attacks.all():
         raise SchemaError("campaign input must contain attack rows only")
     schema = attack_samples.schema
 

@@ -25,7 +25,7 @@ from . import errors, preprocess
 from .config import DetectorEntry, RunConfig, load_run_config
 from .seeding import derive_seed
 from .traffic import (
-    ClassLabel, FeatureSchema, LabeledDataset, make_dir, read_container, read_text, write_json,
+    FeatureSchema, LabeledDataset, make_dir, read_container, read_text, write_json,
     write_text,
 )
 
@@ -165,7 +165,6 @@ def cmd_train(cfg: RunConfig) -> int:
             train_log[label] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
             logger.error("%s failed: %s", label, exc)
 
-    attacks = np.array([lab is not ClassLabel.NORMAL for lab in validation.labels], dtype=bool)
     stacked: dict[str, list[det_mod.DetectorModel]] = {}  # ensemble name -> its bases
     for name in cfg.ensembles:
         try:
@@ -179,9 +178,9 @@ def cmd_train(cfg: RunConfig) -> int:
     for name, bases in stacked.items():
         S = np.column_stack([next(columns) for _ in bases])
         try:
-            model = ens_mod.fit_ensemble(ens_mod.PRESETS[name], bases, S, attacks)
+            model = ens_mod.fit_ensemble(ens_mod.PRESETS[name], bases, S, validation.attacks)
             model.save(models_dir / f"{name}.json")
-            accuracy = float(((model.margin(S) > model.tau) == attacks).mean())
+            accuracy = float(((model.margin(S) > model.tau) == validation.attacks).mean())
             train_log[name] = {"status": "ok", "train_accuracy": accuracy}
             logger.info("fitted ensemble %s (train acc %.4f)", name, accuracy)
         except errors.PfcpBenchError as exc:
@@ -247,11 +246,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     models = _trained_models(run_dir, None)
     if not models:
         raise errors.ConfigError("no trained models to evaluate")
-    y = np.array([lab is not ClassLabel.NORMAL for lab in test.labels], dtype=bool)
     scores = eval_mod.score_models(models, test.matrix)
     scaled = pipeline.scaler is not None
     metrics = [
-        eval_mod.metrics_row(name, s, y, model.tau, scaled)
+        eval_mod.metrics_row(name, s, test.attacks, model.tau, scaled)
         for (name, model), s in zip(models, scores)
     ]
     eval_mod.emit_report("metrics", metrics, run_dir)
@@ -266,9 +264,7 @@ def cmd_attack(cfg: RunConfig) -> int:
     from_train = cfg.marginals_source == "train"
     pipeline, splits = _load_preprocessed(run_dir, ("test", "train") if from_train else ("test",))
     test = splits["test"]
-    attack_rows = test.subset(
-        np.array([lab is not ClassLabel.NORMAL for lab in test.labels], dtype=bool)
-    )
+    attack_rows = test.subset(test.attacks)
     models = _trained_models(run_dir, cfg.attack_targets)
     if not models:
         raise errors.ConfigError("no trained models to attack")

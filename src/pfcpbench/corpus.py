@@ -449,11 +449,9 @@ def build_splits(
     pairwise disjoint by row content (the bytes of each matrix row).
     """
     train = _load_sources(spec.train_sources, schema)
-    bad = [lab for lab in train.labels if lab is not ClassLabel.NORMAL]
+    bad = int(train.attacks.sum())
     if bad:
-        raise GuidelineViolation(
-            "GT4", f"{len(bad)} attack rows routed to the training split"
-        )
+        raise GuidelineViolation("GT4", f"{bad} attack rows routed to the training split")
     validation = _load_sources(spec.val_sources, schema)
     test = _load_sources(spec.test_sources, schema)
 
@@ -462,7 +460,7 @@ def build_splits(
     seen.update(row.tobytes() for row in validation.matrix)
     test = _drop_seen(test, seen, "test")
 
-    if not any(lab is not ClassLabel.NORMAL for lab in validation.labels):
+    if not validation.attacks.any():
         logger.warning(
             "validation split is benign-only; ensemble training will fail downstream"
         )

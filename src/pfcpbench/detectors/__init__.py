@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, MutableMapping
+from typing import AbstractSet, Callable, Mapping, MutableMapping
 
 import numpy as np
 
 from ..errors import FitError, GridSearchError, GuidelineViolation, SchemaError
 from ..seeding import rng_for
-from ..traffic import ClassLabel, LabeledDataset, malformed, write_bytes, write_json
+from ..traffic import LabeledDataset, malformed, write_bytes, write_json
 from . import bagging, density, geometric, statistical
 
 
@@ -51,96 +51,68 @@ class DetectorKind(Enum):
         raise SchemaError(f"unknown detector kind {name!r}")
 
 
-# kind -> (fit, score, default params, minimum training rows as fn(params))
-_REGISTRY = {
-    DetectorKind.HBOS: (statistical.fit_hbos, statistical.score_hbos, {"bins": 10}, lambda p: 1),
-    DetectorKind.COPOD: (statistical.fit_ecdf, statistical.score_copod, {}, lambda p: 1),
-    DetectorKind.ECOD: (statistical.fit_ecdf, statistical.score_ecod, {}, lambda p: 1),
-    DetectorKind.KNN: (
-        density.fit_knn,
-        density.score_knn,
-        {"k": 5},
-        lambda p: int(p["k"]) + 1,
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the catalog knows of one detector kind."""
+
+    fit: Callable  # (X, params, rng) -> state
+    score: Callable  # (state, Q) -> one score per row of Q
+    defaults: dict  # every hyperparameter, with its default value
+    state: AbstractSet[str]  # the keys of fit's state; a container must hold exactly these
+    min_rows: Callable[[Mapping], int]  # least training rows, given the params
+    # Whether a row's score does not depend on the other rows scored with it,
+    # bit for bit: ``score_batch(Q)[i] == score_batch(Q[i:i+1])[0]``.  An
+    # attack campaign scores each round's candidates in one call for these
+    # kinds only.  The others round differently with the shape of the batch:
+    # kNN, LOF, ABOD, FeatureBagging, PCA and LODA through their BLAS
+    # products, and every ensemble through its bases and stacker.  GMM's
+    # scoring sums in a fixed order; its EM solves are on the training side only.
+    row_invariant: bool
+
+
+def _k_plus_one(params: Mapping) -> int:
+    return int(params["k"]) + 1
+
+
+_KINDS = {
+    DetectorKind.HBOS: _Kind(statistical.fit_hbos, statistical.score_hbos, {"bins": 10},
+                             {"lo", "hi", "heights"}, lambda p: 1, row_invariant=True),
+    DetectorKind.COPOD: _Kind(statistical.fit_ecdf, statistical.score_copod, {},
+                              {"sorted", "skew_sign"}, lambda p: 1, row_invariant=True),
+    DetectorKind.ECOD: _Kind(statistical.fit_ecdf, statistical.score_ecod, {},
+                             {"sorted", "skew_sign"}, lambda p: 1, row_invariant=True),
+    DetectorKind.KNN: _Kind(density.fit_knn, density.score_knn, {"k": 5},
+                            {"train", "k"}, _k_plus_one, row_invariant=False),
+    DetectorKind.LOF: _Kind(density.fit_lof, density.score_lof, {"k": 20},
+                            {"train", "k", "train_kdist", "train_lrd"}, _k_plus_one,
+                            row_invariant=False),
+    DetectorKind.IFOREST: _Kind(
+        density.fit_iforest, density.score_iforest, {"trees": 100, "subsample": 256},
+        {"roots", "feature", "threshold", "right", "leaf_path", "depth", "psi"}, lambda p: 2,
+        row_invariant=True,
     ),
-    DetectorKind.LOF: (
-        density.fit_lof,
-        density.score_lof,
-        {"k": 20},
-        lambda p: int(p["k"]) + 1,
-    ),
-    DetectorKind.IFOREST: (
-        density.fit_iforest,
-        density.score_iforest,
-        {"trees": 100, "subsample": 256},
-        lambda p: 2,
-    ),
-    DetectorKind.LODA: (
-        density.fit_loda,
-        density.score_loda,
-        {"projections": 100, "bins": 10},
-        lambda p: 1,
-    ),
-    DetectorKind.INNE: (
-        density.fit_inne,
-        density.score_inne,
-        {"members": 200, "sample_size": 8},
-        lambda p: 2,
-    ),
-    DetectorKind.PCA: (
-        geometric.fit_pca,
-        geometric.score_pca,
-        {"variance_fraction": 0.95},
-        lambda p: 2,
-    ),
-    DetectorKind.ABOD: (
-        density.fit_knn,
-        geometric.score_abod,
-        {"k": 10},
-        lambda p: int(p["k"]) + 1,
-    ),
-    DetectorKind.GMM: (
-        geometric.fit_gmm,
-        geometric.score_gmm,
-        {"components": 4},
-        lambda p: int(p["components"]),
-    ),
-    DetectorKind.FEATURE_BAGGING: (
-        bagging.fit_feature_bagging,
-        bagging.score_feature_bagging,
+    DetectorKind.LODA: _Kind(density.fit_loda, density.score_loda,
+                             {"projections": 100, "bins": 10}, {"W", "lo", "hi", "masses"},
+                             lambda p: 1, row_invariant=False),
+    DetectorKind.INNE: _Kind(density.fit_inne, density.score_inne,
+                             {"members": 200, "sample_size": 8},
+                             {"centers", "radii", "nn_radii"}, lambda p: 2, row_invariant=True),
+    DetectorKind.PCA: _Kind(geometric.fit_pca, geometric.score_pca, {"variance_fraction": 0.95},
+                            {"mean", "components"}, lambda p: 2, row_invariant=False),
+    DetectorKind.ABOD: _Kind(density.fit_knn, geometric.score_abod, {"k": 10},
+                             {"train", "k"}, _k_plus_one, row_invariant=False),
+    DetectorKind.GMM: _Kind(geometric.fit_gmm, geometric.score_gmm, {"components": 4},
+                            {"means", "chols", "log_weights"}, lambda p: int(p["components"]),
+                            row_invariant=True),
+    DetectorKind.FEATURE_BAGGING: _Kind(
+        bagging.fit_feature_bagging, bagging.score_feature_bagging,
         {"bag_count": 10, "k": 20, "subset_range": None},
-        lambda p: int(p["k"]) + 1,
+        {"train", "k", "features", "train_kdist", "train_lrd", "mean", "sd"}, _k_plus_one,
+        row_invariant=False,
     ),
 }
 
-# kind -> the keys of the state its fit function returns; a container must
-# hold exactly these.
-_STATE_KEYS = {
-    DetectorKind.HBOS: {"lo", "hi", "heights"},
-    DetectorKind.COPOD: {"sorted", "skew_sign"},
-    DetectorKind.ECOD: {"sorted", "skew_sign"},
-    DetectorKind.KNN: {"train", "k"},
-    DetectorKind.LOF: {"train", "k", "train_kdist", "train_lrd"},
-    DetectorKind.IFOREST: {"roots", "feature", "threshold", "right", "leaf_path", "depth", "psi"},
-    DetectorKind.LODA: {"W", "lo", "hi", "masses"},
-    DetectorKind.INNE: {"centers", "radii", "nn_radii"},
-    DetectorKind.PCA: {"mean", "components"},
-    DetectorKind.ABOD: {"train", "k"},
-    DetectorKind.GMM: {"means", "chols", "log_weights"},
-    DetectorKind.FEATURE_BAGGING: {"train", "k", "features", "train_kdist", "train_lrd", "mean",
-                                   "sd"},
-}
-
-# Kinds whose score of a row does not depend on the other rows scored with
-# it, bit for bit: ``score_batch(Q)[i] == score_batch(Q[i:i+1])[0]``.  An
-# attack campaign scores each round's candidates in one call for these kinds
-# only.  The others round differently with the shape of the batch: kNN, LOF,
-# ABOD, FeatureBagging, PCA and LODA through their BLAS products, and every
-# ensemble through its bases and stacker.  GMM's scoring sums in a fixed
-# order; its EM solves are on the training side only.
-ROW_INVARIANT_KINDS = frozenset({
-    DetectorKind.HBOS, DetectorKind.COPOD, DetectorKind.ECOD, DetectorKind.IFOREST,
-    DetectorKind.INNE, DetectorKind.GMM,
-})
+ROW_INVARIANT_KINDS = frozenset(kind for kind, row in _KINDS.items() if row.row_invariant)
 
 DEFAULT_CONTAMINATION = 0.02
 # Integer hyperparameters whose least value is not 1: a one-row subsample
@@ -160,7 +132,7 @@ class DetectorConfig:
         c = self.contamination
         if not (isinstance(c, (int, float)) and not isinstance(c, bool) and 0.0 < c < 0.5):
             raise SchemaError(f"contamination must be a number in (0, 0.5), got {c!r}")
-        defaults = _REGISTRY[self.kind][2]
+        defaults = _KINDS[self.kind].defaults
         unknown = set(self.params) - set(defaults)
         if unknown:
             raise SchemaError(f"{self.kind.value}: unknown hyperparameters {sorted(unknown)}")
@@ -189,7 +161,7 @@ class DetectorModel:
             raise SchemaError(
                 f"{self.kind.value}: expected {self.d}-dimensional rows, got shape {Q.shape}"
             )
-        return _REGISTRY[self.kind][1](self.state, Q)
+        return _KINDS[self.kind].score(self.state, Q)
 
     def _container(self) -> tuple[dict, dict[str, bytes]]:
         """The container document, without its sha256, and its array files."""
@@ -236,7 +208,7 @@ class DetectorModel:
                 contamination=doc["contamination"],
             )
             state = decode_arrays(doc["state"], directory, loaded)
-            expected = _STATE_KEYS[config.kind]
+            expected = _KINDS[config.kind].state
             if set(state) != expected:
                 raise ValueError(f"{config.kind.value} state must hold exactly "
                                  f"{sorted(expected)}, got {sorted(state)}")
@@ -347,22 +319,21 @@ def check_container_digest(doc: dict, what: str) -> None:
 
 def calibrate_threshold(train_scores: np.ndarray, contamination: float) -> float:
     """Threshold at the (1 - contamination) training-score quantile,
-    linear-interpolation convention."""
-    if not 0.0 < contamination < 0.5:
-        raise SchemaError("contamination must lie in (0, 0.5)")
+    linear-interpolation convention.  ``contamination`` lies in (0, 0.5), as
+    ``DetectorConfig`` checks."""
     return float(np.quantile(np.asarray(train_scores, dtype=float), 1.0 - contamination))
 
 
 def fit(config: DetectorConfig, train: LabeledDataset, seed: int = 42) -> DetectorModel:
     """Fit one detector on benign training data and calibrate its threshold."""
-    bad = sum(1 for lab in train.labels if lab is not ClassLabel.NORMAL)
+    bad = int(train.attacks.sum())
     if bad:
         raise GuidelineViolation("GT4", f"{bad} attack rows in detector training data")
-    fit_fn, score_fn, defaults, min_rows = _REGISTRY[config.kind]
+    row = _KINDS[config.kind]
     d = len(train.schema)
     for name, value in config.params.items():
         least = _INT_MINIMUMS.get(name, 1)
-        if type(defaults[name]) is int and not (type(value) is int and value >= least):
+        if type(row.defaults[name]) is int and not (type(value) is int and value >= least):
             raise FitError(f"{config.kind.value}: {name} must be an integer of at least {least}, "
                            f"got {value!r}")
         if name == "variance_fraction" and not (type(value) in (int, float) and 0 < value <= 1):
@@ -373,14 +344,14 @@ def fit(config: DetectorConfig, train: LabeledDataset, seed: int = 42) -> Detect
         ):
             raise FitError(f"{config.kind.value}: {name} must be null or [lo, hi], integers "
                            f"with 1 <= lo <= hi and lo <= {d} features, got {value!r}")
-    if len(train) < min_rows(config.params):
+    least_rows = row.min_rows(config.params)
+    if len(train) < least_rows:
         raise FitError(
-            f"{config.kind.value} needs at least {min_rows(config.params)} training rows, "
-            f"got {len(train)}"
+            f"{config.kind.value} needs at least {least_rows} training rows, got {len(train)}"
         )
     X = train.matrix
-    state = fit_fn(X, config.params, rng_for(seed, "detector", config.kind.value))
-    train_scores = score_fn(state, X)  # what score_batch computes on X
+    state = row.fit(X, config.params, rng_for(seed, "detector", config.kind.value))
+    train_scores = row.score(state, X)  # what score_batch computes on X
     if not np.all(np.isfinite(train_scores)):
         raise FitError(f"{config.kind.value}: non-finite training scores")
     return DetectorModel(
@@ -410,9 +381,8 @@ def grid_search(
     """
     from ..evaluate import threshold_metrics
 
-    has_attack = any(lab is not ClassLabel.NORMAL for lab in validation.labels)
-    has_benign = any(lab is ClassLabel.NORMAL for lab in validation.labels)
-    if not (has_attack and has_benign):
+    y = validation.attacks
+    if not (y.any() and not y.all()):
         raise GridSearchError("labels required: validation must contain both classes")
 
     names = sorted(grid)
@@ -422,7 +392,6 @@ def grid_search(
                 f"{kind.value}: grid values of {name} must be a non-empty list, got {grid[name]!r}"
             )
     candidates = [dict(zip(names, combo)) for combo in itertools.product(*(grid[n] for n in names))]
-    y = np.array([lab is not ClassLabel.NORMAL for lab in validation.labels], dtype=bool)
     V = validation.matrix
 
     log: list[dict] = []

@@ -32,7 +32,6 @@ from .traffic import (
     CONTROL_PLANE_PROTOCOLS,
     MISSING_CODE,
     UNKNOWN_CODE,
-    ClassLabel,
     FeatureSchema,
     LabeledDataset,
     NumericDomain,
@@ -368,7 +367,7 @@ def fit_pipeline(
     gt1_patterns: Sequence[str] = DEFAULT_GT1_PATTERNS,
 ) -> PipelineModel:
     """Fit all pipeline state on the benign training split."""
-    bad = sum(1 for lab in train.labels if lab is not ClassLabel.NORMAL)
+    bad = int(train.attacks.sum())
     if bad:
         raise GuidelineViolation("GT4", f"{bad} attack rows in the training split")
 

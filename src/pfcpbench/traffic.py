@@ -17,6 +17,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -151,6 +152,8 @@ class CategoricalDomain:
 
     def __post_init__(self):
         ordered = tuple(sorted(self.labels))
+        if not ordered:
+            raise SchemaError("categorical domain needs at least one label")
         if len(set(ordered)) != len(ordered):
             raise SchemaError("categorical domain labels must be unique")
         object.__setattr__(self, "labels", ordered)
@@ -316,6 +319,13 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def attacks(self) -> np.ndarray:
+        """A read-only bool per row: true for each row not labeled ``NORMAL``."""
+        mask = np.array([lab is not ClassLabel.NORMAL for lab in self.labels], dtype=bool)
+        mask.flags.writeable = False
+        return mask
 
     def subset(self, mask: np.ndarray) -> "LabeledDataset":
         mask = np.asarray(mask)

@@ -196,6 +196,14 @@ def test_compliance_spec_rejects_unprotected_predicate_field():
         ComplianceSpec(ClassLabel.FLOOD, frozenset({"pfcp.flags"}), (("pfcp.msg_type", "=", "50"),))
 
 
+@pytest.mark.parametrize("relation", ["!=", ">=", "<", "<=", "=="])
+def test_compliance_spec_rejects_relation_outside_the_table(relation):
+    # only "=" and ">" are relations; the default rules use no other
+    with pytest.raises(SchemaError, match="unknown predicate relation"):
+        ComplianceSpec(ClassLabel.FLOOD, frozenset({"pfcp.msg_type"}),
+                       (("pfcp.msg_type", relation, "50"),))
+
+
 def test_feasible_set_narrowing(toy):
     schema, spec, _, source = toy
     narrowed = build_feasible_set(

@@ -97,6 +97,24 @@ def test_schema_rejects_duplicates():
         FeatureSchema(features=(desc, desc))
 
 
+def test_schema_rejects_empty_categorical_domain(tiny_schema):
+    # an empty label set has no code for an attack gene to take
+    doc = tiny_schema.to_json_dict()
+    doc["features"][0]["domain"] = {"labels": []}
+    with pytest.raises(SchemaError, match="at least one label"):
+        FeatureSchema.from_json_dict(doc)
+
+
+def test_attacks_mask_marks_non_normal_rows(tiny_schema):
+    labels = [ClassLabel.NORMAL, ClassLabel.FLOOD, ClassLabel.PDN0_FAULT, ClassLabel.NORMAL]
+    ds = LabeledDataset(tiny_schema, np.zeros((4, 3)), labels)
+    assert ds.attacks.dtype == bool
+    assert ds.attacks.tolist() == [False, True, True, False]
+    with pytest.raises(ValueError):
+        ds.attacks[0] = True
+    assert LabeledDataset(tiny_schema, np.zeros((0, 3)), []).attacks.shape == (0,)
+
+
 def test_vectors_are_immutable(tiny_schema):
     source = np.array([[0.0, 1.0, 2.0]])
     ds = LabeledDataset(tiny_schema, source, [ClassLabel.NORMAL])
