@@ -95,6 +95,18 @@ def _detector_kind(name: str) -> DetectorKind:
         raise ConfigError(f"detectors: unknown kind {name!r} (have {known})") from None
 
 
+def _attack_target(name: str) -> str:
+    """The model file stem ``name`` names: an ensemble preset as spelt, or a
+    detector kind in any case."""
+    if name in PRESETS:
+        return name
+    try:
+        return DetectorKind.parse(name).value
+    except SchemaError:
+        known = [kind.value for kind in DetectorKind] + sorted(PRESETS)
+        raise ConfigError(f"attack.targets: unknown model {name!r} (have {known})") from None
+
+
 def _class_label(value: str) -> ClassLabel:
     try:
         return ClassLabel(value)
@@ -264,7 +276,7 @@ def parse_run_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         ensembles=ensembles,
         algorithms=algorithms,
         attack=attack,
-        attack_targets=None if targets is None else tuple(targets),
+        attack_targets=None if targets is None else tuple(map(_attack_target, targets)),
         feasible={ClassLabel(key): entry for key, entry in attack_doc.get("feasible", {}).items()},
         marginals_source=marginals_source,
         include_traces=attack_doc.get("include_traces", False),

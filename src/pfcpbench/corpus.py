@@ -1,12 +1,12 @@
 """Dataset ingestion, split construction, and a synthetic PFCP-feature corpus.
 
-The synthetic generator produces benign control-plane traffic plus the five
-attack classes, each satisfying its compliance predicates by construction
-(out-of-pool TEIDs for restoration abuse, message type 50 floods, type 54
-deletions, type 52 modifications with forwarding disabled, and PDN-type-0
-session faults).  Attack rows additionally shift the attacker-controllable
-accounting fields (timing, volumes, lengths, TTL) outside the benign
-envelope, which is what one-class detectors key on.
+One generator, ``synth_rows``, draws benign control-plane traffic and the
+five attack classes.  Attack rows satisfy their class's compliance
+predicates by construction (out-of-pool TEIDs for restoration abuse, message
+type 50 floods, type 54 deletions, type 52 modifications with forwarding
+disabled, and PDN-type-0 session faults), and shift the
+attacker-controllable accounting fields (timing, volumes, lengths, TTL)
+outside the benign envelope, which is what one-class detectors key on.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import GuidelineViolation, IoError, SchemaError
 from .seeding import rng_for
 from .traffic import (
-    ATTACK_LABELS,
     CATEGORICAL,
     MISSING_CODE,
     MISSING_MARKER,
@@ -43,6 +42,22 @@ logger = logging.getLogger(__name__)
 DEFAULT_LABEL_COLUMN = "Label"
 UNKNOWN_MARKER = "__unknown__"
 
+# Benign label frequencies of each categorical field, with the RNG stream
+# that draws it; a table's labels are its field's domain in default_schema().
+# The rare codes double as the protected fingerprints of the attack tools, so
+# their rarity sets how much anomaly score an attacker cannot hide.
+BENIGN_LABELS = {
+    "ip.src": ("ip.src", {"10.45.0.2": 0.4, "10.45.0.3": 0.3, "10.45.0.4": 0.2, "10.45.0.5": 0.1}),
+    "ip.dst": ("ip.dst", {"10.45.0.1": 0.9, "10.45.0.10": 0.1}),
+    "ip.dsfield.dscp": ("dscp", {"0": 0.75, "10": 0.15, "46": 0.10}),
+    "pfcp.msg_type": ("msg_type", {"1": 0.340, "2": 0.330, "50": 0.0005, "51": 0.160,
+                                   "52": 0.0010, "53": 0.100, "54": 0.0006, "55": 0.0679}),
+    "pfcp.flags": ("flags", {"32": 0.700, "33": 0.0009, "36": 0.2991}),
+    "pfcp.s": ("s", {"0": 0.62, "1": 0.38}),
+    "pfcp.pdn_type": ("pdn", {"0": 0.003, "1": 0.932, "2": 0.065}),
+    "pfcp.apply_action.forw": ("forw", {"0": 0.03, "1": 0.97}),
+}
+
 
 def default_schema() -> FeatureSchema:
     """Schema of the synthetic corpus: tshark-style dotted fields.
@@ -51,31 +66,31 @@ def default_schema() -> FeatureSchema:
     pipeline re-learns tighter, training-observed domains for its output
     schema.
     """
-    cat = lambda name, proto, env, labels: FeatureDescriptor(
-        name, CATEGORICAL, proto, env, CategoricalDomain(tuple(labels))
+    cat = lambda name, proto, env: FeatureDescriptor(
+        name, CATEGORICAL, proto, env, CategoricalDomain(tuple(BENIGN_LABELS[name][1]))
     )
     num = lambda name, proto, env, lo, hi: FeatureDescriptor(
         name, "numerical", proto, env, NumericDomain(lo, hi)
     )
     features = (
         # Environment-dependent fields: dropped by the pipeline.
-        cat("ip.src", "ip", True, ("10.45.0.2", "10.45.0.3", "10.45.0.4", "10.45.0.5")),
-        cat("ip.dst", "ip", True, ("10.45.0.1", "10.45.0.10")),
+        cat("ip.src", "ip", True),
+        cat("ip.dst", "ip", True),
         num("udp.srcport", "udp", True, 0, 65535),
         num("udp.dstport", "udp", True, 0, 65535),
         num("frame.time_epoch", "meta", True, 0.0, 4.0e9),
         # Non-control-plane layer: dropped by protocol filtering.
         num("tcp.flags", "tcp", False, 0, 255),
         # Control-plane fields.
-        cat("ip.dsfield.dscp", "ip", False, ("0", "10", "46")),
+        cat("ip.dsfield.dscp", "ip", False),
         num("ip.ttl", "ip", False, 0, 255),
         num("ip.len", "ip", False, 0, 65535),
         num("udp.length", "udp", False, 0, 65535),
-        cat("pfcp.msg_type", "pfcp", False, ("1", "2", "50", "51", "52", "53", "54", "55")),
-        cat("pfcp.flags", "pfcp", False, ("32", "33", "36")),
-        cat("pfcp.s", "pfcp", False, ("0", "1")),
-        cat("pfcp.pdn_type", "pfcp", False, ("0", "1", "2")),
-        cat("pfcp.apply_action.forw", "pfcp", False, ("0", "1")),
+        cat("pfcp.msg_type", "pfcp", False),
+        cat("pfcp.flags", "pfcp", False),
+        cat("pfcp.s", "pfcp", False),
+        cat("pfcp.pdn_type", "pfcp", False),
+        cat("pfcp.apply_action.forw", "pfcp", False),
         num("pfcp.length", "pfcp", False, 0, 65535),
         num("pfcp.seqno", "pfcp", False, 0, 16777215),
         num("pfcp.seid", "pfcp", False, 0, 4294967295),
@@ -89,26 +104,37 @@ def default_schema() -> FeatureSchema:
     return FeatureSchema(features=features, version=1)
 
 
-# Benign category frequencies.  The rare codes double as the protected
-# fingerprints of the attack tools, so their rarity sets how much anomaly
-# score an attacker cannot hide.
-BENIGN_MSG_TYPE_PROBS = {
-    "1": 0.340,
-    "2": 0.330,
-    "50": 0.0005,
-    "51": 0.160,
-    "52": 0.0010,
-    "53": 0.100,
-    "54": 0.0006,
-    "55": 0.0679,
-}
-BENIGN_FLAGS_PROBS = {"32": 0.700, "33": 0.0009, "36": 0.2991}
-BENIGN_S_PROBS = {"0": 0.62, "1": 0.38}
-BENIGN_PDN_PROBS = {"0": 0.003, "1": 0.932, "2": 0.065}
-BENIGN_FORW_PROBS = {"0": 0.03, "1": 0.97}
-BENIGN_DSCP_PROBS = {"0": 0.75, "10": 0.15, "46": 0.10}
-
 TEID_POOL_MAX = 65536  # 1024 * 4 * 16: upper bound of the legitimate pool
+# A TEID's RNG stream and integer range: the legitimate pool, and the range
+# restoration abuse draws from beyond it.
+_IN_POOL = ("teid", 1024, TEID_POOL_MAX + 1)
+_OUT_OF_POOL = ("teid.out", TEID_POOL_MAX + 4096, 16_000_000)
+
+# Attack tools spoof their endpoints from the benign pools.
+_SPOOFED_ENDPOINTS = {
+    "ip.src": ("ip.src", {"10.45.0.2": 0.5, "10.45.0.5": 0.5}),
+    "ip.dst": ("ip.dst", {"10.45.0.1": 1.0}),
+}
+# The codes every attack tool writes.
+_TOOL_CODES = {"ip.dsfield.dscp": "0", "pfcp.flags": "33", "pfcp.s": "1", "pfcp.pdn_type": "1",
+               "pfcp.apply_action.forw": "1"}
+
+
+class _Tool(NamedTuple):
+    length: int  # base PFCP length
+    codes: dict[str, str]  # the class fingerprint, written over _TOOL_CODES
+    teid: tuple[str, int, int] = _IN_POOL
+
+
+_TOOLS = {
+    ClassLabel.RESTORATION_TEID: _Tool(40, {"pfcp.msg_type": "1"}, _OUT_OF_POOL),
+    ClassLabel.FLOOD: _Tool(50, {"pfcp.msg_type": "50"}),
+    # deletion requests carry a short fixed IE set
+    ClassLabel.DELETION: _Tool(54, {"pfcp.msg_type": "54"}),
+    ClassLabel.MODIFICATION: _Tool(68, {"pfcp.msg_type": "52", "pfcp.apply_action.forw": "0",
+                                        "pfcp.flags": "36"}),
+    ClassLabel.PDN0_FAULT: _Tool(62, {"pfcp.msg_type": "51", "pfcp.pdn_type": "0"}),
+}
 
 # Split sizes of the reference corpus (attack classes appear only in
 # validation and test, never in training).
@@ -133,21 +159,6 @@ BENCHMARK_SPLIT_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Knobs for the synthetic generator."""
-
-    n_benign: int
-    seed: int = 42
-    noise_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.n_benign < 0:
-            raise SchemaError("sample counts must be >= 0")
-        if self.noise_scale <= 0:
-            raise SchemaError("noise_scale must be > 0")
-
-
 def _choice(rng: np.random.Generator, probs: Mapping[str, float], n: int) -> np.ndarray:
     labels = sorted(probs)
     p = np.array([probs[k] for k in labels], dtype=float)
@@ -158,142 +169,82 @@ def _truncnorm(rng, n, center, sd, lo, hi, scale=1.0, integer=False):
     return np.rint(vals) if integer else vals
 
 
-def _assemble(
-    schema: FeatureSchema, columns: Mapping[str, np.ndarray], labels: Sequence[ClassLabel]
+def _session(rng, n, s, length, labels, teid=_IN_POOL) -> dict[str, np.ndarray]:
+    """The columns both recipes draw alike: each categorical field of
+    ``labels`` from its frequencies, then the endpoint, length, SEID and TEID
+    columns, where ``length`` is the PFCP length's (center, sd, lo, hi)."""
+    pfcp_len = _truncnorm(rng("pfcp.length"), n, *length, s)
+    stream, lo, hi = teid
+    return {
+        **{name: _choice(rng(key), probs, n) for name, (key, probs) in labels.items()},
+        "udp.srcport": rng("udp.srcport").integers(32768, 61000, size=n).astype(float),
+        "udp.dstport": np.full(n, 8805.0),
+        "frame.time_epoch": rng("time").uniform(1.70e9, 1.70e9 + 3600, size=n),
+        "ip.len": pfcp_len + 36 + rng("ip.len").normal(0, 2 * s, size=n),
+        "udp.length": pfcp_len + 8,
+        "pfcp.length": pfcp_len,
+        "pfcp.seid": rng("seid").integers(1, 50001, size=n).astype(float),
+        "pfcp.f_teid.teid": rng(stream).integers(lo, hi, size=n).astype(float),
+    }
+
+
+def synth_rows(
+    kind: ClassLabel, n: int, seed: int, schema: FeatureSchema, noise_scale: float = 1.0
 ) -> LabeledDataset:
-    M = np.empty((len(labels), len(schema)))
+    """``n`` synthetic rows of class ``kind``; each column draws from its own
+    RNG stream, named by ``seed``, the class and the column.
+
+    Benign numerics are truncated normals (or uniforms over pools) whose
+    spread scales with ``noise_scale``; lengths and volumes are internally
+    correlated so that regression-based imputation has signal to exploit.
+    Attack rows carry their tool's class fingerprint in the protected
+    fields, and tool-typical values outside the benign envelope in the
+    controllable accounting fields (zero durations and volumes, low TTL,
+    short crafted lengths, high sequence numbers).
+    """
+    s = noise_scale
+    if kind is ClassLabel.NORMAL:
+        rng = lambda name: rng_for(seed, "benign", name)
+        tovol = np.clip(np.exp(rng("tovol").normal(10.2, 0.55 * s, size=n)), 800, 600000)
+        columns = {
+            **_session(rng, n, s, (92, 16, 48, 160), BENIGN_LABELS),
+            "ip.ttl": _truncnorm(rng("ip.ttl"), n, 62, 1.8, 56, 68, s, integer=True),
+            "pfcp.seqno": _truncnorm(rng("seqno"), n, 12000, 5000, 1, 30000, s, integer=True),
+            "pfcp.ie_len": _truncnorm(rng("ie_len"), n, 64, 11, 24, 120, s, integer=True),
+            "pfcp.duration_measurement": _truncnorm(rng("duration"), n, 110, 55, 1, 600, s),
+            "pfcp.recovery_time_stamp": _truncnorm(
+                rng("recovery"), n, 3.9e9, 60, 3.9e9 - 240, 3.9e9 + 240, s
+            ),
+            "pfcp.volume_measurement.tovol": tovol,
+            "pfcp.volume_measurement.dlvol": tovol * rng("dlvol").uniform(0.45, 0.75, size=n),
+        }
+    else:
+        tool = _TOOLS[kind]
+        rng = lambda name: rng_for(seed, "attack", kind.value, name)
+        length = (tool.length, 1.5, tool.length - 6, tool.length + 6)
+        columns = {
+            **_session(rng, n, s, length, _SPOOFED_ENDPOINTS, tool.teid),
+            **{name: np.full(n, code, dtype=object)
+               for name, code in {**_TOOL_CODES, **tool.codes}.items()},
+            "ip.ttl": _truncnorm(rng("ip.ttl"), n, 48, 1.0, 46, 50, s, integer=True),
+            "pfcp.seqno": rng("seqno").integers(35000, 64001, size=n).astype(float),
+            "pfcp.ie_len": rng("ie_len").integers(8, 17, size=n).astype(float),
+            "pfcp.duration_measurement": np.zeros(n),
+            "pfcp.recovery_time_stamp": 3.9e9 - 5000 + rng("recovery").normal(0, 100 * s, size=n),
+            "pfcp.volume_measurement.tovol": np.zeros(n),
+            "pfcp.volume_measurement.dlvol": np.zeros(n),
+        }
+    M = np.empty((n, len(schema)))
     for j, f in enumerate(schema.features):
         col = columns.get(f.name)
         if col is None:
             M[:, j] = MISSING_CODE if f.kind == CATEGORICAL else np.nan
         elif f.kind == CATEGORICAL:
             lookup = {lab: i for i, lab in enumerate(f.domain.labels)}
-            M[:, j] = [lookup[str(v)] for v in col]
+            M[:, j] = [lookup[v] for v in col]
         else:
             M[:, j] = col
-    return LabeledDataset(schema, M, labels)
-
-
-def synth_benign(cfg: SynthConfig, schema: FeatureSchema) -> LabeledDataset:
-    """Benign PFCP-like vectors.
-
-    Numerics are truncated normals (or uniforms over pools) whose spread
-    scales with ``cfg.noise_scale``; lengths and volumes are internally
-    correlated so that regression-based imputation has signal to exploit.
-    """
-    n = cfg.n_benign
-    s = cfg.noise_scale
-    rng = lambda name: rng_for(cfg.seed, "benign", name)
-    pfcp_len = _truncnorm(rng("pfcp.length"), n, 92, 16, 48, 160, s)
-    tovol = np.clip(np.exp(rng("tovol").normal(10.2, 0.55 * s, size=n)), 800, 600000)
-    columns = {
-        "ip.src": _choice(rng("ip.src"), {"10.45.0.2": 0.4, "10.45.0.3": 0.3, "10.45.0.4": 0.2, "10.45.0.5": 0.1}, n),
-        "ip.dst": _choice(rng("ip.dst"), {"10.45.0.1": 0.9, "10.45.0.10": 0.1}, n),
-        "udp.srcport": rng("udp.srcport").integers(32768, 61000, size=n).astype(float),
-        "udp.dstport": np.full(n, 8805.0),
-        "frame.time_epoch": rng("time").uniform(1.70e9, 1.70e9 + 3600, size=n),
-        "ip.dsfield.dscp": _choice(rng("dscp"), BENIGN_DSCP_PROBS, n),
-        "ip.ttl": _truncnorm(rng("ip.ttl"), n, 62, 1.8, 56, 68, s, integer=True),
-        "ip.len": pfcp_len + 36 + rng("ip.len").normal(0, 2 * s, size=n),
-        "udp.length": pfcp_len + 8,
-        "pfcp.msg_type": _choice(rng("msg_type"), BENIGN_MSG_TYPE_PROBS, n),
-        "pfcp.flags": _choice(rng("flags"), BENIGN_FLAGS_PROBS, n),
-        "pfcp.s": _choice(rng("s"), BENIGN_S_PROBS, n),
-        "pfcp.pdn_type": _choice(rng("pdn"), BENIGN_PDN_PROBS, n),
-        "pfcp.apply_action.forw": _choice(rng("forw"), BENIGN_FORW_PROBS, n),
-        "pfcp.length": pfcp_len,
-        "pfcp.seqno": _truncnorm(rng("seqno"), n, 12000, 5000, 1, 30000, s, integer=True),
-        "pfcp.seid": rng("seid").integers(1, 50001, size=n).astype(float),
-        "pfcp.f_teid.teid": rng("teid").integers(1024, TEID_POOL_MAX + 1, size=n).astype(float),
-        "pfcp.ie_len": _truncnorm(rng("ie_len"), n, 64, 11, 24, 120, s, integer=True),
-        "pfcp.duration_measurement": _truncnorm(rng("duration"), n, 110, 55, 1, 600, s),
-        "pfcp.recovery_time_stamp": _truncnorm(rng("recovery"), n, 3.9e9, 60, 3.9e9 - 240, 3.9e9 + 240, s),
-        "pfcp.volume_measurement.tovol": tovol,
-        "pfcp.volume_measurement.dlvol": tovol * rng("dlvol").uniform(0.45, 0.75, size=n),
-    }
-    return _assemble(schema, columns, [ClassLabel.NORMAL] * n)
-
-
-def synth_attack(
-    kind: ClassLabel, n: int, seed: int, schema: FeatureSchema, noise_scale: float = 1.0
-) -> LabeledDataset:
-    """Attack rows of one class, compliant with that class's predicates.
-
-    Controllable accounting fields take tool-typical values outside the
-    benign envelope (zero durations and volumes, low TTL, short crafted
-    lengths, high sequence numbers); protected fields carry the class
-    fingerprint.
-    """
-    if kind is ClassLabel.NORMAL:
-        raise SchemaError("synth_attack requires an attack class")
-    s = noise_scale
-    rng = lambda name: rng_for(seed, "attack", kind.value, name)
-    base_len = {
-        ClassLabel.RESTORATION_TEID: 40,
-        ClassLabel.FLOOD: 50,
-        ClassLabel.DELETION: 54,  # deletion requests carry a short fixed IE set
-        ClassLabel.MODIFICATION: 68,
-        ClassLabel.PDN0_FAULT: 62,
-    }[kind]
-    pfcp_len = _truncnorm(rng("pfcp.length"), n, base_len, 1.5, base_len - 6, base_len + 6, s)
-    columns = {
-        # Spoofed endpoint data: drawn from the benign pools.
-        "ip.src": _choice(rng("ip.src"), {"10.45.0.2": 0.5, "10.45.0.5": 0.5}, n),
-        "ip.dst": _choice(rng("ip.dst"), {"10.45.0.1": 1.0}, n),
-        "udp.srcport": rng("udp.srcport").integers(32768, 61000, size=n).astype(float),
-        "udp.dstport": np.full(n, 8805.0),
-        "frame.time_epoch": rng("time").uniform(1.70e9, 1.70e9 + 3600, size=n),
-        "ip.dsfield.dscp": np.full(n, "0", dtype=object),
-        "ip.ttl": _truncnorm(rng("ip.ttl"), n, 48, 1.0, 46, 50, s, integer=True),
-        "ip.len": pfcp_len + 36 + rng("ip.len").normal(0, 2 * s, size=n),
-        "udp.length": pfcp_len + 8,
-        "pfcp.flags": np.full(n, "33", dtype=object),
-        "pfcp.s": np.full(n, "1", dtype=object),
-        "pfcp.pdn_type": np.full(n, "1", dtype=object),
-        "pfcp.apply_action.forw": np.full(n, "1", dtype=object),
-        "pfcp.length": pfcp_len,
-        "pfcp.seqno": rng("seqno").integers(35000, 64001, size=n).astype(float),
-        "pfcp.seid": rng("seid").integers(1, 50001, size=n).astype(float),
-        "pfcp.f_teid.teid": rng("teid").integers(1024, TEID_POOL_MAX + 1, size=n).astype(float),
-        "pfcp.ie_len": rng("ie_len").integers(8, 17, size=n).astype(float),
-        "pfcp.duration_measurement": np.zeros(n),
-        "pfcp.recovery_time_stamp": 3.9e9 - 5000 + rng("recovery").normal(0, 100 * s, size=n),
-        "pfcp.volume_measurement.tovol": np.zeros(n),
-        "pfcp.volume_measurement.dlvol": np.zeros(n),
-    }
-    if kind is ClassLabel.RESTORATION_TEID:
-        columns["pfcp.msg_type"] = np.full(n, "1", dtype=object)
-        columns["pfcp.f_teid.teid"] = rng("teid.out").integers(
-            TEID_POOL_MAX + 4096, 16_000_000, size=n
-        ).astype(float)
-    elif kind is ClassLabel.FLOOD:
-        columns["pfcp.msg_type"] = np.full(n, "50", dtype=object)
-    elif kind is ClassLabel.DELETION:
-        columns["pfcp.msg_type"] = np.full(n, "54", dtype=object)
-    elif kind is ClassLabel.MODIFICATION:
-        columns["pfcp.msg_type"] = np.full(n, "52", dtype=object)
-        columns["pfcp.apply_action.forw"] = np.full(n, "0", dtype=object)
-        columns["pfcp.flags"] = np.full(n, "36", dtype=object)
-    elif kind is ClassLabel.PDN0_FAULT:
-        columns["pfcp.msg_type"] = np.full(n, "51", dtype=object)
-        columns["pfcp.pdn_type"] = np.full(n, "0", dtype=object)
-    return _assemble(schema, columns, [kind] * n)
-
-
-def synth_corpus(
-    counts: Mapping[ClassLabel, int], seed: int, schema: FeatureSchema, noise_scale: float = 1.0
-) -> LabeledDataset:
-    """One dataset mixing benign rows and any requested attack classes."""
-    parts = []
-    cfg = SynthConfig(
-        n_benign=counts.get(ClassLabel.NORMAL, 0), seed=seed, noise_scale=noise_scale
-    )
-    parts.append(synth_benign(cfg, schema))
-    for kind in ATTACK_LABELS:
-        n = counts.get(kind, 0)
-        if n > 0:
-            parts.append(synth_attack(kind, n, seed, schema, noise_scale))
-    return LabeledDataset.concat(parts)
+    return LabeledDataset(schema, M, [kind] * n)
 
 
 def synth_benchmark_splits(
@@ -306,17 +257,14 @@ def synth_benchmark_splits(
     """
     if schema is None:
         schema = default_schema()
-
-    def scaled(counts: Mapping[ClassLabel, int]) -> dict[ClassLabel, int]:
-        return {
-            k: (max(1, int(round(v * scale))) if v else 0) for k, v in counts.items()
-        }
-
     out = []
     for split_name, counts in BENCHMARK_SPLIT_COUNTS.items():
-        out.append(
-            synth_corpus(scaled(counts), rng_for(seed, "split", split_name).integers(2**31), schema, noise_scale)
-        )
+        split_seed = rng_for(seed, "split", split_name).integers(2**31)
+        sizes = {kind: max(1, int(round(count * scale))) for kind, count in counts.items()}
+        out.append(LabeledDataset.concat([
+            synth_rows(kind, sizes[kind], split_seed, schema, noise_scale)
+            for kind in ClassLabel if kind in sizes
+        ]))
     return tuple(out)
 
 
@@ -331,14 +279,19 @@ def load_csv(
 ) -> LabeledDataset:
     """Load a tshark-export style CSV against ``schema``.
 
-    Empty cells are missing values.  Columns absent from the schema are
-    ignored with a warning; schema features absent from the header load as
-    all-missing.  Rows are labeled from ``label_column`` when present,
+    Empty cells are missing values, and so are the absent cells of a short
+    row.  Columns absent from the schema are ignored with a warning; schema
+    features absent from the header load as all-missing.  A header that
+    names a column twice, or a row with more cells than the header, is a
+    ``SchemaError``.  Rows are labeled from ``label_column`` when present,
     Normal otherwise.
     """
     path = Path(path)
-    reader = csv.DictReader(read_text(path).splitlines())
-    header = reader.fieldnames or []
+    reader = csv.reader(read_text(path).splitlines())
+    header = next(reader, [])
+    repeats = sorted({h for h in header if header.count(h) > 1})
+    if repeats:
+        raise SchemaError(f"{path}: header names {repeats} more than once")
     schema_names = set(schema.names)
     matched = [h for h in header if h in schema_names]
     if not matched:
@@ -354,7 +307,13 @@ def load_csv(
     ]
     rows: list[list[float]] = []
     labels: list[ClassLabel] = []
-    for record in reader:
+    for cells in reader:
+        if not cells:
+            continue
+        if len(cells) > len(header):
+            raise SchemaError(f"{path}: line {reader.line_num} has {len(cells)} cells, "
+                              f"the header {len(header)}")
+        record = dict(zip(header, cells))
         rows.append([parse(record.get(name) or MISSING_MARKER) for name, parse in parsers])
         raw_label = (record.get(label_column) or "") if label_column else ""
         labels.append(parse_label(raw_label) if raw_label.strip() else ClassLabel.NORMAL)

@@ -14,11 +14,10 @@ import pytest
 
 from pfcpbench.cli import main as cli_main
 from pfcpbench.corpus import (
-    SynthConfig,
     build_splits,
     class_distribution,
     default_schema,
-    synth_benign,
+    synth_rows,
 )
 from pfcpbench.detectors import DetectorConfig, DetectorKind, fit
 from pfcpbench.evaluate import auc, threshold_metrics
@@ -75,7 +74,7 @@ def test_criterion_2_scaler_imputer_correctness():
         schema = default_schema()
         # reference train size (odd), with missing cells injected across
         # every kept feature family
-        train = synth_benign(SynthConfig(n_benign=21341, seed=42), schema)
+        train = synth_rows(ClassLabel.NORMAL, 21341, 42, schema)
         rng = np.random.default_rng(77)
         num_pos = list(schema.numerical_positions)
         cat_pos = [pos for pos in range(len(schema)) if pos not in num_pos]

@@ -24,7 +24,7 @@ from pfcpbench.attack import (
     run_campaign,
     scale_compliance,
 )
-from pfcpbench.corpus import SynthConfig, default_schema, synth_attack, synth_benign
+from pfcpbench.corpus import default_schema, synth_rows
 from pfcpbench.detectors import ROW_INVARIANT_KINDS, DetectorConfig, DetectorKind, fit
 from pfcpbench.errors import (
     BudgetExhausted,
@@ -159,7 +159,7 @@ def test_compliance_predicates(toy):
 
 def test_deletion_message_type_predicate():
     schema = default_schema()
-    ds = synth_attack(ClassLabel.DELETION, 3, 5, schema)
+    ds = synth_rows(ClassLabel.DELETION, 3, 5, schema)
     spec = DEFAULT_COMPLIANCE_RULES[ClassLabel.DELETION]
     row = ds.matrix[0]
     assert check_compliant(spec, schema, row)
@@ -982,11 +982,11 @@ def test_campaign_compliance_checks_do_not_grow_with_budget(toy, monkeypatch):
 
 def test_scale_compliance_maps_thresholds():
     schema = default_schema()
-    train = synth_benign(SynthConfig(n_benign=400, seed=8), schema)
+    train = synth_rows(ClassLabel.NORMAL, 400, 8, schema)
     pipeline = fit_pipeline(train, scaling_enabled=True)
     raw_spec = DEFAULT_COMPLIANCE_RULES[ClassLabel.RESTORATION_TEID]
     scaled_spec = scale_compliance(raw_spec, pipeline)
-    attacks = synth_attack(ClassLabel.RESTORATION_TEID, 10, 8, schema)
+    attacks = synth_rows(ClassLabel.RESTORATION_TEID, 10, 8, schema)
     transformed = transform(pipeline, attacks)
     M = transformed.matrix
     for i in range(len(transformed)):

@@ -355,6 +355,25 @@ def test_attack_respects_algorithm_restriction(tmp_path):
     assert not (run_dir / "campaign-HBOS-GA_DE.jsonl").exists()
 
 
+def test_attack_targets_resolve_to_model_file_names():
+    doc = {**BASE_CONFIG, "attack": {"targets": ["knn", " IFOREST ", "featurebagging", "HKGIP"]}}
+    assert parse_run_config(doc).attack_targets == ("kNN", "IForest", "FeatureBagging", "HKGIP")
+
+
+@pytest.mark.parametrize(
+    "targets, attacked", [(["knn"], {"kNN"}), (["HBOS", "knn"], {"HBOS", "kNN"})],
+    ids=["knn", "HBOS-knn"],
+)
+def test_attack_targets_name_detector_kinds_in_any_case(tmp_path, targets, attacked):
+    # detectors[].kind ignores case, so a target names the same model
+    config = write_config(tmp_path, detectors=[{"kind": "HBOS"}, {"kind": "knn"}],
+                          attack={"algorithms": ["RS"], "targets": targets, "budget": 3})
+    for cmd in ("preprocess", "train", "attack"):
+        assert run(cmd, config) == 0
+    evasion = json.loads((only_run_dir(tmp_path) / "evasion.json").read_text())
+    assert {e["model"] for e in evasion} == attacked
+
+
 def test_attack_without_algorithms_writes_an_empty_evasion_table(tmp_path):
     # with no campaign to draw from them, no marginals are estimated: the
     # attack rows give the default J's ip.ttl none, and this still exits 0
@@ -854,8 +873,10 @@ def test_repeated_name_is_config_error(tmp_path, monkeypatch, capsys, updates, n
         ({"detectors": [{"kind": "nope"}]}, "detectors: unknown kind 'nope'"),
         ({"ensembles": ["HKXYZ"]}, "unknown ensemble preset 'HKXYZ'"),
         ({"attack": {"algorithms": ["GA_XX"]}}, "unknown attack algorithm 'GA_XX'"),
+        ({"attack": {"targets": ["HBOS", "nope"]}}, "attack.targets: unknown model 'nope'"),
+        ({"attack": {"targets": ["hkgip"]}}, "attack.targets: unknown model 'hkgip'"),
     ],
-    ids=["detector-kind", "ensemble-preset", "algorithm"],
+    ids=["detector-kind", "ensemble-preset", "algorithm", "target", "target-preset-case"],
 )
 def test_unknown_name_is_config_error(tmp_path, monkeypatch, capsys, updates, named):
     monkeypatch.chdir(tmp_path)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,13 @@ from pfcpbench.corpus import (
     TEID_POOL_MAX,
     SplitSource,
     SplitSpec,
-    SynthConfig,
     build_splits,
     class_distribution,
     default_schema,
     load_csv,
     save_csv,
-    synth_attack,
-    synth_benign,
     synth_benchmark_splits,
+    synth_rows,
 )
 from pfcpbench.errors import GuidelineViolation, IoError, SchemaError
 from pfcpbench.traffic import ATTACK_LABELS, MISSING_CODE, UNKNOWN_CODE, ClassLabel
@@ -56,6 +56,29 @@ def test_load_csv_reads_a_non_finite_cell_as_missing(tmp_path, tiny_schema, cell
     assert np.isnan(ds.matrix[0, 1]) and ds.matrix[0, 2] == 2.0
 
 
+def test_load_csv_rejects_a_header_that_names_a_column_twice(tmp_path, schema):
+    # read by name, the second ip.ttl cell (200) would hide the first
+    path = tmp_path / "rows.csv"
+    path.write_text("ip.ttl,pfcp.seqno,ip.ttl,Label\n60,7,200,normal\n")
+    with pytest.raises(SchemaError, match=r"header names \['ip.ttl'\] more than once"):
+        load_csv(path, schema)
+
+
+def test_load_csv_rejects_a_row_longer_than_its_header(tmp_path, tiny_schema):
+    path = tmp_path / "rows.csv"
+    path.write_text("proto.kind,proto.len,proto.count\nA,1,2\n\nB,3,4,5\n")
+    with pytest.raises(SchemaError, match="line 4 has 4 cells, the header 3"):
+        load_csv(path, tiny_schema)
+
+
+def test_load_csv_reads_the_absent_cells_of_a_short_row_as_missing(tmp_path, tiny_schema):
+    path = tmp_path / "rows.csv"
+    path.write_text("proto.kind,proto.len,proto.count,Label\nB,2.5\n")
+    ds = load_csv(path, tiny_schema)
+    assert ds.matrix[0, :2].tolist() == [1, 2.5] and np.isnan(ds.matrix[0, 2])
+    assert ds.labels == (ClassLabel.NORMAL,)
+
+
 def test_load_csv_ignores_extra_columns(tmp_path, tiny_schema, caplog):
     path = tmp_path / "rows.csv"
     path.write_text("proto.kind,proto.len,proto.count,bogus\nA,1,2,zzz\n")
@@ -78,7 +101,7 @@ def test_load_csv_missing_file(tiny_schema):
 
 
 def test_csv_roundtrip(tmp_path, schema):
-    ds = synth_benign(SynthConfig(n_benign=50, seed=7), schema)
+    ds = synth_rows(ClassLabel.NORMAL, 50, 7, schema)
     path = tmp_path / "out.csv"
     save_csv(ds, path, seed=7)
     loaded = load_csv(path, schema)
@@ -91,36 +114,31 @@ def test_csv_roundtrip(tmp_path, schema):
 
 
 def test_synth_benign_deterministic(schema):
-    cfg = SynthConfig(n_benign=100, seed=42)
-    a, b = synth_benign(cfg, schema), synth_benign(cfg, schema)
+    a = synth_rows(ClassLabel.NORMAL, 100, 42, schema)
+    b = synth_rows(ClassLabel.NORMAL, 100, 42, schema)
     assert np.array_equal(a.matrix, b.matrix, equal_nan=True)
 
 
 def test_synth_benign_empty(schema):
-    assert len(synth_benign(SynthConfig(n_benign=0, seed=1), schema)) == 0
+    assert len(synth_rows(ClassLabel.NORMAL, 0, 1, schema)) == 0
 
 
 def test_benign_teids_stay_in_pool(schema):
     # derived bound: scan the generated TEID column against the pool limit
-    ds = synth_benign(SynthConfig(n_benign=2000, seed=42), schema)
+    ds = synth_rows(ClassLabel.NORMAL, 2000, 42, schema)
     col = schema.position("pfcp.f_teid.teid")
     assert (ds.matrix[:, col] <= TEID_POOL_MAX).all()
     assert (ds.matrix[:, col] >= 1024).all()
 
 
 def test_synth_attack_deterministic(schema):
-    a = synth_attack(ClassLabel.FLOOD, 25, 9, schema)
-    b = synth_attack(ClassLabel.FLOOD, 25, 9, schema)
+    a = synth_rows(ClassLabel.FLOOD, 25, 9, schema)
+    b = synth_rows(ClassLabel.FLOOD, 25, 9, schema)
     assert np.array_equal(a.matrix, b.matrix, equal_nan=True)
 
 
-def test_synth_attack_rejects_normal(schema):
-    with pytest.raises(SchemaError):
-        synth_attack(ClassLabel.NORMAL, 5, 1, schema)
-
-
 def test_deletion_rows_carry_message_type_54(schema):
-    ds = synth_attack(ClassLabel.DELETION, 13, 3, schema)
+    ds = synth_rows(ClassLabel.DELETION, 13, 3, schema)
     assert len(ds) == 13
     col = schema.position("pfcp.msg_type")
     code_54 = schema.features[col].domain.code_of("54")
@@ -128,7 +146,7 @@ def test_deletion_rows_carry_message_type_54(schema):
 
 
 def test_restoration_teids_exceed_pool(schema):
-    ds = synth_attack(ClassLabel.RESTORATION_TEID, 20, 3, schema)
+    ds = synth_rows(ClassLabel.RESTORATION_TEID, 20, 3, schema)
     col = schema.position("pfcp.f_teid.teid")
     assert (ds.matrix[:, col] > TEID_POOL_MAX).all()
 
@@ -136,7 +154,7 @@ def test_restoration_teids_exceed_pool(schema):
 @pytest.mark.parametrize("kind", ATTACK_LABELS)
 def test_generator_rows_are_compliant(schema, kind):
     # every generated row satisfies its class predicates
-    ds = synth_attack(kind, 40, 11, schema)
+    ds = synth_rows(kind, 40, 11, schema)
     spec = DEFAULT_COMPLIANCE_RULES[kind]
     assert all(check_compliant(spec, schema, row) for row in ds.matrix)
 
@@ -145,8 +163,8 @@ def test_generator_rows_are_compliant(schema, kind):
 
 
 def _write_corpus(tmp_path, schema):
-    benign = synth_benign(SynthConfig(n_benign=60, seed=5), schema)
-    attacks = synth_attack(ClassLabel.FLOOD, 12, 5, schema)
+    benign = synth_rows(ClassLabel.NORMAL, 60, 5, schema)
+    attacks = synth_rows(ClassLabel.FLOOD, 12, 5, schema)
     benign_path = tmp_path / "benign.csv"
     attack_path = tmp_path / "attacks.csv"
     save_csv(benign, benign_path)
@@ -220,7 +238,7 @@ def test_build_splits_disjoint(tmp_path, schema):
 def test_benign_only_validation_warns(tmp_path, schema, caplog):
     benign_path, _ = _write_corpus(tmp_path, schema)
     half = tmp_path / "half.csv"
-    save_csv(synth_benign(SynthConfig(n_benign=10, seed=77), schema), half)
+    save_csv(synth_rows(ClassLabel.NORMAL, 10, 77, schema), half)
     spec = SplitSpec(
         train_sources=(SplitSource(str(benign_path)),),
         val_sources=(SplitSource(str(half)),),
@@ -235,14 +253,14 @@ def test_benign_only_validation_warns(tmp_path, schema, caplog):
 
 
 def test_class_distribution_counts(schema):
-    ds = synth_attack(ClassLabel.MODIFICATION, 5, 2, schema)
+    ds = synth_rows(ClassLabel.MODIFICATION, 5, 2, schema)
     dist = class_distribution(ds)
     assert dist[ClassLabel.MODIFICATION] == 5
     assert sum(dist.values()) == 5
 
 
 def test_class_distribution_empty(schema):
-    ds = synth_benign(SynthConfig(n_benign=0, seed=0), schema)
+    ds = synth_rows(ClassLabel.NORMAL, 0, 0, schema)
     assert all(v == 0 for v in class_distribution(ds).values())
 
 
@@ -264,8 +282,21 @@ def test_benchmark_split_proportions(schema):
     assert test_dist[ClassLabel.PDN0_FAULT] == 12
 
 
-def test_synth_config_validation():
-    with pytest.raises(SchemaError):
-        SynthConfig(n_benign=-1)
-    with pytest.raises(SchemaError):
-        SynthConfig(n_benign=1, noise_scale=0.0)
+@pytest.mark.parametrize(
+    "kwargs, digest",
+    [
+        ({"seed": 42, "scale": 0.05},
+         "02d0777dbc80bad5742cd4195a092afa082d8049b418f394617d8aba72db2ccf"),
+        ({"seed": 7, "scale": 0.02, "noise_scale": 0.5},
+         "09bc8c175b06d33b37703abc7c1e407e8b903836aa6fe392e12cd9cd9bfa8f80"),
+    ],
+    ids=["seed42-scale0.05", "seed7-scale0.02-noise0.5"],
+)
+def test_benchmark_splits_match_their_golden_digest(kwargs, digest):
+    # every run output starts from these bytes: a generator edit that moves
+    # one draw changes every report
+    h = hashlib.sha256()
+    for ds in synth_benchmark_splits(**kwargs):
+        h.update(ds.matrix.tobytes())
+        h.update("\n".join(label.value for label in ds.labels).encode())
+    assert h.hexdigest() == digest

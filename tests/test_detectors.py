@@ -765,6 +765,64 @@ def test_pca_all_components_reconstructs_training_points():
     assert np.abs(s).max() < 1e-18
 
 
+def test_pca_scores_the_squared_distance_to_the_training_plane():
+    # training rows on the affine plane c + a*u + b*v: two components keep
+    # all their variance, and a query's residual is its offset along the
+    # plane's normal
+    rng = np.random.default_rng(8)
+    u = np.array([1.0, 2.0, 2.0]) / 3.0
+    v = np.array([2.0, 1.0, -2.0]) / 3.0
+    normal = np.cross(u, v)
+    c = np.array([4.0, -1.0, 0.5])
+    X = c + np.outer(rng.normal(0, 3, 60), u) + np.outer(rng.normal(0, 1, 60), v)
+    model = fit(
+        DetectorConfig(kind=DetectorKind.PCA, params={"variance_fraction": 0.99}),
+        numeric_dataset(X),
+    )
+    assert model.state["components"].shape == (2, 3)
+    Q = np.vstack([X[:5], rng.normal(0, 5, size=(20, 3))])
+    want = ((Q - c) @ normal) ** 2
+    assert np.abs(model.score_batch(Q) - want).max() < 1e-9
+
+
+def test_pca_on_identical_rows_scores_the_squared_distance_to_their_mean():
+    c = np.array([2.5, -1.0, 4.0])
+    model = fit(DetectorConfig(kind=DetectorKind.PCA), numeric_dataset(np.tile(c, (10, 1))))
+    assert model.state["components"].shape == (0, 3)
+    Q = np.random.default_rng(9).normal(0, 3, size=(15, 3))
+    assert np.abs(model.score_batch(Q) - ((Q - c) ** 2).sum(axis=1)).max() < 1e-12
+
+
+def _copod_and_ecod(X):
+    return [fit(DetectorConfig(kind=kind), numeric_dataset(X))
+            for kind in (DetectorKind.COPOD, DetectorKind.ECOD)]
+
+
+def test_copod_and_ecod_score_every_training_row_alike():
+    # a training row's tail probabilities are at least 1/n, above both
+    # floors (EPS and 1/n), so the two scores and thresholds are equal
+    rng = np.random.default_rng(10)
+    X = np.column_stack([rng.exponential(size=300), rng.integers(0, 3, size=300)])
+    copod, ecod = _copod_and_ecod(X)
+    assert np.array_equal(copod.score_batch(X), ecod.score_batch(X))
+    assert copod.tau == ecod.tau
+    # so does any row inside every column's training range
+    inside = np.column_stack([rng.uniform(X[:, 0].min(), X[:, 0].max(), 50),
+                              rng.uniform(0, 2, 50)])
+    assert np.array_equal(copod.score_batch(inside), ecod.score_batch(inside))
+
+
+def test_copod_and_ecod_differ_only_outside_a_column_training_range():
+    # beyond a column's range the tail probability is 0: COPOD floors it at
+    # EPS, ECOD at 1/n, so COPOD adds log(1/EPS) where ECOD adds log(n)
+    X = np.column_stack([np.arange(1.0, 101.0), np.arange(100.0, 0.0, -1.0)])
+    copod, ecod = _copod_and_ecod(X)
+    Q = np.array([[0.0, 50.0], [50.0, 101.0], [-5.0, 200.0]])
+    c, e = copod.score_batch(Q), ecod.score_batch(Q)
+    assert (c > e).all()
+    assert np.allclose(c[:2] - e[:2], math.log(1 / EPS) - math.log(100))
+
+
 def test_decision_is_strictly_above_threshold():
     train = numeric_dataset(np.arange(20.0)[:, None])
     model = fit(DetectorConfig(kind=DetectorKind.KNN, params={"k": 1}), train)

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from pfcpbench.corpus import (
-    SynthConfig,
     default_schema,
     load_csv,
     save_csv,
     synth_benchmark_splits,
-    synth_benign,
+    synth_rows,
 )
 from pfcpbench.errors import GuidelineViolation, PipelineError, SchemaError
 from pfcpbench.preprocess import (
@@ -63,7 +62,7 @@ def make_dataset(columns, n, labels=None, protocols=None, env=None):
 
 def test_gt1_drops_endpoints():
     schema = default_schema()
-    ds = synth_benign(SynthConfig(n_benign=20, seed=1), schema)
+    ds = synth_rows(ClassLabel.NORMAL, 20, 1, schema)
     out, report = drop_environment_features(ds)
     for name in ("ip.src", "ip.dst", "udp.srcport", "udp.dstport"):
         assert report[name] == "GT1"
@@ -228,15 +227,15 @@ def test_pipeline_rejects_empty_survivors():
 
 
 def test_pipeline_rejects_an_empty_training_split():
-    train = synth_benign(SynthConfig(n_benign=50, seed=3), default_schema())
+    train = synth_rows(ClassLabel.NORMAL, 50, 3, default_schema())
     with pytest.raises(PipelineError, match="no benign training rows"):
         fit_pipeline(train.subset(np.zeros(len(train), dtype=bool)))
 
 
 def test_pipeline_transform_deterministic_and_stateless():
     schema = default_schema()
-    train = synth_benign(SynthConfig(n_benign=300, seed=3), schema)
-    other = synth_benign(SynthConfig(n_benign=50, seed=4), schema)
+    train = synth_rows(ClassLabel.NORMAL, 300, 3, schema)
+    other = synth_rows(ClassLabel.NORMAL, 50, 4, schema)
     model = fit_pipeline(train)
     state = model.to_json_dict()
     a = transform(model, other)
@@ -247,7 +246,7 @@ def test_pipeline_transform_deterministic_and_stateless():
 
 def test_pipeline_output_is_clean_and_normalized():
     schema = default_schema()
-    train = synth_benign(SynthConfig(n_benign=501, seed=3), schema)  # odd count
+    train = synth_rows(ClassLabel.NORMAL, 501, 3, schema)  # odd count
     model = fit_pipeline(train, scaling_enabled=True)
     out = transform(model, train)
     numerical = out.matrix[:, out.schema.numerical_positions]
@@ -267,7 +266,7 @@ def test_pipeline_output_is_clean_and_normalized():
 
 def test_pipeline_scaling_toggle():
     schema = default_schema()
-    train = synth_benign(SynthConfig(n_benign=200, seed=3), schema)
+    train = synth_rows(ClassLabel.NORMAL, 200, 3, schema)
     model = fit_pipeline(train, scaling_enabled=False)
     assert model.scaler is None
     out = transform(model, train)
@@ -278,7 +277,7 @@ def test_pipeline_scaling_toggle():
 
 def test_pipeline_model_roundtrip(tmp_path):
     schema = default_schema()
-    train = synth_benign(SynthConfig(n_benign=120, seed=6), schema)
+    train = synth_rows(ClassLabel.NORMAL, 120, 6, schema)
     model = fit_pipeline(train)
     path = tmp_path / "pipeline.json"
     model.save(path)
@@ -299,7 +298,7 @@ def test_pipeline_model_roundtrip(tmp_path):
     ids=["short-fill", "long-scale", "regression-on-categorical"],
 )
 def test_pipeline_state_must_fit_its_schema(tmp_path, damage):
-    train = synth_benign(SynthConfig(n_benign=120, seed=6), default_schema())
+    train = synth_rows(ClassLabel.NORMAL, 120, 6, default_schema())
     doc = fit_pipeline(train).to_json_dict()
     damage(doc)
     (tmp_path / "pipeline.json").write_text(json.dumps(doc))
