@@ -25,11 +25,10 @@ import logging
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Mapping, Sequence
 
 import numpy as np
 
-from .detectors import ROW_INVARIANT_KINDS
 from .errors import (
     BudgetExhausted,
     ComplianceViolation,
@@ -38,7 +37,6 @@ from .errors import (
     MetricError,
     SchemaError,
 )
-from .preprocess import PipelineModel
 from .seeding import rng_for
 from .traffic import (
     CATEGORICAL,
@@ -49,6 +47,9 @@ from .traffic import (
     NumericDomain,
     write_text,
 )
+
+if TYPE_CHECKING:
+    from .preprocess import PipelineModel
 
 logger = logging.getLogger(__name__)
 
@@ -607,6 +608,8 @@ def _lockstep(model, attacks: Sequence[tuple[QueryOracle, Proposals]]) -> None:
     and checks them all before any is scored.  Their candidates are scored
     in one call when the model's kind is row-invariant, else one row per
     call, so that no score depends on which other samples are still live."""
+    from .detectors import ROW_INVARIANT_KINDS
+
     batched = getattr(model, "kind", None) in ROW_INVARIANT_KINDS
     live = [(oracle, proposals, None) for oracle, proposals in attacks]
     while True:

@@ -16,13 +16,15 @@ from typing import Iterable
 
 import numpy as np
 
-from . import attack as attack_mod
-from . import corpus as corpus_mod
-from . import detectors as det_mod
-from . import ensemble as ens_mod
-from . import evaluate as eval_mod
-from . import errors, preprocess
+# The model, attack and evaluation modules are imported where they run:
+# without a bytecode cache a stage compiles every module it imports, and
+# synth and preprocess run none of them.  config comes first, so that attack,
+# the largest module it imports, is compiled while little else is resident;
+# compiled after corpus and preprocess, it raised the peak RSS by 0.4 MiB.
 from .config import DetectorEntry, RunConfig, load_run_config
+from .catalog import PRESETS
+from . import corpus as corpus_mod
+from . import errors, preprocess
 from .seeding import derive_seed
 from .traffic import (
     FeatureSchema, LabeledDataset, make_dir, read_container, read_text, write_json,
@@ -125,6 +127,8 @@ def _load_preprocessed(
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    from . import detectors as det_mod
+
     run_dir = cfg.run_dir()
     _, splits = _load_preprocessed(run_dir, ("train", "validation"))
     train, validation = splits["train"], splits["validation"]
@@ -138,7 +142,7 @@ def cmd_train(cfg: RunConfig) -> int:
     entries = {entry.kind: entry for entry in cfg.detectors}
     # ensembles pull in any missing base kinds automatically
     for name in cfg.ensembles:
-        for kind in ens_mod.PRESETS[name].base_kinds:
+        for kind in PRESETS[name].base_kinds:
             entries.setdefault(kind, DetectorEntry(kind=kind))
 
     for kind, entry in entries.items():
@@ -165,12 +169,28 @@ def cmd_train(cfg: RunConfig) -> int:
             train_log[label] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
             logger.error("%s failed: %s", label, exc)
 
-    stacked: dict[str, list[det_mod.DetectorModel]] = {}  # ensemble name -> its bases
-    for name in cfg.ensembles:
+    if cfg.ensembles:
+        train_log.update(_fit_ensembles(cfg.ensembles, fitted, validation, models_dir))
+    write_json(run_dir / "train_log.json", train_log, indent=2)
+    print(run_dir)
+    return 0
+
+
+def _fit_ensembles(
+    names: tuple[str, ...], fitted: dict, validation: LabeledDataset, models_dir: Path
+) -> dict[str, dict]:
+    """Fit and save the ensemble presets ``names`` on the validation scores
+    of their ``fitted`` bases; the train-log entry of each."""
+    from . import ensemble as ens_mod
+    from . import evaluate as eval_mod
+
+    log: dict[str, dict] = {}
+    stacked = {}  # ensemble name -> its bases
+    for name in names:
         try:
-            stacked[name] = [fitted[kind] for kind in ens_mod.PRESETS[name].base_kinds]
+            stacked[name] = [fitted[kind] for kind in PRESETS[name].base_kinds]
         except KeyError as exc:
-            train_log[name] = {"status": "error", "error": f"missing base {exc}"}
+            log[name] = {"status": "error", "error": f"missing base {exc}"}
     # each base is scored once on validation, however many ensembles list it
     columns = iter(eval_mod.score_models(
         [(base.kind.value, base) for bases in stacked.values() for base in bases], validation.matrix
@@ -178,18 +198,15 @@ def cmd_train(cfg: RunConfig) -> int:
     for name, bases in stacked.items():
         S = np.column_stack([next(columns) for _ in bases])
         try:
-            model = ens_mod.fit_ensemble(ens_mod.PRESETS[name], bases, S, validation.attacks)
+            model = ens_mod.fit_ensemble(PRESETS[name], bases, S, validation.attacks)
             model.save(models_dir / f"{name}.json")
             accuracy = float(((model.margin(S) > model.tau) == validation.attacks).mean())
-            train_log[name] = {"status": "ok", "train_accuracy": accuracy}
+            log[name] = {"status": "ok", "train_accuracy": accuracy}
             logger.info("fitted ensemble %s (train acc %.4f)", name, accuracy)
         except errors.PfcpBenchError as exc:
-            train_log[name] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+            log[name] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
             logger.error("ensemble %s failed: %s", name, exc)
-
-    write_json(run_dir / "train_log.json", train_log, indent=2)
-    print(run_dir)
-    return 0
+    return log
 
 
 def _remove(paths: Iterable[Path]) -> None:
@@ -209,18 +226,22 @@ def load_any_model(path: Path, loaded: dict | None = None):
     file to its bytes.  A model already in it is returned as it is, so an
     ensemble's bases are the very detectors loaded from their own paths.
     """
+    from . import detectors as det_mod
+
     loaded = {} if loaded is None else loaded
     if path not in loaded:
         doc = read_container(path)
         fmt = doc.get("format")
         if fmt == det_mod.DETECTOR_FORMAT:
             loaded[path] = det_mod.DetectorModel.from_json_dict(doc, path.parent, loaded)
-        elif fmt == ens_mod.ENSEMBLE_FORMAT:
+        else:
+            from . import ensemble as ens_mod  # a run without ensembles does without it
+
+            if fmt != ens_mod.ENSEMBLE_FORMAT:
+                raise errors.SchemaError(f"{path}: unknown model container format {fmt!r}")
             loaded[path] = ens_mod.EnsembleModel.from_json_dict(
                 doc, path.parent, loaded, lambda base: load_any_model(base, loaded)
             )
-        else:
-            raise errors.SchemaError(f"{path}: unknown model container format {fmt!r}")
     return loaded[path]
 
 
@@ -240,6 +261,8 @@ def _trained_models(run_dir: Path, names: tuple[str, ...] | None) -> list[tuple[
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    from . import evaluate as eval_mod
+
     run_dir = cfg.run_dir()
     pipeline, splits = _load_preprocessed(run_dir, ("test",))
     test = splits["test"]
@@ -260,6 +283,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_attack(cfg: RunConfig) -> int:
+    from . import attack as attack_mod
+    from . import evaluate as eval_mod
+
     run_dir = cfg.run_dir()
     from_train = cfg.marginals_source == "train"
     pipeline, splits = _load_preprocessed(run_dir, ("test", "train") if from_train else ("test",))
@@ -308,10 +334,12 @@ def cmd_attack(cfg: RunConfig) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     """Consolidate evaluate/attack outputs under report/, which mirrors the
     run directory's tables: a table absent there is removed here too."""
+    from .evaluate import REPORT_FILES
+
     run_dir = cfg.run_dir()
     report_dir = make_dir(run_dir / "report")
     found = False
-    for name in eval_mod.REPORT_FILES:
+    for name in REPORT_FILES:
         src = run_dir / name
         if src.exists():
             write_text(report_dir / name, read_text(src))

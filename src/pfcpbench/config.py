@@ -15,9 +15,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .attack import ALGORITHMS, AttackConfig
+from .catalog import DEFAULT_CONTAMINATION, PRESETS, DetectorKind
 from .corpus import DEFAULT_LABEL_COLUMN, SplitSource, SplitSpec
-from .detectors import DEFAULT_CONTAMINATION, DetectorKind
-from .ensemble import PRESETS
 from .errors import ConfigError, SchemaError
 from .preprocess import DEFAULT_GT1_PATTERNS
 from .traffic import ATTACK_LABELS, ClassLabel

@@ -16,7 +16,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .traffic import (
     CATEGORICAL,
     MISSING_CODE,
     MISSING_MARKER,
+    UNKNOWN_CODE,
     CategoricalDomain,
     ClassLabel,
     FeatureDescriptor,
@@ -241,7 +242,11 @@ def synth_rows(
             M[:, j] = MISSING_CODE if f.kind == CATEGORICAL else np.nan
         elif f.kind == CATEGORICAL:
             lookup = {lab: i for i, lab in enumerate(f.domain.labels)}
-            M[:, j] = [lookup[v] for v in col]
+            try:
+                M[:, j] = [lookup[v] for v in col]
+            except KeyError as exc:
+                raise SchemaError(f"{f.name}: the schema's domain lacks the label "
+                                  f"{exc.args[0]!r}, which the generator draws") from None
         else:
             M[:, j] = col
     return LabeledDataset(schema, M, [kind] * n)
@@ -300,24 +305,41 @@ def load_csv(
     if extra:
         logger.warning("%s: ignoring %d non-schema columns: %s", path, len(extra), extra)
 
-    # a cell of a column absent from the header reads as empty
-    parsers = [
-        (f.name, f.domain.code_of if f.kind == CATEGORICAL else _parse_real)
-        for f in schema.features
-    ]
+    # Each row is padded with empty cells to one past the header, and a
+    # column absent from the header reads that last, empty cell.
+    width = len(header)
+    position = {name: i for i, name in enumerate(header)}
+    parsers = [(position.get(f.name, width), _cell_parser(f)) for f in schema.features]
+    label_at = position.get(label_column, width) if label_column else width
+    labels_read: dict[str, ClassLabel] = {}  # each label cell's class, parsed once
     rows: list[list[float]] = []
     labels: list[ClassLabel] = []
     for cells in reader:
         if not cells:
             continue
-        if len(cells) > len(header):
+        if len(cells) > width:
             raise SchemaError(f"{path}: line {reader.line_num} has {len(cells)} cells, "
-                              f"the header {len(header)}")
-        record = dict(zip(header, cells))
-        rows.append([parse(record.get(name) or MISSING_MARKER) for name, parse in parsers])
-        raw_label = (record.get(label_column) or "") if label_column else ""
-        labels.append(parse_label(raw_label) if raw_label.strip() else ClassLabel.NORMAL)
+                              f"the header {width}")
+        cells.extend([MISSING_MARKER] * (width + 1 - len(cells)))
+        rows.append([parse(cells[at]) for at, parse in parsers])
+        raw_label = cells[label_at]
+        label = labels_read.get(raw_label)
+        if label is None:
+            label = labels_read[raw_label] = (
+                parse_label(raw_label) if raw_label.strip() else ClassLabel.NORMAL
+            )
+        labels.append(label)
     return LabeledDataset(schema, rows, labels)
+
+
+def _cell_parser(f: FeatureDescriptor) -> Callable[[str], float]:
+    """The code or value of a cell of feature ``f``, as ``code_of`` and
+    ``_parse_real`` give it: an empty cell is missing."""
+    if f.kind != CATEGORICAL:
+        return _parse_real
+    codes = {label: code for code, label in enumerate(f.domain.labels)}
+    codes[MISSING_MARKER] = MISSING_CODE
+    return lambda cell: codes.get(cell, UNKNOWN_CODE)
 
 
 def _parse_real(cell: str) -> float:
@@ -329,24 +351,39 @@ def _parse_real(cell: str) -> float:
     return value if math.isfinite(value) else math.nan
 
 
+# Rows that save_csv formats at once: the strings of a block, not the
+# floats of the whole split, are what it holds in memory.
+SAVE_BLOCK_ROWS = 128
+
+
+def _cell_format(f: FeatureDescriptor) -> Callable[[list[float]], list[str]]:
+    """The cells of a column of feature ``f``: a number's ``repr``, a code's
+    label, and an empty cell for a missing value; a negative code other
+    than ``MISSING_CODE`` is ``UNKNOWN_MARKER``."""
+    if f.kind != CATEGORICAL:
+        return lambda column: [MISSING_MARKER if v != v else repr(v) for v in column]
+    cells = {float(code): label for code, label in enumerate(f.domain.labels)}
+    cells[float(MISSING_CODE)] = MISSING_MARKER
+
+    def odd(v: float) -> str:
+        return UNKNOWN_MARKER if v < 0 else f.domain.label_of(int(v))
+
+    return lambda column: [cells[v] if v in cells else odd(v) for v in column]
+
+
 def save_csv(ds: LabeledDataset, path: str | Path, seed: int | None = None) -> None:
     """Write a dataset back to the ingest CSV format plus a JSON manifest."""
     path = Path(path)
+    formats = [_cell_format(f) for f in ds.schema.features]
     try:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(list(ds.schema.names) + [DEFAULT_LABEL_COLUMN])
-            for values, label in zip(ds.matrix.tolist(), ds.labels):
-                row = []
-                for f, v in zip(ds.schema.features, values):
-                    if f.kind != CATEGORICAL:
-                        row.append(MISSING_MARKER if math.isnan(v) else repr(v))
-                    elif v < 0:
-                        row.append(MISSING_MARKER if v == MISSING_CODE else UNKNOWN_MARKER)
-                    else:
-                        row.append(f.domain.label_of(int(v)))
-                row.append(label.value)
-                writer.writerow(row)
+            for start in range(0, len(ds), SAVE_BLOCK_ROWS):
+                block = ds.matrix[start:start + SAVE_BLOCK_ROWS]
+                columns = [fmt(column) for fmt, column in zip(formats, block.T.tolist())]
+                columns.append([label.value for label in ds.labels[start:start + len(block)]])
+                writer.writerows(zip(*columns))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     doc = {

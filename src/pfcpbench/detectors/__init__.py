@@ -16,39 +16,17 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import AbstractSet, Callable, Mapping, MutableMapping
 
 import numpy as np
 
+from ..catalog import DEFAULT_CONTAMINATION, DetectorKind
 from ..errors import FitError, GridSearchError, GuidelineViolation, SchemaError
 from ..seeding import rng_for
 from ..traffic import LabeledDataset, malformed, write_bytes, write_json
 from . import bagging, density, geometric, statistical
-
-
-class DetectorKind(Enum):
-    HBOS = "HBOS"
-    COPOD = "COPOD"
-    ECOD = "ECOD"
-    FEATURE_BAGGING = "FeatureBagging"
-    KNN = "kNN"
-    LOF = "LOF"
-    IFOREST = "IForest"
-    LODA = "LODA"
-    INNE = "INNE"
-    PCA = "PCA"
-    ABOD = "ABOD"
-    GMM = "GMM"
-
-    @staticmethod
-    def parse(name: str) -> "DetectorKind":
-        for kind in DetectorKind:
-            if kind.value.lower() == name.strip().lower():
-                return kind
-        raise SchemaError(f"unknown detector kind {name!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +92,6 @@ _KINDS = {
 
 ROW_INVARIANT_KINDS = frozenset(kind for kind, row in _KINDS.items() if row.row_invariant)
 
-DEFAULT_CONTAMINATION = 0.02
 # Integer hyperparameters whose least value is not 1: a one-row subsample
 # has no spread for IForest's path norm or INNE's radii.
 _INT_MINIMUMS = {"subsample": 2, "sample_size": 2}

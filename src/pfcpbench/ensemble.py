@@ -20,9 +20,9 @@ from typing import Callable, ClassVar, MutableMapping, Sequence
 
 import numpy as np
 
+from .catalog import PRESETS, DetectorKind, EnsembleSpec  # PRESETS: read as ensemble.PRESETS too
 from .detectors import (
-    DetectorKind, DetectorModel, check_container_digest, decode_arrays, encode_arrays,
-    write_container,
+    DetectorModel, check_container_digest, decode_arrays, encode_arrays, write_container,
 )
 from .detectors.common import sq_distances
 from .errors import FitError, IoError, SchemaError
@@ -31,56 +31,6 @@ from .traffic import malformed
 SOLVER_TOL = 1e-3
 SOLVER_MAX_PASSES = 100
 ENSEMBLE_FORMAT = "pfcpbench-ensemble-v7"
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    name: str
-    base_kinds: tuple[DetectorKind, ...]
-    C: float
-    gamma: float
-
-    def __post_init__(self):
-        if not self.base_kinds:
-            raise SchemaError("ensemble needs at least one base detector")
-        if len(set(self.base_kinds)) != len(self.base_kinds):
-            raise SchemaError("ensemble base kinds must be distinct")
-        if self.C <= 0 or self.gamma <= 0:
-            raise SchemaError("C and gamma must be positive")
-
-
-PRESETS = {
-    "HKAIP": EnsembleSpec(
-        "HKAIP",
-        (DetectorKind.HBOS, DetectorKind.KNN, DetectorKind.ABOD, DetectorKind.INNE, DetectorKind.PCA),
-        C=10.0,
-        gamma=10.0,
-    ),
-    "HKGIP": EnsembleSpec(
-        "HKGIP",
-        (DetectorKind.HBOS, DetectorKind.KNN, DetectorKind.GMM, DetectorKind.INNE, DetectorKind.PCA),
-        C=10.0,
-        gamma=10.0,
-    ),
-    "HKLIP": EnsembleSpec(
-        "HKLIP",
-        (DetectorKind.HBOS, DetectorKind.KNN, DetectorKind.LOF, DetectorKind.INNE, DetectorKind.PCA),
-        C=10.0,
-        gamma=10.0,
-    ),
-    "HKLIF": EnsembleSpec(
-        "HKLIF",
-        (
-            DetectorKind.HBOS,
-            DetectorKind.KNN,
-            DetectorKind.LOF,
-            DetectorKind.INNE,
-            DetectorKind.FEATURE_BAGGING,
-        ),
-        C=100.0,
-        gamma=100.0,
-    ),
-}
 
 
 def _rbf(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:

@@ -11,7 +11,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import EnsembleModel
 from .errors import MetricError
 from .traffic import ClassLabel, LabeledDataset, make_dir, write_json, write_text
 
@@ -85,7 +84,8 @@ def score_models(models: Sequence[tuple[str, object]], X: np.ndarray) -> list[np
     """Each model's scores on ``X``, in order.
 
     Every detector object, listed or an ensemble's base, is scored once; an
-    ensemble's score is its margin over its bases' score columns.
+    ensemble, the model with ``base_models``, scores its margin over its
+    bases' score columns.
     """
     by_detector: dict[int, np.ndarray] = {}
 
@@ -96,7 +96,7 @@ def score_models(models: Sequence[tuple[str, object]], X: np.ndarray) -> list[np
 
     return [
         model.margin(np.column_stack([detector_scores(b) for b in model.base_models]))
-        if isinstance(model, EnsembleModel)
+        if hasattr(model, "base_models")
         else detector_scores(model)
         for _, model in models
     ]

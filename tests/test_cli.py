@@ -1,8 +1,11 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -856,12 +859,13 @@ def test_malformed_config_is_config_error(tmp_path, monkeypatch, capsys, text):
     ],
     ids=["algorithm", "ensemble", "detector-kind"],
 )
-def test_repeated_name_is_config_error(tmp_path, monkeypatch, capsys, updates, named):
+@pytest.mark.parametrize("command", ["synth", "preprocess"])
+def test_repeated_name_is_config_error(tmp_path, monkeypatch, capsys, updates, named, command):
     # a repeat would run a campaign twice, fit an ensemble twice or keep
     # only the last of two detector entries
     monkeypatch.chdir(tmp_path)
     config = write_config(tmp_path, **updates)
-    assert run("preprocess", config) == 12
+    assert run(command, config) == 12
     err = capsys.readouterr().err
     assert "error[ConfigError]" in err and f"{named} repeats" in err and "Traceback" not in err
     assert not (tmp_path / "runs").exists()
@@ -878,10 +882,12 @@ def test_repeated_name_is_config_error(tmp_path, monkeypatch, capsys, updates, n
     ],
     ids=["detector-kind", "ensemble-preset", "algorithm", "target", "target-preset-case"],
 )
-def test_unknown_name_is_config_error(tmp_path, monkeypatch, capsys, updates, named):
+@pytest.mark.parametrize("command", ["synth", "preprocess"])
+def test_unknown_name_is_config_error(tmp_path, monkeypatch, capsys, updates, named, command):
+    # synth loads no detector or ensemble code, and checks the names all the same
     monkeypatch.chdir(tmp_path)
     config = write_config(tmp_path, **updates)
-    assert run("preprocess", config) == 12
+    assert run(command, config) == 12
     err = capsys.readouterr().err
     assert "error[ConfigError]" in err and named in err and "Traceback" not in err
     assert not (tmp_path / "runs").exists()
@@ -1091,6 +1097,57 @@ def test_synth_corpus_loadable(tmp_path):
     manifest = json.loads((run_dir / "corpus" / "train.csv.manifest.json").read_text())
     assert manifest["schema_version"] == schema.version
     assert manifest["rows"] == len(ds)
+
+
+def test_synth_against_a_schema_without_a_drawn_label_is_schema_error(tmp_path, capsys):
+    doc = default_schema().to_json_dict()
+    (entry,) = [f for f in doc["features"] if f["name"] == "pfcp.msg_type"]
+    entry["domain"]["labels"].remove("50")  # the flood tool's message type
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(doc))
+    config = write_config(tmp_path, schema=str(schema_path))
+    assert run("synth", config) == 3
+    err = capsys.readouterr().err
+    assert "error[SchemaError]" in err and "Traceback" not in err
+    assert "pfcp.msg_type" in err and "'50'" in err
+
+
+_IMPORTED_MODULES = """
+import json, sys
+from pfcpbench.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+
+def _stage_modules(command: str, config: Path) -> set[str]:
+    """The modules that a fresh interpreter holds after running ``command``."""
+    paths = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTED_MODULES, command, "--config", str(config)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_stages_import_only_the_modules_they_run(tmp_path):
+    # every module a stage imports is compiled when it starts without a
+    # bytecode cache: synth, preprocess and report fit, score and attack
+    # nothing, and a run without ensembles loads no ensemble code
+    config = write_config(tmp_path)
+    models = ("pfcpbench.detectors", "pfcpbench.ensemble")
+    for command, absent in [("synth", (*models, "pfcpbench.evaluate")),
+                            ("preprocess", (*models, "pfcpbench.evaluate")),
+                            ("train", ("pfcpbench.ensemble", "pfcpbench.evaluate")),
+                            ("evaluate", ("pfcpbench.ensemble",)),
+                            ("attack", ("pfcpbench.ensemble",)),
+                            ("report", models)]:
+        loaded = _stage_modules(command, config)
+        assert "pfcpbench.config" in loaded
+        assert not {m for m in loaded for a in absent if m == a or m.startswith(a + ".")}, command
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,12 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from pfcpbench import corpus
 from pfcpbench.attack import DEFAULT_COMPLIANCE_RULES, check_compliant
 from pfcpbench.corpus import (
     BENCHMARK_SPLIT_COUNTS,
@@ -18,7 +22,19 @@ from pfcpbench.corpus import (
     synth_rows,
 )
 from pfcpbench.errors import GuidelineViolation, IoError, SchemaError
-from pfcpbench.traffic import ATTACK_LABELS, MISSING_CODE, UNKNOWN_CODE, ClassLabel
+from pfcpbench.traffic import (
+    ATTACK_LABELS,
+    CATEGORICAL,
+    MISSING_CODE,
+    NUMERICAL,
+    UNKNOWN_CODE,
+    CategoricalDomain,
+    ClassLabel,
+    FeatureDescriptor,
+    FeatureSchema,
+    LabeledDataset,
+    NumericDomain,
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +124,55 @@ def test_csv_roundtrip(tmp_path, schema):
     assert np.array_equal(loaded.matrix, ds.matrix, equal_nan=True)
     assert loaded.labels == ds.labels
     assert (tmp_path / "out.csv.manifest.json").exists()
+
+
+def test_save_csv_writes_every_row_of_every_block(tmp_path, schema):
+    ds = synth_rows(ClassLabel.NORMAL, 2 * corpus.SAVE_BLOCK_ROWS + 3, 7, schema)
+    path = tmp_path / "out.csv"
+    save_csv(ds, path)
+    assert np.array_equal(load_csv(path, schema).matrix, ds.matrix, equal_nan=True)
+
+
+# Domain labels that the CSV writer quotes, and numbers of every exponent; an
+# empty label would read back as missing, and a line break is not kept.
+_LABELS = st.text(alphabet='ab,"\' 5.-', min_size=1, max_size=4)
+_REALS = st.floats(allow_nan=False, allow_infinity=False) | st.just(math.nan)
+
+
+@st.composite
+def _splits(draw) -> LabeledDataset:
+    """A split of a drawn schema: NaN numerics, missing and unknown codes, every class."""
+    kinds = draw(st.lists(st.sampled_from([CATEGORICAL, NUMERICAL]), min_size=1, max_size=5))
+    features, cells = [], []
+    for j, kind in enumerate(kinds):
+        if kind == CATEGORICAL:
+            labels = draw(st.lists(_LABELS, min_size=1, max_size=4, unique=True))
+            domain = CategoricalDomain(tuple(labels))
+            cells.append(st.sampled_from([*range(len(labels)), MISSING_CODE, UNKNOWN_CODE]))
+        else:
+            domain = NumericDomain(0.0, 1.0)
+            cells.append(_REALS)
+        features.append(FeatureDescriptor(f"f{j}", kind, "pfcp", False, domain))
+    rows = draw(st.lists(st.tuples(*cells, st.sampled_from(list(ClassLabel))), max_size=20))
+    return LabeledDataset(
+        FeatureSchema(tuple(features)), [row[:-1] for row in rows], [row[-1] for row in rows]
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ds=_splits())
+def test_csv_round_trip_is_exact(tmp_path, ds):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    save_csv(ds, first, seed=3)
+    loaded = load_csv(first, ds.schema)
+    assert loaded.matrix.tobytes() == ds.matrix.tobytes()
+    assert loaded.labels == ds.labels
+    save_csv(loaded, second, seed=3)
+    assert second.read_bytes() == first.read_bytes()
+    assert (tmp_path / "second.csv.manifest.json").read_bytes() == (
+        tmp_path / "first.csv.manifest.json"
+    ).read_bytes()
 
 
 # --- synthetic generator ----------------------------------------------------
