@@ -11,11 +11,12 @@ Three optimizers solve the resulting positive-part minimization: a
 single-draw random search and two genetic variants, one built on
 differential mutation with two-point crossover and one on recombination
 plus per-gene resampling.  Optimizers are generators that only propose
-genomes, one value per position of J.  A campaign runs in lockstep: it
-advances every sample's optimizer by one genome per round, has each
-sample's oracle check its genome and build the candidate from its
-original, scores the round's candidates as one block and charges each
-sample one query.
+genomes, arrays of doubles with one value per position of J; they breed
+gene by gene on Python floats, and their stream of numpy draws is fixed by
+``tests/test_attack_streams.py``.  A campaign runs in lockstep.  Each round
+advances every sample's optimizer by one genome, checks the round's genomes
+as one block per feasible set, writes them into one copy of the originals,
+scores that block and charges each sample one query.
 """
 
 from __future__ import annotations
@@ -24,11 +25,16 @@ import json
 import logging
 import math
 import operator
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generator, Mapping, Sequence
 
 import numpy as np
 
+# the algorithm names and AttackConfig live with the other names a config
+# reads; ALGORITHMS is read here too, as ``attack.ALGORITHMS``
+from .catalog import ALGORITHMS, GA_DE, GA_ES, RS, AttackConfig  # noqa: F401
 from .errors import (
     BudgetExhausted,
     ComplianceViolation,
@@ -53,9 +59,6 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-RS = "RS"
-GA_DE = "GA_DE"
-GA_ES = "GA_ES"
 DIFF_WEIGHT = 0.5  # GA_DE's differential weight F on numeric genes
 RECOMBINATION_RATIO = 0.9  # share of GA_ES children bred from two parents
 MUTATIONS_PER_CHILD = 1.0  # genes GA_ES resamples per child, on average
@@ -178,13 +181,14 @@ class FeasibleSet:
     indices: tuple[int, ...]
     domains: tuple  # NumericDomain | tuple[int, ...], aligned with indices
     compliance: ComplianceSpec
-    lo: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    hi: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
     categorical: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bounds = [(min(d), max(d)) if isinstance(d, tuple) else (d.lo, d.hi) for d in self.domains]
-        lo, hi = tuple(b[0] for b in bounds), tuple(b[1] for b in bounds)
+        lo, hi = np.array(bounds, dtype=float).T.copy()
+        lo.flags.writeable = hi.flags.writeable = False
         categorical = tuple(g for g, d in enumerate(self.domains) if isinstance(d, tuple))
         for name, value in (("lo", lo), ("hi", hi), ("categorical", categorical)):
             object.__setattr__(self, name, value)
@@ -280,16 +284,23 @@ def load_feasible_sets(
 # Feasibility / compliance checks
 
 
-def check_feasible(genes: np.ndarray, feasible: FeasibleSet) -> bool:
-    """``genes`` holds one allowed value per position of J."""
-    genes = np.asarray(genes, dtype=float)
-    if genes.shape != (len(feasible.lo),):
+def check_feasible(genes, feasible: FeasibleSet) -> bool:
+    """``genes`` is one genome, or a block of genomes one per row, and each
+    holds one allowed value per position of J."""
+    try:
+        block = np.asarray(genes, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or a gene that is not a number
         return False
-    # compared as Python floats: a NaN gene fails both bounds
-    values = genes.tolist()
-    if not (all(map(operator.le, feasible.lo, values)) and all(map(operator.le, values, feasible.hi))):
+    if block.ndim == 1:
+        block = block[None]
+    if block.ndim != 2 or block.shape[1] != len(feasible.lo):
         return False
-    return all(values[g] in feasible.domains[g] for g in feasible.categorical)
+    # a NaN gene fails both bounds, an infinite one its own side
+    if not ((block >= feasible.lo).all() and (block <= feasible.hi).all()):
+        return False
+    return all(
+        value in feasible.domains[g] for g in feasible.categorical for value in block[:, g].tolist()
+    )
 
 
 def check_compliant(spec: ComplianceSpec, schema: FeatureSchema, candidate: np.ndarray) -> bool:
@@ -314,19 +325,20 @@ class Marginals:
 
     A categorical gene holds (codes, frequencies); a numerical gene holds
     the observed value multiset and ``None``.  Sampling can only return
-    values seen in the source and inside the gene's domain.
+    values seen in the source and inside the gene's domain, and reads each
+    as a Python float (``values.item``), so the arrays are not copied.
     """
 
     entries: tuple  # (values, probs or None) per gene
-    # each categorical gene's normalized cumulative frequencies, None for a
-    # numerical gene
+    # each categorical gene's normalized cumulative frequencies as a list,
+    # None for a numerical gene
     cdfs: tuple = field(init=False, repr=False)
     # (g, None) for a categorical gene g, (g, value arrays) for numerical genes g, g+1, ...
     runs: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.cdfs = tuple(
-            None if probs is None else (cdf := probs.cumsum()) / cdf[-1]
+            None if probs is None else ((cdf := probs.cumsum()) / cdf[-1]).tolist()
             for _, probs in self.entries
         )
         self.runs = []
@@ -339,21 +351,22 @@ class Marginals:
     def sample(self, g: int, rng: np.random.Generator) -> float:
         values, cdf = self.entries[g][0], self.cdfs[g]
         if cdf is not None:
-            # how ``rng.choice(values, p=probs)`` draws, without re-checking p
-            return float(values[cdf.searchsorted(rng.random(), side="right")])
-        return float(values[rng.integers(len(values))])
+            # how ``rng.choice(values, p=probs)`` draws, without re-checking
+            # p: bisect_right finds searchsorted(side="right")'s index
+            return values.item(bisect_right(cdf, rng.random()))
+        return values.item(rng.integers(len(values)))
 
-    def genome(self, rng: np.random.Generator) -> np.ndarray:
+    def genome(self, rng: np.random.Generator) -> array:
         """One draw per gene, the stream of ``sample`` called gene by gene: given
         an array of bounds, ``rng.integers`` draws a run of numerical genes in order."""
-        genes = np.empty(len(self.entries))
+        genes = []
         for g, pools in self.runs:
             if pools is None:
-                genes[g] = self.sample(g, rng)
+                genes.append(self.sample(g, rng))
             else:
                 draws = rng.integers([len(values) for values in pools]).tolist()
-                genes[g : g + len(pools)] = [values[k] for values, k in zip(pools, draws)]
-        return genes
+                genes += [values.item(k) for values, k in zip(pools, draws)]
+        return array("d", genes)
 
 
 def estimate_marginals(source: LabeledDataset, feasible: FeasibleSet) -> Marginals:
@@ -388,17 +401,17 @@ def estimate_marginals(source: LabeledDataset, feasible: FeasibleSet) -> Margina
 
 
 class QueryOracle:
-    """One sample's side of the threat model: its candidates and its budget.
+    """One sample's side of the threat model: its original and its budget.
 
     The attacker sees only fitness values max(0, score - tau); every query
-    burns one unit of budget.  ``candidate`` checks a genome and builds the
-    row that querying it scores: the original with the genes written into
-    J, so it equals the original outside J by construction.  ``fitness``
-    charges the query once that row is scored.  ``run_campaign`` builds an
-    oracle only for a compliant original, and J avoids the protected fields
-    of the class it was built for, so a candidate whose genes lie in their
-    domains is feasible and compliant (an out-of-domain genome is an
-    optimizer bug, not a runtime condition).
+    burns one unit of budget.  ``round_candidates`` checks a round of
+    genomes and builds the rows that querying them scores: each original
+    with its genes written into J, so it equals the original outside J by
+    construction.  ``fitness`` charges the query once its row is scored.
+    ``run_campaign`` builds an oracle only for a compliant original, and J
+    avoids the protected fields of the class it was built for, so a
+    candidate whose genes lie in their domains is feasible and compliant
+    (an out-of-domain genome is an optimizer bug, not a runtime condition).
     """
 
     def __init__(self, tau: float, budget: int, original: np.ndarray, feasible: FeasibleSet):
@@ -406,7 +419,6 @@ class QueryOracle:
         self.budget = budget
         self.original = np.asarray(original, dtype=float).copy()
         self.feasible = feasible
-        self._J = np.array(feasible.indices)
         self.queries_used = 0
         self.trace: list[tuple[int, float]] = []
         self.best_candidate = self.original.copy()
@@ -416,21 +428,12 @@ class QueryOracle:
     def remaining(self) -> int:
         return self.budget - self.queries_used
 
-    def candidate(self, genes: np.ndarray) -> np.ndarray:
-        """The row that querying ``genes`` scores.  Raises when the budget
-        is spent or a gene lies outside its domain; neither burns budget."""
-        if self.queries_used >= self.budget:
-            raise BudgetExhausted(f"query budget of {self.budget} spent")
-        if not check_feasible(genes, self.feasible):
-            raise ComplianceViolation("optimizer produced an infeasible genome")
-        candidate = self.original.copy()
-        candidate[self._J] = genes
-        return candidate
-
     def fitness(self, candidate: np.ndarray, score: float) -> float:
-        """Charge one query for ``candidate``, built by ``candidate()`` and
-        scored ``score``, and record it; return its fitness.  A non-finite
-        score is an error: max(0, NaN - tau) would read as an evasion."""
+        """Charge one query for ``candidate``, built by ``round_candidates``
+        and scored ``score``, and record it; return its fitness.  An
+        improving candidate is kept as a copy, so that no round's block
+        outlives its round.  A non-finite score is an error: max(0, NaN -
+        tau) would read as an evasion."""
         score = float(score)
         if not math.isfinite(score):
             raise MetricError(f"the model scored a candidate {score}")
@@ -439,27 +442,39 @@ class QueryOracle:
         self.trace.append((self.queries_used, value))
         if value < self.best_fitness:
             self.best_fitness = value
-            self.best_candidate = candidate
+            self.best_candidate = candidate.copy()
         return value
 
 
+def round_candidates(oracles: Sequence[QueryOracle], genomes: Sequence) -> np.ndarray:
+    """The rows that querying ``genomes[k]`` against ``oracles[k]`` scores,
+    as one block: a copy of each original with its genome written into J.
+    Each run of oracles that share a feasible set has its genomes checked
+    in one ``check_feasible`` call.  Raises when an oracle's budget is spent
+    or a genome lies outside its domains, before anything is scored;
+    neither burns budget."""
+    starts = []  # where each run of one feasible set starts
+    for k, oracle in enumerate(oracles):
+        if oracle.queries_used >= oracle.budget:
+            raise BudgetExhausted(f"query budget of {oracle.budget} spent")
+        if not k or oracle.feasible is not oracles[k - 1].feasible:
+            starts.append(k)
+    block = np.array([oracle.original for oracle in oracles])
+    for start, stop in zip(starts, starts[1:] + [len(oracles)]):
+        feasible = oracles[start].feasible
+        genes = genomes[start:stop]
+        try:
+            genes = np.array(genes, dtype=float)
+        except ValueError:  # ragged rows, which check_feasible rejects as they are
+            pass
+        if not check_feasible(genes, feasible):
+            raise ComplianceViolation("optimizer produced an infeasible genome")
+        block[start:stop, feasible.indices] = genes
+    return block
+
+
 # ---------------------------------------------------------------------------
-# Attack configuration and outcome
-
-
-@dataclass(frozen=True)
-class AttackConfig:
-    algorithm: str = GA_DE
-    popsize: int = 20
-    budget: int = 100
-    seed: int = 42
-    rs_retries: int = 1  # single-draw random search by default
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown attack algorithm {self.algorithm!r}")
-        if min(self.popsize, self.budget, self.rs_retries) < 1:
-            raise ConfigError("popsize, budget, and rs_retries must be positive")
+# Attack outcome
 
 
 @dataclass
@@ -498,30 +513,43 @@ class AttackOutcome:
 # ---------------------------------------------------------------------------
 # Optimizers: genome generators that never see the oracle
 
-Proposals = Generator[np.ndarray, float, None]
+# A genome is an array of doubles, ``array("d")``: breeding reads and writes
+# one gene at a time as a Python float, which costs less than a numpy scalar,
+# and a gene takes 8 bytes, as in a numpy row, not a float object's 24.
+Proposals = Generator[array, float, None]
 
 
 def _init_population(
     marginals: Marginals, popsize: int, rng: np.random.Generator
-) -> Generator[np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
+) -> Generator[array, float, tuple[list, list]]:
     """Propose ``popsize`` genomes drawn gene by gene from the marginals;
-    return them as a (popsize, |J|) matrix with their fitness values.  Rows
-    are kept as they are queried, so a popsize beyond the budget costs
-    nothing."""
+    return them with their fitness values.  Genomes are kept as they are
+    queried, so a popsize beyond the budget costs nothing."""
     pop, fits = [], []
     for _ in range(popsize):
         pop.append(marginals.genome(rng))
         fits.append((yield pop[-1]))
-    return np.array(pop), np.array(fits)
+    return pop, fits
 
 
 def _draw_pair(n: int, rng: np.random.Generator) -> tuple[int, int]:
     """Two distinct integers below ``n``, drawn as ``rng.choice(n, size=2, replace=False)``
     draws them (Floyd's two bounded draws, then a shuffle): same pair, same stream."""
-    a, b = rng.integers(n - 1), rng.integers(n)
+    a, b = int(rng.integers(n - 1)), int(rng.integers(n))
     if b == a:
         b = n - 1
     return (a, b) if rng.integers(2) else (b, a)
+
+
+def _draw_others(n: int, i: int, a: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Two distinct integers below ``n`` other than ``i`` and ``a``, drawn as
+    ``_draw_pair`` draws two positions in the ascending list of them."""
+    skipped = (i,) if i == a else (min(i, a), max(i, a))
+    b, c = _draw_pair(n - len(skipped), rng)
+    for s in skipped:  # a position in the list -> the integer there
+        b += b >= s
+        c += c >= s
+    return b, c
 
 
 def rs_attack(
@@ -543,20 +571,21 @@ def ga_de_attack(
     already see earlier replacements.
     """
     pop, fits = yield from _init_population(marginals, cfg.popsize, rng)
-    if len(pop) < 4:
+    size = len(pop)
+    if size < 4:
         return
     while True:
-        for i in range(len(pop)):
+        for i in range(size):
             # best/1 base vector: differences perturb the incumbent best
-            a = int(fits.argmin())
-            others = [t for t in range(len(pop)) if t != i and t != a]
-            b, c = (others[k] for k in _draw_pair(len(others), rng))
-            child = pop[i].copy()
+            a = fits.index(min(fits))
+            b, c = _draw_others(size, i, a, rng)
+            base, plus, minus = pop[a], pop[b], pop[c]
+            child = pop[i][:]
             cut1, cut2 = sorted(_draw_pair(len(child) + 1, rng))
             for g in range(cut1, cut2):
                 domain = feasible.domains[g]
                 if isinstance(domain, NumericDomain):
-                    child[g] = domain.clamp(pop[a, g] + DIFF_WEIGHT * (pop[b, g] - pop[c, g]))
+                    child[g] = domain.clamp(base[g] + DIFF_WEIGHT * (plus[g] - minus[g]))
                 else:
                     child[g] = marginals.sample(g, rng)
             f = yield child
@@ -570,68 +599,73 @@ def ga_es_attack(
     """Evolution-strategy variant: (mu + lambda) with uniform two-parent
     recombination at ``RECOMBINATION_RATIO``, per-gene marginal resampling at
     rate 1/|J|, and elitist survivor selection."""
-    mutation_rate = MUTATIONS_PER_CHILD / len(feasible.indices)
+    genes = range(len(feasible.indices))
+    mutation_rate = MUTATIONS_PER_CHILD / len(genes)
     pop, fits = yield from _init_population(marginals, cfg.popsize, rng)
-    if len(pop) < 2:
+    size = len(pop)
+    if size < 2:
         return
     while True:
-        children = np.empty_like(pop)
-        child_fits = np.empty(len(pop))
-        for k, child in enumerate(children):
+        children, child_fits = [], []
+        for _ in range(size):
             if rng.random() < RECOMBINATION_RATIO:
-                p1, p2 = _draw_pair(len(pop), rng)
+                p1, p2 = _draw_pair(size, rng)
+                child, other = pop[p1][:], pop[p2]
                 # one uniform per gene, in gene order: the stream of a per-gene loop
-                child[:] = np.where(rng.random(len(child)) < 0.5, pop[p2], pop[p1])
+                for g, u in enumerate(rng.random(len(genes)).tolist()):
+                    if u < 0.5:
+                        child[g] = other[g]
             else:
-                child[:] = pop[rng.integers(len(pop))]
+                child = pop[rng.integers(size)][:]
             # per gene, because a mutating gene's marginal draw comes before
             # the next gene's uniform
-            for g in range(len(child)):
+            for g in genes:
                 if rng.random() < mutation_rate:
                     child[g] = marginals.sample(g, rng)
-            child_fits[k] = yield child
-        pool = np.concatenate([pop, children])
-        pool_fits = np.concatenate([fits, child_fits])
-        order = np.argsort(pool_fits, kind="stable")[: len(pop)]
-        pop, fits = pool[order], pool_fits[order]
+            children.append(child)
+            child_fits.append((yield child))
+        # elitist survivors: a stable sort keeps the earlier of equal fits
+        pool, pool_fits = pop + children, fits + child_fits
+        order = sorted(range(len(pool)), key=pool_fits.__getitem__)[:size]
+        pop, fits = [pool[k] for k in order], [pool_fits[k] for k in order]
 
 
 # algorithm name -> its optimizer; a campaign runs any one of these
 _OPTIMIZERS = {RS: rs_attack, GA_DE: ga_de_attack, GA_ES: ga_es_attack}
-ALGORITHMS = tuple(_OPTIMIZERS)
 
 
 def _lockstep(model, attacks: Sequence[tuple[QueryOracle, Proposals]]) -> None:
     """Drive every (oracle, optimizer) pair in rounds until each one stops:
     on its first zero fitness, when its budget is spent, or when its
     optimizer returns.  A round takes one genome from each live optimizer
-    and checks them all before any is scored.  Their candidates are scored
-    in one call when the model's kind is row-invariant, else one row per
-    call, so that no score depends on which other samples are still live."""
+    and builds their candidates as one checked block before any is scored.
+    The block is scored in one call when the model's kind is row-invariant,
+    else one row per call, so that no score depends on which other samples
+    are still live."""
     from .detectors import ROW_INVARIANT_KINDS
 
     batched = getattr(model, "kind", None) in ROW_INVARIANT_KINDS
     live = [(oracle, proposals, None) for oracle, proposals in attacks]
     while True:
-        queued = []
+        queued, genomes = [], []
         for oracle, proposals, value in live:
             if oracle.remaining == 0 or value == 0.0:
                 continue
             try:
-                genes = proposals.send(value)
+                genomes.append(proposals.send(value))
             except StopIteration:
                 continue
-            queued.append((oracle, proposals, oracle.candidate(genes)))
+            queued.append((oracle, proposals))
         if not queued:
             return
-        block = np.array([candidate for _, _, candidate in queued])
+        block = round_candidates([oracle for oracle, _ in queued], genomes)
         if batched:
             scores = model.score_batch(block)
         else:
             scores = [model.score_batch(block[k : k + 1])[0] for k in range(len(block))]
         live = [
             (oracle, proposals, oracle.fitness(candidate, score))
-            for (oracle, proposals, candidate), score in zip(queued, scores)
+            for (oracle, proposals), candidate, score in zip(queued, block, scores)
         ]
 
 
@@ -688,7 +722,10 @@ def run_campaign(
             "campaign: skipped %d samples violating their own class predicates",
             skipped_noncompliant,
         )
-    _lockstep(model, [(oracle, proposals) for _, _, oracle, proposals in attacked])
+    # class by class, so that each feasible set is one run of a round's rows
+    rank = {kind: r for r, kind in enumerate(feasible_sets)}
+    by_class = sorted(attacked, key=lambda entry: rank[entry[1]])
+    _lockstep(model, [(oracle, proposals) for _, _, oracle, proposals in by_class])
     return [
         AttackOutcome(
             sample_index=i, attack_class=kind, algorithm=cfg.algorithm, original=oracle.original,

@@ -1,9 +1,10 @@
-"""The names a run config may give a model: the twelve detector kinds and the
-four ensemble presets.
+"""What a run config may name and leave out: the twelve detector kinds, the
+four ensemble presets, the three attack algorithms with the attack settings,
+and the default patterns of environment-dependent fields.
 
-Declared apart from the code that fits and scores them, so that checking a
-config loads no model code: ``detectors`` and ``ensemble`` import these
-names back.
+Declared apart from the code that runs them, so that checking a config loads
+no model, attack or preprocessing code: ``detectors``, ``ensemble``,
+``attack`` and ``preprocess`` import these names back.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 
 DEFAULT_CONTAMINATION = 0.02
 
@@ -86,3 +87,41 @@ PRESETS = {
         gamma=100.0,
     ),
 }
+
+
+# Name patterns of environment-dependent fields: endpoint addresses and
+# ports, IPv4-literal identifiers, absolute timestamps.  Extensible via
+# config because the category, not an exhaustive field list, is what is
+# prescribed.
+DEFAULT_GT1_PATTERNS = (
+    "ip.src*",
+    "ip.dst*",
+    "ip.host",
+    "ip.addr",
+    "*.srcport",
+    "*.dstport",
+    "frame.time*",
+    "*.time_epoch",
+    "*ipv4*",
+    "*.imei",
+)
+
+RS = "RS"
+GA_DE = "GA_DE"
+GA_ES = "GA_ES"
+ALGORITHMS = (RS, GA_DE, GA_ES)  # attack._OPTIMIZERS holds one optimizer for each
+
+
+@dataclass(frozen=True)
+class AttackConfig:
+    algorithm: str = GA_DE
+    popsize: int = 20
+    budget: int = 100
+    seed: int = 42
+    rs_retries: int = 1  # single-draw random search by default
+
+    def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError(f"unknown attack algorithm {self.algorithm!r}")
+        if min(self.popsize, self.budget, self.rs_retries) < 1:
+            raise ConfigError("popsize, budget, and rs_retries must be positive")

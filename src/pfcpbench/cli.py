@@ -9,27 +9,29 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import logging
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-# The model, attack and evaluation modules are imported where they run:
-# without a bytecode cache a stage compiles every module it imports, and
-# synth and preprocess run none of them.  config comes first, so that attack,
-# the largest module it imports, is compiled while little else is resident;
-# compiled after corpus and preprocess, it raised the peak RSS by 0.4 MiB.
+# The preprocessing, model, attack and evaluation modules are imported where
+# they run: without a bytecode cache a stage compiles every module it
+# imports, and synth runs none of them.
 from .config import DetectorEntry, RunConfig, load_run_config
 from .catalog import PRESETS
 from . import corpus as corpus_mod
-from . import errors, preprocess
+from . import errors
 from .seeding import derive_seed
 from .traffic import (
     FeatureSchema, LabeledDataset, make_dir, read_container, read_text, write_json,
     write_text,
 )
+
+if TYPE_CHECKING:
+    from .preprocess import PipelineModel
 
 logger = logging.getLogger("pfcpbench")
 
@@ -91,6 +93,8 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_preprocess(cfg: RunConfig) -> int:
+    from . import preprocess
+
     run_dir = make_dir(cfg.run_dir())
     train, validation, test = _raw_splits(cfg, run_dir)
     model = preprocess.fit_pipeline(
@@ -111,8 +115,10 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
 def _load_preprocessed(
     run_dir: Path, names: tuple[str, ...]
-) -> tuple[preprocess.PipelineModel, dict[str, LabeledDataset]]:
+) -> tuple[PipelineModel, dict[str, LabeledDataset]]:
     """The fitted pipeline and the preprocessed splits named in ``names``."""
+    from . import preprocess
+
     pipeline_path = run_dir / "pipeline.json"
     if not pipeline_path.exists():
         raise errors.ConfigError(f"{pipeline_path} missing; run the preprocess command first")
@@ -388,5 +394,15 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
 
+def run() -> None:
+    """The console entry point: exit with ``main``'s code.  Every object left
+    is freed with the process, so ``gc.freeze`` first spares the exit its
+    full collection over them; ``main`` itself never freezes, since tests
+    and in-process callers go on collecting after it returns."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .attack import ALGORITHMS, AttackConfig
-from .catalog import DEFAULT_CONTAMINATION, PRESETS, DetectorKind
+from .catalog import (
+    ALGORITHMS, DEFAULT_CONTAMINATION, DEFAULT_GT1_PATTERNS, PRESETS, AttackConfig, DetectorKind,
+)
 from .corpus import DEFAULT_LABEL_COLUMN, SplitSource, SplitSpec
 from .errors import ConfigError, SchemaError
-from .preprocess import DEFAULT_GT1_PATTERNS
 from .traffic import ATTACK_LABELS, ClassLabel
 
 # corpus.synth values a config leaves out; a config without a corpus section

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .catalog import DEFAULT_GT1_PATTERNS
 from .errors import GuidelineViolation, PipelineError, SchemaError
 from .traffic import (
     CATEGORICAL,
@@ -41,23 +42,6 @@ from .traffic import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Name patterns of environment-dependent fields: endpoint addresses and
-# ports, IPv4-literal identifiers, absolute timestamps.  Extensible via
-# config because the category, not an exhaustive field list, is what is
-# prescribed.
-DEFAULT_GT1_PATTERNS = (
-    "ip.src*",
-    "ip.dst*",
-    "ip.host",
-    "ip.addr",
-    "*.srcport",
-    "*.dstport",
-    "frame.time*",
-    "*.time_epoch",
-    "*ipv4*",
-    "*.imei",
-)
 
 IMPUTER_MAX_ROUNDS = 10
 IMPUTER_TOL = 1e-3

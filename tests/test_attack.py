@@ -21,6 +21,7 @@ from pfcpbench.attack import (
     check_feasible,
     estimate_marginals,
     load_feasible_sets,
+    round_candidates,
     run_campaign,
     scale_compliance,
 )
@@ -143,9 +144,13 @@ def test_check_feasible_on_narrowed_domains(toy):
     feasible = build_feasible_set(schema, ("pfcp.mark", "pfcp.size"), spec, narrow)
     assert check_feasible(np.array([0.0, 2.5]), feasible)
     assert check_feasible([2.0, 3.0], feasible)
+    # a block holds one genome per row, and passes when every row does
+    assert check_feasible([[0.0, 2.5]], feasible)
+    assert check_feasible(np.array([[0.0, 2.5], [2.0, 3.0]]), feasible)
     for genes in ([1.0, 2.5], [0.5, 2.5], [0.0, 3.5], [np.nan, 2.5], [0.0, np.nan],
-                  [[0.0, 2.5]], [0.0], []):
+                  [[[0.0, 2.5]]], [[0.0, 2.5], [1.0, 2.5]], [0.0], []):
         assert not check_feasible(np.array(genes), feasible), genes
+    assert not check_feasible([[0.0, 2.5], [0.0]], feasible)  # ragged rows
 
 
 def test_compliance_predicates(toy):
@@ -301,7 +306,7 @@ def test_genome_draws_match_the_per_gene_loop(data):
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(5):
         expected = np.array([marginals.sample(g, theirs) for g in range(len(entries))])
-        assert marginals.genome(ours).tobytes() == expected.tobytes()
+        assert np.array(marginals.genome(ours)).tobytes() == expected.tobytes()
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -337,7 +342,7 @@ def test_fitness_positive_part(toy):
     oracle = _oracle(feasible, x, tau=5.0)
 
     def query(genes):  # genes are (mark, size); the score is the size
-        candidate = oracle.candidate(np.array(genes))
+        (candidate,) = round_candidates([oracle], [genes])
         return oracle.fitness(candidate, candidate[1])
 
     assert query([2.0, 0.0]) == 0.0  # score 0 = tau - 5
@@ -353,10 +358,10 @@ def test_budget_exhaustion(toy):
     x = _detected_sample(schema)
     oracle = _oracle(feasible, x, budget=2)
     genes = _genes(x, feasible)
-    oracle.fitness(oracle.candidate(genes), 9.0)
-    oracle.fitness(oracle.candidate(genes), 9.0)
+    oracle.fitness(round_candidates([oracle], [genes])[0], 9.0)
+    oracle.fitness(round_candidates([oracle], [genes])[0], 9.0)
     with pytest.raises(BudgetExhausted):
-        oracle.candidate(genes)
+        round_candidates([oracle], [genes])
 
 
 def test_oracle_rejects_noncompliant_candidates(toy, monkeypatch):
@@ -367,7 +372,10 @@ def test_oracle_rejects_noncompliant_candidates(toy, monkeypatch):
     bad_genomes = ([2.0, 11.0], [3.0, 9.0], [2.0, 9.0, 500.0])
     for bad in bad_genomes:
         with pytest.raises(ComplianceViolation):
-            oracle.candidate(np.array(bad))
+            round_candidates([oracle], [np.array(bad)])
+        # beside a good genome of the same round, and of the same feasible set
+        with pytest.raises(ComplianceViolation):
+            round_candidates([oracle, oracle], [_genes(x, feasible), bad])
     assert oracle.queries_used == 0  # rejected genomes burn no budget
     # and never reach the model: the first sample of a round proposes a good
     # genome, the second a bad one, and the round is not scored
@@ -385,7 +393,116 @@ def test_oracle_rejects_noncompliant_candidates(toy, monkeypatch):
         assert len(model.calls) == 1  # the originals' initial scores only
 
 
+def _scalar_rule(genes, feasible) -> bool:
+    """The per-genome feasibility rule the block check keeps: one gene per
+    position of J, each inside its bounds (so not NaN nor infinite) and, if
+    categorical, one of its allowed codes."""
+    genes = np.asarray(genes, dtype=float)
+    if genes.shape != (len(feasible.domains),):
+        return False
+    for value, domain in zip(genes.tolist(), feasible.domains):
+        lo, hi = (min(domain), max(domain)) if isinstance(domain, tuple) else (domain.lo, domain.hi)
+        if not lo <= value <= hi or (isinstance(domain, tuple) and value not in domain):
+            return False
+    return True
+
+
+# codes in and out of a narrowed mark domain {0, 2}, sizes at and just past
+# a narrowed size domain [2, 3], and NaN and both infinities
+_GENE_VALUES = st.sampled_from([
+    0.0, -0.0, 1.0, 2.0, 3.0, 0.5, 1.999, 2.5, float(np.nextafter(3.0, 4.0)),
+    float(np.nextafter(2.0, 1.0)), 10.0, 11.0, -1.0, math.nan, math.inf, -math.inf,
+]) | st.floats()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_round_check_accepts_exactly_the_genomes_the_scalar_rule_accepts(toy, data):
+    schema, spec, _, _ = toy
+    narrow = data.draw(st.sampled_from(
+        [None, {"pfcp.mark": {"labels": ["c", "a"]}, "pfcp.size": {"lo": 2.0, "hi": 3.0}}]
+    ), "narrow")
+    feasible = build_feasible_set(schema, ("pfcp.mark", "pfcp.size"), spec, narrow)
+    # mostly one gene per position of J; sometimes one too few or too many
+    genome = st.lists(_GENE_VALUES, min_size=2, max_size=2) | st.lists(_GENE_VALUES, max_size=3)
+    genomes = data.draw(st.lists(genome, min_size=1, max_size=4), "genomes")
+    accepted = [_scalar_rule(genes, feasible) for genes in genomes]
+    for genes, ok in zip(genomes, accepted):
+        assert check_feasible(genes, feasible) == ok, genes
+    assert check_feasible(genomes, feasible) == all(accepted)
+
+    x = _detected_sample(schema)
+    oracles = [_oracle(feasible, x, budget=2) for _ in genomes]
+    if not all(accepted):
+        with pytest.raises(ComplianceViolation):
+            round_candidates(oracles, genomes)
+        assert all(oracle.queries_used == 0 for oracle in oracles)  # nothing charged
+        return
+    block = round_candidates(oracles, genomes)
+    J = list(feasible.indices)
+    assert block[:, J].tolist() == genomes
+    assert (np.delete(block, J, axis=1) == np.delete(x, J)).all()
+    for oracle, row in zip(oracles, block):
+        oracle.fitness(row, 0.0)  # an improvement, so kept
+        assert oracle.best_candidate.tolist() == row.tolist()
+        # a copy, so the round's block is not kept alive by it
+        assert oracle.best_candidate.flags.owndata
+        assert not np.shares_memory(oracle.best_candidate, block)
+
+
+def test_round_checks_each_run_of_a_feasible_set_once(toy, monkeypatch):
+    schema, spec, mark_and_size, _ = toy
+    size_only = build_feasible_set(schema, ("pfcp.size",), spec)
+    x = _detected_sample(schema)
+    both, size = _oracle(mark_and_size, x), _oracle(size_only, x)
+    calls = []
+    monkeypatch.setattr(
+        attack_mod, "check_feasible",
+        lambda genes, feasible, check=check_feasible: calls.append(feasible) or check(genes, feasible),
+    )
+    block = round_candidates([both, both, size, both], [[0.0, 1.0], [1.0, 2.0], [3.0], [2.0, 4.0]])
+    assert calls == [mark_and_size, size_only, mark_and_size]
+    assert block.tolist() == [[0.0, 1.0, 500.0], [1.0, 2.0, 500.0], [2.0, 3.0, 500.0],
+                              [2.0, 4.0, 500.0]]
+    # a spent budget anywhere in the round stops it before any check
+    spent = _oracle(size_only, x, budget=1)
+    spent.fitness(round_candidates([spent], [[3.0]])[0], 9.0)
+    calls.clear()
+    with pytest.raises(BudgetExhausted):
+        round_candidates([both, spent], [[0.0, 1.0], [3.0]])
+    assert calls == [] and both.queries_used == 0
+
+
+def test_campaign_rounds_take_each_class_as_one_run(toy, monkeypatch):
+    # samples of two classes, interleaved: each round checks one block per class
+    schema, spec, feasible, source = toy
+    other_spec = ComplianceSpec(ClassLabel.FLOOD, frozenset({"pfcp.teid"}), spec.predicates)
+    other = build_feasible_set(schema, ("pfcp.mark", "pfcp.size"), other_spec)
+    kinds = [ClassLabel.RESTORATION_TEID, ClassLabel.FLOOD] * 3
+    x = _detected_sample(schema)
+    attacks = LabeledDataset(schema, np.array([x] * len(kinds)), kinds)
+    sets = {ClassLabel.RESTORATION_TEID: feasible, ClassLabel.FLOOD: other}
+    marginals = {kind: estimate_marginals(source, sets[kind]) for kind in sets}
+    calls = []
+    monkeypatch.setattr(
+        attack_mod, "check_feasible",
+        lambda genes, feasible, check=check_feasible: calls.append(len(genes)) or check(genes, feasible),
+    )
+    model = _RowModel(tau=-1.0)
+    outcomes = run_campaign(model, attacks, sets, marginals, AttackConfig(algorithm=GA_DE, budget=5))
+    assert [o.sample_index for o in outcomes] == list(range(len(kinds)))
+    assert calls == [3, 3] * 5  # five rounds, one check per class, three samples each
+
+
 # --- optimizers -----------------------------------------------------------------------
+
+
+def test_every_declared_algorithm_has_one_optimizer():
+    # the names are declared apart from the optimizers, for config checks
+    # that load no attack code
+    assert tuple(attack_mod._OPTIMIZERS) == attack_mod.ALGORITHMS == (RS, GA_DE, GA_ES)
+
+
 
 
 def test_rs_single_query(toy):

@@ -1135,8 +1135,9 @@ def _stage_modules(command: str, config: Path) -> set[str]:
 
 def test_stages_import_only_the_modules_they_run(tmp_path):
     # every module a stage imports is compiled when it starts without a
-    # bytecode cache: synth, preprocess and report fit, score and attack
-    # nothing, and a run without ensembles loads no ensemble code
+    # bytecode cache: synth runs the generator alone, synth, preprocess and
+    # report fit and score nothing, only attack attacks, and a run without
+    # ensembles loads no ensemble code
     config = write_config(tmp_path)
     models = ("pfcpbench.detectors", "pfcpbench.ensemble")
     for command, absent in [("synth", (*models, "pfcpbench.evaluate")),
@@ -1148,6 +1149,45 @@ def test_stages_import_only_the_modules_they_run(tmp_path):
         loaded = _stage_modules(command, config)
         assert "pfcpbench.config" in loaded
         assert not {m for m in loaded for a in absent if m == a or m.startswith(a + ".")}, command
+        assert ("pfcpbench.attack" in loaded) == (command == "attack"), command
+        if command == "synth":
+            assert {m for m in loaded if m.split(".")[0] == "pfcpbench"} == {
+                "pfcpbench", "pfcpbench.cli", "pfcpbench.catalog", "pfcpbench.config",
+                "pfcpbench.corpus", "pfcpbench.errors", "pfcpbench.seeding", "pfcpbench.traffic",
+            }
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path):
+    # main runs in-process under tests and the harness's traced runs, so
+    # only the console entry freezes the heap, after main returns
+    import gc
+
+    config = write_config(tmp_path)
+    frozen = gc.get_freeze_count()
+    assert run("synth", config) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+_FROZEN_AT_EXIT = """
+import atexit, gc, sys
+from pfcpbench import cli
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+cli.run()
+"""
+
+
+def test_console_entry_exits_with_mains_code_and_a_frozen_heap(tmp_path):
+    config = write_config(tmp_path)
+    paths = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    for command, code in (("synth", 0), ("report", 12)):  # nothing to report: ConfigError
+        proc = subprocess.run(
+            [sys.executable, "-c", _FROZEN_AT_EXIT, command, "--config", str(config)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "frozen True"
+    assert 'pfcpbench = "pfcpbench.cli:run"' in (REPO / "pyproject.toml").read_text()
 
 
 @pytest.fixture(scope="module")
