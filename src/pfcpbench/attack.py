@@ -146,25 +146,26 @@ def scale_compliance(spec: ComplianceSpec, pipeline: PipelineModel) -> Complianc
     """Re-express raw-value numeric predicates in the pipeline's output space.
 
     Robust scaling is a strictly increasing per-feature affine map, so the
-    relation direction is preserved; categorical predicates are untouched.
+    relation direction is preserved; categorical predicates are untouched,
+    and each must name a label of its field's domain, scaled or not.
     """
     # predicate fields are protected, so checking the protected set covers both
     schema, scaler = pipeline.output_schema, pipeline.scaler
+    where = spec.attack_class.value
     missing = [name for name in spec.protected if name not in schema.names]
     if missing:
-        raise ConfigError(
-            f"{spec.attack_class.value}: compliance references dropped features {sorted(missing)}"
-        )
-    if scaler is None:
-        return spec
+        raise ConfigError(f"{where}: compliance references dropped features {sorted(missing)}")
     predicates = []
     for name, relation, value in spec.predicates:
         pos = schema.position(name)
-        if schema.features[pos].kind == CATEGORICAL:
-            predicates.append((name, relation, value))
-        else:
-            scaled = (float(value) - scaler.center[pos]) / scaler.scale[pos]
-            predicates.append((name, relation, scaled))
+        desc = schema.features[pos]
+        if desc.kind == CATEGORICAL:
+            # an unknown label's code would match every label outside the domain
+            if str(value) not in desc.domain.labels:
+                raise ConfigError(f"{where}: predicate label {value!r} is outside {name}'s domain")
+        elif scaler is not None:
+            value = (float(value) - scaler.center[pos]) / scaler.scale[pos]
+        predicates.append((name, relation, value))
     return ComplianceSpec(spec.attack_class, spec.protected, tuple(predicates))
 
 
@@ -401,7 +402,8 @@ def estimate_marginals(source: LabeledDataset, feasible: FeasibleSet) -> Margina
 
 
 class QueryOracle:
-    """One sample's side of the threat model: its original and its budget.
+    """One attacked sample: its side of the threat model, its original and
+    its budget, and the fitness of each of its queries, in ``trace``.
 
     The attacker sees only fitness values max(0, score - tau); every query
     burns one unit of budget.  ``round_candidates`` checks a round of
@@ -414,19 +416,33 @@ class QueryOracle:
     (an out-of-domain genome is an optimizer bug, not a runtime condition).
     """
 
-    def __init__(self, tau: float, budget: int, original: np.ndarray, feasible: FeasibleSet):
+    def __init__(
+        self, tau: float, budget: int, original: np.ndarray, feasible: FeasibleSet, *,
+        sample_index: int, algorithm: str, initial_score: float,
+    ):
         self.tau = tau
         self.budget = budget
         self.original = np.asarray(original, dtype=float).copy()
         self.feasible = feasible
-        self.queries_used = 0
-        self.trace: list[tuple[int, float]] = []
+        self.sample_index = sample_index
+        self.algorithm = algorithm
+        self.initial_score = initial_score
+        self.trace = array("d")
         self.best_candidate = self.original.copy()
-        self.best_fitness = np.inf
+        self.best_fitness = math.inf
 
     @property
-    def remaining(self) -> int:
-        return self.budget - self.queries_used
+    def queries_used(self) -> int:
+        return len(self.trace)
+
+    @property
+    def evaded(self) -> bool:
+        return self.best_fitness == 0.0
+
+    @property
+    def attack_class(self) -> ClassLabel:
+        # run_campaign looks the feasible set up by the sample's own label
+        return self.feasible.compliance.attack_class
 
     def fitness(self, candidate: np.ndarray, score: float) -> float:
         """Charge one query for ``candidate``, built by ``round_candidates``
@@ -437,13 +453,33 @@ class QueryOracle:
         score = float(score)
         if not math.isfinite(score):
             raise MetricError(f"the model scored a candidate {score}")
-        self.queries_used += 1
         value = max(0.0, score - self.tau)
-        self.trace.append((self.queries_used, value))
+        self.trace.append(value)
         if value < self.best_fitness:
             self.best_fitness = value
             self.best_candidate = candidate.copy()
         return value
+
+    def to_json_dict(self, schema: FeatureSchema, include_trace: bool = False) -> dict:
+        """The sample's line of a campaign file; its trace as [query, fitness]
+        pairs from query 1."""
+        doc = {
+            "sample_index": self.sample_index,
+            "attack_class": self.attack_class.value,
+            "algorithm": self.algorithm,
+            "best_fitness": self.best_fitness,
+            "queries_used": self.queries_used,
+            "evaded": self.evaded,
+            "initial_score": self.initial_score,
+            "modified": {
+                schema.features[j].name: self.best_candidate[j]
+                for j in range(len(schema))
+                if self.best_candidate[j] != self.original[j]
+            },
+        }
+        if include_trace:
+            doc["trace"] = [[q, f] for q, f in enumerate(self.trace, 1)]
+        return doc
 
 
 def round_candidates(oracles: Sequence[QueryOracle], genomes: Sequence) -> np.ndarray:
@@ -471,43 +507,6 @@ def round_candidates(oracles: Sequence[QueryOracle], genomes: Sequence) -> np.nd
             raise ComplianceViolation("optimizer produced an infeasible genome")
         block[start:stop, feasible.indices] = genes
     return block
-
-
-# ---------------------------------------------------------------------------
-# Attack outcome
-
-
-@dataclass
-class AttackOutcome:
-    sample_index: int
-    attack_class: ClassLabel
-    algorithm: str
-    original: np.ndarray
-    best_candidate: np.ndarray
-    best_fitness: float
-    queries_used: int
-    evaded: bool
-    initial_score: float
-    trace: tuple[tuple[int, float], ...]
-
-    def to_json_dict(self, schema: FeatureSchema, include_trace: bool = False) -> dict:
-        doc = {
-            "sample_index": self.sample_index,
-            "attack_class": self.attack_class.value,
-            "algorithm": self.algorithm,
-            "best_fitness": self.best_fitness,
-            "queries_used": self.queries_used,
-            "evaded": self.evaded,
-            "initial_score": self.initial_score,
-            "modified": {
-                schema.features[j].name: self.best_candidate[j]
-                for j in range(len(schema))
-                if self.best_candidate[j] != self.original[j]
-            },
-        }
-        if include_trace:
-            doc["trace"] = [[q, f] for q, f in self.trace]
-        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +648,7 @@ def _lockstep(model, attacks: Sequence[tuple[QueryOracle, Proposals]]) -> None:
     while True:
         queued, genomes = [], []
         for oracle, proposals, value in live:
-            if oracle.remaining == 0 or value == 0.0:
+            if oracle.queries_used == oracle.budget or value == 0.0:
                 continue
             try:
                 genomes.append(proposals.send(value))
@@ -679,8 +678,9 @@ def run_campaign(
     feasible_sets: Mapping[ClassLabel, FeasibleSet],
     marginals: Mapping[ClassLabel, Marginals],
     cfg: AttackConfig,
-) -> list[AttackOutcome]:
-    """Attack every initially-detected sample with a per-sample budget.
+) -> list[QueryOracle]:
+    """Attack every initially-detected sample with a per-sample budget;
+    return the oracles of the attacked samples, in sample order.
 
     ``model`` only needs ``score_batch`` and ``tau``, and a ``kind`` when
     it is a detector; the optimizers never see anything else.  Samples the
@@ -713,10 +713,12 @@ def run_campaign(
             # member of the class; attacking it would be meaningless
             skipped_noncompliant += 1
             continue
-        oracle = QueryOracle(model.tau, cfg.budget, X[i], feasible)
+        oracle = QueryOracle(
+            model.tau, cfg.budget, X[i], feasible,
+            sample_index=i, algorithm=cfg.algorithm, initial_score=float(scores[i]),
+        )
         rng = rng_for(cfg.seed, "attack", cfg.algorithm, i)
-        proposals = _OPTIMIZERS[cfg.algorithm](feasible, marginals[kind], cfg, rng)
-        attacked.append((i, kind, oracle, proposals))
+        attacked.append((oracle, _OPTIMIZERS[cfg.algorithm](feasible, marginals[kind], cfg, rng)))
     if skipped_noncompliant:
         logger.warning(
             "campaign: skipped %d samples violating their own class predicates",
@@ -724,23 +726,14 @@ def run_campaign(
         )
     # class by class, so that each feasible set is one run of a round's rows
     rank = {kind: r for r, kind in enumerate(feasible_sets)}
-    by_class = sorted(attacked, key=lambda entry: rank[entry[1]])
-    _lockstep(model, [(oracle, proposals) for _, _, oracle, proposals in by_class])
-    return [
-        AttackOutcome(
-            sample_index=i, attack_class=kind, algorithm=cfg.algorithm, original=oracle.original,
-            best_candidate=oracle.best_candidate, best_fitness=float(oracle.best_fitness),
-            queries_used=oracle.queries_used, evaded=oracle.best_fitness == 0.0,
-            initial_score=float(scores[i]), trace=tuple(oracle.trace),
-        )
-        for i, kind, oracle, _ in attacked
-    ]
+    _lockstep(model, sorted(attacked, key=lambda entry: rank[entry[0].attack_class]))
+    return [oracle for oracle, _ in attacked]
 
 
 def write_outcomes_jsonl(
-    outcomes: Sequence[AttackOutcome], schema: FeatureSchema, path, include_trace: bool = False
+    outcomes: Sequence[QueryOracle], schema: FeatureSchema, path, include_trace: bool = False
 ) -> None:
-    """Campaign results as JSON lines, one outcome per line."""
+    """Campaign results as JSON lines, one attacked sample per line."""
     write_text(path, "".join(
         json.dumps(outcome.to_json_dict(schema, include_trace), sort_keys=True) + "\n"
         for outcome in outcomes

@@ -358,17 +358,13 @@ SAVE_BLOCK_ROWS = 128
 
 def _cell_format(f: FeatureDescriptor) -> Callable[[list[float]], list[str]]:
     """The cells of a column of feature ``f``: a number's ``repr``, a code's
-    label, and an empty cell for a missing value; a negative code other
-    than ``MISSING_CODE`` is ``UNKNOWN_MARKER``."""
+    label, and an empty cell for a missing value; a categorical cell that is
+    neither a code of the domain nor ``MISSING_CODE`` is ``UNKNOWN_MARKER``."""
     if f.kind != CATEGORICAL:
         return lambda column: [MISSING_MARKER if v != v else repr(v) for v in column]
     cells = {float(code): label for code, label in enumerate(f.domain.labels)}
     cells[float(MISSING_CODE)] = MISSING_MARKER
-
-    def odd(v: float) -> str:
-        return UNKNOWN_MARKER if v < 0 else f.domain.label_of(int(v))
-
-    return lambda column: [cells[v] if v in cells else odd(v) for v in column]
+    return lambda column: [cells.get(v, UNKNOWN_MARKER) for v in column]
 
 
 def save_csv(ds: LabeledDataset, path: str | Path, seed: int | None = None) -> None:

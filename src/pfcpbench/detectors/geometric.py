@@ -32,8 +32,6 @@ def fit_pca(X: np.ndarray, params: dict, rng) -> dict:
 def score_pca(state: dict, Q: np.ndarray) -> np.ndarray:
     centered = Q - state["mean"]
     V = state["components"]
-    if V.shape[0] == 0:
-        return (centered**2).sum(axis=1)
     residual = centered - (centered @ V.T) @ V
     return (residual**2).sum(axis=1)
 

@@ -166,9 +166,6 @@ class CategoricalDomain:
         except ValueError:
             return UNKNOWN_CODE
 
-    def label_of(self, code: int) -> str:
-        return self.labels[code]
-
     def __len__(self) -> int:
         return len(self.labels)
 

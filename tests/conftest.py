@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pfcpbench.attack import (
     DEFAULT_COMPLIANCE_RULES,
@@ -36,6 +37,12 @@ from pfcpbench.traffic import (
     LabeledDataset,
     NumericDomain,
 )
+
+# Every property test draws the same examples on every run and is never
+# timed, so tier-1 passes or fails alike on any machine; a test's own
+# ``@settings`` inherits both.
+settings.register_profile("pfcpbench", derandomize=True, deadline=None)
+settings.load_profile("pfcpbench")
 
 BLOB_SEED = 4242
 BENCH_SCALE = 0.25

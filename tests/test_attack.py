@@ -74,7 +74,10 @@ def toy():
 
 
 def _oracle(feasible, original, budget=100, tau=1.0):
-    return QueryOracle(tau=tau, budget=budget, original=original, feasible=feasible)
+    return QueryOracle(
+        tau=tau, budget=budget, original=original, feasible=feasible,
+        sample_index=0, algorithm=RS, initial_score=0.0,
+    )
 
 
 def _campaign(model, attacks, feasible, cfg, source):
@@ -281,7 +284,7 @@ def test_bounded_index_draw_matches_generator_choice():
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_genome_draws_match_the_per_gene_loop(data):
     # runs of numerical genes, a categorical gene between each two runs; a
@@ -415,7 +418,7 @@ _GENE_VALUES = st.sampled_from([
 ]) | st.floats()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(data=st.data())
 def test_round_check_accepts_exactly_the_genomes_the_scalar_rule_accepts(toy, data):
     schema, spec, _, _ = toy
@@ -543,7 +546,7 @@ def test_ga_de_respects_budget_and_improves(toy):
         score=lambda row: abs(row[1] - 4.2) + 3.0,
     )
     assert oracle.queries_used == 60
-    fits = [f for _, f in oracle.trace]
+    fits = list(oracle.trace)
     assert min(fits[:20]) > oracle.best_fitness or fits.index(min(fits)) >= 20
 
 
@@ -552,7 +555,7 @@ def test_ga_es_static_without_variation(toy, monkeypatch):
     monkeypatch.setattr(attack_mod, "MUTATIONS_PER_CHILD", 0.0)
     cfg = AttackConfig(algorithm=GA_ES, seed=4)
     oracle, _ = _drive_one(toy, cfg, rng_for(4, "t"), tau=-1.0)
-    init_best = min(f for _, f in oracle.trace[: cfg.popsize])
+    init_best = min(oracle.trace[: cfg.popsize])
     assert oracle.best_fitness == pytest.approx(init_best)
 
 
@@ -569,7 +572,7 @@ def test_monotone_best_so_far(toy):
     cfg = AttackConfig(algorithm=GA_DE, seed=6)
     oracle, _ = _drive_one(toy, cfg, rng_for(6, "t"), tau=-1.0, budget=80)
     best = np.inf
-    for _, f in oracle.trace:
+    for f in oracle.trace:
         best = min(best, f)
     assert best == oracle.best_fitness
 
@@ -623,7 +626,7 @@ class _RecordingModel:
         return X[:, 1] + X[:, 4] / 10.0 + X[:, 5] + 0.5 * (X[:, 0] == 2) + X[:, 3]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_every_scored_row_is_feasible_and_within_budget(data):
     schema = _WIDE_SCHEMA
@@ -878,7 +881,8 @@ def test_campaign_golden_traces(toy, algorithm):
     )
     digest = hashlib.sha256()
     for o in outcomes:
-        doc = [o.sample_index, [list(t) for t in o.trace], o.best_candidate.tolist()]
+        trace = [[q, f] for q, f in enumerate(o.trace, 1)]
+        doc = [o.sample_index, trace, o.best_candidate.tolist()]
         digest.update(json.dumps(doc).encode())
     assert len(outcomes) == 12
     assert digest.hexdigest() == GOLDEN_TRACE_DIGESTS[algorithm]
@@ -951,7 +955,8 @@ def test_campaign_golden_traces_on_runs_of_numerical_genes(algorithm):
     )
     digest = hashlib.sha256()
     for o in outcomes:
-        doc = [o.sample_index, [list(t) for t in o.trace], o.best_candidate.tolist()]
+        trace = [[q, f] for q, f in enumerate(o.trace, 1)]
+        doc = [o.sample_index, trace, o.best_candidate.tolist()]
         digest.update(json.dumps(doc).encode())
     assert len(outcomes) == 13
     assert digest.hexdigest() == GOLDEN_RUNS_DIGESTS[algorithm]
@@ -993,7 +998,7 @@ def _one_sample_one_row_campaign(model, attacks, feasible, cfg, source):
             candidate = original.copy()
             candidate[J] = genes
             value = max(0.0, float(model.score_batch(candidate[None, :])[0]) - model.tau)
-            trace.append((len(trace) + 1, value))
+            trace.append(value)
             if value < best_fitness:
                 best, best_fitness = candidate, value
         outcomes.append((i, tuple(trace), best.tolist(), best_fitness))
@@ -1011,7 +1016,8 @@ def test_lockstep_campaign_matches_one_sample_one_row_reference(toy, algorithm):
 
     def lockstep(model):
         outcomes = _campaign(model, attacks, feasible, cfg, source)
-        return [(o.sample_index, o.trace, o.best_candidate.tolist(), o.best_fitness) for o in outcomes]
+        return [(o.sample_index, tuple(o.trace), o.best_candidate.tolist(), o.best_fitness)
+                for o in outcomes]
 
     def reference(kind, per_row):
         model = _BatchSizeModel(kind, per_row)
@@ -1063,7 +1069,8 @@ def test_lockstep_campaign_scores_each_gmm_round_in_one_call(toy, algorithm):
     ]
     reference = _one_sample_one_row_campaign(model.model, attacks, feasible, cfg, source)
     assert [
-        (o.sample_index, o.trace, o.best_candidate.tolist(), o.best_fitness) for o in outcomes
+        (o.sample_index, tuple(o.trace), o.best_candidate.tolist(), o.best_fitness)
+        for o in outcomes
     ] == reference
 
 

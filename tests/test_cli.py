@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -964,8 +965,7 @@ _FIELD_NAMES = st.sampled_from(
 ) | st.text(max_size=6)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_fuzzed_run_config_parses_or_fails_cleanly(tmp_path, data):
     # the shipped config with keys dropped, keys added and leaves swapped
@@ -1024,8 +1024,7 @@ def _j_entry(draw) -> dict:
     return entry
 
 
-@settings(derandomize=True, max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(feasible=st.dictionaries(st.sampled_from([label.value for label in ATTACK_LABELS]),
                                 _j_entry(), max_size=5))
 def test_fuzzed_feasible_sets_build_or_fail_cleanly(tmp_path, feasible):
@@ -1035,6 +1034,65 @@ def test_fuzzed_feasible_sets_build_or_fail_cleanly(tmp_path, feasible):
         load_feasible_sets(cfg.feasible, _SCHEMA, DEFAULT_COMPLIANCE_RULES)
     except PfcpBenchError:
         pass
+
+
+_SPLITS = ("train", "validation", "test")
+# cells that load as missing, or as a label outside a categorical domain;
+# cells of magnitude near 1e300 are left out: their products overflow
+_ODD_CELLS = st.sampled_from(["", "nan", "NaN", "inf", "-inf", "Infinity"])
+# README's input-error codes; 10 and 11 are internal attack faults
+_INPUT_ERROR_CODES = {2, 3, 4, 5, 6, 7, 8, 9, 12}
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """Each split of a scale-0.01 synthetic corpus, as CSV rows under a header."""
+    tmp_path = tmp_path_factory.mktemp("small_corpus")
+    assert run("synth", write_config(tmp_path, corpus={"synth": {"scale": 0.01}})) == 0
+    corpus = only_run_dir(tmp_path) / "corpus"
+    return {name: list(csv.reader((corpus / f"{name}.csv").open())) for name in _SPLITS}
+
+
+@st.composite
+def _fuzzed_corpus(draw, corpus) -> dict[str, list[list[str]]]:
+    """``corpus`` with constant columns, an attack class gone from validation
+    or test, and missing, non-numeric and infinite cells."""
+    rows = {name: [row[:] for row in table[1:]] for name, table in corpus.items()}
+    features = range(len(corpus["train"][0]) - 1)  # the last column is the label
+    for j in draw(st.lists(st.sampled_from(features), max_size=4, unique=True)):
+        for row in (row for table in rows.values() for row in table):
+            row[j] = rows["train"][0][j]
+    for name in ("validation", "test"):
+        gone = draw(st.sampled_from([None, *(label.value for label in ATTACK_LABELS)]))
+        rows[name] = [row for row in rows[name] if row[-1] != gone]
+    cells = st.tuples(st.sampled_from(_SPLITS), st.integers(0, 10**6), st.sampled_from(features),
+                      _ODD_CELLS)
+    for name, i, j, cell in draw(st.lists(cells, max_size=40)):
+        if rows[name]:
+            rows[name][i % len(rows[name])][j] = cell
+    return {name: [corpus[name][0], *table] for name, table in rows.items()}
+
+
+@settings(max_examples=15)
+@given(data=st.data(), scaling=st.booleans())
+def test_fuzzed_corpus_runs_or_fails_with_an_input_error(small_corpus, data, scaling):
+    # every detector kind and a stacked preset, each stage in process
+    fuzzed = data.draw(_fuzzed_corpus(small_corpus))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        splits = {}
+        for name, table in fuzzed.items():
+            with (tmp_path / f"{name}.csv").open("w", newline="") as fh:
+                csv.writer(fh).writerows(table)
+            splits[name] = [{"path": str(tmp_path / f"{name}.csv")}]
+        config = write_config(
+            tmp_path, corpus={"splits": splits}, pipeline={"scaling": scaling},
+            detectors=[{"kind": kind.value} for kind in DetectorKind], ensembles=["HKGIP"],
+            attack={"algorithms": ["RS", "GA_DE", "GA_ES"], "targets": ["HBOS", "GMM"],
+                    "budget": 6, "popsize": 4},
+        )
+        for stage in ("preprocess", "train", "evaluate", "attack"):
+            assert run(stage, config) in {0, *_INPUT_ERROR_CODES}, stage
 
 
 @pytest.mark.parametrize(
@@ -1110,6 +1168,29 @@ def test_synth_against_a_schema_without_a_drawn_label_is_schema_error(tmp_path, 
     err = capsys.readouterr().err
     assert "error[SchemaError]" in err and "Traceback" not in err
     assert "pfcp.msg_type" in err and "'50'" in err
+
+
+@pytest.mark.parametrize("scaling", [False, True])
+def test_attack_with_a_predicate_label_outside_the_schema_is_config_error(
+    tmp_path, capsys, scaling
+):
+    # the flood class's predicate is msg_type = "50"; with "50" gone from the
+    # schema, every label outside it would read as that unknown code
+    assert run("synth", write_config(tmp_path)) == 0
+    corpus = only_run_dir(tmp_path) / "corpus"
+    doc = default_schema().to_json_dict()
+    (entry,) = [f for f in doc["features"] if f["name"] == "pfcp.msg_type"]
+    entry["domain"]["labels"].remove("50")
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(doc))
+    splits = {name: [{"path": str(corpus / f"{name}.csv")}] for name in _SPLITS}
+    config = write_config(tmp_path, schema=str(schema_path), corpus={"splits": splits},
+                          pipeline={"scaling": scaling})
+    assert run("preprocess", config) == 0 and run("train", config) == 0
+    assert run("attack", config) == 12
+    err = capsys.readouterr().err
+    assert "error[ConfigError] flood:" in err and "Traceback" not in err
+    assert "'50'" in err and "pfcp.msg_type" in err
 
 
 _IMPORTED_MODULES = """

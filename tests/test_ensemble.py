@@ -356,7 +356,7 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_replacing_one_value_of_a_container_fails_or_changes_nothing(saved_containers, data):
     directory, fitted, X = saved_containers

@@ -54,7 +54,7 @@ def test_roundtrip_in_domain(tmp_path, tiny_schema):
     assert loaded.matrix.tolist() == [[2, 42.25, -3.0]]
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(
     label=st.sampled_from(["A", "B", "C"]),
     length=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
