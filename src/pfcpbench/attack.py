@@ -13,10 +13,10 @@ differential mutation with two-point crossover and one on recombination
 plus per-gene resampling.  Optimizers are generators that only propose
 genomes, arrays of doubles with one value per position of J; they breed
 gene by gene on Python floats, and their stream of numpy draws is fixed by
-``tests/test_attack_streams.py``.  A campaign runs in lockstep.  Each round
-advances every sample's optimizer by one genome, checks the round's genomes
-as one block per feasible set, writes them into one copy of the originals,
-scores that block and charges each sample one query.
+``tests/test_attack_streams.py``.  A campaign runs one lockstep per gene
+space.  Each round advances every sample's optimizer by one genome, checks
+the round's genomes as one block, writes them into one copy of the
+originals, scores that block and charges each sample one query.
 """
 
 from __future__ import annotations
@@ -175,13 +175,14 @@ class FeasibleSet:
     each one's allowed values: a ``NumericDomain``, or the tuple of allowed
     schema codes of a categorical feature.  A genome holds one value per
     position of J, in the same order.  ``compliance`` is the spec of the
-    attack class J was built for, whose protected fields J avoids.  Built
-    once from ``domains``: each gene's bounds ``lo``/``hi`` (a categorical
-    gene's extreme codes) and the ``categorical`` genes."""
+    attack class J was built for, whose protected fields J avoids; equality
+    and hash ignore it, so a set is its gene space.  Built once from
+    ``domains``: each gene's bounds ``lo``/``hi`` (a categorical gene's
+    extreme codes) and the ``categorical`` genes."""
 
     indices: tuple[int, ...]
     domains: tuple  # NumericDomain | tuple[int, ...], aligned with indices
-    compliance: ComplianceSpec
+    compliance: ComplianceSpec = field(compare=False)
     lo: np.ndarray = field(init=False, repr=False, compare=False)
     hi: np.ndarray = field(init=False, repr=False, compare=False)
     categorical: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -277,6 +278,12 @@ def load_feasible_sets(
         if not names and not narrow:
             logger.warning("%s: empty feasible set, class skipped", kind.value)
             continue
+        dropped = [name for name in names if "features" not in entry and name not in schema.names]
+        if dropped:
+            raise ConfigError(
+                f"the default controllable set names {dropped}, which the pipeline dropped; "
+                f"choose J with attack.feasible.{kind.value}.features"
+            )
         sets[kind] = build_feasible_set(schema, names, spec, narrow)
     return sets
 
@@ -485,27 +492,22 @@ class QueryOracle:
 def round_candidates(oracles: Sequence[QueryOracle], genomes: Sequence) -> np.ndarray:
     """The rows that querying ``genomes[k]`` against ``oracles[k]`` scores,
     as one block: a copy of each original with its genome written into J.
-    Each run of oracles that share a feasible set has its genomes checked
-    in one ``check_feasible`` call.  Raises when an oracle's budget is spent
-    or a genome lies outside its domains, before anything is scored;
-    neither burns budget."""
-    starts = []  # where each run of one feasible set starts
-    for k, oracle in enumerate(oracles):
+    A round's oracles share one gene space (their feasible sets are equal),
+    so its genomes are checked in one ``check_feasible`` call.  Raises when
+    an oracle's budget is spent or a genome lies outside its domains, before
+    anything is scored; neither burns budget."""
+    for oracle in oracles:
         if oracle.queries_used >= oracle.budget:
             raise BudgetExhausted(f"query budget of {oracle.budget} spent")
-        if not k or oracle.feasible is not oracles[k - 1].feasible:
-            starts.append(k)
+    feasible = oracles[0].feasible
+    try:
+        genes = np.array(genomes, dtype=float)
+    except ValueError:  # ragged rows, which check_feasible rejects as they are
+        genes = genomes
+    if not check_feasible(genes, feasible):
+        raise ComplianceViolation("optimizer produced an infeasible genome")
     block = np.array([oracle.original for oracle in oracles])
-    for start, stop in zip(starts, starts[1:] + [len(oracles)]):
-        feasible = oracles[start].feasible
-        genes = genomes[start:stop]
-        try:
-            genes = np.array(genes, dtype=float)
-        except ValueError:  # ragged rows, which check_feasible rejects as they are
-            pass
-        if not check_feasible(genes, feasible):
-            raise ComplianceViolation("optimizer produced an infeasible genome")
-        block[start:stop, feasible.indices] = genes
+    block[:, feasible.indices] = genes
     return block
 
 
@@ -686,9 +688,10 @@ def run_campaign(
     it is a detector; the optimizers never see anything else.  Samples the
     detector misses are skipped: evasion is defined over detected samples,
     and so are samples of a class without a feasible set, and samples that
-    break their own class predicates (counted in one warning).  Per-sample
-    RNG streams derive from (seed, algorithm, sample index), so the order
-    in which the samples' queries are made does not matter.
+    break their own class predicates (counted in one warning).  Each gene
+    space (equal feasible sets) runs one lockstep, whose rounds' oracles
+    share one set.  Per-sample RNG streams derive from (seed, algorithm,
+    sample index), so the order of the samples' queries does not matter.
     """
     if not attack_samples.attacks.all():
         raise SchemaError("campaign input must contain attack rows only")
@@ -702,6 +705,7 @@ def run_campaign(
         return []
 
     attacked = []
+    spaces = {}  # gene space -> its samples' (oracle, optimizer) pairs
     skipped_noncompliant = 0
     for i in range(len(attack_samples)):
         kind = attack_samples.labels[i]
@@ -718,16 +722,18 @@ def run_campaign(
             sample_index=i, algorithm=cfg.algorithm, initial_score=float(scores[i]),
         )
         rng = rng_for(cfg.seed, "attack", cfg.algorithm, i)
-        attacked.append((oracle, _OPTIMIZERS[cfg.algorithm](feasible, marginals[kind], cfg, rng)))
+        attacked.append(oracle)
+        spaces.setdefault(feasible, []).append(
+            (oracle, _OPTIMIZERS[cfg.algorithm](feasible, marginals[kind], cfg, rng))
+        )
     if skipped_noncompliant:
         logger.warning(
             "campaign: skipped %d samples violating their own class predicates",
             skipped_noncompliant,
         )
-    # class by class, so that each feasible set is one run of a round's rows
-    rank = {kind: r for r, kind in enumerate(feasible_sets)}
-    _lockstep(model, sorted(attacked, key=lambda entry: rank[entry[0].attack_class]))
-    return [oracle for oracle, _ in attacked]
+    for attacks in spaces.values():
+        _lockstep(model, attacks)
+    return attacked
 
 
 def write_outcomes_jsonl(

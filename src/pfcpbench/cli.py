@@ -309,11 +309,11 @@ def cmd_attack(cfg: RunConfig) -> int:
     # campaigns and evasion table of an earlier attack
     _remove([*run_dir.glob("campaign-*.jsonl"), run_dir / "evasion.json", run_dir / "evasion.csv"])
     source = splits["train"] if from_train else attack_rows
-    # estimated once per command, and only when some campaign draws from them
-    marginals = {
-        kind: attack_mod.estimate_marginals(source, feasible_set)
-        for kind, feasible_set in feasible.items()
-    } if cfg.algorithms else {}
+    # estimated once per command and gene space, and only when some campaign
+    # draws from them: the classes whose sets are equal share one table
+    spaces = dict.fromkeys(feasible.values()) if cfg.algorithms else {}
+    tables = {space: attack_mod.estimate_marginals(source, space) for space in spaces}
+    marginals = {kind: tables[space] for kind, space in feasible.items() if space in tables}
 
     rows = []
     for name, model in models:

@@ -342,13 +342,20 @@ def _cell_parser(f: FeatureDescriptor) -> Callable[[str], float]:
     return lambda cell: codes.get(cell, UNKNOWN_CODE)
 
 
+# No IP, UDP or PFCP field is wider than 64 bits, and a larger magnitude
+# overflows the detectors' squares and products.
+MAX_CELL_MAGNITUDE = 2.0**64
+
+
 def _parse_real(cell: str) -> float:
-    """A numerical cell; an empty, unparsable or non-finite one is missing (NaN)."""
+    """A numerical cell; an empty, unparsable or non-finite one is missing
+    (NaN), and so is one whose magnitude exceeds ``MAX_CELL_MAGNITUDE``."""
     try:
         value = float(cell)
     except ValueError:
         return math.nan
-    return value if math.isfinite(value) else math.nan
+    # NaN and both infinities fail the comparison too
+    return value if -MAX_CELL_MAGNITUDE <= value <= MAX_CELL_MAGNITUDE else math.nan
 
 
 # Rows that save_csv formats at once: the strings of a block, not the

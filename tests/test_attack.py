@@ -453,48 +453,98 @@ def test_round_check_accepts_exactly_the_genomes_the_scalar_rule_accepts(toy, da
         assert not np.shares_memory(oracle.best_candidate, block)
 
 
-def test_round_checks_each_run_of_a_feasible_set_once(toy, monkeypatch):
-    schema, spec, mark_and_size, _ = toy
+def _flood_twin(spec):
+    """FLOOD's spec, with the toy's protected field and predicate."""
+    return ComplianceSpec(ClassLabel.FLOOD, frozenset({"pfcp.teid"}), spec.predicates)
+
+
+def test_feasible_sets_are_equal_when_their_gene_spaces_are(toy):
+    schema, spec, feasible, _ = toy
+    twin = build_feasible_set(schema, ("pfcp.size", "pfcp.mark"), _flood_twin(spec))
+    assert twin.compliance is not feasible.compliance
+    assert twin == feasible and hash(twin) == hash(feasible)
+    assert len({feasible, twin}) == 1
+    narrowed = build_feasible_set(schema, ("pfcp.mark", "pfcp.size"), spec,
+                                  {"pfcp.size": {"lo": 2.0, "hi": 3.0}})
     size_only = build_feasible_set(schema, ("pfcp.size",), spec)
-    x = _detected_sample(schema)
-    both, size = _oracle(mark_and_size, x), _oracle(size_only, x)
+    assert len({feasible, narrowed, size_only}) == 3
+
+
+def _counted_checks(monkeypatch, record):
+    """Patch ``check_feasible`` so that each call appends ``record(genes, feasible)``."""
     calls = []
     monkeypatch.setattr(
         attack_mod, "check_feasible",
-        lambda genes, feasible, check=check_feasible: calls.append(feasible) or check(genes, feasible),
+        lambda genes, feasible, check=check_feasible: (
+            calls.append(record(genes, feasible)) or check(genes, feasible)
+        ),
     )
-    block = round_candidates([both, both, size, both], [[0.0, 1.0], [1.0, 2.0], [3.0], [2.0, 4.0]])
-    assert calls == [mark_and_size, size_only, mark_and_size]
+    return calls
+
+
+def test_round_checks_each_run_of_a_feasible_set_once(toy, monkeypatch):
+    # a round's oracles share one gene space, here under two classes' specs
+    schema, spec, feasible, _ = toy
+    twin = build_feasible_set(schema, ("pfcp.mark", "pfcp.size"), _flood_twin(spec))
+    x = _detected_sample(schema)
+    ours, theirs = _oracle(feasible, x), _oracle(twin, x)
+    calls = _counted_checks(monkeypatch, lambda genes, space: (len(genes), space))
+    block = round_candidates([ours, ours, theirs, ours],
+                             [[0.0, 1.0], [1.0, 2.0], [2.0, 3.0], [2.0, 4.0]])
+    assert calls == [(4, feasible)]
     assert block.tolist() == [[0.0, 1.0, 500.0], [1.0, 2.0, 500.0], [2.0, 3.0, 500.0],
                               [2.0, 4.0, 500.0]]
     # a spent budget anywhere in the round stops it before any check
-    spent = _oracle(size_only, x, budget=1)
-    spent.fitness(round_candidates([spent], [[3.0]])[0], 9.0)
+    spent = _oracle(twin, x, budget=1)
+    spent.fitness(round_candidates([spent], [[0.0, 3.0]])[0], 9.0)
     calls.clear()
     with pytest.raises(BudgetExhausted):
-        round_candidates([both, spent], [[0.0, 1.0], [3.0]])
-    assert calls == [] and both.queries_used == 0
+        round_candidates([ours, spent], [[0.0, 1.0], [0.0, 3.0]])
+    assert calls == [] and ours.queries_used == 0
 
 
 def test_campaign_rounds_take_each_class_as_one_run(toy, monkeypatch):
-    # samples of two classes, interleaved: each round checks one block per class
+    # six interleaved samples of two classes: one lockstep per gene space,
+    # and each of its rounds one check of the space's live samples
     schema, spec, feasible, source = toy
-    other_spec = ComplianceSpec(ClassLabel.FLOOD, frozenset({"pfcp.teid"}), spec.predicates)
-    other = build_feasible_set(schema, ("pfcp.mark", "pfcp.size"), other_spec)
     kinds = [ClassLabel.RESTORATION_TEID, ClassLabel.FLOOD] * 3
     x = _detected_sample(schema)
     attacks = LabeledDataset(schema, np.array([x] * len(kinds)), kinds)
-    sets = {ClassLabel.RESTORATION_TEID: feasible, ClassLabel.FLOOD: other}
-    marginals = {kind: estimate_marginals(source, sets[kind]) for kind in sets}
-    calls = []
-    monkeypatch.setattr(
-        attack_mod, "check_feasible",
-        lambda genes, feasible, check=check_feasible: calls.append(len(genes)) or check(genes, feasible),
+    for flood_features, checks in (
+        (("pfcp.size",), [3] * 10),  # two gene spaces, five rounds each
+        (("pfcp.mark", "pfcp.size"), [6] * 5),  # one gene space under two specs
+    ):
+        other = build_feasible_set(schema, flood_features, _flood_twin(spec))
+        sets = {ClassLabel.RESTORATION_TEID: feasible, ClassLabel.FLOOD: other}
+        marginals = {kind: estimate_marginals(source, sets[kind]) for kind in sets}
+        calls = _counted_checks(monkeypatch, lambda genes, space: len(genes))
+        outcomes = run_campaign(_RowModel(tau=-1.0), attacks, sets, marginals,
+                                AttackConfig(algorithm=GA_DE, budget=5))
+        assert [o.sample_index for o in outcomes] == list(range(len(kinds)))
+        assert [o.attack_class for o in outcomes] == kinds
+        assert all(o.queries_used == 5 for o in outcomes)
+        assert calls == checks
+
+
+def test_campaign_under_the_default_j_checks_each_round_once(monkeypatch):
+    # samples of every attack class under the shipped J: every round of the
+    # campaign is one check_feasible call over all live samples
+    schema = default_schema()
+    kinds = [kind for kind in DEFAULT_COMPLIANCE_RULES for _ in range(2)]
+    attacks = LabeledDataset.concat(
+        [synth_rows(kind, 2, 7, schema) for kind in DEFAULT_COMPLIANCE_RULES]
     )
-    model = _RowModel(tau=-1.0)
-    outcomes = run_campaign(model, attacks, sets, marginals, AttackConfig(algorithm=GA_DE, budget=5))
-    assert [o.sample_index for o in outcomes] == list(range(len(kinds)))
-    assert calls == [3, 3] * 5  # five rounds, one check per class, three samples each
+    assert list(attacks.labels) == kinds
+    sets = load_feasible_sets({}, schema, DEFAULT_COMPLIANCE_RULES)
+    source = synth_rows(ClassLabel.NORMAL, 200, 7, schema)
+    table = estimate_marginals(source, sets[ClassLabel.FLOOD])
+    calls = _counted_checks(monkeypatch, lambda genes, space: len(genes))
+    model = _RowModel(tau=-1.0, score=lambda row: 1.0)
+    outcomes = run_campaign(model, attacks, sets, dict.fromkeys(sets, table),
+                            AttackConfig(algorithm=GA_ES, budget=4, popsize=2))
+    assert [o.attack_class for o in outcomes] == kinds
+    assert calls == [len(kinds)] * 4
+    assert len(set(sets.values())) == 1
 
 
 # --- optimizers -----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from pfcpbench.cli import main
 from pfcpbench.attack import (
     DEFAULT_COMPLIANCE_RULES, DEFAULT_CONTROLLABLE_FEATURES, load_feasible_sets,
 )
+from pfcpbench.catalog import DEFAULT_GT1_PATTERNS
 from pfcpbench.config import load_run_config, parse_algorithm, parse_run_config, read_config
 from pfcpbench.corpus import default_schema, load_csv
 from pfcpbench.detectors import DETECTOR_FORMAT, DetectorKind, DetectorModel
@@ -610,25 +611,68 @@ def test_attack_builds_each_feasible_set_once(tmp_path, monkeypatch):
     assert sorted(built, key=str) == sorted(attack.DEFAULT_COMPLIANCE_RULES, key=str)
 
 
-def test_attack_estimates_each_class_marginals_once(tmp_path, monkeypatch):
-    # three campaigns, one estimate per attacked class
+def _counted_estimates(monkeypatch) -> list:
+    """Patch ``estimate_marginals`` to record the feasible set of each call."""
     from pfcpbench import attack
 
     estimated = []
     estimate = attack.estimate_marginals
 
     def counted(source, feasible):
-        estimated.append(feasible.compliance.attack_class)
+        estimated.append(feasible)
         return estimate(source, feasible)
 
     monkeypatch.setattr(attack, "estimate_marginals", counted)
+    return estimated
+
+
+def test_attack_estimates_each_class_marginals_once(tmp_path, monkeypatch):
+    # three campaigns; flood has a J of its own, the other classes share the
+    # default one: one estimate per gene space
+    estimated = _counted_estimates(monkeypatch)
+    config = write_config(tmp_path, attack={
+        **with_feasible({"flood": {"features": ["ip.ttl", "pfcp.seqno"]}}),
+        "algorithms": ["RS", "GA_DE", "GA_ES"], "budget": 3,
+    })
+    for cmd in ("preprocess", "train", "attack"):
+        assert run(cmd, config) == 0
+    assert len(list(only_run_dir(tmp_path).glob("campaign-*.jsonl"))) == 3
+    assert len(estimated) == len(set(estimated)) == 2
+    assert sorted(len(feasible.indices) for feasible in estimated) == [
+        2, len(DEFAULT_CONTROLLABLE_FEATURES)
+    ]
+
+
+def test_attack_on_the_shipped_j_estimates_marginals_once(tmp_path, monkeypatch):
+    # all five classes share the default J, so they share one table
+    estimated = _counted_estimates(monkeypatch)
     config = write_config(
         tmp_path, attack={"algorithms": ["RS", "GA_DE", "GA_ES"], "targets": ["HBOS"], "budget": 3}
     )
     for cmd in ("preprocess", "train", "attack"):
         assert run(cmd, config) == 0
     assert len(list(only_run_dir(tmp_path).glob("campaign-*.jsonl"))) == 3
-    assert sorted(estimated, key=str) == sorted(attack.DEFAULT_COMPLIANCE_RULES, key=str)
+    assert len(estimated) == 1
+
+
+def test_default_j_naming_a_dropped_field_blames_the_default_set(tmp_path, capsys):
+    # no attack.feasible entry: the pipeline, not the config, took the field away
+    pipeline = {"scaling": False, "gt1_patterns": [*DEFAULT_GT1_PATTERNS, "*.recovery_time_stamp"]}
+    for attack, message in (
+        (BASE_CONFIG["attack"], "error[ConfigError] the default controllable set names "
+             "['pfcp.recovery_time_stamp'], which the pipeline dropped; "
+             "choose J with attack.feasible.restoration_teid.features"),
+        # a J the config names itself still fails on its own entry
+        (with_feasible({"restoration_teid": {"features": ["pfcp.recovery_time_stamp"]}}),
+         "attack.feasible.restoration_teid names ['pfcp.recovery_time_stamp'], "
+         "which are not in the schema"),
+    ):
+        config = write_config(tmp_path, pipeline=pipeline, attack=attack)
+        for cmd in ("preprocess", "train"):
+            assert run(cmd, config) == 0
+        capsys.readouterr()
+        assert run("attack", config) == 12
+        assert message in capsys.readouterr().err
 
 
 def test_configs_that_differ_only_in_their_feasible_sets_name_two_runs(tmp_path):
@@ -1038,8 +1082,8 @@ def test_fuzzed_feasible_sets_build_or_fail_cleanly(tmp_path, feasible):
 
 _SPLITS = ("train", "validation", "test")
 # cells that load as missing, or as a label outside a categorical domain;
-# cells of magnitude near 1e300 are left out: their products overflow
-_ODD_CELLS = st.sampled_from(["", "nan", "NaN", "inf", "-inf", "Infinity"])
+# a numerical cell of magnitude near 1e300 loads as missing too
+_ODD_CELLS = st.sampled_from(["", "nan", "NaN", "inf", "-inf", "Infinity", "1e300", "-1e300"])
 # README's input-error codes; 10 and 11 are internal attack faults
 _INPUT_ERROR_CODES = {2, 3, 4, 5, 6, 7, 8, 9, 12}
 
@@ -1056,7 +1100,7 @@ def small_corpus(tmp_path_factory):
 @st.composite
 def _fuzzed_corpus(draw, corpus) -> dict[str, list[list[str]]]:
     """``corpus`` with constant columns, an attack class gone from validation
-    or test, and missing, non-numeric and infinite cells."""
+    or test, and missing, non-numeric, infinite and huge cells."""
     rows = {name: [row[:] for row in table[1:]] for name, table in corpus.items()}
     features = range(len(corpus["train"][0]) - 1)  # the last column is the label
     for j in draw(st.lists(st.sampled_from(features), max_size=4, unique=True)):
@@ -1315,6 +1359,34 @@ def test_ensemble_target_campaigns_golden(catalog_run):
         "campaign-HKGIP-GA_DE.jsonl": "a3420a775c5797c87b50b66d3ba92ea5911f7011a5d8744c80a62d892fa5a4e6",
         "campaign-HKGIP-GA_ES.jsonl": "5635db5a5937c26d671e7adb3ca5514652ef13631e3d3332e329d43da1b4c06c",
         "campaign-HKGIP-RS.jsonl": "8f361ced799f1d9ae89237db828cd175ca1ead92cd42cbd7dc8b3765838d44c2",
+    }
+
+
+@pytest.fixture(scope="module")
+def catalog_hbos_run(catalog_run, tmp_path_factory):
+    """``catalog_run``'s trained models attacked as the shipped config
+    attacks them (HBOS, budget 100), traces on: campaigns of every attack
+    class at once, each round one block that HBOS scores in one call."""
+    config, run_dir = catalog_run
+    doc = json.loads(config.read_text())
+    doc["attack"] = {**json.loads((REPO / "configs" / "benchmark.json").read_text())["attack"],
+                     "include_traces": True}
+    hbos_config = tmp_path_factory.mktemp("catalog_hbos") / "config.json"
+    hbos_config.write_text(json.dumps(doc, indent=2))
+    hbos_dir = load_run_config(hbos_config).run_dir()
+    shutil.copytree(run_dir, hbos_dir, ignore=shutil.ignore_patterns("campaign-*", "evasion.*"))
+    assert run("attack", hbos_config) == 0
+    return hbos_dir
+
+
+def test_catalog_hbos_campaigns_golden(catalog_hbos_run):
+    outcomes = [json.loads(line) for line in
+                (catalog_hbos_run / "campaign-HBOS-GA_DE.jsonl").read_text().splitlines()]
+    assert len({outcome["attack_class"] for outcome in outcomes}) > 1
+    assert {p.name: file_sha256(p) for p in sorted(catalog_hbos_run.glob("campaign-*.jsonl"))} == {
+        "campaign-HBOS-GA_DE.jsonl": "77eb9d4d5c1e4671a1d9befeb529f80d186e96af80ea4779ac48d68e597f43c7",
+        "campaign-HBOS-GA_ES.jsonl": "bc95b3640595337a32ec692cc085f7f554c8ba61fa4af698668e77ec87a5e25a",
+        "campaign-HBOS-RS.jsonl": "c778d6f3ce14d234c752b54654eac8af72007d36620ef0b990bd76767fd33369",
     }
 
 

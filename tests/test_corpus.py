@@ -10,6 +10,7 @@ from pfcpbench import corpus
 from pfcpbench.attack import DEFAULT_COMPLIANCE_RULES, check_compliant
 from pfcpbench.corpus import (
     BENCHMARK_SPLIT_COUNTS,
+    MAX_CELL_MAGNITUDE,
     TEID_POOL_MAX,
     SplitSource,
     SplitSpec,
@@ -70,6 +71,20 @@ def test_load_csv_reads_a_non_finite_cell_as_missing(tmp_path, tiny_schema, cell
     path.write_text(f"proto.kind,proto.len,proto.count\nA,{cell},2\n")
     ds = load_csv(path, tiny_schema)
     assert np.isnan(ds.matrix[0, 1]) and ds.matrix[0, 2] == 2.0
+
+
+def test_load_csv_reads_a_cell_beyond_64_bits_as_missing(tmp_path, tiny_schema):
+    # no protocol field is wider than 64 bits; 1e300 would overflow the detectors
+    bound = MAX_CELL_MAGNITUDE
+    assert bound == 2.0**64
+    cells = [1e300, -1e300, np.nextafter(bound, math.inf), -np.nextafter(bound, math.inf),
+             bound, -bound, 18446744073709551615]
+    path = tmp_path / "rows.csv"
+    path.write_text("proto.kind,proto.len,proto.count\n" + "".join(f"A,{c},2\n" for c in cells))
+    ds = load_csv(path, tiny_schema)
+    assert np.isnan(ds.matrix[:4, 1]).all()
+    assert ds.matrix[4:, 1].tolist() == [bound, -bound, bound]  # the last rounds to 2**64
+    assert (ds.matrix[:, 2] == 2.0).all()
 
 
 def test_load_csv_rejects_a_header_that_names_a_column_twice(tmp_path, schema):
@@ -149,10 +164,11 @@ def test_save_csv_writes_a_cell_outside_a_categorical_domain_as_unknown(tmp_path
     assert codes == [0, UNKNOWN_CODE, UNKNOWN_CODE, UNKNOWN_CODE, MISSING_CODE, UNKNOWN_CODE]
 
 
-# Domain labels that the CSV writer quotes, and numbers of every exponent; an
-# empty label would read back as missing, and a line break is not kept.
+# Domain labels that the CSV writer quotes, and numbers of every exponent up
+# to the cell bound; an empty label would read back as missing, a line break
+# is not kept, and a larger magnitude reads back as missing.
 _LABELS = st.text(alphabet='ab,"\' 5.-', min_size=1, max_size=4)
-_REALS = st.floats(allow_nan=False, allow_infinity=False) | st.just(math.nan)
+_REALS = st.floats(-MAX_CELL_MAGNITUDE, MAX_CELL_MAGNITUDE) | st.just(math.nan)
 
 
 @st.composite
