@@ -5,7 +5,8 @@ else, perturbs only a feasible index set J of an initially-detected attack
 sample, sampling replacement values from empirical marginals of observable
 traffic.  Every queried candidate must be feasible (untouched outside J,
 in-domain inside J) and compliant (protected fields intact, class
-predicates holding), and each sample has a strict oracle-query budget.
+predicates holding), and each sample has a strict oracle-query budget; all
+three hold by construction, so no query is checked.
 
 Three optimizers solve the resulting positive-part minimization: a
 single-draw random search and two genetic variants, one built on
@@ -14,9 +15,9 @@ plus per-gene resampling.  Optimizers are generators that only propose
 genomes, arrays of doubles with one value per position of J; they breed
 gene by gene on Python floats, and their stream of numpy draws is fixed by
 ``tests/test_attack_streams.py``.  A campaign runs one lockstep per gene
-space.  Each round advances every sample's optimizer by one genome, checks
-the round's genomes as one block, writes them into one copy of the
-originals, scores that block and charges each sample one query.
+space.  Each round advances every sample's optimizer by one genome, writes
+the round's genomes into one copy of the originals, scores that block and
+charges each sample one query.
 """
 
 from __future__ import annotations
@@ -35,14 +36,7 @@ import numpy as np
 # the algorithm names and AttackConfig live with the other names a config
 # reads; ALGORITHMS is read here too, as ``attack.ALGORITHMS``
 from .catalog import ALGORITHMS, GA_DE, GA_ES, RS, AttackConfig  # noqa: F401
-from .errors import (
-    BudgetExhausted,
-    ComplianceViolation,
-    ConfigError,
-    MarginalsError,
-    MetricError,
-    SchemaError,
-)
+from .errors import ConfigError, MarginalsError, MetricError, SchemaError
 from .seeding import rng_for
 from .traffic import (
     CATEGORICAL,
@@ -176,24 +170,13 @@ class FeasibleSet:
     schema codes of a categorical feature.  A genome holds one value per
     position of J, in the same order.  ``compliance`` is the spec of the
     attack class J was built for, whose protected fields J avoids; equality
-    and hash ignore it, so a set is its gene space.  Built once from
-    ``domains``: each gene's bounds ``lo``/``hi`` (a categorical gene's
-    extreme codes) and the ``categorical`` genes."""
+    and hash ignore it, so a set is its gene space.  Genes stay in
+    ``domains`` where they are made: marginals keep only in-domain values,
+    and every gene is a marginal draw, a copy of one, or clamped."""
 
     indices: tuple[int, ...]
     domains: tuple  # NumericDomain | tuple[int, ...], aligned with indices
     compliance: ComplianceSpec = field(compare=False)
-    lo: np.ndarray = field(init=False, repr=False, compare=False)
-    hi: np.ndarray = field(init=False, repr=False, compare=False)
-    categorical: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        bounds = [(min(d), max(d)) if isinstance(d, tuple) else (d.lo, d.hi) for d in self.domains]
-        lo, hi = np.array(bounds, dtype=float).T.copy()
-        lo.flags.writeable = hi.flags.writeable = False
-        categorical = tuple(g for g, d in enumerate(self.domains) if isinstance(d, tuple))
-        for name, value in (("lo", lo), ("hi", hi), ("categorical", categorical)):
-            object.__setattr__(self, name, value)
 
 
 def build_feasible_set(
@@ -294,20 +277,22 @@ def load_feasible_sets(
 
 def check_feasible(genes, feasible: FeasibleSet) -> bool:
     """``genes`` is one genome, or a block of genomes one per row, and each
-    holds one allowed value per position of J."""
+    holds one allowed value per position of J: one of a categorical gene's
+    codes, or a value in a numerical gene's closed interval.  The rule that
+    every gene meets where it is made; a campaign never calls it."""
     try:
         block = np.asarray(genes, dtype=float)
     except (TypeError, ValueError):  # ragged rows, or a gene that is not a number
         return False
     if block.ndim == 1:
         block = block[None]
-    if block.ndim != 2 or block.shape[1] != len(feasible.lo):
-        return False
-    # a NaN gene fails both bounds, an infinite one its own side
-    if not ((block >= feasible.lo).all() and (block <= feasible.hi).all()):
+    if block.ndim != 2 or block.shape[1] != len(feasible.domains):
         return False
     return all(
-        value in feasible.domains[g] for g in feasible.categorical for value in block[:, g].tolist()
+        all(value in domain for value in column.tolist()) if isinstance(domain, tuple)
+        # a NaN gene fails both bounds, an infinite one its own side
+        else bool(((column >= domain.lo) & (column <= domain.hi)).all())
+        for column, domain in zip(block.T, feasible.domains)
     )
 
 
@@ -413,14 +398,14 @@ class QueryOracle:
     its budget, and the fitness of each of its queries, in ``trace``.
 
     The attacker sees only fitness values max(0, score - tau); every query
-    burns one unit of budget.  ``round_candidates`` checks a round of
-    genomes and builds the rows that querying them scores: each original
-    with its genes written into J, so it equals the original outside J by
-    construction.  ``fitness`` charges the query once its row is scored.
-    ``run_campaign`` builds an oracle only for a compliant original, and J
-    avoids the protected fields of the class it was built for, so a
-    candidate whose genes lie in their domains is feasible and compliant
-    (an out-of-domain genome is an optimizer bug, not a runtime condition).
+    burns one unit of budget, and ``_lockstep`` stops proposing once it is
+    spent.  ``round_candidates`` builds the rows that querying a round of
+    genomes scores: each original with its genes written into J, so it
+    equals the original outside J by construction.  ``fitness`` charges the
+    query once its row is scored.  ``run_campaign`` builds an oracle only
+    for a compliant original, J avoids the protected fields of the class it
+    was built for, and every gene is in its domain where it is made, so each
+    candidate is feasible and compliant without a check.
     """
 
     def __init__(
@@ -492,22 +477,11 @@ class QueryOracle:
 def round_candidates(oracles: Sequence[QueryOracle], genomes: Sequence) -> np.ndarray:
     """The rows that querying ``genomes[k]`` against ``oracles[k]`` scores,
     as one block: a copy of each original with its genome written into J.
-    A round's oracles share one gene space (their feasible sets are equal),
-    so its genomes are checked in one ``check_feasible`` call.  Raises when
-    an oracle's budget is spent or a genome lies outside its domains, before
-    anything is scored; neither burns budget."""
-    for oracle in oracles:
-        if oracle.queries_used >= oracle.budget:
-            raise BudgetExhausted(f"query budget of {oracle.budget} spent")
-    feasible = oracles[0].feasible
-    try:
-        genes = np.array(genomes, dtype=float)
-    except ValueError:  # ragged rows, which check_feasible rejects as they are
-        genes = genomes
-    if not check_feasible(genes, feasible):
-        raise ComplianceViolation("optimizer produced an infeasible genome")
+    A round's oracles share one gene space (their feasible sets are equal).
+    It only writes: the genes are in their domains where they are made, and
+    ``_lockstep`` passes no oracle whose budget is spent."""
     block = np.array([oracle.original for oracle in oracles])
-    block[:, feasible.indices] = genes
+    block[:, oracles[0].feasible.indices] = genomes
     return block
 
 
@@ -639,7 +613,8 @@ def _lockstep(model, attacks: Sequence[tuple[QueryOracle, Proposals]]) -> None:
     """Drive every (oracle, optimizer) pair in rounds until each one stops:
     on its first zero fitness, when its budget is spent, or when its
     optimizer returns.  A round takes one genome from each live optimizer
-    and builds their candidates as one checked block before any is scored.
+    and builds their candidates as one block; this is the one place that
+    enforces a budget.
     The block is scored in one call when the model's kind is row-invariant,
     else one row per call, so that no score depends on which other samples
     are still live."""

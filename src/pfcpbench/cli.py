@@ -44,8 +44,6 @@ EXIT_CODES = {
     errors.GridSearchError: 7,
     errors.MetricError: 8,
     errors.MarginalsError: 9,
-    errors.BudgetExhausted: 10,
-    errors.ComplianceViolation: 11,
     errors.ConfigError: 12,
 }
 

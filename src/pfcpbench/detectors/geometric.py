@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import FitError
 from .common import ABOF_EPS, iter_chunks, logsumexp, nearest, sq_distances
 
 GMM_RIDGE = 1e-6
@@ -83,6 +84,8 @@ def _log_gaussians(Q: np.ndarray, means: np.ndarray, chols: list[np.ndarray]) ->
 
 
 def _regularized_cholesky(cov: np.ndarray) -> np.ndarray:
+    """Cholesky factor of ``cov`` plus the least of eight growing diagonal
+    ridges that makes it positive definite; a ``FitError`` when none does."""
     ridge = GMM_RIDGE
     eye = np.eye(cov.shape[0])
     for _ in range(8):
@@ -90,7 +93,9 @@ def _regularized_cholesky(cov: np.ndarray) -> np.ndarray:
             return np.linalg.cholesky(cov + ridge * eye)
         except np.linalg.LinAlgError:
             ridge *= 10.0
-    raise np.linalg.LinAlgError("covariance not positive definite even after ridging")
+    raise FitError(
+        f"GMM: covariance not positive definite even after a ridge of {ridge / 10.0:g}"
+    )
 
 
 def fit_gmm(X: np.ndarray, params: dict, rng) -> dict:

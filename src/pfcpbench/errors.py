@@ -48,16 +48,5 @@ class MarginalsError(PfcpBenchError):
     """Empirical marginals requested from an empty or unusable source."""
 
 
-class BudgetExhausted(PfcpBenchError):
-    """The per-sample oracle query budget was spent."""
-
-
-class ComplianceViolation(PfcpBenchError):
-    """An optimizer proposed a genome with a gene outside its domain, the one
-    check the oracle makes on each query besides the budget (compliance
-    holds by construction).  Indicates a bug in an optimizer, never an
-    expected runtime condition."""
-
-
 class ConfigError(PfcpBenchError):
     """Malformed or inconsistent run configuration."""

@@ -5,7 +5,8 @@ learned state:
 
 1. drop environment-dependent fields (addresses, ports, deployment
    identifiers, absolute timestamps),
-2. restrict to control-plane traffic (rows and feature columns),
+2. restrict to control-plane traffic (rows and feature columns; the row
+   rule reads the raw cells and applies to every split),
 3. drop uninformative columns (constant, all-missing, exact duplicates),
 4. impute missing values (categorical mode; numerical round-robin linear
    regression with median fallback),
@@ -75,12 +76,9 @@ def drop_environment_features(
     })
 
 
-def filter_control_plane(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, str]]:
-    """Drop non-control-plane feature columns and rows.
-
-    A row is considered non-control-plane content when it carries values
-    only in TCP/ICMP-layer fields and none in UDP/PFCP fields.
-    """
+def control_plane_rows(ds: LabeledDataset) -> LabeledDataset:
+    """``ds`` without its non-control-plane rows (GT2's row rule): rows that
+    carry values only in TCP/ICMP-layer fields and none in UDP/PFCP fields."""
     missing = _missing_mask(ds)
 
     def layer_present(protocols: tuple[str, ...]) -> np.ndarray:
@@ -91,6 +89,12 @@ def filter_control_plane(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, 
     if dropped.any():
         logger.info("GT2: dropped %d non-control-plane rows", int(dropped.sum()))
         ds = ds.subset(~dropped)
+    return ds
+
+
+def filter_control_plane(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, str]]:
+    """Drop every feature column outside the control-plane protocols (GT2's
+    column rule)."""
     return _drop_reported(ds, {
         f.name: "GT2" for f in ds.schema.features if f.protocol not in CONTROL_PLANE_PROTOCOLS
     })
@@ -355,13 +359,15 @@ def fit_pipeline(
     if bad:
         raise GuidelineViolation("GT4", f"{bad} attack rows in the training split")
 
+    # GT2's row rule reads the raw cells, as ``transform`` reads them
+    ds = control_plane_rows(train)
+    if len(ds) == 0:
+        raise PipelineError("no benign training rows remain after GT2")
     report: dict[str, str] = {}
-    ds, rep = drop_environment_features(train, gt1_patterns)
+    ds, rep = drop_environment_features(ds, gt1_patterns)
     report.update(rep)
     ds, rep = filter_control_plane(ds)
     report.update(rep)
-    if len(ds) == 0:
-        raise PipelineError("no benign training rows remain after GT2")
     ds, rep = drop_uninformative(ds)
     report.update(rep)
     if len(ds.schema) == 0:
@@ -385,11 +391,14 @@ def fit_pipeline(
 
 
 def transform(model: PipelineModel, ds: LabeledDataset) -> LabeledDataset:
-    """Apply the frozen pipeline to any split.
+    """Apply the frozen pipeline to any split: GT2's row rule, read from the
+    split's own TCP/ICMP and UDP/PFCP cells, then the pipeline's columns,
+    imputation and scaling.
 
     Deterministic and stateless: the same input always maps to the same
     output and the model is never mutated.
     """
+    ds = control_plane_rows(ds)
     names = model.output_schema.names
     missing = [n for n in names if n not in ds.schema.names]
     if missing:

@@ -9,6 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -308,6 +309,68 @@ def test_preprocess_with_an_empty_training_csv_is_a_pipeline_error(tmp_path, cap
     config = write_config(tmp_path, corpus={"splits": splits})
     assert run("preprocess", config) == 6
     assert "no benign training rows" in capsys.readouterr().err
+
+
+def _split_config(tmp_path, edit, **updates) -> Path:
+    """A ``corpus.splits`` config over the synthetic splits, each rewritten
+    by ``edit(split name, rows)`` on its rows as dicts, in place."""
+    synth_dir = tmp_path / "synth"
+    synth_dir.mkdir()
+    assert run("synth", write_config(synth_dir)) == 0
+    corpus = only_run_dir(synth_dir) / "corpus"
+    splits = {}
+    for name in ("train", "validation", "test"):
+        rows = list(csv.DictReader((corpus / f"{name}.csv").read_text().splitlines()))
+        edit(name, rows)
+        path = tmp_path / f"{name}.csv"
+        with path.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        splits[name] = [{"path": str(path)}]
+    return write_config(tmp_path, corpus={"splits": splits}, **updates)
+
+
+def test_preprocess_drops_non_control_plane_rows_from_every_split(tmp_path):
+    # three train rows and one test row become TCP-only: every UDP and PFCP
+    # cell empty, tcp.flags set
+    udp_pfcp = [f.name for f in default_schema().features if f.protocol in ("udp", "pfcp")]
+    tcp_only = {"train": 3, "validation": 0, "test": 1}
+
+    def edit(name, rows):
+        for row in rows[: tcp_only[name]]:
+            row.update(dict.fromkeys(udp_pfcp, ""), **{"tcp.flags": "24"})
+
+    config = _split_config(tmp_path, edit)
+    raw = {name: len(load_csv(tmp_path / f"{name}.csv", default_schema())) for name in tcp_only}
+    assert run("preprocess", config) == 0
+    run_dir = only_run_dir(tmp_path)
+    model = PipelineModel.load(run_dir / "pipeline.json")
+    for name, dropped in tcp_only.items():
+        out = load_csv(run_dir / "preprocessed" / f"{name}.csv", model.output_schema)
+        assert len(out) == raw[name] - dropped, name
+
+
+def test_train_logs_a_gmm_no_ridge_repairs_and_fits_the_rest(tmp_path):
+    # unscaled volumes near 1e12 with dlvol = tovol / 2: GMM's covariance is
+    # singular beyond any ridge it tries
+    rng = np.random.default_rng(5)
+
+    def edit(name, rows):
+        for row in rows:
+            tovol = rng.uniform(1e11, 1e12)
+            row["pfcp.volume_measurement.tovol"] = repr(tovol)
+            row["pfcp.volume_measurement.dlvol"] = repr(0.5 * tovol)
+
+    config = _split_config(tmp_path, edit, detectors=[{"kind": "GMM"}, {"kind": "HBOS"}])
+    for cmd in ("preprocess", "train"):
+        assert run(cmd, config) == 0
+    train_log = json.loads((only_run_dir(tmp_path) / "train_log.json").read_text())
+    assert train_log["GMM"]["status"] == "error"
+    assert train_log["GMM"]["error"].startswith(
+        "FitError: GMM: covariance not positive definite even after a ridge of"
+    )
+    assert train_log["HBOS"]["status"] == "ok"
 
 
 def test_config_with_both_corpus_sources_is_config_error(tmp_path, capsys):

@@ -385,6 +385,17 @@ def test_gmm_single_component_monotone_in_distance():
     assert scores[-1] == pytest.approx(float(expected), rel=1e-2)
 
 
+def test_gmm_whose_covariance_no_ridge_repairs_is_a_fit_error():
+    # [a, 2a, noise] with a near 1e9: the covariance is singular, and its
+    # scale dwarfs every ridge, so no Cholesky factor exists
+    rng = np.random.default_rng(5)
+    a = rng.uniform(1e9, 2e9, size=200)
+    X = np.column_stack([a, 2.0 * a, rng.normal(size=200)])
+    config = DetectorConfig(kind=DetectorKind.GMM, params={"components": 1})
+    with pytest.raises(FitError, match=r"GMM: covariance not positive definite .* ridge of 10\b"):
+        fit(config, numeric_dataset(X))
+
+
 def direct_gmm_scores(state: dict, Q: np.ndarray) -> list[float]:
     """-log of the mixture density at each row, summed over the components
     with the explicit inverse and determinant of each covariance L L^T."""

@@ -18,6 +18,7 @@ from pfcpbench.preprocess import (
     PipelineModel,
     apply_imputer,
     apply_scaler,
+    control_plane_rows,
     drop_environment_features,
     drop_uninformative,
     filter_control_plane,
@@ -98,7 +99,7 @@ def test_gt2_drops_tcp_columns_and_rows():
         n,
         protocols={"tcp.len": "tcp", "pfcp.len": "pfcp", "udp.len": "udp"},
     )
-    out, report = filter_control_plane(ds)
+    out, report = filter_control_plane(control_plane_rows(ds))
     assert report == {"tcp.len": "GT2"}
     assert "tcp.len" not in out.schema.names
     assert len(out) == 2  # TCP-only rows removed
@@ -106,7 +107,7 @@ def test_gt2_drops_tcp_columns_and_rows():
 
 def test_gt2_identity_for_pure_pfcp():
     ds = make_dataset({"pfcp.a": ("num", np.arange(3.0))}, 3)
-    out, report = filter_control_plane(ds)
+    out, report = filter_control_plane(control_plane_rows(ds))
     assert report == {}
     assert len(out) == 3
 
