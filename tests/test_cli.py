@@ -160,6 +160,13 @@ def test_train_grid_search_keeps_the_entry_params(tmp_path):
     assert train_log["HBOS"]["params"] == {"bins": 7}
 
 
+def _write_rows(path: Path, rows: list[dict]) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _corpus_with_one_flood_duration(tmp_path, cell: str) -> Path:
     """The run directory of a PCA, GMM and kNN run through evaluate, whose
     synthetic test split has ``cell`` as its first flood row's
@@ -170,10 +177,7 @@ def _corpus_with_one_flood_duration(tmp_path, cell: str) -> Path:
     test_csv = only_run_dir(tmp_path) / "corpus" / "test.csv"
     rows = list(csv.DictReader(test_csv.read_text().splitlines()))
     next(row for row in rows if row["Label"] == "flood")["pfcp.duration_measurement"] = cell
-    with test_csv.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_rows(test_csv, rows)
     for cmd in ("preprocess", "train", "evaluate"):
         assert run(cmd, config) == 0
     return only_run_dir(tmp_path)
@@ -322,12 +326,8 @@ def _split_config(tmp_path, edit, **updates) -> Path:
     for name in ("train", "validation", "test"):
         rows = list(csv.DictReader((corpus / f"{name}.csv").read_text().splitlines()))
         edit(name, rows)
-        path = tmp_path / f"{name}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        splits[name] = [{"path": str(path)}]
+        _write_rows(tmp_path / f"{name}.csv", rows)
+        splits[name] = [{"path": str(tmp_path / f"{name}.csv")}]
     return write_config(tmp_path, corpus={"splits": splits}, **updates)
 
 
