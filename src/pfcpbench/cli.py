@@ -173,44 +173,33 @@ def cmd_train(cfg: RunConfig) -> int:
             train_log[label] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
             logger.error("%s failed: %s", label, exc)
 
-    if cfg.ensembles:
-        train_log.update(_fit_ensembles(cfg.ensembles, fitted, validation, models_dir))
+    validation_scores = {}  # base kind -> its scores, however many presets stack it
+    for name in cfg.ensembles:
+        from . import ensemble as ens_mod  # a run without ensembles does without it
+
+        spec = PRESETS[name]
+        try:
+            missing = [kind.value for kind in spec.base_kinds if kind not in fitted]
+            if missing:
+                raise errors.FitError(f"{name}: bases {missing} were not trained")
+            for kind in spec.base_kinds:
+                if kind not in validation_scores:
+                    validation_scores[kind] = fitted[kind].score_batch(validation.matrix)
+            S = np.column_stack([validation_scores[kind] for kind in spec.base_kinds])
+            model = ens_mod.fit_ensemble(
+                spec, [fitted[kind] for kind in spec.base_kinds], S, validation.attacks
+            )
+            model.save(models_dir / f"{name}.json")
+            accuracy = float(((model.margin(S) > model.tau) == validation.attacks).mean())
+            train_log[name] = {"status": "ok", "train_accuracy": accuracy}
+            logger.info("fitted ensemble %s (train acc %.4f)", name, accuracy)
+        except errors.PfcpBenchError as exc:
+            train_log[name] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+            logger.error("ensemble %s failed: %s", name, exc)
+
     write_json(run_dir / "train_log.json", train_log, indent=2)
     print(run_dir)
     return 0
-
-
-def _fit_ensembles(
-    names: tuple[str, ...], fitted: dict, validation: LabeledDataset, models_dir: Path
-) -> dict[str, dict]:
-    """Fit and save the ensemble presets ``names`` on the validation scores
-    of their ``fitted`` bases; the train-log entry of each."""
-    from . import ensemble as ens_mod
-    from . import evaluate as eval_mod
-
-    log: dict[str, dict] = {}
-    stacked = {}  # ensemble name -> its bases
-    for name in names:
-        try:
-            stacked[name] = [fitted[kind] for kind in PRESETS[name].base_kinds]
-        except KeyError as exc:
-            log[name] = {"status": "error", "error": f"missing base {exc}"}
-    # each base is scored once on validation, however many ensembles list it
-    columns = iter(eval_mod.score_models(
-        [(base.kind.value, base) for bases in stacked.values() for base in bases], validation.matrix
-    ))
-    for name, bases in stacked.items():
-        S = np.column_stack([next(columns) for _ in bases])
-        try:
-            model = ens_mod.fit_ensemble(PRESETS[name], bases, S, validation.attacks)
-            model.save(models_dir / f"{name}.json")
-            accuracy = float(((model.margin(S) > model.tau) == validation.attacks).mean())
-            log[name] = {"status": "ok", "train_accuracy": accuracy}
-            logger.info("fitted ensemble %s (train acc %.4f)", name, accuracy)
-        except errors.PfcpBenchError as exc:
-            log[name] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
-            logger.error("ensemble %s failed: %s", name, exc)
-    return log
 
 
 def _remove(paths: Iterable[Path]) -> None:

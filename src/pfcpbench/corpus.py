@@ -27,6 +27,7 @@ from .traffic import (
     MISSING_CODE,
     MISSING_MARKER,
     UNKNOWN_CODE,
+    UNKNOWN_MARKER,
     CategoricalDomain,
     ClassLabel,
     FeatureDescriptor,
@@ -41,7 +42,6 @@ from .traffic import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_LABEL_COLUMN = "Label"
-UNKNOWN_MARKER = "__unknown__"
 
 # Benign label frequencies of each categorical field, with the RNG stream
 # that draws it; a table's labels are its field's domain in default_schema().
@@ -289,10 +289,11 @@ def load_csv(
     features absent from the header load as all-missing.  A header that
     names a column twice, or a row with more cells than the header, is a
     ``SchemaError``.  Rows are labeled from ``label_column`` when present,
-    Normal otherwise.
+    Normal otherwise.  A leading byte order mark, as spreadsheets write
+    one, is not part of the first column's name.
     """
     path = Path(path)
-    reader = csv.reader(read_text(path).splitlines())
+    reader = csv.reader(read_text(path).removeprefix("\ufeff").splitlines())
     header = next(reader, [])
     repeats = sorted({h for h in header if header.count(h) > 1})
     if repeats:

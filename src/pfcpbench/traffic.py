@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,8 +30,10 @@ from .errors import IoError, SchemaError
 MISSING_CODE = -1
 UNKNOWN_CODE = -2
 
-# CSV convention: an empty cell is a missing value.
+# CSV convention: an empty cell is a missing value, and this cell a category
+# outside the domain.  Neither can be a label of a categorical domain.
 MISSING_MARKER = ""
+UNKNOWN_MARKER = "__unknown__"
 
 CATEGORICAL = "categorical"
 NUMERICAL = "numerical"
@@ -151,11 +154,16 @@ class CategoricalDomain:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.labels, (list, tuple))
+                and all(isinstance(label, str) for label in self.labels)):
+            raise SchemaError(f"categorical domain labels must be strings, got {self.labels!r}")
         ordered = tuple(sorted(self.labels))
         if not ordered:
             raise SchemaError("categorical domain needs at least one label")
         if len(set(ordered)) != len(ordered):
             raise SchemaError("categorical domain labels must be unique")
+        if {MISSING_MARKER, UNKNOWN_MARKER} & set(ordered):
+            raise SchemaError(f"labels {MISSING_MARKER!r} and {UNKNOWN_MARKER!r} are reserved")
         object.__setattr__(self, "labels", ordered)
 
     def code_of(self, label: str) -> int:
@@ -179,6 +187,9 @@ class NumericDomain:
     hi: float
 
     def __post_init__(self):
+        if not all(isinstance(b, numbers.Real) and not isinstance(b, bool)
+                   for b in (self.lo, self.hi)):
+            raise SchemaError(f"numeric domain bounds must be numbers: {self.lo!r}, {self.hi!r}")
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -201,6 +212,11 @@ class FeatureDescriptor:
     domain: CategoricalDomain | NumericDomain
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaError(f"feature name must be a string, got {self.name!r}")
+        if not isinstance(self.environment_dependent, bool):
+            raise SchemaError(f"{self.name}: environment_dependent must be true or false, "
+                              f"got {self.environment_dependent!r}")
         if self.kind not in (CATEGORICAL, NUMERICAL):
             raise SchemaError(f"{self.name}: kind must be categorical|numerical")
         if self.protocol not in PROTOCOLS:
@@ -225,6 +241,8 @@ class FeatureSchema:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.version) is not int:
+            raise SchemaError(f"schema version must be an integer, got {self.version!r}")
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise SchemaError("feature names must be unique")
@@ -268,26 +286,14 @@ class FeatureSchema:
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "FeatureSchema":
+        # each value reaches its constructor, which checks it, as the JSON holds it
         with malformed("feature schema"):
             feats = []
             for entry in doc["features"]:
                 raw_domain = entry["domain"]
-                if "labels" in raw_domain:
-                    domain: CategoricalDomain | NumericDomain = CategoricalDomain(
-                        tuple(raw_domain["labels"])
-                    )
-                else:
-                    domain = NumericDomain(float(raw_domain["lo"]), float(raw_domain["hi"]))
-                feats.append(
-                    FeatureDescriptor(
-                        name=entry["name"],
-                        kind=entry["kind"],
-                        protocol=entry["protocol"],
-                        environment_dependent=bool(entry["environment_dependent"]),
-                        domain=domain,
-                    )
-                )
-            return FeatureSchema(features=tuple(feats), version=int(doc["version"]))
+                domain_type = CategoricalDomain if "labels" in raw_domain else NumericDomain
+                feats.append(FeatureDescriptor(**{**entry, "domain": domain_type(**raw_domain)}))
+            return FeatureSchema(features=tuple(feats), version=doc["version"])
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_json_dict(), indent=2)

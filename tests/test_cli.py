@@ -396,6 +396,42 @@ def test_train_pulls_ensemble_bases(tmp_path):
     run_dir = only_run_dir(tmp_path)
     for name in ("HBOS", "kNN", "GMM", "INNE", "PCA", "HKGIP"):
         assert (run_dir / "models" / f"{name}.json").exists(), name
+    entry = json.loads((run_dir / "train_log.json").read_text())["HKGIP"]
+    assert set(entry) == {"status", "train_accuracy"} and entry["status"] == "ok"
+    assert 0 <= entry["train_accuracy"] <= 1
+
+
+def test_train_logs_a_preset_whose_base_failed_and_fits_the_rest(tmp_path):
+    # PCA is an HKAIP base and no HKLIF base
+    config = write_config(tmp_path, detectors=[{"kind": "PCA", "params": {"variance_fraction": 2}}],
+                          ensembles=["HKAIP", "HKLIF"])
+    assert run("preprocess", config) == 0
+    assert run("train", config) == 0
+    run_dir = only_run_dir(tmp_path)
+    train_log = json.loads((run_dir / "train_log.json").read_text())
+    assert train_log["HKAIP"] == {
+        "status": "error", "error": "FitError: HKAIP: bases ['PCA'] were not trained"
+    }
+    assert not (run_dir / "models" / "HKAIP.json").exists()
+    assert train_log["PCA"]["status"] == "error"
+    for name in ("HBOS", "kNN", "ABOD", "INNE", "LOF", "FeatureBagging", "HKLIF"):
+        assert train_log[name]["status"] == "ok", name
+        assert (run_dir / "models" / f"{name}.json").exists(), name
+
+
+def test_train_logs_each_preset_over_a_benign_only_validation_split(tmp_path):
+    def edit(name, rows):
+        if name == "validation":
+            rows[:] = [row for row in rows if row["Label"] == "normal"]
+
+    config = _split_config(tmp_path, edit, ensembles=["HKGIP", "HKLIF"])
+    assert run("preprocess", config) == 0
+    assert run("train", config) == 0
+    train_log = json.loads((only_run_dir(tmp_path) / "train_log.json").read_text())
+    for name in ("HKGIP", "HKLIF"):
+        assert train_log[name] == {"status": "error", "error": "FitError: ensemble stacking "
+                                   "needs both benign and attack rows in validation"}, name
+    assert train_log["HBOS"]["status"] == "ok"
 
 
 def test_evaluate_outputs(tmp_path):
@@ -1277,6 +1313,42 @@ def test_synth_against_a_schema_without_a_drawn_label_is_schema_error(tmp_path, 
     assert "pfcp.msg_type" in err and "'50'" in err
 
 
+@pytest.mark.parametrize(
+    "field, keys, value, message",
+    [
+        ("pfcp.length", ("environment_dependent",), "false",
+         "pfcp.length: environment_dependent must be true or false, got 'false'"),
+        ("pfcp.msg_type", ("domain", "labels"), [1, 2, 50, 51, 52, 54], "labels must be strings"),
+        ("pfcp.length", ("name",), 7, "feature name must be a string, got 7"),
+        ("pfcp.length", ("comment",), "", "unexpected keyword argument 'comment'"),
+        ("pfcp.length", ("domain", "step"), 1, "unexpected keyword argument 'step'"),
+    ],
+    ids=["string-flag", "numeric-labels", "numeric-name", "unknown-key", "unknown-domain-key"],
+)
+def test_schema_with_a_wrongly_typed_value_or_unknown_key_is_schema_error(
+    tmp_path, capsys, field, keys, value, message
+):
+    # each must fail where the schema loads: coerced, the string flag would
+    # read as true and GT1 drop the field, numeric labels would make every
+    # cell unknown, and a numeric name would reach GT1's pattern match
+    assert run("synth", write_config(tmp_path)) == 0
+    corpus = only_run_dir(tmp_path) / "corpus"
+    doc = default_schema().to_json_dict()
+    (entry,) = [f for f in doc["features"] if f["name"] == field]
+    *parents, key = keys
+    for parent in parents:
+        entry = entry[parent]
+    entry[key] = value
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(doc))
+    splits = {name: [{"path": str(corpus / f"{name}.csv")}] for name in _SPLITS}
+    config = write_config(tmp_path, schema=str(schema_path), corpus={"splits": splits})
+    capsys.readouterr()
+    assert run("preprocess", config) == 3
+    err = capsys.readouterr().err
+    assert "error[SchemaError]" in err and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("scaling", [False, True])
 def test_attack_with_a_predicate_label_outside_the_schema_is_config_error(
     tmp_path, capsys, scaling
@@ -1343,6 +1415,12 @@ def test_stages_import_only_the_modules_they_run(tmp_path):
                 "pfcpbench", "pfcpbench.cli", "pfcpbench.catalog", "pfcpbench.config",
                 "pfcpbench.corpus", "pfcpbench.errors", "pfcpbench.seeding", "pfcpbench.traffic",
             }
+    # a preset stacks its bases' validation scores without the evaluate module
+    (tmp_path / "preset").mkdir()
+    config = write_config(tmp_path / "preset", ensembles=["HKLIF"])
+    assert run("preprocess", config) == 0
+    loaded = _stage_modules("train", config)
+    assert "pfcpbench.ensemble" in loaded and "pfcpbench.evaluate" not in loaded
 
 
 def test_main_leaves_the_collector_unfrozen(tmp_path):

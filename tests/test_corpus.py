@@ -110,6 +110,25 @@ def test_load_csv_reads_the_absent_cells_of_a_short_row_as_missing(tmp_path, tin
     assert ds.labels == (ClassLabel.NORMAL,)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["Label,proto.kind,proto.len,proto.count\nflood,B,2.5,1\nnormal,A,3,0\n",
+     "proto.kind,proto.len,proto.count,Label\nB,2.5,1,flood\nA,3,0,normal\n"],
+    ids=["label-first", "feature-first"],
+)
+def test_load_csv_reads_a_split_with_a_byte_order_mark_as_without(tmp_path, tiny_schema, text):
+    # spreadsheets save "CSV UTF-8" with a leading BOM, which must not
+    # rename the first column
+    loaded = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path = tmp_path / f"{encoding}.csv"
+        path.write_text(text, encoding=encoding)
+        loaded.append(load_csv(path, tiny_schema))
+    plain, marked = loaded
+    assert marked.labels == plain.labels == (ClassLabel.FLOOD, ClassLabel.NORMAL)
+    assert marked.matrix.tolist() == plain.matrix.tolist() == [[1, 2.5, 1], [0, 3, 0]]
+
+
 def test_load_csv_ignores_extra_columns(tmp_path, tiny_schema, caplog):
     path = tmp_path / "rows.csv"
     path.write_text("proto.kind,proto.len,proto.count,bogus\nA,1,2,zzz\n")

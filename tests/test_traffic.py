@@ -105,6 +105,44 @@ def test_schema_rejects_empty_categorical_domain(tiny_schema):
         FeatureSchema.from_json_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("features", 0, "environment_dependent"), "false"),
+        (("features", 0, "environment_dependent"), 0),
+        (("features", 0, "name"), 7),
+        (("features", 0, "domain", "labels"), [1, 2, 3]),
+        (("features", 0, "domain", "labels"), "ABC"),
+        (("features", 1, "domain", "lo"), "0"),
+        (("features", 1, "domain", "hi"), True),
+        (("version",), "1"),
+        (("version",), 1.0),
+        (("features", 0, "comment"), "a note"),
+        (("features", 0, "domain", "comment"), "a note"),
+    ],
+    ids=["string-flag", "integer-flag", "numeric-name", "numeric-labels", "string-labels",
+         "string-bound", "bool-bound", "string-version", "float-version", "unknown-key",
+         "unknown-domain-key"],
+)
+def test_schema_document_values_are_checked_not_coerced(tiny_schema, path, value):
+    doc = tiny_schema.to_json_dict()
+    *parents, key = path
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    with pytest.raises(SchemaError):
+        FeatureSchema.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("labels", [("", "1"), ("1", "__unknown__")])
+def test_categorical_domain_refuses_a_label_that_is_a_csv_marker(labels):
+    # an empty cell reads back as missing and "__unknown__" as outside the
+    # domain, so such a label would not survive a CSV round trip
+    with pytest.raises(SchemaError, match="reserved"):
+        CategoricalDomain(labels)
+
+
 def test_attacks_mask_marks_non_normal_rows(tiny_schema):
     labels = [ClassLabel.NORMAL, ClassLabel.FLOOD, ClassLabel.PDN0_FAULT, ClassLabel.NORMAL]
     ds = LabeledDataset(tiny_schema, np.zeros((4, 3)), labels)
