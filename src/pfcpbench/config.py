@@ -76,6 +76,8 @@ def _parse_sources(entries: Sequence[dict]) -> tuple[SplitSource, ...]:
     out = []
     for entry in entries:
         include = entry.get("include")
+        if include == []:
+            raise ConfigError(f"corpus.splits: source {entry['path']} includes no class")
         out.append(
             SplitSource(
                 path=entry["path"],

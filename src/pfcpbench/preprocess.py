@@ -1,16 +1,17 @@
 """Security-aware preprocessing pipeline.
 
-Fitting composes five steps on the benign training split and freezes all
+Fitting composes four steps on the benign training split and freezes all
 learned state:
 
-1. drop environment-dependent fields (addresses, ports, deployment
-   identifiers, absolute timestamps),
-2. restrict to control-plane traffic (rows and feature columns; the row
-   rule reads the raw cells and applies to every split),
-3. drop uninformative columns (constant, all-missing, exact duplicates),
-4. impute missing values (categorical mode; numerical round-robin linear
+1. drop non-control-plane rows (GT2's row rule; it reads the raw cells and
+   applies to every split),
+2. drop columns, each by the first rule that applies: environment-dependent
+   fields (GT1: addresses, ports, deployment identifiers, absolute
+   timestamps), fields outside the control plane (GT2), then uninformative
+   columns (GT3: all-missing, constant, exact duplicates),
+3. impute missing values (categorical mode; numerical round-robin linear
    regression with median fallback),
-5. robust-scale numerical features by median and interquartile range
+4. robust-scale numerical features by median and interquartile range
    (optional, kept as an explicit toggle so both settings can be compared).
 
 ``transform`` then applies the frozen state to any split without ever
@@ -57,23 +58,42 @@ def _missing_mask(ds: LabeledDataset) -> np.ndarray:
     return np.where(categorical, ds.matrix == MISSING_CODE, np.isnan(ds.matrix))
 
 
-def _drop_reported(
-    ds: LabeledDataset, report: dict[str, str]
-) -> tuple[LabeledDataset, dict[str, str]]:
-    """``ds`` without the columns ``report`` names (order preserved), and the report."""
-    columns = [j for j, name in enumerate(ds.schema.names) if name not in report]
-    schema = FeatureSchema(tuple(ds.schema.features[j] for j in columns), ds.schema.version)
-    return LabeledDataset(schema, ds.matrix[:, columns], ds.labels), report
-
-
-def drop_environment_features(
+def dropped_columns(
     ds: LabeledDataset, patterns: Sequence[str] = DEFAULT_GT1_PATTERNS
-) -> tuple[LabeledDataset, dict[str, str]]:
-    """Remove fields flagged environment-dependent or matching the blocklist."""
-    return _drop_reported(ds, {
-        f.name: "GT1" for f in ds.schema.features
-        if f.environment_dependent or any(fnmatch.fnmatch(f.name, pat) for pat in patterns)
-    })
+) -> dict[str, str]:
+    """The columns of ``ds`` that the pipeline drops, each with the first
+    rule that applies to it, in schema order:
+
+    1. ``GT1``: flagged environment-dependent, or its name matches one of
+       ``patterns`` (case-sensitive on every platform);
+    2. ``GT2``: its protocol is outside the control plane;
+    3. ``GT3:all-missing``, then ``GT3:constant``;
+    4. ``GT3:duplicate-of-<name>``: equal to an earlier kept column of the
+       same kind.
+    """
+    report: dict[str, str] = {}
+    missing = _missing_mask(ds)
+    kept_columns: list[tuple[str, str, np.ndarray]] = []  # (kind, name, raw column)
+    for j, f in enumerate(ds.schema.features):
+        col = ds.matrix[:, j]
+        observed = col[~missing[:, j]]
+        if f.environment_dependent or any(fnmatch.fnmatchcase(f.name, pat) for pat in patterns):
+            report[f.name] = "GT1"
+        elif f.protocol not in CONTROL_PLANE_PROTOCOLS:
+            report[f.name] = "GT2"
+        elif len(ds) and observed.size == 0:
+            report[f.name] = "GT3:all-missing"
+        elif len(ds) and observed.size == len(ds) and np.unique(observed).size <= 1:
+            report[f.name] = "GT3:constant"
+        else:
+            duplicate_of = next((name for kind, name, other in kept_columns
+                                 if kind == f.kind and np.array_equal(col, other, equal_nan=True)),
+                                None)
+            if duplicate_of is None:
+                kept_columns.append((f.kind, f.name, col))
+            else:
+                report[f.name] = f"GT3:duplicate-of-{duplicate_of}"
+    return report
 
 
 def control_plane_rows(ds: LabeledDataset) -> LabeledDataset:
@@ -90,40 +110,6 @@ def control_plane_rows(ds: LabeledDataset) -> LabeledDataset:
         logger.info("GT2: dropped %d non-control-plane rows", int(dropped.sum()))
         ds = ds.subset(~dropped)
     return ds
-
-
-def filter_control_plane(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, str]]:
-    """Drop every feature column outside the control-plane protocols (GT2's
-    column rule)."""
-    return _drop_reported(ds, {
-        f.name: "GT2" for f in ds.schema.features if f.protocol not in CONTROL_PLANE_PROTOCOLS
-    })
-
-
-def drop_uninformative(ds: LabeledDataset) -> tuple[LabeledDataset, dict[str, str]]:
-    """Remove constant, all-missing, and exact-duplicate columns."""
-    report: dict[str, str] = {}
-    missing = _missing_mask(ds)
-    kept_columns: list[tuple[str, str, np.ndarray]] = []  # (kind, name, raw column)
-    for j, f in enumerate(ds.schema.features):
-        col = ds.matrix[:, j]
-        observed = col[~missing[:, j]]
-        if len(ds) and observed.size == 0:
-            report[f.name] = "GT3:all-missing"
-            continue
-        if len(ds) and observed.size == len(ds) and np.unique(observed).size <= 1:
-            report[f.name] = "GT3:constant"
-            continue
-        duplicate_of = None
-        for kind, name, other in kept_columns:
-            if kind == f.kind and np.array_equal(col, other, equal_nan=True):
-                duplicate_of = name
-                break
-        if duplicate_of is not None:
-            report[f.name] = f"GT3:duplicate-of-{duplicate_of}"
-            continue
-        kept_columns.append((f.kind, f.name, col))
-    return _drop_reported(ds, report)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +335,15 @@ class PipelineModel:
         return PipelineModel.from_json_dict(read_container(path))
 
 
+def _select(ds: LabeledDataset, schema: FeatureSchema) -> LabeledDataset:
+    """The columns of ``ds`` that ``schema`` names, in its order, under ``schema``."""
+    missing = [n for n in schema.names if n not in ds.schema.names]
+    if missing:
+        raise SchemaError(f"dataset lacks pipeline features {missing}")
+    columns = [ds.schema.position(n) for n in schema.names]
+    return LabeledDataset(schema, ds.matrix[:, columns], ds.labels)
+
+
 def fit_pipeline(
     train: LabeledDataset,
     scaling_enabled: bool = True,
@@ -363,15 +358,11 @@ def fit_pipeline(
     ds = control_plane_rows(train)
     if len(ds) == 0:
         raise PipelineError("no benign training rows remain after GT2")
-    report: dict[str, str] = {}
-    ds, rep = drop_environment_features(ds, gt1_patterns)
-    report.update(rep)
-    ds, rep = filter_control_plane(ds)
-    report.update(rep)
-    ds, rep = drop_uninformative(ds)
-    report.update(rep)
-    if len(ds.schema) == 0:
+    report = dropped_columns(ds, gt1_patterns)
+    kept = tuple(f for f in ds.schema.features if f.name not in report)
+    if not kept:
         raise PipelineError("no features survive preprocessing")
+    ds = _select(ds, FeatureSchema(kept, ds.schema.version))
 
     imputer = fit_imputer(ds)
     ds = apply_imputer(imputer, ds)
@@ -398,12 +389,5 @@ def transform(model: PipelineModel, ds: LabeledDataset) -> LabeledDataset:
     Deterministic and stateless: the same input always maps to the same
     output and the model is never mutated.
     """
-    ds = control_plane_rows(ds)
-    names = model.output_schema.names
-    missing = [n for n in names if n not in ds.schema.names]
-    if missing:
-        raise SchemaError(f"dataset lacks pipeline features {missing}")
-    columns = [ds.schema.position(n) for n in names]
-    out = LabeledDataset(model.output_schema, ds.matrix[:, columns], ds.labels)
-    out = apply_imputer(model.imputer, out)
+    out = apply_imputer(model.imputer, _select(control_plane_rows(ds), model.output_schema))
     return out if model.scaler is None else apply_scaler(model.scaler, out)

@@ -288,6 +288,9 @@ class FeatureSchema:
     def from_json_dict(doc: Mapping) -> "FeatureSchema":
         # each value reaches its constructor, which checks it, as the JSON holds it
         with malformed("feature schema"):
+            unknown = sorted(set(doc) - {"version", "features"})
+            if unknown:
+                raise SchemaError(f"malformed feature schema: unknown keys {unknown}")
             feats = []
             for entry in doc["features"]:
                 raw_domain = entry["domain"]

@@ -389,6 +389,21 @@ def test_config_with_both_corpus_sources_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("split", ["train", "validation"])
+def test_split_source_that_includes_no_class_is_config_error(tmp_path, capsys, split):
+    # a train source would be reported as admitting non-benign labels, and
+    # a validation source would silently give an empty split
+    config = write_config(tmp_path)
+    assert run("synth", config) == 0
+    corpus = only_run_dir(tmp_path) / "corpus"
+    splits = {name: [{"path": str(corpus / f"{name}.csv")}]
+              for name in ("train", "validation", "test")}
+    splits[split][0]["include"] = []
+    assert run("preprocess", write_config(tmp_path, corpus={"splits": splits})) == 12
+    err = capsys.readouterr().err
+    assert "error[ConfigError]" in err and f"{corpus / split}.csv includes no class" in err
+
+
 def test_train_pulls_ensemble_bases(tmp_path):
     config = write_config(tmp_path, detectors=[], ensembles=["HKGIP"])
     assert run("preprocess", config) == 0

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import ntpath
+import os
 
 import numpy as np
 import pytest
@@ -19,9 +21,7 @@ from pfcpbench.preprocess import (
     apply_imputer,
     apply_scaler,
     control_plane_rows,
-    drop_environment_features,
-    drop_uninformative,
-    filter_control_plane,
+    dropped_columns,
     fit_imputer,
     fit_pipeline,
     fit_scaler,
@@ -64,25 +64,32 @@ def make_dataset(columns, n, labels=None, protocols=None, env=None):
 def test_gt1_drops_endpoints():
     schema = default_schema()
     ds = synth_rows(ClassLabel.NORMAL, 20, 1, schema)
-    out, report = drop_environment_features(ds)
+    report = dropped_columns(ds)
     for name in ("ip.src", "ip.dst", "udp.srcport", "udp.dstport"):
         assert report[name] == "GT1"
-        assert name not in out.schema.names
-    assert "pfcp.msg_type" in out.schema.names
+    assert "pfcp.msg_type" not in report
 
 
 def test_gt1_identity_when_clean():
     ds = make_dataset({"pfcp.a": ("num", np.arange(5.0))}, 5)
-    out, report = drop_environment_features(ds)
-    assert report == {}
-    assert out.schema.names == ds.schema.names
+    assert dropped_columns(ds) == {}
 
 
 def test_gt1_blocklist_is_extensible():
     ds = make_dataset({"pfcp.weird": ("num", np.arange(4.0))}, 4)
-    out, report = drop_environment_features(ds, patterns=DEFAULT_GT1_PATTERNS + ("pfcp.weird",))
+    report = dropped_columns(ds, patterns=DEFAULT_GT1_PATTERNS + ("pfcp.weird",))
     assert report == {"pfcp.weird": "GT1"}
-    assert len(out.schema) == 0
+
+
+def test_gt1_patterns_are_case_sensitive_on_every_platform(monkeypatch):
+    # fnmatch.fnmatch folds case through os.path.normcase, as on Windows
+    monkeypatch.setattr(os.path, "normcase", ntpath.normcase)
+    ds = make_dataset(
+        {"pfcp.a": ("num", np.arange(4.0)), "pfcp.b": ("num", np.arange(4.0) ** 2)}, 4
+    )
+    model = fit_pipeline(ds, gt1_patterns=("PFCP.A*",))
+    assert model.drop_report == {}
+    assert model.output_schema.names == ("pfcp.a", "pfcp.b")
 
 
 # --- control plane filtering --------------------------------------------------
@@ -99,17 +106,16 @@ def test_gt2_drops_tcp_columns_and_rows():
         n,
         protocols={"tcp.len": "tcp", "pfcp.len": "pfcp", "udp.len": "udp"},
     )
-    out, report = filter_control_plane(control_plane_rows(ds))
-    assert report == {"tcp.len": "GT2"}
-    assert "tcp.len" not in out.schema.names
-    assert len(out) == 2  # TCP-only rows removed
+    rows = control_plane_rows(ds)
+    assert dropped_columns(rows) == {"tcp.len": "GT2"}
+    assert len(rows) == 2  # TCP-only rows removed
 
 
 def test_gt2_identity_for_pure_pfcp():
     ds = make_dataset({"pfcp.a": ("num", np.arange(3.0))}, 3)
-    out, report = filter_control_plane(control_plane_rows(ds))
-    assert report == {}
-    assert len(out) == 3
+    rows = control_plane_rows(ds)
+    assert dropped_columns(rows) == {}
+    assert len(rows) == 3
 
 
 # --- uninformative columns -----------------------------------------------------
@@ -127,20 +133,45 @@ def test_gt3_constant_and_duplicate_and_all_missing():
         },
         n,
     )
-    out, report = drop_uninformative(ds)
-    assert report["pfcp.const"] == "GT3:constant"
-    assert report["pfcp.b"] == "GT3:duplicate-of-pfcp.a"
-    assert report["pfcp.gone"] == "GT3:all-missing"
-    assert set(out.schema.names) == {"pfcp.a", "pfcp.keep"}
+    assert dropped_columns(ds) == {
+        "pfcp.const": "GT3:constant",
+        "pfcp.b": "GT3:duplicate-of-pfcp.a",
+        "pfcp.gone": "GT3:all-missing",
+    }
 
 
 def test_gt3_identity_for_varying_columns():
     ds = make_dataset(
         {"pfcp.a": ("num", np.arange(4.0)), "pfcp.b": ("num", np.arange(4.0) ** 2)}, 4
     )
-    out, report = drop_uninformative(ds)
-    assert report == {}
-    assert out.schema.names == ds.schema.names
+    assert dropped_columns(ds) == {}
+
+
+def test_each_column_takes_the_first_rule_that_applies():
+    # GT1 before GT2 before GT3, and a GT3 duplicate only of a kept column
+    n = 5
+    ds = make_dataset(
+        {
+            "pfcp.env": ("num", np.arange(float(n))),
+            "tcp.flagged": ("num", np.array([3.0, 1, 4, 1, 5])),
+            "tcp.len": ("num", np.array([2.0, 7, 1, 8, 2])),
+            "pfcp.like_env": ("num", np.arange(float(n))),
+            "pfcp.like_tcp": ("num", np.array([2.0, 7, 1, 8, 2])),
+            "pfcp.first": ("num", np.array([9.0, 2, 6, 5, 3])),
+            "pfcp.second": ("num", np.array([9.0, 2, 6, 5, 3])),
+        },
+        n,
+        protocols={"tcp.flagged": "tcp", "tcp.len": "tcp"},
+        env={"pfcp.env": True, "tcp.flagged": True},
+    )
+    model = fit_pipeline(ds)
+    assert model.drop_report == {
+        "pfcp.env": "GT1",
+        "tcp.flagged": "GT1",
+        "tcp.len": "GT2",
+        "pfcp.second": "GT3:duplicate-of-pfcp.first",
+    }
+    assert model.output_schema.names == ("pfcp.like_env", "pfcp.like_tcp", "pfcp.first")
 
 
 # --- imputation -----------------------------------------------------------------

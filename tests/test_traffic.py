@@ -119,10 +119,11 @@ def test_schema_rejects_empty_categorical_domain(tiny_schema):
         (("version",), 1.0),
         (("features", 0, "comment"), "a note"),
         (("features", 0, "domain", "comment"), "a note"),
+        (("comment",), "a note"),
     ],
     ids=["string-flag", "integer-flag", "numeric-name", "numeric-labels", "string-labels",
          "string-bound", "bool-bound", "string-version", "float-version", "unknown-key",
-         "unknown-domain-key"],
+         "unknown-domain-key", "unknown-top-level-key"],
 )
 def test_schema_document_values_are_checked_not_coerced(tiny_schema, path, value):
     doc = tiny_schema.to_json_dict()
