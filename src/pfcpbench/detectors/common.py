@@ -20,17 +20,18 @@ BLOCK_ROWS = 32
 
 
 def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, |A| x |B|, clipped at zero.
+    """Squared Euclidean distances, |A| x |B|, clipped at zero; for a stack
+    B of shape (s, m, d), one |A| x m matrix per member, (s, |A|, m).
 
-    The result is the array ``A @ B.T`` writes: each element becomes
-    (|a|^2 + |b|^2) - 2 <a, b> in place, a block of rows at a time, so no
-    second |A| x |B| array is made.
+    The result is the array ``A @ B.T`` writes (one product per member of a
+    stack): each element becomes (|a|^2 + |b|^2) - 2 <a, b> in place, a
+    block of rows at a time, so no second array of its size is made.
     """
     a2 = (A * A).sum(axis=1)
-    b2 = (B * B).sum(axis=1)
-    sq = A @ B.T
-    for lo, hi in iter_chunks(len(sq), BLOCK_ROWS):
-        block = sq[lo:hi]
+    b2 = (B * B).sum(axis=-1)[..., None, :]
+    sq = A @ B.swapaxes(-1, -2)
+    for lo, hi in iter_chunks(sq.shape[-2], BLOCK_ROWS):
+        block = sq[..., lo:hi, :]
         block *= 2.0
         np.subtract(a2[lo:hi, None] + b2, block, out=block)
         np.maximum(block, 0.0, out=block)
@@ -38,7 +39,7 @@ def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Euclidean distances, |A| x |B|, in the one array ``sq_distances`` returns."""
+    """Euclidean distances in the one array ``sq_distances`` returns."""
     d = sq_distances(A, B)
     return np.sqrt(d, out=d)
 

@@ -136,42 +136,46 @@ def _avg_path(m: int) -> float:
     return 2.0 * _harmonic(m - 1) - 2.0 * (m - 1) / m
 
 
-def _grow_tree(sub: np.ndarray, depth: int, limit: int, rng, nodes: list) -> int:
-    """Append the subtree over the rows ``sub`` to ``nodes`` in pre-order, as
-    (feature, threshold, right, leaf_path) rows; return its root's index.
-    An internal node's left child is the next node.  A leaf's threshold is
-    -inf, so every row goes right, to the leaf itself; it carries depth +
-    c(size)."""
-    node = len(nodes)
-    nodes.append((0, -np.inf, node, depth + _avg_path(len(sub))))  # a leaf unless split
-    if depth >= limit or len(sub) <= 1:
-        return node
-    lo, hi = sub.min(axis=0), sub.max(axis=0)
-    varying = np.flatnonzero(hi > lo)
-    if varying.size == 0:
-        return node
-    feat = int(varying[rng.integers(len(varying))])  # the draw rng.choice(varying) makes
-    threshold = float(rng.uniform(lo[feat], hi[feat]))
-    left_mask = sub[:, feat] < threshold
-    _grow_tree(sub[left_mask], depth + 1, limit, rng, nodes)
-    right = _grow_tree(sub[~left_mask], depth + 1, limit, rng, nodes)
-    nodes[node] = (feat, threshold, right, 0.0)
-    return node
-
-
 def fit_iforest(X: np.ndarray, params: dict, rng) -> dict:
     """Trees as one set of pre-order node arrays; ``roots`` holds each
-    tree's root and ``depth`` the walk length that reaches every leaf."""
+    tree's root and ``depth`` the walk length that reaches every leaf.
+    An internal node's left child is the next node.  A leaf's threshold is
+    -inf, so every row goes right, to the leaf itself; it carries depth +
+    c(size).  Each tree grows from an explicit stack with the left child on
+    top, so the draws come in the order a recursive grower makes them."""
     n = X.shape[0]
     trees = int(params["trees"])
     psi = min(int(params["subsample"]), n)
     limit = max(1, math.ceil(math.log2(max(psi, 2))))
-    nodes: list = []
-    roots = [
-        _grow_tree(X[rng.choice(n, size=psi, replace=False)], 0, limit, rng, nodes)
-        for _ in range(trees)
-    ]
-    feature, threshold, right, leaf_path = zip(*nodes)
+    avg_path = [_avg_path(m) for m in range(psi + 1)]  # c(size)
+    roots, feature, threshold, right, leaf_path = [], [], [], [], []
+    for _ in range(trees):
+        roots.append(len(feature))
+        # rows, depth, and the node whose right child they are
+        stack = [(X[rng.choice(n, size=psi, replace=False)], 0, -1)]
+        while stack:
+            sub, depth, parent = stack.pop()
+            node = len(feature)
+            if parent >= 0:
+                right[parent] = node
+            # a leaf unless split
+            feature.append(0)
+            threshold.append(-np.inf)
+            right.append(node)
+            leaf_path.append(depth + avg_path[len(sub)])
+            if depth >= limit or len(sub) <= 1:
+                continue
+            lo, hi = np.minimum.reduce(sub), np.maximum.reduce(sub)
+            varying = (hi > lo).nonzero()[0]
+            if varying.size == 0:
+                continue
+            feat = int(varying[rng.integers(len(varying))])  # the draw rng.choice(varying) makes
+            feature[node] = feat
+            threshold[node] = float(rng.uniform(lo[feat], hi[feat]))
+            leaf_path[node] = 0.0
+            left_mask = sub[:, feat] < threshold[node]
+            stack.append((sub[~left_mask], depth + 1, node))
+            stack.append((sub[left_mask], depth + 1, -1))
     return {
         "roots": np.array(roots, dtype=np.int64),
         "feature": np.array(feature, dtype=np.int64),
@@ -230,6 +234,10 @@ def score_loda(state: dict, Q: np.ndarray) -> np.ndarray:
 # INNE: hyperspheres around random subsamples; radius is the within-sample
 # nearest-neighbor distance, score 1 when a query escapes every sphere.
 
+# Query rows scored against all t members at once: the block's distances are
+# a t x INNE_BLOCK_ROWS x psi array (800 KiB at 200 members of 8 centers).
+INNE_BLOCK_ROWS = 64
+
 
 def fit_inne(X: np.ndarray, params: dict, rng) -> dict:
     """t members of psi sampled centers each, stacked: centers (t, psi, d),
@@ -251,13 +259,31 @@ def fit_inne(X: np.ndarray, params: dict, rng) -> dict:
 
 
 def score_inne(state: dict, Q: np.ndarray) -> np.ndarray:
-    total = np.zeros(Q.shape[0])
-    # member by member: one product over all t * psi centers rounds differently
-    for centers, radii, nn_radii in zip(state["centers"], state["radii"], state["nn_radii"]):
-        d = distances(Q, centers)
-        inside = d <= radii[None, :]
-        best = np.where(inside, radii[None, :], np.inf).argmin(axis=1)
-        covered = inside.any(axis=1)
-        ratio = nn_radii[best] / np.maximum(radii[best], DENSITY_EPS)
-        total += np.where(covered, 1.0 - ratio, 1.0)
-    return total / len(state["radii"])
+    """A block of query rows against every member at once.  ``np.matmul``
+    over the stacked centers makes one BLAS product per member, the product
+    a member-by-member loop makes.  One product over all t * psi centers is
+    not always the same: it matched at 18 columns, but with 41 columns 6 of
+    12 row counts tried rounded differently (OpenBLAS, one thread), and
+    OpenBLAS picks its kernel per CPU."""
+    centers, radii = state["centers"], state["radii"]
+    t, psi = radii.shape
+    # a query whose smallest covering center is j scores this
+    covered_score = 1.0 - state["nn_radii"] / np.maximum(radii, DENSITY_EPS)
+    out = np.empty(Q.shape[0])
+    for a, b in iter_chunks(Q.shape[0], INNE_BLOCK_ROWS):
+        d = distances(Q[a:b], centers)  # t x rows x psi
+        # the smallest covering radius by a running comparison over the
+        # centers; a tie keeps the first center, as argmin would
+        best = np.full((t, b - a), np.inf)
+        score = covered_score[:, :1]
+        covered = False
+        for j in range(psi):
+            inside = d[:, :, j] <= radii[:, j : j + 1]
+            radius = np.where(inside, radii[:, j : j + 1], np.inf)
+            score = np.where(radius < best, covered_score[:, j : j + 1], score)
+            best = np.minimum(best, radius)
+            covered = covered | inside
+        # 1 where no sphere covers the query; members summed in order, as a
+        # running total over members would
+        out[a:b] = np.where(covered, score, 1.0).cumsum(axis=0)[-1] / t
+    return out

@@ -42,27 +42,30 @@ def score_abod(state: dict, Q: np.ndarray) -> np.ndarray:
 
     ABOF is the plain variance over neighbor pairs (a, b) of
     <q-a, q-b> / (|q-a|^2 |q-b|^2); coincident neighbors are skipped so the
-    quotient stays defined.
+    quotient stays defined.  Rows with the same number m of usable
+    neighbours are scored together: one batched Gram product, and the
+    variance of each row of a C-contiguous pair matrix, which sums a row
+    as the variance of one row's pairs alone does.
     """
     train, k = state["train"], state["k"]
-    out = np.empty(Q.shape[0])
+    out = np.full(Q.shape[0], -np.log(ABOF_EPS))  # the floor: under 2 usable neighbours
     # a few spare neighbors so coincident points can be skipped
     spare = min(k + 8, train.shape[0])
-    pairs = {}  # usable-neighbour count -> its upper-triangle indices
     for a, b in iter_chunks(Q.shape[0], 256):
         near, near_d2 = nearest(sq_distances(Q[a:b], train), spare)
-        for i, cand, cand_d2 in zip(range(a, b), near, near_d2):
-            apart = cand_d2 > ABOF_EPS
-            usable, norms2 = cand[apart][:k], cand_d2[apart][:k]
-            m = len(usable)
-            if m < 2:
-                out[i] = -np.log(ABOF_EPS)
-                continue
-            if m not in pairs:
-                pairs[m] = np.triu_indices(m, k=1)
-            diffs = train[usable] - Q[i]
-            quot = (diffs @ diffs.T) / (norms2[:, None] * norms2[None, :])
-            out[i] = -np.log(np.var(quot[pairs[m]]) + ABOF_EPS)
+        apart = near_d2 > ABOF_EPS
+        # the first k neighbours of each row that are apart from it
+        usable = apart & (np.cumsum(apart, axis=1) <= k)
+        counts = usable.sum(axis=1)
+        for m in set(counts.tolist()) - {0, 1}:
+            rows = np.flatnonzero(counts == m)
+            keep = usable[rows]
+            cols, norms2 = near[rows][keep].reshape(-1, m), near_d2[rows][keep].reshape(-1, m)
+            diffs = train[cols] - Q[a + rows, None]
+            quot = (diffs @ diffs.transpose(0, 2, 1)) / (norms2[:, :, None] * norms2[:, None, :])
+            upper, col = np.triu_indices(m, k=1)
+            pairs = quot.reshape(len(rows), m * m).take(upper * m + col, axis=1)
+            out[a + rows] = -np.log(np.var(pairs, axis=1) + ABOF_EPS)
     return out
 
 

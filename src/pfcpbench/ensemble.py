@@ -50,6 +50,7 @@ def _dual_coordinate_ascent(K: np.ndarray, y: np.ndarray, C: float) -> np.ndarra
     f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij
     diag = np.clip(np.diag(K), 1e-12, None).tolist()
     active = [True] * n
+    columns = np.ascontiguousarray(K.T)  # columns[i] is K[:, i], read contiguously
     for sweep in range(SOLVER_MAX_PASSES):
         max_step = 0.0
         for i in [i for i in range(n) if active[i]]:
@@ -62,7 +63,7 @@ def _dual_coordinate_ascent(K: np.ndarray, y: np.ndarray, C: float) -> np.ndarra
             new_alpha = min(max(alpha[i] - gradient / diag[i], 0.0), C)
             step = new_alpha - alpha[i]
             if step != 0.0:
-                f += step * y[i] * K[:, i]
+                f += step * y[i] * columns[i]
                 alpha[i] = new_alpha
                 max_step = max(max_step, abs(step))
         if max_step < SOLVER_TOL:

@@ -21,13 +21,14 @@ from pfcpbench.detectors.common import (
     ABOF_EPS,
     BLOCK_ROWS,
     CHUNK_ROWS,
+    DENSITY_EPS,
     EPS,
     distances,
     iter_chunks,
     nearest,
     sq_distances,
 )
-from pfcpbench.detectors.density import _avg_path
+from pfcpbench.detectors.density import INNE_BLOCK_ROWS, _avg_path
 from pfcpbench.detectors.geometric import score_abod
 from pfcpbench.errors import FitError, GridSearchError, GuidelineViolation, SchemaError
 from pfcpbench.evaluate import auc, threshold_metrics
@@ -590,6 +591,18 @@ def reference_score_abod(state, Q):
     return out
 
 
+def reference_score_inne(state, Q):
+    total = np.zeros(Q.shape[0])
+    for centers, radii, nn_radii in zip(state["centers"], state["radii"], state["nn_radii"]):
+        d = distances(Q, centers)
+        inside = d <= radii[None, :]
+        best = np.where(inside, radii[None, :], np.inf).argmin(axis=1)
+        covered = inside.any(axis=1)
+        ratio = nn_radii[best] / np.maximum(radii[best], DENSITY_EPS)
+        total += np.where(covered, 1.0 - ratio, 1.0)
+    return total / len(state["radii"])
+
+
 def assert_same_state(got: dict, want: dict):
     assert got.keys() == want.keys()
     for key, value in want.items():
@@ -640,16 +653,32 @@ def _abod_cases(pfcp_edge_rows):
     # neighbour
     lonely = np.vstack([np.zeros((6, 2)), [[1.0, 1.0]]])
     lonely_q = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, -0.5], [0.0, 1e-7]])
+    # each query row of "repeats" is in its training set this many times:
+    # with k = 5 and k + 8 = 13 spares, r copies leave min(k, 13 - r) usable
+    # neighbours, so every count from k down to 0 is met, and k + 9 = 14
+    # copies fill all 13 spares
+    queries = rng.normal(size=(22, 3))
+    copies = np.repeat(queries, np.repeat([0, 1, 2, 4, 5, 9, 10, 11, 12, 13, 14], 2), axis=0)
     train_pfcp, edge = pfcp_edge_rows
     return {
         "coincident": (train, Q, 5),
         "few-usable": (lonely, lonely_q, 5),
         "all-coincident": (np.zeros((4, 2)), np.array([[0.0, 0.0], [1.0, 0.0]]), 3),
         "pfcp": (train_pfcp.matrix, np.vstack([train_pfcp.matrix, edge]), 10),
+        "repeats": (np.vstack([copies, rng.normal(size=(40, 3))]), queries, 5),
     }
 
 
-@pytest.mark.parametrize("case", ["coincident", "few-usable", "all-coincident", "pfcp"])
+def test_abod_repeats_case_meets_every_usable_count(pfcp_edge_rows):
+    train, Q, k = _abod_cases(pfcp_edge_rows)["repeats"]
+    counts = set()
+    for q in Q:
+        d2 = np.sort(((train - q) ** 2).sum(axis=1))[: k + 8]
+        counts.add(min(k, int((d2 > ABOF_EPS).sum())))
+    assert counts == set(range(k + 1))
+
+
+@pytest.mark.parametrize("case", ["coincident", "few-usable", "all-coincident", "pfcp", "repeats"])
 def test_abod_matches_reference_loop(pfcp_edge_rows, case):
     train, Q, k = _abod_cases(pfcp_edge_rows)[case]
     state = density.fit_knn(train, {"k": k}, None)
@@ -657,6 +686,40 @@ def test_abod_matches_reference_loop(pfcp_edge_rows, case):
     assert got.dtype == want.dtype and np.array_equal(got, want)
     if case == "few-usable":
         assert want[0] == -np.log(ABOF_EPS)  # the floor: under 2 usable neighbours
+
+
+def _inne_cases(pfcp_edge_rows):
+    rng = np.random.default_rng(15)
+    train_pfcp, edge = pfcp_edge_rows
+    # distinct integer points: many radii are equal, so the first-index rule
+    # on a tie decides which center covers a query
+    grid = np.unique(rng.integers(0, 5, size=(80, 3)), axis=0).astype(float)
+    # four points, each many times over: most members sample two equal
+    # centers, whose radius 0 is floored at DENSITY_EPS
+    repeated = np.repeat(rng.normal(size=(4, 3)), 30, axis=0)
+    # 41 columns: a row block's product rounds differently from the same
+    # rows inside the whole product, and the training rows sit on spheres
+    wide = rng.normal(size=(300, 41))
+    return {
+        "pfcp": (train_pfcp.matrix, edge),
+        "integer-grid": (grid, rng.integers(-1, 6, size=(90, 3)).astype(float)),
+        "coincident-centers": (repeated, np.vstack([repeated[::30], rng.normal(size=(40, 3))])),
+        "41-columns": (wide, np.vstack([wide, rng.normal(size=(100, 41))])),
+    }
+
+
+@pytest.mark.parametrize("members, sample_size", [(1, 2), (1, 8), (200, 2), (200, 8)])
+@pytest.mark.parametrize("case", ["pfcp", "integer-grid", "coincident-centers", "41-columns"])
+def test_inne_matches_reference_loop(pfcp_edge_rows, case, members, sample_size):
+    X, Q = _inne_cases(pfcp_edge_rows)[case]
+    state = density.fit_inne(X, {"members": members, "sample_size": sample_size},
+                             np.random.default_rng(members + sample_size))
+    if case == "coincident-centers" and members == 200:
+        assert (state["radii"] == 0).any()
+    Q = np.resize(Q, (CHUNK_ROWS + 37, Q.shape[1]))  # the rows over again
+    for rows in (0, 1, INNE_BLOCK_ROWS - 1, INNE_BLOCK_ROWS, INNE_BLOCK_ROWS + 1, len(Q)):
+        got, want = density.score_inne(state, Q[:rows]), reference_score_inne(state, Q[:rows])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), rows
 
 
 def brute_abod(train: np.ndarray, queries: np.ndarray, k: int) -> list[float]:
@@ -732,6 +795,11 @@ def test_blocked_distance_kernels_match_whole_chunk_expressions(rows, order, dat
     want = reference_sq_distances(A, B)
     assert sq_distances(A, B).tobytes() == want.tobytes()
     assert distances(A, B).tobytes() == np.sqrt(want).tobytes()
+    # a stack of matrices, as INNE's members: each member's own distances
+    stack = np.asarray(np.stack([B, B[::-1], 0.5 * B]), order=order)
+    each = np.stack([reference_sq_distances(A, member) for member in stack])
+    assert sq_distances(A, stack).tobytes() == each.tobytes()
+    assert distances(A, stack).tobytes() == np.sqrt(each).tobytes()
     d = np.asarray(np.sqrt(want), order=order)
     for take in (1, 11, B.shape[0]):
         for got, ref in zip(nearest(d, take), reference_nearest(d, take)):
@@ -763,6 +831,17 @@ def test_neighbour_scoring_holds_one_distance_chunk_at_a_time(kind):
 def test_lof_in_sample_holds_one_distance_chunk_at_a_time():
     X = np.random.default_rng(10).normal(size=(CHUNK_ROWS + 700, 6))
     assert _traced_peak(density.lof_in_sample, X, 10) <= 1.25 * 8 * CHUNK_ROWS * len(X)
+
+
+def test_inne_scoring_holds_one_row_block_at_a_time():
+    # each block of query rows is scored against every member and freed
+    # before the next, so four times the rows peak no higher, bar the output
+    rng = np.random.default_rng(11)
+    model = fit(DetectorConfig(kind=DetectorKind.INNE), numeric_dataset(rng.normal(size=(700, 6))),
+                seed=1)
+    Q = rng.normal(size=(4 * CHUNK_ROWS, 6))
+    one = _traced_peak(model.score_batch, Q[:CHUNK_ROWS])
+    assert _traced_peak(model.score_batch, Q) <= 1.1 * one
 
 
 def test_pca_all_components_reconstructs_training_points():
