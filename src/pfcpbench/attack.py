@@ -613,14 +613,10 @@ def _lockstep(model, attacks: Sequence[tuple[QueryOracle, Proposals]]) -> None:
     """Drive every (oracle, optimizer) pair in rounds until each one stops:
     on its first zero fitness, when its budget is spent, or when its
     optimizer returns.  A round takes one genome from each live optimizer
-    and builds their candidates as one block; this is the one place that
-    enforces a budget.
-    The block is scored in one call when the model's kind is row-invariant,
-    else one row per call, so that no score depends on which other samples
-    are still live."""
-    from .detectors import ROW_INVARIANT_KINDS
-
-    batched = getattr(model, "kind", None) in ROW_INVARIANT_KINDS
+    and builds their candidates as one block, scored in one call; this is
+    the one place that enforces a budget.  A detector or ensemble scores a
+    row alike in any batch, so no score depends on which other samples are
+    still live."""
     live = [(oracle, proposals, None) for oracle, proposals in attacks]
     while True:
         queued, genomes = [], []
@@ -635,10 +631,7 @@ def _lockstep(model, attacks: Sequence[tuple[QueryOracle, Proposals]]) -> None:
         if not queued:
             return
         block = round_candidates([oracle for oracle, _ in queued], genomes)
-        if batched:
-            scores = model.score_batch(block)
-        else:
-            scores = [model.score_batch(block[k : k + 1])[0] for k in range(len(block))]
+        scores = model.score_batch(block)
         live = [
             (oracle, proposals, oracle.fitness(candidate, score))
             for (oracle, proposals), candidate, score in zip(queued, block, scores)
@@ -659,14 +652,14 @@ def run_campaign(
     """Attack every initially-detected sample with a per-sample budget;
     return the oracles of the attacked samples, in sample order.
 
-    ``model`` only needs ``score_batch`` and ``tau``, and a ``kind`` when
-    it is a detector; the optimizers never see anything else.  Samples the
-    detector misses are skipped: evasion is defined over detected samples,
-    and so are samples of a class without a feasible set, and samples that
-    break their own class predicates (counted in one warning).  Each gene
-    space (equal feasible sets) runs one lockstep, whose rounds' oracles
-    share one set.  Per-sample RNG streams derive from (seed, algorithm,
-    sample index), so the order of the samples' queries does not matter.
+    ``model`` only needs ``score_batch`` and ``tau``; the optimizers never
+    see anything else.  Samples the detector misses are skipped: evasion is
+    defined over detected samples, and so are samples of a class without a
+    feasible set, and samples that break their own class predicates
+    (counted in one warning).  Each gene space (equal feasible sets) runs
+    one lockstep, whose rounds' oracles share one set.  Per-sample RNG
+    streams derive from (seed, algorithm, sample index), so the order of
+    the samples' queries does not matter.
     """
     if not attack_samples.attacks.all():
         raise SchemaError("campaign input must contain attack rows only")

@@ -3,7 +3,9 @@
 Twelve detectors across three families share a single contract: ``fit``
 learns from benign training data only and calibrates a threshold ``tau``,
 and ``score_batch`` maps each row of a query matrix to a finite real
-(higher = more anomalous).  A row is anomalous when its score is strictly
+(higher = more anomalous).  A row's score is the same, bit for bit,
+whichever rows share its call: ``score_batch(Q)[i] ==
+score_batch(Q[i:i+1])[0]``.  A row is anomalous when its score is strictly
 above ``tau``: ``score > tau``.  All detectors consume the preprocessed
 numeric representation; categorical codes enter as ordinal reals.
 """
@@ -31,21 +33,15 @@ from . import bagging, density, geometric, statistical
 
 @dataclass(frozen=True)
 class _Kind:
-    """Everything the catalog knows of one detector kind."""
+    """Everything the catalog knows of one detector kind.  ``score`` rounds
+    a row alike in any batch: its matrix products go through
+    ``common.row_matmul``, and GMM sums in a fixed order with no product."""
 
     fit: Callable  # (X, params, rng) -> state
     score: Callable  # (state, Q) -> one score per row of Q
     defaults: dict  # every hyperparameter, with its default value
     state: AbstractSet[str]  # the keys of fit's state; a container must hold exactly these
     min_rows: Callable[[Mapping], int]  # least training rows, given the params
-    # Whether a row's score does not depend on the other rows scored with it,
-    # bit for bit: ``score_batch(Q)[i] == score_batch(Q[i:i+1])[0]``.  An
-    # attack campaign scores each round's candidates in one call for these
-    # kinds only.  The others round differently with the shape of the batch:
-    # kNN, LOF, ABOD, FeatureBagging, PCA and LODA through their BLAS
-    # products, and every ensemble through its bases and stacker.  GMM's
-    # scoring sums in a fixed order; its EM solves are on the training side only.
-    row_invariant: bool
 
 
 def _k_plus_one(params: Mapping) -> int:
@@ -54,43 +50,36 @@ def _k_plus_one(params: Mapping) -> int:
 
 _KINDS = {
     DetectorKind.HBOS: _Kind(statistical.fit_hbos, statistical.score_hbos, {"bins": 10},
-                             {"lo", "hi", "heights"}, lambda p: 1, row_invariant=True),
+                             {"lo", "hi", "heights"}, lambda p: 1),
     DetectorKind.COPOD: _Kind(statistical.fit_ecdf, statistical.score_copod, {},
-                              {"sorted", "skew_sign"}, lambda p: 1, row_invariant=True),
+                              {"sorted", "skew_sign"}, lambda p: 1),
     DetectorKind.ECOD: _Kind(statistical.fit_ecdf, statistical.score_ecod, {},
-                             {"sorted", "skew_sign"}, lambda p: 1, row_invariant=True),
+                             {"sorted", "skew_sign"}, lambda p: 1),
     DetectorKind.KNN: _Kind(density.fit_knn, density.score_knn, {"k": 5},
-                            {"train", "k"}, _k_plus_one, row_invariant=False),
+                            {"train", "k"}, _k_plus_one),
     DetectorKind.LOF: _Kind(density.fit_lof, density.score_lof, {"k": 20},
-                            {"train", "k", "train_kdist", "train_lrd"}, _k_plus_one,
-                            row_invariant=False),
+                            {"train", "k", "train_kdist", "train_lrd"}, _k_plus_one),
     DetectorKind.IFOREST: _Kind(
         density.fit_iforest, density.score_iforest, {"trees": 100, "subsample": 256},
-        {"roots", "feature", "threshold", "right", "leaf_path", "depth", "psi"}, lambda p: 2,
-        row_invariant=True,
+        {"roots", "feature", "threshold", "right", "leaf_path", "depth", "psi"}, lambda p: 2
     ),
-    DetectorKind.LODA: _Kind(density.fit_loda, density.score_loda,
-                             {"projections": 100, "bins": 10}, {"W", "lo", "hi", "masses"},
-                             lambda p: 1, row_invariant=False),
+    DetectorKind.LODA: _Kind(density.fit_loda, density.score_loda, {"projections": 100, "bins": 10},
+                             {"W", "lo", "hi", "masses"}, lambda p: 1),
     DetectorKind.INNE: _Kind(density.fit_inne, density.score_inne,
                              {"members": 200, "sample_size": 8},
-                             {"centers", "radii", "nn_radii"}, lambda p: 2, row_invariant=True),
+                             {"centers", "radii", "nn_radii"}, lambda p: 2),
     DetectorKind.PCA: _Kind(geometric.fit_pca, geometric.score_pca, {"variance_fraction": 0.95},
-                            {"mean", "components"}, lambda p: 2, row_invariant=False),
+                            {"mean", "components"}, lambda p: 2),
     DetectorKind.ABOD: _Kind(density.fit_knn, geometric.score_abod, {"k": 10},
-                             {"train", "k"}, _k_plus_one, row_invariant=False),
+                             {"train", "k"}, _k_plus_one),
     DetectorKind.GMM: _Kind(geometric.fit_gmm, geometric.score_gmm, {"components": 4},
-                            {"means", "chols", "log_weights"}, lambda p: int(p["components"]),
-                            row_invariant=True),
+                            {"means", "chols", "log_weights"}, lambda p: int(p["components"])),
     DetectorKind.FEATURE_BAGGING: _Kind(
         bagging.fit_feature_bagging, bagging.score_feature_bagging,
         {"bag_count": 10, "k": 20, "subset_range": None},
-        {"train", "k", "features", "train_kdist", "train_lrd", "mean", "sd"}, _k_plus_one,
-        row_invariant=False,
+        {"train", "k", "features", "train_kdist", "train_lrd", "mean", "sd"}, _k_plus_one
     ),
 }
-
-ROW_INVARIANT_KINDS = frozenset(kind for kind, row in _KINDS.items() if row.row_invariant)
 
 # Integer hyperparameters whose least value is not 1: a one-row subsample
 # has no spread for IForest's path norm or INNE's radii.
@@ -133,7 +122,8 @@ class DetectorModel:
         return self.config.kind
 
     def score_batch(self, Q: np.ndarray) -> np.ndarray:
-        Q = np.asarray(Q, dtype=np.float64)
+        # C order: numpy sums an F-ordered row differently from a lone one
+        Q = np.ascontiguousarray(Q, dtype=np.float64)
         if Q.ndim != 2 or Q.shape[1] != self.d:
             raise SchemaError(
                 f"{self.kind.value}: expected {self.d}-dimensional rows, got shape {Q.shape}"

@@ -30,8 +30,7 @@ def fit_feature_bagging(X: np.ndarray, params: dict, rng) -> dict:
         size = int(rng.integers(lo, hi + 1))
         feats = np.sort(rng.choice(d, size=size, replace=False))
         features[i, feats] = True
-        # z-normalization uses the member's in-sample factor distribution,
-        # computed on the F-ordered X[:, feats] (scoring differs, see below)
+        # z-normalization uses the member's in-sample factor distribution
         kdist[i], lrd[i], factors = lof_in_sample(X[:, feats], k)
         mean[i], sd[i] = factors.mean(), max(factors.std(), 1e-12)
     return {"train": X.copy(), "k": k, "features": features, "train_kdist": kdist,
@@ -44,9 +43,7 @@ def score_feature_bagging(state: dict, Q: np.ndarray) -> np.ndarray:
     for mask, kdist, lrd, mean, sd in zip(state["features"], state["train_kdist"],
                                           state["train_lrd"], state["mean"], state["sd"]):
         feats = np.flatnonzero(mask)
-        # a member and its columns of the shared matrix make a LOF state; C
-        # order, because BLAS rounds the F-ordered train[:, feats] differently
-        lof = {"train": np.ascontiguousarray(train[:, feats]), "k": k,
-               "train_kdist": kdist, "train_lrd": lrd}
+        # a member and its columns of the shared matrix make a LOF state
+        lof = {"train": train[:, feats], "k": k, "train_kdist": kdist, "train_lrd": lrd}
         total += (score_lof(lof, Q[:, feats]) - mean) / sd
     return total / len(state["mean"])

@@ -19,19 +19,37 @@ CHUNK_ROWS = 1024
 BLOCK_ROWS = 32
 
 
-def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, |A| x |B|, clipped at zero; for a stack
-    B of shape (s, m, d), one |A| x m matrix per member, (s, |A|, m).
+def row_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B`` for a 2-D ``A`` and a 1-D or 2-D ``B``, with the same bits
+    for a row of ``A`` in any batch.
 
-    The result is the array ``A @ B.T`` writes (one product per member of a
-    stack): each element becomes (|a|^2 + |b|^2) - 2 <a, b> in place, a
-    block of rows at a time, so no second array of its size is made.
+    numpy's stacked matmul makes one BLAS product per (1 x k) row of ``A``,
+    the same call whichever rows share the batch, where one product over
+    all of ``A`` rounds with the batch's shape.  Both operands are copied
+    C-contiguous first, so the call does not depend on the caller's memory
+    order either: BLAS multiplies by an F-ordered ``B``, such as ``W.T``,
+    in another kernel, which rounds differently.
     """
+    A = np.ascontiguousarray(A)
+    return np.matmul(A[:, None, :], np.ascontiguousarray(B))[:, 0]
+
+
+def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, |A| x |B|, clipped at zero.
+
+    The result is the array ``row_matmul(A, B.T)`` writes: each element
+    becomes (|a|^2 + |b|^2) - 2 <a, b> in place, a block of rows at a time,
+    so no second array of its size is made.  Norms are summed over
+    C-contiguous copies: numpy sums a C-contiguous row pairwise, alone or in
+    a batch, but an F-ordered batch (FeatureBagging's ``Q[:, feats]``)
+    column by column, which from 8 columns on rounds differently.
+    """
+    A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
     a2 = (A * A).sum(axis=1)
-    b2 = (B * B).sum(axis=-1)[..., None, :]
-    sq = A @ B.swapaxes(-1, -2)
-    for lo, hi in iter_chunks(sq.shape[-2], BLOCK_ROWS):
-        block = sq[..., lo:hi, :]
+    b2 = (B * B).sum(axis=1)
+    sq = row_matmul(A, B.T)
+    for lo, hi in iter_chunks(len(sq), BLOCK_ROWS):
+        block = sq[lo:hi]
         block *= 2.0
         np.subtract(a2[lo:hi, None] + b2, block, out=block)
         np.maximum(block, 0.0, out=block)

@@ -14,6 +14,7 @@ from .common import (
     histogram_table,
     iter_chunks,
     nearest,
+    row_matmul,
 )
 
 # --------------------------------------------------------------------------
@@ -217,14 +218,14 @@ def fit_loda(X: np.ndarray, params: dict, rng) -> dict:
     for i in range(r):
         feats = rng.choice(d, size=min(nnz, d), replace=False)
         W[i, feats] = rng.normal(size=len(feats))
-    Z = X @ W.T
+    Z = row_matmul(X, W.T)
     lo, hi = Z.min(axis=0), Z.max(axis=0)
     masses = histogram_table(Z, lo, hi, bins) / X.shape[0]
     return {"W": W, "lo": lo, "hi": hi, "masses": masses}
 
 
 def score_loda(state: dict, Q: np.ndarray) -> np.ndarray:
-    Z = Q @ state["W"].T
+    Z = row_matmul(Q, state["W"].T)
     mass = histogram_lookup(Z, state["lo"], state["hi"], state["masses"])
     # projections summed left to right, as in score_hbos
     return (-np.log(mass + EPS)).cumsum(axis=1)[:, -1] / state["W"].shape[0]
@@ -235,7 +236,7 @@ def score_loda(state: dict, Q: np.ndarray) -> np.ndarray:
 # nearest-neighbor distance, score 1 when a query escapes every sphere.
 
 # Query rows scored against all t members at once: the block's distances are
-# a t x INNE_BLOCK_ROWS x psi array (800 KiB at 200 members of 8 centers).
+# an INNE_BLOCK_ROWS x t x psi array (800 KiB at 200 members of 8 centers).
 INNE_BLOCK_ROWS = 64
 
 
@@ -259,31 +260,28 @@ def fit_inne(X: np.ndarray, params: dict, rng) -> dict:
 
 
 def score_inne(state: dict, Q: np.ndarray) -> np.ndarray:
-    """A block of query rows against every member at once.  ``np.matmul``
-    over the stacked centers makes one BLAS product per member, the product
-    a member-by-member loop makes.  One product over all t * psi centers is
-    not always the same: it matched at 18 columns, but with 41 columns 6 of
-    12 row counts tried rounded differently (OpenBLAS, one thread), and
-    OpenBLAS picks its kernel per CPU."""
+    """A block of query rows against every member at once, through one
+    distance matrix to all t * psi centers."""
     centers, radii = state["centers"], state["radii"]
     t, psi = radii.shape
+    flat = centers.reshape(t * psi, -1)
     # a query whose smallest covering center is j scores this
     covered_score = 1.0 - state["nn_radii"] / np.maximum(radii, DENSITY_EPS)
     out = np.empty(Q.shape[0])
     for a, b in iter_chunks(Q.shape[0], INNE_BLOCK_ROWS):
-        d = distances(Q[a:b], centers)  # t x rows x psi
+        d = distances(Q[a:b], flat).reshape(b - a, t, psi)
         # the smallest covering radius by a running comparison over the
         # centers; a tie keeps the first center, as argmin would
-        best = np.full((t, b - a), np.inf)
-        score = covered_score[:, :1]
+        best = np.full((b - a, t), np.inf)
+        score = covered_score[:, 0]
         covered = False
         for j in range(psi):
-            inside = d[:, :, j] <= radii[:, j : j + 1]
-            radius = np.where(inside, radii[:, j : j + 1], np.inf)
-            score = np.where(radius < best, covered_score[:, j : j + 1], score)
+            inside = d[:, :, j] <= radii[:, j]
+            radius = np.where(inside, radii[:, j], np.inf)
+            score = np.where(radius < best, covered_score[:, j], score)
             best = np.minimum(best, radius)
             covered = covered | inside
         # 1 where no sphere covers the query; members summed in order, as a
         # running total over members would
-        out[a:b] = np.where(covered, score, 1.0).cumsum(axis=0)[-1] / t
+        out[a:b] = np.where(covered, score, 1.0).cumsum(axis=1)[:, -1] / t
     return out

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FitError
-from .common import ABOF_EPS, iter_chunks, logsumexp, nearest, sq_distances
+from .common import ABOF_EPS, iter_chunks, logsumexp, nearest, row_matmul, sq_distances
 
 GMM_RIDGE = 1e-6
 GMM_MAX_ITER = 200
@@ -33,7 +33,7 @@ def fit_pca(X: np.ndarray, params: dict, rng) -> dict:
 def score_pca(state: dict, Q: np.ndarray) -> np.ndarray:
     centered = Q - state["mean"]
     V = state["components"]
-    residual = centered - (centered @ V.T) @ V
+    residual = centered - row_matmul(row_matmul(centered, V.T), V)
     return (residual**2).sum(axis=1)
 
 

@@ -24,7 +24,7 @@ from .catalog import PRESETS, DetectorKind, EnsembleSpec  # PRESETS: read as ens
 from .detectors import (
     DetectorModel, check_container_digest, decode_arrays, encode_arrays, write_container,
 )
-from .detectors.common import sq_distances
+from .detectors.common import row_matmul, sq_distances
 from .errors import FitError, IoError, SchemaError
 from .traffic import malformed
 
@@ -87,7 +87,7 @@ class EnsembleModel:
 
     def margin(self, base_scores: np.ndarray) -> np.ndarray:
         Z = (base_scores - self.score_mean) / self.score_sd
-        return _rbf(Z, self.support_vectors, self.spec.gamma) @ self.dual_coef
+        return row_matmul(_rbf(Z, self.support_vectors, self.spec.gamma), self.dual_coef)
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
         base = np.column_stack([m.score_batch(X) for m in self.base_models])

@@ -26,7 +26,7 @@ from pfcpbench.attack import (
     scale_compliance,
 )
 from pfcpbench.corpus import default_schema, synth_rows
-from pfcpbench.detectors import ROW_INVARIANT_KINDS, DetectorConfig, DetectorKind, fit
+from pfcpbench.detectors import DetectorConfig, DetectorKind, fit
 from pfcpbench.errors import ConfigError, IoError, MarginalsError, MetricError, SchemaError
 from pfcpbench.preprocess import fit_pipeline, transform
 from pfcpbench.seeding import rng_for
@@ -87,13 +87,11 @@ def _detected_sample(schema):
 
 class _RowModel:
     """Scores each row by ``score(row)`` (by default the controllable size)
-    and keeps every row it is sent; a ``kind`` in ``ROW_INVARIANT_KINDS``
-    has each attack round scored in one call."""
+    and keeps every block of rows it is sent."""
 
-    def __init__(self, tau, score=lambda row: float(row[1]), kind=None):
+    def __init__(self, tau, score=lambda row: float(row[1])):
         self.tau = tau
         self.score = score
-        self.kind = kind
         self.calls = []
 
     def score_batch(self, X):
@@ -447,7 +445,7 @@ def test_campaign_rounds_take_each_class_as_one_run(toy):
         other = build_feasible_set(schema, flood_features, _flood_twin(spec))
         sets = {ClassLabel.RESTORATION_TEID: feasible, ClassLabel.FLOOD: other}
         marginals = {kind: estimate_marginals(source, sets[kind]) for kind in sets}
-        model = _RowModel(tau=-1.0, kind=DetectorKind.HBOS)
+        model = _RowModel(tau=-1.0)
         outcomes = run_campaign(model, attacks, sets, marginals,
                                 AttackConfig(algorithm=GA_DE, budget=5))
         assert [o.sample_index for o in outcomes] == list(range(len(kinds)))
@@ -469,7 +467,7 @@ def test_campaign_under_the_default_j_scores_each_round_once():
     sets = load_feasible_sets({}, schema, DEFAULT_COMPLIANCE_RULES)
     source = synth_rows(ClassLabel.NORMAL, 200, 7, schema)
     table = estimate_marginals(source, sets[ClassLabel.FLOOD])
-    model = _RowModel(tau=-1.0, score=lambda row: 1.0, kind=DetectorKind.HBOS)
+    model = _RowModel(tau=-1.0, score=lambda row: 1.0)
     outcomes = run_campaign(model, attacks, sets, dict.fromkeys(sets, table),
                             AttackConfig(algorithm=GA_ES, budget=4, popsize=2))
     assert [o.attack_class for o in outcomes] == kinds
@@ -654,11 +652,11 @@ def test_every_scored_row_is_feasible_and_within_budget(data):
     model = _RecordingModel(tau=data.draw(st.floats(0.0, 15.0), "tau"))
     source = LabeledDataset(schema, _WIDE_SOURCE, [ClassLabel.NORMAL] * len(_WIDE_SOURCE))
     outcomes = _campaign(model, attacks, feasible, cfg, source)
-    # the first call scores the originals; each later one is one query of a
-    # model outside ROW_INVARIANT_KINDS, so one row, and the samples' rows
-    # interleave round by round: the protected TEID tells them apart
-    queries = model.calls[1:]
-    assert all(q.shape == (1, 6) for q in queries)
+    # the first call scores the originals; each later one is a round, one
+    # row of each live sample: the protected TEID tells them apart
+    rounds = model.calls[1:]
+    assert all(len(set(q[:, 2])) == len(q) and q.shape[1] == 6 for q in rounds)
+    queries = [row[None] for q in rounds for row in q]
     assert sum(o.queries_used for o in outcomes) == len(queries)
     J = list(feasible.indices)
     for o in outcomes:
@@ -767,7 +765,7 @@ def test_campaign_skips_originals_that_break_their_class_predicates(toy, caplog)
     assert [o.sample_index for o in outcomes] == [0, 2]
     queried = {row[2] for call in model.calls[1:] for row in call}
     assert queried == {500.0, 300.0}
-    assert sum(o.queries_used for o in outcomes) == len(model.calls) - 1
+    assert sum(o.queries_used for o in outcomes) == sum(len(call) for call in model.calls[1:])
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert warnings == ["campaign: skipped 3 samples violating their own class predicates"]
 
@@ -946,11 +944,9 @@ def test_campaign_golden_traces_on_runs_of_numerical_genes(algorithm):
 
 class _BatchSizeModel(_DistanceModel):
     """``_DistanceModel`` plus ``per_row * len(Q)``: with ``per_row`` set, a
-    row's score depends on how many rows share its call.  ``kind`` decides
-    whether a campaign may score a round's candidates in one call."""
+    row's score depends on how many rows share its call."""
 
-    def __init__(self, kind, per_row):
-        self.kind = kind
+    def __init__(self, per_row):
         self.per_row = per_row
         self.rows_per_call = []
 
@@ -1001,30 +997,28 @@ def test_lockstep_campaign_matches_one_sample_one_row_reference(toy, algorithm):
         return [(o.sample_index, tuple(o.trace), o.best_candidate.tolist(), o.best_fitness)
                 for o in outcomes]
 
-    def reference(kind, per_row):
-        model = _BatchSizeModel(kind, per_row)
+    def reference(model):
         return _one_sample_one_row_campaign(model, attacks, feasible, cfg, source)
 
-    # a declared kind: the first round scores all 12 detected samples in one call
-    assert DetectorKind.HBOS in ROW_INVARIANT_KINDS
-    declared = _BatchSizeModel(DetectorKind.HBOS, per_row=0.0)
-    assert lockstep(declared) == reference(DetectorKind.HBOS, 0.0)
-    assert declared.rows_per_call[1] == 12
-    # any other kind: one row per call, so a batch-dependent score does not move
-    assert DetectorKind.LODA not in ROW_INVARIANT_KINDS
-    fallback = _BatchSizeModel(DetectorKind.LODA, per_row=1e-13)
-    assert lockstep(fallback) == reference(DetectorKind.LODA, 1e-13)
-    assert set(fallback.rows_per_call[1:]) == {1}
-    # and it would move had the rounds been batched
-    batched = lockstep(_BatchSizeModel(DetectorKind.HBOS, per_row=1e-13))
-    assert batched != reference(DetectorKind.LODA, 1e-13)
+    # every detector scores a row alike in any batch, so scoring each round
+    # in one call attacks each sample as it would be attacked alone
+    for kind in DetectorKind:
+        model = fit(DetectorConfig(kind=kind), source, seed=3)
+        outcomes = lockstep(model)
+        assert outcomes and outcomes == reference(model), kind
+    # the first round scores all 12 detected samples in one call
+    counted = _BatchSizeModel(per_row=0.0)
+    assert lockstep(counted) == reference(_BatchSizeModel(per_row=0.0))
+    assert counted.rows_per_call[1] == 12
+    # and a score that moved with the batch would show
+    assert lockstep(_BatchSizeModel(per_row=1e-13)) != reference(_BatchSizeModel(per_row=1e-13))
 
 
 class _CountingModel:
     """A fitted detector that records how many rows each score call holds."""
 
     def __init__(self, model):
-        self.model, self.kind, self.tau = model, model.kind, model.tau
+        self.model, self.tau = model, model.tau
         self.rows_per_call = []
 
     def score_batch(self, X):

@@ -1471,6 +1471,33 @@ def test_console_entry_exits_with_mains_code_and_a_frozen_heap(tmp_path):
     assert 'pfcpbench = "pfcpbench.cli:run"' in (REPO / "pyproject.toml").read_text()
 
 
+def test_train_writes_the_same_models_with_one_and_two_blas_threads(tmp_path):
+    # every score's products are one BLAS call per row, which a second
+    # thread does not split; GMM's EM products over the whole split do
+    # differ with two threads at scale 0.25, but not at this scale
+    doc = json.loads((REPO / "configs" / "benchmark.json").read_text())
+    doc["corpus"]["synth"]["scale"] = 0.01
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc, indent=2))
+    paths = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    trained = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = tmp_path / f"threads-{threads}"
+        for command in ("synth", "preprocess", "train"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pfcpbench.cli", command, "--config", str(config),
+                 "--out", str(out / "runs")],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+        run_dir = only_run_dir(out)
+        trained.append((tree_digest(run_dir / "models"),
+                        file_sha256(run_dir / "train_log.json")))
+    assert trained[0] == trained[1]
+
+
 @pytest.fixture(scope="module")
 def catalog_run(tmp_path_factory):
     """The shipped catalog config at synth scale 0.01, trained and evaluated,
@@ -1512,9 +1539,9 @@ def test_catalog_evasion_reports_golden(catalog_run):
 def test_ensemble_target_campaigns_golden(catalog_run):
     _, run_dir = catalog_run
     assert {p.name: file_sha256(p) for p in sorted(run_dir.glob("campaign-*.jsonl"))} == {
-        "campaign-HKGIP-GA_DE.jsonl": "a3420a775c5797c87b50b66d3ba92ea5911f7011a5d8744c80a62d892fa5a4e6",
-        "campaign-HKGIP-GA_ES.jsonl": "5635db5a5937c26d671e7adb3ca5514652ef13631e3d3332e329d43da1b4c06c",
-        "campaign-HKGIP-RS.jsonl": "8f361ced799f1d9ae89237db828cd175ca1ead92cd42cbd7dc8b3765838d44c2",
+        "campaign-HKGIP-GA_DE.jsonl": "31da763853c8d5013def5d8bdc98e3596113a52f4fb46e1501bccd30ba4b8e44",
+        "campaign-HKGIP-GA_ES.jsonl": "c455b56bebd40f4fe033ee8b125eb0d1d132228229f568f930c3023b51f595c3",
+        "campaign-HKGIP-RS.jsonl": "18244d4698e2bac7b06ec58c3e3e497b94f6898b59a861389213a77e168cc188",
     }
 
 

@@ -9,7 +9,6 @@ import pytest
 from pfcpbench.cli import load_any_model
 from pfcpbench.corpus import synth_benchmark_splits
 from pfcpbench.detectors import (
-    ROW_INVARIANT_KINDS,
     DetectorConfig,
     DetectorKind,
     calibrate_threshold,
@@ -30,6 +29,7 @@ from pfcpbench.detectors.common import (
 )
 from pfcpbench.detectors.density import INNE_BLOCK_ROWS, _avg_path
 from pfcpbench.detectors.geometric import score_abod
+from pfcpbench.ensemble import PRESETS, fit_ensemble
 from pfcpbench.errors import FitError, GridSearchError, GuidelineViolation, SchemaError
 from pfcpbench.evaluate import auc, threshold_metrics
 from pfcpbench.preprocess import fit_pipeline, transform
@@ -47,6 +47,13 @@ RANDOMIZED = (
 
 
 # --- brute-force oracles (independent loop implementations) -------------------
+
+
+def one_row_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B`` one row of A per product, both operands C-contiguous: the
+    product a detector's score gives each row, in any batch."""
+    A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
+    return np.vstack([A[i : i + 1] @ B for i in range(len(A))])
 
 
 def brute_knn(train: np.ndarray, q: np.ndarray, k: int) -> float:
@@ -307,7 +314,7 @@ def loop_hbos(X: np.ndarray, Q: np.ndarray, bins: int) -> np.ndarray:
 
 def loop_loda(X: np.ndarray, Q: np.ndarray, W: np.ndarray, bins: int) -> np.ndarray:
     """LODA given its projections, one projection histogram at a time."""
-    Z, Zq = X @ W.T, Q @ W.T
+    Z, Zq = one_row_products(X, W.T), one_row_products(Q, W.T)
     total = np.zeros(Q.shape[0])
     for i in range(W.shape[0]):
         lo, hi = float(Z[:, i].min()), float(Z[:, i].max())
@@ -763,12 +770,14 @@ def test_abod_matches_brute_force():
 
 
 # --- the distance kernels work on a chunk a block of rows at a time; they
-# must give the bits of the whole-chunk expressions they replaced, kept here
-# as they were
+# must give the bits of the whole-chunk expressions, kept here as they were
+# but for the product, which is made one row at a time
 
 
 def reference_sq_distances(A, B):
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+    A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
+    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :]
+    sq -= 2.0 * one_row_products(A, B.T)
     return np.maximum(sq, 0.0, out=sq)
 
 
@@ -795,11 +804,6 @@ def test_blocked_distance_kernels_match_whole_chunk_expressions(rows, order, dat
     want = reference_sq_distances(A, B)
     assert sq_distances(A, B).tobytes() == want.tobytes()
     assert distances(A, B).tobytes() == np.sqrt(want).tobytes()
-    # a stack of matrices, as INNE's members: each member's own distances
-    stack = np.asarray(np.stack([B, B[::-1], 0.5 * B]), order=order)
-    each = np.stack([reference_sq_distances(A, member) for member in stack])
-    assert sq_distances(A, stack).tobytes() == each.tobytes()
-    assert distances(A, stack).tobytes() == np.sqrt(each).tobytes()
     d = np.asarray(np.sqrt(want), order=order)
     for take in (1, 11, B.shape[0]):
         for got, ref in zip(nearest(d, take), reference_nearest(d, take)):
@@ -1019,16 +1023,22 @@ def test_translation_invariance(kind):
 
 
 @pytest.fixture(scope="module")
-def pfcp_edge_rows():
+def pfcp_splits():
+    """The scaled PFCP train, validation and test splits."""
+    train, validation, test = synth_benchmark_splits(seed=42, scale=0.05)
+    pipeline = fit_pipeline(train, scaling_enabled=True)
+    return tuple(transform(pipeline, split) for split in (train, validation, test))
+
+
+@pytest.fixture(scope="module")
+def pfcp_edge_rows(pfcp_splits):
     """Scaled PFCP training split, and query rows at the places where a
     last-bit difference would change a score: the training minima and
     maxima (also the training rows that attain them), HBOS's bin edges,
     midpoints, values outside the training range, test rows, and test rows
     with some cells moved onto those values."""
-    train, _, test = synth_benchmark_splits(seed=42, scale=0.05)
-    pipeline = fit_pipeline(train, scaling_enabled=True)
-    train = transform(pipeline, train)
-    T, rows = train.matrix, transform(pipeline, test).matrix
+    train, _, test = pfcp_splits
+    T, rows = train.matrix, test.matrix
     rng = np.random.default_rng(5)
     lo, hi = T.min(axis=0), T.max(axis=0)
     span = hi - lo
@@ -1047,19 +1057,29 @@ def pfcp_edge_rows():
 
 
 @pytest.mark.parametrize("kind, params", [
-    *(pytest.param(kind, {}, id=str(kind))
-      for kind in sorted(ROW_INVARIANT_KINDS, key=lambda k: k.value)),
+    *(pytest.param(kind, {}, id=str(kind)) for kind in DetectorKind),
     # the gmm-evasion workload's GMM, beside the default four components
     pytest.param(DetectorKind.GMM, {"components": 1}, id="DetectorKind.GMM-components=1"),
+    *(pytest.param(name, None, id=name) for name in PRESETS),
 ])
-def test_row_invariant_kinds_score_a_row_alike_in_any_batch(pfcp_edge_rows, kind, params):
-    # the attack scores a round's candidates in one call for these kinds,
-    # so each row's score must not depend on the rows sharing its call
-    train, Q = pfcp_edge_rows
-    model = fit(DetectorConfig(kind=kind, params=params), train, seed=42)
+def test_row_invariant_kinds_score_a_row_alike_in_any_batch(pfcp_splits, pfcp_edge_rows, kind,
+                                                            params):
+    # the attack scores a round's candidates in one call, so each row's
+    # score must not depend on the rows sharing its call; a preset's bases
+    # are fitted on the same split
+    train, validation, _ = pfcp_splits
+    Q = pfcp_edge_rows[1]
+    if kind in PRESETS:
+        spec = PRESETS[kind]
+        bases = [fit(DetectorConfig(kind=base), train, seed=42) for base in spec.base_kinds]
+        scores = np.column_stack([base.score_batch(validation.matrix) for base in bases])
+        model = fit_ensemble(spec, bases, scores, validation.attacks)
+    else:
+        model = fit(DetectorConfig(kind=kind, params=params), train, seed=42)
     full = model.score_batch(Q)
     alone = np.concatenate([model.score_batch(Q[i : i + 1]) for i in range(len(Q))])
     assert alone.tobytes() == full.tobytes()
+    assert model.score_batch(np.asfortranarray(Q)).tobytes() == full.tobytes()
     rng = np.random.default_rng(3)
     order = rng.permutation(len(Q))
     cuts = np.sort(rng.choice(np.arange(1, len(Q)), size=6, replace=False))
@@ -1067,21 +1087,6 @@ def test_row_invariant_kinds_score_a_row_alike_in_any_batch(pfcp_edge_rows, kind
     for part in np.split(order, cuts):
         shuffled[part] = model.score_batch(Q[part])
     assert shuffled.tobytes() == full.tobytes()
-
-
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP 4(a): a FeatureBagging row that attains a column extreme "
-    "scores 8.9e-4 apart alone and in a batch",
-)
-def test_feature_bagging_scores_a_row_within_rounding_alone_and_in_a_batch(pfcp_edge_rows):
-    # far beyond the last-bit differences of a BLAS product; likely its LOF
-    # members' tie sets move with the row's rounded zero distance to itself
-    train, Q = pfcp_edge_rows
-    model = fit(DetectorConfig(kind=DetectorKind.FEATURE_BAGGING), train, seed=42)
-    full = model.score_batch(Q)
-    alone = np.concatenate([model.score_batch(Q[i : i + 1]) for i in range(len(Q))])
-    np.testing.assert_allclose(alone, full, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", RANDOMIZED)
